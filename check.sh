@@ -103,8 +103,9 @@ echo "$METRICS" | grep -qF '\"busy\":false' || { echo "metrics verb lacks per-se
     | grep -q '^SESSION' || { echo "pfdbg top rendered no session table"; exit 1; }
 ./target/debug/pfdbg client "127.0.0.1:$PORT" --shutdown >/dev/null
 wait "$SERVE_PID"
-cp "$SMOKE_DIR/BENCH_serve.json" BENCH_serve.json
-echo "serve smoke ok: $(cat BENCH_serve.json)"
+# The smoke report stays in the temp dir: an 80-request debug-build run
+# is not a benchmark, so it never replaces a committed BENCH_*.json.
+echo "serve smoke ok: $(cat "$SMOKE_DIR/BENCH_serve.json")"
 
 echo "== sharded fleet smoke (512 sessions) =="
 # A scaled-down fleet soak against an in-process server: 512 sessions
@@ -243,9 +244,9 @@ echo "== differential fuzz (64 seeded cases) =="
 # scrubbed-vs-unscrubbed at zero SEU). Divergences shrink to minimal
 # journals in the corpus dir and fail the gate.
 ./target/debug/diff_fuzz --cases 64 --seed 4242 --corpus "$SMOKE_DIR/fuzz-corpus" \
-    --out BENCH_diff_fuzz.json >/dev/null
-grep -q '"divergences":0' BENCH_diff_fuzz.json || { echo "differential fuzz found divergences"; exit 1; }
-echo "diff_fuzz ok: $(cat BENCH_diff_fuzz.json)"
+    --out "$SMOKE_DIR/BENCH_diff_fuzz.json" >/dev/null
+grep -q '"divergences":0' "$SMOKE_DIR/BENCH_diff_fuzz.json" || { echo "differential fuzz found divergences"; exit 1; }
+echo "diff_fuzz ok: $(cat "$SMOKE_DIR/BENCH_diff_fuzz.json")"
 
 echo "== specialize micro-bench (batch vs serial bit-identity) =="
 # The turn-path micro-bench at a reduced turn count: the gate is the

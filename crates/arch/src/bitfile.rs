@@ -48,8 +48,10 @@ impl std::error::Error for BitfileError {}
 
 const MAGIC: &[u8; 4] = b"PFB1";
 
-/// CRC-32 (IEEE 802.3, reflected), table-free bitwise implementation —
-/// this runs once per file, not per frame.
+/// CRC-32 (IEEE 802.3, reflected), table-free bitwise implementation.
+/// Besides whole bitfiles it checks every ICAP frame write:
+/// `pfdbg_pconf::icap::frame_crc` runs it twice per frame written, once
+/// over the words sent and once over the readback.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {

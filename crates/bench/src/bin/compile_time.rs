@@ -11,11 +11,14 @@
 //! **pfdbg-par** thread-pool layer: the whole offline flow runs
 //! `--runs` times serially (1 thread) and `--runs` times with
 //! `--par-threads` workers, and the per-stage medians (mapping,
-//! placement, routing, generalized-bitstream construction) land in
-//! `BENCH_compile.json` together with the speedups. The parallel flow
-//! is bit-identical to the serial one (asserted in the tier-1 suite);
-//! the speedup you see depends on how many hardware threads the host
-//! actually has — recorded as `host_threads`.
+//! packing, placement, routing, generalized-bitstream construction)
+//! land in `BENCH_compile.json` together with the speedups, the paper
+//! experiment's wires, CLBs and place&route times, and a provenance
+//! block (git revision and dirty flag, build profile, `rustc -V`, host
+//! threads). The parallel flow is bit-identical to the serial one
+//! (asserted in the tier-1 suite); the speedup you see depends on how
+//! many hardware threads the host actually has — recorded as
+//! `host_threads`.
 //!
 //! ```text
 //! compile_time [design] [--runs N] [--par-threads N] [--out f.json]
@@ -29,6 +32,7 @@ use pfdbg_pr::{tpar, TparConfig};
 use pfdbg_synth::synthesize;
 use pfdbg_util::stats::percentile;
 use pfdbg_util::table::Table;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 fn flag(rest: &[String], name: &str) -> Option<String> {
@@ -42,8 +46,9 @@ fn flag_usize(rest: &[String], name: &str, default: usize) -> usize {
 }
 
 /// The benchmark stages, named by the spans the offline flow emits.
-const STAGES: [(&str, &[&str]); 5] = [
+const STAGES: [(&str, &[&str]); 6] = [
     ("map", &["offline.tconmap"]),
+    ("pack", &["tpar.pack"]),
     ("place", &["tpar.place"]),
     ("route", &["tpar.route"]),
     ("genbits", &["offline.lut_bits", "offline.switch_bits", "offline.build_gbs"]),
@@ -82,6 +87,31 @@ fn time_offline(
         .zip(per_stage)
         .map(|(&(name, _), times)| (name, percentile(&times, 50.0).unwrap_or(f64::NAN)))
         .collect()
+}
+
+/// Where a report came from: git revision and dirty flag (`null`
+/// outside a git checkout), build profile, compiler, and the hardware
+/// threads the host offers.
+fn provenance(host_threads: usize) -> String {
+    let git = |args: &[&str]| -> Option<String> {
+        let out = Command::new("git").args(args).stderr(Stdio::null()).output().ok()?;
+        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let rev = git(&["rev-parse", "HEAD"]);
+    let dirty = rev
+        .as_ref()
+        .and_then(|_| git(&["status", "--porcelain", "--untracked-files=no"]))
+        .map(|s| !s.is_empty());
+    write_object(&[
+        ("git_rev", rev.map_or(JsonValue::Null, JsonValue::Str)),
+        ("git_dirty", dirty.map_or(JsonValue::Null, JsonValue::Bool)),
+        (
+            "profile",
+            JsonValue::Str(if cfg!(debug_assertions) { "debug" } else { "release" }.into()),
+        ),
+        ("rustc", JsonValue::Str(env!("BENCH_RUSTC").into())),
+        ("host_threads", JsonValue::Num(host_threads as f64)),
+    ])
 }
 
 fn main() {
@@ -211,17 +241,26 @@ fn main() {
         );
     }
 
+    let ms = |d: std::time::Duration| JsonValue::Num(d.as_secs_f64() * 1e3);
     let mut fields: Vec<(&str, JsonValue)> = vec![
         ("bench", JsonValue::Str("compile_time".into())),
         ("design", JsonValue::Str(name.clone())),
         ("runs", JsonValue::Num(runs as f64)),
         ("parallel_threads", JsonValue::Num(par_threads as f64)),
-        ("host_threads", JsonValue::Num(host_threads as f64)),
+        ("param_wires", JsonValue::Num(param_stats.wires_used as f64)),
+        ("conv_wires", JsonValue::Num(conv.stats.wires_used as f64)),
+        ("param_clbs", JsonValue::Num(param_stats.n_clbs as f64)),
+        ("conv_clbs", JsonValue::Num(conv.stats.n_clbs as f64)),
+        ("param_pr_ms", ms(param_stats.runtime)),
+        ("conv_pr_ms", ms(conv_time)),
     ];
     for (k, v) in &stage_fields {
         fields.push((k.as_str(), JsonValue::Num(*v)));
     }
+    // `write_object` writes flat objects; the provenance block is
+    // spliced in as a nested one before the closing brace.
     let json = write_object(&fields);
+    let json = format!("{},\"provenance\":{}}}", &json[..json.len() - 1], provenance(host_threads));
     std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("{out}: {e}"));
     eprintln!("compile_time: wrote {out}");
     obs.finish();

@@ -77,96 +77,259 @@ struct NetGeometry {
     weight: f64,
 }
 
+/// Fanout-weighted half-perimeter of one net's bounding box.
+fn bbox_cost(net: &NetGeometry, locs: &[Loc]) -> f64 {
+    if net.terminals.is_empty() {
+        return 0.0;
+    }
+    let mut min_x = u16::MAX;
+    let mut max_x = 0u16;
+    let mut min_y = u16::MAX;
+    let mut max_y = 0u16;
+    for &t in &net.terminals {
+        let l = locs[t as usize];
+        min_x = min_x.min(l.x);
+        max_x = max_x.max(l.x);
+        min_y = min_y.min(l.y);
+        max_y = max_y.max(l.y);
+    }
+    net.weight * ((max_x - min_x) as f64 + (max_y - min_y) as f64)
+}
+
+/// Marks a free slot in [`SlotClass::occupant`].
+const FREE: u32 = u32::MAX;
+
+/// One block class (CLBs or pads): its blocks, the slots they may
+/// occupy, and which block holds each slot.
+struct SlotClass {
+    blocks: Vec<usize>,
+    slots: Vec<Loc>,
+    /// Block in each slot, or [`FREE`].
+    occupant: Vec<u32>,
+}
+
+/// A proposed move, already applied to [`Annealer::locs`]: block `a`
+/// goes to slot `to` of its class, swapping with `b`, the slot's
+/// occupant, if any. [`Annealer::commit`] or [`Annealer::revert`]
+/// settles it.
+struct Move {
+    clb: bool,
+    a: usize,
+    to: u32,
+    b: Option<usize>,
+    /// Cost change of the move.
+    delta: f64,
+}
+
+/// Annealing state with incremental bookkeeping: a slot → block
+/// occupancy index per class and a per-net cost cache equal to
+/// [`bbox_cost`] of the committed placement, so a move costs one scan
+/// of its affected nets' after-state. Sums over the cache add the same
+/// values in the same order as a fresh scan would, so the anneal makes
+/// the same decisions bit for bit.
+struct Annealer {
+    nets: Vec<NetGeometry>,
+    /// Nets touching each block.
+    nets_of_block: Vec<Vec<u32>>,
+    clb: SlotClass,
+    io: SlotClass,
+    locs: Vec<Loc>,
+    /// Each block's slot index within its class.
+    slot_of: Vec<u32>,
+    /// `bbox_cost` of every net under the committed `locs`.
+    net_cost: Vec<f64>,
+    /// Nets affected by the pending move (sorted, deduplicated) and
+    /// their after-move costs.
+    affected: Vec<u32>,
+    after: Vec<f64>,
+}
+
+impl Annealer {
+    /// Split `design`'s blocks into classes over `dev`'s slots and place
+    /// them round-robin: the i-th block of each class in the i-th slot.
+    fn for_design(design: &PackedDesign, dev: &Device) -> Result<Annealer, String> {
+        let n_blocks = design.blocks.len();
+        let clb_slots: Vec<Loc> =
+            dev.clb_tiles().map(|(x, y)| Loc { x: x as u16, y: y as u16, sub: 0 }).collect();
+        let io_slots: Vec<Loc> = dev
+            .io_tiles()
+            .flat_map(|(x, y)| {
+                (0..dev.spec.io_capacity).map(move |s| Loc {
+                    x: x as u16,
+                    y: y as u16,
+                    sub: s as u16,
+                })
+            })
+            .collect();
+
+        let clb_blocks: Vec<usize> =
+            (0..n_blocks).filter(|&b| matches!(design.blocks[b], Block::Clb(_))).collect();
+        let pad_blocks: Vec<usize> =
+            (0..n_blocks).filter(|&b| !matches!(design.blocks[b], Block::Clb(_))).collect();
+        if clb_blocks.len() > clb_slots.len() {
+            return Err(format!(
+                "design needs {} CLBs but device has {}",
+                clb_blocks.len(),
+                clb_slots.len()
+            ));
+        }
+        if pad_blocks.len() > io_slots.len() {
+            return Err(format!(
+                "design needs {} pads but device has {}",
+                pad_blocks.len(),
+                io_slots.len()
+            ));
+        }
+
+        // Net geometries.
+        let nets: Vec<NetGeometry> = design
+            .nets
+            .iter()
+            .map(|n| {
+                let mut terminals: Vec<u32> = n.sources.iter().map(|s| s.block as u32).collect();
+                for &s in &n.sinks {
+                    terminals.push(s as u32);
+                }
+                terminals.sort_unstable();
+                terminals.dedup();
+                let weight = crossing_factor(terminals.len());
+                NetGeometry { terminals, weight }
+            })
+            .collect();
+        let mut nets_of_block: Vec<Vec<u32>> = vec![Vec::new(); n_blocks];
+        for (ni, n) in nets.iter().enumerate() {
+            for &t in &n.terminals {
+                nets_of_block[t as usize].push(ni as u32);
+            }
+        }
+
+        let class = |blocks: Vec<usize>, slots: Vec<Loc>| SlotClass {
+            occupant: vec![FREE; slots.len()],
+            blocks,
+            slots,
+        };
+        let mut st = Annealer {
+            nets,
+            nets_of_block,
+            clb: class(clb_blocks, clb_slots),
+            io: class(pad_blocks, io_slots),
+            locs: vec![Loc { x: 0, y: 0, sub: 0 }; n_blocks],
+            slot_of: vec![0; n_blocks],
+            net_cost: Vec::new(),
+            affected: Vec::new(),
+            after: Vec::new(),
+        };
+        for class in [&mut st.clb, &mut st.io] {
+            for (i, &b) in class.blocks.iter().enumerate() {
+                st.locs[b] = class.slots[i];
+                st.slot_of[b] = i as u32;
+                class.occupant[i] = b as u32;
+            }
+        }
+        st.net_cost = st.nets.iter().map(|n| bbox_cost(n, &st.locs)).collect();
+        Ok(st)
+    }
+
+    /// Total cost of the current `locs`, recomputed from scratch.
+    fn total_cost(&self) -> f64 {
+        self.nets.iter().map(|n| bbox_cost(n, &self.locs)).sum()
+    }
+
+    /// Draw a random move — a block and a slot of its class within the
+    /// range limit — apply it to `locs` and price it. `None` when the
+    /// draw is out of range or a no-op.
+    fn propose(&mut self, rng: &mut StdRng, range: f64) -> Option<Move> {
+        let use_clb =
+            !self.clb.blocks.is_empty() && (self.io.blocks.is_empty() || rng.gen::<f64>() < 0.8);
+        let class = if use_clb { &self.clb } else { &self.io };
+        if class.blocks.is_empty() {
+            return None;
+        }
+        let a = class.blocks[rng.gen_range(0..class.blocks.len())];
+        let la = self.locs[a];
+        let to = rng.gen_range(0..class.slots.len());
+        let slot = class.slots[to];
+        let dist = (slot.x as f64 - la.x as f64).abs() + (slot.y as f64 - la.y as f64).abs();
+        if dist > range || slot == la {
+            return None;
+        }
+        let b = match class.occupant[to] {
+            FREE => None,
+            b => Some(b as usize),
+        };
+        self.locs[a] = slot;
+        if let Some(b) = b {
+            self.locs[b] = la;
+        }
+        self.affected.clear();
+        self.affected.extend_from_slice(&self.nets_of_block[a]);
+        if let Some(b) = b {
+            self.affected.extend_from_slice(&self.nets_of_block[b]);
+        }
+        self.affected.sort_unstable();
+        // Deduplicate while pricing the after-state. A net holding both
+        // swapped blocks keeps the same set of terminal positions, so
+        // its bounding box and cost are unchanged.
+        self.after.clear();
+        let mut kept = 0;
+        let mut k = 0;
+        while k < self.affected.len() {
+            let ni = self.affected[k];
+            let shared = self.affected.get(k + 1) == Some(&ni);
+            k += 1 + shared as usize;
+            self.affected[kept] = ni;
+            kept += 1;
+            let net = ni as usize;
+            self.after.push(if shared {
+                self.net_cost[net]
+            } else {
+                bbox_cost(&self.nets[net], &self.locs)
+            });
+        }
+        self.affected.truncate(kept);
+        let before: f64 = self.affected.iter().map(|&ni| self.net_cost[ni as usize]).sum();
+        let after: f64 = self.after.iter().sum();
+        Some(Move { clb: use_clb, a, to: to as u32, b, delta: after - before })
+    }
+
+    /// Keep the pending move `mv`.
+    fn commit(&mut self, mv: &Move) {
+        let class = if mv.clb { &mut self.clb } else { &mut self.io };
+        let from = self.slot_of[mv.a];
+        self.slot_of[mv.a] = mv.to;
+        class.occupant[mv.to as usize] = mv.a as u32;
+        class.occupant[from as usize] = match mv.b {
+            Some(b) => {
+                self.slot_of[b] = from;
+                b as u32
+            }
+            None => FREE,
+        };
+        for (&ni, &c) in self.affected.iter().zip(&self.after) {
+            self.net_cost[ni as usize] = c;
+        }
+    }
+
+    /// Undo the pending move `mv`.
+    fn revert(&mut self, mv: &Move) {
+        let class = if mv.clb { &self.clb } else { &self.io };
+        if let Some(b) = mv.b {
+            self.locs[b] = class.slots[mv.to as usize];
+        }
+        self.locs[mv.a] = class.slots[self.slot_of[mv.a] as usize];
+    }
+}
+
 /// Run simulated-annealing placement.
 pub fn place(design: &PackedDesign, dev: &Device, cfg: &PlaceConfig) -> Result<Placement, String> {
-    let n_blocks = design.blocks.len();
-    let clb_slots: Vec<Loc> =
-        dev.clb_tiles().map(|(x, y)| Loc { x: x as u16, y: y as u16, sub: 0 }).collect();
-    let io_slots: Vec<Loc> = dev
-        .io_tiles()
-        .flat_map(|(x, y)| {
-            (0..dev.spec.io_capacity).map(move |s| Loc { x: x as u16, y: y as u16, sub: s as u16 })
-        })
-        .collect();
-
-    let clb_blocks: Vec<usize> =
-        (0..n_blocks).filter(|&b| matches!(design.blocks[b], Block::Clb(_))).collect();
-    let pad_blocks: Vec<usize> =
-        (0..n_blocks).filter(|&b| !matches!(design.blocks[b], Block::Clb(_))).collect();
-    if clb_blocks.len() > clb_slots.len() {
-        return Err(format!(
-            "design needs {} CLBs but device has {}",
-            clb_blocks.len(),
-            clb_slots.len()
-        ));
-    }
-    if pad_blocks.len() > io_slots.len() {
-        return Err(format!(
-            "design needs {} pads but device has {}",
-            pad_blocks.len(),
-            io_slots.len()
-        ));
-    }
-
-    // Net geometries.
-    let nets: Vec<NetGeometry> = design
-        .nets
-        .iter()
-        .map(|n| {
-            let mut terminals: Vec<u32> = n.sources.iter().map(|s| s.block as u32).collect();
-            for &s in &n.sinks {
-                terminals.push(s as u32);
-            }
-            terminals.sort_unstable();
-            terminals.dedup();
-            let weight = crossing_factor(terminals.len());
-            NetGeometry { terminals, weight }
-        })
-        .collect();
-    // Nets touching each block.
-    let mut nets_of_block: Vec<Vec<u32>> = vec![Vec::new(); n_blocks];
-    for (ni, n) in nets.iter().enumerate() {
-        for &t in &n.terminals {
-            nets_of_block[t as usize].push(ni as u32);
-        }
-    }
-
+    let mut st = Annealer::for_design(design, dev)?;
+    let n_blocks = st.locs.len();
+    let n_nets = st.nets.len();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    // Initial placement: round-robin assignment.
-    let mut locs: Vec<Loc> = vec![Loc { x: 0, y: 0, sub: 0 }; n_blocks];
-    let mut slot_used_clb = vec![usize::MAX; clb_slots.len()];
-    let mut slot_used_io = vec![usize::MAX; io_slots.len()];
-    for (i, &b) in clb_blocks.iter().enumerate() {
-        locs[b] = clb_slots[i];
-        slot_used_clb[i] = b;
+    let mut cost: f64 = st.net_cost.iter().sum();
+    if n_blocks == 0 || n_nets == 0 {
+        return Ok(Placement { locs: st.locs, cost, moves: 0 });
     }
-    for (i, &b) in pad_blocks.iter().enumerate() {
-        locs[b] = io_slots[i];
-        slot_used_io[i] = b;
-    }
-
-    let bbox_cost = |ni: usize, locs: &[Loc]| -> f64 {
-        let n = &nets[ni];
-        let mut min_x = u16::MAX;
-        let mut max_x = 0u16;
-        let mut min_y = u16::MAX;
-        let mut max_y = 0u16;
-        for &t in &n.terminals {
-            let l = locs[t as usize];
-            min_x = min_x.min(l.x);
-            max_x = max_x.max(l.x);
-            min_y = min_y.min(l.y);
-            max_y = max_y.max(l.y);
-        }
-        if n.terminals.is_empty() {
-            return 0.0;
-        }
-        n.weight * ((max_x - min_x) as f64 + (max_y - min_y) as f64)
-    };
-
-    let total_cost = |locs: &[Loc]| -> f64 { (0..nets.len()).map(|ni| bbox_cost(ni, locs)).sum() };
-    let mut cost = total_cost(&locs);
 
     // Move generator: pick a random block; swap with a random slot of its
     // class (occupied -> swap, free -> move) within the range limit.
@@ -175,88 +338,11 @@ pub fn place(design: &PackedDesign, dev: &Device, cfg: &PlaceConfig) -> Result<P
     let moves_per_temp = ((cfg.effort * 10.0) * (n_blocks.max(8) as f64).powf(4.0 / 3.0)) as usize;
 
     // Initial temperature: std-dev of random move deltas (VPR).
-    let movable: Vec<usize> = (0..n_blocks).collect();
-    if movable.is_empty() || nets.is_empty() {
-        return Ok(Placement { locs, cost, moves: 0 });
-    }
-
-    // Helper executing one random move attempt. Returns delta and undo
-    // closure state: (block_a, old_a, maybe block_b, old_b).
-    /// `(delta cost, moved block, its old loc, swapped (block, old loc))`.
-    type MoveOutcome = (f64, usize, Loc, Option<(usize, Loc)>);
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        rng: &mut StdRng,
-        design: &PackedDesign,
-        clb_blocks: &[usize],
-        pad_blocks: &[usize],
-        clb_slots: &[Loc],
-        io_slots: &[Loc],
-        locs: &mut [Loc],
-        nets_of_block: &[Vec<u32>],
-        bbox: &dyn Fn(usize, &[Loc]) -> f64,
-        range: f64,
-    ) -> Option<MoveOutcome> {
-        let use_clb = !clb_blocks.is_empty() && (pad_blocks.is_empty() || rng.gen::<f64>() < 0.8);
-        let (blocks, slots) =
-            if use_clb { (clb_blocks, clb_slots) } else { (pad_blocks, io_slots) };
-        if blocks.is_empty() {
-            return None;
-        }
-        let a = blocks[rng.gen_range(0..blocks.len())];
-        let la = locs[a];
-        // Candidate slot within range.
-        let slot = slots[rng.gen_range(0..slots.len())];
-        let dist = (slot.x as f64 - la.x as f64).abs() + (slot.y as f64 - la.y as f64).abs();
-        if dist > range || slot == la {
-            return None;
-        }
-        // Find occupant of the slot, if any.
-        let occupant = blocks.iter().copied().find(|&b| locs[b] == slot && b != a);
-        // Affected nets.
-        let mut affected: Vec<u32> = nets_of_block[a].clone();
-        if let Some(b) = occupant {
-            affected.extend_from_slice(&nets_of_block[b]);
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let before: f64 = affected.iter().map(|&ni| bbox(ni as usize, locs)).sum();
-        let old_a = locs[a];
-        locs[a] = slot;
-        let undo_b = occupant.map(|b| {
-            let old_b = locs[b];
-            locs[b] = old_a;
-            (b, old_b)
-        });
-        let after: f64 = affected.iter().map(|&ni| bbox(ni as usize, locs)).sum();
-        let _ = design;
-        Some((after - before, a, old_a, undo_b))
-    }
-
-    let undo = |locs: &mut [Loc], a: usize, old_a: Loc, b: Option<(usize, Loc)>| {
-        if let Some((bb, old_b)) = b {
-            locs[bb] = old_b;
-        }
-        locs[a] = old_a;
-    };
-
-    // Estimate initial temperature.
     let mut deltas: Vec<f64> = Vec::new();
     for _ in 0..(n_blocks.max(16)) {
-        if let Some((d, a, old_a, b)) = attempt(
-            &mut rng,
-            design,
-            &clb_blocks,
-            &pad_blocks,
-            &clb_slots,
-            &io_slots,
-            &mut locs,
-            &nets_of_block,
-            &bbox_cost,
-            range,
-        ) {
-            undo(&mut locs, a, old_a, b);
-            deltas.push(d);
+        if let Some(mv) = st.propose(&mut rng, range) {
+            st.revert(&mv);
+            deltas.push(mv.delta);
         }
     }
     let mut t = if deltas.is_empty() {
@@ -267,34 +353,24 @@ pub fn place(design: &PackedDesign, dev: &Device, cfg: &PlaceConfig) -> Result<P
         (20.0 * var.sqrt()).max(1.0)
     };
 
-    let exit_t = 0.005 * cost.max(1.0) / (nets.len().max(1) as f64);
+    let exit_t = 0.005 * cost.max(1.0) / (n_nets.max(1) as f64);
     let mut total_moves = 0usize;
     while t > exit_t {
         let mut accepted = 0usize;
         let mut attempted = 0usize;
         for _ in 0..moves_per_temp {
-            let Some((delta, a, old_a, b)) = attempt(
-                &mut rng,
-                design,
-                &clb_blocks,
-                &pad_blocks,
-                &clb_slots,
-                &io_slots,
-                &mut locs,
-                &nets_of_block,
-                &bbox_cost,
-                range,
-            ) else {
+            let Some(mv) = st.propose(&mut rng, range) else {
                 continue;
             };
             attempted += 1;
             total_moves += 1;
-            let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / t).exp();
+            let accept = mv.delta <= 0.0 || rng.gen::<f64>() < (-mv.delta / t).exp();
             if accept {
-                cost += delta;
+                cost += mv.delta;
                 accepted += 1;
+                st.commit(&mv);
             } else {
-                undo(&mut locs, a, old_a, b);
+                st.revert(&mv);
             }
         }
         let alpha = if attempted == 0 {
@@ -320,13 +396,12 @@ pub fn place(design: &PackedDesign, dev: &Device, cfg: &PlaceConfig) -> Result<P
 
     // Recompute exactly to cancel floating-point drift accumulated by
     // the incremental updates (and sanity-check the bookkeeping).
-    let exact = total_cost(&locs);
+    let exact = st.total_cost();
     debug_assert!(
         (exact - cost).abs() <= 1e-6 * exact.abs().max(1.0),
         "incremental cost drifted: {cost} vs {exact}"
     );
-    cost = exact;
-    Ok(Placement { locs, cost, moves: total_moves })
+    Ok(Placement { locs: st.locs, cost: exact, moves: total_moves })
 }
 
 #[cfg(test)]
@@ -334,6 +409,7 @@ mod tests {
     use super::*;
     use crate::pack::{PRNet, SourceRef};
     use pfdbg_arch::{ArchSpec, TileKind};
+    use proptest::prelude::*;
 
     /// A synthetic packed design: `n` CLBs in a chain plus 2 pads.
     fn chain_design(n: usize) -> PackedDesign {
@@ -454,5 +530,96 @@ mod tests {
         let bbox = (xs.iter().max().unwrap() - xs.iter().min().unwrap()) as f64
             + (ys.iter().max().unwrap() - ys.iter().min().unwrap()) as f64;
         assert!(bbox <= 6.0, "tunable net spread out: bbox {bbox}");
+    }
+
+    /// `n_clb` CLBs and `n_pads` pads joined by `n_nets` nets over random
+    /// block subsets, a few of them wide, so moves hit shared nets,
+    /// swaps and free slots alike.
+    fn random_design(n_clb: usize, n_pads: usize, n_nets: usize, seed: u64) -> PackedDesign {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut blocks: Vec<Block> = (0..n_clb).map(Block::Clb).collect();
+        blocks.extend((0..n_pads).map(|p| Block::OutPad(format!("o{p}"))));
+        let n_blocks = blocks.len();
+        let nets = (0..n_nets)
+            .map(|i| {
+                let width = if i % 5 == 0 { n_blocks } else { 3 };
+                let sources = (0..rng.gen_range(1..3usize))
+                    .map(|_| SourceRef { block: rng.gen_range(0..n_clb), ble: 0 })
+                    .collect();
+                let sinks =
+                    (0..rng.gen_range(1..=width)).map(|_| rng.gen_range(0..n_blocks)).collect();
+                PRNet {
+                    name: format!("n{i}"),
+                    sources,
+                    source_nodes: vec![],
+                    driver: pfdbg_netlist::NodeId(0),
+                    sinks,
+                    tunable: false,
+                }
+            })
+            .collect();
+        PackedDesign { blocks, clusters: vec![Default::default(); n_clb], nets, n_tcons: 0 }
+    }
+
+    /// The cache equals `bbox_cost` recomputed from scratch, bit for
+    /// bit, and the occupancy index and `slot_of` agree with `locs`.
+    fn assert_bookkeeping(st: &Annealer) {
+        for (ni, net) in st.nets.iter().enumerate() {
+            assert_eq!(
+                st.net_cost[ni].to_bits(),
+                bbox_cost(net, &st.locs).to_bits(),
+                "cached cost of net {ni} is stale"
+            );
+        }
+        for class in [&st.clb, &st.io] {
+            for (i, &slot) in class.slots.iter().enumerate() {
+                let holder = class.blocks.iter().copied().find(|&b| st.locs[b] == slot);
+                assert_eq!(class.occupant[i], holder.map_or(FREE, |b| b as u32), "slot {i}");
+            }
+            for &b in &class.blocks {
+                assert_eq!(class.slots[st.slot_of[b] as usize], st.locs[b], "block {b}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn cached_costs_and_occupancy_track_random_moves(
+            n_clb in 1usize..24,
+            n_pads in 0usize..10,
+            n_nets in 1usize..30,
+            seed in any::<u64>(),
+        ) {
+            let d = random_design(n_clb, n_pads, n_nets, seed);
+            let dev = Device::new(ArchSpec::default(), 5, 5);
+            let mut st = Annealer::for_design(&d, &dev).unwrap();
+            assert_bookkeeping(&st);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for _ in 0..200 {
+                let committed = st.locs.clone();
+                let total_before = st.total_cost();
+                let range = rng.gen_range(1.0..7.0);
+                let Some(mv) = st.propose(&mut rng, range) else {
+                    prop_assert_eq!(&st.locs, &committed);
+                    continue;
+                };
+                let total_after = st.total_cost();
+                prop_assert!(
+                    (total_after - total_before - mv.delta).abs() <= 1e-9 * total_after.max(1.0),
+                    "delta {} vs recomputed {}",
+                    mv.delta,
+                    total_after - total_before
+                );
+                if rng.gen_bool(0.5) {
+                    st.commit(&mv);
+                } else {
+                    st.revert(&mv);
+                    prop_assert_eq!(&st.locs, &committed);
+                }
+                assert_bookkeeping(&st);
+            }
+        }
     }
 }

@@ -12,9 +12,10 @@
 
 use crate::pack::PackedDesign;
 use crate::place::Placement;
-use pfdbg_arch::{Device, RRGraph, RRKind, RRNode};
+use pfdbg_arch::{Device, RRGraph, RRKind, RRNode, RRNodeData};
 use pfdbg_util::id::EntityId;
-use pfdbg_util::{FxHashMap, FxHashSet};
+use pfdbg_util::FxHashMap;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Router parameters.
@@ -92,56 +93,92 @@ impl RoutedDesign {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapItem {
-    priority: f32,
-    cost: f32,
-    node: RRNode,
+/// An A* heap key: the priority's order-preserving bits above the node
+/// id, so one integer compare yields the search order — lowest priority
+/// first, ties to the lowest node id — and `Reverse` makes the max-heap
+/// pop it first.
+fn heap_key(priority: f32, node: RRNode) -> Reverse<u64> {
+    assert!(!priority.is_nan(), "finite costs");
+    // Adding +0.0 folds -0.0 into +0.0, which compares equal to it.
+    let bits = (priority + 0.0).to_bits();
+    // Flip negatives entirely and set the sign bit of the rest: the
+    // unsigned order of the result is the numeric order.
+    let ordered = if bits >> 31 == 1 { !bits } else { bits | 1 << 31 };
+    Reverse((ordered as u64) << 32 | node.0 as u64)
 }
 
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// A node's routing-graph data and search state, kept together so an
+/// edge relaxation reads one entry instead of one array per field.
+#[derive(Clone, Copy)]
+struct NodeState {
+    /// Copy of the node's [`RRGraph::node`] entry.
+    node: RRNodeData,
+    cost_to: f32,
+    /// `epoch == cur_epoch` iff `cost_to` (and the node's parent) belong
+    /// to the current search.
+    epoch: u32,
+    /// `goal == cur_epoch` iff the node is a goal pin of the current
+    /// search.
+    goal: u32,
+    /// `mark >= net_stamp` iff the node is in the current net's union of
+    /// trees; `mark == tree_stamp` iff it is in the current
+    /// alternative's tree.
+    mark: u32,
+    /// The cost of stepping onto the node, valid while
+    /// `step_net == net_stamp`: it depends only on the congestion state,
+    /// which is fixed for one net, and on whether the node is in the
+    /// net, so the node joining the net invalidates it.
+    step: f32,
+    step_net: u32,
 }
 
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on priority via reversed compare; NaN-free by
-        // construction.
-        other
-            .priority
-            .partial_cmp(&self.priority)
-            .expect("finite costs")
-            .then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
-
-/// Scratch arrays for one net-routing worker: A* state with epoch
-/// stamping plus the per-net touched-node tracker used to validate
-/// speculative routes.
+/// Scratch state for one net-routing worker, reused across every net
+/// and PathFinder iteration it routes. Node sets are epoch-stamped, so
+/// starting a new search, tree or net is a counter bump.
 struct NetScratch {
-    cost_to: Vec<f32>,
+    state: Vec<NodeState>,
     parent: Vec<RRNode>,
-    epoch: Vec<u32>,
     cur_epoch: u32,
+    /// Counter behind the net and tree stamps [`NodeState::mark`] is
+    /// compared with: bumped at the start of every net and alternative.
+    mark_stamp: u32,
     /// Stamped with `touch_stamp` the first time a node's congestion
-    /// state becomes visible to the current net's searches.
+    /// state becomes visible to the current net's searches (speculative
+    /// attempts only).
     touched_mark: Vec<u32>,
     touch_stamp: u32,
+    heap: BinaryHeap<Reverse<u64>>,
+    /// The current alternative's tree, in insertion order.
+    tree: Vec<RRNode>,
+    goals: Vec<RRNode>,
+    path: Vec<RRNode>,
+    sinks: Vec<usize>,
 }
 
 impl NetScratch {
-    fn new(n_nodes: usize) -> NetScratch {
+    fn new(rrg: &RRGraph) -> NetScratch {
+        let n_nodes = rrg.n_nodes();
+        let fresh = |i: usize| NodeState {
+            node: *rrg.node(RRNode(i as u32)),
+            cost_to: f32::INFINITY,
+            epoch: 0,
+            goal: 0,
+            mark: 0,
+            step: 0.0,
+            step_net: 0,
+        };
         NetScratch {
-            cost_to: vec![f32::INFINITY; n_nodes],
+            state: (0..n_nodes).map(fresh).collect(),
             parent: vec![RRNode(u32::MAX); n_nodes],
-            epoch: vec![0; n_nodes],
             cur_epoch: 0,
+            mark_stamp: 0,
             touched_mark: vec![0; n_nodes],
             touch_stamp: 0,
+            heap: BinaryHeap::new(),
+            tree: Vec::new(),
+            goals: Vec::new(),
+            path: Vec::new(),
+            sinks: Vec::new(),
         }
     }
 }
@@ -149,11 +186,11 @@ impl NetScratch {
 /// One net's routing attempt plus the evidence needed to commit it.
 struct NetAttempt {
     route: NetRoute,
-    /// Union of RRG nodes the route occupies.
-    used: FxHashSet<RRNode>,
-    /// Every node whose congestion state the searches read (epoch-stamped
-    /// nodes): a speculative route is valid iff none of these is occupied
-    /// by an earlier net at commit time.
+    /// Union of RRG nodes the route occupies, each once.
+    used: Vec<RRNode>,
+    /// Every node whose congestion state the searches read (recorded for
+    /// speculative attempts only): a speculative route is valid iff none
+    /// of these is occupied by an earlier net at commit time.
     touched: Vec<RRNode>,
     /// All sinks reached?
     ok: bool,
@@ -171,7 +208,9 @@ fn base_cost(kind: RRKind) -> f32 {
 /// shared state: occupancy updates are the caller's job (the serial
 /// commit). This is the exact per-net body of the classic serial
 /// PathFinder inner loop — heap ties break on node id, so the search is
-/// fully deterministic given (`occ`, `hist`, `pres_fac`).
+/// fully deterministic given (`occ`, `hist`, `pres_fac`). With
+/// `speculative`, every node whose congestion state the searches read is
+/// recorded in [`NetAttempt::touched`].
 #[allow(clippy::too_many_arguments)]
 fn route_one_net(
     design: &PackedDesign,
@@ -179,116 +218,158 @@ fn route_one_net(
     rrg: &RRGraph,
     cfg: &RouteConfig,
     src_pins: &[RRNode],
-    is_opin: &[bool],
     occ: &[u16],
     hist: &[f32],
     pres_fac: f32,
     ni: usize,
+    speculative: bool,
     scratch: &mut NetScratch,
 ) -> Result<NetAttempt, String> {
+    let NetScratch {
+        state,
+        parent,
+        cur_epoch,
+        mark_stamp,
+        touched_mark,
+        touch_stamp,
+        heap,
+        tree,
+        goals,
+        path,
+        sinks,
+    } = scratch;
     let net = &design.nets[ni];
     let mut net_route = NetRoute {
         net: ni,
         branches: Vec::with_capacity(net.sources.len()),
         sink_pins: FxHashMap::default(),
     };
-    let mut net_used: FxHashSet<RRNode> = FxHashSet::default();
+    let mut used: Vec<RRNode> = Vec::new();
     let mut touched: Vec<RRNode> = Vec::new();
-    scratch.touch_stamp += 1;
+    *touch_stamp += 1;
+    let touch_stamp = *touch_stamp;
+    let mut touch = |n: RRNode| {
+        if speculative && touched_mark[n.index()] != touch_stamp {
+            touched_mark[n.index()] = touch_stamp;
+            touched.push(n);
+        }
+    };
+    *mark_stamp += 1;
+    let net_stamp = *mark_stamp;
     let mut ok = true;
 
     for (alt, &src) in src_pins.iter().enumerate() {
         // The tree of this alternative starts at its opin.
-        let mut tree: FxHashSet<RRNode> = FxHashSet::default();
-        tree.insert(src);
-        net_used.insert(src);
+        *mark_stamp += 1;
+        let tree_stamp = *mark_stamp;
+        // Add a node to this alternative's tree and the net's union.
+        let grow =
+            |n: RRNode, state: &mut [NodeState], tree: &mut Vec<RRNode>, used: &mut Vec<RRNode>| {
+                let st = &mut state[n.index()];
+                if st.mark != tree_stamp {
+                    if st.mark < net_stamp {
+                        used.push(n);
+                        st.step_net = 0;
+                    }
+                    st.mark = tree_stamp;
+                    tree.push(n);
+                }
+            };
+        tree.clear();
+        grow(src, state, tree, &mut used);
         let mut edges: Vec<(RRNode, RRNode)> = Vec::new();
 
         // Sinks, nearest first.
-        let mut sinks: Vec<usize> = net.sinks.clone();
+        sinks.clear();
+        sinks.extend_from_slice(&net.sinks);
         let src_data = rrg.node(src);
         sinks.sort_by_key(|&b| {
             let l = placement.locs[b];
             (l.x as i32 - src_data.x as i32).abs() + (l.y as i32 - src_data.y as i32).abs()
         });
 
-        for &sink_block in &sinks {
+        for &sink_block in sinks.iter() {
             let loc = placement.locs[sink_block];
             let (sx, sy) = (loc.x as usize, loc.y as usize);
             // Goal pins: the already chosen pin for this sink, or
             // any input pin of the tile (pads use their sub pin).
-            let goals: Vec<RRNode> = if let Some(&p) = net_route.sink_pins.get(&sink_block) {
-                vec![p]
+            goals.clear();
+            if let Some(&p) = net_route.sink_pins.get(&sink_block) {
+                goals.push(p);
             } else {
                 match design.blocks[sink_block] {
                     crate::pack::Block::Clb(_) => {
-                        (0..rrg.n_ipins(sx, sy)).filter_map(|p| rrg.ipin(sx, sy, p)).collect()
+                        goals.extend((0..rrg.n_ipins(sx, sy)).filter_map(|p| rrg.ipin(sx, sy, p)))
                     }
-                    _ => rrg.ipin(sx, sy, loc.sub as usize).into_iter().collect(),
+                    _ => goals.extend(rrg.ipin(sx, sy, loc.sub as usize)),
                 }
-            };
+            }
             if goals.is_empty() {
                 return Err(format!("sink block {sink_block} has no input pins"));
             }
-            let goal_set: FxHashSet<RRNode> = goals.iter().copied().collect();
 
             // Dijkstra/A* from the whole current tree.
-            scratch.cur_epoch += 1;
-            let cur_epoch = scratch.cur_epoch;
-            let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
+            *cur_epoch += 1;
+            let cur_epoch = *cur_epoch;
+            for &g in goals.iter() {
+                state[g.index()].goal = cur_epoch;
+            }
+            let target = state[goals[0].index()].node;
+            let heuristic = |nd: &RRNodeData| {
+                cfg.astar * (nd.x.abs_diff(target.x) as u32 + nd.y.abs_diff(target.y) as u32) as f32
+            };
+            heap.clear();
             for &t in tree.iter() {
-                scratch.cost_to[t.index()] = 0.0;
-                scratch.epoch[t.index()] = cur_epoch;
-                scratch.parent[t.index()] = t;
-                if scratch.touched_mark[t.index()] != scratch.touch_stamp {
-                    scratch.touched_mark[t.index()] = scratch.touch_stamp;
-                    touched.push(t);
-                }
-                let h = cfg.astar * rrg.distance(t, goals[0]) as f32;
-                heap.push(HeapItem { priority: h, cost: 0.0, node: t });
+                let st = &mut state[t.index()];
+                st.cost_to = 0.0;
+                st.epoch = cur_epoch;
+                parent[t.index()] = t;
+                touch(t);
+                heap.push(heap_key(heuristic(&st.node), t));
             }
             let mut found: Option<RRNode> = None;
-            while let Some(HeapItem { cost, node, .. }) = heap.pop() {
-                if scratch.epoch[node.index()] == cur_epoch && cost > scratch.cost_to[node.index()]
-                {
-                    continue;
-                }
-                if goal_set.contains(&node) {
+            while let Some(Reverse(key)) = heap.pop() {
+                let node = RRNode(key as u32);
+                // Every heap entry belongs to this search, and a node's
+                // entries are pushed at strictly falling costs, so their
+                // keys never rise: the entry of its current cost pops no
+                // later than the stale ones. Expanding a stale entry at
+                // the same `cost_to` again improves no neighbor, so no
+                // stale check is needed.
+                let st = &state[node.index()];
+                let cost = st.cost_to;
+                if st.goal == cur_epoch {
                     found = Some(node);
                     break;
                 }
                 for (_, next) in rrg.out_edges(node) {
-                    let nd = rrg.node(next);
-                    // IPins other than goals are dead ends for
-                    // this connection; skip cheaply.
-                    if matches!(nd.kind, RRKind::IPin(_)) && !goal_set.contains(&next) {
-                        continue;
-                    }
-                    if matches!(nd.kind, RRKind::OPin(_)) {
-                        continue; // cannot route *through* an opin
-                    }
                     let idx = next.index();
+                    let st = &mut state[idx];
+                    match st.node.kind {
+                        // IPins other than goals are dead ends for this
+                        // connection; skip cheaply.
+                        RRKind::IPin(_) if st.goal != cur_epoch => continue,
+                        // Cannot route *through* an opin.
+                        RRKind::OPin(_) => continue,
+                        _ => {}
+                    }
                     // This node's congestion state is now visible to the
                     // search: record it for speculative validation.
-                    if scratch.touched_mark[idx] != scratch.touch_stamp {
-                        scratch.touched_mark[idx] = scratch.touch_stamp;
-                        touched.push(next);
+                    touch(next);
+                    if st.step_net != net_stamp {
+                        // Present congestion: the net's own nodes are free
+                        // (sharing within the net); capacity is 1.
+                        let over = if st.mark >= net_stamp { 0.0 } else { occ[idx] as f32 };
+                        st.step =
+                            base_cost(st.node.kind) * (1.0 + hist[idx]) * (1.0 + pres_fac * over);
+                        st.step_net = net_stamp;
                     }
-                    // Present congestion: the net's own nodes are
-                    // free (sharing within the net).
-                    let over = if net_used.contains(&next) {
-                        0.0
-                    } else {
-                        let o = occ[idx] as f32 + 1.0 - 1.0; // cap = 1
-                        o.max(0.0)
-                    };
-                    let c = cost + base_cost(nd.kind) * (1.0 + hist[idx]) * (1.0 + pres_fac * over);
-                    if scratch.epoch[idx] != cur_epoch || c < scratch.cost_to[idx] {
-                        scratch.epoch[idx] = cur_epoch;
-                        scratch.cost_to[idx] = c;
-                        scratch.parent[idx] = node;
-                        let h = cfg.astar * rrg.distance(next, goals[0]) as f32;
-                        heap.push(HeapItem { priority: c + h, cost: c, node: next });
+                    let c = cost + st.step;
+                    if st.epoch != cur_epoch || c < st.cost_to {
+                        st.epoch = cur_epoch;
+                        st.cost_to = c;
+                        parent[idx] = node;
+                        heap.push(heap_key(c + heuristic(&st.node), next));
                     }
                 }
             }
@@ -297,26 +378,51 @@ fn route_one_net(
                 continue;
             };
             // Backtrace into the tree.
+            path.clear();
             let mut cur = hit;
-            let mut path = vec![cur];
-            while scratch.parent[cur.index()] != cur {
-                cur = scratch.parent[cur.index()];
+            path.push(cur);
+            while parent[cur.index()] != cur {
+                cur = parent[cur.index()];
                 path.push(cur);
             }
             path.reverse();
             for w in path.windows(2) {
                 edges.push((w[0], w[1]));
             }
-            for &n in &path {
-                tree.insert(n);
-                net_used.insert(n);
+            for &n in path.iter() {
+                grow(n, state, tree, &mut used);
             }
             net_route.sink_pins.insert(sink_block, hit);
         }
         net_route.branches.push(BranchRoute { alternative: alt, edges });
     }
-    let _ = is_opin; // occupancy handling lives in the commit
-    Ok(NetAttempt { route: net_route, used: net_used, touched, ok })
+    Ok(NetAttempt { route: net_route, used, touched, ok })
+}
+
+/// Source opin per (net, alternative).
+fn source_pins(
+    design: &PackedDesign,
+    placement: &Placement,
+    rrg: &RRGraph,
+) -> Result<Vec<Vec<RRNode>>, String> {
+    design
+        .nets
+        .iter()
+        .map(|net| {
+            net.sources
+                .iter()
+                .map(|s| {
+                    let loc = placement.locs[s.block];
+                    let pin_idx = match design.blocks[s.block] {
+                        crate::pack::Block::Clb(_) => s.ble,
+                        _ => loc.sub as usize,
+                    };
+                    rrg.opin(loc.x as usize, loc.y as usize, pin_idx)
+                        .ok_or_else(|| format!("no opin {pin_idx} at ({},{})", loc.x, loc.y))
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Route a placed design. Pin assignment: the driver uses the output pin
@@ -345,23 +451,7 @@ pub fn route(
     let n_nets = design.nets.len();
     let workers = pfdbg_util::par::resolve(cfg.threads);
 
-    // Source opin per (net, alternative); sink tiles per net.
-    let mut source_pins: Vec<Vec<RRNode>> = Vec::with_capacity(n_nets);
-    for net in &design.nets {
-        let mut pins = Vec::with_capacity(net.sources.len());
-        for s in &net.sources {
-            let loc = placement.locs[s.block];
-            let pin_idx = match design.blocks[s.block] {
-                crate::pack::Block::Clb(_) => s.ble,
-                _ => loc.sub as usize,
-            };
-            let opin = rrg
-                .opin(loc.x as usize, loc.y as usize, pin_idx)
-                .ok_or_else(|| format!("no opin {pin_idx} at ({},{})", loc.x, loc.y))?;
-            pins.push(opin);
-        }
-        source_pins.push(pins);
-    }
+    let source_pins = source_pins(design, placement, rrg)?;
 
     // Congestion state. OPIN nodes are exempt from occupancy: the router
     // never routes *through* an output pin, so the only way two nets meet
@@ -375,10 +465,10 @@ pub fn route(
     let mut pres_fac = cfg.pres_fac;
 
     // Per-net union of used nodes.
-    let mut used: Vec<FxHashSet<RRNode>> = vec![FxHashSet::default(); n_nets];
+    let mut used: Vec<Vec<RRNode>> = vec![Vec::new(); n_nets];
     let mut routes: Vec<Option<NetRoute>> = (0..n_nets).map(|_| None).collect();
 
-    let mut scratch = NetScratch::new(n_nodes);
+    let mut scratch = NetScratch::new(rrg);
     // Occupancy snapshot for speculative routing: after the rip-up the
     // live occupancy is identically zero, so a zero vector stands in.
     let zero_occ = vec![0u16; n_nodes];
@@ -415,7 +505,7 @@ pub fn route(
                 workers,
                 &order,
                 &mut spec_pool,
-                || NetScratch::new(n_nodes),
+                || NetScratch::new(rrg),
                 |sc, &ni| {
                     Some(route_one_net(
                         design,
@@ -423,11 +513,11 @@ pub fn route(
                         rrg,
                         cfg,
                         &source_pins[ni],
-                        &is_opin,
                         &zero_occ,
                         &hist,
                         pres_fac,
                         ni,
+                        true,
                         sc,
                     ))
                 },
@@ -456,11 +546,11 @@ pub fn route(
                         rrg,
                         cfg,
                         &source_pins[ni],
-                        &is_opin,
                         &occ,
                         &hist,
                         pres_fac,
                         ni,
+                        false,
                         &mut scratch,
                     )?
                 }
@@ -516,6 +606,11 @@ mod tests {
     use crate::pack::{Block, PRNet, PackedDesign, SourceRef};
     use crate::place::{place, PlaceConfig};
     use pfdbg_arch::{build_rrg, ArchSpec, Device};
+    use pfdbg_util::FxHashSet;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BinaryHeap;
 
     fn route_design(design: &PackedDesign, clb_side: usize) -> (RoutedDesign, Device) {
         let dev =
@@ -716,5 +811,202 @@ mod tests {
         let cfg = RouteConfig { max_iterations: 6, ..Default::default() };
         let r = route(&d, &placement, &dev, &rrg, &cfg).unwrap();
         assert!(!r.success, "expected failure on starved device");
+    }
+
+    /// A textbook A* heap entry: ordered by priority, ties to the lower
+    /// node id, carrying its own cost.
+    struct Entry {
+        priority: f32,
+        cost: f32,
+        node: RRNode,
+    }
+
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other.priority.total_cmp(&self.priority).then_with(|| other.node.0.cmp(&self.node.0))
+        }
+    }
+
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl PartialEq for Entry {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other).is_eq()
+        }
+    }
+
+    impl Eq for Entry {}
+
+    /// The per-net search written plainly — hash sets for the net, the
+    /// tree and the goals, stale heap entries told by their own cost, no
+    /// caches — as an oracle for [`route_one_net`]: `(branch edges, sink
+    /// pins, nodes used, all sinks reached)`.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn textbook_route(
+        design: &PackedDesign,
+        placement: &Placement,
+        rrg: &RRGraph,
+        cfg: &RouteConfig,
+        src_pins: &[RRNode],
+        occ: &[u16],
+        hist: &[f32],
+        pres_fac: f32,
+        ni: usize,
+    ) -> (Vec<Vec<(RRNode, RRNode)>>, FxHashMap<usize, RRNode>, FxHashSet<RRNode>, bool) {
+        let net = &design.nets[ni];
+        let (mut branches, mut pins, mut net_used, mut ok) =
+            (Vec::new(), FxHashMap::default(), FxHashSet::default(), true);
+        for &src in src_pins {
+            let mut tree: FxHashSet<RRNode> = [src].into_iter().collect();
+            net_used.insert(src);
+            let mut edges = Vec::new();
+            let mut sinks = net.sinks.clone();
+            let s = rrg.node(src);
+            sinks.sort_by_key(|&b| {
+                let l = placement.locs[b];
+                (l.x as i32 - s.x as i32).abs() + (l.y as i32 - s.y as i32).abs()
+            });
+            for sink in sinks {
+                let loc = placement.locs[sink];
+                let (x, y) = (loc.x as usize, loc.y as usize);
+                let goals: Vec<RRNode> = match (pins.get(&sink), &design.blocks[sink]) {
+                    (Some(&p), _) => vec![p],
+                    (None, Block::Clb(_)) => {
+                        (0..rrg.n_ipins(x, y)).filter_map(|p| rrg.ipin(x, y, p)).collect()
+                    }
+                    (None, _) => rrg.ipin(x, y, loc.sub as usize).into_iter().collect(),
+                };
+                let h = |n: RRNode| cfg.astar * rrg.distance(n, goals[0]) as f32;
+                let mut best: FxHashMap<RRNode, (f32, RRNode)> = FxHashMap::default();
+                let mut heap = BinaryHeap::new();
+                for &t in &tree {
+                    best.insert(t, (0.0, t));
+                    heap.push(Entry { priority: h(t), cost: 0.0, node: t });
+                }
+                let mut found = None;
+                while let Some(Entry { cost, node, .. }) = heap.pop() {
+                    if cost > best[&node].0 {
+                        continue;
+                    }
+                    if goals.contains(&node) {
+                        found = Some(node);
+                        break;
+                    }
+                    for (_, next) in rrg.out_edges(node) {
+                        let kind = rrg.node(next).kind;
+                        match kind {
+                            RRKind::IPin(_) if !goals.contains(&next) => continue,
+                            RRKind::OPin(_) => continue,
+                            _ => {}
+                        }
+                        let over =
+                            if net_used.contains(&next) { 0.0 } else { occ[next.index()] as f32 };
+                        let c = cost
+                            + base_cost(kind)
+                                * (1.0 + hist[next.index()])
+                                * (1.0 + pres_fac * over);
+                        if best.get(&next).is_none_or(|&(b, _)| c < b) {
+                            best.insert(next, (c, node));
+                            heap.push(Entry { priority: c + h(next), cost: c, node: next });
+                        }
+                    }
+                }
+                let Some(hit) = found else {
+                    ok = false;
+                    continue;
+                };
+                let mut path = vec![hit];
+                while best[path.last().unwrap()].1 != *path.last().unwrap() {
+                    path.push(best[path.last().unwrap()].1);
+                }
+                path.reverse();
+                edges.extend(path.windows(2).map(|w| (w[0], w[1])));
+                tree.extend(path.iter().copied());
+                net_used.extend(path.iter().copied());
+                pins.insert(sink, hit);
+            }
+            branches.push(edges);
+        }
+        (branches, pins, net_used, ok)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// Stamps left behind by earlier nets, alternatives, searches and
+        /// iterations never leak, and the caches change nothing: one
+        /// scratch reused across random nets and congestion states routes
+        /// exactly like a fresh one each time, touched-node record
+        /// included, and both route exactly like the textbook search.
+        #[test]
+        fn reused_scratch_routes_like_a_fresh_one(seed in any::<u64>()) {
+            let mut nets: Vec<PRNet> = (0..8usize)
+                .map(|i| PRNet {
+                    name: format!("n{i}"),
+                    sources: vec![SourceRef { block: i, ble: i % 4 }],
+                    source_nodes: vec![],
+                    driver: pfdbg_netlist::NodeId(0),
+                    sinks: vec![(i + 3) % 8, (i + 5) % 8],
+                    tunable: false,
+                })
+                .collect();
+            nets.push(PRNet {
+                name: "tn".into(),
+                sources: (0..4).map(|b| SourceRef { block: b, ble: 1 }).collect(),
+                source_nodes: vec![],
+                driver: pfdbg_netlist::NodeId(0),
+                sinks: vec![5, 6, 7],
+                tunable: true,
+            });
+            let d = simple_design(8, nets);
+            let dev = Device::new(ArchSpec { channel_width: 6, ..Default::default() }, 3, 3);
+            let rrg = build_rrg(&dev);
+            let placement = place(&d, &dev, &PlaceConfig { seed, effort: 0.2 }).unwrap();
+            let pins = source_pins(&d, &placement, &rrg).unwrap();
+            let cfg = RouteConfig::default();
+            let n = rrg.n_nodes();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reused = NetScratch::new(&rrg);
+            for _ in 0..24 {
+                let occ: Vec<u16> = (0..n).map(|_| rng.gen_range(0..3u16)).collect();
+                let hist: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..2.0f32)).collect();
+                let pres_fac = rng.gen_range(0.5..8.0f32);
+                let ni = rng.gen_range(0..d.nets.len());
+                let speculative = rng.gen_bool(0.5);
+                let run = |sc: &mut NetScratch| {
+                    route_one_net(
+                        &d, &placement, &rrg, &cfg, &pins[ni], &occ, &hist, pres_fac, ni,
+                        speculative, sc,
+                    )
+                    .unwrap()
+                };
+                let a = run(&mut reused);
+                let b = run(&mut NetScratch::new(&rrg));
+                prop_assert_eq!(a.ok, b.ok);
+                prop_assert_eq!(&a.used, &b.used);
+                prop_assert_eq!(&a.touched, &b.touched);
+                prop_assert_eq!(speculative, !a.touched.is_empty());
+                prop_assert_eq!(&a.route.sink_pins, &b.route.sink_pins);
+                prop_assert_eq!(a.route.branches.len(), b.route.branches.len());
+                for (x, y) in a.route.branches.iter().zip(&b.route.branches) {
+                    prop_assert_eq!(x.alternative, y.alternative);
+                    prop_assert_eq!(&x.edges, &y.edges);
+                }
+                let (edges, pins, used, ok) = textbook_route(
+                    &d, &placement, &rrg, &cfg, &pins[ni], &occ, &hist, pres_fac, ni,
+                );
+                prop_assert_eq!(a.ok, ok);
+                prop_assert_eq!(&a.route.sink_pins, &pins);
+                prop_assert_eq!(a.used.iter().copied().collect::<FxHashSet<_>>(), used);
+                prop_assert_eq!(a.used.len(), used.len());
+                for (x, e) in a.route.branches.iter().zip(&edges) {
+                    prop_assert_eq!(&x.edges, e);
+                }
+            }
+        }
     }
 }

@@ -1,0 +1,115 @@
+//! Golden digests of TPlace and TRoute output on fixed instrumented
+//! designs. The placer and router are deterministic functions of their
+//! inputs (seeded RNG, f64 cost sums in a fixed order, heap ties broken
+//! on node id), so any change to either must either reproduce these
+//! digests bit for bit or be a deliberate change of results that
+//! updates them. Routing is checked at 1, 2 and 8 threads: speculative
+//! parallel rounds must commit exactly the serial routes.
+
+use parameterized_fpga_debug::circuits::{build, generate, GenParams};
+use parameterized_fpga_debug::core::{
+    offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K,
+};
+use parameterized_fpga_debug::netlist::Network;
+use parameterized_fpga_debug::pr::{Placement, RoutedDesign};
+
+/// FNV-1a over a stream of little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+fn placement_digest(p: &Placement) -> u64 {
+    let mut h = Fnv::new();
+    h.word(p.locs.len() as u64);
+    for l in &p.locs {
+        h.word(l.x as u64);
+        h.word(l.y as u64);
+        h.word(l.sub as u64);
+    }
+    h.word(p.cost.to_bits());
+    h.word(p.moves as u64);
+    h.0
+}
+
+fn routing_digest(r: &RoutedDesign) -> u64 {
+    let mut h = Fnv::new();
+    h.word(r.routes.len() as u64);
+    for nr in &r.routes {
+        h.word(nr.net as u64);
+        h.word(nr.branches.len() as u64);
+        for b in &nr.branches {
+            h.word(b.alternative as u64);
+            h.word(b.edges.len() as u64);
+            for &(from, to) in &b.edges {
+                h.word(from.0 as u64);
+                h.word(to.0 as u64);
+            }
+        }
+        let mut pins: Vec<(usize, u32)> = nr.sink_pins.iter().map(|(&b, p)| (b, p.0)).collect();
+        pins.sort_unstable();
+        h.word(pins.len() as u64);
+        for (block, pin) in pins {
+            h.word(block as u64);
+            h.word(pin as u64);
+        }
+    }
+    h.word(r.iterations as u64);
+    h.word(r.wires_used as u64);
+    h.word(r.success as u64);
+    h.0
+}
+
+/// Place and route `design` at paper instrumentation with `threads`
+/// routing workers; `(placement digest, routing digest, wires used)`.
+fn digests(design: &Network, threads: usize) -> (u64, u64, usize) {
+    let (_, _, inst) =
+        prepare_instrumented(design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
+    assert!(inst.network.params().count() > 0, "design must carry tunable nets");
+    let mut cfg = OfflineConfig { k: PAPER_K, threads, ..Default::default() };
+    cfg.tpar.route.threads = threads;
+    let off = offline(&inst, &cfg).expect("offline flow");
+    let tp = off.tpar.as_ref().expect("place and route ran");
+    assert!(tp.packed.n_tunable_nets() > 0, "no tunable nets reached the router");
+    (placement_digest(&tp.placement), routing_digest(&tp.routed), tp.routed.wires_used)
+}
+
+fn check(name: &str, design: &Network, golden: (u64, u64, usize)) {
+    for threads in [1usize, 2, 8] {
+        let got = digests(design, threads);
+        assert_eq!(
+            got, golden,
+            "{name} at {threads} route threads: (placement, routing, wires) digests \
+             {:#018x}, {:#018x}, {} differ from the golden values",
+            got.0, got.1, got.2
+        );
+    }
+}
+
+#[test]
+fn stereov_place_and_route_match_golden_digests() {
+    let design = build("stereov.").expect("suite member");
+    check("stereov.", &design, (0x2eb0_6081_fa92_4779, 0xd7a0_eaed_8ecb_82bf, 1095));
+}
+
+#[test]
+fn generated_place_and_route_match_golden_digests() {
+    let design = generate(&GenParams {
+        n_inputs: 10,
+        n_outputs: 6,
+        n_gates: 160,
+        depth: 7,
+        n_latches: 4,
+        seed: 0x601d,
+    });
+    check("gen 0x601d", &design, (0x19fd_8c4e_2343_d297, 0xf55a_9029_8c86_6c32, 650));
+}
