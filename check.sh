@@ -250,12 +250,14 @@ echo "diff_fuzz ok: $(cat "$SMOKE_DIR/BENCH_diff_fuzz.json")"
 
 echo "== specialize micro-bench (batch vs serial bit-identity) =="
 # The turn-path micro-bench at a reduced turn count: the gate is the
-# report shape and the batch-vs-serial bit-identity flags at both
-# tunable scales — never absolute latency, which depends on the host
-# (the committed BENCH_specialize.json carries release-build numbers).
+# report shape and the batch-vs-serial bit-identity flags at every
+# scale (two synthetic SCGs and diffeq1 through the offline flow) —
+# never absolute latency, which depends on the host (the committed
+# BENCH_specialize.json carries release-build numbers).
 ./target/debug/specialize --turns 256 --out "$SMOKE_DIR/BENCH_specialize.json" >/dev/null
 for field in t1k_serial_p50_us t1k_batch_p50_us t10k_serial_p50_us t10k_batch_p50_us \
-             t10k_serial_p99_us t10k_batch_p99_us host_threads turns; do
+             t10k_serial_p99_us t10k_batch_p99_us d1_nodes d1_serial_p50_us d1_batch_p50_us \
+             provenance host_threads turns; do
     grep -q "\"$field\"" "$SMOKE_DIR/BENCH_specialize.json" \
         || { echo "BENCH_specialize.json lacks $field"; exit 1; }
 done
@@ -263,6 +265,8 @@ grep -q '"t1k_identical":1' "$SMOKE_DIR/BENCH_specialize.json" \
     || { echo "batch evaluator diverged from serial at 1k tunables"; exit 1; }
 grep -q '"t10k_identical":1' "$SMOKE_DIR/BENCH_specialize.json" \
     || { echo "batch evaluator diverged from serial at 10k tunables"; exit 1; }
+grep -q '"d1_identical":1' "$SMOKE_DIR/BENCH_specialize.json" \
+    || { echo "batch evaluator diverged from serial on diffeq1"; exit 1; }
 echo "specialize bench ok"
 
 echo "== committed corpus replay =="

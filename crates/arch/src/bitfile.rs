@@ -53,7 +53,13 @@ const MAGIC: &[u8; 4] = b"PFB1";
 /// `pfdbg_pconf::icap::frame_crc` runs it twice per frame written, once
 /// over the words sent and once over the readback.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    !crc32_update(0xFFFF_FFFF, data)
+}
+
+/// Fold `data` into a running CRC-32 register: `crc32(a ++ b)` is
+/// `!crc32_update(crc32_update(0xFFFF_FFFF, a), b)`, so a caller can
+/// checksum data it holds in pieces without first collecting it.
+pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     for &byte in data {
         crc ^= byte as u32;
         for _ in 0..8 {
@@ -61,7 +67,7 @@ pub fn crc32(data: &[u8]) -> u32 {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
         }
     }
-    !crc
+    crc
 }
 
 /// Serialize a bitstream (with its frame size, so a reader can address

@@ -26,13 +26,12 @@
 
 use pfdbg_core::{offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K};
 use pfdbg_map::{map, MapperKind};
-use pfdbg_obs::jsonl::{write_object, JsonValue};
+use pfdbg_obs::jsonl::JsonValue;
 use pfdbg_obs::SpanRecord;
 use pfdbg_pr::{tpar, TparConfig};
 use pfdbg_synth::synthesize;
 use pfdbg_util::stats::percentile;
 use pfdbg_util::table::Table;
-use std::process::{Command, Stdio};
 use std::time::Instant;
 
 fn flag(rest: &[String], name: &str) -> Option<String> {
@@ -87,31 +86,6 @@ fn time_offline(
         .zip(per_stage)
         .map(|(&(name, _), times)| (name, percentile(&times, 50.0).unwrap_or(f64::NAN)))
         .collect()
-}
-
-/// Where a report came from: git revision and dirty flag (`null`
-/// outside a git checkout), build profile, compiler, and the hardware
-/// threads the host offers.
-fn provenance(host_threads: usize) -> String {
-    let git = |args: &[&str]| -> Option<String> {
-        let out = Command::new("git").args(args).stderr(Stdio::null()).output().ok()?;
-        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    let rev = git(&["rev-parse", "HEAD"]);
-    let dirty = rev
-        .as_ref()
-        .and_then(|_| git(&["status", "--porcelain", "--untracked-files=no"]))
-        .map(|s| !s.is_empty());
-    write_object(&[
-        ("git_rev", rev.map_or(JsonValue::Null, JsonValue::Str)),
-        ("git_dirty", dirty.map_or(JsonValue::Null, JsonValue::Bool)),
-        (
-            "profile",
-            JsonValue::Str(if cfg!(debug_assertions) { "debug" } else { "release" }.into()),
-        ),
-        ("rustc", JsonValue::Str(env!("BENCH_RUSTC").into())),
-        ("host_threads", JsonValue::Num(host_threads as f64)),
-    ])
 }
 
 fn main() {
@@ -257,10 +231,7 @@ fn main() {
     for (k, v) in &stage_fields {
         fields.push((k.as_str(), JsonValue::Num(*v)));
     }
-    // `write_object` writes flat objects; the provenance block is
-    // spliced in as a nested one before the closing brace.
-    let json = write_object(&fields);
-    let json = format!("{},\"provenance\":{}}}", &json[..json.len() - 1], provenance(host_threads));
+    let json = pfdbg_bench::with_provenance(&fields, host_threads);
     std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("{out}: {e}"));
     eprintln!("compile_time: wrote {out}");
     obs.finish();

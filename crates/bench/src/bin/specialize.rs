@@ -10,20 +10,24 @@
 //! * **serial** — the original per-function path: one top-down BDD
 //!   walk per tunable function (sharded over the thread pool when the
 //!   tunable count warrants it);
-//! * **batch** — the memoized path: one linear sweep of the shared BDD
-//!   node table evaluates every reachable node exactly once, then the
-//!   packed tunable words are read out of the node-value cache.
+//! * **batch** — the memoized path: one linear sweep of the SCG's BDD
+//!   node table evaluates every node exactly once, then the packed
+//!   tunable words are read out of the node-value cache.
 //!
-//! Both must be bit-identical turn by turn (asserted here, gated in
-//! `check.sh`); the JSON reports p50/p99 pure-eval microseconds per
-//! turn at the 1k- and 10k-tunable-bit scales.
+//! Three scales: synthetic SCGs with 1k and 10k tunable bits (`t1k`,
+//! `t10k`), and diffeq1 at paper instrumentation through the offline
+//! flow (`d1`), the design the repository benchmark serves. Both
+//! evaluators must be bit-identical turn by turn (asserted here, gated
+//! in `check.sh`); the JSON reports each scale's SCG node count and
+//! p50/p99 pure-eval microseconds per turn, plus a provenance block.
 //!
 //! ```text
 //! specialize [--turns N] [--out f.json]
 //! ```
 
 use pfdbg_arch::{build_rrg, ArchSpec, BitstreamLayout, Device};
-use pfdbg_obs::jsonl::{write_object, JsonValue};
+use pfdbg_core::{offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K};
+use pfdbg_obs::jsonl::JsonValue;
 use pfdbg_pconf::{BddManager, GeneralizedBuilder, Scg, SpecializeScratch};
 use pfdbg_util::stats::percentile;
 use pfdbg_util::table::Table;
@@ -71,6 +75,21 @@ fn build_scg(n_tunables: usize) -> Scg {
     }
 }
 
+/// The SCG the offline flow builds for diffeq1 at paper
+/// instrumentation.
+fn diffeq1_scg() -> Scg {
+    eprintln!("specialize: building diffeq1 through the offline flow...");
+    let design = pfdbg_circuits::build("diffeq1").expect("suite member");
+    let (_, _, inst) =
+        prepare_instrumented(&design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
+    let off =
+        offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).expect("offline flow");
+    off.scg.expect("offline flow built the SCG")
+}
+
+/// Builds the SCG of one benchmark scale.
+type ScaleBuilder = fn() -> Scg;
+
 /// xorshift64 — a fixed-seed deterministic parameter stream, so every
 /// run (and both evaluators within a run) sees the same turns.
 fn next_rand(seed: &mut u64) -> u64 {
@@ -80,9 +99,17 @@ fn next_rand(seed: &mut u64) -> u64 {
     *seed
 }
 
-fn rand_params(seed: &mut u64) -> BitVec {
-    let w = next_rand(seed);
-    (0..N_PARAMS).map(|i| (w >> i) & 1 == 1).collect()
+/// `n` parameter bits, one xorshift draw per 64.
+fn rand_params(seed: &mut u64, n: usize) -> BitVec {
+    let mut w = 0;
+    (0..n)
+        .map(|i| {
+            if i % 64 == 0 {
+                w = next_rand(seed);
+            }
+            (w >> (i % 64)) & 1 == 1
+        })
+        .collect()
 }
 
 struct ScaleResult {
@@ -94,11 +121,12 @@ struct ScaleResult {
 /// Run `turns` turns of both evaluators over one SCG, recording the
 /// pure-eval time of each and checking bit-identity every turn.
 fn bench_scale(scg: &Scg, turns: usize) -> ScaleResult {
+    let n_params = scg.generalized().n_params;
     let mut scratch = SpecializeScratch::new();
     let mut seed = 0x9e3779b97f4a7c15u64;
     // Warmup: page in the node table and size every scratch buffer.
     for _ in 0..8 {
-        let p = rand_params(&mut seed);
+        let p = rand_params(&mut seed, n_params);
         let _ = scg.specialize_timed(&p);
         let _ = scg.specialize_timed_batch(&p, &mut scratch);
     }
@@ -106,7 +134,7 @@ fn bench_scale(scg: &Scg, turns: usize) -> ScaleResult {
     let mut batch_us = Vec::with_capacity(turns);
     let mut identical = true;
     for _ in 0..turns {
-        let p = rand_params(&mut seed);
+        let p = rand_params(&mut seed, n_params);
         let (bits_s, ts) = scg.specialize_timed(&p);
         let (bits_b, tb) = scg.specialize_timed_batch(&p, &mut scratch);
         serial_us.push(ts.eval.as_secs_f64() * 1e6);
@@ -123,23 +151,22 @@ fn main() {
     let out = flag(&rest, "--out").unwrap_or_else(|| "BENCH_specialize.json".into());
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let scales: [(&str, usize); 2] = [("t1k", 1_000), ("t10k", 10_000)];
     let mut fields: Vec<(String, JsonValue)> = vec![
         ("bench".into(), JsonValue::Str("specialize".into())),
         ("turns".into(), JsonValue::Num(turns as f64)),
         ("n_params".into(), JsonValue::Num(N_PARAMS as f64)),
         ("host_threads".into(), JsonValue::Num(host_threads as f64)),
+        ("threads".into(), JsonValue::Num(pfdbg_util::par::threads() as f64)),
     ];
-    let mut t = Table::new(["scale", "path", "p50 µs", "p99 µs", "bit-identical"]);
+    let scales: [(&str, ScaleBuilder); 3] =
+        [("t1k", || build_scg(1_000)), ("t10k", || build_scg(10_000)), ("d1", diffeq1_scg)];
+    let mut t = Table::new(["scale", "SCG nodes", "path", "p50 µs", "p99 µs", "bit-identical"]);
     let mut all_identical = true;
-    let mut threads_recorded = false;
-    for (tag, n_tunables) in scales {
-        eprintln!("specialize: {n_tunables} tunable bits, {turns} turns...");
-        let scg = build_scg(n_tunables);
-        if !threads_recorded {
-            fields.push(("threads".into(), JsonValue::Num(scg.effective_threads() as f64)));
-            threads_recorded = true;
-        }
+    for (tag, build) in scales {
+        let scg = build();
+        let n_tunables = scg.generalized().n_tunable();
+        let nodes = scg.manager().n_nodes();
+        eprintln!("specialize: {tag}: {n_tunables} tunable bits, {nodes} nodes, {turns} turns...");
         let r = bench_scale(&scg, turns);
         all_identical &= r.identical;
         let sp50 = percentile(&r.serial_us, 50.0).unwrap_or(f64::NAN);
@@ -147,20 +174,19 @@ fn main() {
         let bp50 = percentile(&r.batch_us, 50.0).unwrap_or(f64::NAN);
         let bp99 = percentile(&r.batch_us, 99.0).unwrap_or(f64::NAN);
         let ok = if r.identical { "yes" } else { "NO" };
-        t.row([
-            format!("{n_tunables}"),
-            "serial".into(),
-            format!("{sp50:.3}"),
-            format!("{sp99:.3}"),
-            ok.into(),
-        ]);
-        t.row([
-            format!("{n_tunables}"),
-            "batch".into(),
-            format!("{bp50:.3}"),
-            format!("{bp99:.3}"),
-            ok.into(),
-        ]);
+        let scale = format!("{tag} ({n_tunables} bits)");
+        for (path, p50, p99) in [("serial", sp50, sp99), ("batch", bp50, bp99)] {
+            t.row([
+                scale.clone(),
+                nodes.to_string(),
+                path.into(),
+                format!("{p50:.3}"),
+                format!("{p99:.3}"),
+                ok.into(),
+            ]);
+        }
+        fields.push((format!("{tag}_tunables"), JsonValue::Num(n_tunables as f64)));
+        fields.push((format!("{tag}_nodes"), JsonValue::Num(nodes as f64)));
         fields.push((format!("{tag}_serial_p50_us"), JsonValue::Num(sp50)));
         fields.push((format!("{tag}_serial_p99_us"), JsonValue::Num(sp99)));
         fields.push((format!("{tag}_batch_p50_us"), JsonValue::Num(bp50)));
@@ -176,7 +202,7 @@ fn main() {
 
     let borrowed: Vec<(&str, JsonValue)> =
         fields.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-    let json = write_object(&borrowed);
+    let json = pfdbg_bench::with_provenance(&borrowed, host_threads);
     std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("{out}: {e}"));
     eprintln!("specialize: wrote {out}");
     obs.finish();

@@ -17,7 +17,9 @@
 
 use pfdbg_circuits::{paper_row, PaperRow};
 use pfdbg_core::{compare_mappers, InstrumentConfig, MapperComparison, PAPER_K};
+use pfdbg_obs::jsonl::{write_object, JsonValue};
 use pfdbg_util::stats::geomean;
+use std::process::{Command, Stdio};
 
 /// Observability flags shared by the `src/bin` experiment drivers: the
 /// same `--profile` / `--trace-out <f.jsonl>` pair the `pfdbg` CLI
@@ -75,6 +77,39 @@ impl ObsFlags {
             }
         }
     }
+}
+
+/// Where a report's numbers came from, as a JSON object: git revision
+/// and dirty flag (`null` outside a checkout), build profile, the
+/// `rustc -V` the binary was built with, and the host's hardware
+/// threads.
+fn provenance(host_threads: usize) -> String {
+    let git = |args: &[&str]| -> Option<String> {
+        let out = Command::new("git").args(args).stderr(Stdio::null()).output().ok()?;
+        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let rev = git(&["rev-parse", "HEAD"]);
+    let dirty = rev
+        .as_ref()
+        .and_then(|_| git(&["status", "--porcelain", "--untracked-files=no"]))
+        .map(|s| !s.is_empty());
+    write_object(&[
+        ("git_rev", rev.map_or(JsonValue::Null, JsonValue::Str)),
+        ("git_dirty", dirty.map_or(JsonValue::Null, JsonValue::Bool)),
+        (
+            "profile",
+            JsonValue::Str(if cfg!(debug_assertions) { "debug" } else { "release" }.into()),
+        ),
+        ("rustc", JsonValue::Str(env!("BENCH_RUSTC").into())),
+        ("host_threads", JsonValue::Num(host_threads as f64)),
+    ])
+}
+
+/// A flat report object with the [`provenance`] block appended as its
+/// last, nested field (`write_object` writes flat objects only).
+pub fn with_provenance(fields: &[(&str, JsonValue)], host_threads: usize) -> String {
+    let json = write_object(fields);
+    format!("{},\"provenance\":{}}}", &json[..json.len() - 1], provenance(host_threads))
 }
 
 /// One benchmark's measured and published rows side by side.

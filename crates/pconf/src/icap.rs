@@ -152,10 +152,11 @@ pub fn frame_words(bs: &Bitstream, frame_bits: usize, frame: usize) -> Vec<u64> 
 }
 
 /// CRC-32 of a frame's packed words — the per-frame integrity check
-/// appended to every write and recomputed over the readback.
+/// appended to every write and recomputed over the readback. Equal to
+/// [`bitfile::crc32`] of the words' little-endian bytes, folded word by
+/// word so the turn path allocates no byte buffer.
 pub fn frame_crc(words: &[u64]) -> u32 {
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    bitfile::crc32(&bytes)
+    !words.iter().fold(0xFFFF_FFFF, |crc, w| bitfile::crc32_update(crc, &w.to_le_bytes()))
 }
 
 /// The reliable in-memory configuration port: every write lands, every
@@ -526,6 +527,17 @@ mod tests {
         let w = frame_words(&bs, 128, 2);
         assert_eq!(w.len(), 1);
         assert_eq!(w[0] >> 43, 1);
+    }
+
+    #[test]
+    fn frame_crc_is_crc32_of_the_little_endian_bytes() {
+        let frames: [&[u64]; 4] =
+            [&[], &[0], &[0xDEAD_BEEF_0123_4567], &[u64::MAX, 1, 0x8000_0000_0000_0000, 42]];
+        for words in frames {
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(frame_crc(words), bitfile::crc32(&bytes), "{words:x?}");
+        }
+        assert_eq!(frame_crc(&[]), 0, "CRC-32 of no bytes");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! harness, and [`OnlineReconfigurator::apply`] adds the modeled
 //! transfer.
 
-use crate::bdd::BddManager;
+use crate::bdd::{Bdd, BddManager};
 use crate::genbits::GeneralizedBitstream;
 use crate::icap::{commit_frames, CommitPolicy, IcapChannel, MemoryIcap};
 use crate::scrub::ScrubReport;
@@ -101,7 +101,15 @@ pub struct Scg {
 
 impl Scg {
     /// Wrap a generalized bitstream and the manager holding its BDDs.
-    pub fn new(manager: BddManager, gbs: GeneralizedBitstream) -> Self {
+    /// The SCG keeps only the nodes reachable from the tunable functions
+    /// (see [`BddManager::eval_all_into`]), so `gbs.tunable`'s roots are
+    /// renumbered into that compacted table.
+    pub fn new(manager: BddManager, mut gbs: GeneralizedBitstream) -> Self {
+        let roots: Vec<Bdd> = gbs.tunable.iter().map(|&(_, f)| f).collect();
+        let (manager, roots) = manager.compact(&roots);
+        for (t, f) in gbs.tunable.iter_mut().zip(roots) {
+            t.1 = f;
+        }
         let mut param_deps = vec![Vec::new(); gbs.n_params];
         for (i, &(_, f)) in gbs.tunable.iter().enumerate() {
             for v in manager.support(f) {

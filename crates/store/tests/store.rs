@@ -1,8 +1,10 @@
 //! Integration tests for the artifact store: format round-trip under
-//! randomized designs, corruption rejection, and the cache-hit speedup
-//! that is the store's reason to exist.
+//! randomized designs, loading tables the SCG has not compacted,
+//! corruption rejection, and the cache-hit speedup that is the store's
+//! reason to exist.
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_pconf::BddManager;
 use pfdbg_store::{Artifact, ArtifactStore, CacheOutcome, CompiledDesign};
 use pfdbg_util::BitVec;
 use proptest::prelude::*;
@@ -69,6 +71,47 @@ proptest! {
         for p in some_param_vectors(n) {
             prop_assert_eq!(restored.scg.specialize(&p), compiled.scg.specialize(&p));
         }
+    }
+}
+
+/// Entries written before the SCG compacted its BDD table hold the
+/// offline flow's whole manager: the live nodes interleaved with
+/// construction leftovers no tunable function reaches. Such an artifact
+/// must still load, compact to the same table a fresh compile holds,
+/// and specialize identically.
+#[test]
+fn uncompacted_artifact_loads_and_specializes_identically() {
+    let (_, compiled) = compile(11, 50);
+    let artifact =
+        Artifact::capture(&compiled.inst, &compiled.map_stats, &compiled.layout, &compiled.scg);
+
+    // Rebuild the table with dead nodes around the live ones: a cone
+    // over a variable no function uses ahead of it, and the negation of
+    // every tunable function behind it (what De Morgan leaves).
+    let unused = artifact.n_params as u32 + 1;
+    let mut full = BddManager::new();
+    let u = full.var(unused);
+    let v = full.var(unused + 1);
+    let uv = full.and(u, v);
+    full.not(uv);
+    let trans = full.import_nodes(&artifact.bdd_nodes);
+    let mut padded = artifact.clone();
+    for t in &mut padded.tunable {
+        let f = trans[t.1 as usize];
+        full.not(f);
+        t.1 = f.index();
+    }
+    padded.bdd_nodes = full.export_nodes();
+    assert!(padded.bdd_nodes.len() > artifact.bdd_nodes.len() + 4, "no dead nodes added");
+    assert_ne!(padded.tunable, artifact.tunable, "live nodes did not move");
+
+    let restored = Artifact::from_bytes(&padded.to_bytes()).unwrap().instantiate().unwrap();
+    assert_eq!(restored.scg.manager().n_nodes(), compiled.scg.manager().n_nodes());
+    let recaptured =
+        Artifact::capture(&restored.inst, &restored.map_stats, &restored.layout, &restored.scg);
+    assert_eq!(recaptured, artifact, "loading must compact to the fresh compile's table");
+    for p in some_param_vectors(compiled.inst.annotations.len()) {
+        assert_eq!(restored.scg.try_specialize(&p), compiled.scg.try_specialize(&p));
     }
 }
 

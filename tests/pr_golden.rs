@@ -1,17 +1,22 @@
-//! Golden digests of TPlace and TRoute output on fixed instrumented
-//! designs. The placer and router are deterministic functions of their
-//! inputs (seeded RNG, f64 cost sums in a fixed order, heap ties broken
-//! on node id), so any change to either must either reproduce these
-//! digests bit for bit or be a deliberate change of results that
-//! updates them. Routing is checked at 1, 2 and 8 threads: speculative
-//! parallel rounds must commit exactly the serial routes.
+//! Golden digests of TPlace and TRoute output, and of the SCG's
+//! specializations, on fixed instrumented designs. The placer and
+//! router are deterministic functions of their inputs (seeded RNG, f64
+//! cost sums in a fixed order, heap ties broken on node id), and a
+//! specialization is a function of the generalized bitstream and the
+//! parameters alone, so any change to the flow or to the SCG must
+//! either reproduce these digests bit for bit or be a deliberate change
+//! of results that updates them. Everything is checked at 1, 2 and 8
+//! threads: speculative parallel routing rounds and sharded BDD
+//! construction must produce exactly the serial results.
 
 use parameterized_fpga_debug::circuits::{build, generate, GenParams};
 use parameterized_fpga_debug::core::{
     offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K,
 };
 use parameterized_fpga_debug::netlist::Network;
+use parameterized_fpga_debug::pconf::{Scg, SpecializeScratch};
 use parameterized_fpga_debug::pr::{Placement, RoutedDesign};
+use parameterized_fpga_debug::util::BitVec;
 
 /// FNV-1a over a stream of little-endian words.
 struct Fnv(u64);
@@ -69,9 +74,42 @@ fn routing_digest(r: &RoutedDesign) -> u64 {
     h.0
 }
 
+/// Specializations of 4 seeded parameter vectors, each produced twice
+/// — by `try_specialize` and by `specialize_from_batch` starting from
+/// the base bitstream — hashed in that order.
+fn specialization_digest(scg: &Scg) -> u64 {
+    let base = &scg.generalized().base;
+    let n_params = scg.generalized().n_params;
+    let mut scratch = SpecializeScratch::new();
+    let mut seed = 0x5eed_u64;
+    let mut h = Fnv::new();
+    for _ in 0..4 {
+        // splitmix64, one draw per parameter.
+        let params: BitVec = (0..n_params)
+            .map(|_| {
+                seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) & 1 == 1
+            })
+            .collect();
+        let full = scg.try_specialize(&params).expect("specialize");
+        let batch = scg.specialize_from_batch(base, &params, &mut scratch).expect("batch");
+        for bits in [&full, &batch] {
+            h.word(bits.len() as u64);
+            for &w in bits.words() {
+                h.word(w);
+            }
+        }
+    }
+    h.0
+}
+
 /// Place and route `design` at paper instrumentation with `threads`
-/// routing workers; `(placement digest, routing digest, wires used)`.
-fn digests(design: &Network, threads: usize) -> (u64, u64, usize) {
+/// routing workers; `(placement digest, routing digest, wires used,
+/// specialization digest)`.
+fn digests(design: &Network, threads: usize) -> (u64, u64, usize, u64) {
     let (_, _, inst) =
         prepare_instrumented(design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
     assert!(inst.network.params().count() > 0, "design must carry tunable nets");
@@ -80,17 +118,23 @@ fn digests(design: &Network, threads: usize) -> (u64, u64, usize) {
     let off = offline(&inst, &cfg).expect("offline flow");
     let tp = off.tpar.as_ref().expect("place and route ran");
     assert!(tp.packed.n_tunable_nets() > 0, "no tunable nets reached the router");
-    (placement_digest(&tp.placement), routing_digest(&tp.routed), tp.routed.wires_used)
+    let scg = off.scg.as_ref().expect("offline flow built the SCG");
+    (
+        placement_digest(&tp.placement),
+        routing_digest(&tp.routed),
+        tp.routed.wires_used,
+        specialization_digest(scg),
+    )
 }
 
-fn check(name: &str, design: &Network, golden: (u64, u64, usize)) {
+fn check(name: &str, design: &Network, golden: (u64, u64, usize, u64)) {
     for threads in [1usize, 2, 8] {
         let got = digests(design, threads);
         assert_eq!(
             got, golden,
-            "{name} at {threads} route threads: (placement, routing, wires) digests \
-             {:#018x}, {:#018x}, {} differ from the golden values",
-            got.0, got.1, got.2
+            "{name} at {threads} threads: (placement, routing, wires, specialization) \
+             digests {:#018x}, {:#018x}, {}, {:#018x} differ from the golden values",
+            got.0, got.1, got.2, got.3
         );
     }
 }
@@ -98,7 +142,11 @@ fn check(name: &str, design: &Network, golden: (u64, u64, usize)) {
 #[test]
 fn stereov_place_and_route_match_golden_digests() {
     let design = build("stereov.").expect("suite member");
-    check("stereov.", &design, (0x2eb0_6081_fa92_4779, 0xd7a0_eaed_8ecb_82bf, 1095));
+    check(
+        "stereov.",
+        &design,
+        (0x2eb0_6081_fa92_4779, 0xd7a0_eaed_8ecb_82bf, 1095, 0xe700_40ba_3aa0_cbd1),
+    );
 }
 
 #[test]
@@ -111,5 +159,9 @@ fn generated_place_and_route_match_golden_digests() {
         n_latches: 4,
         seed: 0x601d,
     });
-    check("gen 0x601d", &design, (0x19fd_8c4e_2343_d297, 0xf55a_9029_8c86_6c32, 650));
+    check(
+        "gen 0x601d",
+        &design,
+        (0x19fd_8c4e_2343_d297, 0xf55a_9029_8c86_6c32, 650, 0x62ba_4b6c_e12e_9f99),
+    );
 }
