@@ -11,6 +11,13 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark builds against the library (--locked) =="
+# pfbench is a package of its own with a committed Cargo.lock: removing
+# a public item it calls, or changing a crate dependency edge (which
+# would rewrite that lockfile), must fail here rather than in a
+# benchmark run.
+cargo check -q --offline --locked --manifest-path crates/bench/src/bin/pfbench/Cargo.toml
+
 echo "== cargo test (PFDBG_THREADS=1) =="
 PFDBG_THREADS=1 cargo test -q --workspace
 
@@ -96,7 +103,7 @@ N=$(echo "$OPEN" | sed -n 's/.*"n_params":\([0-9]*\).*/\1/p')
 METRICS=$(./target/debug/pfdbg client "127.0.0.1:$PORT" --request '{"op":"metrics"}')
 echo "$METRICS" | grep -q 'scg.specialize_us' || { echo "metrics verb lacks the specialize histogram"; exit 1; }
 echo "$METRICS" | grep -q 'slo.specialize_us' || { echo "metrics verb lacks SLO burn lines"; exit 1; }
-echo "$METRICS" | grep -qF '\"busy\":false' || { echo "metrics verb lacks per-session rows"; exit 1; }
+echo "$METRICS" | grep -qF '\"type\":\"session\"' || { echo "metrics verb lacks per-session rows"; exit 1; }
 ./target/debug/pfdbg client "127.0.0.1:$PORT" --request '{"op":"dump","session":"smoke"}' \
     | grep -q 'turn_start' || { echo "flight dump lacks the recorded turn"; exit 1; }
 ./target/debug/pfdbg top "127.0.0.1:$PORT" --iters 1 --no-clear \

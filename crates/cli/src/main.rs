@@ -262,11 +262,8 @@ fn build_online(
     fault: Option<pfdbg_emu::IcapFaultConfig>,
     policy: pfdbg_pconf::CommitPolicy,
 ) -> OnlineReconfigurator {
-    let mem = pfdbg_pconf::MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits);
-    let channel: Box<dyn pfdbg_pconf::IcapChannel> = match fault {
-        Some(cfg) => Box::new(pfdbg_emu::FaultyIcap::new(mem, cfg)),
-        None => Box::new(mem),
-    };
+    let channel =
+        pfdbg_emu::channel_stack(scg.generalized().base.clone(), layout.frame_bits, None, fault);
     OnlineReconfigurator::with_channel(scg, layout, icap, channel, policy)
 }
 
@@ -633,12 +630,12 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
         seed: 0x5EED_05E0,
     });
     let n_params = inst.annotations.len();
-    let mem = pfdbg_pconf::MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits);
-    let seu_ch = pfdbg_emu::SeuIcap::new(mem, seu);
-    let channel: Box<dyn pfdbg_pconf::IcapChannel> = match fault {
-        Some(f) => Box::new(pfdbg_emu::FaultyIcap::new(seu_ch, f)),
-        None => Box::new(seu_ch),
-    };
+    let channel = pfdbg_emu::channel_stack(
+        scg.generalized().base.clone(),
+        layout.frame_bits,
+        Some(seu),
+        fault,
+    );
     let mut online = OnlineReconfigurator::with_channel(scg, layout, icap, channel, policy);
     let mut scrubber = Scrubber::new(ScrubPolicy { commit: policy, ..ScrubPolicy::default() });
 
@@ -1173,10 +1170,6 @@ fn render_top(
     );
     for s in &sessions {
         let name = s.str("name").unwrap_or("?");
-        if s.fields.get("busy") == Some(&pfdbg_obs::jsonl::JsonValue::Bool(true)) {
-            println!("{name:<16} (busy — mid-commit, skipped this poll)");
-            continue;
-        }
         let turns = s.num("turns").unwrap_or(0.0);
         let rate = prev
             .and_then(|(dt, counts)| {

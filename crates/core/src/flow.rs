@@ -10,15 +10,12 @@
 
 use crate::param::Instrumented;
 use pfdbg_arch::{BitstreamLayout, IcapModel, RRNode, VIRTEX5_CONFIG_BITS, VIRTEX5_FRAME_BITS};
-use pfdbg_emu::{FaultyIcap, IcapFaultConfig, SeuConfig, SeuIcap};
+use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use pfdbg_map::{map_parameterized_network_with, ElemKind};
 use pfdbg_netlist::truth::TruthTable;
 use pfdbg_netlist::{Network, NodeId};
 use pfdbg_obs::LazyHistogram;
-use pfdbg_pconf::{
-    Bdd, BddManager, CommitPolicy, GeneralizedBuilder, IcapChannel, MemoryIcap,
-    OnlineReconfigurator, Scg,
-};
+use pfdbg_pconf::{Bdd, BddManager, CommitPolicy, GeneralizedBuilder, OnlineReconfigurator, Scg};
 use pfdbg_pr::{tpar, TparConfig, TparResult};
 use pfdbg_util::{par, FxHashMap};
 use std::time::Duration;
@@ -141,13 +138,7 @@ impl OfflineResult {
     ) -> Option<OnlineReconfigurator> {
         let scg = self.scg?;
         let layout = self.layout?;
-        let mem = MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits);
-        let channel: Box<dyn IcapChannel> = match (seu, fault) {
-            (Some(s), Some(f)) => Box::new(FaultyIcap::new(SeuIcap::new(mem, s), f)),
-            (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
-            (None, Some(f)) => Box::new(FaultyIcap::new(mem, f)),
-            (None, None) => Box::new(mem),
-        };
+        let channel = channel_stack(scg.generalized().base.clone(), layout.frame_bits, seu, fault);
         Some(OnlineReconfigurator::with_channel(scg, layout, self.icap, channel, policy))
     }
 }

@@ -10,9 +10,33 @@
 //! retries, escalations, or clean rollbacks instead of a fabric that
 //! silently disagrees with the debug session.
 
-use pfdbg_pconf::icap::{IcapChannel, IcapError};
+use crate::seu::{SeuConfig, SeuIcap};
+use pfdbg_arch::Bitstream;
+use pfdbg_pconf::icap::{IcapChannel, IcapError, MemoryIcap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The channel stack every emulated session reconfigures through:
+/// reliable configuration memory holding `base`, SEUs striking that
+/// memory between turns when `seu` is set, and transport faults
+/// wrapping the writes outside it when `fault` is set. Upsets therefore
+/// always land, while the writes that repair them still suffer; the two
+/// injectors run on their own seeds. Callers derive per-session seeds
+/// before passing the configs in.
+pub fn channel_stack(
+    base: Bitstream,
+    frame_bits: usize,
+    seu: Option<SeuConfig>,
+    fault: Option<IcapFaultConfig>,
+) -> Box<dyn IcapChannel> {
+    let mem = MemoryIcap::new(base, frame_bits);
+    match (seu, fault) {
+        (Some(s), Some(f)) => Box::new(FaultyIcap::new(SeuIcap::new(mem, s), f)),
+        (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
+        (None, Some(f)) => Box::new(FaultyIcap::new(mem, f)),
+        (None, None) => Box::new(mem),
+    }
+}
 
 /// Injection rates (each per frame write, drawn independently in the
 /// order write-error → stall → corruption) plus the seed of the
@@ -148,8 +172,7 @@ impl<C: IcapChannel> IcapChannel for FaultyIcap<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfdbg_arch::Bitstream;
-    use pfdbg_pconf::icap::{readback_all, MemoryIcap};
+    use pfdbg_pconf::icap::readback_all;
     use pfdbg_util::BitVec;
 
     fn mem(n_bits: usize, frame_bits: usize) -> MemoryIcap {
@@ -194,6 +217,18 @@ mod tests {
         let words = pfdbg_pconf::icap::frame_words(&t, 128, 0);
         ch.write_frame(0, &words).unwrap();
         assert_ne!(ch.read_frame(0), words, "silent corruption must be visible in readback");
+    }
+
+    #[test]
+    fn channel_stack_layers_upsets_under_transport_faults() {
+        let base = target(256, &[3]);
+        let mut plain = channel_stack(base.clone(), 128, None, None);
+        assert_eq!(plain.tick(), 0, "a reliable stack takes no upsets");
+        assert_eq!(readback_all(plain.as_ref()), base);
+        let dead_port = IcapFaultConfig { write_error_rate: 1.0, ..Default::default() };
+        let mut both = channel_stack(base, 128, Some(SeuConfig::new(1.0, 5)), Some(dead_port));
+        assert!(both.tick() > 0, "upsets strike through the fault layer");
+        assert_eq!(both.write_frame(0, &[0, 0]), Err(IcapError::WriteFailed));
     }
 
     #[test]

@@ -17,6 +17,6 @@ pub use device::{Device, DeviceControl, DeviceIcap, DeviceMode, DeviceRegistry};
 pub use emulator::Emulator;
 pub use fault::{apply_static, injectable_nets, Fault};
 pub use golden::{golden_waveform, lockstep, LockstepReport};
-pub use icap::{FaultyIcap, IcapFaultConfig};
+pub use icap::{channel_stack, FaultyIcap, IcapFaultConfig};
 pub use nondet::NondetIcap;
 pub use seu::{SeuConfig, SeuIcap};

@@ -350,23 +350,6 @@ impl BddManager {
         }
         count
     }
-
-    /// The support (variables the function depends on), ascending.
-    pub fn support(&self, f: Bdd) -> Vec<u32> {
-        let mut seen: std::collections::HashSet<Bdd> = Default::default();
-        let mut vars: std::collections::BTreeSet<u32> = Default::default();
-        let mut stack = vec![f];
-        while let Some(b) = stack.pop() {
-            if b.is_const() || !seen.insert(b) {
-                continue;
-            }
-            let n = self.node(b);
-            vars.insert(n.var);
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        vars.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -444,16 +427,6 @@ mod tests {
         }
         // Linear size.
         assert_eq!(m.size(f), 3);
-    }
-
-    #[test]
-    fn support_reports_dependencies() {
-        let mut m = BddManager::new();
-        let a = m.var(3);
-        let b = m.var(7);
-        let f = m.xor(a, b);
-        assert_eq!(m.support(f), vec![3, 7]);
-        assert_eq!(m.support(Bdd::TRUE), Vec::<u32>::new());
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! three orders of magnitude faster than the 176 ms full reconfiguration
 //! — `specialize_timed` measures our evaluation for the benchmark
 //! harness, and [`OnlineReconfigurator::apply`] adds the modeled
-//! transfer.
+//! transfer. The turn itself is [`crate::turn::TurnEngine`]'s, shared
+//! with every serve session.
 
 use crate::bdd::{Bdd, BddManager};
 use crate::genbits::GeneralizedBitstream;
-use crate::icap::{commit_frames, CommitPolicy, IcapChannel, MemoryIcap};
+use crate::icap::{CommitPolicy, IcapChannel, MemoryIcap};
 use crate::scrub::ScrubReport;
+use crate::turn::{region_frames, TurnContext, TurnEngine};
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_util::{par, BitVec};
 use std::time::{Duration, Instant};
@@ -35,12 +37,11 @@ static EVAL_TUNER: par::ChunkTuner = par::ChunkTuner::new();
 /// Reusable per-session scratch for the memoized batch evaluator.
 ///
 /// Holds the node-value cache of the last sweep, the packed tunable
-/// values of the current and previous turn, and the diff buffer — so a
+/// values of the current and previous turn, and a diff buffer — so a
 /// steady-state turn allocates nothing. A scratch belongs to exactly
-/// one session (one [`OnlineReconfigurator`], or one serve session):
-/// its `prev_packed`/`prev_params` baseline mirrors that session's
-/// committed state and must never be shared across sessions
-/// (see DESIGN.md §12).
+/// one session (one [`TurnEngine`]): its `prev_packed`/`prev_params`
+/// baseline mirrors that session's committed state and must never be
+/// shared across sessions (see DESIGN.md §12).
 #[derive(Debug, Default)]
 pub struct SpecializeScratch {
     /// Per-BDD-node values of the latest [`BddManager::eval_all_into`]
@@ -48,14 +49,16 @@ pub struct SpecializeScratch {
     node_vals: BitVec,
     /// Tunable values (indexed like `gbs.tunable`) for the parameters
     /// of the evaluation in flight.
-    packed: BitVec,
+    pub(crate) packed: BitVec,
     /// Tunable values for the session's committed parameters — the
     /// XOR baseline of the packed diff.
-    prev_packed: BitVec,
+    pub(crate) prev_packed: BitVec,
     /// The parameters `prev_packed` was evaluated for; `None` until the
     /// first baseline evaluation.
     prev_params: Option<BitVec>,
-    /// The turn's DPR write set, reused across turns.
+    /// The DPR write set [`Scg::specialize_diff_from_batch`] returns,
+    /// reused across calls. (The turn engine walks the packed words
+    /// instead, so a serve session never grows this buffer.)
     diffs: Vec<(usize, bool)>,
 }
 
@@ -75,13 +78,6 @@ impl SpecializeScratch {
             None => self.prev_params = Some(params.clone()),
         }
     }
-
-    /// Drop the committed baseline, forcing the next diff to re-derive
-    /// it (used when the session's state is replaced wholesale, e.g. a
-    /// journal restore).
-    pub fn invalidate(&mut self) {
-        self.prev_params = None;
-    }
 }
 
 /// The SCG: owns the parameter functions and produces specialized
@@ -90,10 +86,6 @@ impl SpecializeScratch {
 pub struct Scg {
     manager: BddManager,
     gbs: GeneralizedBitstream,
-    /// `param_deps[v]` = indices into `gbs.tunable` whose function
-    /// depends on parameter `v` — the inverted support index that makes
-    /// incremental specialization skip unaffected functions.
-    param_deps: Vec<Vec<u32>>,
     /// Worker threads for sharded evaluation (0 = global
     /// [`pfdbg_util::par::threads`] policy).
     threads: usize,
@@ -110,15 +102,7 @@ impl Scg {
         for (t, f) in gbs.tunable.iter_mut().zip(roots) {
             t.1 = f;
         }
-        let mut param_deps = vec![Vec::new(); gbs.n_params];
-        for (i, &(_, f)) in gbs.tunable.iter().enumerate() {
-            for v in manager.support(f) {
-                if (v as usize) < gbs.n_params {
-                    param_deps[v as usize].push(i as u32);
-                }
-            }
-        }
-        Scg { manager, gbs, param_deps, threads: 0 }
+        Scg { manager, gbs, threads: 0 }
     }
 
     /// Set the worker-thread count for sharded evaluation (0 = global
@@ -143,33 +127,11 @@ impl Scg {
         &self.manager
     }
 
-    /// Evaluate the tunable functions at `indices` (indices into
-    /// `gbs.tunable`) under `params`, returning `(addr, value)` pairs in
-    /// index order. Shards of [`EVAL_SHARD`] functions fan out over the
-    /// thread pool; the shard structure depends only on the index count,
-    /// so the output is identical at every thread count.
-    fn eval_tunables(&self, indices: &[u32], params: &BitVec) -> Vec<(usize, bool)> {
-        let eval_one = |&i: &u32| {
-            let (addr, f) = self.gbs.tunable[i as usize];
-            (addr, self.manager.eval(f, params))
-        };
-        let workers = par::resolve(self.threads);
-        if workers <= 1 || indices.len() < 2 * EVAL_SHARD {
-            return indices.iter().map(eval_one).collect();
-        }
-        par::map_shards_tuned(workers, indices.len(), EVAL_SHARD, &EVAL_TUNER, |r| {
-            indices[r].iter().map(eval_one).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
     /// Evaluate **all** tunable functions under `params` in tunable-list
-    /// order, without materializing an index vector — shards over the
-    /// index range directly (same shard structure as
-    /// [`Scg::eval_tunables`] on the full list, so the output is
-    /// identical at every thread count).
+    /// order, one [`BddManager::eval`] walk per function — the reference
+    /// evaluator. Shards of [`EVAL_SHARD`] functions fan out over the
+    /// thread pool; the shard structure depends only on the tunable
+    /// count, so the output is identical at every thread count.
     fn eval_all_tunables(&self, params: &BitVec) -> Vec<(usize, bool)> {
         let n = self.gbs.tunable.len();
         let eval_one = |i: usize| {
@@ -208,11 +170,11 @@ impl Scg {
         }
     }
 
-    /// Batch-evaluator counterpart of [`Scg::specialize_diff_from`]: the
-    /// DPR write set for moving a session whose loaded bitstream is the
-    /// specialization of `prev_params` to `params`, computed by XOR-ing
-    /// the packed tunable words of the two evaluations. Ascending by bit
-    /// address, bit-identical to the per-function path.
+    /// The DPR write set for moving a session whose loaded bitstream is
+    /// the specialization of `prev_params` to `params`, computed by
+    /// XOR-ing the packed tunable words of the two memoized evaluations.
+    /// Ascending by bit address, bit-identical to the difference of two
+    /// [`Scg::try_specialize`] results.
     ///
     /// The returned slice borrows `scratch` and is valid until the next
     /// call; after the frames commit, promote the baseline with
@@ -224,43 +186,80 @@ impl Scg {
         params: &BitVec,
         scratch: &'s mut SpecializeScratch,
     ) -> Result<&'s [(usize, bool)], String> {
-        self.check_params(prev_params)?;
-        self.check_params(params)?;
-        if scratch.prev_params.as_ref() != Some(prev_params) {
-            // Cold scratch (first turn, or the session state was swapped
-            // under us): re-derive the committed baseline.
-            self.eval_packed(prev_params, &mut scratch.node_vals, &mut scratch.prev_packed);
-            match &mut scratch.prev_params {
-                Some(p) => p.clone_from(prev_params),
-                None => scratch.prev_params = Some(prev_params.clone()),
-            }
-        }
-        self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
-        if pfdbg_obs::enabled() {
-            pfdbg_obs::counter_add("scg.batch_evals", 1);
-            pfdbg_obs::counter_add("scg.nodes_swept", self.manager.n_nodes() as u64);
-        }
+        self.stage_packed(prev_params, params, None, scratch)?;
         scratch.diffs.clear();
-        // Word-level diff: XOR packs 64 tunable-bit compares into one op;
-        // ascending tunable index means ascending bit address (the
-        // tunable list is sorted), so the write-set contract holds with
-        // no sort. Tail words beyond the tunable count are zero in both.
-        for (wi, (&a, &b)) in
-            scratch.packed.words().iter().zip(scratch.prev_packed.words()).enumerate()
-        {
-            let mut x = a ^ b;
-            while x != 0 {
-                let bit = x.trailing_zeros() as usize;
-                x &= x - 1;
-                let (addr, _) = self.gbs.tunable[wi * 64 + bit];
-                scratch.diffs.push((addr, (a >> bit) & 1 == 1));
-            }
-        }
+        scratch.diffs.extend(self.packed_changes(&scratch.packed, &scratch.prev_packed));
         Ok(&scratch.diffs)
     }
 
-    /// Batch-evaluator counterpart of [`Scg::specialize_from`]: produce
-    /// the full specialization of `params` starting from any previously
+    /// The evaluation step of a turn: bring `scratch`'s baseline to the
+    /// committed parameters, then fill its in-flight packed words — by
+    /// one memoized sweep for `params`, or by adopting `cached`, the
+    /// packed words of an earlier evaluation of `params`. Touches
+    /// nothing but `scratch`.
+    pub(crate) fn stage_packed(
+        &self,
+        committed: &BitVec,
+        params: &BitVec,
+        cached: Option<&BitVec>,
+        scratch: &mut SpecializeScratch,
+    ) -> Result<(), String> {
+        self.check_params(committed)?;
+        self.check_params(params)?;
+        if scratch.prev_params.as_ref() != Some(committed) {
+            // Cold scratch (a session's first turn): derive the
+            // committed baseline.
+            self.eval_packed(committed, &mut scratch.node_vals, &mut scratch.prev_packed);
+            match &mut scratch.prev_params {
+                Some(p) => p.clone_from(committed),
+                None => scratch.prev_params = Some(committed.clone()),
+            }
+        }
+        match cached {
+            Some(words) if words.len() != self.gbs.tunable.len() => {
+                return Err(format!(
+                    "cached tunable words cover {} bits, design has {}",
+                    words.len(),
+                    self.gbs.tunable.len()
+                ))
+            }
+            Some(words) => scratch.packed.clone_from(words),
+            None => {
+                self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
+                if pfdbg_obs::enabled() {
+                    pfdbg_obs::counter_add("scg.batch_evals", 1);
+                    pfdbg_obs::counter_add("scg.nodes_swept", self.manager.n_nodes() as u64);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The write set between two packed evaluations: `(address, value in
+    /// new)` of every tunable whose value differs. Word-level: XOR packs
+    /// 64 tunable-bit compares into one op, and ascending tunable index
+    /// means ascending bit address (the tunable list is sorted), so the
+    /// write set comes out sorted with no sort. Tail words beyond the
+    /// tunable count are zero in both.
+    pub(crate) fn packed_changes<'a>(
+        &'a self,
+        new: &'a BitVec,
+        old: &'a BitVec,
+    ) -> impl Iterator<Item = (usize, bool)> + 'a {
+        new.words().iter().zip(old.words()).enumerate().flat_map(move |(wi, (&a, &b))| {
+            let mut x = a ^ b;
+            std::iter::from_fn(move || {
+                if x == 0 {
+                    return None;
+                }
+                let bit = x.trailing_zeros() as usize;
+                x &= x - 1;
+                Some((self.gbs.tunable[wi * 64 + bit].0, (a >> bit) & 1 == 1))
+            })
+        })
+    }
+
+    /// The full specialization of `params` starting from any previously
     /// specialized bitstream, with one memoized sweep instead of a walk
     /// per function. Bit-identical to [`Scg::specialize`].
     pub fn specialize_from_batch(
@@ -320,7 +319,7 @@ impl Scg {
     /// budget is [`SpecializeTiming::eval`] — writing tunable values
     /// into an already-allocated configuration — and excludes the base
     /// clone (an artifact of this API returning an owned bitstream; the
-    /// online turn path reuses its staging buffer instead).
+    /// online turn applies its diff to the loaded bitstream in place).
     pub fn specialize_timed(&self, params: &BitVec) -> (Bitstream, SpecializeTiming) {
         let t0 = Instant::now();
         let mut out = self.gbs.base.clone();
@@ -371,81 +370,6 @@ impl Scg {
                 changes.push((addr, v));
             }
         }
-        Ok(changes)
-    }
-
-    /// Indices into the tunable list whose function can change when the
-    /// parameters move from `prev` to `next` (ascending, deduplicated).
-    fn affected_tunables(&self, prev: &BitVec, next: &BitVec) -> Vec<u32> {
-        let mut mask = BitVec::zeros(self.gbs.tunable.len());
-        for v in 0..self.gbs.n_params {
-            if prev.get(v) != next.get(v) {
-                for &i in &self.param_deps[v] {
-                    mask.set(i as usize, true);
-                }
-            }
-        }
-        mask.iter_ones().map(|i| i as u32).collect()
-    }
-
-    /// Incremental specialization for consecutive debugging turns: given
-    /// the previous parameter assignment and the bitstream it produced,
-    /// re-evaluate only the functions whose support intersects the
-    /// changed parameters. Most turns flip one port's select bus, so
-    /// this touches a small slice of the tunable list instead of all of
-    /// it. The result is bit-identical to `try_specialize(params)`.
-    pub fn specialize_from(
-        &self,
-        prev_params: &BitVec,
-        prev_bits: &Bitstream,
-        params: &BitVec,
-    ) -> Result<Bitstream, String> {
-        self.check_params(prev_params)?;
-        self.check_params(params)?;
-        if prev_bits.len() != self.gbs.base.len() {
-            return Err(format!(
-                "bitstream size mismatch: got {}, layout has {}",
-                prev_bits.len(),
-                self.gbs.base.len()
-            ));
-        }
-        let mut out = prev_bits.clone();
-        let affected = self.affected_tunables(prev_params, params);
-        for (addr, v) in self.eval_tunables(&affected, params) {
-            out.set(addr, v);
-        }
-        Ok(out)
-    }
-
-    /// Incremental [`Scg::try_specialize_diff`]: `current` must be the
-    /// specialization of `prev_params` (as maintained by
-    /// [`OnlineReconfigurator`]), so only functions affected by the
-    /// parameter change need re-evaluation to find the DPR write set.
-    pub fn specialize_diff_from(
-        &self,
-        prev_params: &BitVec,
-        current: &Bitstream,
-        params: &BitVec,
-    ) -> Result<Vec<(usize, bool)>, String> {
-        self.check_params(prev_params)?;
-        self.check_params(params)?;
-        let affected = self.affected_tunables(prev_params, params);
-        if pfdbg_obs::enabled() {
-            pfdbg_obs::counter_add("scg.funcs_evaluated", affected.len() as u64);
-            pfdbg_obs::counter_add(
-                "scg.funcs_skipped",
-                (self.gbs.tunable.len() - affected.len()) as u64,
-            );
-        }
-        let mut changes: Vec<(usize, bool)> = self
-            .eval_tunables(&affected, params)
-            .into_iter()
-            .filter(|&(addr, v)| current.get(addr) != v)
-            .collect();
-        // The DPR write set is contractually sorted by bit index — keep
-        // that invariant explicit rather than inherited from the shard
-        // concatenation order.
-        changes.sort_unstable_by_key(|&(addr, _)| addr);
         Ok(changes)
     }
 }
@@ -506,40 +430,29 @@ fn record_turn(stats: &TurnStats, frame_bits: usize) {
     pfdbg_obs::gauge_set("scg.transfer_us_last", stats.transfer_time.as_secs_f64() * 1e6);
 }
 
-/// The online side: tracks the currently loaded configuration and applies
-/// specializations transactionally through an [`IcapChannel`].
+/// The online side: the standalone session — one [`TurnEngine`] plus
+/// the design it owns and the channel it reconfigures through. Every
+/// turn is the engine's transactional turn, the same one each serve
+/// session runs.
 ///
-/// Turns are atomic: `current`/`last_params` advance only after every
-/// written frame passed readback-verify through the channel. If the
-/// commit exhausts its retry and escalation budget, the turn rolls back
-/// — the session state is unchanged — and the next turn starts with a
-/// full resync, because the fabric's configuration memory may hold
-/// arbitrary content in the frames the failed commit touched.
+/// Turns are atomic: the loaded configuration and its parameters
+/// advance only after every written frame passed readback-verify
+/// through the channel. If the commit exhausts its retry and
+/// escalation budget, the turn rolls back — the session state is
+/// unchanged — and the next turn starts with a full resync, because
+/// the fabric's configuration memory may hold arbitrary content in the
+/// frames the failed commit touched.
 pub struct OnlineReconfigurator {
     scg: Scg,
     layout: BitstreamLayout,
     icap: IcapModel,
-    current: Bitstream,
-    /// The parameters `current` was specialized for — the base state of
-    /// the incremental [`Scg::specialize_diff_from`] fast path.
-    last_params: BitVec,
-    /// The (possibly faulty) reconfiguration transport.
-    channel: Box<dyn IcapChannel>,
-    policy: CommitPolicy,
     /// Frames containing at least one tunable bit — the escalation set
     /// of the full-frame rewrite level.
     region_frames: Vec<usize>,
-    /// A previous turn rolled back, so configuration memory is not
-    /// trusted: the next commit rewrites every frame.
-    needs_resync: bool,
-    /// Memoized-evaluation scratch; its baseline tracks `last_params`.
-    scratch: SpecializeScratch,
-    /// Staging buffer for the turn's target configuration — reused so a
-    /// steady-state turn clones no bitstream.
-    staged: Bitstream,
-    /// Reused buffers for the turn's frame list and commit write set.
-    frames_buf: Vec<usize>,
-    write_set_buf: Vec<usize>,
+    /// The (possibly faulty) reconfiguration transport.
+    channel: Box<dyn IcapChannel>,
+    policy: CommitPolicy,
+    turn: TurnEngine,
 }
 
 impl OnlineReconfigurator {
@@ -561,34 +474,15 @@ impl OnlineReconfigurator {
         channel: Box<dyn IcapChannel>,
         policy: CommitPolicy,
     ) -> Self {
-        let current = scg.generalized().base.clone();
-        let last_params = BitVec::zeros(scg.generalized().n_params);
-        let mut region_frames: Vec<usize> =
-            scg.generalized().tunable.iter().map(|&(addr, _)| layout.frame_of(addr)).collect();
-        region_frames.sort_unstable();
-        region_frames.dedup();
-        let staged = current.clone();
-        OnlineReconfigurator {
-            scg,
-            layout,
-            icap,
-            current,
-            last_params,
-            channel,
-            policy,
-            region_frames,
-            needs_resync: false,
-            scratch: SpecializeScratch::new(),
-            staged,
-            frames_buf: Vec::new(),
-            write_set_buf: Vec::new(),
-        }
+        let region_frames = region_frames(&scg, &layout);
+        let turn = TurnEngine::new(&scg);
+        OnlineReconfigurator { scg, layout, icap, region_frames, channel, policy, turn }
     }
 
     /// The currently loaded bitstream (the session's *belief* — equal to
     /// the device readback after every committed turn).
     pub fn current(&self) -> &Bitstream {
-        &self.current
+        self.turn.loaded()
     }
 
     /// Read the device's configuration memory back through the channel —
@@ -600,7 +494,7 @@ impl OnlineReconfigurator {
     /// Whether the next turn will rewrite the whole device because a
     /// rolled-back commit left configuration memory untrusted.
     pub fn needs_resync(&self) -> bool {
-        self.needs_resync
+        self.turn.needs_resync()
     }
 
     /// Borrow the SCG.
@@ -610,7 +504,7 @@ impl OnlineReconfigurator {
 
     /// The parameters the loaded bitstream was specialized for.
     pub fn params(&self) -> &BitVec {
-        &self.last_params
+        self.turn.params()
     }
 
     /// Advance the device's between-turn clock by one step — on an
@@ -622,18 +516,18 @@ impl OnlineReconfigurator {
     }
 
     /// One scrub pass against the PConf golden oracle for the current
-    /// parameters (see [`crate::scrub`]). Quarantined frames arm
-    /// `needs_resync`, so the session degrades visibly instead of
-    /// serving trace data through a frame that refuses to heal.
+    /// parameters (see [`crate::scrub`]). Quarantined frames arm the
+    /// resync, so the session degrades visibly instead of serving
+    /// trace data through a frame that refuses to heal.
     pub fn scrub(&mut self, scrubber: &mut crate::scrub::Scrubber) -> Result<ScrubReport, String> {
         let report = scrubber.scrub_with_scg(
             self.channel.as_mut(),
             &self.icap,
             &self.scg,
-            &self.last_params,
+            self.turn.params(),
         )?;
         if report.quarantined_frames > 0 {
-            self.needs_resync = true;
+            self.turn.arm_resync();
         }
         Ok(report)
     }
@@ -643,14 +537,12 @@ impl OnlineReconfigurator {
     /// after every scrubbed run (the zero-undetected-divergence
     /// invariant).
     pub fn undetected_divergence(&self, scrubber: &crate::scrub::Scrubber) -> Vec<usize> {
-        let golden = self.scg.specialize(&self.last_params);
+        let golden = self.scg.specialize(self.turn.params());
         scrubber.undetected_divergence(self.channel.as_ref(), &golden)
     }
 
     /// One debugging turn: evaluate the new parameter assignment, rewrite
-    /// the changed frames, report the costs. Consecutive turns take the
-    /// incremental path — only functions whose support intersects the
-    /// changed parameters are re-evaluated.
+    /// the changed frames, report the costs.
     ///
     /// Panics on a parameter-count mismatch or an unrecoverable
     /// transport failure; use [`OnlineReconfigurator::try_apply`] when
@@ -662,70 +554,34 @@ impl OnlineReconfigurator {
     /// Fallible [`OnlineReconfigurator::apply`]: a malformed parameter
     /// vector or an exhausted ICAP retry budget is an error reply, not a
     /// process abort — the contract the debug service relies on. On
-    /// error the turn rolls back: `current`, `last_params` and the turn
-    /// accounting are unchanged.
+    /// error the turn rolls back: the loaded bitstream, its parameters
+    /// and the turn accounting are unchanged.
     pub fn try_apply(&mut self, params: &BitVec) -> Result<TurnStats, String> {
         let _turn_span = pfdbg_obs::span("scg.turn");
         let t0 = Instant::now();
-        // Memoized batch evaluation with a packed word-level diff; the
-        // scratch's baseline mirrors `last_params`, so a steady-state
-        // turn costs one node sweep and no allocation.
-        let changes =
-            self.scg.specialize_diff_from_batch(&self.last_params, params, &mut self.scratch)?;
+        let ctx = TurnContext {
+            scg: &self.scg,
+            layout: &self.layout,
+            icap: &self.icap,
+            region_frames: &self.region_frames,
+        };
+        self.turn.stage(&ctx, params, None)?;
         let eval_time = t0.elapsed();
-        let bits_changed = changes.len();
-
-        // Changes come back ascending by bit address, so the frame list
-        // is already sorted — adjacent dedup is enough.
-        self.frames_buf.clear();
-        self.frames_buf.extend(changes.iter().map(|&(addr, _)| self.layout.frame_of(addr)));
-        self.frames_buf.dedup();
-        debug_assert!(self.frames_buf.windows(2).all(|w| w[0] < w[1]));
-
-        // Stage the target configuration without touching `current`
-        // (buffer reuse: clone_from into the retained staging bitstream).
-        self.staged.clone_from(&self.current);
-        for &(addr, v) in changes {
-            self.staged.set(addr, v);
-        }
-        // After a rollback the device content is untrusted: resync every
-        // frame regardless of how small this turn's diff is.
-        self.write_set_buf.clear();
-        if self.needs_resync {
-            self.write_set_buf.extend(0..self.layout.n_frames());
-        } else {
-            self.write_set_buf.extend_from_slice(&self.frames_buf);
-        }
-
-        match commit_frames(
-            self.channel.as_mut(),
-            &self.icap,
-            &self.staged,
-            &self.write_set_buf,
-            &self.region_frames,
-            &self.policy,
-        ) {
-            Ok(commit) => {
-                std::mem::swap(&mut self.current, &mut self.staged);
-                self.last_params.clone_from(params);
-                self.scratch.commit(params);
-                self.needs_resync = false;
+        match self.turn.commit(&ctx, self.channel.as_mut(), &self.policy, params) {
+            Ok(turn) => {
                 let stats = TurnStats {
                     eval_time,
-                    bits_changed,
-                    frames_changed: self.frames_buf.len(),
-                    transfer_time: commit.transfer_time,
-                    verify_time: commit.verify_time,
-                    retries: commit.retries,
-                    degradations: commit.degradations,
+                    bits_changed: turn.bits_changed,
+                    frames_changed: turn.frames_changed,
+                    transfer_time: turn.stats.transfer_time,
+                    verify_time: turn.stats.verify_time,
+                    retries: turn.stats.retries,
+                    degradations: turn.stats.degradations,
                 };
                 record_turn(&stats, self.layout.frame_bits);
                 Ok(stats)
             }
             Err((commit, msg)) => {
-                // No `scratch.commit`: the baseline keeps describing the
-                // still-loaded configuration.
-                self.needs_resync = true;
                 pfdbg_obs::counter_add("icap.rollbacks", 1);
                 Err(format!("reconfiguration rolled back after {} retries: {msg}", commit.retries))
             }
@@ -735,7 +591,7 @@ impl OnlineReconfigurator {
     /// The modeled cost of a *full* reconfiguration of this device — the
     /// baseline the paper compares against.
     pub fn full_reconfig_time(&self) -> Duration {
-        self.icap.full_reconfig(self.current.len(), self.layout.frame_bits)
+        self.icap.full_reconfig(self.turn.loaded().len(), self.layout.frame_bits)
     }
 }
 
@@ -856,43 +712,6 @@ mod tests {
         assert!(online.try_apply(&params(&[true, false])).is_ok());
     }
 
-    #[test]
-    fn incremental_specialization_matches_full() {
-        let (_, scg) = setup();
-        let mut prev = params(&[false, false]);
-        let mut bits = scg.specialize(&prev);
-        // Walk all four assignments in Gray-code order; the incremental
-        // result must be bit-identical to the from-scratch one.
-        for next in [[true, false], [true, true], [false, true], [false, false]] {
-            let next = params(&next);
-            let inc = scg.specialize_from(&prev, &bits, &next).unwrap();
-            assert_eq!(inc, scg.specialize(&next), "incremental diverged at {next:?}");
-            prev = next;
-            bits = inc;
-        }
-    }
-
-    #[test]
-    fn incremental_diff_matches_full_diff() {
-        let (_, scg) = setup();
-        let prev = params(&[false, true]);
-        let cur = scg.specialize(&prev);
-        let next = params(&[true, true]);
-        let full = scg.specialize_diff(&cur, &next);
-        let inc = scg.specialize_diff_from(&prev, &cur, &next).unwrap();
-        assert_eq!(full, inc);
-        // No parameter change -> no work, no changes.
-        assert!(scg.specialize_diff_from(&prev, &cur, &prev).unwrap().is_empty());
-    }
-
-    #[test]
-    fn specialize_from_rejects_wrong_bitstream_size() {
-        let (_, scg) = setup();
-        let prev = params(&[false, false]);
-        let wrong = Bitstream::from_bits(pfdbg_util::BitVec::zeros(8));
-        assert!(scg.specialize_from(&prev, &wrong, &params(&[true, false])).is_err());
-    }
-
     /// A large synthetic SCG (thousands of tunables — enough to engage
     /// the sharded evaluation path).
     fn large_scg() -> Scg {
@@ -932,9 +751,10 @@ mod tests {
 
     #[test]
     fn batch_diff_matches_per_function_diff() {
-        // The packed word-diff must reproduce the affected-tunables diff
-        // exactly — same addresses, same values, same order — across a
-        // parameter walk and at every thread count.
+        // The packed word-diff must reproduce the reference diff of two
+        // per-function specializations exactly — same addresses, same
+        // values, same order — across a parameter walk and at every
+        // thread count.
         let mut scg = large_scg();
         for threads in [1usize, 2, 8] {
             scg.set_threads(threads);
@@ -945,7 +765,7 @@ mod tests {
                 .map(|s| (0..16).map(|i| (i * 7 + s * 3) % 5 < 2).collect::<BitVec>())
                 .collect();
             for next in walk {
-                let old = scg.specialize_diff_from(&prev, &cur, &next).unwrap();
+                let old = scg.try_specialize_diff(&cur, &next).unwrap();
                 let new =
                     scg.specialize_diff_from_batch(&prev, &next, &mut scratch).unwrap().to_vec();
                 assert_eq!(old, new, "threads={threads} prev={prev:?} next={next:?}");
@@ -986,7 +806,7 @@ mod tests {
         let _ = scg.specialize_diff_from_batch(&zeros, &p1, &mut scratch).unwrap();
         // Next turn from the unchanged state toward p2.
         let diff = scg.specialize_diff_from_batch(&zeros, &p2, &mut scratch).unwrap().to_vec();
-        assert_eq!(diff, scg.specialize_diff_from(&zeros, &base, &p2).unwrap());
+        assert_eq!(diff, scg.try_specialize_diff(&base, &p2).unwrap());
     }
 
     #[test]
@@ -1015,22 +835,10 @@ mod tests {
         let serial_bits = scg.specialize(&asg);
         let serial_base = scg.specialize(&prev);
         let serial_diff = scg.specialize_diff(&serial_base, &asg);
-        let serial_from = scg.specialize_from(&prev, &serial_base, &asg).unwrap();
-        let serial_diff_from = scg.specialize_diff_from(&prev, &serial_base, &asg).unwrap();
         for threads in [2usize, 8] {
             scg.set_threads(threads);
             assert_eq!(scg.specialize(&asg), serial_bits, "threads={threads}");
             assert_eq!(scg.specialize_diff(&serial_base, &asg), serial_diff, "threads={threads}");
-            assert_eq!(
-                scg.specialize_from(&prev, &serial_base, &asg).unwrap(),
-                serial_from,
-                "threads={threads}"
-            );
-            assert_eq!(
-                scg.specialize_diff_from(&prev, &serial_base, &asg).unwrap(),
-                serial_diff_from,
-                "threads={threads}"
-            );
         }
     }
 
@@ -1082,11 +890,11 @@ mod tests {
             crate::icap::CommitPolicy { max_retries: 1, ..Default::default() },
         );
         let before = online.current().clone();
-        let before_params = online.last_params.clone();
+        let before_params = online.params().clone();
         let err = online.try_apply(&params(&[true, true]));
         assert!(err.unwrap_err().contains("rolled back"));
         assert_eq!(online.current(), &before, "rollback must not advance the bitstream");
-        assert_eq!(online.last_params, before_params, "rollback must not advance params");
+        assert_eq!(online.params(), &before_params, "rollback must not advance params");
         assert!(online.needs_resync(), "a failed commit leaves the fabric untrusted");
         // A no-change turn still forces the resync write set, which the
         // dead channel keeps failing.
@@ -1100,7 +908,7 @@ mod tests {
         online.apply(&params(&[true, false]));
         // Simulate a rollback flag without an actual failure: the next
         // turn must rewrite every frame and clear the flag.
-        online.needs_resync = true;
+        online.turn.arm_resync();
         let stats = online.apply(&params(&[true, true]));
         assert!(!online.needs_resync());
         assert_eq!(&online.readback(), online.current());
@@ -1109,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_from_is_sorted_by_bit_index() {
+    fn diff_is_sorted_by_bit_index() {
         // Regression: the DPR write set must come back ascending by bit
         // address at every thread count, independent of shard completion
         // order.
@@ -1119,7 +927,7 @@ mod tests {
         let next: BitVec = (0..16).map(|i| i % 2 == 0).collect();
         for threads in [1usize, 2, 8] {
             scg.set_threads(threads);
-            let diff = scg.specialize_diff_from(&prev, &base, &next).unwrap();
+            let diff = scg.try_specialize_diff(&base, &next).unwrap();
             assert!(!diff.is_empty(), "expected changes for {next:?}");
             assert!(
                 diff.windows(2).all(|w| w[0].0 < w[1].0),

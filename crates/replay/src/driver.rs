@@ -3,22 +3,26 @@
 //!
 //! The driver is the single execution engine used by both the recorder
 //! (`Recorder`) and the verifier ([`crate::verify`]): a recorded
-//! session and its replay go through the *same* tick → specialize →
-//! commit path (`DebugSession::apply_params` →
-//! `OnlineReconfigurator::try_apply` → `commit_frames`), so every
-//! observable fact — bit/frame diffs, retry and escalation counts, SEU
-//! flips, readback CRC — is reproducible by construction.
+//! session and its replay go through the *same* tick → stage → commit
+//! path (`DebugSession::apply_params` →
+//! `OnlineReconfigurator::try_apply` → `pfdbg_pconf::TurnEngine`), so
+//! every observable fact — bit/frame diffs, retry and escalation
+//! counts, SEU flips, readback CRC — is reproducible by construction.
+//! A serve session's turn is that same `TurnEngine` turn over a channel
+//! from the same `pfdbg_emu::channel_stack`, so serve journals verify
+//! here too.
 
 use crate::record::{DesignSpec, SelectFacts, SelectOutcome, SessionMeta};
 use pfdbg_arch::Bitstream;
 use pfdbg_core::{prepare_instrumented, DebugSession, InstrumentConfig, OfflineConfig};
-use pfdbg_emu::{FaultyIcap, IcapFaultConfig, SeuConfig, SeuIcap};
-use pfdbg_pconf::{IcapChannel, MemoryIcap, OnlineReconfigurator, Scrubber};
+use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
+use pfdbg_pconf::{IcapChannel, OnlineReconfigurator, Scrubber};
 
 /// A session's private seed: deterministic in the configured base seed
-/// and the session name (FNV-1a) — byte-for-byte the derivation the
-/// serve layer applies, so a serve journal replays the exact fault,
-/// SEU, and jitter streams its session saw.
+/// and the session name (FNV-1a). The serve layer derives its sessions'
+/// fault, SEU, and jitter seeds with this very function, so a serve
+/// journal replays the exact streams its session saw; under their own
+/// bases the same hash places sessions on shards and devices.
 pub fn session_seed(base: u64, name: &str) -> u64 {
     name.bytes()
         .fold(base ^ 0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
@@ -141,22 +145,14 @@ impl OnlineDriver {
                 base
             }
         };
-        let mem = MemoryIcap::new(built.scg.generalized().base.clone(), built.layout.frame_bits);
-        // Mirror the serve layer's channel stack exactly: SEUs strike
-        // the device model itself, transport faults wrap outside.
-        let seu = chaos.seu.map(|s| SeuConfig { seed: derive(s.seed), ..s });
-        let channel: Box<dyn IcapChannel> = match (seu, chaos.fault) {
-            (Some(s), Some(f)) => Box::new(FaultyIcap::new(
-                SeuIcap::new(mem, s),
-                IcapFaultConfig { seed: derive(f.seed), ..f },
-            )),
-            (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
-            (None, Some(f)) => {
-                Box::new(FaultyIcap::new(mem, IcapFaultConfig { seed: derive(f.seed), ..f }))
-            }
-            (None, None) => Box::new(mem),
-        };
-        let channel = wrap(channel);
+        // The serve layer's channel stack, from the same constructor and
+        // the same per-session seeds.
+        let channel = wrap(channel_stack(
+            built.scg.generalized().base.clone(),
+            built.layout.frame_bits,
+            chaos.seu.map(|s| SeuConfig { seed: derive(s.seed), ..s }),
+            chaos.fault.map(|f| IcapFaultConfig { seed: derive(f.seed), ..f }),
+        ));
         let jitter = derive(chaos.jitter_seed);
         let online = OnlineReconfigurator::with_channel(
             built.scg,

@@ -1,9 +1,10 @@
-//! A small LRU cache for specialized frame-sets.
+//! A small LRU cache for specializations.
 //!
 //! The debug service sees the same parameter vectors over and over —
 //! engineers toggle between a handful of signal selections — so the
-//! server keeps the most recent specializations keyed by parameter
-//! vector and serves repeats without re-evaluating any BDDs.
+//! server keeps the most recent specializations (their packed tunable
+//! words) keyed by parameter vector and serves repeats without
+//! re-evaluating any BDDs.
 //!
 //! Capacities are small (tens of entries), so recency is tracked with a
 //! monotonic tick per entry and eviction scans for the minimum: O(n)

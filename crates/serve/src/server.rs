@@ -45,7 +45,7 @@ pub struct ServerConfig {
     /// Honor `{"op":"shutdown"}` from clients (handy for smoke tests
     /// and load generators; disable for long-lived servers).
     pub allow_remote_shutdown: bool,
-    /// LRU capacity for specialized bitstreams.
+    /// LRU capacity, in specializations (packed tunable words).
     pub cache_capacity: usize,
     /// Background scrub interval in milliseconds; `0` (or anything
     /// non-finite/non-positive) disables the scrubber thread. Each

@@ -3,18 +3,21 @@
 //!
 //! The expensive, read-only products of the offline flow (SCG, layout,
 //! ICAP model, instrumented netlist) are shared behind `Arc`; each
-//! session owns only its parameter assignment, its (possibly faulty)
-//! reconfiguration channel, and the currently loaded bitstream, so
-//! turns from different clients proceed independently. A shared LRU of
-//! specialized bitstreams (keyed by parameter vector) short-circuits
-//! repeated selections across *all* sessions.
+//! session owns only its [`TurnEngine`] (loaded bitstream, parameter
+//! assignment, evaluation scratch) and its (possibly faulty)
+//! reconfiguration channel, so turns from different clients proceed
+//! independently. A shared LRU of packed tunable words (keyed by
+//! parameter vector) short-circuits the SCG sweep for repeated
+//! selections across *all* sessions.
 //!
-//! Turns are **transactional**: the specialized bitstream is committed
+//! Turns are **transactional** and are the standalone engine's turn:
+//! [`TurnEngine::stage`] diffs the selection against the loaded
+//! configuration, and [`TurnEngine::commit`] pushes the changed frames
 //! through [`pfdbg_pconf::icap::commit_frames`] (per-frame CRC,
 //! readback-verify, bounded retry, escalation) before any session
 //! state, turn counter, or cache entry advances. A deadline miss or an
 //! exhausted retry budget leaves the session exactly as it was — the
-//! only residue of a rollback is `needs_resync`, which makes the next
+//! only residue of a rollback is the armed resync, which makes the next
 //! commit rewrite every frame because configuration memory is no
 //! longer trusted.
 //!
@@ -48,18 +51,18 @@ use crate::telemetry as tel;
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_core::Instrumented;
 use pfdbg_emu::{
-    DeviceControl, DeviceMode, DeviceRegistry, FaultyIcap, IcapFaultConfig, SeuConfig, SeuIcap,
+    channel_stack, DeviceControl, DeviceMode, DeviceRegistry, IcapFaultConfig, SeuConfig,
 };
 use pfdbg_obs::{FlightKind, FlightRecorder};
 use pfdbg_pconf::health::{DeviceHealth, HealthEvent, HealthLadder, HealthPolicy, WatchdogPolicy};
-use pfdbg_pconf::icap::{commit_frames, readback_all, CommitPolicy, IcapChannel, MemoryIcap};
+use pfdbg_pconf::icap::{readback_all, CommitPolicy, IcapChannel};
 use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport, Scrubber};
-use pfdbg_pconf::{Scg, SpecializeScratch};
+use pfdbg_pconf::{region_frames, Scg, TurnContext, TurnEngine};
 use pfdbg_replay::driver::bitstream_crc;
 use pfdbg_replay::verify::{diff_scrub, diff_select, Divergence};
 use pfdbg_replay::{
-    ChaosSpec, DesignSpec, JournalRecord, JournalWriter, ScrubFacts, SelectFacts, SelectOutcome,
-    SessionMeta,
+    session_seed, ChaosSpec, DesignSpec, JournalRecord, JournalWriter, ScrubFacts, SelectFacts,
+    SelectOutcome, SessionMeta,
 };
 use pfdbg_util::{BitVec, FxHashMap};
 use std::path::{Path, PathBuf};
@@ -91,25 +94,20 @@ impl Engine {
     }
 }
 
-/// One client session: the parameters it last selected, the
-/// configuration currently loaded on its (modeled) device, the channel
-/// those frames travel over, and the scrubber that keeps the device
-/// honest between turns. Owned by exactly one shard thread — no lock.
+/// One client session: its turn engine (the parameters it last
+/// selected and the configuration loaded on its modeled device), the
+/// channel those frames travel over, and the scrubber that keeps the
+/// device honest between turns. Owned by exactly one shard thread — no
+/// lock.
 pub(crate) struct SessionState {
-    params: BitVec,
-    bits: Bitstream,
-    turns: usize,
-    channel: Box<dyn IcapChannel>,
-    /// Memoized batch-evaluation scratch. **Per-session** — the shared
-    /// `Engine::scg` is immutable behind its `Arc`, and every mutable
-    /// evaluation buffer lives here, on the owning shard's thread, so
+    /// **Per-session** turn state, evaluation scratch included — the
+    /// shared `Engine::scg` is immutable behind its `Arc`, and every
+    /// mutable buffer lives here, on the owning shard's thread, so
     /// concurrent sessions never observe each other's sweeps
     /// (DESIGN.md §12).
-    scratch: SpecializeScratch,
-    /// A previous turn rolled back (or a scrub quarantined a frame);
-    /// the next commit rewrites every frame because configuration
-    /// memory is untrusted.
-    needs_resync: bool,
+    turn: TurnEngine,
+    turns: usize,
+    channel: Box<dyn IcapChannel>,
     scrubber: Scrubber,
     /// Per-session commit policy (the jitter seed is salted with the
     /// session name so concurrent sessions never retry in lockstep).
@@ -159,7 +157,8 @@ pub struct TurnOutcome {
     /// Escalations (partial diff → full-frame rewrite → full
     /// reconfiguration) this turn needed.
     pub degradations: u32,
-    /// Whether the specialized bitstream came from the LRU cache.
+    /// Whether the specialization (its packed tunable words) came
+    /// from the LRU cache.
     pub cache_hit: bool,
     /// Turn number within the session (0-based).
     pub turn: usize,
@@ -385,13 +384,17 @@ struct JournalCfg {
     build: (usize, usize),
 }
 
+/// A specialization as the LRU holds it: the packed tunable words of
+/// one parameter vector (bit `i` = value of `gbs.tunable[i]`).
+pub(crate) type CachedWords = Arc<BitVec>;
+
 /// Everything the shard threads share: the engine, the specialization
 /// LRU, the chaos configuration sessions are born with, and the
 /// fleet-wide running totals (all atomics — the `stats` verb never
 /// blocks on a shard).
 pub(crate) struct ManagerCore {
     engine: Arc<Engine>,
-    cache: Mutex<LruCache<String, Arc<Bitstream>>>,
+    cache: Mutex<LruCache<String, CachedWords>>,
     fault: Option<IcapFaultConfig>,
     seu: Option<SeuConfig>,
     policy: CommitPolicy,
@@ -435,8 +438,18 @@ pub(crate) struct ManagerCore {
 impl ManagerCore {
     /// The shared specialization LRU (the shard loop prefetches batches
     /// from it under a single lock acquisition).
-    pub(crate) fn cache(&self) -> &Mutex<LruCache<String, Arc<Bitstream>>> {
+    pub(crate) fn cache(&self) -> &Mutex<LruCache<String, CachedWords>> {
         &self.cache
+    }
+
+    /// The shared half of every session's turn.
+    fn turn_context(&self) -> TurnContext<'_> {
+        TurnContext {
+            scg: &self.engine.scg,
+            layout: &self.engine.layout,
+            icap: &self.engine.icap,
+            region_frames: &self.region_frames,
+        }
     }
 
     /// The journal file backing `name`, when journaling is on. The file
@@ -481,24 +494,14 @@ impl ManagerCore {
     /// restore, and the detached `replay` verb so all three rebuild the
     /// same session byte-for-byte.
     fn fresh_state(&self, name: &str) -> SessionState {
-        let base = self.engine.scg.generalized().base.clone();
-        let mem = MemoryIcap::new(base.clone(), self.engine.layout.frame_bits);
-        // SEUs strike the device model itself; transport faults wrap
-        // outside, so both injectors run together yet independently —
-        // each with a per-session seed derived from its configured one.
-        let seu = self.seu.map(|cfg| SeuConfig { seed: session_seed(cfg.seed, name), ..cfg });
-        let channel: Box<dyn IcapChannel> = match (seu, self.fault) {
-            (Some(s), Some(f)) => Box::new(FaultyIcap::new(
-                SeuIcap::new(mem, s),
-                IcapFaultConfig { seed: session_seed(f.seed, name), ..f },
-            )),
-            (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
-            (None, Some(f)) => Box::new(FaultyIcap::new(
-                mem,
-                IcapFaultConfig { seed: session_seed(f.seed, name), ..f },
-            )),
-            (None, None) => Box::new(mem),
-        };
+        // Both injectors run with a per-session seed derived from the
+        // configured one.
+        let channel = channel_stack(
+            self.engine.scg.generalized().base.clone(),
+            self.engine.layout.frame_bits,
+            self.seu.map(|cfg| SeuConfig { seed: session_seed(cfg.seed, name), ..cfg }),
+            self.fault.map(|f| IcapFaultConfig { seed: session_seed(f.seed, name), ..f }),
+        );
         // With a fleet configured, the session's device wraps the whole
         // chaos stack: kill/stall/wedge verdicts apply at the outermost
         // write, and a dead device stops ticking (it takes no upsets).
@@ -522,12 +525,9 @@ impl ManagerCore {
             ..self.policy
         };
         SessionState {
-            params: BitVec::zeros(self.engine.n_params()),
-            bits: base,
+            turn: TurnEngine::new(&self.engine.scg),
             turns: 0,
             channel,
-            scratch: SpecializeScratch::new(),
-            needs_resync: false,
             scrubber: Scrubber::new(self.scrub_policy),
             policy,
             flight: FlightRecorder::new(FLIGHT_CAP),
@@ -859,17 +859,6 @@ impl ManagerCore {
     }
 }
 
-/// A session's private fault seed: deterministic in the configured
-/// seed and the session name (FNV-1a), so chaos runs reproduce while
-/// sessions still see independent fault patterns. Doubles as the
-/// shard-placement hash (with its own base), so placement is stable
-/// across restarts and shard counts only regroup — never reorder — a
-/// session's operations.
-pub(crate) fn session_seed(base: u64, name: &str) -> u64 {
-    name.bytes()
-        .fold(base ^ 0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
-}
-
 /// Whether this session's turns must produce replay facts (it journals,
 /// or a restore/replay is comparing against a recording).
 fn wants_facts(state: &SessionState) -> bool {
@@ -887,28 +876,32 @@ impl ManagerCore {
     /// (the owning shard thread's, or a detached state during journal
     /// restore/replay — all three drive the *same* code path a live
     /// client exercises: replay fidelity by construction, not by a
-    /// parallel reimplementation).
+    /// parallel reimplementation). The turn itself is the session's
+    /// [`TurnEngine`] — the standalone reconfigurator's turn; this layer
+    /// adds the fleet gate, the tick, the LRU, the deadline gate, the
+    /// journal facts, the flight events, telemetry and the watchdog.
     ///
     /// `batch` is the shard's per-poll LRU prefetch: `Some` means the
     /// lookup reads the prefetched map (no cache lock on the hot path)
     /// and publications mirror into it; `None` takes the cache lock
-    /// directly. Cached bitstreams are a pure function of the parameter
-    /// key, so a prefetched entry can never be *wrong*, only absent.
+    /// directly. Cached tunable words are a pure function of the
+    /// parameter key, so a prefetched entry can never be *wrong*, only
+    /// absent.
     ///
     /// The deadline (when given as `(request start, budget)`) is
-    /// checked *before* the commit: a missed deadline is a pure error —
-    /// no turn counter advances, no cache entry is published, no frame
-    /// is written. The start is the request's parse time, so time spent
-    /// queued in a saturated inbox counts against the budget. Likewise
-    /// an exhausted retry budget rolls the turn back, leaving only
-    /// `needs_resync` behind.
+    /// checked between [`TurnEngine::stage`] and [`TurnEngine::commit`]:
+    /// a missed deadline is a pure error — no turn counter advances, no
+    /// cache entry is published, no frame is written. The start is the
+    /// request's parse time, so time spent queued in a saturated inbox
+    /// counts against the budget. Likewise an exhausted retry budget
+    /// rolls the turn back, leaving only the armed resync behind.
     pub(crate) fn select_on(
         &self,
         session: &str,
         state: &mut SessionState,
         params: &BitVec,
         deadline: Option<(Instant, Duration)>,
-        batch: Option<&mut FxHashMap<String, Arc<Bitstream>>>,
+        batch: Option<&mut FxHashMap<String, CachedWords>>,
     ) -> Result<TurnOutcome, String> {
         let _s = pfdbg_obs::span("serve.select");
         if params.len() != self.engine.n_params() {
@@ -941,7 +934,7 @@ impl ManagerCore {
             }
         }
         let t0 = Instant::now();
-        let engine = &self.engine;
+        let ctx = self.turn_context();
 
         // Between-turn time passes before the turn touches the device:
         // the emulated fabric takes its SEUs now (no-op on a reliable
@@ -965,50 +958,23 @@ impl ManagerCore {
             None => None,
         }
         .or_else(|| relock(&self.cache).get(&key).cloned());
-        let (new_bits, cache_hit) = match cached {
-            Some(bits) => (bits, true),
-            None => {
-                // Miss: memoized batch specialization from this
-                // session's current state (one node-table sweep via the
-                // per-session scratch). Publication to the shared LRU
-                // waits until the commit verifies: an aborted turn must
-                // leave no trace.
-                let sp0 = Instant::now();
-                let bits =
-                    engine.scg.specialize_from_batch(&state.bits, params, &mut state.scratch)?;
-                let sp_us = sp0.elapsed().as_secs_f64() * 1e6;
-                tel::SPECIALIZE_US.record_us(sp_us);
-                tel::SLO_SPECIALIZE.observe_us(sp_us);
-                (Arc::new(bits), false)
-            }
-        };
+        let cache_hit = cached.is_some();
+        // Stage: a hit adopts the cached tunable words, a miss runs one
+        // node-table sweep through the session's scratch; either way
+        // the packed diff against the loaded configuration follows.
+        // Publication to the shared LRU waits until the commit
+        // verifies: an aborted turn must leave no trace.
+        let sp0 = Instant::now();
+        state.turn.stage(&ctx, params, cached.as_deref())?;
         if cache_hit {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             tel::CACHE_HITS.add(1);
         } else {
+            let sp_us = sp0.elapsed().as_secs_f64() * 1e6;
+            tel::SPECIALIZE_US.record_us(sp_us);
+            tel::SLO_SPECIALIZE.observe_us(sp_us);
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
             tel::CACHE_MISSES.add(1);
-        }
-
-        // Diff against the session's loaded configuration by XOR-ing
-        // whole words: only tunable addresses can differ between two
-        // specializations of the same generalized bitstream, so this
-        // counts exactly the bits the old per-tunable compare did.
-        // Ascending addresses mean nondecreasing frame indices, so an
-        // adjacent-duplicate check replaces the sort+dedup.
-        let mut frames: Vec<usize> = Vec::new();
-        let mut bits_changed = 0usize;
-        for (wi, (&a, &b)) in state.bits.words().iter().zip(new_bits.words()).enumerate() {
-            let mut x = a ^ b;
-            while x != 0 {
-                let bit = x.trailing_zeros() as usize;
-                x &= x - 1;
-                bits_changed += 1;
-                let f = engine.layout.frame_of(wi * 64 + bit);
-                if frames.last() != Some(&f) {
-                    frames.push(f);
-                }
-            }
         }
 
         // Deadline gate: all state mutation lies beyond this point.
@@ -1045,21 +1011,10 @@ impl ManagerCore {
         }
         let eval_us = t0.elapsed().as_secs_f64() * 1e6;
 
-        // A rolled-back turn left configuration memory untrusted: the
-        // recovery commit rewrites every frame, not just the diff.
-        let resyncing = state.needs_resync;
-        let write_set: Vec<usize> =
-            if resyncing { (0..engine.layout.n_frames()).collect() } else { frames.clone() };
         let t_commit = Instant::now();
-        match commit_frames(
-            state.channel.as_mut(),
-            &engine.icap,
-            &new_bits,
-            &write_set,
-            &self.region_frames,
-            &state.policy,
-        ) {
-            Ok(commit) => {
+        match state.turn.commit(&ctx, state.channel.as_mut(), &state.policy, params) {
+            Ok(turn) => {
+                let commit = turn.stats;
                 if commit.retries > 0 {
                     state.flight.record(FlightKind::Retry, turn_no, commit.retries as u64);
                 }
@@ -1070,21 +1025,19 @@ impl ManagerCore {
                         commit.degradations as u64,
                     );
                 }
-                if resyncing {
-                    state.flight.record(FlightKind::Resync, turn_no, write_set.len() as u64);
+                if turn.resynced {
+                    let frames = self.engine.layout.n_frames() as u64;
+                    state.flight.record(FlightKind::Resync, turn_no, frames);
                 }
-                state.flight.record(FlightKind::TurnCommit, turn_no, bits_changed as u64);
-                state.bits = (*new_bits).clone();
-                state.params = params.clone();
-                state.needs_resync = false;
+                state.flight.record(FlightKind::TurnCommit, turn_no, turn.bits_changed as u64);
                 state.turns += 1;
-                let turn = state.turns - 1;
+                let turn_index = state.turns - 1;
                 if wants_facts(state) {
                     let facts = SelectFacts {
                         params: params.clone(),
                         outcome: SelectOutcome::Committed,
-                        bits_changed: bits_changed as u64,
-                        frames_changed: frames.len() as u64,
+                        bits_changed: turn.bits_changed as u64,
+                        frames_changed: turn.frames_changed as u64,
                         retries: commit.retries as u64,
                         degradations: commit.degradations as u64,
                         cache_hit,
@@ -1098,9 +1051,10 @@ impl ManagerCore {
                 // into the live prefetch map so later selects in the
                 // same batch see it too.
                 if !cache_hit {
-                    relock(&self.cache).put(key.clone(), new_bits.clone());
+                    let words = Arc::new(state.turn.committed_words().clone());
+                    relock(&self.cache).put(key.clone(), words.clone());
                     if let Some(map) = batch {
-                        map.insert(key, new_bits.clone());
+                        map.insert(key, words);
                     }
                 }
                 self.icap_retries.fetch_add(commit.retries as u64, Ordering::Relaxed);
@@ -1139,29 +1093,30 @@ impl ManagerCore {
                 }
                 Ok(TurnOutcome {
                     params: params.clone(),
-                    bits_changed,
-                    frames_changed: frames.len(),
+                    bits_changed: turn.bits_changed,
+                    frames_changed: turn.frames_changed,
                     eval_us,
                     transfer_us: commit.transfer_time.as_secs_f64() * 1e6,
                     verify_us: commit.verify_time.as_secs_f64() * 1e6,
                     retries: commit.retries,
                     degradations: commit.degradations,
                     cache_hit,
-                    turn,
+                    turn: turn_index,
                 })
             }
             Err((commit, msg)) => {
-                // A device-mode failure mid-commit (killed, stalled, or
-                // wedged under this very turn) is not the session's
-                // rollback: it is never journaled — the re-drive on the
-                // spare could not reproduce it, and an unjournaled tick
-                // would desync the chaos streams — and it starts the
-                // failover directly. The client retries the turn on the
-                // spare, which replays every journaled turn first.
+                // The engine already undid the diff and armed the
+                // resync. A device-mode failure mid-commit (killed,
+                // stalled, or wedged under this very turn) is not the
+                // session's rollback: it is never journaled — the
+                // re-drive on the spare could not reproduce it, and an
+                // unjournaled tick would desync the chaos streams — and
+                // it starts the failover directly. The client retries
+                // the turn on the spare, which replays every journaled
+                // turn first.
                 if let Some(f) = &self.fleet {
                     let mode = f.device_mode(state.device);
                     if mode != DeviceMode::Ok {
-                        state.needs_resync = true;
                         state.flight.record(FlightKind::DeviceFailed, turn_no, state.device as u64);
                         self.begin_failover(state.device, DeviceHealth::Failed);
                         return Err(format!(
@@ -1192,7 +1147,6 @@ impl ManagerCore {
                         }
                     }
                 }
-                state.needs_resync = true;
                 state.flight.record(FlightKind::TurnRollback, turn_no, commit.retries as u64);
                 if wants_facts(state) {
                     // Retry counts of an aborted commit are not part of
@@ -1235,7 +1189,7 @@ impl ManagerCore {
         &self,
         session: &str,
         state: &mut SessionState,
-        batch: Option<&mut FxHashMap<String, Arc<Bitstream>>>,
+        batch: Option<&mut FxHashMap<String, CachedWords>>,
     ) -> Result<ScrubReport, String> {
         let _s = pfdbg_obs::span("serve.scrub");
         let t0 = Instant::now();
@@ -1255,17 +1209,17 @@ impl ManagerCore {
         }
         // Destructure so the scrubber and the channel borrow disjoint
         // fields of the same state.
-        let SessionState { scrubber, channel, params, needs_resync, flight, turns, .. } = state;
+        let SessionState { scrubber, channel, turn, flight, turns, .. } = state;
         let turn_no = *turns as u64;
         let report =
-            scrubber.scrub_with_scg(channel.as_mut(), &engine.icap, &engine.scg, params)?;
+            scrubber.scrub_with_scg(channel.as_mut(), &engine.icap, &engine.scg, turn.params())?;
         flight.record(FlightKind::ScrubPass, turn_no, report.upset_frames as u64);
         if report.repaired_frames > 0 {
             // A repair rewrote device frames behind the cached
             // specialization's back: drop the entry for this vector so
             // the next select re-verifies through a fresh specialize
             // instead of trusting it.
-            let key = param_bits_string(params);
+            let key = param_bits_string(turn.params());
             relock(&self.cache).remove(&key);
             if let Some(map) = batch {
                 map.remove(&key);
@@ -1278,7 +1232,7 @@ impl ManagerCore {
             // next commit rewrites everything (and will keep failing on
             // a truly stuck frame — degraded, loudly, rather than
             // serving corrupt trace data).
-            *needs_resync = true;
+            turn.arm_resync();
             flight.record(FlightKind::Quarantine, turn_no, report.quarantined_frames as u64);
             tel::SCRUB_QUARANTINES.add(report.quarantined_frames as u64);
             // Quarantine is the fleet's "something is wrong here":
@@ -1426,7 +1380,7 @@ impl Shard {
                 // Planned keys are not in the batch prefetch (only
                 // literal `params` requests are scanned), so this path
                 // looks the LRU up directly.
-                let params = core.plan_for(&state.params, &signals)?;
+                let params = core.plan_for(state.turn.params(), &signals)?;
                 core.select_on(session, state, &params, deadline, None)
             }
         }
@@ -1452,7 +1406,7 @@ impl Shard {
             bits_upset: totals.upset_bits,
             frames_repaired: totals.repaired_frames,
             quarantine: state.scrubber.quarantined().iter().copied().collect(),
-            needs_resync: state.needs_resync,
+            needs_resync: state.turn.needs_resync(),
             turns: state.turns,
         })
     }
@@ -1462,7 +1416,7 @@ impl Shard {
     pub(crate) fn state_tuple(&self, session: &str) -> Result<(BitVec, usize, bool), String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        Ok((state.params.clone(), state.turns, state.needs_resync))
+        Ok((state.turn.params().clone(), state.turns, state.turn.needs_resync()))
     }
 
     /// Read a session's device configuration memory back through its
@@ -1478,7 +1432,7 @@ impl Shard {
     pub(crate) fn plan(&self, session: &str, signals: &[String]) -> Result<BitVec, String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        self.core.plan_for(&state.params, signals)
+        self.core.plan_for(state.turn.params(), signals)
     }
 
     /// A live dump of a session's flight-recorder ring as JSONL
@@ -1597,10 +1551,8 @@ impl Shard {
     }
 
     /// Per-session telemetry rows for the `metrics` verb, `(name, flat
-    /// JSONL object)`. `busy` is always `false` now: the row is built by
-    /// the owning shard between jobs, never while a select is mid-turn
-    /// (the field survives for wire compatibility with mutex-era
-    /// dashboards).
+    /// JSONL object)`. The owning shard builds them between jobs, so a
+    /// row never describes a half-committed turn.
     pub(crate) fn metrics_rows(&self) -> Vec<(String, String)> {
         use pfdbg_obs::jsonl::{write_object, JsonValue};
         self.sessions
@@ -1610,10 +1562,9 @@ impl Shard {
                 let fields = vec![
                     ("type", JsonValue::Str("session".into())),
                     ("name", JsonValue::Str(name.clone())),
-                    ("busy", JsonValue::Bool(false)),
                     ("turns", JsonValue::Num(state.turns as f64)),
                     ("health", JsonValue::Str(state.scrubber.health().as_str().to_string())),
-                    ("needs_resync", JsonValue::Bool(state.needs_resync)),
+                    ("needs_resync", JsonValue::Bool(state.turn.needs_resync())),
                     ("scrubs", JsonValue::Num(totals.passes as f64)),
                     ("quarantined", JsonValue::Num(state.scrubber.quarantined().len() as f64)),
                     ("flight_events", JsonValue::Num(state.flight.total_recorded() as f64)),
@@ -1664,7 +1615,7 @@ pub struct SessionManager {
 
 impl SessionManager {
     /// A manager over `engine` with an LRU of `cache_capacity`
-    /// specialized bitstreams and a reliable transport.
+    /// specializations (packed tunable words) and a reliable transport.
     pub fn new(engine: Arc<Engine>, cache_capacity: usize) -> SessionManager {
         Self::with_chaos(engine, cache_capacity, None, CommitPolicy::default())
     }
@@ -1757,15 +1708,7 @@ impl SessionManager {
         fleet: FleetOptions,
         devices: Option<DeviceOptions>,
     ) -> SessionManager {
-        let mut region_frames: Vec<usize> = engine
-            .scg
-            .generalized()
-            .tunable
-            .iter()
-            .map(|&(addr, _)| engine.layout.frame_of(addr))
-            .collect();
-        region_frames.sort_unstable();
-        region_frames.dedup();
+        let region_frames = region_frames(&engine.scg, &engine.layout);
         let core = Arc::new(ManagerCore {
             engine,
             cache: Mutex::new(LruCache::new(cache_capacity)),
@@ -1983,10 +1926,10 @@ impl SessionManager {
 
     /// One debugging turn: specialize the session for `params`, commit
     /// the changed frames transactionally, and account the cost, on the
-    /// owning shard's thread. The hot path is the memoized batch
-    /// evaluator ([`Scg::specialize_from_batch`], one node-table sweep
-    /// through the session's shard-local scratch) and cache-assisted.
-    /// See [`ManagerCore::select_on`] for deadline semantics.
+    /// owning shard's thread. The turn is the session's [`TurnEngine`]:
+    /// one memoized node-table sweep through its scratch on an LRU
+    /// miss, the cached tunable words on a hit. See
+    /// [`ManagerCore::select_on`] for deadline semantics.
     pub fn select_within(
         &self,
         session: &str,
@@ -2201,7 +2144,7 @@ impl SessionManager {
     /// JSONL object per session (`"type":"session"`), gathered from
     /// every shard and sorted by name. Each shard builds its rows
     /// between jobs, so a dashboard poll waits for queued work to drain
-    /// rather than silently reporting sessions as `busy`.
+    /// rather than skipping a session mid-turn.
     pub fn sessions_metrics_jsonl(&self) -> String {
         let mut rows: Vec<(String, String)> = Vec::new();
         for idx in 0..self.shards.len() {

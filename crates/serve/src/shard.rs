@@ -28,9 +28,8 @@
 //! other session it owns — keeps serving.
 
 use crate::protocol::param_bits_string;
-use crate::session::{ManagerCore, SessionState, TurnOutcome};
+use crate::session::{CachedWords, ManagerCore, SessionState, TurnOutcome};
 use crate::telemetry as tel;
-use pfdbg_arch::Bitstream;
 use pfdbg_util::{BitVec, FxHashMap};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -223,7 +222,7 @@ pub(crate) struct Shard {
     /// looked up under one cache lock. Entries published or invalidated
     /// by jobs in the same batch update this map too, so within-batch
     /// ordering semantics match the old one-lock-per-select path.
-    pub(crate) batch: FxHashMap<String, Arc<Bitstream>>,
+    pub(crate) batch: FxHashMap<String, CachedWords>,
 }
 
 /// Decrements the pending-scrub counter even if the scrub itself

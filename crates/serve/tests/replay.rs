@@ -5,28 +5,36 @@
 //! session by re-driving its journal — and the restored session's next
 //! select must be bit-identical to an uninterrupted golden run, at 1,
 //! 2, and 8 SCG evaluation threads. A restart under *different* chaos
-//! flags must refuse the restore loudly instead.
+//! flags must refuse the restore loudly instead. A serve journal also
+//! verifies on the standalone engine (`pfdbg_replay::verify_path`).
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_pconf::icap::CommitPolicy;
 use pfdbg_pconf::scrub::ScrubPolicy;
+use pfdbg_replay::DesignSpec;
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
 use pfdbg_serve::session::{Engine, SessionManager};
+use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The generated design every test serves (instrumented with 2 ports
+/// at coverage 1, k = 4).
+const GEN: pfdbg_circuits::GenParams = pfdbg_circuits::GenParams {
+    n_inputs: 6,
+    n_outputs: 4,
+    n_gates: 24,
+    depth: 4,
+    n_latches: 2,
+    seed: 91,
+};
 
 fn build_engine(threads: usize) -> Engine {
-    let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
-        n_inputs: 6,
-        n_outputs: 4,
-        n_gates: 24,
-        depth: 4,
-        n_latches: 2,
-        seed: 91,
-    });
+    let design = pfdbg_circuits::generate(&GEN);
     let (_, _, inst) = prepare_instrumented(
         &design,
         &InstrumentConfig { n_ports: 2, max_signals: None, coverage: 1 },
@@ -264,5 +272,68 @@ fn record_and_replay_verbs_round_trip() {
     assert!(traversal.str("error").unwrap_or("").contains(".."), "{traversal:?}");
 
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A serve-recorded journal verifies on the standalone engine: the
+/// server's turns — LRU hits adopting cached tunable words, misses,
+/// scrubs, and an expired deadline — re-drive through the
+/// `OnlineReconfigurator` `pfdbg replay` builds, with no divergence.
+#[test]
+fn serve_journal_verifies_on_the_standalone_engine() {
+    let dir =
+        std::env::temp_dir().join(format!("pfdbg-serve-replay-standalone-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut manager = chaos_manager(1, Some(dir.clone()), 0.02);
+    let design = DesignSpec::Generated {
+        n_inputs: GEN.n_inputs,
+        n_outputs: GEN.n_outputs,
+        n_gates: GEN.n_gates,
+        depth: GEN.depth,
+        n_latches: GEN.n_latches,
+        seed: GEN.seed,
+    };
+    manager.set_journal_design(design, 1, 4);
+    let n_params = manager.open("s").unwrap();
+
+    // Three vectors that recur (LRU hits once published) and a fresh
+    // vector every other turn (misses).
+    let mut seed = 0x51A7_u64;
+    let mut fresh = || -> BitVec {
+        (0..n_params)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed & 1 == 1
+            })
+            .collect()
+    };
+    let pool: Vec<BitVec> = (0..3).map(|_| fresh()).collect();
+    for t in 0..30 {
+        if t % 5 == 4 {
+            manager.scrub_session("s").unwrap();
+            continue;
+        }
+        let params = if t % 2 == 0 { pool[(t / 2) % 3].clone() } else { fresh() };
+        if t == 13 {
+            let expired = Some((Instant::now(), Duration::ZERO));
+            let err = manager.select_within("s", &params, expired).unwrap_err();
+            assert!(err.contains("deadline"), "{err}");
+            continue;
+        }
+        // A rollback under the flaky transport is a journaled outcome
+        // like any other; the replay must reproduce it.
+        let _ = manager.select("s", &params);
+    }
+    let (_, hits, misses) = manager.stats();
+    assert!(hits > 0 && misses > 0, "want both LRU paths: {hits} hits, {misses} misses");
+    let (path, _, _) = manager.journal_status("s").unwrap();
+    manager.close("s").unwrap();
+
+    let report = pfdbg_replay::verify_path(Path::new(&path), None).unwrap();
+    assert!(report.ok(), "standalone replay diverged: {:?}", report.divergence);
+    assert_eq!((report.turns, report.scrubs), (24, 6), "{report:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

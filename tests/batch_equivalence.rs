@@ -1,13 +1,14 @@
-//! Equivalence of the memoized **batch** turn path with the original
-//! per-function evaluators: across random generalized bitstreams and
+//! Equivalence of the memoized **batch** turn path with the reference
+//! per-function evaluator: across random generalized bitstreams and
 //! random multi-turn parameter walks, `specialize_from_batch`,
 //! `specialize_timed_batch` and the packed word-XOR diff
 //! (`specialize_diff_from_batch`) must be **bit-identical** to
-//! `specialize` / `specialize_diff_from` at 1, 2 and 8 evaluation
-//! threads — including across scratch reuse, cold-scratch re-derivation
-//! and rolled-back (evaluated but never committed) turns.
+//! `try_specialize` — the diff to the difference of two reference
+//! specializations — at 1, 2 and 8 evaluation threads, including across
+//! scratch reuse, cold-scratch re-derivation and rolled-back (evaluated
+//! but never committed) turns.
 
-use parameterized_fpga_debug::arch::{build_rrg, ArchSpec, BitstreamLayout, Device};
+use parameterized_fpga_debug::arch::{build_rrg, ArchSpec, Bitstream, BitstreamLayout, Device};
 use parameterized_fpga_debug::pconf::{BddManager, GeneralizedBuilder, Scg, SpecializeScratch};
 use parameterized_fpga_debug::util::BitVec;
 use proptest::prelude::*;
@@ -90,8 +91,14 @@ fn walk_of(case: &Case) -> Vec<Vec<(usize, bool)>> {
         .collect()
 }
 
+/// The reference write set: every address where two reference
+/// specializations differ, ascending, with the target's value.
+fn reference_diff(from: &Bitstream, to: &Bitstream) -> Vec<(usize, bool)> {
+    (0..to.len()).filter(|&a| from.get(a) != to.get(a)).map(|a| (a, to.get(a))).collect()
+}
+
 /// Full-turn walk at one thread count: the batch specializers and the
-/// packed diff agree bit-for-bit with the per-function paths. Turn
+/// packed diff agree bit-for-bit with the reference evaluator. Turn
 /// `rollback` evaluates without committing; the next turn's diff must
 /// still describe the loaded configuration.
 fn check_walk(
@@ -119,8 +126,8 @@ fn check_walk(
         let (timed, _) = scg.specialize_timed_batch(&params, &mut scratch);
         prop_assert_eq!(&timed, &want, "specialize_timed_batch, threads={}", threads);
 
-        // Packed word-XOR diff vs the per-function diff.
-        let serial_diff = scg.specialize_diff_from(&prev_params, &current, &params).unwrap();
+        // Packed word-XOR diff vs the reference diff.
+        let serial_diff = reference_diff(&scg.try_specialize(&prev_params).unwrap(), &want);
         let batch_diff =
             scg.specialize_diff_from_batch(&prev_params, &params, &mut scratch).unwrap().to_vec();
         prop_assert_eq!(&batch_diff, &serial_diff, "diff, threads={}", threads);
