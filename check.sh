@@ -18,6 +18,14 @@ echo "== benchmark builds against the library (--locked) =="
 # benchmark run.
 cargo check -q --offline --locked --manifest-path crates/bench/src/bin/pfbench/Cargo.toml
 
+echo "== benchmark's own tests (correctness gate) =="
+# pfbench's suite includes a --quick run of every workload, whose gate
+# checks each sampled session's readback against Scg::try_specialize of
+# its committed parameters: a change to the turn path that serves
+# wrong configurations fails here, on every change, not only when the
+# benchmark runs.
+cargo test -q --offline --locked --manifest-path crates/bench/src/bin/pfbench/Cargo.toml
+
 echo "== cargo test (PFDBG_THREADS=1) =="
 PFDBG_THREADS=1 cargo test -q --workspace
 

@@ -37,6 +37,7 @@ use pfdbg_netlist::{blif, Network};
 use pfdbg_pconf::OnlineReconfigurator;
 use pfdbg_store::{ArtifactStore, CacheOutcome};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -262,8 +263,8 @@ fn build_online(
     fault: Option<pfdbg_emu::IcapFaultConfig>,
     policy: pfdbg_pconf::CommitPolicy,
 ) -> OnlineReconfigurator {
-    let channel =
-        pfdbg_emu::channel_stack(scg.generalized().base.clone(), layout.frame_bits, None, fault);
+    let image = Arc::new(scg.generalized().base.clone());
+    let channel = pfdbg_emu::channel_stack(image, layout.frame_bits, None, fault);
     OnlineReconfigurator::with_channel(scg, layout, icap, channel, policy)
 }
 
@@ -631,7 +632,7 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
     });
     let n_params = inst.annotations.len();
     let channel = pfdbg_emu::channel_stack(
-        scg.generalized().base.clone(),
+        Arc::new(scg.generalized().base.clone()),
         layout.frame_bits,
         Some(seu),
         fault,
@@ -695,7 +696,6 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
     use pfdbg_serve::session::Engine;
     use pfdbg_serve::{FleetOptions, Server, ServerConfig, SessionManager};
-    use std::sync::Arc;
 
     let (name, nw) = load_design(rest)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;

@@ -18,6 +18,7 @@ use pfdbg_obs::LazyHistogram;
 use pfdbg_pconf::{Bdd, BddManager, CommitPolicy, GeneralizedBuilder, OnlineReconfigurator, Scg};
 use pfdbg_pr::{tpar, TparConfig, TparResult};
 use pfdbg_util::{par, FxHashMap};
+use std::sync::Arc;
 use std::time::Duration;
 
 // Always-on compile telemetry: wall time per offline run, so a fleet
@@ -138,7 +139,8 @@ impl OfflineResult {
     ) -> Option<OnlineReconfigurator> {
         let scg = self.scg?;
         let layout = self.layout?;
-        let channel = channel_stack(scg.generalized().base.clone(), layout.frame_bits, seu, fault);
+        let image = Arc::new(scg.generalized().base.clone());
+        let channel = channel_stack(image, layout.frame_bits, seu, fault);
         Some(OnlineReconfigurator::with_channel(scg, layout, self.icap, channel, policy))
     }
 }

@@ -15,21 +15,23 @@ use pfdbg_arch::Bitstream;
 use pfdbg_pconf::icap::{IcapChannel, IcapError, MemoryIcap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The channel stack every emulated session reconfigures through:
-/// reliable configuration memory holding `base`, SEUs striking that
-/// memory between turns when `seu` is set, and transport faults
-/// wrapping the writes outside it when `fault` is set. Upsets therefore
-/// always land, while the writes that repair them still suffer; the two
-/// injectors run on their own seeds. Callers derive per-session seeds
-/// before passing the configs in.
+/// reliable configuration memory powered up with `image` (shared with
+/// every other stack over it; each device copies only the frames it
+/// writes), SEUs striking that memory between turns when `seu` is set,
+/// and transport faults wrapping the writes outside it when `fault` is
+/// set. Upsets therefore always land, while the writes that repair them
+/// still suffer; the two injectors run on their own seeds. Callers
+/// derive per-session seeds before passing the configs in.
 pub fn channel_stack(
-    base: Bitstream,
+    image: Arc<Bitstream>,
     frame_bits: usize,
     seu: Option<SeuConfig>,
     fault: Option<IcapFaultConfig>,
 ) -> Box<dyn IcapChannel> {
-    let mem = MemoryIcap::new(base, frame_bits);
+    let mem = MemoryIcap::shared(image, frame_bits);
     match (seu, fault) {
         (Some(s), Some(f)) => Box::new(FaultyIcap::new(SeuIcap::new(mem, s), f)),
         (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
@@ -221,14 +223,16 @@ mod tests {
 
     #[test]
     fn channel_stack_layers_upsets_under_transport_faults() {
-        let base = target(256, &[3]);
+        let base = Arc::new(target(256, &[3]));
         let mut plain = channel_stack(base.clone(), 128, None, None);
         assert_eq!(plain.tick(), 0, "a reliable stack takes no upsets");
-        assert_eq!(readback_all(plain.as_ref()), base);
+        assert_eq!(readback_all(plain.as_ref()), *base);
         let dead_port = IcapFaultConfig { write_error_rate: 1.0, ..Default::default() };
-        let mut both = channel_stack(base, 128, Some(SeuConfig::new(1.0, 5)), Some(dead_port));
+        let seu = Some(SeuConfig::new(1.0, 5));
+        let mut both = channel_stack(base.clone(), 128, seu, Some(dead_port));
         assert!(both.tick() > 0, "upsets strike through the fault layer");
         assert_eq!(both.write_frame(0, &[0, 0]), Err(IcapError::WriteFailed));
+        assert_eq!(readback_all(plain.as_ref()), *base, "stacks share the image, not upsets");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!
 //! * [`IcapChannel`] is the write/readback interface to configuration
 //!   memory. Frame writes can fail; readback is the ground truth.
-//! * [`MemoryIcap`] is the reliable in-memory device model. The fault
-//!   injector wrapping it with transient errors lives in `pfdbg-emu`
-//!   (`FaultyIcap`), next to the design-fault machinery.
+//! * [`MemoryIcap`] is the reliable in-memory device model: frames
+//!   copied on write over a power-up image that many devices share.
+//!   The fault injector wrapping it with transient errors lives in
+//!   `pfdbg-emu` (`FaultyIcap`), next to the design-fault machinery.
 //! * [`commit_frames`] is the transactional commit: per-frame CRC,
 //!   post-write readback-verify, bounded retry with backoff, and
 //!   graceful degradation — partial diff → full rewrite of the tunable
@@ -23,6 +24,7 @@
 
 use pfdbg_arch::{bitfile, Bitstream, IcapModel};
 use pfdbg_obs::{LazyCounter, LazyHistogram};
+use std::sync::Arc;
 use std::time::Duration;
 
 // Always-on transport telemetry: these feed the serve `metrics` verb
@@ -159,12 +161,38 @@ pub fn frame_crc(words: &[u64]) -> u32 {
     !words.iter().fold(0xFFFF_FFFF, |crc, w| bitfile::crc32_update(crc, &w.to_le_bytes()))
 }
 
+/// Where a commit gets the words each frame must hold: a whole
+/// [`Bitstream`], or a turn's shared base with its staged tunable
+/// values laid over it (`crate::turn`), which builds each frame on
+/// demand instead of keeping a configuration per session.
+pub(crate) trait FrameSource {
+    /// Fill `out` (cleared first) with frame `frame`'s target words,
+    /// exactly as [`frame_words_into`] would extract them.
+    fn frame_into(&self, frame_bits: usize, frame: usize, out: &mut Vec<u64>);
+}
+
+impl FrameSource for Bitstream {
+    fn frame_into(&self, frame_bits: usize, frame: usize, out: &mut Vec<u64>) {
+        frame_words_into(self, frame_bits, frame, out);
+    }
+}
+
 /// The reliable in-memory configuration port: every write lands, every
 /// readback reflects memory. This is the channel [`crate::OnlineReconfigurator`]
 /// uses by default, and the inner device `pfdbg-emu`'s fault injector
 /// wraps.
+///
+/// Memory is copy-on-write per frame over a power-up image that any
+/// number of devices may share ([`MemoryIcap::shared`]): a frame's first
+/// write gives this device its own copy, and a frame never written reads
+/// from the image. A device whose turns touch only the tunable region
+/// therefore holds those frames and nothing else.
 pub struct MemoryIcap {
-    mem: Bitstream,
+    /// The configuration shifted in at power-up, read through for every
+    /// frame not yet written.
+    image: Arc<Bitstream>,
+    /// Per frame, this device's copy once written (`None`: the image's).
+    written: Vec<Option<Box<[u64]>>>,
     frame_bits: usize,
 }
 
@@ -173,13 +201,16 @@ impl MemoryIcap {
     /// base configuration shifted in at power-up, before any debug
     /// turn).
     pub fn new(initial: Bitstream, frame_bits: usize) -> Self {
-        assert!(frame_bits > 0, "frame_bits must be positive");
-        MemoryIcap { mem: initial, frame_bits }
+        Self::shared(Arc::new(initial), frame_bits)
     }
 
-    /// The configuration memory behind the port.
-    pub fn memory(&self) -> &Bitstream {
-        &self.mem
+    /// A port over the power-up `image` shared with other devices;
+    /// writes land in this device's frame copies and never reach the
+    /// image.
+    pub fn shared(image: Arc<Bitstream>, frame_bits: usize) -> Self {
+        assert!(frame_bits > 0, "frame_bits must be positive");
+        let written = vec![None; image.len().div_ceil(frame_bits)];
+        MemoryIcap { image, written, frame_bits }
     }
 }
 
@@ -189,27 +220,45 @@ impl IcapChannel for MemoryIcap {
     }
 
     fn n_bits(&self) -> usize {
-        self.mem.len()
+        self.image.len()
     }
 
     fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
-        if frame >= self.n_frames() {
+        let Some(slot) = self.written.get_mut(frame) else {
             return Err(IcapError::WriteFailed);
+        };
+        let len = frame_len_bits(self.image.len(), self.frame_bits, frame);
+        // A write replaces the whole frame, so the first one allocates
+        // the copy without reading the image. As in `splice_words`,
+        // missing source words read as zero and bits past the frame
+        // are dropped.
+        let words = slot.get_or_insert_with(|| vec![0; len.div_ceil(64)].into_boxed_slice());
+        for (j, w) in words.iter_mut().enumerate() {
+            *w = data.get(j).copied().unwrap_or(0);
         }
-        let base = frame * self.frame_bits;
-        let len = frame_len_bits(self.mem.len(), self.frame_bits, frame);
-        // Word-level splice; missing source words read as zero, exactly
-        // like the old per-bit loop.
-        self.mem.splice_words(base, len, data);
+        let tail = len % 64;
+        if tail != 0 {
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
         Ok(())
     }
 
     fn read_frame(&self, frame: usize) -> Vec<u64> {
-        frame_words(&self.mem, self.frame_bits, frame)
+        let mut words = Vec::new();
+        self.read_frame_into(frame, &mut words);
+        words
     }
 
     fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
-        frame_words_into(&self.mem, self.frame_bits, frame, out);
+        match self.written.get(frame) {
+            Some(Some(words)) => {
+                out.clear();
+                out.extend_from_slice(words);
+            }
+            _ => frame_words_into(&self.image, self.frame_bits, frame, out),
+        }
     }
 }
 
@@ -353,7 +402,7 @@ pub(crate) struct FrameBuf {
 pub(crate) fn write_frame_verified(
     channel: &mut dyn IcapChannel,
     icap: &IcapModel,
-    target: &Bitstream,
+    target: &dyn FrameSource,
     frame: usize,
     policy: &CommitPolicy,
     backoff: &mut Backoff,
@@ -361,7 +410,7 @@ pub(crate) fn write_frame_verified(
     buf: &mut FrameBuf,
 ) -> bool {
     let frame_bits = channel.frame_bits();
-    frame_words_into(target, frame_bits, frame, &mut buf.words);
+    target.frame_into(frame_bits, frame, &mut buf.words);
     let crc = frame_crc(&buf.words);
     let write_cost = icap.partial_reconfig(1, frame_bits) - icap.command_overhead;
     let readback_cost =
@@ -420,6 +469,19 @@ pub fn commit_frames(
     channel: &mut dyn IcapChannel,
     icap: &IcapModel,
     target: &Bitstream,
+    changed_frames: &[usize],
+    region_frames: &[usize],
+    policy: &CommitPolicy,
+) -> Result<CommitStats, (CommitStats, String)> {
+    commit_frames_from(channel, icap, target, changed_frames, region_frames, policy)
+}
+
+/// [`commit_frames`] over any [`FrameSource`]: the turn engine's commit,
+/// whose target frames are built from the shared base on demand.
+pub(crate) fn commit_frames_from(
+    channel: &mut dyn IcapChannel,
+    icap: &IcapModel,
+    target: &dyn FrameSource,
     changed_frames: &[usize],
     region_frames: &[usize],
     policy: &CommitPolicy,
@@ -497,6 +559,9 @@ pub fn commit_frames(
 mod tests {
     use super::*;
     use pfdbg_util::BitVec;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn stream(n: usize, ones: &[usize]) -> Bitstream {
         let mut b = Bitstream::from_bits(BitVec::zeros(n));
@@ -702,5 +767,118 @@ mod tests {
         let (stats, msg) = err.expect_err("a dead port cannot commit");
         assert_eq!(stats.degradations, 2, "both escalation levels were attempted");
         assert!(msg.contains("full reconfiguration"), "{msg}");
+    }
+
+    /// The device model the copy-on-write one replaced: one whole
+    /// `Bitstream`, every write spliced in.
+    struct WholeIcap {
+        mem: Bitstream,
+        frame_bits: usize,
+    }
+
+    impl IcapChannel for WholeIcap {
+        fn frame_bits(&self) -> usize {
+            self.frame_bits
+        }
+        fn n_bits(&self) -> usize {
+            self.mem.len()
+        }
+        fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
+            if frame >= self.n_frames() {
+                return Err(IcapError::WriteFailed);
+            }
+            let len = frame_len_bits(self.mem.len(), self.frame_bits, frame);
+            self.mem.splice_words(frame * self.frame_bits, len, data);
+            Ok(())
+        }
+        fn read_frame(&self, frame: usize) -> Vec<u64> {
+            frame_words(&self.mem, self.frame_bits, frame)
+        }
+    }
+
+    fn random_stream(rng: &mut StdRng, n_bits: usize) -> Bitstream {
+        Bitstream::from_bits((0..n_bits).map(|_| rng.gen_bool(0.5)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random writes (whole frames, missing words, junk past the
+        /// frame end, out-of-range frames), reads and SEU-style upsets
+        /// — `SeuIcap::tick`'s read, flip a burst within the frame,
+        /// write back — leave a copy-on-write device reading exactly
+        /// like a whole-bitstream one at every step, short last frame
+        /// included, and never touch the shared image.
+        #[test]
+        fn copy_on_write_device_matches_a_whole_bitstream(
+            frames in 1usize..10,
+            frame_bits in 1usize..200,
+            short in 0usize..200,
+            seed in any::<u64>(),
+        ) {
+            let n_bits = frames * frame_bits - short % frame_bits;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let image = random_stream(&mut rng, n_bits);
+            let shared = Arc::new(image.clone());
+            let mut cow = MemoryIcap::shared(shared.clone(), frame_bits);
+            let mut model = WholeIcap { mem: image.clone(), frame_bits };
+            let n_frames = model.n_frames();
+            prop_assert_eq!(cow.n_frames(), n_frames);
+            for step in 0..40 {
+                let frame = rng.gen_range(0..n_frames + 1);
+                let len = frame_len_bits(n_bits, frame_bits, frame);
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        let full = len.div_ceil(64).max(1);
+                        let n = match rng.gen_range(0..3u32) {
+                            0 => full,
+                            1 => rng.gen_range(0..full),
+                            _ => full + rng.gen_range(1..3usize),
+                        };
+                        let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+                        prop_assert_eq!(
+                            cow.write_frame(frame, &data),
+                            model.write_frame(frame, &data),
+                            "step {} write", step
+                        );
+                    }
+                    1 if len > 0 => {
+                        let mut words = cow.read_frame(frame);
+                        let start = rng.gen_range(0..len);
+                        for j in 0..rng.gen_range(1..4usize) {
+                            let bit = (start + j) % len;
+                            words[bit / 64] ^= 1 << (bit % 64);
+                        }
+                        cow.write_frame(frame, &words).unwrap();
+                        model.write_frame(frame, &words).unwrap();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(cow.read_frame(frame), model.read_frame(frame), "step {}", step);
+                prop_assert_eq!(readback_all(&cow), readback_all(&model), "step {}", step);
+            }
+            prop_assert_eq!(&*shared, &image, "writes never reach the shared image");
+        }
+    }
+
+    #[test]
+    fn devices_over_one_image_never_see_each_others_writes() {
+        let image = Arc::new(stream(300, &[2, 150, 299]));
+        let mut a = MemoryIcap::shared(image.clone(), 128);
+        let mut b = MemoryIcap::shared(image.clone(), 128);
+        let (want_a, want_b) = (stream(300, &[1, 131, 298]), stream(300, &[2, 140, 299]));
+        for f in [0, 2] {
+            a.write_frame(f, &frame_words(&want_a, 128, f)).unwrap();
+        }
+        b.write_frame(1, &frame_words(&want_b, 128, 1)).unwrap();
+        // Each device reads its own writes and the image elsewhere.
+        let mut expect_a = want_a.clone();
+        expect_a.splice_words(128, 128, &frame_words(&image, 128, 1));
+        assert_eq!(readback_all(&a), expect_a);
+        let mut expect_b = (*image).clone();
+        expect_b.splice_words(128, 128, &frame_words(&want_b, 128, 1));
+        assert_eq!(readback_all(&b), expect_b);
+        assert_eq!(*image, stream(300, &[2, 150, 299]), "the image is untouched");
+        assert_eq!(readback_all(&MemoryIcap::shared(image, 128)), stream(300, &[2, 150, 299]));
     }
 }

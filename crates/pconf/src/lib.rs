@@ -24,4 +24,4 @@ pub use health::{
 pub use icap::{CommitPolicy, CommitStats, IcapChannel, IcapError, MemoryIcap};
 pub use scg::{OnlineReconfigurator, Scg, SpecializeScratch, SpecializeTiming, TurnStats};
 pub use scrub::{ScrubHealth, ScrubPolicy, ScrubReport, ScrubTotals, Scrubber};
-pub use turn::{region_frames, TurnCommit, TurnContext, TurnEngine};
+pub use turn::{TunableFrames, TurnCommit, TurnContext, TurnEngine};

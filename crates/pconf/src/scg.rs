@@ -16,7 +16,7 @@ use crate::bdd::{Bdd, BddManager};
 use crate::genbits::GeneralizedBitstream;
 use crate::icap::{CommitPolicy, IcapChannel, MemoryIcap};
 use crate::scrub::ScrubReport;
-use crate::turn::{region_frames, TurnContext, TurnEngine};
+use crate::turn::{TunableFrames, TurnContext, TurnEngine};
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_util::{par, BitVec};
 use std::time::{Duration, Instant};
@@ -446,9 +446,8 @@ pub struct OnlineReconfigurator {
     scg: Scg,
     layout: BitstreamLayout,
     icap: IcapModel,
-    /// Frames containing at least one tunable bit — the escalation set
-    /// of the full-frame rewrite level.
-    region_frames: Vec<usize>,
+    /// Where the tunable bits sit in the frames.
+    tunables: TunableFrames,
     /// The (possibly faulty) reconfiguration transport.
     channel: Box<dyn IcapChannel>,
     policy: CommitPolicy,
@@ -474,15 +473,16 @@ impl OnlineReconfigurator {
         channel: Box<dyn IcapChannel>,
         policy: CommitPolicy,
     ) -> Self {
-        let region_frames = region_frames(&scg, &layout);
+        let tunables = TunableFrames::new(&scg, &layout);
         let turn = TurnEngine::new(&scg);
-        OnlineReconfigurator { scg, layout, icap, region_frames, channel, policy, turn }
+        OnlineReconfigurator { scg, layout, icap, tunables, channel, policy, turn }
     }
 
     /// The currently loaded bitstream (the session's *belief* — equal to
-    /// the device readback after every committed turn).
-    pub fn current(&self) -> &Bitstream {
-        self.turn.loaded()
+    /// the device readback after every committed turn), built on each
+    /// call from the base configuration and the committed parameters.
+    pub fn current(&self) -> Bitstream {
+        self.turn.loaded(&self.scg)
     }
 
     /// Read the device's configuration memory back through the channel —
@@ -563,7 +563,7 @@ impl OnlineReconfigurator {
             scg: &self.scg,
             layout: &self.layout,
             icap: &self.icap,
-            region_frames: &self.region_frames,
+            tunables: &self.tunables,
         };
         self.turn.stage(&ctx, params, None)?;
         let eval_time = t0.elapsed();
@@ -591,7 +591,7 @@ impl OnlineReconfigurator {
     /// The modeled cost of a *full* reconfiguration of this device — the
     /// baseline the paper compares against.
     pub fn full_reconfig_time(&self) -> Duration {
-        self.icap.full_reconfig(self.turn.loaded().len(), self.layout.frame_bits)
+        self.icap.full_reconfig(self.scg.generalized().base.len(), self.layout.frame_bits)
     }
 }
 
@@ -705,9 +705,9 @@ mod tests {
     fn try_apply_surfaces_errors_without_state_change() {
         let (layout, scg) = setup();
         let mut online = OnlineReconfigurator::new(scg, layout, IcapModel::virtex5());
-        let before = online.current().clone();
+        let before = online.current();
         assert!(online.try_apply(&params(&[true])).is_err());
-        assert_eq!(online.current(), &before, "failed turn must not mutate state");
+        assert_eq!(online.current(), before, "failed turn must not mutate state");
         // The reconfigurator still works afterwards.
         assert!(online.try_apply(&params(&[true, false])).is_ok());
     }
@@ -849,7 +849,7 @@ mod tests {
         for p in [[true, false], [true, true], [false, true]] {
             online.apply(&params(&p));
             assert_eq!(
-                &online.readback(),
+                online.readback(),
                 online.current(),
                 "belief and fabric diverged after a committed turn"
             );
@@ -889,11 +889,11 @@ mod tests {
             dead,
             crate::icap::CommitPolicy { max_retries: 1, ..Default::default() },
         );
-        let before = online.current().clone();
+        let before = online.current();
         let before_params = online.params().clone();
         let err = online.try_apply(&params(&[true, true]));
         assert!(err.unwrap_err().contains("rolled back"));
-        assert_eq!(online.current(), &before, "rollback must not advance the bitstream");
+        assert_eq!(online.current(), before, "rollback must not advance the bitstream");
         assert_eq!(online.params(), &before_params, "rollback must not advance params");
         assert!(online.needs_resync(), "a failed commit leaves the fabric untrusted");
         // A no-change turn still forces the resync write set, which the
@@ -911,7 +911,7 @@ mod tests {
         online.turn.arm_resync();
         let stats = online.apply(&params(&[true, true]));
         assert!(!online.needs_resync());
-        assert_eq!(&online.readback(), online.current());
+        assert_eq!(online.readback(), online.current());
         // The resync wrote all frames even though the diff was tiny.
         assert!(stats.transfer_time >= online.icap.partial_reconfig(1, online.layout.frame_bits));
     }

@@ -2,12 +2,14 @@
 //! standalone [`crate::OnlineReconfigurator`] and by every serve
 //! session alike.
 //!
-//! A [`TurnEngine`] holds only what belongs to one session: the loaded
-//! configuration, the parameters it was specialized for, the resync
-//! flag, the evaluation scratch and the turn's frame lists. What the
-//! sessions of one design share — the SCG, the frame geometry, the port
-//! model and the escalation region — is borrowed on each call through a
-//! [`TurnContext`], so a session keeps no copy of it.
+//! A [`TurnEngine`] holds only what belongs to one session: the
+//! parameters it last committed, the resync flag, the evaluation
+//! scratch (whose packed tunable words describe the committed
+//! configuration) and the turn's frame lists. What the sessions of one
+//! design share — the SCG with its base configuration, the frame
+//! geometry, the port model and the escalation region — is borrowed on
+//! each call through a [`TurnContext`], so a session keeps no copy of
+//! it, and no configuration bitstream of its own either.
 //!
 //! A turn is two steps:
 //!
@@ -17,19 +19,23 @@
 //!    the committed baseline. It touches only the scratch, so the
 //!    caller may still abandon the turn (the serve layer's deadline gate
 //!    sits between the steps).
-//! 2. [`TurnEngine::commit`] applies the diff to the loaded bitstream in
-//!    place and pushes the changed frames through [`commit_frames`] —
-//!    every frame when a rolled-back turn left the device untrusted. On
-//!    success the scratch baseline advances; on failure the diff is
-//!    undone and the next commit resyncs the whole device.
+//! 2. [`TurnEngine::commit`] pushes the changed frames through the
+//!    commit loop of [`crate::icap::commit_frames`] — every frame when a
+//!    rolled-back turn left the device untrusted — building each target
+//!    frame from the shared base plus the staged packed words. On
+//!    success the scratch baseline advances; a failure has changed
+//!    nothing but the device, so it only arms the resync.
 
-use crate::icap::{commit_frames, CommitPolicy, CommitStats, IcapChannel};
+use crate::bdd::Bdd;
+use crate::icap::{
+    commit_frames_from, frame_words_into, CommitPolicy, CommitStats, FrameSource, IcapChannel,
+};
 use crate::scg::{Scg, SpecializeScratch};
-use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
+use pfdbg_arch::{BitAddr, Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_util::BitVec;
 
 /// The read-only half of a turn: one design's SCG, frame geometry, port
-/// model and escalation region, shared by all of its sessions.
+/// model and tunable-bit placement, shared by all of its sessions.
 #[derive(Clone, Copy)]
 pub struct TurnContext<'a> {
     /// The SCG over the generalized bitstream.
@@ -38,18 +44,38 @@ pub struct TurnContext<'a> {
     pub layout: &'a BitstreamLayout,
     /// Reconfiguration-port model.
     pub icap: &'a IcapModel,
-    /// Frames holding a tunable bit ([`region_frames`]).
-    pub region_frames: &'a [usize],
+    /// Where the SCG's tunable bits sit in the frames.
+    pub tunables: &'a TunableFrames,
 }
 
-/// Frames containing at least one tunable bit, ascending — the
-/// escalation set of a commit's tunable-region rewrite level.
-pub fn region_frames(scg: &Scg, layout: &BitstreamLayout) -> Vec<usize> {
-    let mut frames: Vec<usize> =
-        scg.generalized().tunable.iter().map(|&(addr, _)| layout.frame_of(addr)).collect();
-    frames.sort_unstable();
-    frames.dedup();
-    frames
+/// Where a design's tunable bits sit in its frames, computed once per
+/// design: the frames holding any, and each frame's range of tunable
+/// indices (`gbs.tunable` is sorted by address, so a frame's tunables
+/// are one contiguous range).
+#[derive(Debug, Clone)]
+pub struct TunableFrames {
+    /// Frames holding a tunable bit, ascending.
+    region: Vec<usize>,
+    /// Frame `f`'s tunables are `gbs.tunable[starts[f]..starts[f + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl TunableFrames {
+    /// Place `scg`'s tunable bits in `layout`'s frames.
+    pub fn new(scg: &Scg, layout: &BitstreamLayout) -> Self {
+        let tunable = &scg.generalized().tunable;
+        let starts: Vec<usize> = (0..=layout.n_frames())
+            .map(|f| tunable.partition_point(|&(addr, _)| addr < f * layout.frame_bits))
+            .collect();
+        let region = (0..layout.n_frames()).filter(|&f| starts[f] < starts[f + 1]).collect();
+        TunableFrames { region, starts }
+    }
+
+    /// Frames holding a tunable bit, ascending — the escalation set of a
+    /// commit's tunable-region rewrite level.
+    pub fn region(&self) -> &[usize] {
+        &self.region
+    }
 }
 
 /// What a committed turn changed and what its commit cost.
@@ -66,12 +92,38 @@ pub struct TurnCommit {
     pub resynced: bool,
 }
 
+/// The configuration packed tunable words select, frame by frame: the
+/// design's shared base with `packed` laid over its tunable bits — the
+/// frames of [`Scg::try_specialize`] of the parameters `packed` was
+/// evaluated for, with no bitstream built.
+struct PackedFrames<'a> {
+    base: &'a Bitstream,
+    tunable: &'a [(BitAddr, Bdd)],
+    starts: &'a [usize],
+    /// Bit `i` is the value of `tunable[i]`.
+    packed: &'a BitVec,
+}
+
+impl FrameSource for PackedFrames<'_> {
+    fn frame_into(&self, frame_bits: usize, frame: usize, out: &mut Vec<u64>) {
+        frame_words_into(self.base, frame_bits, frame, out);
+        let (Some(&lo), Some(&hi)) = (self.starts.get(frame), self.starts.get(frame + 1)) else {
+            return;
+        };
+        let (start, packed) = (frame * frame_bits, self.packed.words());
+        for (i, &(addr, _)) in (lo..hi).zip(&self.tunable[lo..hi]) {
+            let (off, v) = (addr - start, (packed[i / 64] >> (i % 64)) & 1);
+            let word = &mut out[off / 64];
+            *word = (*word & !(1 << (off % 64))) | (v << (off % 64));
+        }
+    }
+}
+
 /// One session's side of the transactional turn (see the module docs).
 #[derive(Debug)]
 pub struct TurnEngine {
-    /// The configuration the device holds after the last committed turn.
-    loaded: Bitstream,
-    /// The parameters `loaded` was specialized for.
+    /// The parameters of the configuration the device holds after the
+    /// last committed turn.
     params: BitVec,
     /// A previous commit rolled back (or a scrub quarantined a frame),
     /// so configuration memory is untrusted: the next commit rewrites
@@ -89,10 +141,8 @@ impl TurnEngine {
     /// A session at the base configuration (params = 0) — what the
     /// device's channel holds before the first turn.
     pub fn new(scg: &Scg) -> Self {
-        let gbs = scg.generalized();
         TurnEngine {
-            loaded: gbs.base.clone(),
-            params: BitVec::zeros(gbs.n_params),
+            params: BitVec::zeros(scg.generalized().n_params),
             needs_resync: false,
             scratch: SpecializeScratch::new(),
             frames: Vec::new(),
@@ -101,9 +151,20 @@ impl TurnEngine {
     }
 
     /// The loaded configuration — the session's *belief*, equal to the
-    /// device readback after every committed turn.
-    pub fn loaded(&self) -> &Bitstream {
-        &self.loaded
+    /// device readback after every committed turn. Built on each call
+    /// from `scg`'s base and the committed packed words.
+    pub fn loaded(&self, scg: &Scg) -> Bitstream {
+        let gbs = scg.generalized();
+        let mut bits = gbs.base.clone();
+        let words = self.committed_words();
+        // An empty baseline means no turn has been staged yet: the
+        // session still holds the base configuration.
+        if words.len() == gbs.tunable.len() {
+            for (i, &(addr, _)) in gbs.tunable.iter().enumerate() {
+                bits.set(addr, words.get(i));
+            }
+        }
+        bits
     }
 
     /// The parameters the loaded configuration was specialized for.
@@ -142,11 +203,12 @@ impl TurnEngine {
         ctx.scg.stage_packed(&self.params, params, cached, &mut self.scratch)
     }
 
-    /// Step 2: apply the staged diff to the loaded bitstream and commit
-    /// the changed frames through `channel`. `params` must be the vector
-    /// of the preceding [`TurnEngine::stage`]. On failure the diff is
-    /// undone, the resync armed, and the commit's stats returned with
-    /// the error.
+    /// Step 2: commit the frames the staged diff changes through
+    /// `channel`, each built from the shared base and the staged words.
+    /// `params` must be the vector of the preceding
+    /// [`TurnEngine::stage`]. On failure the session is unchanged but
+    /// for the armed resync, and the commit's stats come back with the
+    /// error.
     pub fn commit(
         &mut self,
         ctx: &TurnContext<'_>,
@@ -159,8 +221,7 @@ impl TurnEngine {
         // in order and an adjacent-duplicate check builds the list.
         self.frames.clear();
         let mut bits_changed = 0;
-        for (addr, v) in ctx.scg.packed_changes(new, old) {
-            self.loaded.set(addr, v);
+        for (addr, _) in ctx.scg.packed_changes(new, old) {
             bits_changed += 1;
             let frame = ctx.layout.frame_of(addr);
             if self.frames.last() != Some(&frame) {
@@ -175,7 +236,15 @@ impl TurnEngine {
         } else {
             &self.frames
         };
-        match commit_frames(channel, ctx.icap, &self.loaded, write_set, ctx.region_frames, policy) {
+        let gbs = ctx.scg.generalized();
+        let target = PackedFrames {
+            base: &gbs.base,
+            tunable: &gbs.tunable,
+            starts: &ctx.tunables.starts,
+            packed: new,
+        };
+        let region = ctx.tunables.region();
+        match commit_frames_from(channel, ctx.icap, &target, write_set, region, policy) {
             Ok(stats) => {
                 self.scratch.commit(params);
                 self.params.clone_from(params);
@@ -183,11 +252,6 @@ impl TurnEngine {
                 Ok(TurnCommit { stats, bits_changed, frames_changed: self.frames.len(), resynced })
             }
             Err(failed) => {
-                // Every change flipped its bit, so flipping back restores
-                // the configuration the scratch baseline still describes.
-                for (addr, v) in ctx.scg.packed_changes(new, old) {
-                    self.loaded.set(addr, !v);
-                }
                 self.needs_resync = true;
                 Err(failed)
             }
@@ -200,12 +264,16 @@ mod tests {
     use super::*;
     use crate::bdd::BddManager;
     use crate::genbits::Builder;
-    use crate::icap::{readback_all, IcapError, MemoryIcap};
+    use crate::icap::{frame_words, readback_all, IcapError, MemoryIcap};
     use pfdbg_arch::{build_rrg, ArchSpec, Device};
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
-    /// A small SCG over a 4×4 device: 400 tunable bits over 8
-    /// parameters, spread over several frames.
-    fn design() -> (Scg, BitstreamLayout, Vec<usize>) {
+    /// A small SCG over a 4×4 device: 402 tunable bits over 8
+    /// parameters, spread over several frames, one on each side of the
+    /// first frame boundary among them. Every fifth is negated, so the
+    /// base holds ones as well as zeros at tunable addresses.
+    fn design() -> (Scg, BitstreamLayout, TunableFrames) {
         let dev = Device::new(ArchSpec { channel_width: 8, ..Default::default() }, 4, 4);
         let rrg = build_rrg(&dev);
         let layout = BitstreamLayout::new(&dev, &rrg, 1312);
@@ -215,21 +283,28 @@ mod tests {
             let v1 = m.var((i % 8) as u32);
             let v2 = m.var(((i + 3) % 8) as u32);
             let f = if i % 2 == 0 { m.and(v1, v2) } else { m.xor(v1, v2) };
+            let f = if i % 5 == 0 { m.not(f) } else { f };
             b.set_func(&m, i * 7, f);
         }
+        for (addr, var) in [(1311, 1), (1312, 6)] {
+            let f = m.var(var);
+            b.set_func(&m, addr, f);
+        }
         let scg = Scg::new(m, b.build().unwrap());
-        let region = region_frames(&scg, &layout);
-        (scg, layout, region)
+        let tunables = TunableFrames::new(&scg, &layout);
+        (scg, layout, tunables)
     }
 
     fn vector(seed: u32) -> BitVec {
         (0..8).map(|i| (i * 5 + seed * 3) % 7 < 3).collect()
     }
 
-    /// A port whose writes fail while `dead` is set.
+    /// A port whose writes fail while `dead` is set, logging every
+    /// frame write it is offered — the commit's target frames.
     struct Switchable {
         inner: MemoryIcap,
         dead: bool,
+        writes: Vec<(usize, Vec<u64>)>,
     }
 
     impl IcapChannel for Switchable {
@@ -240,6 +315,7 @@ mod tests {
             self.inner.n_bits()
         }
         fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
+            self.writes.push((frame, data.to_vec()));
             if self.dead {
                 return Err(IcapError::WriteFailed);
             }
@@ -252,25 +328,27 @@ mod tests {
 
     #[test]
     fn sessions_sharing_one_scg_commit_their_own_golden_configurations() {
-        let (scg, layout, region) = design();
+        let (scg, layout, tunables) = design();
         let icap = IcapModel::virtex5();
-        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, region_frames: &region };
+        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
         let policy = CommitPolicy::default();
         let mut engines = [TurnEngine::new(&scg), TurnEngine::new(&scg)];
+        let image = Arc::new(scg.generalized().base.clone());
         let mut channels = [
-            MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits),
-            MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits),
+            MemoryIcap::shared(image.clone(), layout.frame_bits),
+            MemoryIcap::shared(image.clone(), layout.frame_bits),
         ];
         for t in 0..6u32 {
             for (s, (engine, channel)) in engines.iter_mut().zip(&mut channels).enumerate() {
                 let p = vector(t * 2 + s as u32);
                 let want = scg.try_specialize(&p).unwrap();
-                let reference = engine.loaded().words().iter().zip(want.words());
+                let loaded = engine.loaded(&scg);
+                let reference = loaded.words().iter().zip(want.words());
                 let flips: u32 = reference.map(|(a, b)| (a ^ b).count_ones()).sum();
                 engine.stage(&ctx, &p, None).unwrap();
                 let turn = engine.commit(&ctx, channel, &policy, &p).unwrap();
                 assert_eq!(turn.bits_changed, flips as usize, "the reference difference");
-                assert_eq!(engine.loaded(), &want, "session {s} turn {t}");
+                assert_eq!(engine.loaded(&scg), want, "session {s} turn {t}");
                 assert_eq!(&readback_all(channel), &want);
                 assert_eq!(engine.params(), &p);
             }
@@ -279,9 +357,9 @@ mod tests {
 
     #[test]
     fn adopting_cached_words_equals_evaluating() {
-        let (scg, layout, region) = design();
+        let (scg, layout, tunables) = design();
         let icap = IcapModel::virtex5();
-        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, region_frames: &region };
+        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
         let policy = CommitPolicy::default();
         let (mut evaluated, mut adopted) = (TurnEngine::new(&scg), TurnEngine::new(&scg));
         let mut ch_e = MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits);
@@ -295,7 +373,7 @@ mod tests {
             let cached = adopted.commit(&ctx, &mut ch_a, &policy, &p).unwrap();
             assert_eq!(cached.bits_changed, turn.bits_changed);
             assert_eq!(cached.frames_changed, turn.frames_changed);
-            assert_eq!(adopted.loaded(), evaluated.loaded());
+            assert_eq!(adopted.loaded(&scg), evaluated.loaded(&scg));
             assert_eq!(adopted.committed_words(), &words);
         }
         let short = BitVec::zeros(3);
@@ -304,21 +382,24 @@ mod tests {
 
     #[test]
     fn abandoned_and_failed_turns_leave_the_session_unchanged() {
-        let (scg, layout, region) = design();
+        let (scg, layout, tunables) = design();
         let icap = IcapModel::virtex5();
-        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, region_frames: &region };
+        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
         let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
         let mut engine = TurnEngine::new(&scg);
         let base = scg.generalized().base.clone();
-        let mut channel =
-            Switchable { inner: MemoryIcap::new(base, layout.frame_bits), dead: false };
+        let mut channel = Switchable {
+            inner: MemoryIcap::new(base, layout.frame_bits),
+            dead: false,
+            writes: Vec::new(),
+        };
         engine.stage(&ctx, &vector(1), None).unwrap();
         engine.commit(&ctx, &mut channel, &policy, &vector(1)).unwrap();
-        let before = engine.loaded().clone();
+        let before = engine.loaded(&scg);
 
         // Staged, never committed (a missed deadline).
         engine.stage(&ctx, &vector(2), None).unwrap();
-        assert_eq!(engine.loaded(), &before);
+        assert_eq!(engine.loaded(&scg), before);
         assert_eq!(engine.params(), &vector(1));
 
         // Committed over a dead port: undone, resync armed.
@@ -326,7 +407,7 @@ mod tests {
         channel.dead = true;
         let (stats, _) = engine.commit(&ctx, &mut channel, &policy, &vector(3)).unwrap_err();
         assert_eq!(stats.degradations, 2, "the failed commit's stats come back");
-        assert_eq!(engine.loaded(), &before);
+        assert_eq!(engine.loaded(&scg), before);
         assert_eq!(engine.params(), &vector(1));
         assert!(engine.needs_resync());
 
@@ -338,7 +419,78 @@ mod tests {
         assert_eq!(turn.stats.frames_verified, layout.n_frames());
         assert!(!engine.needs_resync());
         let want = scg.try_specialize(&vector(4)).unwrap();
-        assert_eq!(engine.loaded(), &want);
+        assert_eq!(engine.loaded(&scg), want);
         assert_eq!(readback_all(&channel), want);
+    }
+
+    /// Every logged write carries the frame of `want` it targets.
+    fn writes_match(
+        writes: &[(usize, Vec<u64>)],
+        want: &Bitstream,
+        frame_bits: usize,
+    ) -> Result<(), TestCaseError> {
+        for (frame, words) in writes {
+            prop_assert_eq!(words, &frame_words(want, frame_bits, *frame), "frame {}", frame);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// On random walks — some turns adopting cached words, some
+        /// commits failing over a dead port — every frame the commit's
+        /// frame source yields is the golden specialization's frame,
+        /// the resync after a failure included, which covers the device.
+        #[test]
+        fn target_frames_are_golden_on_random_walks(seed in any::<u64>()) {
+            let (scg, layout, tunables) = design();
+            let icap = IcapModel::virtex5();
+            let ctx =
+                TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
+            let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
+            let image = Arc::new(scg.generalized().base.clone());
+            let mut engine = TurnEngine::new(&scg);
+            let mut channel = Switchable {
+                inner: MemoryIcap::shared(image, layout.frame_bits),
+                dead: false,
+                writes: Vec::new(),
+            };
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for turn in 0..16 {
+                let word = next();
+                let p: BitVec = (0..8).map(|i| (word >> i) & 1 == 1).collect();
+                let want = scg.try_specialize(&p).unwrap();
+                let cached = (word >> 8) % 3 == 0;
+                let words = cached.then(|| {
+                    let mut scratch = SpecializeScratch::new();
+                    scg.stage_packed(&p, &p, None, &mut scratch).unwrap();
+                    scratch.packed.clone()
+                });
+                let resync = engine.needs_resync();
+                channel.dead = (word >> 10) % 5 == 0;
+                channel.writes.clear();
+                engine.stage(&ctx, &p, words.as_ref()).unwrap();
+                let result = engine.commit(&ctx, &mut channel, &policy, &p);
+                writes_match(&channel.writes, &want, layout.frame_bits)?;
+                let failed = channel.dead && !channel.writes.is_empty();
+                prop_assert_eq!(result.is_err(), failed, "turn {}", turn);
+                if resync {
+                    let mut written: Vec<usize> = channel.writes.iter().map(|w| w.0).collect();
+                    written.sort_unstable();
+                    written.dedup();
+                    prop_assert_eq!(written.len(), layout.n_frames(), "resync covers the device");
+                }
+                if !failed {
+                    prop_assert_eq!(readback_all(&channel), want);
+                }
+            }
+        }
     }
 }

@@ -17,6 +17,7 @@ use pfdbg_arch::Bitstream;
 use pfdbg_core::{prepare_instrumented, DebugSession, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use pfdbg_pconf::{IcapChannel, OnlineReconfigurator, Scrubber};
+use std::sync::Arc;
 
 /// A session's private seed: deterministic in the configured base seed
 /// and the session name (FNV-1a). The serve layer derives its sessions'
@@ -148,7 +149,7 @@ impl OnlineDriver {
         // The serve layer's channel stack, from the same constructor and
         // the same per-session seeds.
         let channel = wrap(channel_stack(
-            built.scg.generalized().base.clone(),
+            Arc::new(built.scg.generalized().base.clone()),
             built.layout.frame_bits,
             chaos.seu.map(|s| SeuConfig { seed: derive(s.seed), ..s }),
             chaos.fault.map(|f| IcapFaultConfig { seed: derive(f.seed), ..f }),

@@ -2,19 +2,20 @@
 //! compiled design.
 //!
 //! The expensive, read-only products of the offline flow (SCG, layout,
-//! ICAP model, instrumented netlist) are shared behind `Arc`; each
-//! session owns only its [`TurnEngine`] (loaded bitstream, parameter
-//! assignment, evaluation scratch) and its (possibly faulty)
-//! reconfiguration channel, so turns from different clients proceed
-//! independently. A shared LRU of packed tunable words (keyed by
-//! parameter vector) short-circuits the SCG sweep for repeated
-//! selections across *all* sessions.
+//! ICAP model, instrumented netlist, base configuration) are shared
+//! behind `Arc`; each session owns only its [`TurnEngine`] (parameter
+//! assignment, evaluation scratch with the committed packed tunable
+//! words) and its (possibly faulty) reconfiguration channel, whose
+//! device copies only the frames it writes over the shared base, so
+//! turns from different clients proceed independently. A shared LRU of
+//! packed tunable words (keyed by parameter vector) short-circuits the
+//! SCG sweep for repeated selections across *all* sessions.
 //!
 //! Turns are **transactional** and are the standalone engine's turn:
-//! [`TurnEngine::stage`] diffs the selection against the loaded
+//! [`TurnEngine::stage`] diffs the selection against the committed
 //! configuration, and [`TurnEngine::commit`] pushes the changed frames
-//! through [`pfdbg_pconf::icap::commit_frames`] (per-frame CRC,
-//! readback-verify, bounded retry, escalation) before any session
+//! through the loop of [`pfdbg_pconf::icap::commit_frames`] (per-frame
+//! CRC, readback-verify, bounded retry, escalation) before any session
 //! state, turn counter, or cache entry advances. A deadline miss or an
 //! exhausted retry budget leaves the session exactly as it was — the
 //! only residue of a rollback is the armed resync, which makes the next
@@ -57,7 +58,7 @@ use pfdbg_obs::{FlightKind, FlightRecorder};
 use pfdbg_pconf::health::{DeviceHealth, HealthEvent, HealthLadder, HealthPolicy, WatchdogPolicy};
 use pfdbg_pconf::icap::{readback_all, CommitPolicy, IcapChannel};
 use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport, Scrubber};
-use pfdbg_pconf::{region_frames, Scg, TurnContext, TurnEngine};
+use pfdbg_pconf::{Scg, TunableFrames, TurnContext, TurnEngine};
 use pfdbg_replay::driver::bitstream_crc;
 use pfdbg_replay::verify::{diff_scrub, diff_select, Divergence};
 use pfdbg_replay::{
@@ -95,10 +96,9 @@ impl Engine {
 }
 
 /// One client session: its turn engine (the parameters it last
-/// selected and the configuration loaded on its modeled device), the
-/// channel those frames travel over, and the scrubber that keeps the
-/// device honest between turns. Owned by exactly one shard thread — no
-/// lock.
+/// committed and their packed tunable words), the channel its frames
+/// travel over, and the scrubber that keeps the device honest between
+/// turns. Owned by exactly one shard thread — no lock.
 pub(crate) struct SessionState {
     /// **Per-session** turn state, evaluation scratch included — the
     /// shared `Engine::scg` is immutable behind its `Arc`, and every
@@ -399,9 +399,12 @@ pub(crate) struct ManagerCore {
     seu: Option<SeuConfig>,
     policy: CommitPolicy,
     scrub_policy: ScrubPolicy,
-    /// Frames containing at least one tunable bit — the escalation set
-    /// of the full-frame-rewrite level, shared by every session.
-    region_frames: Vec<usize>,
+    /// Where the tunable bits sit in the frames, shared by every
+    /// session's commit.
+    tunables: TunableFrames,
+    /// The base configuration every session's device powers up with,
+    /// built once: a device copies only the frames it writes.
+    image: Arc<Bitstream>,
     /// The supervised device fleet; `None` (the default) routes every
     /// session through an implicit always-healthy device — no ladders,
     /// no watchdog, no migration, bit-identical to the pre-fleet layer.
@@ -448,7 +451,7 @@ impl ManagerCore {
             scg: &self.engine.scg,
             layout: &self.engine.layout,
             icap: &self.engine.icap,
-            region_frames: &self.region_frames,
+            tunables: &self.tunables,
         }
     }
 
@@ -497,7 +500,7 @@ impl ManagerCore {
         // Both injectors run with a per-session seed derived from the
         // configured one.
         let channel = channel_stack(
-            self.engine.scg.generalized().base.clone(),
+            self.image.clone(),
             self.engine.layout.frame_bits,
             self.seu.map(|cfg| SeuConfig { seed: session_seed(cfg.seed, name), ..cfg }),
             self.fault.map(|f| IcapFaultConfig { seed: session_seed(f.seed, name), ..f }),
@@ -961,7 +964,7 @@ impl ManagerCore {
         let cache_hit = cached.is_some();
         // Stage: a hit adopts the cached tunable words, a miss runs one
         // node-table sweep through the session's scratch; either way
-        // the packed diff against the loaded configuration follows.
+        // the packed diff against the committed configuration follows.
         // Publication to the shared LRU waits until the commit
         // verifies: an aborted turn must leave no trace.
         let sp0 = Instant::now();
@@ -1708,7 +1711,8 @@ impl SessionManager {
         fleet: FleetOptions,
         devices: Option<DeviceOptions>,
     ) -> SessionManager {
-        let region_frames = region_frames(&engine.scg, &engine.layout);
+        let tunables = TunableFrames::new(&engine.scg, &engine.layout);
+        let image = Arc::new(engine.scg.generalized().base.clone());
         let core = Arc::new(ManagerCore {
             engine,
             cache: Mutex::new(LruCache::new(cache_capacity)),
@@ -1716,7 +1720,8 @@ impl SessionManager {
             seu,
             policy,
             scrub_policy,
-            region_frames,
+            tunables,
+            image,
             fleet: devices.map(DeviceFleet::new),
             inboxes: OnceLock::new(),
             last_dump: Mutex::new(None),

@@ -6,13 +6,23 @@
 //! `try_specialize` — the diff to the difference of two reference
 //! specializations — at 1, 2 and 8 evaluation threads, including across
 //! scratch reuse, cold-scratch re-derivation and rolled-back (evaluated
-//! but never committed) turns.
+//! but never committed) turns. Downstream, every frame the turn engine
+//! writes from the packed words must be that frame of `try_specialize`.
 
 use parameterized_fpga_debug::arch::{build_rrg, ArchSpec, Bitstream, BitstreamLayout, Device};
-use parameterized_fpga_debug::pconf::{BddManager, GeneralizedBuilder, Scg, SpecializeScratch};
+use parameterized_fpga_debug::circuits::build as build_design;
+use parameterized_fpga_debug::core::{
+    offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K,
+};
+use parameterized_fpga_debug::pconf::icap::{frame_words, readback_all};
+use parameterized_fpga_debug::pconf::{
+    BddManager, CommitPolicy, GeneralizedBuilder, IcapChannel, IcapError, MemoryIcap, Scg,
+    SpecializeScratch, TunableFrames, TurnContext, TurnEngine,
+};
 use parameterized_fpga_debug::util::BitVec;
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use std::sync::Arc;
 
 /// One random scenario: a generalized bitstream (shape scalars plus a
 /// seed that derives the tunable functions) and a walk seed that
@@ -191,4 +201,90 @@ proptest! {
     fn batch_diff_is_minimal_and_sorted(case in arb_case()) {
         check_minimal(&build(&case), &case, &walk_of(&case))?;
     }
+}
+
+/// A port that logs every frame write it is offered — the turn
+/// engine's target frames — and fails them while `dead`.
+struct Logging {
+    inner: MemoryIcap,
+    dead: bool,
+    writes: Vec<(usize, Vec<u64>)>,
+}
+
+impl IcapChannel for Logging {
+    fn frame_bits(&self) -> usize {
+        self.inner.frame_bits()
+    }
+    fn n_bits(&self) -> usize {
+        self.inner.n_bits()
+    }
+    fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
+        self.writes.push((frame, data.to_vec()));
+        if self.dead {
+            return Err(IcapError::WriteFailed);
+        }
+        self.inner.write_frame(frame, data)
+    }
+    fn read_frame(&self, frame: usize) -> Vec<u64> {
+        self.inner.read_frame(frame)
+    }
+}
+
+/// On stereov at paper instrumentation, a random parameter walk through
+/// the turn engine — every fifth commit over a dead port — writes only
+/// golden frames: each frame the commit's frame source yields equals
+/// that frame of `try_specialize` of the turn's parameters, and the
+/// resync after each failed commit covers the whole device.
+#[test]
+fn engine_target_frames_are_golden_on_stereov() {
+    let design = build_design("stereov.").expect("suite member");
+    let (_, _, inst) =
+        prepare_instrumented(&design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
+    let off = offline(&inst, &cfg).expect("offline flow");
+    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let tunables = TunableFrames::new(&scg, &layout);
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
+    let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
+    let image = Arc::new(scg.generalized().base.clone());
+    let mut channel = Logging {
+        inner: MemoryIcap::shared(image, layout.frame_bits),
+        dead: false,
+        writes: Vec::new(),
+    };
+    let mut engine = TurnEngine::new(&scg);
+    let mut seed = 0x5e55_1017_u64;
+    let (mut failed_commits, mut resyncs) = (0, 0);
+    for turn in 0..40 {
+        let p: BitVec =
+            (0..scg.generalized().n_params).map(|_| xorshift(&mut seed) & 1 == 1).collect();
+        let want = scg.try_specialize(&p).unwrap();
+        let resync = engine.needs_resync();
+        channel.dead = turn % 5 == 3;
+        channel.writes.clear();
+        engine.stage(&ctx, &p, None).unwrap();
+        let result = engine.commit(&ctx, &mut channel, &policy, &p);
+        for (frame, words) in &channel.writes {
+            let golden = frame_words(&want, layout.frame_bits, *frame);
+            assert_eq!(words, &golden, "turn {turn}, frame {frame}");
+        }
+        let failed = channel.dead && !channel.writes.is_empty();
+        assert_eq!(result.is_err(), failed, "turn {turn}");
+        failed_commits += usize::from(failed);
+        if resync {
+            resyncs += 1;
+            let mut written: Vec<usize> = channel.writes.iter().map(|w| w.0).collect();
+            written.sort_unstable();
+            written.dedup();
+            assert_eq!(
+                written.len(),
+                layout.n_frames(),
+                "turn {turn}: the resync covers the device"
+            );
+        }
+        if !failed {
+            assert_eq!(readback_all(&channel), want, "turn {turn}");
+        }
+    }
+    assert!(failed_commits > 0 && resyncs > 0, "{failed_commits} failures, {resyncs} resyncs");
 }

@@ -55,7 +55,7 @@ fn param_walk(n: usize, turns: usize) -> Vec<BitVec> {
 fn drive_and_check(online: &mut OnlineReconfigurator, walk: &[BitVec]) -> (usize, usize) {
     let (mut committed, mut rolled_back) = (0, 0);
     for params in walk {
-        let before = online.current().clone();
+        let before = online.current();
         match online.try_apply(params) {
             Ok(_) => {
                 committed += 1;
@@ -65,13 +65,13 @@ fn drive_and_check(online: &mut OnlineReconfigurator, walk: &[BitVec]) -> (usize
                     golden,
                     "committed turn's readback must be bit-identical to the golden run"
                 );
-                assert_eq!(*online.current(), golden, "belief and golden diverged");
+                assert_eq!(online.current(), golden, "belief and golden diverged");
                 assert!(!online.needs_resync(), "a verified commit clears resync");
             }
             Err(msg) => {
                 rolled_back += 1;
                 assert!(msg.contains("rolled back"), "unexpected failure: {msg}");
-                assert_eq!(*online.current(), before, "rollback must not move the belief");
+                assert_eq!(online.current(), before, "rollback must not move the belief");
                 assert!(online.needs_resync(), "rollback must arm resync");
             }
         }
@@ -124,12 +124,12 @@ fn dead_port_rolls_back_every_turn() {
     let cfg = IcapFaultConfig { write_error_rate: 1.0, seed: 1, ..IcapFaultConfig::default() };
     let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
     let mut online = off.into_online_chaos(Some(cfg), policy).expect("scg");
-    let base = online.current().clone();
+    let base = online.current();
     let mut p = BitVec::zeros(n);
     p.set(0, true);
     for _ in 0..3 {
         assert!(online.try_apply(&p).is_err(), "a dead port cannot commit");
-        assert_eq!(*online.current(), base);
+        assert_eq!(online.current(), base);
         assert!(online.needs_resync());
     }
 }

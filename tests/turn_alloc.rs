@@ -1,67 +1,77 @@
-//! Allocation budget of a committed debugging turn. After warm-up, the
-//! turn engine reuses its evaluation scratch, loaded bitstream and frame
-//! lists, so the only heap allocations left are the two frame-word
-//! buffers `commit_frames` creates per commit (the words sent and the
-//! readback). Both callers are pinned: the standalone
+//! Allocation budget of a committed debugging turn, and the heap a
+//! session holds. After warm-up, the turn engine reuses its evaluation
+//! scratch and frame lists, and the device has copied the frames its
+//! turns write, so the only heap allocations left are the two
+//! frame-word buffers `commit_frames` creates per commit (the words
+//! sent and the readback). Both callers are pinned: the standalone
 //! `OnlineReconfigurator::try_apply`, and `TurnEngine::stage` +
 //! `commit` the way serve sessions drive it — several sessions over one
-//! shared `Scg`, some turns adopting cached packed words. This binary
-//! installs a counting global allocator, so it holds only these
-//! allocation tests.
+//! shared `Scg`, some turns adopting cached packed words. A session
+//! over the shared base configuration must hold less heap than one
+//! configuration bitstream. This binary installs a counting global
+//! allocator, so it holds only these allocation tests.
 
 use parameterized_fpga_debug::circuits::build;
 use parameterized_fpga_debug::core::{
     offline, prepare_instrumented, InstrumentConfig, OfflineConfig, OfflineResult, PAPER_K,
 };
+use parameterized_fpga_debug::emu::channel_stack;
 use parameterized_fpga_debug::pconf::{
-    region_frames, CommitPolicy, MemoryIcap, TurnContext, TurnEngine,
+    CommitPolicy, IcapChannel, MemoryIcap, TunableFrames, TurnContext, TurnEngine,
 };
 use parameterized_fpga_debug::util::BitVec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-/// Counts allocations per thread, so work on other threads (the test
-/// harness, the offline flow's workers) never lands in a measurement.
+/// Counts allocations and live bytes (allocated minus freed) per
+/// thread, so work on other threads (the test harness, the offline
+/// flow's workers) never lands in a measurement.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Record one allocation that changes this thread's live heap by
+/// `delta` bytes.
+fn count(delta: i64) {
     // `try_with`: an allocation during thread teardown is not counted.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
 }
 
 // SAFETY: every method passes its arguments unchanged to `System`, so
-// `System` upholds the `GlobalAlloc` contract; counting only touches a
-// const-initialized thread-local `Cell`, which never allocates, so the
+// `System` upholds the `GlobalAlloc` contract; counting only touches
+// const-initialized thread-local `Cell`s, which never allocate, so the
 // allocator is never re-entered.
 unsafe impl GlobalAlloc for Counting {
     /// # Safety
     /// The caller upholds [`GlobalAlloc::alloc`]'s contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     /// # Safety
     /// The caller upholds [`GlobalAlloc::alloc_zeroed`]'s contract.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     /// # Safety
     /// The caller upholds [`GlobalAlloc::realloc`]'s contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     /// # Safety
     /// The caller upholds [`GlobalAlloc::dealloc`]'s contract.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|c| c.set(c.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -71,6 +81,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 fn stereov() -> OfflineResult {
@@ -124,8 +138,8 @@ fn committed_turn_allocates_only_the_commit_frame_buffers() {
 fn interleaved_engine_turns_allocate_only_the_commit_frame_buffers() {
     let off = stereov();
     let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
-    let region = region_frames(&scg, &layout);
-    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, region_frames: &region };
+    let tunables = TunableFrames::new(&scg, &layout);
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
     let policy = CommitPolicy::default();
     let walk = walk(scg.generalized().n_params);
     let base = &scg.generalized().base;
@@ -165,4 +179,39 @@ fn interleaved_engine_turns_allocate_only_the_commit_frame_buffers() {
         }
     }
     assert!(writing_turns > walk.len(), "only {writing_turns} turns wrote frames");
+}
+
+#[test]
+fn a_session_over_the_shared_base_holds_less_than_one_configuration() {
+    let off = stereov();
+    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let tunables = TunableFrames::new(&scg, &layout);
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
+    let policy = CommitPolicy::default();
+    let walk = walk(scg.generalized().n_params);
+    let image = Arc::new(scg.generalized().base.clone());
+    let configuration_bytes = (image.words().len() * 8) as i64;
+    // A serve session without upsets: its turn engine and the channel
+    // stack over the image every session shares.
+    let session =
+        || (TurnEngine::new(&scg), channel_stack(image.clone(), layout.frame_bits, None, None));
+    let drive = |(engine, channel): &mut (TurnEngine, Box<dyn IcapChannel>)| {
+        for p in &walk {
+            engine.stage(&ctx, p, None).expect("stage");
+            engine.commit(&ctx, channel.as_mut(), &policy, p).expect("commit");
+        }
+    };
+    // A first session builds whatever the turn path initializes once
+    // per process (telemetry handles), so it is not charged to the
+    // measured one.
+    drive(&mut session());
+
+    let before = live_bytes();
+    let mut measured = session();
+    drive(&mut measured);
+    let held = live_bytes() - before;
+    assert!(
+        held < configuration_bytes,
+        "a warmed-up session holds {held} heap bytes, one configuration is {configuration_bytes}"
+    );
 }
