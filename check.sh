@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# Every intra-doc link must resolve to a documented item: a link to a
+# renamed, moved or private item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "== benchmark builds against the library (--locked) =="
 # pfbench is a package of its own with a committed Cargo.lock: removing
 # a public item it calls, or changing a crate dependency edge (which

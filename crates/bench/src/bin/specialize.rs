@@ -12,7 +12,7 @@
 //!   tunable count warrants it);
 //! * **batch** — the memoized path: one linear sweep of the SCG's BDD
 //!   node table evaluates every node exactly once, then the packed
-//!   tunable words are read out of the node-value cache.
+//!   tunable words are read out of the per-node values.
 //!
 //! Three scales: synthetic SCGs with 1k and 10k tunable bits (`t1k`,
 //! `t10k`), and diffeq1 at paper instrumentation through the offline

@@ -105,7 +105,7 @@ fn provenance(host_threads: usize) -> String {
     ])
 }
 
-/// A flat report object with the [`provenance`] block appended as its
+/// A flat report object with the `provenance` block appended as its
 /// last, nested field (`write_object` writes flat objects only).
 pub fn with_provenance(fields: &[(&str, JsonValue)], host_threads: usize) -> String {
     let json = write_object(fields);

@@ -798,7 +798,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Map a design argument to a journal [`DesignSpec`]. `gen:SEED` is a
+/// Map a design argument to a journal [`pfdbg_replay::DesignSpec`]. `gen:SEED` is a
 /// canonical small synthetic design (record/replay only); `@name` is a
 /// suite benchmark; anything else is a netlist file path.
 fn design_spec_of(arg: &str) -> Result<pfdbg_replay::DesignSpec, String> {

@@ -227,6 +227,10 @@ impl<C: IcapChannel> IcapChannel for DeviceIcap<C> {
         self.inner.read_frame(frame)
     }
 
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        self.inner.read_frame_into(frame, out)
+    }
+
     fn tick(&mut self) -> usize {
         // A dead device takes no further upsets: skipping the inner
         // tick also freezes the seeded SEU generator, keeping the

@@ -164,6 +164,10 @@ impl<C: IcapChannel> IcapChannel for FaultyIcap<C> {
         self.inner.read_frame(frame)
     }
 
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        self.inner.read_frame_into(frame, out)
+    }
+
     fn tick(&mut self) -> usize {
         // Transport faults strike writes, not time: forward the tick so
         // a wrapped SEU injector underneath still takes its upsets.

@@ -108,6 +108,10 @@ impl<C: IcapChannel> IcapChannel for SeuIcap<C> {
         self.inner.read_frame(frame)
     }
 
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        self.inner.read_frame_into(frame, out)
+    }
+
     fn tick(&mut self) -> usize {
         let mut flipped = self.inner.tick();
         if self.cfg.rate <= 0.0 {

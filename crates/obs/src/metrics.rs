@@ -37,7 +37,7 @@ thread_local! {
     static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
-/// A monotonically increasing counter, striped across [`SHARDS`]
+/// A monotonically increasing counter, striped across `SHARDS` (8)
 /// per-thread shards so concurrent adds never contend on one line.
 #[derive(Debug, Default)]
 pub struct Counter {

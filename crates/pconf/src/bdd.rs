@@ -299,7 +299,8 @@ impl BddManager {
     }
 
     /// Evaluate **every** node in the table under one assignment in a
-    /// single linear sweep, writing node `i`'s value to `values[i]`.
+    /// single linear sweep, writing node `i`'s value (0 or 1) to
+    /// `values[i]`.
     ///
     /// The node table is topological by construction (`mk` pushes a node
     /// only after both children exist, and `from_exported` rejects
@@ -308,30 +309,38 @@ impl BddManager {
     /// shared node exactly once, versus [`BddManager::eval`] re-walking
     /// the DAG from every root — the memoized batch evaluator the
     /// per-turn SCG hot path uses. After the sweep, any root's value is
-    /// `values.get(f.index())` (see [`BddManager::value_of`]).
+    /// `values[f.index()]` (see [`BddManager::value_of`]).
+    ///
+    /// Each node is a mask select, `values[i] = values[if p[var] { hi }
+    /// else { lo }]`, with the child picked by masking rather than by a
+    /// branch: a parameter bit is as likely 0 as 1, so a branch per node
+    /// would mispredict about half the time. A byte per node keeps the
+    /// store a plain write instead of a read-modify-write of a packed
+    /// word. `values` keeps its length between sweeps of one manager, so
+    /// a reused buffer is never reallocated or cleared.
     ///
     /// The sweep visits every node in the table, reachable or not, which
     /// is why [`crate::Scg::new`] compacts its manager to the live cone
     /// of the tunable functions first: on diffeq1 at paper
     /// instrumentation that is 4,158 nodes (terminals included) out of
     /// the 28,412 the offline flow builds.
-    pub fn eval_all_into(&self, assignment: &BitVec, values: &mut BitVec) {
-        values.reset_zeroed(self.nodes.len());
-        values.set(Bdd::TRUE.0 as usize, true);
-        for i in 2..self.nodes.len() {
-            let n = self.nodes[i];
-            let child = if assignment.get(n.var as usize) { n.hi } else { n.lo };
-            if values.get(child.0 as usize) {
-                values.set(i, true);
-            }
+    pub fn eval_all_into(&self, assignment: &BitVec, values: &mut Vec<u8>) {
+        let params = assignment.words();
+        values.resize(self.nodes.len(), 0);
+        values[Bdd::FALSE.0 as usize] = 0;
+        values[Bdd::TRUE.0 as usize] = 1;
+        for (i, n) in self.nodes.iter().enumerate().skip(2) {
+            let bit = (params[n.var as usize / 64] >> (n.var % 64)) as u32 & 1;
+            let child = n.lo.0 ^ ((n.lo.0 ^ n.hi.0) & bit.wrapping_neg());
+            values[i] = values[child as usize];
         }
     }
 
-    /// Look up a root's value in a scratch filled by
+    /// Look up a root's value in a buffer filled by
     /// [`BddManager::eval_all_into`] for the same assignment.
     #[inline]
-    pub fn value_of(&self, f: Bdd, values: &BitVec) -> bool {
-        values.get(f.0 as usize)
+    pub fn value_of(&self, f: Bdd, values: &[u8]) -> bool {
+        values[f.0 as usize] != 0
     }
 
     /// Number of decision nodes reachable from `f` (size of the function).
@@ -512,7 +521,7 @@ mod tests {
         let x = m.xor(ab, cd);
         let _ = m.ite(x, ab, cd);
         let _ = m.minterm(&[0, 1, 2, 3], 11);
-        let mut values = BitVec::new();
+        let mut values = Vec::new();
         for bits in 0..16u32 {
             let asg = assignment(&[bits & 1 == 1, bits & 2 == 2, bits & 4 == 4, bits & 8 == 8]);
             m.eval_all_into(&asg, &mut values);
@@ -597,7 +606,7 @@ mod tests {
             prop_assert!(BddManager::from_exported(&c.export_nodes()).is_ok());
             prop_assert_eq!(croots[0], Bdd::TRUE);
             prop_assert_eq!(croots[1], Bdd::FALSE);
-            let mut values = BitVec::new();
+            let mut values = Vec::new();
             for bits in 0..1u32 << (n_vars + 1) {
                 let asg: BitVec = (0..=n_vars).map(|v| (bits >> v) & 1 == 1).collect();
                 c.eval_all_into(&asg, &mut values);

@@ -161,10 +161,10 @@ pub fn frame_crc(words: &[u64]) -> u32 {
     !words.iter().fold(0xFFFF_FFFF, |crc, w| bitfile::crc32_update(crc, &w.to_le_bytes()))
 }
 
-/// Where a commit gets the words each frame must hold: a whole
-/// [`Bitstream`], or a turn's shared base with its staged tunable
+/// Where a commit or a scrub pass gets the words each frame must hold:
+/// a whole [`Bitstream`], or a design's shared base with packed tunable
 /// values laid over it (`crate::turn`), which builds each frame on
-/// demand instead of keeping a configuration per session.
+/// demand instead of keeping a configuration per session or per pass.
 pub(crate) trait FrameSource {
     /// Fill `out` (cleared first) with frame `frame`'s target words,
     /// exactly as [`frame_words_into`] would extract them.
@@ -283,9 +283,9 @@ pub struct CommitPolicy {
     /// Write attempts per frame *per escalation level* before giving
     /// up on that level (so a frame gets `max_retries + 1` tries).
     pub max_retries: u32,
-    /// Minimum modeled backoff before a retry. Each retry sleeps a
-    /// decorrelated-jitter amount in `[backoff, backoff_cap]` — see
-    /// [`Backoff`].
+    /// Minimum modeled backoff before a retry. Each retry sleeps an
+    /// amount in `[backoff, backoff_cap]` drawn from a
+    /// decorrelated-jitter schedule seeded by `jitter_seed`.
     pub backoff: Duration,
     /// Upper bound on one jittered backoff sleep.
     pub backoff_cap: Duration,

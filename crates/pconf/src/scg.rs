@@ -19,6 +19,7 @@ use crate::scrub::ScrubReport;
 use crate::turn::{TunableFrames, TurnContext, TurnEngine};
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_util::{par, BitVec};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Tunable-bit shard size for parallel evaluation. Fixed — never a
@@ -34,19 +35,26 @@ const EVAL_SHARD: usize = 1024;
 /// of the work size alone, so results are unchanged by tuning state.
 static EVAL_TUNER: par::ChunkTuner = par::ChunkTuner::new();
 
+thread_local! {
+    /// Per-BDD-node values of the sweep in flight on this thread
+    /// ([`BddManager::eval_all_into`]). Valid only within one
+    /// evaluation, so one buffer per thread serves every session that
+    /// thread runs (a serve shard's sessions included) instead of one
+    /// per session: a byte per node is 4 KB on diffeq1.
+    static NODE_VALS: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 /// Reusable per-session scratch for the memoized batch evaluator.
 ///
-/// Holds the node-value cache of the last sweep, the packed tunable
-/// values of the current and previous turn, and a diff buffer — so a
-/// steady-state turn allocates nothing. A scratch belongs to exactly
-/// one session (one [`TurnEngine`]): its `prev_packed`/`prev_params`
-/// baseline mirrors that session's committed state and must never be
-/// shared across sessions (see DESIGN.md §12).
+/// Holds the packed tunable values of the current and previous turn
+/// and a diff buffer — so a steady-state turn allocates nothing. (The
+/// per-node values of a sweep live in a per-thread buffer instead.) A
+/// scratch belongs to exactly one session (one [`TurnEngine`]): its
+/// `prev_packed`/`prev_params` baseline mirrors that session's
+/// committed state and must never be shared across sessions (see
+/// DESIGN.md §12).
 #[derive(Debug, Default)]
 pub struct SpecializeScratch {
-    /// Per-BDD-node values of the latest [`BddManager::eval_all_into`]
-    /// sweep (transient — valid only within one evaluation).
-    node_vals: BitVec,
     /// Tunable values (indexed like `gbs.tunable`) for the parameters
     /// of the evaluation in flight.
     pub(crate) packed: BitVec,
@@ -152,22 +160,33 @@ impl Scg {
 
     /// Memoized batch evaluation of every tunable function under
     /// `params`: one linear node-table sweep
-    /// ([`BddManager::eval_all_into`]) costs each shared BDD node exactly
-    /// once, then the root values are packed into `packed` (bit `i` =
-    /// value of `gbs.tunable[i]`). Serial by construction, so the result
-    /// is trivially identical at every thread count.
-    fn eval_packed(&self, params: &BitVec, node_vals: &mut BitVec, packed: &mut BitVec) {
-        self.manager.eval_all_into(params, node_vals);
+    /// ([`BddManager::eval_all_into`], into this thread's node-value
+    /// buffer) costs each shared BDD node exactly once, then the root
+    /// values are packed into `packed` (bit `i` = value of
+    /// `gbs.tunable[i]`), shifted in without a branch. Serial by
+    /// construction, so the result is trivially identical at every
+    /// thread count.
+    fn eval_packed(&self, params: &BitVec, packed: &mut BitVec) {
+        let mut vals = NODE_VALS.take();
+        self.manager.eval_all_into(params, &mut vals);
         packed.reset_zeroed(self.gbs.tunable.len());
         for (wi, chunk) in self.gbs.tunable.chunks(64).enumerate() {
             let mut w = 0u64;
             for (b, &(_, f)) in chunk.iter().enumerate() {
-                if self.manager.value_of(f, node_vals) {
-                    w |= 1 << b;
-                }
+                w |= u64::from(self.manager.value_of(f, &vals)) << b;
             }
             packed.set_word(wi, w);
         }
+        NODE_VALS.set(vals);
+    }
+
+    /// The packed tunable words of `params` (bit `i` = value of
+    /// `gbs.tunable[i]`) from one memoized sweep — the golden
+    /// configuration the scrubber lays over the shared base.
+    pub(crate) fn sweep(&self, params: &BitVec, packed: &mut BitVec) -> Result<(), String> {
+        self.check_params(params)?;
+        self.eval_packed(params, packed);
+        Ok(())
     }
 
     /// The DPR write set for moving a session whose loaded bitstream is
@@ -209,7 +228,7 @@ impl Scg {
         if scratch.prev_params.as_ref() != Some(committed) {
             // Cold scratch (a session's first turn): derive the
             // committed baseline.
-            self.eval_packed(committed, &mut scratch.node_vals, &mut scratch.prev_packed);
+            self.eval_packed(committed, &mut scratch.prev_packed);
             match &mut scratch.prev_params {
                 Some(p) => p.clone_from(committed),
                 None => scratch.prev_params = Some(committed.clone()),
@@ -225,7 +244,7 @@ impl Scg {
             }
             Some(words) => scratch.packed.clone_from(words),
             None => {
-                self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
+                self.eval_packed(params, &mut scratch.packed);
                 if pfdbg_obs::enabled() {
                     pfdbg_obs::counter_add("scg.batch_evals", 1);
                     pfdbg_obs::counter_add("scg.nodes_swept", self.manager.n_nodes() as u64);
@@ -276,7 +295,7 @@ impl Scg {
                 self.gbs.base.len()
             ));
         }
-        self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
+        self.eval_packed(params, &mut scratch.packed);
         let mut out = prev_bits.clone();
         for (i, &(addr, _)) in self.gbs.tunable.iter().enumerate() {
             out.set(addr, scratch.packed.get(i));
@@ -342,7 +361,7 @@ impl Scg {
         let t0 = Instant::now();
         let mut out = self.gbs.base.clone();
         let t1 = Instant::now();
-        self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
+        self.eval_packed(params, &mut scratch.packed);
         for (i, &(addr, _)) in self.gbs.tunable.iter().enumerate() {
             out.set(addr, scratch.packed.get(i));
         }
@@ -489,6 +508,12 @@ impl OnlineReconfigurator {
     /// the ground truth `current` must match after a commit.
     pub fn readback(&self) -> Bitstream {
         crate::icap::readback_all(self.channel.as_ref())
+    }
+
+    /// The channel the session reconfigures through, for reading the
+    /// device frame by frame.
+    pub fn channel(&self) -> &dyn IcapChannel {
+        self.channel.as_ref()
     }
 
     /// Whether the next turn will rewrite the whole device because a

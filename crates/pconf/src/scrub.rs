@@ -8,8 +8,10 @@
 //! generalized bitstream is a set of Boolean functions of the
 //! parameters, this repo uniquely has a cheap golden oracle — the
 //! expected frame contents for the current parameter vector are
-//! re-derivable at any time via [`Scg::try_specialize`] (sharded, so
-//! scrubs parallelize under `pfdbg-par` exactly like specialization).
+//! re-derivable at any time. [`Scrubber::scrub_with_scg`] derives them
+//! the way a turn's commit does: one memoized sweep of the SCG for the
+//! packed tunable words, each golden frame built from the shared base
+//! with those words laid over it, and no configuration built.
 //!
 //! A [`Scrubber`] walks every frame through the channel's readback,
 //! diffs it against the golden frame, and classifies divergence:
@@ -24,9 +26,10 @@
 //!   that refuses to heal.
 
 use crate::icap::{
-    frame_len_bits, frame_words, frame_words_into, write_frame_verified, Backoff, CommitPolicy,
-    CommitStats, FrameBuf, IcapChannel,
+    frame_len_bits, frame_words, write_frame_verified, Backoff, CommitPolicy, CommitStats,
+    FrameBuf, FrameSource, IcapChannel,
 };
+use crate::turn::{frame_starts, PackedFrames};
 use crate::Scg;
 use pfdbg_arch::{Bitstream, IcapModel};
 use pfdbg_obs::{LazyCounter, LazyHistogram};
@@ -173,20 +176,57 @@ impl Scrubber {
     /// One scrub pass against an explicit golden bitstream: read every
     /// non-quarantined frame back, repair divergence, update streaks
     /// and the quarantine set. Errors only on a geometry mismatch
-    /// between `golden` and the channel.
+    /// between `golden` and the channel. The reference form of
+    /// [`Scrubber::scrub_with_scg`], which the tests hold it to.
     pub fn scrub(
         &mut self,
         channel: &mut dyn IcapChannel,
         icap: &IcapModel,
         golden: &Bitstream,
     ) -> Result<ScrubReport, String> {
-        if golden.len() != channel.n_bits() {
-            return Err(format!(
-                "golden bitstream is {} bits but the device holds {}",
-                golden.len(),
-                channel.n_bits()
-            ));
-        }
+        check_geometry(golden, channel)?;
+        Ok(self.pass(channel, icap, golden))
+    }
+
+    /// One scrub pass with the golden frames evaluated from the PConf
+    /// for `params` — the oracle form every caller with an [`Scg`]
+    /// should use. One memoized sweep gives the packed tunable words;
+    /// each golden frame is the shared base with its range of those
+    /// words laid over it, built by the same frame source a turn's
+    /// commit writes from. The frame ranges come from one merge walk
+    /// over the tunable list. Equal, report for report and write for
+    /// write, to [`Scrubber::scrub`] against [`Scg::try_specialize`] of
+    /// `params`; errors on a wrong parameter count or a geometry
+    /// mismatch.
+    pub fn scrub_with_scg(
+        &mut self,
+        channel: &mut dyn IcapChannel,
+        icap: &IcapModel,
+        scg: &Scg,
+        params: &BitVec,
+    ) -> Result<ScrubReport, String> {
+        let mut packed = BitVec::new();
+        scg.sweep(params, &mut packed)?;
+        let gbs = scg.generalized();
+        check_geometry(&gbs.base, channel)?;
+        let starts = frame_starts(&gbs.tunable, channel.frame_bits(), channel.n_frames());
+        let golden = PackedFrames {
+            base: &gbs.base,
+            tunable: &gbs.tunable,
+            starts: &starts,
+            packed: &packed,
+        };
+        Ok(self.pass(channel, icap, &golden))
+    }
+
+    /// The pass itself, against any source of golden frames of the
+    /// channel's geometry.
+    fn pass(
+        &mut self,
+        channel: &mut dyn IcapChannel,
+        icap: &IcapModel,
+        golden: &dyn FrameSource,
+    ) -> ScrubReport {
         let _s = pfdbg_obs::span("scrub.pass");
         let frame_bits = channel.frame_bits();
         let n_bits = channel.n_bits();
@@ -206,7 +246,7 @@ impl Scrubber {
             }
             report.frames_checked += 1;
             report.scrub_time += readback_cost;
-            frame_words_into(golden, frame_bits, frame, &mut want);
+            golden.frame_into(frame_bits, frame, &mut want);
             channel.read_frame_into(frame, &mut got);
             if got == want {
                 self.fail_streak.remove(&frame);
@@ -255,22 +295,7 @@ impl Scrubber {
         UPSET_BITS.add(report.upset_bits as u64);
         PASS_US.record_us(report.scrub_time.as_secs_f64() * 1e6);
         pfdbg_obs::gauge_set("scrub.pass_us_last", report.scrub_time.as_secs_f64() * 1e6);
-        Ok(report)
-    }
-
-    /// One scrub pass with the golden frames evaluated from the PConf
-    /// for `params` — the oracle form every caller with an [`Scg`]
-    /// should use. The specialization shards across `pfdbg-par`, so a
-    /// scrub costs one sharded evaluation plus the frame walk.
-    pub fn scrub_with_scg(
-        &mut self,
-        channel: &mut dyn IcapChannel,
-        icap: &IcapModel,
-        scg: &Scg,
-        params: &BitVec,
-    ) -> Result<ScrubReport, String> {
-        let golden = scg.try_specialize(params)?;
-        self.scrub(channel, icap, &golden)
+        report
     }
 
     /// The frames this scrubber vouches for that in fact diverge from
@@ -291,6 +316,18 @@ impl Scrubber {
             })
             .collect()
     }
+}
+
+/// A golden configuration must cover exactly the bits behind the port.
+fn check_geometry(golden: &Bitstream, channel: &dyn IcapChannel) -> Result<(), String> {
+    if golden.len() != channel.n_bits() {
+        return Err(format!(
+            "golden bitstream is {} bits but the device holds {}",
+            golden.len(),
+            channel.n_bits()
+        ));
+    }
+    Ok(())
 }
 
 /// Hamming distance between two packed frames of `len_bits` bits.

@@ -64,9 +64,7 @@ impl TunableFrames {
     /// Place `scg`'s tunable bits in `layout`'s frames.
     pub fn new(scg: &Scg, layout: &BitstreamLayout) -> Self {
         let tunable = &scg.generalized().tunable;
-        let starts: Vec<usize> = (0..=layout.n_frames())
-            .map(|f| tunable.partition_point(|&(addr, _)| addr < f * layout.frame_bits))
-            .collect();
+        let starts = frame_starts(tunable, layout.frame_bits, layout.n_frames());
         let region = (0..layout.n_frames()).filter(|&f| starts[f] < starts[f + 1]).collect();
         TunableFrames { region, starts }
     }
@@ -92,16 +90,38 @@ pub struct TurnCommit {
     pub resynced: bool,
 }
 
+/// Each frame's range of tunable indices in one merge walk over the
+/// address-sorted `tunable` list: frame `f`'s tunables are
+/// `tunable[starts[f]..starts[f + 1]]`, for `n_frames` frames of
+/// `frame_bits` bits.
+pub(crate) fn frame_starts(
+    tunable: &[(BitAddr, Bdd)],
+    frame_bits: usize,
+    n_frames: usize,
+) -> Vec<usize> {
+    let mut starts = Vec::with_capacity(n_frames + 1);
+    let mut i = 0;
+    for f in 0..=n_frames {
+        while tunable.get(i).is_some_and(|&(addr, _)| addr < f * frame_bits) {
+            i += 1;
+        }
+        starts.push(i);
+    }
+    starts
+}
+
 /// The configuration packed tunable words select, frame by frame: the
 /// design's shared base with `packed` laid over its tunable bits — the
 /// frames of [`Scg::try_specialize`] of the parameters `packed` was
-/// evaluated for, with no bitstream built.
-struct PackedFrames<'a> {
-    base: &'a Bitstream,
-    tunable: &'a [(BitAddr, Bdd)],
-    starts: &'a [usize],
+/// evaluated for, with no bitstream built. The turn's commit and the
+/// scrubber's golden frames both come from here.
+pub(crate) struct PackedFrames<'a> {
+    pub(crate) base: &'a Bitstream,
+    pub(crate) tunable: &'a [(BitAddr, Bdd)],
+    /// From [`frame_starts`] for the frame geometry in use.
+    pub(crate) starts: &'a [usize],
     /// Bit `i` is the value of `tunable[i]`.
-    packed: &'a BitVec,
+    pub(crate) packed: &'a BitVec,
 }
 
 impl FrameSource for PackedFrames<'_> {
@@ -265,6 +285,7 @@ mod tests {
     use crate::bdd::BddManager;
     use crate::genbits::Builder;
     use crate::icap::{frame_words, readback_all, IcapError, MemoryIcap};
+    use crate::scrub::{ScrubPolicy, Scrubber};
     use pfdbg_arch::{build_rrg, ArchSpec, Device};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -421,6 +442,37 @@ mod tests {
         let want = scg.try_specialize(&vector(4)).unwrap();
         assert_eq!(engine.loaded(&scg), want);
         assert_eq!(readback_all(&channel), want);
+    }
+
+    /// The swept scrub finds and repairs exactly what the reference
+    /// scrub against `try_specialize` does, on a design with tunables on
+    /// both sides of a frame boundary: devices powered up with bits
+    /// flipped across the tunable frames, both boundary tunables
+    /// included, end identical and golden.
+    #[test]
+    fn swept_scrub_matches_the_reference_across_frame_boundaries() {
+        let (scg, layout, _) = design();
+        let icap = IcapModel::virtex5();
+        let mut image = scg.generalized().base.clone();
+        for addr in [5, 1311, 1312, 1313, 2700] {
+            image.set(addr, !image.get(addr));
+        }
+        for &(addr, _) in scg.generalized().tunable.iter().step_by(37) {
+            image.set(addr, !image.get(addr));
+        }
+        let image = Arc::new(image);
+        for t in 0..6u32 {
+            let p = vector(t);
+            let mut swept = MemoryIcap::shared(image.clone(), layout.frame_bits);
+            let mut reference = MemoryIcap::shared(image.clone(), layout.frame_bits);
+            let mut scrubber = Scrubber::new(ScrubPolicy::default());
+            let got = scrubber.scrub_with_scg(&mut swept, &icap, &scg, &p).unwrap();
+            let want = scg.try_specialize(&p).unwrap();
+            let mut scrubber = Scrubber::new(ScrubPolicy::default());
+            assert_eq!(got, scrubber.scrub(&mut reference, &icap, &want).unwrap(), "vector {t}");
+            assert!(got.upset_frames >= 3, "vector {t}: {got:?}");
+            assert_eq!(readback_all(&swept), want, "vector {t}");
+        }
     }
 
     /// Every logged write carries the frame of `want` it targets.

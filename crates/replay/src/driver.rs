@@ -16,7 +16,10 @@ use crate::record::{DesignSpec, SelectFacts, SelectOutcome, SessionMeta};
 use pfdbg_arch::Bitstream;
 use pfdbg_core::{prepare_instrumented, DebugSession, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
+use pfdbg_pconf::icap::frame_len_bits;
 use pfdbg_pconf::{IcapChannel, OnlineReconfigurator, Scrubber};
+use std::cell::Cell;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// A session's private seed: deterministic in the configured base seed
@@ -33,12 +36,53 @@ pub fn session_seed(base: u64, name: &str) -> u64 {
 /// length) — the device-state digest recorded after every journaled
 /// operation and re-checked on replay.
 pub fn bitstream_crc(bs: &Bitstream) -> u64 {
-    use std::hash::Hasher;
     let mut h = pfdbg_util::hash::FxHasher::default();
     for &w in bs.words() {
         h.write_u64(w);
     }
     h.write_u64(bs.len() as u64);
+    h.finish()
+}
+
+thread_local! {
+    /// The frame buffer [`device_crc`] reads into, reused across calls.
+    static FRAME: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`bitstream_crc`] of the device behind `channel`, read frame by frame
+/// with no configuration built: equal to
+/// `bitstream_crc(&readback_all(channel))`. Frames need not be
+/// word-aligned (diffeq1's are 1,312 bits), so the device's words are
+/// reassembled across frame boundaries before they are hashed. As in
+/// `readback_all`, words a frame read leaves out count as zero and bits
+/// past the frame's end are dropped.
+pub fn device_crc(channel: &dyn IcapChannel) -> u64 {
+    let (n_bits, frame_bits) = (channel.n_bits(), channel.frame_bits());
+    let mut h = pfdbg_util::hash::FxHasher::default();
+    let mut words = FRAME.take();
+    // The low `fill` bits of `acc` are the start of the next device word.
+    let (mut acc, mut fill) = (0u64, 0u32);
+    for frame in 0..channel.n_frames() {
+        channel.read_frame_into(frame, &mut words);
+        let len = frame_len_bits(n_bits, frame_bits, frame);
+        for j in 0..len.div_ceil(64) {
+            let take = (len - 64 * j).min(64) as u32;
+            let w = words.get(j).copied().unwrap_or(0) & (u64::MAX >> (64 - take));
+            acc |= w << fill;
+            if fill + take >= 64 {
+                h.write_u64(acc);
+                acc = w.checked_shr(64 - fill).unwrap_or(0);
+                fill = fill + take - 64;
+            } else {
+                fill += take;
+            }
+        }
+    }
+    if fill > 0 {
+        h.write_u64(acc);
+    }
+    FRAME.set(words);
+    h.write_u64(n_bits as u64);
     h.finish()
 }
 
@@ -180,9 +224,10 @@ impl OnlineDriver {
         self.session.online().expect("driver always attaches a device")
     }
 
-    /// CRC of the full device readback.
+    /// CRC of the full device readback ([`device_crc`] of the
+    /// session's channel).
     pub fn readback_crc(&self) -> u64 {
-        bitstream_crc(&self.online().readback())
+        device_crc(self.online().channel())
     }
 
     /// CRC of the golden (oracle) specialization for `params` — what
@@ -313,5 +358,73 @@ impl Recorder {
     pub fn finish(mut self) -> Result<(), String> {
         self.writer.append(&crate::record::JournalRecord::Close)?;
         self.writer.sync()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pfdbg_pconf::icap::readback_all;
+    use pfdbg_util::BitVec;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Word-aligned and unaligned frames, down to a single bit.
+    const FRAME_BITS: [usize; 6] = [1, 63, 64, 65, 100, 1312];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Through a channel stack taking upsets under a faulty port —
+        /// random whole, short and overlong frame writes, some rejected
+        /// and some silently corrupted — the streamed digest equals the
+        /// digest of the materialized readback after every step, at
+        /// every frame size, the short last frame included.
+        #[test]
+        fn streamed_digest_equals_the_materialized_one(
+            frames in 1usize..12,
+            short in 0usize..1312,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for frame_bits in FRAME_BITS {
+                let n_bits = frames * frame_bits - short % frame_bits;
+                let image: BitVec = (0..n_bits).map(|_| rng.gen_bool(0.5)).collect();
+                let seu = SeuConfig { rate: 0.3, burst: 3, seed: rng.gen() };
+                let fault = IcapFaultConfig {
+                    write_error_rate: 0.1,
+                    stall_rate: 0.05,
+                    corrupt_rate: 0.3,
+                    seed: rng.gen(),
+                };
+                let mut ch = channel_stack(
+                    Arc::new(Bitstream::from_bits(image)),
+                    frame_bits,
+                    Some(seu),
+                    Some(fault),
+                );
+                for step in 0..24 {
+                    if rng.gen_range(0..3u32) == 0 {
+                        ch.tick();
+                    } else {
+                        let frame = rng.gen_range(0..ch.n_frames());
+                        let full = frame_len_bits(n_bits, frame_bits, frame).div_ceil(64);
+                        let n = match rng.gen_range(0..3u32) {
+                            0 => full,
+                            1 => rng.gen_range(0..full),
+                            _ => full + 1,
+                        };
+                        let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+                        let _ = ch.write_frame(frame, &data);
+                    }
+                    prop_assert_eq!(
+                        device_crc(ch.as_ref()),
+                        bitstream_crc(&readback_all(ch.as_ref())),
+                        "{}-bit frames, {} bits, step {}", frame_bits, n_bits, step
+                    );
+                }
+            }
+        }
     }
 }

@@ -30,7 +30,9 @@ pub mod journal;
 pub mod record;
 pub mod verify;
 
-pub use driver::{bitstream_crc, build_design, session_seed, BuiltDesign, OnlineDriver, Recorder};
+pub use driver::{
+    bitstream_crc, build_design, device_crc, session_seed, BuiltDesign, OnlineDriver, Recorder,
+};
 pub use fuzz::{
     default_pairs, run_case, run_suite, verify_corpus, CaseReport, FuzzOp, PairKind, SuiteReport,
 };

@@ -12,11 +12,11 @@
 //! pipelined requests come back in request order even when their shards
 //! finish out of order.
 //!
-//! Every request owns a [`ReplySlot`] from parse to reply: exactly one
+//! Every request owns a `ReplySlot` from parse to reply: exactly one
 //! reply per request, even if the handler panics (the slot's `Drop`
 //! sends an internal-error reply) — one bad connection or one bad
 //! request can't take down the fleet, and nothing here can poison a
-//! lock another thread needs (see [`crate::shard::relock`]).
+//! lock another thread needs (see `shard::relock`).
 
 use crate::protocol::{param_bits_string, parse_request, Reply, Request, RequestMeta};
 use crate::session::{SessionManager, TurnOutcome};

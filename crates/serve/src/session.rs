@@ -24,7 +24,7 @@
 //!
 //! Sessions are **sharded, not locked**: a session pins to one of N
 //! shard threads by a hash of its name, and that shard owns its state
-//! outright (see [`crate::shard`]). Every operation — client select,
+//! outright (see the `shard` module). Every operation — client select,
 //! background scrub, journal restore — rides the shard's inbox and
 //! executes in arrival order, so a long commit in one session never
 //! blocks another shard, and the scrubber can never be starved off a
@@ -37,7 +37,7 @@
 //! oracle, repairing or quarantining divergent frames
 //! ([`SessionManager::scrub_session`], surfaced by the `health` verb).
 //!
-//! This module keeps three layers apart: [`ManagerCore`] (the shared
+//! This module keeps three layers apart: `ManagerCore` (the shared
 //! engine, cache, chaos config, and fleet-wide atomics — everything a
 //! shard thread needs), the shard-side session operations
 //! (`impl Shard` here, so `SessionState` stays private to the crate),
@@ -59,11 +59,10 @@ use pfdbg_pconf::health::{DeviceHealth, HealthEvent, HealthLadder, HealthPolicy,
 use pfdbg_pconf::icap::{readback_all, CommitPolicy, IcapChannel};
 use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport, Scrubber};
 use pfdbg_pconf::{Scg, TunableFrames, TurnContext, TurnEngine};
-use pfdbg_replay::driver::bitstream_crc;
 use pfdbg_replay::verify::{diff_scrub, diff_select, Divergence};
 use pfdbg_replay::{
-    session_seed, ChaosSpec, DesignSpec, JournalRecord, JournalWriter, ScrubFacts, SelectFacts,
-    SelectOutcome, SessionMeta,
+    device_crc, session_seed, ChaosSpec, DesignSpec, JournalRecord, JournalWriter, ScrubFacts,
+    SelectFacts, SelectOutcome, SessionMeta,
 };
 use pfdbg_util::{BitVec, FxHashMap};
 use std::path::{Path, PathBuf};
@@ -868,12 +867,6 @@ fn wants_facts(state: &SessionState) -> bool {
     state.journal.is_some() || state.capture_facts
 }
 
-/// The device-state digest journaled after every operation: a CRC of
-/// the full configuration readback through the session's channel.
-fn device_crc(state: &SessionState) -> u64 {
-    bitstream_crc(&readback_all(state.channel.as_ref()))
-}
-
 impl ManagerCore {
     /// The turn body, run with exclusive access to the session's state
     /// (the owning shard thread's, or a detached state during journal
@@ -1001,7 +994,7 @@ impl ManagerCore {
                         degradations: 0,
                         cache_hit,
                         seu_flips: flipped as u64,
-                        readback_crc: device_crc(state),
+                        readback_crc: device_crc(state.channel.as_ref()),
                     };
                     self.journal_select(state, facts);
                 }
@@ -1045,7 +1038,7 @@ impl ManagerCore {
                         degradations: commit.degradations as u64,
                         cache_hit,
                         seu_flips: flipped as u64,
-                        readback_crc: device_crc(state),
+                        readback_crc: device_crc(state.channel.as_ref()),
                     };
                     self.journal_select(state, facts);
                 }
@@ -1165,7 +1158,7 @@ impl ManagerCore {
                         degradations: 0,
                         cache_hit,
                         seu_flips: flipped as u64,
-                        readback_crc: device_crc(state),
+                        readback_crc: device_crc(state.channel.as_ref()),
                     };
                     self.journal_select(state, facts);
                 }
@@ -1274,7 +1267,7 @@ impl ManagerCore {
                 repaired_frames: report.repaired_frames as u64,
                 failed_frames: report.failed_frames as u64,
                 quarantined_frames: report.quarantined_frames as u64,
-                readback_crc: device_crc(state),
+                readback_crc: device_crc(state.channel.as_ref()),
             };
             if let Some(journal) = state.journal.as_mut() {
                 if journal.append(&JournalRecord::Scrub(facts)).is_ok() {
@@ -1607,7 +1600,7 @@ impl FleetOptions {
 }
 
 /// The session fleet: N shard threads owning disjoint slices of the
-/// session space, plus the shared [`ManagerCore`]. Every method routes
+/// session space, plus the shared `ManagerCore`. Every method routes
 /// to the owning shard's inbox and blocks for the answer, so embedders
 /// (tests, the bench harness) keep the mutex-era call surface while the
 /// server talks to the inboxes directly (nonblocking, with shedding).
@@ -1882,13 +1875,13 @@ impl SessionManager {
         rx.recv().map_err(|_| "shard request failed (handler panicked)".into())
     }
 
-    /// Create a session — see [`Shard::open`].
+    /// Create a session — see `Shard::open`.
     pub fn open(&self, name: &str) -> Result<usize, String> {
         let owned = name.to_string();
         self.on_shard(self.shard_index(name), move |sh| sh.open(&owned))?
     }
 
-    /// Drop a session — see [`Shard::close`].
+    /// Drop a session — see `Shard::close`.
     pub fn close(&self, name: &str) -> Result<(), String> {
         let owned = name.to_string();
         self.on_shard(self.shard_index(name), move |sh| sh.close(&owned))?
@@ -1934,7 +1927,7 @@ impl SessionManager {
     /// owning shard's thread. The turn is the session's [`TurnEngine`]:
     /// one memoized node-table sweep through its scratch on an LRU
     /// miss, the cached tunable words on a hit. See
-    /// [`ManagerCore::select_on`] for deadline semantics.
+    /// `ManagerCore::select_on` for deadline semantics.
     pub fn select_within(
         &self,
         session: &str,

@@ -107,7 +107,7 @@ const TUNE_TARGET_NS: u64 = 200_000;
 ///
 /// Tracks an exponentially-weighted moving average of nanoseconds per
 /// item and suggests a chunk size that puts each claimed chunk near
-/// [`TUNE_TARGET_NS`]. The tuner is **performance-only** by
+/// `TUNE_TARGET_NS` (200 µs). The tuner is **performance-only** by
 /// construction: chunk size changes which worker claims which slice,
 /// but per-chunk results are merged by chunk index, so the output is
 /// bit-identical for every suggestion (and every thread count).
@@ -128,7 +128,7 @@ impl ChunkTuner {
 
     /// Suggested chunk size (in items) for `len` items on `workers`
     /// threads. Before any sample lands this is the static ~4-chunks-
-    /// per-worker default; afterwards it targets [`TUNE_TARGET_NS`]
+    /// per-worker default; afterwards it targets `TUNE_TARGET_NS`
     /// per chunk, clamped so every worker still sees at least two
     /// chunks (load balance) and every chunk at least one item.
     pub fn suggest(&self, len: usize, workers: usize) -> usize {

@@ -7,17 +7,20 @@
 //! specializations — at 1, 2 and 8 evaluation threads, including across
 //! scratch reuse, cold-scratch re-derivation and rolled-back (evaluated
 //! but never committed) turns. Downstream, every frame the turn engine
-//! writes from the packed words must be that frame of `try_specialize`.
+//! writes from the packed words must be that frame of `try_specialize`,
+//! and a scrub pass against the packed words of one sweep must be the
+//! reference scrub against `try_specialize`.
 
 use parameterized_fpga_debug::arch::{build_rrg, ArchSpec, Bitstream, BitstreamLayout, Device};
 use parameterized_fpga_debug::circuits::build as build_design;
 use parameterized_fpga_debug::core::{
-    offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K,
+    offline, prepare_instrumented, InstrumentConfig, OfflineConfig, OfflineResult, PAPER_K,
 };
+use parameterized_fpga_debug::emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use parameterized_fpga_debug::pconf::icap::{frame_words, readback_all};
 use parameterized_fpga_debug::pconf::{
     BddManager, CommitPolicy, GeneralizedBuilder, IcapChannel, IcapError, MemoryIcap, Scg,
-    SpecializeScratch, TunableFrames, TurnContext, TurnEngine,
+    ScrubPolicy, Scrubber, SpecializeScratch, TunableFrames, TurnContext, TurnEngine,
 };
 use parameterized_fpga_debug::util::BitVec;
 use proptest::prelude::*;
@@ -230,6 +233,15 @@ impl IcapChannel for Logging {
     }
 }
 
+/// stereov at paper instrumentation through the offline flow.
+fn stereov() -> OfflineResult {
+    let design = build_design("stereov.").expect("suite member");
+    let (_, _, inst) =
+        prepare_instrumented(&design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
+    offline(&inst, &cfg).expect("offline flow")
+}
+
 /// On stereov at paper instrumentation, a random parameter walk through
 /// the turn engine — every fifth commit over a dead port — writes only
 /// golden frames: each frame the commit's frame source yields equals
@@ -237,11 +249,7 @@ impl IcapChannel for Logging {
 /// resync after each failed commit covers the whole device.
 #[test]
 fn engine_target_frames_are_golden_on_stereov() {
-    let design = build_design("stereov.").expect("suite member");
-    let (_, _, inst) =
-        prepare_instrumented(&design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
-    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
-    let off = offline(&inst, &cfg).expect("offline flow");
+    let off = stereov();
     let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
     let tunables = TunableFrames::new(&scg, &layout);
     let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
@@ -287,4 +295,105 @@ fn engine_target_frames_are_golden_on_stereov() {
         }
     }
     assert!(failed_commits > 0 && resyncs > 0, "{failed_commits} failures, {resyncs} resyncs");
+}
+
+/// A device whose `refused` frame rejects every write, so only its
+/// readback shows what it holds.
+struct Refusing {
+    inner: Box<dyn IcapChannel>,
+    refused: usize,
+}
+
+impl IcapChannel for Refusing {
+    fn frame_bits(&self) -> usize {
+        self.inner.frame_bits()
+    }
+    fn n_bits(&self) -> usize {
+        self.inner.n_bits()
+    }
+    fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
+        if frame == self.refused {
+            return Err(IcapError::WriteFailed);
+        }
+        self.inner.write_frame(frame, data)
+    }
+    fn read_frame(&self, frame: usize) -> Vec<u64> {
+        self.inner.read_frame(frame)
+    }
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        self.inner.read_frame_into(frame, out)
+    }
+    fn tick(&mut self) -> usize {
+        self.inner.tick()
+    }
+}
+
+/// On stereov, two identically seeded devices — upsets under a faulty
+/// port, one frame outside the tunable region powered up wrong and
+/// refusing every write — take the same turns and upsets. One is
+/// scrubbed against the packed words of one sweep
+/// (`Scrubber::scrub_with_scg`), the other against the reference golden
+/// bitstream (`Scrubber::scrub` of `try_specialize`): every pass must
+/// report the same, quarantine the same frames and leave the same
+/// device, and the refusing frame must reach quarantine.
+#[test]
+fn swept_scrub_is_the_reference_scrub_on_stereov() {
+    let off = stereov();
+    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let tunables = TunableFrames::new(&scg, &layout);
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
+    let n_params = scg.generalized().n_params;
+    let refused =
+        (0..layout.n_frames()).find(|f| !tunables.region().contains(f)).expect("an untuned frame");
+    let mut image = scg.generalized().base.clone();
+    let bit = refused * layout.frame_bits;
+    image.set(bit, !image.get(bit));
+    let image = Arc::new(image);
+    let seu = SeuConfig { rate: 0.05, burst: 2, seed: 0x5eed };
+    let fault =
+        IcapFaultConfig { write_error_rate: 0.05, stall_rate: 0.02, corrupt_rate: 0.05, seed: 7 };
+    let policy = CommitPolicy::default();
+    let scrub_policy = ScrubPolicy {
+        max_repair_attempts: 3,
+        commit: CommitPolicy { max_retries: 1, ..CommitPolicy::default() },
+    };
+    let device = || Refusing {
+        inner: channel_stack(image.clone(), layout.frame_bits, Some(seu), Some(fault)),
+        refused,
+    };
+    let (mut swept, mut reference) = (device(), device());
+    let (mut swept_turns, mut reference_turns) = (TurnEngine::new(&scg), TurnEngine::new(&scg));
+    let (mut swept_scrub, mut reference_scrub) =
+        (Scrubber::new(scrub_policy), Scrubber::new(scrub_policy));
+    let mut seed = 0x5c2b_u64;
+    let (mut passes, mut repaired) = (0, 0);
+    for turn in 0..36 {
+        assert_eq!(swept.tick(), reference.tick(), "turn {turn}: upsets");
+        let p: BitVec = (0..n_params).map(|_| xorshift(&mut seed) & 1 == 1).collect();
+        for (engine, channel) in
+            [(&mut swept_turns, &mut swept), (&mut reference_turns, &mut reference)]
+        {
+            engine.stage(&ctx, &p, None).unwrap();
+            engine.commit(&ctx, channel, &policy, &p).expect("the turn commits");
+        }
+        if turn % 2 == 1 {
+            let got = swept_scrub
+                .scrub_with_scg(&mut swept, &off.icap, &scg, swept_turns.params())
+                .unwrap();
+            let golden = scg.try_specialize(reference_turns.params()).unwrap();
+            let want = reference_scrub.scrub(&mut reference, &off.icap, &golden).unwrap();
+            assert_eq!(got, want, "turn {turn}: scrub reports");
+            assert_eq!(swept_scrub.quarantined(), reference_scrub.quarantined(), "turn {turn}");
+            assert_eq!(readback_all(&swept), readback_all(&reference), "turn {turn}");
+            passes += 1;
+            repaired += got.repaired_frames;
+        }
+    }
+    assert_eq!(swept_scrub.totals(), reference_scrub.totals());
+    assert!(swept_scrub.quarantined().contains(&refused), "the refusing frame is quarantined");
+    assert!(repaired > 0, "{passes} passes repaired no upset");
+    for wrong in [n_params - 1, n_params + 1] {
+        let params = BitVec::zeros(wrong);
+        assert!(swept_scrub.scrub_with_scg(&mut swept, &off.icap, &scg, &params).is_err());
+    }
 }

@@ -8,17 +8,20 @@
 //! `commit` the way serve sessions drive it — several sessions over one
 //! shared `Scg`, some turns adopting cached packed words. A session
 //! over the shared base configuration must hold less heap than one
-//! configuration bitstream. This binary installs a counting global
+//! configuration bitstream. Reading a device through the chaos channel
+//! stack — frame by frame, or as the journal's streamed digest — must
+//! not allocate at all. This binary installs a counting global
 //! allocator, so it holds only these allocation tests.
 
 use parameterized_fpga_debug::circuits::build;
 use parameterized_fpga_debug::core::{
     offline, prepare_instrumented, InstrumentConfig, OfflineConfig, OfflineResult, PAPER_K,
 };
-use parameterized_fpga_debug::emu::channel_stack;
+use parameterized_fpga_debug::emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use parameterized_fpga_debug::pconf::{
     CommitPolicy, IcapChannel, MemoryIcap, TunableFrames, TurnContext, TurnEngine,
 };
+use parameterized_fpga_debug::replay::device_crc;
 use parameterized_fpga_debug::util::BitVec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -214,4 +217,38 @@ fn a_session_over_the_shared_base_holds_less_than_one_configuration() {
         held < configuration_bytes,
         "a warmed-up session holds {held} heap bytes, one configuration is {configuration_bytes}"
     );
+}
+
+#[test]
+fn reads_and_digests_through_the_chaos_stack_allocate_nothing() {
+    let off = stereov();
+    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let image = Arc::new(scg.generalized().base.clone());
+    let seu = SeuConfig { rate: 0.2, burst: 3, seed: 11 };
+    let mut channel = channel_stack(
+        image,
+        layout.frame_bits,
+        Some(seu),
+        Some(IcapFaultConfig::uniform(0.05, 12)),
+    );
+    // Upsets give the device copies of some frames; the rest still
+    // read from the shared image.
+    let flipped: usize = (0..4).map(|_| channel.tick()).sum();
+    assert!(flipped > 0, "no upset landed");
+    let mut words = Vec::new();
+    let read_all = |words: &mut Vec<u64>| {
+        for frame in 0..channel.n_frames() {
+            channel.read_frame_into(frame, words);
+        }
+        device_crc(channel.as_ref())
+    };
+    // Warm-up: the read buffer and the digest's frame buffer grow to a
+    // frame.
+    let digest = read_all(&mut words);
+
+    let before = allocations();
+    let again = read_all(&mut words);
+    let spent = allocations() - before;
+    assert_eq!(spent, 0, "reading the device allocated {spent} times");
+    assert_eq!(again, digest);
 }
