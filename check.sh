@@ -62,10 +62,12 @@ echo "== shard sweep (PFDBG_SHARDS=1/2/8) =="
 # between shard threads, but per-session operation order is
 # caller-serialized, so every chaos/replay/scrub assertion (all
 # bit-identity against golden oracles) must hold unchanged at any
-# shard count.
+# shard count. The TCP suite's selects (params, signals, malformed
+# lines) take the same inbox route as every other session verb.
 for shards in 1 2 8; do
     PFDBG_SHARDS=$shards cargo test -q -p pfdbg-serve \
-        --test chaos --test replay --test scrub --test backpressure --test fleet --test devices
+        --test chaos --test replay --test scrub --test backpressure --test fleet --test devices \
+        --test serve
 done
 
 echo "== serve smoke test =="

@@ -29,12 +29,6 @@ use std::time::{Duration, Instant};
 /// to pay off; below ~2 shards the loops stay serial.
 const EVAL_SHARD: usize = 1024;
 
-/// Process-wide chunk autotuner for the tunable-sweep call sites. The
-/// tuner only adjusts how many shards a worker claims per atomic fetch
-/// (performance, not decomposition): shard boundaries stay a function
-/// of the work size alone, so results are unchanged by tuning state.
-static EVAL_TUNER: par::ChunkTuner = par::ChunkTuner::new();
-
 thread_local! {
     /// Per-BDD-node values of the sweep in flight on this thread
     /// ([`BddManager::eval_all_into`]). Valid only within one
@@ -150,12 +144,10 @@ impl Scg {
         if workers <= 1 || n < 2 * EVAL_SHARD {
             return (0..n).map(eval_one).collect();
         }
-        par::map_shards_tuned(workers, n, EVAL_SHARD, &EVAL_TUNER, |r| {
-            r.map(eval_one).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        par::map_shards(workers, n, EVAL_SHARD, |r| r.map(eval_one).collect::<Vec<_>>())
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Memoized batch evaluation of every tunable function under

@@ -19,7 +19,7 @@
 //! lock another thread needs (see `shard::relock`).
 
 use crate::protocol::{param_bits_string, parse_request, Reply, Request, RequestMeta};
-use crate::session::{SessionManager, TurnOutcome};
+use crate::session::SessionManager;
 use crate::shard::{Job, SelectSpec, Shard};
 use crate::telemetry as tel;
 use std::collections::BTreeMap;
@@ -249,11 +249,9 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
 
 /// Bytes of unparsed request data buffered per connection before the
 /// IO thread stops reading it (flow control against line flooding).
+/// It also bounds one request line: a full buffer holding no newline
+/// can never complete a request, so it kills the connection.
 const READ_HIGH_WATER: usize = 256 * 1024;
-/// A single request line larger than this kills the connection: no
-/// legitimate request is megabytes long, and an unbounded line would
-/// otherwise grow the buffer forever.
-const MAX_LINE: usize = 4 * 1024 * 1024;
 
 /// One reply finished somewhere (a shard thread, or inline on the IO
 /// thread) and is ready to be sequenced onto its connection.
@@ -450,7 +448,10 @@ fn parse_and_dispatch(
     let mut progress = false;
     while !conn.dead && conn.inflight < shared.cfg.pipeline_depth.max(1) {
         let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') else {
-            if conn.rbuf.len() > MAX_LINE {
+            // `read_some` stops at the high-water mark, so no more of
+            // this line will ever be read: without the kill the
+            // connection would sit wedged, never seeing a hang-up.
+            if conn.rbuf.len() >= READ_HIGH_WATER {
                 conn.dead = true;
             }
             break;
@@ -609,25 +610,23 @@ fn retry_after_ms(shared: &Shared, idx: usize) -> f64 {
 /// job builder over to it; shed with an `overloaded` reply when the
 /// inbox is full. The reservation happens *before* the job exists, so a
 /// shed request costs an allocation-free counter update and one reply.
+///
+/// Every session verb, select included, takes this route, so one panic
+/// rule covers them all: a handler that unwinds drops the session it
+/// names (its state is suspect), counts in `handler_panics`, and leaves
+/// the slot unsent, whose `Drop` answers with the internal-error reply.
 fn route_session(
     shared: &Arc<Shared>,
     slot: ReplySlot,
-    session: &str,
+    session: String,
     f: impl FnOnce(&mut Shard, RequestMeta) -> Reply + Send + 'static,
 ) {
-    let idx = shared.sessions.shard_index(session);
+    let idx = shared.sessions.shard_index(&session);
     // A session whose device is mid-failover answers `overloaded`
     // instead of queueing behind the journal re-drive: the client backs
     // off and retries once the spare has caught up, rather than holding
     // a pipelined slot open across the whole migration.
-    if shared.sessions.session_migrating(session) {
-        shared.sessions.note_shed();
-        tel::ERRORS.add(1);
-        let meta = slot.meta();
-        slot.send(Reply::overloaded(&meta, idx, retry_after_ms(shared, idx)));
-        return;
-    }
-    if !shared.sessions.try_reserve_client(idx) {
+    if shared.sessions.session_migrating(&session) || !shared.sessions.try_reserve_client(idx) {
         shared.sessions.note_shed();
         tel::ERRORS.add(1);
         let meta = slot.meta();
@@ -636,7 +635,13 @@ fn route_session(
     }
     let job = Job::Run(Box::new(move |sh| {
         let meta = slot.meta();
-        slot.send(f(sh, meta));
+        match catch_unwind(AssertUnwindSafe(|| f(sh, meta))) {
+            Ok(reply) => slot.send(reply),
+            Err(_) => {
+                tel::HANDLER_PANICS.add(1);
+                sh.drop_session_after_panic(&session);
+            }
+        }
     }));
     // A push only fails once the inbox is closed for shutdown; the
     // dropped job's slot then answers with its internal-error reply.
@@ -745,21 +750,21 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
         // Session verbs route to the owning shard.
         Request::Open { session } => {
             let name = session.clone();
-            route_session(shared, slot, &session, move |sh, meta| match sh.open(&name) {
+            route_session(shared, slot, session, move |sh, meta| match sh.open(&name) {
                 Ok(n) => Reply::ok(&meta).str("session", name).num("n_params", n as f64),
                 Err(e) => error_reply(&meta, &e),
             });
         }
         Request::Close { session } => {
             let name = session.clone();
-            route_session(shared, slot, &session, move |sh, meta| match sh.close(&name) {
+            route_session(shared, slot, session, move |sh, meta| match sh.close(&name) {
                 Ok(()) => Reply::ok(&meta).str("session", name),
                 Err(e) => error_reply(&meta, &e),
             });
         }
         Request::Health { session } => {
             let name = session.clone();
-            route_session(shared, slot, &session, move |sh, meta| match sh.health(&name) {
+            route_session(shared, slot, session, move |sh, meta| match sh.health(&name) {
                 Ok(h) => Reply::ok(&meta)
                     .str("session", name)
                     .str("verdict", h.verdict.as_str())
@@ -788,7 +793,7 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
         }
         Request::Scrub { session } => {
             let name = session.clone();
-            route_session(shared, slot, &session, move |sh, meta| match sh.scrub(&name) {
+            route_session(shared, slot, session, move |sh, meta| match sh.scrub(&name) {
                 Ok(r) => Reply::ok(&meta)
                     .str("session", name)
                     .num("frames_checked", r.frames_checked as f64)
@@ -803,7 +808,7 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
         }
         Request::Dump { session: Some(session) } => {
             let name = session.clone();
-            route_session(shared, slot, &session, move |sh, meta| match sh.flight_dump(&name) {
+            route_session(shared, slot, session, move |sh, meta| match sh.flight_dump(&name) {
                 Ok(flight) => Reply::ok(&meta)
                     .str("session", name)
                     .str("source", "live")
@@ -814,7 +819,7 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
         }
         Request::Record { session } => {
             let name = session.clone();
-            route_session(shared, slot, &session, move |sh, meta| match sh.journal_status(&name) {
+            route_session(shared, slot, session, move |sh, meta| match sh.journal_status(&name) {
                 Ok((path, file, records)) => Reply::ok(&meta)
                     .str("session", name)
                     .str("path", path)
@@ -838,29 +843,14 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
                     return;
                 }
             };
-            let idx = shared.sessions.shard_index(&session);
-            // Same migration shedding as `route_session`.
-            if shared.sessions.session_migrating(&session) {
-                shared.sessions.note_shed();
-                tel::ERRORS.add(1);
-                slot.send(Reply::overloaded(&meta, idx, retry_after_ms(shared, idx)));
-                return;
-            }
-            if !shared.sessions.try_reserve_client(idx) {
-                shared.sessions.note_shed();
-                tel::ERRORS.add(1);
-                slot.send(Reply::overloaded(&meta, idx, retry_after_ms(shared, idx)));
-                return;
-            }
             let spec = match params {
                 Some(p) => SelectSpec::Params(p),
                 None => SelectSpec::Signals(signals),
             };
             let deadline = Some((slot.started, budget));
             let name = session.clone();
-            let respond = Box::new(move |result: Result<TurnOutcome, String>| {
-                let meta = slot.meta();
-                let reply = match result {
+            route_session(shared, slot, session, move |sh, meta| {
+                match sh.select(&name, spec, deadline) {
                     Ok(o) => Reply::ok(&meta)
                         .str("session", name)
                         .str("params", param_bits_string(&o.params))
@@ -874,11 +864,8 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
                         .num("degradations", o.degradations as f64)
                         .str("cache", if o.cache_hit { "hit" } else { "miss" }),
                     Err(e) => error_reply(&meta, &e),
-                };
-                slot.send(reply);
+                }
             });
-            let _ =
-                shared.sessions.push_client(idx, Job::Select { session, spec, deadline, respond });
         }
     }
 }

@@ -8,8 +8,10 @@
 //! words) and its (possibly faulty) reconfiguration channel, whose
 //! device copies only the frames it writes over the shared base, so
 //! turns from different clients proceed independently. A shared LRU of
-//! packed tunable words (keyed by parameter vector) short-circuits the
-//! SCG sweep for repeated selections across *all* sessions.
+//! packed tunable words, keyed by the parameter `BitVec` itself,
+//! short-circuits the SCG sweep for repeated selections across *all*
+//! sessions: each select looks it up once, under the LRU's own lock, and
+//! a hit shares the cached words' `Arc`.
 //!
 //! Turns are **transactional** and are the standalone engine's turn:
 //! [`TurnEngine::stage`] diffs the selection against the committed
@@ -46,7 +48,6 @@
 //! unchanged from the mutex era.
 
 use crate::lru::LruCache;
-use crate::protocol::param_bits_string;
 use crate::shard::{relock, Inbox, Job, SelectSpec, Shard, ShardHandle, ShardHold};
 use crate::telemetry as tel;
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
@@ -64,7 +65,7 @@ use pfdbg_replay::{
     device_crc, session_seed, ChaosSpec, DesignSpec, JournalRecord, JournalWriter, ScrubFacts,
     SelectFacts, SelectOutcome, SessionMeta,
 };
-use pfdbg_util::{BitVec, FxHashMap};
+use pfdbg_util::BitVec;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -393,7 +394,8 @@ pub(crate) type CachedWords = Arc<BitVec>;
 /// blocks on a shard).
 pub(crate) struct ManagerCore {
     engine: Arc<Engine>,
-    cache: Mutex<LruCache<String, CachedWords>>,
+    /// The specialization LRU, keyed by the parameter vector itself.
+    cache: Mutex<LruCache<BitVec, CachedWords>>,
     fault: Option<IcapFaultConfig>,
     seu: Option<SeuConfig>,
     policy: CommitPolicy,
@@ -438,12 +440,6 @@ pub(crate) struct ManagerCore {
 }
 
 impl ManagerCore {
-    /// The shared specialization LRU (the shard loop prefetches batches
-    /// from it under a single lock acquisition).
-    pub(crate) fn cache(&self) -> &Mutex<LruCache<String, CachedWords>> {
-        &self.cache
-    }
-
     /// The shared half of every session's turn.
     fn turn_context(&self) -> TurnContext<'_> {
         TurnContext {
@@ -635,7 +631,7 @@ impl ManagerCore {
                         SelectOutcome::DeadlineMiss => Some((Instant::now(), Duration::ZERO)),
                         _ => None,
                     };
-                    let _ = self.select_on(name, state, &expected.params, deadline, None);
+                    let _ = self.select_on(name, state, &expected.params, deadline);
                     let actual =
                         state.last_select_facts.take().ok_or("replay captured no select facts")?;
                     if let Some(d) = diff_select(idx, turn, expected, &actual) {
@@ -643,7 +639,7 @@ impl ManagerCore {
                     }
                 }
                 JournalRecord::Scrub(expected) => {
-                    if let Err(e) = self.scrub_on(name, state, None) {
+                    if let Err(e) = self.scrub_on(name, state) {
                         return Ok(Some(Divergence {
                             record: idx,
                             turn,
@@ -876,13 +872,8 @@ impl ManagerCore {
     /// [`TurnEngine`] — the standalone reconfigurator's turn; this layer
     /// adds the fleet gate, the tick, the LRU, the deadline gate, the
     /// journal facts, the flight events, telemetry and the watchdog.
-    ///
-    /// `batch` is the shard's per-poll LRU prefetch: `Some` means the
-    /// lookup reads the prefetched map (no cache lock on the hot path)
-    /// and publications mirror into it; `None` takes the cache lock
-    /// directly. Cached tunable words are a pure function of the
-    /// parameter key, so a prefetched entry can never be *wrong*, only
-    /// absent.
+    /// The LRU is looked up once, keyed by `params` itself: a hit
+    /// shares the cached words' `Arc`.
     ///
     /// The deadline (when given as `(request start, budget)`) is
     /// checked between [`TurnEngine::stage`] and [`TurnEngine::commit`]:
@@ -897,7 +888,6 @@ impl ManagerCore {
         state: &mut SessionState,
         params: &BitVec,
         deadline: Option<(Instant, Duration)>,
-        batch: Option<&mut FxHashMap<String, CachedWords>>,
     ) -> Result<TurnOutcome, String> {
         let _s = pfdbg_obs::span("serve.select");
         if params.len() != self.engine.n_params() {
@@ -944,16 +934,7 @@ impl ManagerCore {
         }
         state.flight.record(FlightKind::TurnStart, turn_no, flipped as u64);
 
-        let key = param_bits_string(params);
-        // The batch map is an optimization, not the source of truth: it
-        // only holds keys the prefetch saw in `Select` jobs, so a select
-        // arriving as a `Run` job (facade round-trips, replays) must
-        // still fall through to the shared LRU before specializing.
-        let cached = match batch.as_deref() {
-            Some(map) => map.get(&key).cloned(),
-            None => None,
-        }
-        .or_else(|| relock(&self.cache).get(&key).cloned());
+        let cached = relock(&self.cache).get(params).cloned();
         let cache_hit = cached.is_some();
         // Stage: a hit adopts the cached tunable words, a miss runs one
         // node-table sweep through the session's scratch; either way
@@ -1043,15 +1024,10 @@ impl ManagerCore {
                     self.journal_select(state, facts);
                 }
                 // Cache publication happens from the owning shard — the
-                // session→cache order scrub repairs already use. Mirror
-                // into the live prefetch map so later selects in the
-                // same batch see it too.
+                // session→cache order scrub repairs already use.
                 if !cache_hit {
                     let words = Arc::new(state.turn.committed_words().clone());
-                    relock(&self.cache).put(key.clone(), words.clone());
-                    if let Some(map) = batch {
-                        map.insert(key, words);
-                    }
+                    relock(&self.cache).put(params.clone(), words);
                 }
                 self.icap_retries.fetch_add(commit.retries as u64, Ordering::Relaxed);
                 self.icap_degradations.fetch_add(commit.degradations as u64, Ordering::Relaxed);
@@ -1179,13 +1155,11 @@ impl ManagerCore {
     /// One scrub pass against the PConf-evaluated golden frames for the
     /// session's current parameter vector. Like [`ManagerCore::select_on`],
     /// runs with exclusive state access on the owning shard (or a
-    /// detached replay state); a repair invalidates the stale LRU entry
-    /// and its mirror in the shard's prefetch map.
+    /// detached replay state); a repair invalidates the stale LRU entry.
     pub(crate) fn scrub_on(
         &self,
         session: &str,
         state: &mut SessionState,
-        batch: Option<&mut FxHashMap<String, CachedWords>>,
     ) -> Result<ScrubReport, String> {
         let _s = pfdbg_obs::span("serve.scrub");
         let t0 = Instant::now();
@@ -1215,11 +1189,7 @@ impl ManagerCore {
             // specialization's back: drop the entry for this vector so
             // the next select re-verifies through a fresh specialize
             // instead of trusting it.
-            let key = param_bits_string(turn.params());
-            relock(&self.cache).remove(&key);
-            if let Some(map) = batch {
-                map.remove(&key);
-            }
+            relock(&self.cache).remove(turn.params());
             flight.record(FlightKind::ScrubRepair, turn_no, report.repaired_frames as u64);
             tel::SCRUB_REPAIRS.add(report.repaired_frames as u64);
         }
@@ -1368,18 +1338,11 @@ impl Shard {
         {
             panic!("injected handler panic (PFDBG_TEST_PANIC)");
         }
-        match spec {
-            SelectSpec::Params(params) => {
-                core.select_on(session, state, &params, deadline, Some(&mut self.batch))
-            }
-            SelectSpec::Signals(signals) => {
-                // Planned keys are not in the batch prefetch (only
-                // literal `params` requests are scanned), so this path
-                // looks the LRU up directly.
-                let params = core.plan_for(state.turn.params(), &signals)?;
-                core.select_on(session, state, &params, deadline, None)
-            }
-        }
+        let params = match spec {
+            SelectSpec::Params(params) => params,
+            SelectSpec::Signals(signals) => core.plan_for(state.turn.params(), &signals)?,
+        };
+        core.select_on(session, state, &params, deadline)
     }
 
     /// One on-demand scrub pass on an owned session.
@@ -1387,7 +1350,7 @@ impl Shard {
         let core = self.core.clone();
         let state =
             self.sessions.get_mut(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        core.scrub_on(session, state, Some(&mut self.batch))
+        core.scrub_on(session, state)
     }
 
     /// A session's scrub status — the `health` verb's payload.

@@ -18,27 +18,29 @@
 //! re-drives, facade round-trips — always enqueue, so backpressure on
 //! clients can never starve the machinery that keeps sessions healthy.
 //!
-//! Shards drain jobs in batches and prefetch every batched `select`'s
-//! LRU key under **one** cache lock ([`Shard::batch`]), so N selects in
-//! a poll iteration cost one shared-lock acquisition instead of N.
+//! Shards drain jobs in batches of up to [`MAX_BATCH`], so a burst of N
+//! jobs costs one inbox-lock acquisition instead of N. Each job then
+//! runs on its own: a select looks the shared LRU up once, under its
+//! own lock.
 //!
-//! Every job body runs under `catch_unwind`: a panicking handler drops
-//! the session it was touching (its state is suspect) and answers the
-//! client with an internal error, and the shard thread — and every
-//! other session it owns — keeps serving.
+//! Every job body runs under `catch_unwind`, so a panicking handler
+//! never takes the shard thread — or any other session it owns — down
+//! with it. Client session jobs carry their own panic rule
+//! (`server::route_session`): the session the handler was touching is
+//! dropped (its state is suspect), and the request's reply slot answers
+//! the client with an internal error.
 
-use crate::protocol::param_bits_string;
-use crate::session::{CachedWords, ManagerCore, SessionState, TurnOutcome};
+use crate::session::{ManagerCore, SessionState};
 use crate::telemetry as tel;
 use pfdbg_util::{BitVec, FxHashMap};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Jobs drained per poll iteration. Bounds the latency a late-batch job
-/// sees behind earlier ones while still amortizing the cache lock.
+/// sees behind earlier ones while still amortizing the inbox lock.
 const MAX_BATCH: usize = 64;
 
 /// Lock a mutex, recovering from poisoning instead of cascading the
@@ -64,23 +66,9 @@ pub(crate) enum SelectSpec {
 
 /// One unit of shard work.
 pub(crate) enum Job {
-    /// A client select — first-class (not an opaque closure) so the
-    /// shard loop can see its parameter key and prefetch the LRU entry
-    /// in the batch pass.
-    Select {
-        /// Session name.
-        session: String,
-        /// Parameter vector or signal selection.
-        spec: SelectSpec,
-        /// `(request parse time, budget)` — queue wait counts against
-        /// the deadline, so a select that sat in a saturated inbox can
-        /// miss before it runs.
-        deadline: Option<(Instant, Duration)>,
-        /// Reply continuation; always called exactly once.
-        respond: Box<dyn FnOnce(Result<TurnOutcome, String>) + Send>,
-    },
-    /// Any other session operation, run with exclusive access to the
-    /// shard's state.
+    /// A session operation — client verbs, selects included, and
+    /// internal work alike — run with exclusive access to the shard's
+    /// state.
     Run(Box<dyn FnOnce(&mut Shard) + Send>),
     /// Expand into one internal scrub job per owned session. The
     /// expansion interleaves with queued selects instead of stalling
@@ -218,11 +206,6 @@ pub(crate) struct Shard {
     /// The sessions this shard owns. No locks: only the shard thread
     /// touches them.
     pub(crate) sessions: FxHashMap<String, SessionState>,
-    /// Per-batch LRU prefetch: every `select` key in the current batch,
-    /// looked up under one cache lock. Entries published or invalidated
-    /// by jobs in the same batch update this map too, so within-batch
-    /// ordering semantics match the old one-lock-per-select path.
-    pub(crate) batch: FxHashMap<String, CachedWords>,
 }
 
 /// Decrements the pending-scrub counter even if the scrub itself
@@ -267,36 +250,12 @@ impl Shard {
     }
 }
 
-fn prefetch_batch(shard: &mut Shard, entries: &[Entry]) {
-    shard.batch.clear();
-    let mut keys: Vec<String> = entries
-        .iter()
-        .filter_map(|e| match &e.job {
-            Job::Select { spec: SelectSpec::Params(p), .. } => Some(param_bits_string(p)),
-            _ => None,
-        })
-        .collect();
-    if keys.is_empty() {
-        return;
-    }
-    keys.sort_unstable();
-    keys.dedup();
-    let mut cache = relock(shard.core.cache());
-    for key in keys {
-        if let Some(bits) = cache.get(&key) {
-            let bits = bits.clone();
-            shard.batch.insert(key, bits);
-        }
-    }
-}
-
 fn shard_loop(id: usize, core: Arc<ManagerCore>, inbox: Arc<Inbox>) {
-    let mut shard = Shard { id, core, sessions: FxHashMap::default(), batch: FxHashMap::default() };
+    let mut shard = Shard { id, core, sessions: FxHashMap::default() };
     let depth_gauge = format!("serve.shard{}.inbox_depth", shard.id);
     let mut entries: Vec<Entry> = Vec::with_capacity(MAX_BATCH);
     while let Some(left) = inbox.pop_batch(&mut entries) {
         pfdbg_obs::gauge_set(&depth_gauge, left as f64);
-        prefetch_batch(&mut shard, &entries);
         for entry in entries.drain(..) {
             if entry.client {
                 let waited_us = entry.enqueued.elapsed().as_secs_f64() * 1e6;
@@ -304,21 +263,6 @@ fn shard_loop(id: usize, core: Arc<ManagerCore>, inbox: Arc<Inbox>) {
                 tel::SLO_INBOX.observe_us(waited_us);
             }
             match entry.job {
-                Job::Select { session, spec, deadline, respond } => {
-                    let run =
-                        catch_unwind(AssertUnwindSafe(|| shard.select(&session, spec, deadline)));
-                    match run {
-                        Ok(result) => respond(result),
-                        Err(_) => {
-                            tel::HANDLER_PANICS.add(1);
-                            shard.drop_session_after_panic(&session);
-                            respond(Err(format!(
-                                "internal error: select handler panicked; \
-                                 session {session:?} dropped"
-                            )));
-                        }
-                    }
-                }
                 Job::Run(f) => {
                     if catch_unwind(AssertUnwindSafe(|| f(&mut shard))).is_err() {
                         tel::HANDLER_PANICS.add(1);

@@ -1,15 +1,18 @@
 //! Protocol fuzzing: arbitrary and malformed request lines against a
 //! live server. The contract under test is total: *every* line gets
 //! exactly one error reply, and the worker that served it survives to
-//! answer a well-formed ping on the same connection.
+//! answer a well-formed ping on the same connection. A line too long
+//! to ever complete closes its connection instead, and the server
+//! keeps serving everyone else.
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_serve::server::{Server, ServerConfig};
 use pfdbg_serve::session::{Engine, SessionManager};
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 fn build_engine() -> Engine {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
@@ -133,4 +136,46 @@ proptest! {
             "worker did not survive {:?}", line
         );
     }
+}
+
+/// Regression: the server reads at most 256 KB of unparsed data per
+/// connection, so a longer request line can never complete. It used to
+/// leave its connection wedged — no reply, no close, and no later
+/// request on it ever answered. Now the server closes the connection
+/// (the client sees EOF or a reset), and a fresh connection is served.
+#[test]
+fn an_oversized_line_closes_its_connection_and_the_server_serves_on() {
+    let stream = TcpStream::connect(server_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // 300 KB and no newline, from a thread of its own: the server stops
+    // reading at its buffer limit, so the tail may never drain, and a
+    // write into a closed connection fails harmlessly.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 300 * 1024]);
+    });
+    let mut reader = stream;
+    let mut buf = [0u8; 64];
+    match reader.read(&mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("server replied to an incomplete line: {:?}", &buf[..n]),
+        Err(e) => assert!(
+            matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted),
+            "connection left open after an oversized line: {e}"
+        ),
+    }
+    flood.join().unwrap();
+
+    let fresh = TcpStream::connect(server_addr()).unwrap();
+    fresh.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut writer = fresh.try_clone().unwrap();
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    BufReader::new(fresh).read_line(&mut pong).unwrap();
+    let events = pfdbg_obs::jsonl::parse_jsonl(&pong).unwrap();
+    assert_eq!(
+        events.first().and_then(|ev| ev.fields.get("ok")),
+        Some(&pfdbg_obs::jsonl::JsonValue::Bool(true)),
+        "a fresh connection went unanswered: {pong:?}"
+    );
 }

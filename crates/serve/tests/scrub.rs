@@ -341,6 +341,59 @@ fn health_and_scrub_verbs_report_over_tcp() {
     server.shutdown();
 }
 
+/// The LRU's publication and invalidation order on the route clients
+/// use: two sessions on one shard, one pipelined write of five
+/// requests. A's select publishes v, B's select of v hits it, A's
+/// scrub repairs upsets and drops v, so B's next select of v misses
+/// and republishes it, and A's then hits.
+/// `scrub_repair_invalidates_the_cached_specialization` checks the
+/// invalidation through the embedding facade, which clients never use.
+#[test]
+fn pipelined_selects_and_scrubs_on_one_shard_keep_the_lru_order() {
+    let server = start_seu_server(SeuConfig { rate: 1.0, burst: 1, seed: 41 }, 0.0);
+    let sessions = server.sessions();
+    let a = "lru-a";
+    let b = (0..)
+        .map(|i| format!("lru-b{i}"))
+        .find(|name| sessions.shard_index(name) == sessions.shard_index(a))
+        .unwrap();
+    let mut c = Client::connect(server.local_addr());
+    assert_ok(&c.roundtrip(&format!("{{\"op\":\"open\",\"session\":\"{a}\"}}")));
+    let open = c.roundtrip(&format!("{{\"op\":\"open\",\"session\":\"{b}\"}}"));
+    assert_ok(&open);
+    let n = open.num("n_params").unwrap() as usize;
+    let v: String = (0..n).map(|i| if i == 0 { '1' } else { '0' }).collect();
+
+    let select =
+        |s: &str| format!("{{\"op\":\"select\",\"session\":\"{s}\",\"params\":\"{v}\"}}\n");
+    let scrub = format!("{{\"op\":\"scrub\",\"session\":\"{a}\"}}\n");
+    let burst = [select(a), select(&b), scrub, select(&b), select(a)].concat();
+    c.writer.write_all(burst.as_bytes()).unwrap();
+    c.writer.flush().unwrap();
+    let mut replies = Vec::new();
+    for _ in 0..5 {
+        let mut line = String::new();
+        c.reader.read_line(&mut line).unwrap();
+        let mut events = pfdbg_obs::jsonl::parse_jsonl(&line).unwrap();
+        assert_eq!(events.len(), 1, "one reply per request: {line:?}");
+        let ev = events.remove(0);
+        assert_ok(&ev);
+        replies.push(ev);
+    }
+    let cache: Vec<Option<&str>> = replies.iter().map(|r| r.str("cache")).collect();
+    assert_eq!(
+        cache,
+        [Some("miss"), Some("hit"), None, Some("miss"), Some("hit")],
+        "LRU order broken: {replies:?}"
+    );
+    assert!(
+        replies[2].num("repaired_frames").unwrap() > 0.0,
+        "rate-1.0 SEUs must give the scrub something to repair: {:?}",
+        replies[2]
+    );
+    server.shutdown();
+}
+
 /// The background scrubber thread: with a short interval it scrubs
 /// idle sessions on its own — no client ever sends `scrub` — and its
 /// passes show up in `health` and `stats`.

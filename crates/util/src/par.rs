@@ -2,8 +2,8 @@
 //! [`std::thread::scope`].
 //!
 //! The offline flow (cut enumeration, cone matching, routing, BDD
-//! construction) and the online SCG evaluation loop are all shaped the
-//! same way: a list of independent work items whose results must be
+//! construction) and the SCG's per-function reference evaluation are
+//! all shaped the same way: a list of independent work items whose results must be
 //! recombined *in item order* so the output is bit-identical to the
 //! serial run. This module provides exactly that shape and nothing
 //! more:
@@ -27,9 +27,8 @@
 //! the caller's thread with no spawning, so `threads = 1` is the serial
 //! code path, not a degenerate parallel one.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 /// Environment variable consulted by [`threads`] when no programmatic
 /// override is set.
@@ -94,66 +93,6 @@ fn chunk_size(len: usize, workers: usize) -> usize {
     len.div_ceil(workers * 4).max(1)
 }
 
-/// Fixed-point shift for [`ChunkTuner`]'s EWMA (48.16 nanoseconds per
-/// item — sub-nanosecond items still register as nonzero).
-const TUNE_FP_SHIFT: u32 = 16;
-
-/// Wall-clock target for one claimed chunk: long enough to amortize
-/// the atomic claim, short enough that the cursor still load-balances.
-const TUNE_TARGET_NS: u64 = 200_000;
-
-/// Online chunk-size autotuner for repeated parallel maps over
-/// similarly-shaped work (e.g. the SCG's per-turn tunable sweep).
-///
-/// Tracks an exponentially-weighted moving average of nanoseconds per
-/// item and suggests a chunk size that puts each claimed chunk near
-/// `TUNE_TARGET_NS` (200 µs). The tuner is **performance-only** by
-/// construction: chunk size changes which worker claims which slice,
-/// but per-chunk results are merged by chunk index, so the output is
-/// bit-identical for every suggestion (and every thread count).
-/// Internally atomic — share one tuner per call site, even across
-/// threads; a lost update under a race only costs a slightly stale
-/// estimate.
-#[derive(Debug, Default)]
-pub struct ChunkTuner {
-    /// EWMA of per-item cost in 48.16 fixed-point ns (0 = no sample yet).
-    ewma_fp_ns: AtomicU64,
-}
-
-impl ChunkTuner {
-    /// A tuner with no samples; usable as a `static`.
-    pub const fn new() -> Self {
-        Self { ewma_fp_ns: AtomicU64::new(0) }
-    }
-
-    /// Suggested chunk size (in items) for `len` items on `workers`
-    /// threads. Before any sample lands this is the static ~4-chunks-
-    /// per-worker default; afterwards it targets `TUNE_TARGET_NS`
-    /// per chunk, clamped so every worker still sees at least two
-    /// chunks (load balance) and every chunk at least one item.
-    pub fn suggest(&self, len: usize, workers: usize) -> usize {
-        let fp = self.ewma_fp_ns.load(Ordering::Relaxed);
-        if fp == 0 || len == 0 {
-            return chunk_size(len, workers.max(1));
-        }
-        let chunk = ((TUNE_TARGET_NS << TUNE_FP_SHIFT) / fp) as usize;
-        chunk.clamp(1, len.div_ceil(workers.max(1) * 2).max(1))
-    }
-
-    /// Feed back the measured wall time of a map over `items` items.
-    pub fn record(&self, items: usize, elapsed: Duration) {
-        if items == 0 {
-            return;
-        }
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX >> TUNE_FP_SHIFT);
-        let sample = (ns << TUNE_FP_SHIFT) / items as u64;
-        let old = self.ewma_fp_ns.load(Ordering::Relaxed);
-        // EWMA with alpha = 1/4; first sample seeds the average.
-        let new = if old == 0 { sample } else { old - old / 4 + sample / 4 };
-        self.ewma_fp_ns.store(new.max(1), Ordering::Relaxed);
-    }
-}
-
 /// Parallel map over `items` using the global thread policy; results
 /// are returned in item order. See [`map_in`].
 pub fn map<T, U, F>(items: &[T], f: F) -> Vec<U>
@@ -190,26 +129,11 @@ where
     F: Fn(&mut S, &T) -> U + Sync,
 {
     let workers = resolve(workers).min(items.len()).max(1);
-    let chunk = chunk_size(items.len(), workers);
-    map_chunked_in(workers, items, chunk, init, f)
-}
-
-/// Core of the dynamic-self-scheduling map: `workers` is already
-/// resolved and `chunk` is the claim granularity (any value ≥ 1 yields
-/// the same merged output — only load balance changes).
-fn map_chunked_in<T, U, S, I, F>(workers: usize, items: &[T], chunk: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
     if workers == 1 || items.len() <= 1 {
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();
     }
-    let chunk = chunk.max(1);
+    let chunk = chunk_size(items.len(), workers);
     let n_chunks = items.len().div_ceil(chunk);
     let cursor = AtomicUsize::new(0);
     // Workers claim chunk indices from the shared cursor and return
@@ -339,31 +263,6 @@ where
     map_in(workers, &shards, |r| f(r.clone()))
 }
 
-/// [`map_shards`] with chunk-size autotuning: the claim granularity
-/// over the shard list comes from `tuner`, and the measured wall time
-/// feeds back into it. Shard *boundaries* are still a function of the
-/// work size only — the tuner changes scheduling, never the shard
-/// structure or the merged output.
-pub fn map_shards_tuned<U, F>(
-    workers: usize,
-    len: usize,
-    shard_size: usize,
-    tuner: &ChunkTuner,
-    f: F,
-) -> Vec<U>
-where
-    U: Send,
-    F: Fn(std::ops::Range<usize>) -> U + Sync,
-{
-    let shards = shard_ranges(len, shard_size);
-    let workers = resolve(workers).min(shards.len()).max(1);
-    let chunk = tuner.suggest(shards.len(), workers);
-    let t0 = Instant::now();
-    let out = map_chunked_in(workers, &shards, chunk, || (), |(), r| f(r.clone()));
-    tuner.record(shards.len(), t0.elapsed());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,36 +347,6 @@ mod tests {
         let got = map_reuse_in(4, &[] as &[u32], &mut pool, || 0, |_s, &x| x);
         assert_eq!(got, Vec::<u32>::new());
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn tuner_suggestions_stay_in_bounds() {
-        let t = ChunkTuner::new();
-        // Unseeded: static default.
-        assert_eq!(t.suggest(1000, 4), chunk_size(1000, 4));
-        // Very cheap items: chunk grows but never exceeds len/(2*workers).
-        t.record(1_000_000, Duration::from_micros(100));
-        let c = t.suggest(1000, 4);
-        assert!((1..=125).contains(&c), "cheap suggestion {c}");
-        assert_eq!(t.suggest(1000, 4).max(1), c); // stable without new samples
-                                                  // Very expensive items: chunk collapses to 1.
-        for _ in 0..32 {
-            t.record(10, Duration::from_millis(100));
-        }
-        assert_eq!(t.suggest(1000, 4), 1);
-        assert_eq!(t.suggest(0, 4), 1); // empty work never panics
-    }
-
-    #[test]
-    fn tuned_shards_match_untuned_at_every_worker_count() {
-        let tuner = ChunkTuner::new();
-        let expect = map_shards(1, 103, 16, |r| (r.start, r.end));
-        for round in 0..3 {
-            for workers in [1, 2, 8] {
-                let got = map_shards_tuned(workers, 103, 16, &tuner, |r| (r.start, r.end));
-                assert_eq!(got, expect, "round={round} workers={workers}");
-            }
-        }
     }
 
     #[test]
