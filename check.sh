@@ -41,6 +41,12 @@ echo "== cargo test (PFDBG_THREADS=8) =="
 # tests assert.
 PFDBG_THREADS=8 cargo test -q --workspace
 
+echo "== golden digests (release profile) =="
+# pfbench measures release builds, so the place, route and
+# specialization pins must hold in that profile too, not only in the
+# debug build the suite runs in.
+cargo test --release -q --test pr_golden
+
 echo "== chaos pass (PFDBG_ICAP_FAULT_RATE=0.05) =="
 # The chaos suites again with a 5% injected ICAP fault rate layered on
 # top of their built-in sweeps: every committed turn must stay

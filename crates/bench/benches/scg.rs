@@ -21,7 +21,7 @@ fn synthetic_scg(n_bits: usize, n_params: usize) -> Scg {
     let bus: Vec<u32> = (0..n_params as u32).collect();
     for i in 0..n_bits {
         // Each bit on when a 4-bit slice of the bus equals a value —
-        // the shape tcon_condition produces for mux trees.
+        // the shape tcon_conditions produces for mux trees.
         let s = i % (n_params - 3);
         let slice = &bus[s..s + 4];
         let f = m.minterm(slice, i % 16);

@@ -13,7 +13,7 @@ use pfdbg_arch::{BitstreamLayout, IcapModel, RRNode, VIRTEX5_CONFIG_BITS, VIRTEX
 use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use pfdbg_map::{map_parameterized_network_with, ElemKind};
 use pfdbg_netlist::truth::TruthTable;
-use pfdbg_netlist::{Network, NodeId};
+use pfdbg_netlist::{Network, Node, NodeId};
 use pfdbg_obs::LazyHistogram;
 use pfdbg_pconf::{Bdd, BddManager, CommitPolicy, GeneralizedBuilder, OnlineReconfigurator, Scg};
 use pfdbg_pr::{tpar, TparConfig, TparResult};
@@ -289,65 +289,85 @@ fn param_var_map(
     out
 }
 
-/// The selection condition under which TCON tree node `node` forwards the
-/// value of `source`: a Boolean function of the select parameters.
-pub fn tcon_condition(
-    nw: &Network,
-    kinds: &FxHashMap<NodeId, ElemKind>,
+/// Every assignment of `node`'s parameter fanins, in counting order (bit
+/// `i` of the assignment drives the `i`-th parameter fanin): the node's
+/// truth table with the parameters restricted away, over its remaining
+/// (real) fanins in order, and the assignment's minterm over the
+/// parameters' BDD variables.
+fn param_assignments(
+    node: &Node,
     param_var: &FxHashMap<NodeId, u32>,
     manager: &mut BddManager,
-    node: NodeId,
-    source: NodeId,
-) -> Bdd {
-    let is_tcon = |id: NodeId| nw.node(id).is_table() && kinds.get(&id) == Some(&ElemKind::TCon);
-    if !is_tcon(node) {
-        return manager.constant(node == source);
-    }
-    let n = nw.node(node);
-    let table = n.table().expect("TCON is a table");
-    // Positions of parameter fanins and their BDD variables.
-    let param_positions: Vec<(usize, u32)> = n
+) -> Vec<(TruthTable, Bdd)> {
+    let table = node.table().expect("parameterized element is a table");
+    let param_positions: Vec<(usize, u32)> = node
         .fanins
         .iter()
         .enumerate()
         .filter_map(|(i, f)| param_var.get(f).map(|&v| (i, v)))
         .collect();
-    let n_p = param_positions.len();
-    let mut cond = Bdd::FALSE;
-    for a in 0..(1usize << n_p) {
-        // Residual under this parameter assignment.
-        let mut residual = table.clone();
-        for (bit, &(pos, _)) in param_positions.iter().enumerate().rev() {
-            residual = residual.restrict(pos, (a >> bit) & 1 == 1);
-        }
-        // Which real fanin does it select?
-        let real_fanins: Vec<NodeId> = n
-            .fanins
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !param_positions.iter().any(|&(p, _)| p == *i))
-            .map(|(_, &f)| f)
-            .collect();
-        let selected = (0..residual.nvars())
-            .find(|&v| residual == TruthTable::var(residual.nvars(), v))
-            .map(|v| real_fanins[v]);
-        let Some(sel) = selected else { continue };
-        // Recurse into the selected fanin.
-        let sub = tcon_condition(nw, kinds, param_var, manager, sel, source);
-        if sub == Bdd::FALSE {
+    (0..1usize << param_positions.len())
+        .map(|a| {
+            let mut residual = table.clone();
+            for (bit, &(pos, _)) in param_positions.iter().enumerate().rev() {
+                residual = residual.restrict(pos, (a >> bit) & 1 == 1);
+            }
+            let mut mt = Bdd::TRUE;
+            for (bit, &(_, var)) in param_positions.iter().enumerate() {
+                let lit = manager.var(var);
+                let lit = if (a >> bit) & 1 == 1 { lit } else { manager.not(lit) };
+                mt = manager.and(mt, lit);
+            }
+            (residual, mt)
+        })
+        .collect()
+}
+
+/// The selection conditions of the TCON tree rooted at `root`: entry `i`
+/// is the Boolean function of the select parameters under which the
+/// tree forwards `sources[i]`, [`Bdd::FALSE`] for a source no
+/// assignment selects.
+///
+/// One top-down walk serves every source: each root-to-leaf path's
+/// conjunction of per-element assignment minterms is ORed into the leaf
+/// it reaches. By distributivity that is the same function as expanding
+/// one source's condition element by element from the root, so each
+/// result is the same canonical BDD, at the cost of one walk per tree
+/// instead of one per source.
+pub fn tcon_conditions(
+    nw: &Network,
+    kinds: &FxHashMap<NodeId, ElemKind>,
+    param_var: &FxHashMap<NodeId, u32>,
+    manager: &mut BddManager,
+    root: NodeId,
+    sources: &[NodeId],
+) -> Vec<Bdd> {
+    let mut conds = vec![Bdd::FALSE; sources.len()];
+    // (element, condition of the path from the root to it).
+    let mut stack = vec![(root, Bdd::TRUE)];
+    while let Some((id, path)) = stack.pop() {
+        let node = nw.node(id);
+        if !node.is_table() || kinds.get(&id) != Some(&ElemKind::TCon) {
+            for (cond, _) in conds.iter_mut().zip(sources).filter(|&(_, &s)| s == id) {
+                *cond = manager.or(*cond, path);
+            }
             continue;
         }
-        // Minterm of this assignment over the element's own parameters.
-        let mut mt = Bdd::TRUE;
-        for (bit, &(_, var)) in param_positions.iter().enumerate() {
-            let lit = manager.var(var);
-            let lit = if (a >> bit) & 1 == 1 { lit } else { manager.not(lit) };
-            mt = manager.and(mt, lit);
+        let real_fanins: Vec<NodeId> =
+            node.fanins.iter().copied().filter(|f| !param_var.contains_key(f)).collect();
+        for (residual, mt) in param_assignments(node, param_var, manager) {
+            // The real fanin this assignment forwards, if any.
+            let n = residual.nvars();
+            let Some(v) = (0..n).find(|&v| residual == TruthTable::var(n, v)) else {
+                continue;
+            };
+            let term = manager.and(path, mt);
+            if term != Bdd::FALSE {
+                stack.push((real_fanins[v], term));
+            }
         }
-        let term = manager.and(mt, sub);
-        cond = manager.or(cond, term);
     }
-    cond
+    conds
 }
 
 /// Build the per-row parameter functions of one tunable LUT: each
@@ -359,28 +379,10 @@ fn tlut_row_funcs(
     lut: NodeId,
     manager: &mut BddManager,
 ) -> Vec<Bdd> {
-    let node = mapped.node(lut);
-    let table = node.table().expect("BLE LUT is a table");
-    let param_positions: Vec<(usize, u32)> = node
-        .fanins
-        .iter()
-        .enumerate()
-        .filter_map(|(i, f)| param_var.get(f).map(|&v| (i, v)))
-        .collect();
-    let n_p = param_positions.len();
-    let real_n = table.nvars() - n_p;
+    let assignments = param_assignments(mapped.node(lut), param_var, manager);
+    let real_n = assignments[0].0.nvars();
     let mut row_funcs: Vec<Bdd> = vec![Bdd::FALSE; 1 << real_n];
-    for a in 0..(1usize << n_p) {
-        let mut residual = table.clone();
-        for (bit, &(pos, _)) in param_positions.iter().enumerate().rev() {
-            residual = residual.restrict(pos, (a >> bit) & 1 == 1);
-        }
-        let mut mt = Bdd::TRUE;
-        for (bit, &(_, var)) in param_positions.iter().enumerate() {
-            let lit = manager.var(var);
-            let lit = if (a >> bit) & 1 == 1 { lit } else { manager.not(lit) };
-            mt = manager.and(mt, lit);
-        }
+    for (residual, mt) in assignments {
         for (row, func) in row_funcs.iter_mut().enumerate() {
             if residual.bit(row) {
                 *func = manager.or(*func, mt);
@@ -503,7 +505,7 @@ fn write_switch_bits(
     // Accumulate per-edge functions (an edge can serve several
     // alternatives of one net, or — for constant nets — be simply on).
     // Nets are sharded with a fixed shard size; each shard builds its
-    // `tcon_condition` BDDs in a local manager and reports its edges in
+    // `tcon_conditions` BDDs in a local manager and reports its edges in
     // first-touch order, so the shard-order merge below is identical at
     // every thread count.
     let routes = &result.routed.routes;
@@ -514,13 +516,16 @@ fn write_switch_bits(
             let mut acc: FxHashMap<u32, Bdd> = FxHashMap::default();
             for nr in &routes[range] {
                 let net = &result.packed.nets[nr.net];
+                // Every alternative's condition from one walk of the
+                // net's TCON tree.
+                let conds = if net.tunable {
+                    let sources = &net.source_nodes;
+                    tcon_conditions(mapped, kinds, param_var, &mut local, net.driver, sources)
+                } else {
+                    Vec::new()
+                };
                 for branch in &nr.branches {
-                    let cond = if net.tunable {
-                        let source = net.source_nodes[branch.alternative];
-                        tcon_condition(mapped, kinds, param_var, &mut local, net.driver, source)
-                    } else {
-                        Bdd::TRUE
-                    };
+                    let cond = if net.tunable { conds[branch.alternative] } else { Bdd::TRUE };
                     for &(from, to) in &branch.edges {
                         let e = edge_id(from, to)
                             .ok_or_else(|| format!("routed edge {from:?}->{to:?} not in RRG"))?;
@@ -686,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn tcon_condition_matches_mux_semantics() {
+    fn tcon_conditions_match_mux_semantics() {
         // Build a 2:1 parameterized mux directly in a mapped-style
         // network and check both selection conditions.
         let mut nw = Network::new("m");
@@ -701,8 +706,8 @@ mod tests {
         let mut param_var = FxHashMap::default();
         param_var.insert(s, 0u32);
         let mut mgr = BddManager::new();
-        let c0 = tcon_condition(&nw, &kinds, &param_var, &mut mgr, m, d0);
-        let c1 = tcon_condition(&nw, &kinds, &param_var, &mut mgr, m, d1);
+        let conds = tcon_conditions(&nw, &kinds, &param_var, &mut mgr, m, &[d0, d1]);
+        let (c0, c1) = (conds[0], conds[1]);
         let zero: BitVec = [false].into_iter().collect();
         let one: BitVec = [true].into_iter().collect();
         assert!(mgr.eval(c0, &zero) && !mgr.eval(c0, &one));
@@ -715,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn tcon_condition_composes_through_trees() {
+    fn tcon_conditions_compose_through_trees() {
         // 4:1 tree: m2 selects between m0 (d0/d1 by s0) and m1 (d2/d3 by
         // s0) using s1.
         let mut nw = Network::new("t");
@@ -736,11 +741,160 @@ mod tests {
         param_var.insert(s0, 0u32);
         param_var.insert(s1, 1u32);
         let mut mgr = BddManager::new();
-        for (i, &di) in d.iter().enumerate() {
-            let c = tcon_condition(&nw, &kinds, &param_var, &mut mgr, m2, di);
+        let conds = tcon_conditions(&nw, &kinds, &param_var, &mut mgr, m2, &d);
+        for (i, &c) in conds.iter().enumerate() {
             for v in 0..4usize {
                 let asg: BitVec = [(v & 1) == 1, (v & 2) == 2].into_iter().collect();
                 assert_eq!(mgr.eval(c, &asg), v == i, "source d{i}, select {v}");
+            }
+        }
+    }
+
+    /// A random TCON tree over `n_data` data inputs and `n_params`
+    /// parameters, built from `n_muxes` 2:1 and 4:1 selectors whose
+    /// fanins sit in random positions. Operands are drawn with
+    /// replacement from the data inputs and the selectors built so far,
+    /// so leaves (and whole subtrees) are reachable along several paths;
+    /// parameters are reused across levels, so some paths contradict
+    /// themselves; and some data inputs are never reached at all.
+    /// Returns the network, the element kinds, the parameter variables,
+    /// the root, and the data inputs.
+    #[allow(clippy::type_complexity)]
+    fn random_tcon_tree(
+        n_data: usize,
+        n_params: usize,
+        n_muxes: usize,
+        seed: u64,
+    ) -> (Network, FxHashMap<NodeId, ElemKind>, FxHashMap<NodeId, u32>, NodeId, Vec<NodeId>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nw = Network::new("tree");
+        let data: Vec<NodeId> = (0..n_data).map(|i| nw.add_input(format!("d{i}"))).collect();
+        let params: Vec<NodeId> = (0..n_params).map(|i| nw.add_input(format!("s{i}"))).collect();
+        let mut param_var = FxHashMap::default();
+        for (v, &p) in params.iter().enumerate() {
+            nw.set_param(p, true);
+            param_var.insert(p, v as u32);
+        }
+        let mut kinds = FxHashMap::default();
+        let mut operands = data.clone();
+        let mut root = data[0];
+        for m in 0..n_muxes {
+            let n_sel = if n_params >= 2 && rng.gen_bool(0.5) { 2 } else { 1 };
+            // Distinct select parameters within one selector.
+            let mut sels: Vec<NodeId> = Vec::new();
+            while sels.len() < n_sel {
+                let p = params[rng.gen_range(0..n_params)];
+                if !sels.contains(&p) {
+                    sels.push(p);
+                }
+            }
+            let ins: Vec<NodeId> =
+                (0..1 << n_sel).map(|_| operands[rng.gen_range(0..operands.len())]).collect();
+            // Role of each fanin position: `Ok(i)` data input i, `Err(j)`
+            // select bit j; shuffled (Fisher-Yates) into random positions.
+            let mut roles: Vec<Result<usize, usize>> =
+                (0..ins.len()).map(Ok).chain((0..n_sel).map(Err)).collect();
+            for i in (1..roles.len()).rev() {
+                roles.swap(i, rng.gen_range(0..=i));
+            }
+            let nvars = roles.len();
+            let bits: Vec<bool> = (0..1usize << nvars)
+                .map(|row| {
+                    let at = |role| roles.iter().position(|&r| r == role).unwrap();
+                    let sel: usize = (0..n_sel).map(|j| ((row >> at(Err(j))) & 1) << j).sum();
+                    (row >> at(Ok(sel))) & 1 == 1
+                })
+                .collect();
+            let fanins = roles
+                .iter()
+                .map(|r| match *r {
+                    Ok(i) => ins[i],
+                    Err(j) => sels[j],
+                })
+                .collect();
+            root = nw.add_table(format!("m{m}"), fanins, TruthTable::from_bits(nvars, &bits));
+            kinds.insert(root, ElemKind::TCon);
+            operands.push(root);
+        }
+        nw.add_output("y", root);
+        (nw, kinds, param_var, root, data)
+    }
+
+    /// The leaf the tree forwards under `asg`, found by evaluating each
+    /// selector's truth table: with the select fanins driven by `asg`,
+    /// the output follows exactly one data fanin, the one whose
+    /// one-hot probe reads 1.
+    fn forwarded_leaf(
+        nw: &Network,
+        kinds: &FxHashMap<NodeId, ElemKind>,
+        param_var: &FxHashMap<NodeId, u32>,
+        root: NodeId,
+        asg: &BitVec,
+    ) -> NodeId {
+        let mut id = root;
+        while kinds.get(&id) == Some(&ElemKind::TCon) {
+            let node = nw.node(id);
+            let table = node.table().unwrap();
+            let probe = |hot: Option<usize>| -> Vec<bool> {
+                let value = |(i, f): (usize, &NodeId)| match param_var.get(f) {
+                    Some(&v) => asg.get(v as usize),
+                    None => hot == Some(i),
+                };
+                node.fanins.iter().enumerate().map(value).collect()
+            };
+            assert!(!table.eval(&probe(None)), "selector {id:?} is not a mux");
+            let selected: Vec<usize> = (0..node.fanins.len())
+                .filter(|i| !param_var.contains_key(&node.fanins[*i]))
+                .filter(|&i| table.eval(&probe(Some(i))))
+                .collect();
+            assert_eq!(selected.len(), 1, "selector {id:?} forwards one data fanin");
+            id = node.fanins[selected[0]];
+        }
+        id
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Semantic oracle: under every parameter assignment, the leaf
+        /// the tree forwards is the one source whose condition holds,
+        /// and a source no assignment reaches gets `FALSE`.
+        #[test]
+        fn tcon_conditions_select_exactly_the_forwarded_leaf(
+            n_data in 1usize..7,
+            n_params in 1usize..5,
+            n_muxes in 1usize..9,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (nw, kinds, param_var, root, data) =
+                random_tcon_tree(n_data, n_params, n_muxes, seed);
+            let mut mgr = BddManager::new();
+            let conds = tcon_conditions(&nw, &kinds, &param_var, &mut mgr, root, &data);
+            proptest::prop_assert_eq!(conds.len(), data.len());
+            let mut reached = vec![false; data.len()];
+            for a in 0..1usize << n_params {
+                let asg: BitVec = (0..n_params).map(|v| (a >> v) & 1 == 1).collect();
+                let leaf = forwarded_leaf(&nw, &kinds, &param_var, root, &asg);
+                for (i, (&c, &d)) in conds.iter().zip(&data).enumerate() {
+                    proptest::prop_assert_eq!(
+                        mgr.eval(c, &asg),
+                        d == leaf,
+                        "source d{} under assignment {:#b}",
+                        i,
+                        a
+                    );
+                    reached[i] |= d == leaf;
+                }
+            }
+            for (i, &c) in conds.iter().enumerate() {
+                if !reached[i] {
+                    proptest::prop_assert_eq!(c, Bdd::FALSE, "unreachable source d{}", i);
+                }
             }
         }
     }

@@ -25,7 +25,7 @@ pub mod select;
 
 pub use baseline::{compare_mappers, MapperComparison};
 pub use baseline::{initial_mapping, prepare_instrumented};
-pub use flow::{offline, tcon_condition, MapStats, OfflineConfig, OfflineResult};
+pub use flow::{offline, tcon_conditions, MapStats, OfflineConfig, OfflineResult};
 pub use localize::{localize, LocalizationResult};
 pub use online::{DebugSession, SelectionPlan, TurnRecord};
 pub use param::{

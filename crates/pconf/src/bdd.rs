@@ -323,7 +323,7 @@ impl BddManager {
     /// is why [`crate::Scg::new`] compacts its manager to the live cone
     /// of the tunable functions first: on diffeq1 at paper
     /// instrumentation that is 4,158 nodes (terminals included) out of
-    /// the 28,412 the offline flow builds.
+    /// the 24,538 the offline flow builds.
     pub fn eval_all_into(&self, assignment: &BitVec, values: &mut Vec<u8>) {
         let params = assignment.words();
         values.resize(self.nodes.len(), 0);

@@ -71,10 +71,47 @@ fn crossing_factor(terminals: usize) -> f64 {
     }
 }
 
+/// Nets with more terminals than this keep per-column and per-row
+/// terminal counts and their bounding box: a move prices them from the
+/// counts instead of rescanning every terminal. On the benchmark
+/// designs only the trace-multiplexer nets cross it. Counting every
+/// net instead placed diffeq1 about 2× slower: scanning a few
+/// terminals is cheaper than keeping their count rows.
+pub const COUNTED_NET_TERMINALS: usize = 16;
+
 struct NetGeometry {
     /// Block terminals (sources' blocks + sinks), deduplicated.
     terminals: Vec<u32>,
     weight: f64,
+}
+
+/// A bounding box in tile coordinates, edges inclusive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BBox {
+    min_x: u16,
+    max_x: u16,
+    min_y: u16,
+    max_y: u16,
+}
+
+impl BBox {
+    /// The box of `terminals` under `locs` (`terminals` non-empty).
+    fn scan(terminals: &[u32], locs: &[Loc]) -> BBox {
+        let mut b = BBox { min_x: u16::MAX, max_x: 0, min_y: u16::MAX, max_y: 0 };
+        for &t in terminals {
+            let l = locs[t as usize];
+            b.min_x = b.min_x.min(l.x);
+            b.max_x = b.max_x.max(l.x);
+            b.min_y = b.min_y.min(l.y);
+            b.max_y = b.max_y.max(l.y);
+        }
+        b
+    }
+
+    /// Half-perimeter scaled by `weight`.
+    fn cost(self, weight: f64) -> f64 {
+        weight * ((self.max_x - self.min_x) as f64 + (self.max_y - self.min_y) as f64)
+    }
 }
 
 /// Fanout-weighted half-perimeter of one net's bounding box.
@@ -82,18 +119,70 @@ fn bbox_cost(net: &NetGeometry, locs: &[Loc]) -> f64 {
     if net.terminals.is_empty() {
         return 0.0;
     }
-    let mut min_x = u16::MAX;
-    let mut max_x = 0u16;
-    let mut min_y = u16::MAX;
-    let mut max_y = 0u16;
-    for &t in &net.terminals {
-        let l = locs[t as usize];
-        min_x = min_x.min(l.x);
-        max_x = max_x.max(l.x);
-        min_y = min_y.min(l.y);
-        max_y = max_y.max(l.y);
+    BBox::scan(&net.terminals, locs).cost(net.weight)
+}
+
+/// How many of a net's terminals sit in each grid column and row under
+/// the committed placement, and the box they span — kept for nets with
+/// more than [`COUNTED_NET_TERMINALS`] terminals.
+#[derive(Debug, Clone, PartialEq)]
+struct NetCounts {
+    cols: Vec<u16>,
+    rows: Vec<u16>,
+    bbox: BBox,
+}
+
+impl NetCounts {
+    fn new(terminals: &[u32], locs: &[Loc], width: usize, height: usize) -> NetCounts {
+        let mut c = NetCounts {
+            cols: vec![0; width],
+            rows: vec![0; height],
+            bbox: BBox::scan(terminals, locs),
+        };
+        for &t in terminals {
+            let l = locs[t as usize];
+            c.cols[l.x as usize] += 1;
+            c.rows[l.y as usize] += 1;
+        }
+        c
     }
-    net.weight * ((max_x - min_x) as f64 + (max_y - min_y) as f64)
+
+    /// The box after one terminal moves from `from` to `to`.
+    fn moved_box(&self, from: Loc, to: Loc) -> BBox {
+        let b = self.bbox;
+        let (min_x, max_x) = moved_span(&self.cols, b.min_x, b.max_x, from.x, to.x);
+        let (min_y, max_y) = moved_span(&self.rows, b.min_y, b.max_y, from.y, to.y);
+        BBox { min_x, max_x, min_y, max_y }
+    }
+
+    /// Commit a move priced by [`NetCounts::moved_box`].
+    fn apply(&mut self, from: Loc, to: Loc, bbox: BBox) {
+        self.cols[from.x as usize] -= 1;
+        self.cols[to.x as usize] += 1;
+        self.rows[from.y as usize] -= 1;
+        self.rows[to.y as usize] += 1;
+        self.bbox = bbox;
+    }
+}
+
+/// One axis of [`NetCounts::moved_box`]: the span `[lo, hi]` once a
+/// terminal leaves coordinate `from` for `to`, given the terminal count
+/// at each coordinate. The counts are read only when the terminal was
+/// alone on an edge and moves inward, and then only between that edge
+/// and `to`, which bounds the new edge.
+fn moved_span(count: &[u16], lo: u16, hi: u16, from: u16, to: u16) -> (u16, u16) {
+    let alone = count[from as usize] == 1;
+    let lo = if from == lo && alone && to > from {
+        (from + 1..to).find(|&c| count[c as usize] > 0).unwrap_or(to)
+    } else {
+        lo.min(to)
+    };
+    let hi = if from == hi && alone && to < from {
+        (to + 1..from).rev().find(|&c| count[c as usize] > 0).unwrap_or(to)
+    } else {
+        hi.max(to)
+    };
+    (lo, hi)
 }
 
 /// Marks a free slot in [`SlotClass::occupant`].
@@ -124,9 +213,11 @@ struct Move {
 /// Annealing state with incremental bookkeeping: a slot → block
 /// occupancy index per class and a per-net cost cache equal to
 /// [`bbox_cost`] of the committed placement, so a move costs one scan
-/// of its affected nets' after-state. Sums over the cache add the same
-/// values in the same order as a fresh scan would, so the anneal makes
-/// the same decisions bit for bit.
+/// of its affected nets' after-state — or, for a net with
+/// [`NetCounts`], a box update from the counts. Either way the cost is
+/// the same expression over the same box, and sums over the cache add
+/// the same values in the same order as a fresh scan would, so the
+/// anneal makes the same decisions bit for bit.
 struct Annealer {
     nets: Vec<NetGeometry>,
     /// Nets touching each block.
@@ -138,10 +229,16 @@ struct Annealer {
     slot_of: Vec<u32>,
     /// `bbox_cost` of every net under the committed `locs`.
     net_cost: Vec<f64>,
+    /// Terminal counts of every net with more than
+    /// [`COUNTED_NET_TERMINALS`] terminals, under the committed `locs`.
+    counts: Vec<Option<NetCounts>>,
     /// Nets affected by the pending move (sorted, deduplicated) and
     /// their after-move costs.
     affected: Vec<u32>,
     after: Vec<f64>,
+    /// The pending move's counted nets: net, the moved terminal's old
+    /// and new location, and the net's new box.
+    moved: Vec<(u32, Loc, Loc, BBox)>,
 }
 
 impl Annealer {
@@ -216,8 +313,10 @@ impl Annealer {
             locs: vec![Loc { x: 0, y: 0, sub: 0 }; n_blocks],
             slot_of: vec![0; n_blocks],
             net_cost: Vec::new(),
+            counts: Vec::new(),
             affected: Vec::new(),
             after: Vec::new(),
+            moved: Vec::new(),
         };
         for class in [&mut st.clb, &mut st.io] {
             for (i, &b) in class.blocks.iter().enumerate() {
@@ -227,6 +326,14 @@ impl Annealer {
             }
         }
         st.net_cost = st.nets.iter().map(|n| bbox_cost(n, &st.locs)).collect();
+        st.counts = st
+            .nets
+            .iter()
+            .map(|n| {
+                (n.terminals.len() > COUNTED_NET_TERMINALS)
+                    .then(|| NetCounts::new(&n.terminals, &st.locs, dev.width, dev.height))
+            })
+            .collect();
         Ok(st)
     }
 
@@ -261,32 +368,45 @@ impl Annealer {
         if let Some(b) = b {
             self.locs[b] = la;
         }
+        // Merge the two blocks' ascending net lists, pricing each net's
+        // after-state. A net holding both swapped blocks keeps the same
+        // set of terminal positions, so its bounding box and cost are
+        // unchanged; any other net has exactly one terminal moved.
         self.affected.clear();
-        self.affected.extend_from_slice(&self.nets_of_block[a]);
-        if let Some(b) = b {
-            self.affected.extend_from_slice(&self.nets_of_block[b]);
-        }
-        self.affected.sort_unstable();
-        // Deduplicate while pricing the after-state. A net holding both
-        // swapped blocks keeps the same set of terminal positions, so
-        // its bounding box and cost are unchanged.
         self.after.clear();
-        let mut kept = 0;
-        let mut k = 0;
-        while k < self.affected.len() {
-            let ni = self.affected[k];
-            let shared = self.affected.get(k + 1) == Some(&ni);
-            k += 1 + shared as usize;
-            self.affected[kept] = ni;
-            kept += 1;
-            let net = ni as usize;
-            self.after.push(if shared {
-                self.net_cost[net]
+        self.moved.clear();
+        let of_a = &self.nets_of_block[a];
+        let of_b: &[u32] = b.map_or(&[], |b| &self.nets_of_block[b]);
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let x = of_a.get(i).copied().unwrap_or(u32::MAX);
+            let y = of_b.get(j).copied().unwrap_or(u32::MAX);
+            let (ni, moved) = if x == y {
+                if x == u32::MAX {
+                    break;
+                }
+                (i, j) = (i + 1, j + 1);
+                (x, None)
+            } else if x < y {
+                i += 1;
+                (x, Some((la, slot)))
             } else {
-                bbox_cost(&self.nets[net], &self.locs)
-            });
+                j += 1;
+                (y, Some((slot, la)))
+            };
+            let net = ni as usize;
+            let cost = match (moved, &self.counts[net]) {
+                (None, _) => self.net_cost[net],
+                (Some((from, to)), Some(counts)) => {
+                    let bbox = counts.moved_box(from, to);
+                    self.moved.push((ni, from, to, bbox));
+                    bbox.cost(self.nets[net].weight)
+                }
+                (Some(_), None) => bbox_cost(&self.nets[net], &self.locs),
+            };
+            self.affected.push(ni);
+            self.after.push(cost);
         }
-        self.affected.truncate(kept);
         let before: f64 = self.affected.iter().map(|&ni| self.net_cost[ni as usize]).sum();
         let after: f64 = self.after.iter().sum();
         Some(Move { clb: use_clb, a, to: to as u32, b, delta: after - before })
@@ -307,6 +427,11 @@ impl Annealer {
         };
         for (&ni, &c) in self.affected.iter().zip(&self.after) {
             self.net_cost[ni as usize] = c;
+        }
+        for &(ni, from, to, bbox) in &self.moved {
+            if let Some(counts) = &mut self.counts[ni as usize] {
+                counts.apply(from, to, bbox);
+            }
         }
     }
 
@@ -533,21 +658,34 @@ mod tests {
     }
 
     /// `n_clb` CLBs and `n_pads` pads joined by `n_nets` nets over random
-    /// block subsets, a few of them wide, so moves hit shared nets,
-    /// swaps and free slots alike.
+    /// block subsets, so moves hit shared nets, swaps and free slots
+    /// alike. Every fifth net, the first included, is wide: more than
+    /// [`COUNTED_NET_TERMINALS`] distinct terminals, so it keeps
+    /// [`NetCounts`] (the design needs more blocks than that).
     fn random_design(n_clb: usize, n_pads: usize, n_nets: usize, seed: u64) -> PackedDesign {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut blocks: Vec<Block> = (0..n_clb).map(Block::Clb).collect();
         blocks.extend((0..n_pads).map(|p| Block::OutPad(format!("o{p}"))));
         let n_blocks = blocks.len();
+        assert!(n_blocks > COUNTED_NET_TERMINALS, "too few blocks for a counted net");
         let nets = (0..n_nets)
             .map(|i| {
-                let width = if i % 5 == 0 { n_blocks } else { 3 };
                 let sources = (0..rng.gen_range(1..3usize))
                     .map(|_| SourceRef { block: rng.gen_range(0..n_clb), ble: 0 })
                     .collect();
-                let sinks =
-                    (0..rng.gen_range(1..=width)).map(|_| rng.gen_range(0..n_blocks)).collect();
+                let sinks = if i % 5 == 0 {
+                    // A random subset of distinct blocks (partial
+                    // Fisher-Yates).
+                    let mut all: Vec<usize> = (0..n_blocks).collect();
+                    let n = rng.gen_range(COUNTED_NET_TERMINALS + 1..=n_blocks);
+                    for k in 0..n {
+                        all.swap(k, rng.gen_range(k..n_blocks));
+                    }
+                    all.truncate(n);
+                    all
+                } else {
+                    (0..rng.gen_range(1..=3)).map(|_| rng.gen_range(0..n_blocks)).collect()
+                };
                 PRNet {
                     name: format!("n{i}"),
                     sources,
@@ -562,7 +700,9 @@ mod tests {
     }
 
     /// The cache equals `bbox_cost` recomputed from scratch, bit for
-    /// bit, and the occupancy index and `slot_of` agree with `locs`.
+    /// bit, every counted net's counts and box equal a fresh scan of its
+    /// terminals, and the occupancy index and `slot_of` agree with
+    /// `locs`.
     fn assert_bookkeeping(st: &Annealer) {
         for (ni, net) in st.nets.iter().enumerate() {
             assert_eq!(
@@ -570,6 +710,12 @@ mod tests {
                 bbox_cost(net, &st.locs).to_bits(),
                 "cached cost of net {ni} is stale"
             );
+            let counted = net.terminals.len() > COUNTED_NET_TERMINALS;
+            assert_eq!(st.counts[ni].is_some(), counted, "net {ni} counted");
+            if let Some(c) = &st.counts[ni] {
+                let fresh = NetCounts::new(&net.terminals, &st.locs, c.cols.len(), c.rows.len());
+                assert_eq!(c, &fresh, "counts of net {ni} are stale");
+            }
         }
         for class in [&st.clb, &st.io] {
             for (i, &slot) in class.slots.iter().enumerate() {
@@ -587,8 +733,8 @@ mod tests {
 
         #[test]
         fn cached_costs_and_occupancy_track_random_moves(
-            n_clb in 1usize..24,
-            n_pads in 0usize..10,
+            n_clb in 17usize..24,
+            n_pads in 0usize..16,
             n_nets in 1usize..30,
             seed in any::<u64>(),
         ) {

@@ -611,10 +611,12 @@ fn retry_after_ms(shared: &Shared, idx: usize) -> f64 {
 /// inbox is full. The reservation happens *before* the job exists, so a
 /// shed request costs an allocation-free counter update and one reply.
 ///
-/// Every session verb, select included, takes this route, so one panic
-/// rule covers them all: a handler that unwinds drops the session it
-/// names (its state is suspect), counts in `handler_panics`, and leaves
-/// the slot unsent, whose `Drop` answers with the internal-error reply.
+/// Every session verb, select included, takes this route, so the
+/// session panic rule (`Shard::run_for_session`, which the embedding
+/// facade shares) covers them all: a handler that unwinds drops the
+/// session it names (its state is suspect), counts in
+/// `handler_panics`, and leaves the slot unsent, whose `Drop` answers
+/// with the internal-error reply.
 fn route_session(
     shared: &Arc<Shared>,
     slot: ReplySlot,
@@ -635,12 +637,8 @@ fn route_session(
     }
     let job = Job::Run(Box::new(move |sh| {
         let meta = slot.meta();
-        match catch_unwind(AssertUnwindSafe(|| f(sh, meta))) {
-            Ok(reply) => slot.send(reply),
-            Err(_) => {
-                tel::HANDLER_PANICS.add(1);
-                sh.drop_session_after_panic(&session);
-            }
+        if let Some(reply) = sh.run_for_session(&session, |sh| f(sh, meta)) {
+            slot.send(reply);
         }
     }));
     // A push only fails once the inbox is closed for shutdown; the

@@ -66,6 +66,7 @@ use pfdbg_replay::{
     SelectFacts, SelectOutcome, SessionMeta,
 };
 use pfdbg_util::BitVec;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -1303,14 +1304,29 @@ impl Shard {
         Ok(())
     }
 
-    /// Remove a session whose handler panicked mid-operation: its state
-    /// is suspect (the panic unwound out of an arbitrary point), so it
-    /// is discarded without touching its journal — a journaled session
+    /// Run `f`, a handler for session `name`, under the panic rule of
+    /// every session verb, whether it came over the wire
+    /// (`server::route_session`) or through the embedding facade: if `f`
+    /// unwinds, the panic counts once in `serve.handler_panics`, the
+    /// session is removed, and the result is `None`. Its state is
+    /// suspect (the panic unwound out of an arbitrary point), so it is
+    /// discarded without touching its journal — a journaled session
     /// restores from the last durably appended fact on the next `open`.
-    pub(crate) fn drop_session_after_panic(&mut self, name: &str) {
-        if self.sessions.remove(name).is_some() {
-            let open = self.core.session_count.fetch_sub(1, Ordering::Relaxed) - 1;
-            tel::OPEN_SESSIONS.set(open as f64);
+    pub(crate) fn run_for_session<T>(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&mut Shard) -> T,
+    ) -> Option<T> {
+        match catch_unwind(AssertUnwindSafe(|| f(self))) {
+            Ok(v) => Some(v),
+            Err(_) => {
+                tel::HANDLER_PANICS.add(1);
+                if self.sessions.remove(name).is_some() {
+                    let open = self.core.session_count.fetch_sub(1, Ordering::Relaxed) - 1;
+                    tel::OPEN_SESSIONS.set(open as f64);
+                }
+                None
+            }
         }
     }
 
@@ -1838,45 +1854,55 @@ impl SessionManager {
         rx.recv().map_err(|_| "shard request failed (handler panicked)".into())
     }
 
+    /// Run `f` for `session` on its owning shard under the session panic
+    /// rule (`Shard::run_for_session`): a handler that panics costs the
+    /// session and answers `Err`.
+    fn on_session<T: Send + 'static>(
+        &self,
+        session: &str,
+        f: impl FnOnce(&mut Shard, &str) -> Result<T, String> + Send + 'static,
+    ) -> Result<T, String> {
+        let name = session.to_string();
+        let job = move |sh: &mut Shard| sh.run_for_session(&name, |sh| f(sh, &name));
+        match self.on_shard(self.shard_index(session), job)? {
+            Some(result) => result,
+            None => Err(format!("session {session:?} dropped: its handler panicked")),
+        }
+    }
+
     /// Create a session — see `Shard::open`.
     pub fn open(&self, name: &str) -> Result<usize, String> {
-        let owned = name.to_string();
-        self.on_shard(self.shard_index(name), move |sh| sh.open(&owned))?
+        self.on_session(name, |sh, name| sh.open(name))
     }
 
     /// Drop a session — see `Shard::close`.
     pub fn close(&self, name: &str) -> Result<(), String> {
-        let owned = name.to_string();
-        self.on_shard(self.shard_index(name), move |sh| sh.close(&owned))?
+        self.on_session(name, |sh, name| sh.close(name))
     }
 
     /// Read a session's device configuration memory back through its
     /// channel — the ground truth the committed state must match.
     pub fn readback(&self, session: &str) -> Result<Bitstream, String> {
-        let owned = session.to_string();
-        self.on_shard(self.shard_index(session), move |sh| sh.readback(&owned))?
+        self.on_session(session, |sh, name| sh.readback(name))
     }
 
     /// A session's `(params, turns, needs_resync)` — the state the
     /// transactional-turn tests pin down.
     pub fn session_state(&self, session: &str) -> Result<(BitVec, usize, bool), String> {
-        let owned = session.to_string();
-        self.on_shard(self.shard_index(session), move |sh| sh.state_tuple(&owned))?
+        self.on_session(session, |sh, name| sh.state_tuple(name))
     }
 
     /// A session's scrub status — the `health` verb's payload.
     pub fn health(&self, session: &str) -> Result<HealthReport, String> {
-        let owned = session.to_string();
-        self.on_shard(self.shard_index(session), move |sh| sh.health(&owned))?
+        self.on_session(session, |sh, name| sh.health(name))
     }
 
     /// Map a signal selection to a parameter vector against the current
     /// session parameters (each selected signal claims one free trace
     /// port; unrelated ports keep their previous selection).
     pub fn plan(&self, session: &str, signals: &[String]) -> Result<BitVec, String> {
-        let owned = session.to_string();
         let sigs = signals.to_vec();
-        self.on_shard(self.shard_index(session), move |sh| sh.plan(&owned, &sigs))?
+        self.on_session(session, move |sh, name| sh.plan(name, &sigs))
     }
 
     /// One debugging turn with no deadline — see
@@ -1897,9 +1923,8 @@ impl SessionManager {
         params: &BitVec,
         deadline: Option<(Instant, Duration)>,
     ) -> Result<TurnOutcome, String> {
-        let owned = session.to_string();
         let spec = SelectSpec::Params(params.clone());
-        self.on_shard(self.shard_index(session), move |sh| sh.select(&owned, spec, deadline))?
+        self.on_session(session, move |sh, name| sh.select(name, spec, deadline))
     }
 
     /// One scrub pass for `session` against the PConf-evaluated golden
@@ -1907,8 +1932,7 @@ impl SessionManager {
     /// shard. Queues behind in-flight selects instead of racing (or
     /// skipping) them — there is no lock to contend.
     pub fn scrub_session(&self, session: &str) -> Result<ScrubReport, String> {
-        let owned = session.to_string();
-        self.on_shard(self.shard_index(session), move |sh| sh.scrub(&owned))?
+        self.on_session(session, |sh, name| sh.scrub(name))
     }
 
     /// Kick one background scrub walk: each shard whose previous walk
@@ -1933,8 +1957,7 @@ impl SessionManager {
     /// The journal behind a live session — the `record` verb. Returns
     /// `(path, file name, records appended this run)`.
     pub fn journal_status(&self, session: &str) -> Result<(String, String, u64), String> {
-        let owned = session.to_string();
-        self.on_shard(self.shard_index(session), move |sh| sh.journal_status(&owned))?
+        self.on_session(session, |sh, name| sh.journal_status(name))
     }
 
     /// The configured journal directory, if journaling is on. The
@@ -2090,8 +2113,7 @@ impl SessionManager {
     /// A live dump of `session`'s flight-recorder ring as JSONL
     /// (`flight` events, oldest first) — the `dump` verb's payload.
     pub fn flight_dump(&self, session: &str) -> Result<String, String> {
-        let owned = session.to_string();
-        self.on_shard(self.shard_index(session), move |sh| sh.flight_dump(&owned))?
+        self.on_session(session, |sh, name| sh.flight_dump(name))
     }
 
     /// The most recent automatic dump — `(session name, JSONL)` —

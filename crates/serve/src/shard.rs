@@ -25,10 +25,11 @@
 //!
 //! Every job body runs under `catch_unwind`, so a panicking handler
 //! never takes the shard thread — or any other session it owns — down
-//! with it. Client session jobs carry their own panic rule
-//! (`server::route_session`): the session the handler was touching is
-//! dropped (its state is suspect), and the request's reply slot answers
-//! the client with an internal error.
+//! with it. Session jobs, from clients (`server::route_session`) and
+//! from the embedding facade alike, carry their own panic rule
+//! (`Shard::run_for_session`): the session the handler was touching is
+//! dropped (its state is suspect), and the caller gets an error — a
+//! client through its reply slot's internal-error reply.
 
 use crate::session::{ManagerCore, SessionState};
 use crate::telemetry as tel;

@@ -127,6 +127,31 @@ fn panicking_handler_costs_one_session_not_the_server() {
     handle.shutdown();
 }
 
+/// The embedding facade follows the wire's panic rule: a session verb
+/// whose handler panics under `SessionManager` drops that session, not
+/// just the call. Before, the facade reported the panic but left the
+/// suspect session in its shard's table. The manager takes its shard
+/// count from the environment, so the shard sweep runs this at 1, 2 and
+/// 8 shards.
+#[test]
+fn facade_call_that_panics_drops_its_session() {
+    std::env::set_var("PFDBG_TEST_PANIC", "1");
+    let manager = SessionManager::new(Arc::new(build_engine()), 16);
+    let doomed = (0..)
+        .map(|i| format!("panic-{i}"))
+        .find(|n| manager.shard_index(n) == manager.shard_index("steady"))
+        .unwrap();
+    manager.open(&doomed).unwrap();
+    manager.open("steady").unwrap();
+    let params = pfdbg_util::BitVec::zeros(manager.engine().n_params());
+
+    let err = manager.select(&doomed, &params).unwrap_err();
+    assert!(err.contains("panicked"), "want the panic reported, got {err:?}");
+    assert_eq!(manager.n_sessions(), 1, "exactly the doomed session dropped");
+    assert!(manager.session_state(&doomed).is_err(), "the doomed session is gone");
+    manager.select("steady", &params).expect("its shard-mate keeps serving");
+}
+
 /// Regression for scrub starvation: the old walk `try_lock`ed each
 /// session and skipped it when busy, so a session under continuous
 /// selects could dodge scrubbing forever. Scrubs now ride the same

@@ -5,9 +5,10 @@
 //! specialization is a function of the generalized bitstream and the
 //! parameters alone, so any change to the flow or to the SCG must
 //! either reproduce these digests bit for bit or be a deliberate change
-//! of results that updates them. Everything is checked at 1, 2 and 8
-//! threads: speculative parallel routing rounds and sharded BDD
-//! construction must produce exactly the serial results.
+//! of results that updates them. Each design is checked at several
+//! thread counts (1, 2 and 8; the larger diffeq1 at 1 and 8):
+//! speculative parallel routing rounds and sharded BDD construction
+//! must produce exactly the serial results.
 
 use parameterized_fpga_debug::circuits::{build, generate, GenParams};
 use parameterized_fpga_debug::core::{
@@ -15,6 +16,7 @@ use parameterized_fpga_debug::core::{
 };
 use parameterized_fpga_debug::netlist::Network;
 use parameterized_fpga_debug::pconf::{Scg, SpecializeScratch};
+use parameterized_fpga_debug::pr::place::COUNTED_NET_TERMINALS;
 use parameterized_fpga_debug::pr::{Placement, RoutedDesign};
 use parameterized_fpga_debug::util::BitVec;
 
@@ -106,10 +108,15 @@ fn specialization_digest(scg: &Scg) -> u64 {
     h.0
 }
 
+/// `(placement digest, routing digest, wires used, specialization
+/// digest)`.
+type Digests = (u64, u64, usize, u64);
+
 /// Place and route `design` at paper instrumentation with `threads`
-/// routing workers; `(placement digest, routing digest, wires used,
-/// specialization digest)`.
-fn digests(design: &Network, threads: usize) -> (u64, u64, usize, u64) {
+/// routing workers: its digests, and the terminal count of its widest
+/// net (distinct blocks over sources and sinks, as the placer counts
+/// them).
+fn digests(design: &Network, threads: usize) -> (Digests, usize) {
     let (_, _, inst) =
         prepare_instrumented(design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
     assert!(inst.network.params().count() > 0, "design must carry tunable nets");
@@ -119,17 +126,39 @@ fn digests(design: &Network, threads: usize) -> (u64, u64, usize, u64) {
     let tp = off.tpar.as_ref().expect("place and route ran");
     assert!(tp.packed.n_tunable_nets() > 0, "no tunable nets reached the router");
     let scg = off.scg.as_ref().expect("offline flow built the SCG");
-    (
+    let widest = tp
+        .packed
+        .nets
+        .iter()
+        .map(|n| {
+            let mut blocks: Vec<usize> = n.sources.iter().map(|s| s.block).collect();
+            blocks.extend(&n.sinks);
+            blocks.sort_unstable();
+            blocks.dedup();
+            blocks.len()
+        })
+        .max()
+        .unwrap_or(0);
+    let got = (
         placement_digest(&tp.placement),
         routing_digest(&tp.routed),
         tp.routed.wires_used,
         specialization_digest(scg),
-    )
+    );
+    (got, widest)
 }
 
-fn check(name: &str, design: &Network, golden: (u64, u64, usize, u64)) {
-    for threads in [1usize, 2, 8] {
-        let got = digests(design, threads);
+/// Check `design` against `golden` at 1, 2 and 8 threads; the widest
+/// net's terminal count.
+fn check(name: &str, design: &Network, golden: Digests) -> usize {
+    check_at(name, design, &[1, 2, 8], golden)
+}
+
+fn check_at(name: &str, design: &Network, threads: &[usize], golden: Digests) -> usize {
+    let mut widest = 0;
+    for &threads in threads {
+        let (got, w) = digests(design, threads);
+        widest = w;
         assert_eq!(
             got, golden,
             "{name} at {threads} threads: (placement, routing, wires, specialization) \
@@ -137,15 +166,38 @@ fn check(name: &str, design: &Network, golden: (u64, u64, usize, u64)) {
             got.0, got.1, got.2, got.3
         );
     }
+    widest
 }
 
+/// stereov's trace-multiplexer nets have more than
+/// [`COUNTED_NET_TERMINALS`] terminals, so its placement digest also
+/// pins the placer's counted bounding boxes.
 #[test]
 fn stereov_place_and_route_match_golden_digests() {
     let design = build("stereov.").expect("suite member");
-    check(
+    let widest = check(
         "stereov.",
         &design,
         (0x2eb0_6081_fa92_4779, 0xd7a0_eaed_8ecb_82bf, 1095, 0xe700_40ba_3aa0_cbd1),
+    );
+    assert!(
+        widest > COUNTED_NET_TERMINALS,
+        "stereov's widest net has {widest} terminals: the counted path goes unpinned"
+    );
+}
+
+/// The benchmark's own design: every pfbench workload builds diffeq1 at
+/// paper instrumentation, so its wires and specializations are pinned
+/// here too. Debug builds take seconds per flow, so this one runs at 1
+/// and 8 threads only.
+#[test]
+fn diffeq1_place_and_route_match_golden_digests() {
+    let design = build("diffeq1").expect("suite member");
+    check_at(
+        "diffeq1",
+        &design,
+        &[1, 8],
+        (0x3d4e_4efe_ba5e_a918, 0xd850_e013_02dd_e618, 3261, 0xc93f_7014_c545_f715),
     );
 }
 
