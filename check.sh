@@ -36,16 +36,15 @@ PFDBG_THREADS=1 cargo test -q --workspace
 
 echo "== cargo test (PFDBG_THREADS=8) =="
 # Same suite under the parallel thread policy: every pfdbg-par path
-# (cut enumeration, speculative routing, sharded BDD construction and
-# SCG specialization) must stay bit-identical to the serial results the
-# tests assert.
+# (cut enumeration, sharded BDD construction and SCG specialization)
+# must stay bit-identical to the serial results the tests assert.
 PFDBG_THREADS=8 cargo test -q --workspace
 
-echo "== golden digests (release profile) =="
+echo "== golden digests and corpus replay (release profile) =="
 # pfbench measures release builds, so the place, route and
-# specialization pins must hold in that profile too, not only in the
-# debug build the suite runs in.
-cargo test --release -q --test pr_golden
+# specialization pins, and the committed corpus journals, must hold in
+# that profile too, not only in the debug build the suite runs in.
+cargo test --release -q --test pr_golden --test replay_corpus
 
 echo "== chaos pass (PFDBG_ICAP_FAULT_RATE=0.05) =="
 # The chaos suites again with a 5% injected ICAP fault rate layered on

@@ -185,7 +185,7 @@ fn print_usage() {
          \x20 pfdbg bench-list\n\
          \n\
          global flags: --profile (span report on exit), --trace-out <f.jsonl>,\n\
-         \x20 --threads N (worker threads for map/route/genbits/specialize; also PFDBG_THREADS)\n\
+         \x20 --threads N (worker threads for map/genbits/specialize; also PFDBG_THREADS)\n\
          store flags (offline/observe/serve): --store-dir <dir> (default .pfdbg-store), --no-store\n\
          `@name` uses a generated benchmark from the calibrated suite."
     );

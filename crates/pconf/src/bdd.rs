@@ -322,8 +322,8 @@ impl BddManager {
     /// The sweep visits every node in the table, reachable or not, which
     /// is why [`crate::Scg::new`] compacts its manager to the live cone
     /// of the tunable functions first: on diffeq1 at paper
-    /// instrumentation that is 4,158 nodes (terminals included) out of
-    /// the 24,538 the offline flow builds.
+    /// instrumentation that is 4,231 nodes (terminals included) out of
+    /// the 26,222 the offline flow builds.
     pub fn eval_all_into(&self, assignment: &BitVec, values: &mut Vec<u8>) {
         let params = assignment.words();
         values.resize(self.nodes.len(), 0);

@@ -1,14 +1,18 @@
 //! TRoute: PathFinder negotiated-congestion routing with
 //! parameterization-aware resource sharing.
 //!
-//! Standard PathFinder: every net is ripped up and rerouted each
-//! iteration; node costs grow with present congestion and accumulated
-//! history until no resource is overused. The parameterization twist
-//! (the paper's §IV.A.4): a *tunable net* has several alternative
-//! sources, of which exactly one is active per specialization — so the
-//! alternatives may overlap each other freely (their union is charged to
-//! the net once), and all alternatives must converge on the same chosen
-//! input pin of every sink.
+//! PathFinder: node costs grow with present congestion and accumulated
+//! history until no resource is overused. The first iteration routes
+//! every net; each later one rips up and re-routes only the *branches*
+//! that hold an overused node or missed a sink, and every other branch
+//! stays routed. The parameterization twist (the paper's §IV.A.4): a
+//! *tunable net* has several alternative sources, of which exactly one is
+//! active per specialization — so the alternatives may overlap each other
+//! freely (their union is charged to the net once), and all alternatives
+//! must converge on the same chosen input pin of every sink. A branch is
+//! one alternative's tree (an ordinary net's only tree): ripping up some
+//! branches of a net keeps the nodes its other branches still use, and
+//! its sink pins, so the re-routed alternatives share with the kept ones.
 
 use crate::pack::PackedDesign;
 use crate::place::Placement;
@@ -31,22 +35,11 @@ pub struct RouteConfig {
     pub hist_fac: f32,
     /// A* weight on the Manhattan-distance heuristic (1.0 = admissible).
     pub astar: f32,
-    /// Worker threads for speculative per-net routing (0 = global
-    /// [`pfdbg_util::par::threads`] policy). The result is bit-identical
-    /// to the serial router at every thread count.
-    pub threads: usize,
 }
 
 impl Default for RouteConfig {
     fn default() -> Self {
-        RouteConfig {
-            max_iterations: 40,
-            pres_fac: 0.5,
-            pres_mult: 1.8,
-            hist_fac: 0.4,
-            astar: 1.0,
-            threads: 0,
-        }
+        RouteConfig { max_iterations: 40, pres_fac: 0.5, pres_mult: 1.8, hist_fac: 0.4, astar: 1.0 }
     }
 }
 
@@ -58,6 +51,15 @@ pub struct BranchRoute {
     /// Directed wiring: `(from, to)` RRG node pairs, one per switch that
     /// must be turned on when this alternative is selected.
     pub edges: Vec<(RRNode, RRNode)>,
+}
+
+impl BranchRoute {
+    /// The branch's nodes, each once, given its source pin: every path
+    /// starts in the tree and steps only onto nodes outside it, so the
+    /// edges' targets are exactly the nodes the tree grew by.
+    fn nodes(&self, src: RRNode) -> impl Iterator<Item = RRNode> + '_ {
+        std::iter::once(src).chain(self.edges.iter().map(|&(_, to)| to))
+    }
 }
 
 /// One net's routing.
@@ -132,9 +134,9 @@ struct NodeState {
     step_net: u32,
 }
 
-/// Scratch state for one net-routing worker, reused across every net
-/// and PathFinder iteration it routes. Node sets are epoch-stamped, so
-/// starting a new search, tree or net is a counter bump.
+/// Search scratch reused across every net and PathFinder iteration.
+/// Node sets are epoch-stamped, so starting a new search, tree or net is
+/// a counter bump.
 struct NetScratch {
     state: Vec<NodeState>,
     parent: Vec<RRNode>,
@@ -142,11 +144,6 @@ struct NetScratch {
     /// Counter behind the net and tree stamps [`NodeState::mark`] is
     /// compared with: bumped at the start of every net and alternative.
     mark_stamp: u32,
-    /// Stamped with `touch_stamp` the first time a node's congestion
-    /// state becomes visible to the current net's searches (speculative
-    /// attempts only).
-    touched_mark: Vec<u32>,
-    touch_stamp: u32,
     heap: BinaryHeap<Reverse<u64>>,
     /// The current alternative's tree, in insertion order.
     tree: Vec<RRNode>,
@@ -172,8 +169,6 @@ impl NetScratch {
             parent: vec![RRNode(u32::MAX); n_nodes],
             cur_epoch: 0,
             mark_stamp: 0,
-            touched_mark: vec![0; n_nodes],
-            touch_stamp: 0,
             heap: BinaryHeap::new(),
             tree: Vec::new(),
             goals: Vec::new(),
@@ -183,17 +178,69 @@ impl NetScratch {
     }
 }
 
-/// One net's routing attempt plus the evidence needed to commit it.
-struct NetAttempt {
+/// One net's routing, kept across PathFinder iterations.
+#[derive(Clone)]
+struct NetState {
+    /// Branches indexed by alternative.
     route: NetRoute,
-    /// Union of RRG nodes the route occupies, each once.
+    /// Union of the branches' nodes, each once.
     used: Vec<RRNode>,
-    /// Every node whose congestion state the searches read (recorded for
-    /// speculative attempts only): a speculative route is valid iff none
-    /// of these is occupied by an earlier net at commit time.
-    touched: Vec<RRNode>,
-    /// All sinks reached?
-    ok: bool,
+    /// Per alternative: its tree missed a sink.
+    missed: Vec<bool>,
+}
+
+impl NetState {
+    /// Net `ni` with `n_alts` alternatives, none routed yet.
+    fn new(ni: usize, n_alts: usize) -> NetState {
+        let branches =
+            (0..n_alts).map(|alternative| BranchRoute { alternative, edges: Vec::new() }).collect();
+        NetState {
+            route: NetRoute { net: ni, branches, sink_pins: FxHashMap::default() },
+            used: Vec::new(),
+            missed: vec![false; n_alts],
+        }
+    }
+
+    /// Whether alternative `alt`'s tree holds a node another net also
+    /// uses, or missed a sink. Source pins are exempt from occupancy, so
+    /// the edges' targets are the nodes to check.
+    fn congested(&self, alt: usize, occ: &[u16]) -> bool {
+        self.missed[alt]
+            || self.route.branches[alt].edges.iter().any(|&(_, to)| occ[to.index()] > 1)
+    }
+}
+
+/// Rip up the branches `alts` (ascending) of `net`, whose source pins are
+/// `src_pins`: the net keeps every node its other branches still use —
+/// stamped with `stamp` in `kept` — and releases the rest from `occ`. It
+/// keeps its sink pins unless every branch goes, since the kept branches
+/// end on them.
+fn rip_up(
+    net: &mut NetState,
+    alts: &[usize],
+    src_pins: &[RRNode],
+    is_opin: &[bool],
+    occ: &mut [u16],
+    kept: &mut [u32],
+    stamp: u32,
+) {
+    for (alt, branch) in net.route.branches.iter().enumerate() {
+        if alts.binary_search(&alt).is_err() {
+            for n in branch.nodes(src_pins[alt]) {
+                kept[n.index()] = stamp;
+            }
+        }
+    }
+    net.used.retain(|&n| {
+        let keep = kept[n.index()] == stamp;
+        if !keep && !is_opin[n.index()] {
+            occ[n.index()] -= 1;
+        }
+        keep
+    });
+    if alts.len() == net.route.branches.len() {
+        net.route.sink_pins.clear();
+    }
 }
 
 fn base_cost(kind: RRKind) -> f32 {
@@ -204,13 +251,14 @@ fn base_cost(kind: RRKind) -> f32 {
     }
 }
 
-/// Route one net against the congestion state `occ`/`hist`, touching no
-/// shared state: occupancy updates are the caller's job (the serial
-/// commit). This is the exact per-net body of the classic serial
-/// PathFinder inner loop — heap ties break on node id, so the search is
-/// fully deterministic given (`occ`, `hist`, `pres_fac`). With
-/// `speculative`, every node whose congestion state the searches read is
-/// recorded in [`NetAttempt::touched`].
+/// Route the alternatives `alts` (ascending) of `net` against the
+/// congestion state `occ`/`hist`, touching no shared state: occupancy
+/// updates are the caller's job. The searches treat the nodes the net
+/// keeps (`net.used`) as its own, free of present congestion, and aim at
+/// its kept sink pins; each new tree replaces its branch in `net.route`,
+/// and the nodes it adds to the net are appended to `net.used`. Heap ties
+/// break on node id, so the result is fully deterministic given (`occ`,
+/// `hist`, `pres_fac`) and the kept state.
 #[allow(clippy::too_many_arguments)]
 fn route_one_net(
     design: &PackedDesign,
@@ -221,45 +269,22 @@ fn route_one_net(
     occ: &[u16],
     hist: &[f32],
     pres_fac: f32,
-    ni: usize,
-    speculative: bool,
+    alts: &[usize],
+    net: &mut NetState,
     scratch: &mut NetScratch,
-) -> Result<NetAttempt, String> {
-    let NetScratch {
-        state,
-        parent,
-        cur_epoch,
-        mark_stamp,
-        touched_mark,
-        touch_stamp,
-        heap,
-        tree,
-        goals,
-        path,
-        sinks,
-    } = scratch;
-    let net = &design.nets[ni];
-    let mut net_route = NetRoute {
-        net: ni,
-        branches: Vec::with_capacity(net.sources.len()),
-        sink_pins: FxHashMap::default(),
-    };
-    let mut used: Vec<RRNode> = Vec::new();
-    let mut touched: Vec<RRNode> = Vec::new();
-    *touch_stamp += 1;
-    let touch_stamp = *touch_stamp;
-    let mut touch = |n: RRNode| {
-        if speculative && touched_mark[n.index()] != touch_stamp {
-            touched_mark[n.index()] = touch_stamp;
-            touched.push(n);
-        }
-    };
+) -> Result<(), String> {
+    let NetScratch { state, parent, cur_epoch, mark_stamp, heap, tree, goals, path, sinks } =
+        scratch;
+    let NetState { route, used, missed } = net;
     *mark_stamp += 1;
     let net_stamp = *mark_stamp;
-    let mut ok = true;
+    for &n in used.iter() {
+        state[n.index()].mark = net_stamp;
+    }
 
-    for (alt, &src) in src_pins.iter().enumerate() {
+    for &alt in alts {
         // The tree of this alternative starts at its opin.
+        let src = src_pins[alt];
         *mark_stamp += 1;
         let tree_stamp = *mark_stamp;
         // Add a node to this alternative's tree and the net's union.
@@ -276,12 +301,14 @@ fn route_one_net(
                 }
             };
         tree.clear();
-        grow(src, state, tree, &mut used);
-        let mut edges: Vec<(RRNode, RRNode)> = Vec::new();
+        grow(src, state, tree, used);
+        let edges = &mut route.branches[alt].edges;
+        edges.clear();
+        missed[alt] = false;
 
         // Sinks, nearest first.
         sinks.clear();
-        sinks.extend_from_slice(&net.sinks);
+        sinks.extend_from_slice(&design.nets[route.net].sinks);
         let src_data = rrg.node(src);
         sinks.sort_by_key(|&b| {
             let l = placement.locs[b];
@@ -294,7 +321,7 @@ fn route_one_net(
             // Goal pins: the already chosen pin for this sink, or
             // any input pin of the tile (pads use their sub pin).
             goals.clear();
-            if let Some(&p) = net_route.sink_pins.get(&sink_block) {
+            if let Some(&p) = route.sink_pins.get(&sink_block) {
                 goals.push(p);
             } else {
                 match design.blocks[sink_block] {
@@ -324,7 +351,6 @@ fn route_one_net(
                 st.cost_to = 0.0;
                 st.epoch = cur_epoch;
                 parent[t.index()] = t;
-                touch(t);
                 heap.push(heap_key(heuristic(&st.node), t));
             }
             let mut found: Option<RRNode> = None;
@@ -353,9 +379,6 @@ fn route_one_net(
                         RRKind::OPin(_) => continue,
                         _ => {}
                     }
-                    // This node's congestion state is now visible to the
-                    // search: record it for speculative validation.
-                    touch(next);
                     if st.step_net != net_stamp {
                         // Present congestion: the net's own nodes are free
                         // (sharing within the net); capacity is 1.
@@ -374,7 +397,7 @@ fn route_one_net(
                 }
             }
             let Some(hit) = found else {
-                ok = false;
+                missed[alt] = true;
                 continue;
             };
             // Backtrace into the tree.
@@ -390,13 +413,12 @@ fn route_one_net(
                 edges.push((w[0], w[1]));
             }
             for &n in path.iter() {
-                grow(n, state, tree, &mut used);
+                grow(n, state, tree, used);
             }
-            net_route.sink_pins.insert(sink_block, hit);
+            route.sink_pins.insert(sink_block, hit);
         }
-        net_route.branches.push(BranchRoute { alternative: alt, edges });
     }
-    Ok(NetAttempt { route: net_route, used, touched, ok })
+    Ok(())
 }
 
 /// Source opin per (net, alternative).
@@ -425,21 +447,42 @@ fn source_pins(
         .collect()
 }
 
+/// Which nodes are output pins. They are exempt from occupancy: the
+/// router never routes *through* an output pin, so the only way two nets
+/// meet at one opin is when they carry the same physical signal (an
+/// observed net tapped by both its ordinary fanout net and a tunable
+/// trace net) — legitimate sharing, not a conflict.
+fn opin_mask(rrg: &RRGraph) -> Vec<bool> {
+    (0..rrg.n_nodes()).map(|i| matches!(rrg.node(RRNode(i as u32)).kind, RRKind::OPin(_))).collect()
+}
+
+/// Nets using each node, counted afresh from their branches: what `occ`
+/// must equal between PathFinder iterations.
+fn recount(nets: &[NetState], src_pins: &[Vec<RRNode>], is_opin: &[bool]) -> Vec<u16> {
+    let mut occ = vec![0u16; is_opin.len()];
+    let mut seen = vec![usize::MAX; is_opin.len()];
+    for (ni, net) in nets.iter().enumerate() {
+        for (branch, &src) in net.route.branches.iter().zip(&src_pins[ni]) {
+            for n in branch.nodes(src) {
+                if seen[n.index()] != ni && !is_opin[n.index()] {
+                    occ[n.index()] += 1;
+                }
+                seen[n.index()] = ni;
+            }
+        }
+    }
+    occ
+}
+
 /// Route a placed design. Pin assignment: the driver uses the output pin
 /// of its BLE (or pad); each sink may use any input pin of its tile, the
 /// router picks one under congestion.
 ///
-/// With `cfg.threads > 1` each negotiated-congestion round routes nets
-/// *speculatively* in parallel against the post-rip-up state (occupancy
-/// is all zeros after the rip-up), recording every node whose congestion
-/// each search read. Routes are then committed serially in the serial
-/// net order; a speculative route is accepted iff none of its touched
-/// nodes is occupied by an earlier-committed net — in that case the
-/// serial search would have seen the exact same costs (ties break on
-/// node id), so the route is identical by construction. Otherwise the
-/// net is re-routed serially against the current occupancy. The result
-/// is therefore bit-identical to the serial router at every thread
-/// count.
+/// The first PathFinder iteration routes every net, largest fanout
+/// first. Each later one walks the nets in the same order and rips up
+/// and re-routes only the branches that, at that net's turn, hold a node
+/// another net also uses or missed a sink; the rest of the net stays
+/// routed, counted in the occupancy the other nets route against.
 pub fn route(
     design: &PackedDesign,
     placement: &Placement,
@@ -448,122 +491,67 @@ pub fn route(
     cfg: &RouteConfig,
 ) -> Result<RoutedDesign, String> {
     let n_nodes = rrg.n_nodes();
-    let n_nets = design.nets.len();
-    let workers = pfdbg_util::par::resolve(cfg.threads);
-
     let source_pins = source_pins(design, placement, rrg)?;
 
-    // Congestion state. OPIN nodes are exempt from occupancy: the router
-    // never routes *through* an output pin, so the only way two nets meet
-    // at one opin is when they carry the same physical signal (an
-    // observed net tapped by both its ordinary fanout net and a tunable
-    // trace net) — legitimate sharing, not a conflict.
-    let is_opin: Vec<bool> =
-        (0..n_nodes).map(|i| matches!(rrg.node(RRNode(i as u32)).kind, RRKind::OPin(_))).collect();
+    // Congestion state.
+    let is_opin = opin_mask(rrg);
     let mut occ = vec![0u16; n_nodes]; // nets using each node
     let mut hist = vec![0f32; n_nodes];
     let mut pres_fac = cfg.pres_fac;
 
-    // Per-net union of used nodes.
-    let mut used: Vec<Vec<RRNode>> = vec![Vec::new(); n_nets];
-    let mut routes: Vec<Option<NetRoute>> = (0..n_nets).map(|_| None).collect();
-
+    let mut nets: Vec<NetState> =
+        design.nets.iter().enumerate().map(|(ni, n)| NetState::new(ni, n.sources.len())).collect();
     let mut scratch = NetScratch::new(rrg);
-    // Occupancy snapshot for speculative routing: after the rip-up the
-    // live occupancy is identically zero, so a zero vector stands in.
-    let zero_occ = vec![0u16; n_nodes];
-    // Speculative-round scratch pool, reused across PathFinder
-    // iterations: each NetScratch is epoch-stamped, so a stale pool
-    // entry behaves identically to a fresh allocation.
-    let mut spec_pool: Vec<NetScratch> = Vec::new();
+    // Stamps of the nodes a net being ripped up keeps.
+    let mut kept = vec![0u32; n_nodes];
+    let mut kept_stamp = 0u32;
+    let mut alts: Vec<usize> = Vec::new();
+
+    // Largest fanout first (harder nets earlier).
+    let mut order: Vec<usize> = (0..design.nets.len()).collect();
+    order.sort_by_key(|&ni| Reverse(design.nets[ni].sinks.len() * design.nets[ni].sources.len()));
 
     let mut converged = false;
     let mut iterations = 0;
     for iter in 0..cfg.max_iterations {
         iterations = iter + 1;
-        // Rip up everything.
-        for set in &mut used {
-            for &n in set.iter() {
-                if !is_opin[n.index()] {
-                    occ[n.index()] -= 1;
-                }
-            }
-            set.clear();
-        }
-        routes.fill(None);
-
-        // Route nets, largest fanout first (harder nets earlier).
-        let mut order: Vec<usize> = (0..n_nets).collect();
-        order.sort_by_key(|&ni| {
-            std::cmp::Reverse(design.nets[ni].sinks.len() * design.nets[ni].sources.len())
-        });
-
-        // Speculative round: every net routed against the clean
-        // post-rip-up state, in parallel, with per-worker scratch.
-        let speculative: Vec<Option<Result<NetAttempt, String>>> = if workers > 1 && n_nets > 1 {
-            pfdbg_util::par::map_reuse_in(
-                workers,
-                &order,
-                &mut spec_pool,
-                || NetScratch::new(rrg),
-                |sc, &ni| {
-                    Some(route_one_net(
-                        design,
-                        placement,
-                        rrg,
-                        cfg,
-                        &source_pins[ni],
-                        &zero_occ,
-                        &hist,
-                        pres_fac,
-                        ni,
-                        true,
-                        sc,
-                    ))
-                },
-            )
-        } else {
-            (0..order.len()).map(|_| None).collect()
-        };
-
-        // Serial commit in net order: accept a speculative route only if
-        // no node its searches touched is already occupied.
         let mut all_ok = true;
-        for (spec, &ni) in speculative.into_iter().zip(order.iter()) {
-            let attempt = match spec {
-                Some(Ok(a)) if a.touched.iter().all(|&t| occ[t.index()] == 0) => {
-                    pfdbg_obs::counter_add("route.spec_commit", 1);
-                    a
-                }
-                Some(Err(e)) => return Err(e),
-                other => {
-                    if other.is_some() {
-                        pfdbg_obs::counter_add("route.spec_retry", 1);
-                    }
-                    route_one_net(
-                        design,
-                        placement,
-                        rrg,
-                        cfg,
-                        &source_pins[ni],
-                        &occ,
-                        &hist,
-                        pres_fac,
-                        ni,
-                        false,
-                        &mut scratch,
-                    )?
-                }
-            };
-            for &n in &attempt.used {
+        let mut branches_routed = 0usize;
+        for &ni in &order {
+            let net = &mut nets[ni];
+            alts.clear();
+            alts.extend((0..net.missed.len()).filter(|&alt| iter == 0 || net.congested(alt, &occ)));
+            if alts.is_empty() {
+                continue;
+            }
+            kept_stamp += 1;
+            rip_up(net, &alts, &source_pins[ni], &is_opin, &mut occ, &mut kept, kept_stamp);
+            let before = net.used.len();
+            route_one_net(
+                design,
+                placement,
+                rrg,
+                cfg,
+                &source_pins[ni],
+                &occ,
+                &hist,
+                pres_fac,
+                &alts,
+                net,
+                &mut scratch,
+            )?;
+            for &n in &net.used[before..] {
                 if !is_opin[n.index()] {
                     occ[n.index()] += 1;
                 }
             }
-            all_ok &= attempt.ok;
-            used[ni] = attempt.used;
-            routes[ni] = Some(attempt.route);
+            all_ok &= alts.iter().all(|&alt| !net.missed[alt]);
+            branches_routed += alts.len();
         }
+        debug_assert!(
+            occ == recount(&nets, &source_pins, &is_opin),
+            "occupancy differs from the nets' branch unions after iteration {iterations}"
+        );
 
         // Check for overuse.
         let mut overused = 0usize;
@@ -573,9 +561,11 @@ pub fn route(
                 hist[idx] += cfg.hist_fac * (occ[idx] - 1) as f32;
             }
         }
-        // Per-iteration congestion telemetry: total overflow events
-        // across all iterations plus the latest iteration's residue.
+        // Per-iteration congestion telemetry: total overflow events and
+        // re-routed branches across all iterations plus the latest
+        // iteration's residue.
         pfdbg_obs::counter_add("route.iterations", 1);
+        pfdbg_obs::counter_add("route.branches_routed", branches_routed as u64);
         pfdbg_obs::counter_add("route.overflow", overused as u64);
         pfdbg_obs::gauge_set("route.overused_last", overused as f64);
         if overused == 0 && all_ok {
@@ -585,18 +575,17 @@ pub fn route(
         pres_fac *= cfg.pres_mult;
     }
 
-    let wires_used: usize = used
+    let wires_used: usize = nets
         .iter()
-        .map(|set| {
-            set.iter()
+        .map(|net| {
+            net.used
+                .iter()
                 .filter(|&&n| matches!(rrg.node(n).kind, RRKind::ChanX(_) | RRKind::ChanY(_)))
                 .count()
         })
         .sum();
 
-    let routes: Vec<NetRoute> =
-        routes.into_iter().map(|r| r.expect("all nets attempted")).collect();
-
+    let routes: Vec<NetRoute> = nets.into_iter().map(|net| net.route).collect();
     Ok(RoutedDesign { routes, iterations, wires_used, success: converged })
 }
 
@@ -741,76 +730,111 @@ mod tests {
     }
 
     #[test]
-    fn parallel_routing_is_bit_identical_to_serial() {
-        // The congested all-to-all design: plenty of speculative
-        // conflicts, so both the commit and the serial-retry paths run.
-        let mut nets = Vec::new();
-        for i in 0..8usize {
-            nets.push(PRNet {
+    fn unroutable_design_reports_failure() {
+        // Two distinct nets into one output pad: a pad has a single input
+        // pin, which only one net can hold, so no routing converges.
+        let dev = Device::new(ArchSpec::default(), 2, 2);
+        let rrg = build_rrg(&dev);
+        let blocks = vec![Block::Clb(0), Block::Clb(1), Block::OutPad("o".into())];
+        let nets = (0..2)
+            .map(|i| PRNet {
                 name: format!("n{i}"),
                 sources: vec![SourceRef { block: i, ble: 0 }],
                 source_nodes: vec![],
                 driver: pfdbg_netlist::NodeId(0),
-                sinks: vec![(i + 3) % 8, (i + 5) % 8],
+                sinks: vec![2],
                 tunable: false,
-            });
-        }
-        let d = simple_design(8, nets);
-        let dev = Device::new(ArchSpec { channel_width: 10, ..Default::default() }, 3, 3);
-        let rrg = build_rrg(&dev);
-        let placement = place(&d, &dev, &PlaceConfig::default()).unwrap();
-        let serial =
-            route(&d, &placement, &dev, &rrg, &RouteConfig { threads: 1, ..Default::default() })
-                .unwrap();
-        for threads in [2usize, 8] {
-            let par =
-                route(&d, &placement, &dev, &rrg, &RouteConfig { threads, ..Default::default() })
-                    .unwrap();
-            assert_eq!(par.iterations, serial.iterations, "threads={threads}");
-            assert_eq!(par.wires_used, serial.wires_used, "threads={threads}");
-            assert_eq!(par.success, serial.success);
-            for (a, b) in par.routes.iter().zip(serial.routes.iter()) {
-                assert_eq!(a.net, b.net);
-                assert_eq!(a.sink_pins, b.sink_pins, "threads={threads} net={}", a.net);
-                assert_eq!(a.branches.len(), b.branches.len());
-                for (ba, bb) in a.branches.iter().zip(b.branches.iter()) {
-                    assert_eq!(ba.alternative, bb.alternative);
-                    assert_eq!(ba.edges, bb.edges, "threads={threads} net={}", a.net);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unroutable_design_reports_failure() {
-        // Zero-ish channel width via a device so tiny that many nets
-        // can't fit: 1x1 CLB grid, channel width 2, with 2 pads fighting.
-        let dev = Device::new(
-            ArchSpec { channel_width: 2, fc_in: 1.0, fc_out: 1.0, ..Default::default() },
-            1,
-            1,
-        );
-        let rrg = build_rrg(&dev);
-        let mut nets = Vec::new();
-        // 6 distinct nets from one CLB's 4 opins — more signals than the
-        // two tracks around one tile can carry to distant pads.
-        let mut blocks = vec![Block::Clb(0)];
-        for i in 0..6 {
-            blocks.push(Block::OutPad(format!("o{i}")));
-            nets.push(PRNet {
-                name: format!("n{i}"),
-                sources: vec![SourceRef { block: 0, ble: i % 4 }],
-                source_nodes: vec![],
-                driver: pfdbg_netlist::NodeId(0),
-                sinks: vec![i + 1],
-                tunable: false,
-            });
-        }
-        let d = PackedDesign { blocks, clusters: vec![Default::default()], nets, n_tcons: 0 };
+            })
+            .collect();
+        let clusters = vec![Default::default(), Default::default()];
+        let d = PackedDesign { blocks, clusters, nets, n_tcons: 0 };
         let placement = place(&d, &dev, &PlaceConfig::default()).unwrap();
         let cfg = RouteConfig { max_iterations: 6, ..Default::default() };
         let r = route(&d, &placement, &dev, &rrg, &cfg).unwrap();
-        assert!(!r.success, "expected failure on starved device");
+        assert!(!r.success, "two nets share one pad pin, yet routing converged");
+        assert_eq!(r.iterations, cfg.max_iterations);
+    }
+
+    #[test]
+    fn ripping_up_one_branch_keeps_the_nets_shared_nodes_and_sink_pins() {
+        let d = simple_design(
+            8,
+            vec![PRNet {
+                name: "tn".into(),
+                sources: (0..4).map(|b| SourceRef { block: b, ble: 1 }).collect(),
+                source_nodes: vec![],
+                driver: pfdbg_netlist::NodeId(0),
+                sinks: vec![5, 6, 7],
+                tunable: true,
+            }],
+        );
+        let dev = Device::new(ArchSpec { channel_width: 6, ..Default::default() }, 3, 3);
+        let rrg = build_rrg(&dev);
+        let placement = place(&d, &dev, &PlaceConfig::default()).unwrap();
+        let pins = source_pins(&d, &placement, &rrg).unwrap();
+        let n = rrg.n_nodes();
+        let is_opin = opin_mask(&rrg);
+        let cfg = RouteConfig::default();
+        let (free, hist) = (vec![0u16; n], vec![0f32; n]);
+        let mut scratch = NetScratch::new(&rrg);
+        let mut reroute = |net: &mut NetState, alts: &[usize]| {
+            route_one_net(
+                &d,
+                &placement,
+                &rrg,
+                &cfg,
+                &pins[0],
+                &free,
+                &hist,
+                cfg.pres_fac,
+                alts,
+                net,
+                &mut scratch,
+            )
+            .unwrap()
+        };
+        let mut net = NetState::new(0, 4);
+        reroute(&mut net, &[0, 1, 2, 3]);
+        let mut occ = recount(std::slice::from_ref(&net), &pins, &is_opin);
+        let trees: Vec<FxHashSet<RRNode>> =
+            net.route.branches.iter().zip(&pins[0]).map(|(b, &s)| b.nodes(s).collect()).collect();
+        let others = |r: usize| -> FxHashSet<RRNode> {
+            trees.iter().enumerate().filter(|&(a, _)| a != r).flat_map(|(_, t)| t.clone()).collect()
+        };
+        // Rip up the alternative that shares the most nodes with the rest.
+        let r = (0..4).max_by_key(|&a| trees[a].intersection(&others(a)).count()).unwrap();
+        let kept = others(r);
+        let shared: Vec<RRNode> = trees[r].intersection(&kept).copied().collect();
+        assert!(
+            shared.iter().any(|&s| matches!(rrg.node(s).kind, RRKind::ChanX(_) | RRKind::ChanY(_))),
+            "alternative {r} shares no wire with the others: nothing to keep"
+        );
+        let sink_pins = net.route.sink_pins.clone();
+        let mut stamps = vec![0u32; n];
+
+        rip_up(&mut net, &[r], &pins[0], &is_opin, &mut occ, &mut stamps, 1);
+        assert_eq!(net.route.sink_pins, sink_pins, "a partly ripped net keeps its sink pins");
+        assert_eq!(net.used.iter().copied().collect::<FxHashSet<_>>(), kept);
+        assert_eq!(net.used.len(), kept.len());
+        for s in &shared {
+            assert_eq!(occ[s.index()], u16::from(!is_opin[s.index()]), "shared {s:?} released");
+        }
+        for g in trees[r].difference(&kept) {
+            assert_eq!(occ[g.index()], 0, "{g:?}, used by the ripped branch only, still counted");
+        }
+
+        // Re-routed, the alternative ends on the kept pins again.
+        reroute(&mut net, &[r]);
+        assert!(!net.missed[r]);
+        assert_eq!(net.route.sink_pins, sink_pins);
+        let ends: FxHashSet<RRNode> = net.route.branches[r].edges.iter().map(|&(_, t)| t).collect();
+        assert!(sink_pins.values().all(|p| ends.contains(p)), "re-routed branch misses a pin");
+
+        // Ripping up every branch releases the whole net, pins included.
+        let mut occ = recount(std::slice::from_ref(&net), &pins, &is_opin);
+        rip_up(&mut net, &[0, 1, 2, 3], &pins[0], &is_opin, &mut occ, &mut stamps, 2);
+        assert!(net.used.is_empty() && net.route.sink_pins.is_empty());
+        assert!(occ.iter().all(|&o| o == 0));
     }
 
     /// A textbook A* heap entry: ordered by priority, ties to the lower
@@ -843,8 +867,10 @@ mod tests {
 
     /// The per-net search written plainly — hash sets for the net, the
     /// tree and the goals, stale heap entries told by their own cost, no
-    /// caches — as an oracle for [`route_one_net`]: `(branch edges, sink
-    /// pins, nodes used, all sinks reached)`.
+    /// caches — as an oracle for [`route_one_net`]: re-route alternatives
+    /// `alts` of net `ni` from the kept node set `net_used` and sink pins
+    /// `pins`, giving `(edges per re-routed branch, sink pins, nodes
+    /// used, all sinks reached)`.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn textbook_route(
         design: &PackedDesign,
@@ -856,11 +882,14 @@ mod tests {
         hist: &[f32],
         pres_fac: f32,
         ni: usize,
+        alts: &[usize],
+        mut net_used: FxHashSet<RRNode>,
+        mut pins: FxHashMap<usize, RRNode>,
     ) -> (Vec<Vec<(RRNode, RRNode)>>, FxHashMap<usize, RRNode>, FxHashSet<RRNode>, bool) {
         let net = &design.nets[ni];
-        let (mut branches, mut pins, mut net_used, mut ok) =
-            (Vec::new(), FxHashMap::default(), FxHashSet::default(), true);
-        for &src in src_pins {
+        let (mut branches, mut ok) = (Vec::new(), true);
+        for &alt in alts {
+            let src = src_pins[alt];
             let mut tree: FxHashSet<RRNode> = [src].into_iter().collect();
             net_used.insert(src);
             let mut edges = Vec::new();
@@ -939,9 +968,11 @@ mod tests {
 
         /// Stamps left behind by earlier nets, alternatives, searches and
         /// iterations never leak, and the caches change nothing: one
-        /// scratch reused across random nets and congestion states routes
-        /// exactly like a fresh one each time, touched-node record
-        /// included, and both route exactly like the textbook search.
+        /// scratch reused across random nets, congestion states and kept
+        /// states (a net routed, then a random set of its branches ripped
+        /// up) re-routes exactly like a fresh one each time, and both
+        /// route exactly like the textbook search from the same kept
+        /// nodes and sink pins.
         #[test]
         fn reused_scratch_routes_like_a_fresh_one(seed in any::<u64>()) {
             let mut nets: Vec<PRNet> = (0..8usize)
@@ -969,42 +1000,64 @@ mod tests {
             let pins = source_pins(&d, &placement, &rrg).unwrap();
             let cfg = RouteConfig::default();
             let n = rrg.n_nodes();
+            let is_opin = opin_mask(&rrg);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut reused = NetScratch::new(&rrg);
-            for _ in 0..24 {
+            let congestion = |rng: &mut StdRng| {
                 let occ: Vec<u16> = (0..n).map(|_| rng.gen_range(0..3u16)).collect();
                 let hist: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..2.0f32)).collect();
-                let pres_fac = rng.gen_range(0.5..8.0f32);
+                (occ, hist, rng.gen_range(0.5..8.0f32))
+            };
+            let mut reused = NetScratch::new(&rrg);
+            let mut stamps = vec![0u32; n];
+            for round in 0..24u32 {
                 let ni = rng.gen_range(0..d.nets.len());
-                let speculative = rng.gen_bool(0.5);
+                let n_alts = d.nets[ni].sources.len();
+                // The kept state: the net routed under one congestion
+                // state, then a random non-empty set of branches ripped up.
+                let (occ, hist, pres_fac) = congestion(&mut rng);
+                let all: Vec<usize> = (0..n_alts).collect();
+                let mut start = NetState::new(ni, n_alts);
+                route_one_net(
+                    &d, &placement, &rrg, &cfg, &pins[ni], &occ, &hist, pres_fac, &all,
+                    &mut start, &mut reused,
+                )
+                .unwrap();
+                let mut alts: Vec<usize> = all.iter().copied().filter(|_| rng.gen_bool(0.4)).collect();
+                if alts.is_empty() {
+                    alts.push(rng.gen_range(0..n_alts));
+                }
+                let mut start_occ = recount(std::slice::from_ref(&start), &pins[ni..=ni], &is_opin);
+                rip_up(&mut start, &alts, &pins[ni], &is_opin, &mut start_occ, &mut stamps, round + 1);
+
+                let (occ, hist, pres_fac) = congestion(&mut rng);
                 let run = |sc: &mut NetScratch| {
+                    let mut net = start.clone();
                     route_one_net(
-                        &d, &placement, &rrg, &cfg, &pins[ni], &occ, &hist, pres_fac, ni,
-                        speculative, sc,
+                        &d, &placement, &rrg, &cfg, &pins[ni], &occ, &hist, pres_fac, &alts,
+                        &mut net, sc,
                     )
-                    .unwrap()
+                    .unwrap();
+                    net
                 };
                 let a = run(&mut reused);
                 let b = run(&mut NetScratch::new(&rrg));
-                prop_assert_eq!(a.ok, b.ok);
+                prop_assert_eq!(&a.missed, &b.missed);
                 prop_assert_eq!(&a.used, &b.used);
-                prop_assert_eq!(&a.touched, &b.touched);
-                prop_assert_eq!(speculative, !a.touched.is_empty());
                 prop_assert_eq!(&a.route.sink_pins, &b.route.sink_pins);
-                prop_assert_eq!(a.route.branches.len(), b.route.branches.len());
                 for (x, y) in a.route.branches.iter().zip(&b.route.branches) {
                     prop_assert_eq!(x.alternative, y.alternative);
                     prop_assert_eq!(&x.edges, &y.edges);
                 }
                 let (edges, pins, used, ok) = textbook_route(
-                    &d, &placement, &rrg, &cfg, &pins[ni], &occ, &hist, pres_fac, ni,
+                    &d, &placement, &rrg, &cfg, &pins[ni], &occ, &hist, pres_fac, ni, &alts,
+                    start.used.iter().copied().collect(), start.route.sink_pins.clone(),
                 );
-                prop_assert_eq!(a.ok, ok);
+                prop_assert_eq!(alts.iter().all(|&alt| !a.missed[alt]), ok);
                 prop_assert_eq!(&a.route.sink_pins, &pins);
                 prop_assert_eq!(a.used.iter().copied().collect::<FxHashSet<_>>(), used);
-                prop_assert_eq!(a.used.len(), used.len());
-                for (x, e) in a.route.branches.iter().zip(&edges) {
-                    prop_assert_eq!(&x.edges, e);
+                prop_assert_eq!(a.used.len(), a.used.iter().copied().collect::<FxHashSet<_>>().len());
+                for (&alt, e) in alts.iter().zip(&edges) {
+                    prop_assert_eq!(&a.route.branches[alt].edges, e);
                 }
             }
         }

@@ -1,8 +1,7 @@
 //! Determinism of the pfdbg-par thread-pool layer: across random
-//! netlists, the parallel offline flow (cut enumeration, speculative
-//! routing, sharded BDD construction) and the sharded SCG
-//! specialization must be **byte-identical** to the serial flow at
-//! every thread count.
+//! netlists, the parallel offline flow (cut enumeration, sharded BDD
+//! construction) and the sharded SCG specialization must be
+//! **byte-identical** to the serial flow at every thread count.
 
 use parameterized_fpga_debug::circuits::{generate, GenParams};
 use parameterized_fpga_debug::core::{
