@@ -31,14 +31,8 @@ echo "== benchmark's own tests (correctness gate) =="
 # benchmark runs.
 cargo test -q --offline --locked --manifest-path crates/bench/src/bin/pfbench/Cargo.toml
 
-echo "== cargo test (PFDBG_THREADS=1) =="
-PFDBG_THREADS=1 cargo test -q --workspace
-
-echo "== cargo test (PFDBG_THREADS=8) =="
-# Same suite under the parallel thread policy: every pfdbg-par path
-# (cut enumeration, sharded BDD construction and SCG specialization)
-# must stay bit-identical to the serial results the tests assert.
-PFDBG_THREADS=8 cargo test -q --workspace
+echo "== cargo test =="
+cargo test -q --workspace
 
 echo "== golden digests and corpus replay (release profile) =="
 # pfbench measures release builds, so the place, route and
@@ -56,9 +50,9 @@ PFDBG_ICAP_FAULT_RATE=0.05 cargo test -q -p pfdbg-serve --test chaos --test prot
 
 echo "== scrub pass (PFDBG_SEU_RATE=0.02) =="
 # The scrubbing suites under a 2% per-frame upset rate: the bombarded
-# 200-turn session must end bit-identical to the PConf golden oracle at
-# 1/2/8 evaluation threads, and with transport faults layered on top
-# every trace window must still match the fault-free golden emulator.
+# 200-turn session must end bit-identical to the PConf golden oracle,
+# and with transport faults layered on top every trace window must
+# still match the fault-free golden emulator.
 PFDBG_SEU_RATE=0.02 cargo test -q -p pfdbg-serve --test scrub
 PFDBG_SEU_RATE=0.02 PFDBG_ICAP_FAULT_RATE=0.02 cargo test -q --test chaos
 
@@ -79,7 +73,7 @@ echo "== serve smoke test =="
 # Start the debug service on an ephemeral port — with SEU injection and
 # the background scrubber enabled — drive it with a small serve_load
 # run, and check for a clean shutdown plus a non-empty latency report
-# carrying the scrub counters.
+# carrying the scrub counters and the server's own SEU settings.
 cargo build -q -p pfdbg-cli -p pfdbg-bench --bin pfdbg --bin serve_load --bin diff_fuzz --bin specialize
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -99,6 +93,10 @@ PORT=$(cat "$SMOKE_DIR/port")
 grep -q '"failures":0' "$SMOKE_DIR/BENCH_serve.json" || { echo "serve smoke saw failed requests"; exit 1; }
 # Presence only, not a value: scrub pass counts are timing-dependent.
 grep -q '"scrub_passes"' "$SMOKE_DIR/BENCH_serve.json" || { echo "scrub counters missing from bench report"; exit 1; }
+# The upset rate and scrub interval come from the server's `stats`,
+# not from serve_load's own (unused in --addr mode) flags.
+grep -q '"seu_rate":0.02' "$SMOKE_DIR/BENCH_serve.json" || { echo "bench report lacks the server's SEU rate"; exit 1; }
+grep -q '"scrub_interval_ms":50' "$SMOKE_DIR/BENCH_serve.json" || { echo "bench report lacks the server's scrub interval"; exit 1; }
 # The load report must carry the bucketized latency distribution (tail
 # percentile and non-empty bucket string) plus the server-side
 # specialize percentiles from the always-on histogram.
@@ -208,13 +206,11 @@ echo "quarantine smoke ok"
 
 echo "== record/replay round trip =="
 # A standalone recording under transport faults and SEUs must replay
-# bit-identically, at the recorded thread count and at 8 SCG threads.
+# bit-identically.
 ./target/debug/pfdbg record gen:7 --out "$SMOKE_DIR/rt.pfdj" --turns 6 --seed 1234 \
     --scrub-every 3 --icap-fault-rate 0.05 --seu-rate 0.01 >/dev/null
 ./target/debug/pfdbg replay "$SMOKE_DIR/rt.pfdj" \
     | grep -q 'bit-identical' || { echo "record/replay round trip diverged"; exit 1; }
-./target/debug/pfdbg replay "$SMOKE_DIR/rt.pfdj" --at-threads 8 \
-    | grep -q 'bit-identical' || { echo "replay diverged at 8 threads"; exit 1; }
 echo "record/replay ok"
 
 echo "== journaled serve restart smoke =="
@@ -267,9 +263,9 @@ echo "journaled restart smoke ok"
 
 echo "== differential fuzz (64 seeded cases) =="
 # Seeded random turn sequences through every emulator pair that must
-# agree bit-for-bit (faulty-vs-oracle, serial-vs-parallel SCG,
-# scrubbed-vs-unscrubbed at zero SEU). Divergences shrink to minimal
-# journals in the corpus dir and fail the gate.
+# agree bit-for-bit (faulty-vs-oracle, scrubbed-vs-unscrubbed at zero
+# SEU). Divergences shrink to minimal journals in the corpus dir and
+# fail the gate.
 ./target/debug/diff_fuzz --cases 64 --seed 4242 --corpus "$SMOKE_DIR/fuzz-corpus" \
     --out "$SMOKE_DIR/BENCH_diff_fuzz.json" >/dev/null
 grep -q '"divergences":0' "$SMOKE_DIR/BENCH_diff_fuzz.json" || { echo "differential fuzz found divergences"; exit 1; }

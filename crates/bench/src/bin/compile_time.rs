@@ -7,21 +7,15 @@
 //! Paper's findings on small designs: ~3x fewer cables (5316 vs 15699),
 //! up to 4x fewer CLBs, and up to 3x faster place & route.
 //!
-//! On top of the paper experiment, this driver measures the
-//! **pfdbg-par** thread-pool layer: the whole offline flow runs
-//! `--runs` times serially (1 thread) and `--runs` times with
-//! `--par-threads` workers, and the per-stage medians (mapping,
-//! packing, placement, routing, generalized-bitstream construction)
-//! land in `BENCH_compile.json` together with the speedups, the paper
-//! experiment's wires, CLBs and place&route times, and a provenance
-//! block (git revision and dirty flag, build profile, `rustc -V`, host
-//! threads). The parallel flow is bit-identical to the serial one
-//! (asserted in the tier-1 suite); the speedup you see depends on how
-//! many hardware threads the host actually has — recorded as
-//! `host_threads`.
+//! On top of the paper experiment, this driver times the whole offline
+//! flow `--runs` times, and the per-stage medians (mapping, packing,
+//! placement, routing, generalized-bitstream construction) land in
+//! `BENCH_compile.json` together with the paper experiment's wires,
+//! CLBs and place&route times, and a provenance block (git revision
+//! and dirty flag, build profile, `rustc -V`, host threads).
 //!
 //! ```text
-//! compile_time [design] [--runs N] [--par-threads N] [--out f.json]
+//! compile_time [design] [--runs N] [--out f.json]
 //! ```
 
 use pfdbg_core::{offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K};
@@ -64,18 +58,14 @@ fn stage_ms(spans: &[SpanRecord], names: &[&str]) -> f64 {
         .sum()
 }
 
-/// Run the offline flow `runs` times at `threads` workers; per stage,
-/// the median wall-clock milliseconds across runs.
-fn time_offline(
-    inst: &pfdbg_core::Instrumented,
-    runs: usize,
-    threads: usize,
-) -> Vec<(&'static str, f64)> {
+/// Run the offline flow `runs` times; per stage, the median wall-clock
+/// milliseconds across runs.
+fn time_offline(inst: &pfdbg_core::Instrumented, runs: usize) -> Vec<(&'static str, f64)> {
     let mut per_stage: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); STAGES.len()];
     for run in 0..runs {
         pfdbg_obs::reset();
-        offline(inst, &OfflineConfig { k: PAPER_K, threads, ..Default::default() })
-            .unwrap_or_else(|e| panic!("offline (run {run}, {threads} threads): {e}"));
+        offline(inst, &OfflineConfig { k: PAPER_K, ..Default::default() })
+            .unwrap_or_else(|e| panic!("offline (run {run}): {e}"));
         let spans = pfdbg_obs::registry().spans();
         for (slot, (_, names)) in per_stage.iter_mut().zip(STAGES.iter()) {
             slot.push(stage_ms(&spans, names));
@@ -94,11 +84,10 @@ fn main() {
     // A small design, as in the paper's early experiments; pass a
     // benchmark name (e.g. `clma`) to run one of the suite instead.
     // `diffeq1` is the default: the largest suite member whose offline
-    // flow finishes in about a second per run, so the multi-run speedup
-    // measurement stays cheap everywhere.
+    // flow finishes in about a second per run, so the multi-run stage
+    // timing stays cheap everywhere.
     let arg = rest.first().filter(|a| !a.starts_with("--")).cloned();
     let runs = flag_usize(&rest, "--runs", 5).max(1);
-    let par_threads = flag_usize(&rest, "--par-threads", 8).max(2);
     let out = flag(&rest, "--out").unwrap_or_else(|| "BENCH_compile.json".into());
     let (name, design) = match arg {
         Some(n) => {
@@ -177,50 +166,30 @@ fn main() {
          up to 4x fewer CLBs, up to 3x faster place & route"
     );
 
-    // Serial-vs-parallel offline flow (pfdbg-par layer). Spans carry the
-    // per-stage timing, so the observability layer must be on for the
-    // measured runs regardless of --profile.
+    // Per-stage timing of the offline flow. Spans carry it, so the
+    // observability layer must be on for the measured runs regardless
+    // of --profile.
     let was_enabled = pfdbg_obs::enabled();
     pfdbg_obs::set_enabled(true);
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "timing offline flow: {runs} serial runs, then {runs} runs at {par_threads} threads \
-         (host has {host_threads} hardware threads)..."
-    );
-    let serial = time_offline(&inst, runs, 1);
-    let parallel = time_offline(&inst, runs, par_threads);
+    eprintln!("timing offline flow: {runs} runs...");
+    let stages = time_offline(&inst, runs);
     pfdbg_obs::reset();
     pfdbg_obs::set_enabled(was_enabled);
 
-    let mut pt = Table::new(["stage", "serial (median ms)", "parallel (median ms)", "speedup"]);
+    let mut pt = Table::new(["stage", "median ms"]);
     let mut stage_fields: Vec<(String, f64)> = Vec::new();
-    for ((stage, s_ms), (_, p_ms)) in serial.iter().zip(parallel.iter()) {
-        let speedup = s_ms / p_ms.max(1e-9);
-        pt.row([
-            stage.to_string(),
-            format!("{s_ms:.2}"),
-            format!("{p_ms:.2}"),
-            format!("{speedup:.2}x"),
-        ]);
-        stage_fields.push((format!("{stage}_serial_ms"), *s_ms));
-        stage_fields.push((format!("{stage}_parallel_ms"), *p_ms));
-        stage_fields.push((format!("{stage}_speedup"), speedup));
+    for (stage, ms) in &stages {
+        pt.row([stage.to_string(), format!("{ms:.2}")]);
+        stage_fields.push((format!("{stage}_ms"), *ms));
     }
-    println!("\n=== offline flow, serial vs {par_threads} threads ({runs}-run medians) ===");
+    println!("\n=== offline flow by stage ({runs}-run medians) ===");
     print!("{}", pt.render());
-    if host_threads < par_threads {
-        println!(
-            "note: host exposes only {host_threads} hardware thread(s); \
-             speedups above are bounded by that, not by the flow"
-        );
-    }
 
     let ms = |d: std::time::Duration| JsonValue::Num(d.as_secs_f64() * 1e3);
     let mut fields: Vec<(&str, JsonValue)> = vec![
         ("bench", JsonValue::Str("compile_time".into())),
         ("design", JsonValue::Str(name.clone())),
         ("runs", JsonValue::Num(runs as f64)),
-        ("parallel_threads", JsonValue::Num(par_threads as f64)),
         ("param_wires", JsonValue::Num(param_stats.wires_used as f64)),
         ("conv_wires", JsonValue::Num(conv.stats.wires_used as f64)),
         ("param_clbs", JsonValue::Num(param_stats.n_clbs as f64)),
@@ -231,6 +200,7 @@ fn main() {
     for (k, v) in &stage_fields {
         fields.push((k.as_str(), JsonValue::Num(*v)));
     }
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = pfdbg_bench::with_provenance(&fields, host_threads);
     std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("{out}: {e}"));
     eprintln!("compile_time: wrote {out}");

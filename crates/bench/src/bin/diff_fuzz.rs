@@ -1,8 +1,8 @@
 //! Differential turn-sequence fuzzer: seeded random debug sessions
 //! driven through emulator pairs that must agree bit-for-bit —
-//! faulty-vs-oracle, serial-vs-parallel SCG, scrubbed-vs-unscrubbed at
-//! zero SEU rate. Any disagreement is shrunk to a minimal reproducing
-//! journal and saved to the corpus directory.
+//! faulty-vs-oracle and scrubbed-vs-unscrubbed at zero SEU rate. Any
+//! disagreement is shrunk to a minimal reproducing journal and saved to
+//! the corpus directory.
 //!
 //! ```text
 //! diff_fuzz [--cases N] [--seed S] [--corpus DIR] [--out f.json]

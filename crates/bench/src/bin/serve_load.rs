@@ -500,7 +500,6 @@ fn main() {
         .filter(|reply| is_ok(reply))
         .and_then(|reply| parse_reply(&reply));
     let stat = |field: &str| server_stats.as_ref().and_then(|ev| ev.num(field)).unwrap_or(f64::NAN);
-    let specialize_threads = stat("specialize_threads");
     let srv_shards = stat("shards");
     let srv_inbox_capacity = stat("inbox_capacity");
     let shed_total = stat("shed_total");
@@ -514,6 +513,10 @@ fn main() {
     let scrub_repairs = stat("scrub_repairs");
     let scrub_quarantined = stat("scrub_quarantined");
     let seu_bits_injected = stat("seu_bits_injected");
+    // The server's own SEU and scrub settings: in `--addr` mode the
+    // flags above configure nothing, so only the server knows them.
+    let srv_seu_rate = stat("seu_rate");
+    let srv_scrub_interval_ms = stat("scrub_interval_ms");
     let specialize_p50_us = stat("specialize_p50_us");
     let specialize_p99_us = stat("specialize_p99_us");
     let turn_p99_us = stat("turn_p99_us");
@@ -602,13 +605,12 @@ fn main() {
         ("specialize_p50_us", JsonValue::Num(specialize_p50_us)),
         ("specialize_p99_us", JsonValue::Num(specialize_p99_us)),
         ("turn_p99_us", JsonValue::Num(turn_p99_us)),
-        ("specialize_threads", JsonValue::Num(specialize_threads)),
         ("icap_fault_rate", JsonValue::Num(fault_rate)),
         ("icap_retries", JsonValue::Num(icap_retries)),
         ("icap_degradations", JsonValue::Num(icap_degradations)),
         ("icap_rollbacks", JsonValue::Num(icap_rollbacks)),
-        ("seu_rate", JsonValue::Num(seu_rate)),
-        ("scrub_interval_ms", JsonValue::Num(scrub_interval_ms)),
+        ("seu_rate", JsonValue::Num(srv_seu_rate)),
+        ("scrub_interval_ms", JsonValue::Num(srv_scrub_interval_ms)),
         ("scrub_passes", JsonValue::Num(scrub_passes)),
         ("scrub_upsets_detected", JsonValue::Num(scrub_upsets_detected)),
         ("scrub_repairs", JsonValue::Num(scrub_repairs)),

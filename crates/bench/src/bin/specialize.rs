@@ -8,8 +8,7 @@
 //! Two evaluators run over the same deterministic parameter sequence:
 //!
 //! * **serial** — the original per-function path: one top-down BDD
-//!   walk per tunable function (sharded over the thread pool when the
-//!   tunable count warrants it);
+//!   walk per tunable function;
 //! * **batch** — the memoized path: one linear sweep of the SCG's BDD
 //!   node table evaluates every node exactly once, then the packed
 //!   tunable words are read out of the per-node values.
@@ -156,7 +155,6 @@ fn main() {
         ("turns".into(), JsonValue::Num(turns as f64)),
         ("n_params".into(), JsonValue::Num(N_PARAMS as f64)),
         ("host_threads".into(), JsonValue::Num(host_threads as f64)),
-        ("threads".into(), JsonValue::Num(pfdbg_util::par::threads() as f64)),
     ];
     let scales: [(&str, ScaleBuilder); 3] =
         [("t1k", || build_scg(1_000)), ("t10k", || build_scg(10_000)), ("d1", diffeq1_scg)];

@@ -124,25 +124,19 @@ pub struct TableRow {
 /// (one thread per benchmark).
 pub fn run_suite_comparison() -> Vec<TableRow> {
     let suite = pfdbg_circuits::build_all();
-    let mut results: Vec<Option<TableRow>> = Vec::with_capacity(suite.len());
-    for _ in 0..suite.len() {
-        results.push(None);
-    }
-    crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (name, nw) in &suite {
-            handles.push(s.spawn(move |_| {
-                let cmp = compare_mappers(name, nw, &InstrumentConfig::paper(), PAPER_K)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-                TableRow { measured: cmp, paper: paper_row(name).expect("known") }
-            }));
-        }
-        for (slot, h) in results.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("benchmark thread panicked"));
-        }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = suite
+            .iter()
+            .map(|(name, nw)| {
+                s.spawn(move || {
+                    let cmp = compare_mappers(name, nw, &InstrumentConfig::paper(), PAPER_K)
+                        .unwrap_or_else(|e| panic!("{name}: {e}"));
+                    TableRow { measured: cmp, paper: paper_row(name).expect("known") }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("benchmark thread panicked")).collect()
     })
-    .expect("scope");
-    results.into_iter().map(|r| r.expect("filled")).collect()
 }
 
 /// The aggregate the paper headlines: geometric-mean reduction of the

@@ -47,24 +47,6 @@ fn main() -> ExitCode {
         pfdbg_obs::diag("--trace-out expects a file path");
         return ExitCode::FAILURE;
     }
-    // Global thread override: every parallel stage (mapping, routing,
-    // generalized-bitstream construction, SCG specialization shards)
-    // resolves its 0=auto thread count through this policy.
-    match take_valued(&mut args, "--threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => pfdbg_util::par::set_threads(n),
-            Err(_) => {
-                pfdbg_obs::diag(&format!("--threads expects a number, got {v:?}"));
-                return ExitCode::FAILURE;
-            }
-        },
-        None => {
-            if args.iter().any(|a| a == "--threads") {
-                pfdbg_obs::diag("--threads expects a number");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     if profile || trace_out.is_some() {
         pfdbg_obs::set_enabled(true);
     }
@@ -178,14 +160,13 @@ fn print_usage() {
          \x20                  [--devices N] [--spares N] (supervised device fleet with failover)\n\
          \x20 pfdbg record     <design.blif|@bench|gen:SEED> --out <f.pfdj> [--turns N] [--seed S]\n\
          \x20                  [--scrub-every N] [--session NAME] [chaos flags as for serve]\n\
-         \x20 pfdbg replay     <journal.pfdj> [--at-threads N] (exit 1 on divergence)\n\
+         \x20 pfdbg replay     <journal.pfdj> (exit 1 on divergence)\n\
          \x20 pfdbg fuzz       [--cases N] [--seed S] [--corpus-dir DIR] (differential turn fuzzer)\n\
          \x20 pfdbg client     <host:port> [--request '<json>'] [--shutdown]\n\
          \x20 pfdbg top        <host:port> [--interval MS] [--iters N] [--no-clear]\n\
          \x20 pfdbg bench-list\n\
          \n\
-         global flags: --profile (span report on exit), --trace-out <f.jsonl>,\n\
-         \x20 --threads N (worker threads for map/genbits/specialize; also PFDBG_THREADS)\n\
+         global flags: --profile (span report on exit), --trace-out <f.jsonl>\n\
          store flags (offline/observe/serve): --store-dir <dir> (default .pfdbg-store), --no-store\n\
          `@name` uses a generated benchmark from the calibrated suite."
     );
@@ -890,13 +871,7 @@ fn cmd_record(rest: &[String]) -> Result<(), String> {
 fn cmd_replay(rest: &[String]) -> Result<(), String> {
     let path =
         rest.first().filter(|a| !a.starts_with("--")).ok_or("expected a journal path (.pfdj)")?;
-    let threads = match flag(rest, "--at-threads") {
-        None => None,
-        Some(v) => {
-            Some(v.parse().map_err(|_| format!("--at-threads expects a number, got {v:?}"))?)
-        }
-    };
-    let report = pfdbg_replay::verify_path(std::path::Path::new(path), threads)?;
+    let report = pfdbg_replay::verify_path(std::path::Path::new(path))?;
     let torn = if report.torn { " (torn tail skipped)" } else { "" };
     println!(
         "replay {path}: session {:?}, {} records, {} turns, {} scrubs{torn}",

@@ -11,7 +11,7 @@
 use crate::param::Instrumented;
 use pfdbg_arch::{BitstreamLayout, IcapModel, RRNode, VIRTEX5_CONFIG_BITS, VIRTEX5_FRAME_BITS};
 use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
-use pfdbg_map::{map_parameterized_network_with, ElemKind};
+use pfdbg_map::{map_parameterized_network, ElemKind};
 use pfdbg_netlist::truth::TruthTable;
 use pfdbg_netlist::{Network, Node, NodeId};
 use pfdbg_obs::LazyHistogram;
@@ -25,22 +25,13 @@ use std::time::Duration;
 // serving many designs sees compile latency without enabling profiling.
 static OFFLINE_US: LazyHistogram = LazyHistogram::new("flow.offline_us");
 
-/// TLUT tasks per BDD-construction shard. Fixed — independent of the
-/// thread count — so the shard-local managers and the shard-order merge
-/// produce an identical merged node table at every thread count.
+/// TLUT tasks per BDD-construction shard. Fixed, so the shard-local
+/// managers and the shard-order merge produce the same merged node
+/// table (and so the same artifacts and digests) on every run.
 const TLUT_SHARD: usize = 8;
 
 /// Routed nets per switch-bit BDD shard (same fixed-shard rule).
 const NET_SHARD: usize = 16;
-
-/// A shard-local BDD node table as exported by
-/// [`BddManager::export_nodes`]: `(var, lo, hi)` triples, terminals
-/// omitted.
-type ShardNodes = Vec<(u32, u32, u32)>;
-
-/// One switch-bit shard's product: the exported node table plus
-/// `(edge id, shard-local function index)` pairs in first-touch order.
-type SwitchShard = Result<(ShardNodes, Vec<(u32, u32)>), String>;
 
 /// Offline-stage settings.
 #[derive(Debug, Clone)]
@@ -54,11 +45,6 @@ pub struct OfflineConfig {
     /// Run place & route and build the generalized bitstream (skippable
     /// for area-only experiments on large designs).
     pub run_pr: bool,
-    /// Worker threads for the parallel stages (mapping,
-    /// generalized-bitstream construction, the SCG's reference
-    /// evaluation); 0 = global [`pfdbg_util::par::threads`] policy. The
-    /// offline products are identical at every thread count.
-    pub threads: usize,
 }
 
 impl Default for OfflineConfig {
@@ -68,7 +54,6 @@ impl Default for OfflineConfig {
             tpar: TparConfig::default(),
             frame_bits: VIRTEX5_FRAME_BITS,
             run_pr: true,
-            threads: 0,
         }
     }
 }
@@ -161,7 +146,7 @@ fn offline_inner(inst: &Instrumented, cfg: &OfflineConfig) -> Result<OfflineResu
     // synthesis + parameter-aware cut mapping.
     let mp = {
         let _s = pfdbg_obs::span("offline.tconmap");
-        map_parameterized_network_with(&inst.network, cfg.k, cfg.threads)?
+        map_parameterized_network(&inst.network, cfg.k)?
     };
     let map_stats = MapStats {
         luts: mp.stats.luts,
@@ -209,7 +194,6 @@ fn offline_inner(inst: &Instrumented, cfg: &OfflineConfig) -> Result<OfflineResu
             &result,
             &layout,
             cfg.k,
-            cfg.threads,
             &mut manager,
             &mut builder,
         )?;
@@ -222,7 +206,6 @@ fn offline_inner(inst: &Instrumented, cfg: &OfflineConfig) -> Result<OfflineResu
             &param_var,
             &result,
             &layout,
-            cfg.threads,
             &mut manager,
             &mut builder,
         )?;
@@ -241,8 +224,7 @@ fn offline_inner(inst: &Instrumented, cfg: &OfflineConfig) -> Result<OfflineResu
     // device, and partial reconfiguration pays per frame of the real
     // part.
     let icap = IcapModel::calibrated_to(VIRTEX5_CONFIG_BITS, Duration::from_millis(176));
-    let mut scg = Scg::new(manager, gbs);
-    scg.set_threads(cfg.threads);
+    let scg = Scg::new(manager, gbs);
 
     Ok(OfflineResult {
         mapped,
@@ -404,7 +386,6 @@ fn write_lut_bits(
     result: &TparResult,
     layout: &BitstreamLayout,
     k: usize,
-    threads: usize,
     manager: &mut BddManager,
     builder: &mut GeneralizedBuilder,
 ) -> Result<(), String> {
@@ -447,33 +428,22 @@ fn write_lut_bits(
     }
 
     // Pass 2: build row functions in fixed-size shards, each in its own
-    // `BddManager`, then merge shard node tables serially in shard order
-    // (see [`BddManager::import_nodes`]). Fixed shards mean the merged
-    // node table is identical at every thread count.
-    let shard_results: Vec<(ShardNodes, Vec<Vec<u32>>)> =
-        par::map_shards(threads, tasks.len(), TLUT_SHARD, |range| {
-            let mut local = BddManager::new();
-            let rows: Vec<Vec<u32>> = tasks[range]
-                .iter()
-                .map(|t| {
-                    tlut_row_funcs(mapped, param_var, t.lut, &mut local)
-                        .iter()
-                        .map(|f| f.index())
-                        .collect()
-                })
-                .collect();
-            (local.export_nodes(), rows)
-        });
-    for ((nodes, per_task), range) in
-        shard_results.iter().zip(par::shard_ranges(tasks.len(), TLUT_SHARD))
-    {
-        let trans = manager.import_nodes(nodes);
-        for (t, rows) in tasks[range].iter().zip(per_task) {
-            for (row, &fi) in rows.iter().enumerate() {
+    // `BddManager`, merging each shard's node table in shard order (see
+    // [`BddManager::import_nodes`]). Fixed shards make the merged node
+    // table a function of the design alone.
+    for range in par::shard_ranges(tasks.len(), TLUT_SHARD) {
+        let mut local = BddManager::new();
+        let rows: Vec<Vec<Bdd>> = tasks[range.clone()]
+            .iter()
+            .map(|t| tlut_row_funcs(mapped, param_var, t.lut, &mut local))
+            .collect();
+        let trans = manager.import_nodes(&local.export_nodes());
+        for (t, rows) in tasks[range].iter().zip(rows) {
+            for (row, f) in rows.into_iter().enumerate() {
                 builder.set_func(
                     manager,
                     layout.lut_bit(t.x, t.y, t.ble, row, k),
-                    trans[fi as usize],
+                    trans[f.index() as usize],
                 );
             }
         }
@@ -481,14 +451,12 @@ fn write_lut_bits(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_switch_bits(
     mapped: &Network,
     kinds: &FxHashMap<NodeId, ElemKind>,
     param_var: &FxHashMap<NodeId, u32>,
     result: &TparResult,
     layout: &BitstreamLayout,
-    threads: usize,
     manager: &mut BddManager,
     builder: &mut GeneralizedBuilder,
 ) -> Result<(), String> {
@@ -501,11 +469,13 @@ fn write_switch_bits(
     // alternatives of one net, or — for constant nets — be simply on).
     // Nets are sharded with a fixed shard size; each shard builds its
     // `tcon_conditions` BDDs in a local manager and reports its edges in
-    // first-touch order, so the shard-order merge below is identical at
-    // every thread count.
+    // first-touch order. Every shard is built before any is merged:
+    // merging each shard as soon as it was built made genbits ~35%
+    // slower on diffeq1.
     let routes = &result.routed.routes;
-    let shard_results: Vec<SwitchShard> =
-        par::map_shards(threads, routes.len(), NET_SHARD, |range| {
+    let shards = par::shard_ranges(routes.len(), NET_SHARD)
+        .into_iter()
+        .map(|range| {
             let mut local = BddManager::new();
             let mut order: Vec<u32> = Vec::new();
             let mut acc: FxHashMap<u32, Bdd> = FxHashMap::default();
@@ -532,17 +502,17 @@ fn write_switch_bits(
                     }
                 }
             }
-            let pairs = order.iter().map(|&e| (e, acc[&e].index())).collect();
+            let pairs: Vec<(u32, u32)> = order.iter().map(|&e| (e, acc[&e].index())).collect();
             Ok((local.export_nodes(), pairs))
-        });
+        })
+        .collect::<Result<Vec<_>, String>>()?;
 
-    // Serial merge in shard order; cross-shard edge collisions OR in
-    // shard order too. Final writes are sorted by edge id so builder
-    // insertion order is canonical.
+    // Merge in shard order; cross-shard edge collisions OR in shard
+    // order too. Final writes are sorted by edge id so builder insertion
+    // order is canonical.
     let mut funcs: Vec<(u32, Bdd)> = Vec::new();
     let mut idx_of: FxHashMap<u32, usize> = FxHashMap::default();
-    for shard in shard_results {
-        let (nodes, pairs) = shard?;
+    for (nodes, pairs) in shards {
         let trans = manager.import_nodes(&nodes);
         for (e, fi) in pairs {
             let f = trans[fi as usize];
@@ -632,57 +602,6 @@ mod tests {
         let b1 = scg.specialize(&p1);
         assert_ne!(b0, b1, "different selections must differ in routing bits");
         let _ = &mut p0;
-    }
-
-    #[test]
-    fn parallel_offline_is_bit_identical_to_serial() {
-        // The whole offline flow — mapping, routing, sharded BDD
-        // construction — must produce identical products at every
-        // thread count: same tunable-bit count, same merged BDD node
-        // table size, and byte-identical specialized bitstreams.
-        let design = small_design();
-        let (_, _, inst) = crate::baseline::prepare_instrumented(
-            &design,
-            &InstrumentConfig { n_ports: 2, max_signals: None, coverage: 1 },
-            6,
-        )
-        .unwrap();
-        let run = |threads: usize| {
-            offline(&inst, &OfflineConfig { threads, ..Default::default() }).unwrap()
-        };
-        let base = run(1);
-        let base_scg = base.scg.as_ref().unwrap();
-        let n = inst.annotations.len();
-        let params: Vec<BitVec> = (0..4)
-            .map(|i| {
-                let mut v = BitVec::zeros(n);
-                if i > 0 {
-                    v.set((i - 1) % n.max(1), true);
-                }
-                v
-            })
-            .collect();
-        for threads in [2, 8] {
-            let off = run(threads);
-            let scg = off.scg.as_ref().unwrap();
-            assert_eq!(
-                scg.generalized().n_tunable(),
-                base_scg.generalized().n_tunable(),
-                "tunable count differs at {threads} threads"
-            );
-            assert_eq!(
-                scg.manager().n_nodes(),
-                base_scg.manager().n_nodes(),
-                "BDD node count differs at {threads} threads"
-            );
-            for p in &params {
-                assert_eq!(
-                    scg.specialize(p),
-                    base_scg.specialize(p),
-                    "bitstream differs at {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct SeuConfig {
     /// multi-cell upsets from one particle strike).
     pub burst: usize,
     /// Seed of the deterministic generator — a fixed seed replays the
-    /// exact same upset pattern at any thread count.
+    /// exact same upset pattern.
     pub seed: u64,
 }
 
@@ -119,7 +119,7 @@ impl<C: IcapChannel> IcapChannel for SeuIcap<C> {
         }
         // Frames are visited in ascending order and every draw comes
         // from the one seeded generator, so a fixed seed replays the
-        // exact same upset pattern regardless of thread count.
+        // exact same upset pattern.
         for frame in 0..self.inner.n_frames() {
             if !self.rng.gen_bool(self.cfg.rate) {
                 continue;

@@ -14,7 +14,7 @@
 //! [`pfdbg_netlist::truth::MAX_VARS`].
 
 use pfdbg_synth::{Aig, AigKind, AigNode};
-use pfdbg_util::{par, IdVec};
+use pfdbg_util::IdVec;
 
 /// One cut: sorted leaf nodes plus cached costs.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,21 +89,11 @@ pub struct CutConfig {
     pub max_params: usize,
     /// Primary cost: minimize depth (true) or area flow (false).
     pub depth_oriented: bool,
-    /// Worker threads for enumeration (0 = [`pfdbg_util::par::threads`]
-    /// policy). Results are identical at every thread count.
-    pub threads: usize,
 }
 
 impl Default for CutConfig {
     fn default() -> Self {
-        CutConfig {
-            k: 6,
-            priority: 8,
-            param_aware: false,
-            max_params: 0,
-            depth_oriented: true,
-            threads: 0,
-        }
+        CutConfig { k: 6, priority: 8, param_aware: false, max_params: 0, depth_oriented: true }
     }
 }
 
@@ -118,15 +108,8 @@ pub struct CutDb {
     pub est_refs: IdVec<AigNode, f32>,
 }
 
-/// Enumerate priority cuts for every node of `aig`.
-///
-/// Cuts of an AND node depend only on its fanins' cuts, so nodes are
-/// processed level by level (level = 1 + max fanin level): within a
-/// level every node is independent and the batch is fanned out over
-/// [`pfdbg_util::par`], with results written back in node-id order.
-/// The decomposition is purely topological, so the database is
-/// identical at every thread count (threads = 1 skips the level pass
-/// and runs the classic single sweep).
+/// Enumerate priority cuts for every node of `aig`, in one
+/// topological sweep: a node's cuts depend only on its fanins' cuts.
 pub fn enumerate(aig: &Aig, cfg: &CutConfig) -> CutDb {
     assert!(cfg.k >= 2 && cfg.k <= 8, "unsupported LUT size {}", cfg.k);
     assert!(
@@ -139,40 +122,10 @@ pub fn enumerate(aig: &Aig, cfg: &CutConfig) -> CutDb {
     let fanouts = aig.fanout_counts();
     let est_refs: IdVec<AigNode, f32> =
         IdVec::from_vec(fanouts.values().map(|&f| (f as f32).max(1.0)).collect());
-    let workers = par::resolve(cfg.threads);
-
-    if workers == 1 {
-        for (id, _) in aig.iter() {
-            let (node_cuts, depth) = compute_node(aig, id, cfg, &cuts, &best_depth, &est_refs);
-            cuts[id] = node_cuts;
-            best_depth[id] = depth;
-        }
-        return CutDb { cuts, best_depth, est_refs };
-    }
-
-    // Group nodes by topological level; `aig.iter()` is topologically
-    // ordered, so fanin levels are known when a node is reached.
-    let mut level: IdVec<AigNode, u32> = IdVec::filled(0, n);
-    let mut by_level: Vec<Vec<AigNode>> = Vec::new();
-    for (id, entry) in aig.iter() {
-        let lv = match entry.kind {
-            AigKind::And(a, b) => 1 + level[a.node()].max(level[b.node()]),
-            _ => 0,
-        };
-        level[id] = lv;
-        if by_level.len() <= lv as usize {
-            by_level.resize(lv as usize + 1, Vec::new());
-        }
-        by_level[lv as usize].push(id);
-    }
-    for nodes in &by_level {
-        let results = par::map_in(workers, nodes, |&id| {
-            compute_node(aig, id, cfg, &cuts, &best_depth, &est_refs)
-        });
-        for (&id, (node_cuts, depth)) in nodes.iter().zip(results) {
-            cuts[id] = node_cuts;
-            best_depth[id] = depth;
-        }
+    for (id, _) in aig.iter() {
+        let (node_cuts, depth) = compute_node(aig, id, cfg, &cuts, &best_depth, &est_refs);
+        cuts[id] = node_cuts;
+        best_depth[id] = depth;
     }
     CutDb { cuts, best_depth, est_refs }
 }

@@ -13,9 +13,6 @@ pub mod netmap;
 pub mod simple;
 
 pub use cuts::{Cut, CutConfig, CutDb};
-pub use mapper::{map, map_with, ElemKind, MappedElement, MapperKind, Mapping};
-pub use netmap::{
-    depth_with_kinds, map_parameterized_network, map_parameterized_network_with, MappedParam,
-    NetMapStats,
-};
+pub use mapper::{map, ElemKind, MappedElement, MapperKind, Mapping};
+pub use netmap::{depth_with_kinds, map_parameterized_network, MappedParam, NetMapStats};
 pub use simple::simple_map;

@@ -77,19 +77,12 @@ pub enum MapperKind {
 
 /// Map an AIG into K-LUTs with the selected algorithm.
 pub fn map(aig: &Aig, k: usize, kind: MapperKind) -> Mapping {
-    map_with(aig, k, kind, 0)
-}
-
-/// [`map`] with an explicit worker-thread count (0 = global
-/// [`pfdbg_util::par::threads`] policy). The mapping is identical at
-/// every thread count.
-pub fn map_with(aig: &Aig, k: usize, kind: MapperKind, threads: usize) -> Mapping {
     match kind {
         MapperKind::Simple => crate::simple::simple_map(aig, k),
         MapperKind::PriorityCuts => {
-            let cfg = CutConfig { k, priority: 8, threads, ..Default::default() };
+            let cfg = CutConfig { k, priority: 8, ..Default::default() };
             let db = enumerate(aig, &cfg);
-            derive(aig, k, |node| best_cut(&db.cuts[node]), false, threads)
+            derive(aig, k, |node| best_cut(&db.cuts[node]), false)
         }
         MapperKind::TconMap => {
             let max_params = pfdbg_netlist::truth::MAX_VARS - k;
@@ -103,10 +96,9 @@ pub fn map_with(aig: &Aig, k: usize, kind: MapperKind, threads: usize) -> Mappin
                 // depth; its area win comes from muxes dissolving into
                 // TCONs, not from trading depth for area.
                 depth_oriented: true,
-                threads,
             };
             let db = enumerate(aig, &cfg);
-            derive(aig, k, |node| best_cut(&db.cuts[node]), true, threads)
+            derive(aig, k, |node| best_cut(&db.cuts[node]), true)
         }
     }
 }
@@ -119,13 +111,7 @@ fn best_cut(cuts: &[Cut]) -> &Cut {
 
 /// Derive the cover: start from outputs and latch next-states, choose the
 /// best cut per required node, recurse into its leaves.
-pub(crate) fn derive<'a, F>(
-    aig: &Aig,
-    k: usize,
-    mut choose: F,
-    param_aware: bool,
-    threads: usize,
-) -> Mapping
+pub(crate) fn derive<'a, F>(aig: &Aig, k: usize, mut choose: F, param_aware: bool) -> Mapping
 where
     F: FnMut(AigNode) -> &'a Cut,
 {
@@ -159,22 +145,16 @@ where
         }
         chosen.push((node, cut.leaves.clone(), cut.n_params));
     }
-    build_mapping(aig, k, chosen, param_aware, threads)
+    build_mapping(aig, k, chosen, param_aware)
 }
 
 /// Assemble a [`Mapping`] from chosen `(root, leaves, n_params)` covers
 /// (shared by the cut-based mappers and SimpleMap).
-///
-/// Cone matching — computing each element's truth table over its cut
-/// leaves — is pure per element and is fanned out over
-/// [`pfdbg_util::par`]; the phase-flip/classify pass stays serial
-/// because `flipped` accumulates in topological order.
 pub(crate) fn build_mapping(
     aig: &Aig,
     k: usize,
     mut chosen: Vec<(AigNode, Vec<AigNode>, usize)>,
     param_aware: bool,
-    threads: usize,
 ) -> Mapping {
     // Build elements in topological (root id) order.
     chosen.sort_by_key(|(root, _, _)| *root);
@@ -208,12 +188,9 @@ pub(crate) fn build_mapping(
         }
     }
 
-    // Cone matching, fanned out: each table depends only on the AIG.
-    let tables = pfdbg_util::par::map_in(threads, &chosen, |(root, leaves, _)| {
-        cone_table(aig, *root, leaves)
-    });
-
-    for ((root, leaves, n_params), mut table) in chosen.into_iter().zip(tables) {
+    for (root, leaves, n_params) in chosen {
+        // Cone matching: the element's truth table over its cut leaves.
+        let mut table = cone_table(aig, root, &leaves);
         // Account for leaves whose producing element was phase-flipped:
         // the physical wire carries the complement, so the consuming
         // table reads the inverted variable.

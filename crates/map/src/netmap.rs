@@ -79,17 +79,6 @@ fn is_selector(nw: &Network, id: NodeId) -> bool {
 
 /// Map an instrumented network, honoring its parameter annotations.
 pub fn map_parameterized_network(nw: &Network, k: usize) -> Result<MappedParam, String> {
-    map_parameterized_network_with(nw, k, 0)
-}
-
-/// [`map_parameterized_network`] with an explicit worker-thread count
-/// (0 = global [`pfdbg_util::par::threads`] policy); the result is
-/// identical at every thread count.
-pub fn map_parameterized_network_with(
-    nw: &Network,
-    k: usize,
-    threads: usize,
-) -> Result<MappedParam, String> {
     nw.validate()?;
 
     // --- Pass 1: TCON candidates — selector nodes consumed only by other
@@ -216,7 +205,7 @@ pub fn map_parameterized_network_with(
         (rest.clone(), kinds)
     } else {
         let aig = synthesize(&rest)?;
-        let mapping = crate::mapper::map_with(&aig, k, MapperKind::TconMap, threads);
+        let mapping = crate::mapper::map(&aig, k, MapperKind::TconMap);
         mapping.to_network(&aig)
     };
 

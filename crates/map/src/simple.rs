@@ -92,7 +92,7 @@ pub fn simple_map(aig: &Aig, k: usize) -> Mapping {
         chosen.push((node, leaves, 0));
     }
 
-    build_mapping(aig, k, chosen, false, 1)
+    build_mapping(aig, k, chosen, false)
 }
 
 #[cfg(test)]

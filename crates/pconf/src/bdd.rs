@@ -155,10 +155,10 @@ impl BddManager {
     /// and 1), so any root exported as [`Bdd::index`] can be remapped
     /// with `trans[idx as usize]`.
     ///
-    /// Because `mk` dedupes against the unique table, importing shards
-    /// whose node sets union to a serial manager's node set — in the
-    /// same shard order at every thread count — reproduces the serial
-    /// manager's node table exactly.
+    /// Because `mk` dedupes against the unique table, importing the same
+    /// shards in the same order always reproduces the same node table.
+    /// The offline flow's fixed shards make it a function of the design
+    /// alone.
     pub fn import_nodes(&mut self, nodes: &[(u32, u32, u32)]) -> Vec<Bdd> {
         let mut trans = Vec::with_capacity(nodes.len() + 2);
         trans.push(Bdd::FALSE);

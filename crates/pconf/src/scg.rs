@@ -18,16 +18,9 @@ use crate::icap::{CommitPolicy, IcapChannel, MemoryIcap};
 use crate::scrub::ScrubReport;
 use crate::turn::{TunableFrames, TurnContext, TurnEngine};
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
-use pfdbg_util::{par, BitVec};
+use pfdbg_util::BitVec;
 use std::cell::Cell;
 use std::time::{Duration, Instant};
-
-/// Tunable-bit shard size for parallel evaluation. Fixed — never a
-/// function of the thread count — so the work decomposition (and hence
-/// every result) is identical at every thread count. Evaluations are a
-/// few hundred nanoseconds each, so shards must be coarse for the fork
-/// to pay off; below ~2 shards the loops stay serial.
-const EVAL_SHARD: usize = 1024;
 
 thread_local! {
     /// Per-BDD-node values of the sweep in flight on this thread
@@ -88,9 +81,6 @@ impl SpecializeScratch {
 pub struct Scg {
     manager: BddManager,
     gbs: GeneralizedBitstream,
-    /// Worker threads for sharded evaluation (0 = global
-    /// [`pfdbg_util::par::threads`] policy).
-    threads: usize,
 }
 
 impl Scg {
@@ -104,19 +94,14 @@ impl Scg {
         for (t, f) in gbs.tunable.iter_mut().zip(roots) {
             t.1 = f;
         }
-        Scg { manager, gbs, threads: 0 }
+        Scg { manager, gbs }
     }
 
-    /// Set the worker-thread count for sharded evaluation (0 = global
-    /// [`pfdbg_util::par::threads`] policy). Specialization results are
-    /// identical at every thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The effective evaluation thread count.
+    /// The evaluation thread count: always 1, as the SCG evaluates
+    /// serially. It goes with the next change to the benchmark, which
+    /// still records it in its journal meta.
     pub fn effective_threads(&self) -> usize {
-        par::resolve(self.threads)
+        1
     }
 
     /// The generalized bitstream.
@@ -131,23 +116,12 @@ impl Scg {
 
     /// Evaluate **all** tunable functions under `params` in tunable-list
     /// order, one [`BddManager::eval`] walk per function — the reference
-    /// evaluator. Shards of [`EVAL_SHARD`] functions fan out over the
-    /// thread pool; the shard structure depends only on the tunable
-    /// count, so the output is identical at every thread count.
-    fn eval_all_tunables(&self, params: &BitVec) -> Vec<(usize, bool)> {
-        let n = self.gbs.tunable.len();
-        let eval_one = |i: usize| {
-            let (addr, f) = self.gbs.tunable[i];
-            (addr, self.manager.eval(f, params))
-        };
-        let workers = par::resolve(self.threads);
-        if workers <= 1 || n < 2 * EVAL_SHARD {
-            return (0..n).map(eval_one).collect();
-        }
-        par::map_shards(workers, n, EVAL_SHARD, |r| r.map(eval_one).collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect()
+    /// evaluator.
+    fn eval_all_tunables<'a>(
+        &'a self,
+        params: &'a BitVec,
+    ) -> impl Iterator<Item = (usize, bool)> + 'a {
+        self.gbs.tunable.iter().map(|&(addr, f)| (addr, self.manager.eval(f, params)))
     }
 
     /// Memoized batch evaluation of every tunable function under
@@ -155,9 +129,7 @@ impl Scg {
     /// ([`BddManager::eval_all_into`], into this thread's node-value
     /// buffer) costs each shared BDD node exactly once, then the root
     /// values are packed into `packed` (bit `i` = value of
-    /// `gbs.tunable[i]`), shifted in without a branch. Serial by
-    /// construction, so the result is trivially identical at every
-    /// thread count.
+    /// `gbs.tunable[i]`), shifted in without a branch.
     fn eval_packed(&self, params: &BitVec, packed: &mut BitVec) {
         let mut vals = NODE_VALS.take();
         self.manager.eval_all_into(params, &mut vals);
@@ -729,8 +701,7 @@ mod tests {
         assert!(online.try_apply(&params(&[true, false])).is_ok());
     }
 
-    /// A large synthetic SCG (thousands of tunables — enough to engage
-    /// the sharded evaluation path).
+    /// A large synthetic SCG (thousands of tunables).
     fn large_scg() -> Scg {
         let dev = Device::new(ArchSpec { channel_width: 8, ..Default::default() }, 4, 4);
         let rrg = build_rrg(&dev);
@@ -770,28 +741,23 @@ mod tests {
     fn batch_diff_matches_per_function_diff() {
         // The packed word-diff must reproduce the reference diff of two
         // per-function specializations exactly — same addresses, same
-        // values, same order — across a parameter walk and at every
-        // thread count.
-        let mut scg = large_scg();
-        for threads in [1usize, 2, 8] {
-            scg.set_threads(threads);
-            let mut scratch = SpecializeScratch::new();
-            let mut prev: BitVec = BitVec::zeros(16);
-            let mut cur = scg.specialize(&prev);
-            let walk: Vec<BitVec> = (0..6u32)
-                .map(|s| (0..16).map(|i| (i * 7 + s * 3) % 5 < 2).collect::<BitVec>())
-                .collect();
-            for next in walk {
-                let old = scg.try_specialize_diff(&cur, &next).unwrap();
-                let new =
-                    scg.specialize_diff_from_batch(&prev, &next, &mut scratch).unwrap().to_vec();
-                assert_eq!(old, new, "threads={threads} prev={prev:?} next={next:?}");
-                for &(addr, v) in &new {
-                    cur.set(addr, v);
-                }
-                scratch.commit(&next);
-                prev = next;
+        // values, same order — across a parameter walk.
+        let scg = large_scg();
+        let mut scratch = SpecializeScratch::new();
+        let mut prev: BitVec = BitVec::zeros(16);
+        let mut cur = scg.specialize(&prev);
+        let walk: Vec<BitVec> = (0..6u32)
+            .map(|s| (0..16).map(|i| (i * 7 + s * 3) % 5 < 2).collect::<BitVec>())
+            .collect();
+        for next in walk {
+            let old = scg.try_specialize_diff(&cur, &next).unwrap();
+            let new = scg.specialize_diff_from_batch(&prev, &next, &mut scratch).unwrap().to_vec();
+            assert_eq!(old, new, "prev={prev:?} next={next:?}");
+            for &(addr, v) in &new {
+                cur.set(addr, v);
             }
+            scratch.commit(&next);
+            prev = next;
         }
     }
 
@@ -838,25 +804,6 @@ mod tests {
             .is_err());
         let wrong = Bitstream::from_bits(pfdbg_util::BitVec::zeros(8));
         assert!(scg.specialize_from_batch(&wrong, &params(&[true, false]), &mut scratch).is_err());
-    }
-
-    #[test]
-    fn sharded_specialization_matches_serial() {
-        // 5000 tunables exceed 2 * EVAL_SHARD, so threads > 1 really
-        // takes the sharded path; every product must be bit-identical to
-        // the serial evaluation.
-        let mut scg = large_scg();
-        let asg: BitVec = (0..16).map(|i| i % 3 == 0).collect();
-        let prev: BitVec = BitVec::zeros(16);
-        scg.set_threads(1);
-        let serial_bits = scg.specialize(&asg);
-        let serial_base = scg.specialize(&prev);
-        let serial_diff = scg.specialize_diff(&serial_base, &asg);
-        for threads in [2usize, 8] {
-            scg.set_threads(threads);
-            assert_eq!(scg.specialize(&asg), serial_bits, "threads={threads}");
-            assert_eq!(scg.specialize_diff(&serial_base, &asg), serial_diff, "threads={threads}");
-        }
     }
 
     #[test]
@@ -936,20 +883,13 @@ mod tests {
     #[test]
     fn diff_is_sorted_by_bit_index() {
         // Regression: the DPR write set must come back ascending by bit
-        // address at every thread count, independent of shard completion
-        // order.
-        let mut scg = large_scg();
+        // address.
+        let scg = large_scg();
         let prev: BitVec = BitVec::zeros(16);
         let base = scg.specialize(&prev);
         let next: BitVec = (0..16).map(|i| i % 2 == 0).collect();
-        for threads in [1usize, 2, 8] {
-            scg.set_threads(threads);
-            let diff = scg.try_specialize_diff(&base, &next).unwrap();
-            assert!(!diff.is_empty(), "expected changes for {next:?}");
-            assert!(
-                diff.windows(2).all(|w| w[0].0 < w[1].0),
-                "diff not strictly ascending at threads={threads}"
-            );
-        }
+        let diff = scg.try_specialize_diff(&base, &next).unwrap();
+        assert!(!diff.is_empty(), "expected changes for {next:?}");
+        assert!(diff.windows(2).all(|w| w[0].0 < w[1].0), "diff not strictly ascending");
     }
 }

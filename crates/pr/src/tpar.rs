@@ -24,7 +24,8 @@ pub struct TparConfig {
     /// Device sizing headroom.
     pub device_slack: f64,
     /// Independent annealing chains run in parallel; the best placement
-    /// wins (1 = sequential).
+    /// wins (1 = sequential, the default). Goes with the next change to
+    /// the benchmark, together with [`place_parallel`].
     pub place_chains: usize,
     /// Channel-width growth retries on routing failure.
     pub max_width_retries: usize,
@@ -82,7 +83,10 @@ pub struct TparResult {
 }
 
 /// Multi-start placement: run `chains` seeds (in parallel when > 1) and
-/// keep the lowest-cost result.
+/// keep the lowest-cost result. The offline flow runs one chain; this
+/// entry point, [`TparConfig::place_chains`] and this crate's
+/// `crossbeam` dependency go with the next change to the benchmark,
+/// whose locked build still names them.
 pub fn place_parallel(
     design: &PackedDesign,
     dev: &Device,

@@ -90,7 +90,7 @@ pub fn device_crc(channel: &dyn IcapChannel) -> u64 {
 pub struct BuiltDesign {
     /// Instrumented design.
     pub inst: pfdbg_core::Instrumented,
-    /// SCG over the generalized bitstream, threads already set.
+    /// SCG over the generalized bitstream.
     pub scg: pfdbg_pconf::Scg,
     /// Bitstream layout.
     pub layout: pfdbg_arch::BitstreamLayout,
@@ -100,8 +100,8 @@ pub struct BuiltDesign {
 
 /// Rebuild the compiled design a journal's meta describes, running the
 /// full offline flow (synth → map → TPaR → generalized bitstream).
-/// Deterministic: the offline products are identical at every thread
-/// count, so the rebuilt engine matches the recorded one exactly.
+/// Deterministic, so the rebuilt engine matches the recorded one
+/// exactly.
 pub fn build_design(meta: &SessionMeta) -> Result<BuiltDesign, String> {
     let nw = match &meta.design {
         DesignSpec::Generated { n_inputs, n_outputs, n_gates, depth, n_latches, seed } => {
@@ -137,8 +137,7 @@ pub fn build_design(meta: &SessionMeta) -> Result<BuiltDesign, String> {
         meta.k,
     )?;
     let off = pfdbg_core::offline(&inst, &OfflineConfig { k: meta.k, ..OfflineConfig::default() })?;
-    let mut scg = off.scg.ok_or("offline flow produced no SCG")?;
-    scg.set_threads(meta.threads);
+    let scg = off.scg.ok_or("offline flow produced no SCG")?;
     let layout = off.layout.ok_or("offline flow produced no layout")?;
     if meta.n_params != 0 && scg.generalized().n_params != meta.n_params {
         return Err(format!(

@@ -2,8 +2,8 @@
 //!
 //! Each case derives a random small design and a random operation
 //! sequence from a seed, then drives it through a *pair* of sessions
-//! that must agree — faulty-vs-golden-oracle, serial-vs-parallel SCG,
-//! scrubbed-vs-unscrubbed under 0% SEU — and diffs every observable
+//! that must agree — faulty-vs-golden-oracle, scrubbed-vs-unscrubbed
+//! under 0% SEU — and diffs every observable
 //! fact. Any divergence is shrunk (prefix truncation + greedy op
 //! removal) to a minimal reproducing sequence and saved as a journal,
 //! turning the failure into a permanent regression-corpus entry.
@@ -37,13 +37,6 @@ pub enum PairKind {
     /// equal the PConf specialization of the applied parameters,
     /// regardless of how many retries/escalations the transport cost.
     FaultyOracle,
-    /// Two golden sessions whose SCGs evaluate with 1 vs `threads`
-    /// worker threads; every fact must match (thread-count
-    /// invariance).
-    SerialParallel {
-        /// Parallel side's thread count.
-        threads: usize,
-    },
     /// Under 0% SEU, a session that scrubs must be observably
     /// identical to one that never does — and its scrub passes must
     /// find nothing.
@@ -62,7 +55,6 @@ impl PairKind {
     pub fn name(&self) -> String {
         match self {
             PairKind::FaultyOracle => "faulty-vs-oracle".into(),
-            PairKind::SerialParallel { threads } => format!("serial-vs-parallel{threads}"),
             PairKind::ScrubNone => "scrubbed-vs-unscrubbed".into(),
             PairKind::Nondet { after_ticks } => format!("nondet-after{after_ticks}"),
         }
@@ -72,12 +64,7 @@ impl PairKind {
 /// The production pair matrix (the nondeterminism hook is test-only
 /// and deliberately excluded — it always diverges).
 pub fn default_pairs() -> Vec<PairKind> {
-    vec![
-        PairKind::FaultyOracle,
-        PairKind::SerialParallel { threads: 2 },
-        PairKind::SerialParallel { threads: 8 },
-        PairKind::ScrubNone,
-    ]
+    vec![PairKind::FaultyOracle, PairKind::ScrubNone]
 }
 
 /// What one fuzz case did.
@@ -146,11 +133,11 @@ fn gen_meta(rng: &mut StdRng, pair: &PairKind, seed: u64) -> SessionMeta {
 }
 
 /// Derive the case's operation sequence.
-fn gen_ops(rng: &mut StdRng, n_params: usize, scrubs: bool) -> Vec<FuzzOp> {
+fn gen_ops(rng: &mut StdRng, n_params: usize) -> Vec<FuzzOp> {
     let n_ops = rng.gen_range(3..9usize);
     (0..n_ops)
         .map(|_| {
-            if scrubs && rng.gen_bool(0.2) {
+            if rng.gen_bool(0.2) {
                 FuzzOp::Scrub
             } else {
                 let mut params = BitVec::zeros(n_params);
@@ -198,12 +185,6 @@ fn execute(
             }
             Ok(None)
         }
-        PairKind::SerialParallel { threads } => {
-            let meta_b = SessionMeta { threads: (*threads).max(1), ..meta.clone() };
-            let mut a = OnlineDriver::build(meta)?;
-            let mut b = OnlineDriver::build(&meta_b)?;
-            run_lockstep(&mut a, &mut b, ops, false)
-        }
         PairKind::ScrubNone => {
             let mut a = OnlineDriver::build(meta)?;
             let mut b = OnlineDriver::build(meta)?;
@@ -239,7 +220,7 @@ fn execute(
             let after = (*after_ticks).max(1);
             let mut a = OnlineDriver::build(meta)?;
             let mut b = OnlineDriver::build_wrapped(meta, |c| Box::new(NondetIcap::new(c, after)))?;
-            run_lockstep(&mut a, &mut b, ops, true)
+            run_lockstep(&mut a, &mut b, ops)
         }
     }
 }
@@ -249,7 +230,6 @@ fn run_lockstep(
     a: &mut OnlineDriver,
     b: &mut OnlineDriver,
     ops: &[FuzzOp],
-    scrub_both: bool,
 ) -> Result<Option<Divergence>, String> {
     for (i, op) in ops.iter().enumerate() {
         match op {
@@ -261,9 +241,6 @@ fn run_lockstep(
                 }
             }
             FuzzOp::Scrub => {
-                if !scrub_both {
-                    continue;
-                }
                 let fa = a.scrub()?;
                 let fb = b.scrub()?;
                 if let Some(d) = diff_scrub(i, i as u64, &fa, &fb) {
@@ -367,8 +344,7 @@ pub fn run_case(
     // needs; the recorded meta then pins it for every later rebuild.
     let built = crate::driver::build_design(&meta)?;
     meta.n_params = built.scg.generalized().n_params;
-    let scrubs = !matches!(pair, PairKind::SerialParallel { .. });
-    let ops = gen_ops(&mut rng, meta.n_params, scrubs);
+    let ops = gen_ops(&mut rng, meta.n_params);
     // The probe doubles as the A side of the first execution only for
     // pairs that need a single driver; lockstep pairs rebuild anyway,
     // so just drop it and keep `execute` uniform.
@@ -418,7 +394,7 @@ pub fn run_suite(
 /// Re-verify every journal in a corpus directory (the regression
 /// corpus check): each must replay bit-identically. Returns the
 /// verified file count.
-pub fn verify_corpus(dir: &Path, threads: Option<usize>) -> Result<usize, String> {
+pub fn verify_corpus(dir: &Path) -> Result<usize, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("read corpus dir {}: {e}", dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -426,7 +402,7 @@ pub fn verify_corpus(dir: &Path, threads: Option<usize>) -> Result<usize, String
         .collect();
     paths.sort();
     for path in &paths {
-        let report = crate::verify::verify_path(path, threads)?;
+        let report = crate::verify::verify_path(path)?;
         if let Some(d) = report.divergence {
             return Err(format!("corpus journal {} diverged: {d}", path.display()));
         }
@@ -447,6 +423,6 @@ mod tests {
         let m1 = gen_meta(&mut r1, &pair, 7);
         let m2 = gen_meta(&mut r2, &pair, 7);
         assert_eq!(m1, m2);
-        assert_eq!(gen_ops(&mut r1, 6, true), gen_ops(&mut r2, 6, true));
+        assert_eq!(gen_ops(&mut r1, 6), gen_ops(&mut r2, 6));
     }
 }

@@ -2,8 +2,8 @@
 //! turn-sequence fuzzing.
 //!
 //! The debug flow of this repository is deterministic by construction:
-//! seeded fault and SEU streams, sharded-but-ordered SCG evaluation,
-//! and transactional frame commits. This crate turns that property
+//! seeded fault and SEU streams, a serial SCG evaluation, and
+//! transactional frame commits. This crate turns that property
 //! into three tools:
 //!
 //! 1. **Recording** ([`Recorder`], [`JournalWriter`]): every turn's
@@ -17,8 +17,8 @@
 //!    the same machinery for crash-consistent session restore.
 //! 3. **Differential fuzzing** ([`fuzz::run_suite`]): seeded random
 //!    turn sequences drive pairs of sessions that must agree —
-//!    faulty-vs-golden-oracle, serial-vs-parallel SCG,
-//!    scrubbed-vs-unscrubbed at 0% SEU — and any divergence is shrunk
+//!    faulty-vs-golden-oracle and scrubbed-vs-unscrubbed at 0% SEU —
+//!    and any divergence is shrunk
 //!    to a minimal journal for the regression corpus.
 
 #![forbid(unsafe_code)]

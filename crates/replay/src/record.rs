@@ -4,7 +4,7 @@
 //! `pfdbg-store`'s append-only journal format
 //! ([`pfdbg_store::journal`]): the first record is always
 //! [`JournalRecord::Meta`] (everything needed to rebuild the session —
-//! design provenance, chaos configuration with seeds, thread count),
+//! design provenance, chaos configuration with seeds),
 //! followed by one record per observable operation. Records hold the
 //! turn's *inputs* (the parameter vector) and its *observable outputs*
 //! (commit/rollback/deadline outcome, bits and frames changed, retry
@@ -147,8 +147,9 @@ pub struct SessionMeta {
     pub n_params: usize,
     /// Chaos environment, seeds included.
     pub chaos: ChaosSpec,
-    /// SCG evaluation threads the session ran with (informational: the
-    /// products are thread-count-invariant, which replay re-proves).
+    /// Informational only, never read back: `pfdbg-serve` writes 1 and
+    /// `pfdbg record` writes 0. The SCG evaluates serially; the field
+    /// stays so that every existing journal still reads.
     pub threads: usize,
     /// Free-form provenance note.
     pub note: String,

@@ -55,26 +55,18 @@ impl VerifyReport {
     }
 }
 
-/// Verify a journal file. `threads` overrides the recorded SCG thread
-/// count (None = replay with the journaled one) — the products must be
-/// identical either way, which is exactly what this proves.
-pub fn verify_path(path: &Path, threads: Option<usize>) -> Result<VerifyReport, String> {
+/// Verify a journal file.
+pub fn verify_path(path: &Path) -> Result<VerifyReport, String> {
     let (records, torn) = crate::journal::read_records(path)?;
-    let mut report = verify_records(&records, threads)?;
+    let mut report = verify_records(&records)?;
     report.torn = torn;
     Ok(report)
 }
 
 /// Verify already-decoded records (see [`verify_path`]).
-pub fn verify_records(
-    records: &[JournalRecord],
-    threads: Option<usize>,
-) -> Result<VerifyReport, String> {
-    let mut meta = meta_of(records)?.clone();
-    if let Some(t) = threads {
-        meta.threads = t.max(1);
-    }
-    let mut driver = OnlineDriver::build(&meta)?;
+pub fn verify_records(records: &[JournalRecord]) -> Result<VerifyReport, String> {
+    let meta = meta_of(records)?;
+    let mut driver = OnlineDriver::build(meta)?;
     Ok(verify_with_driver(&mut driver, records, &meta.session))
 }
 

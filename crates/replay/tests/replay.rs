@@ -2,7 +2,7 @@
 //!
 //! 1. Any recorded session — random design, random turn sequence,
 //!    transport faults up to 10%, SEUs up to 2% — replays bit-identically
-//!    at 1, 2, and 8 SCG threads (the round-trip property).
+//!    (the round-trip property).
 //! 2. Injected nondeterminism (a test-only channel that flips an
 //!    unseeded bit) is *caught* by the differential fuzzer and *shrunk*
 //!    to a minimal reproducing journal.
@@ -56,10 +56,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 5, ..ProptestConfig::default() })]
 
     /// The acceptance property: record a random chaotic session, then
-    /// verify the journal replays bit-identically at 1, 2, and 8
-    /// threads.
+    /// verify the journal replays bit-identically.
     #[test]
-    fn recorded_sessions_replay_bit_identically_at_any_thread_count(
+    fn recorded_sessions_replay_bit_identically(
         seed in 0u64..1_000_000,
         n_ops in 3usize..8,
         fault_pct in 0u32..=10,
@@ -83,15 +82,9 @@ proptest! {
         }
         rec.finish().unwrap();
 
-        for threads in [1usize, 2, 8] {
-            let report = verify_path(&path, Some(threads)).unwrap();
-            prop_assert!(
-                report.ok(),
-                "threads={threads}: {}",
-                report.divergence.as_ref().unwrap()
-            );
-            prop_assert!(!report.torn);
-        }
+        let report = verify_path(&path).unwrap();
+        prop_assert!(report.ok(), "{}", report.divergence.as_ref().unwrap());
+        prop_assert!(!report.torn);
         std::fs::remove_file(&path).ok();
     }
 }
@@ -121,7 +114,7 @@ fn torn_tail_journal_still_verifies() {
     let (records, torn) = read_records(&path).unwrap();
     assert!(torn, "tail tear must be detected");
     assert_eq!(records.len(), 2, "meta + first select survive");
-    let report = verify_records(&records, None).unwrap();
+    let report = verify_records(&records).unwrap();
     assert!(report.ok(), "{}", report.divergence.unwrap());
     std::fs::remove_file(&path).ok();
 }
@@ -166,7 +159,7 @@ fn injected_nondeterminism_is_caught_and_shrunk() {
     // records the deterministic reference side).
     let path = report.corpus_path.as_ref().expect("divergence must be saved to the corpus");
     assert!(path.exists());
-    let verify = verify_path(path, None).unwrap();
+    let verify = verify_path(path).unwrap();
     assert!(verify.ok(), "{}", verify.divergence.unwrap());
     let (records, _) = read_records(path).unwrap();
     match &records[0] {

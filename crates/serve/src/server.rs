@@ -100,10 +100,11 @@ impl Server {
         // configuration before the first observation lands.
         tel::SLO_TURN.set_budget_us(cfg.default_deadline_ms * 1e3);
         tel::SLO_INBOX.set_budget_us(cfg.default_deadline_ms * 1e3 / 4.0);
-        if cfg.scrub_interval_ms.is_finite() && cfg.scrub_interval_ms > 0.0 {
+        let scrub_interval = scrub_interval_ms(&cfg);
+        if scrub_interval > 0.0 {
             // A scrub walk that takes longer than twice its configured
             // cadence (busy shards, slow readback) burns the budget.
-            tel::SLO_SCRUB.set_budget_us(cfg.scrub_interval_ms * 2.0 * 1e3);
+            tel::SLO_SCRUB.set_budget_us(scrub_interval * 2.0 * 1e3);
         }
         let shared = Arc::new(Shared { sessions, cfg, stop: AtomicBool::new(false) });
 
@@ -129,8 +130,7 @@ impl Server {
                     .map_err(|e| format!("cannot spawn acceptor: {e}"))?,
             );
         }
-        let interval = shared.cfg.scrub_interval_ms;
-        if interval.is_finite() && interval > 0.0 {
+        if scrub_interval > 0.0 {
             let shared = shared.clone();
             threads.push(
                 std::thread::Builder::new()
@@ -206,6 +206,17 @@ fn accept_loop(listener: &TcpListener, shared: &Shared, conn_txs: &[mpsc::Sender
                 }
             }
         }
+    }
+}
+
+/// The background scrub interval in milliseconds; 0 when the scrubber
+/// is off (the configured value is non-finite or non-positive).
+fn scrub_interval_ms(cfg: &ServerConfig) -> f64 {
+    let ms = cfg.scrub_interval_ms;
+    if ms.is_finite() && ms > 0.0 {
+        ms
+    } else {
+        0.0
     }
 }
 
@@ -881,7 +892,6 @@ fn stats_reply(meta: &RequestMeta, shared: &Shared) -> Reply {
         .num("turns", turns as f64)
         .num("cache_hits", hits as f64)
         .num("cache_misses", misses as f64)
-        .num("specialize_threads", sessions.engine().scg.effective_threads() as f64)
         .num("shards", sessions.shard_count() as f64)
         .num("inbox_capacity", sessions.inbox_capacity() as f64)
         .num("shed_total", shed_total as f64)
@@ -896,6 +906,8 @@ fn stats_reply(meta: &RequestMeta, shared: &Shared) -> Reply {
         .num("scrub_repairs", scrub.repairs as f64)
         .num("scrub_quarantined", scrub.quarantined as f64)
         .num("seu_bits_injected", scrub.seu_bits_injected as f64)
+        .num("seu_rate", sessions.seu_rate())
+        .num("scrub_interval_ms", scrub_interval_ms(&shared.cfg))
         .num("journal_records", journal_records as f64)
         .num("restores", restores as f64)
         .num("devices", fleet.devices as f64)

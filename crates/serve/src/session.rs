@@ -482,7 +482,7 @@ impl ManagerCore {
             k,
             n_params: self.engine.n_params(),
             chaos: ChaosSpec::from_parts(self.fault, self.seu, &self.policy, &self.scrub_policy),
-            threads: self.engine.scg.effective_threads(),
+            threads: 1,
             note: "recorded by pfdbg-serve".into(),
         }
     }
@@ -674,7 +674,7 @@ impl ManagerCore {
         let (records, _torn) = pfdbg_replay::read_records(path)?;
         let meta = pfdbg_replay::meta_of(&records)?;
         if !matches!(meta.design, DesignSpec::External) {
-            let report = pfdbg_replay::verify_path(path, None)?;
+            let report = pfdbg_replay::verify_path(path)?;
             return Ok((report.session, report.records, report.divergence));
         }
         if meta.n_params != self.engine.n_params() {
@@ -1807,6 +1807,12 @@ impl SessionManager {
             quarantined: self.core.scrub_quarantined.load(Ordering::Relaxed),
             seu_bits_injected: self.core.seu_bits_injected.load(Ordering::Relaxed),
         }
+    }
+
+    /// The per-frame upset rate sessions are born with (0 without SEU
+    /// injection).
+    pub fn seu_rate(&self) -> f64 {
+        self.core.seu.map_or(0.0, |s| s.rate)
     }
 
     /// Enable session journaling: every session opened afterwards

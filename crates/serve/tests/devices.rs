@@ -41,9 +41,7 @@ fn build_engine() -> Engine {
     .unwrap();
     let off =
         pfdbg_core::offline(&inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap();
-    let mut scg = off.scg.unwrap();
-    scg.set_threads(2);
-    Engine::new(inst, scg, off.layout.unwrap(), off.icap)
+    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
 }
 
 /// One engine for the whole file — golden and chaos runs share it the

@@ -3,8 +3,8 @@
 //! A server started with a journal dir records every turn. Killing it
 //! mid-session and restarting over the same dir must restore the
 //! session by re-driving its journal — and the restored session's next
-//! select must be bit-identical to an uninterrupted golden run, at 1,
-//! 2, and 8 SCG evaluation threads. A restart under *different* chaos
+//! select must be bit-identical to an uninterrupted golden run. A
+//! restart under *different* chaos
 //! flags must refuse the restore loudly instead. A serve journal also
 //! verifies on the standalone engine (`pfdbg_replay::verify_path`).
 
@@ -33,7 +33,7 @@ const GEN: pfdbg_circuits::GenParams = pfdbg_circuits::GenParams {
     seed: 91,
 };
 
-fn build_engine(threads: usize) -> Engine {
+fn build_engine() -> Engine {
     let design = pfdbg_circuits::generate(&GEN);
     let (_, _, inst) = prepare_instrumented(
         &design,
@@ -43,17 +43,15 @@ fn build_engine(threads: usize) -> Engine {
     .unwrap();
     let off =
         pfdbg_core::offline(&inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap();
-    let mut scg = off.scg.unwrap();
-    scg.set_threads(threads);
-    Engine::new(inst, scg, off.layout.unwrap(), off.icap)
+    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
 }
 
 /// The chaos environment both runs share: flaky transport + SEUs, so
 /// the restore has to reproduce retries, escalations, and upsets — not
 /// just a clean bit diff.
-fn chaos_manager(threads: usize, journal: Option<PathBuf>, seu_rate: f64) -> SessionManager {
+fn chaos_manager(journal: Option<PathBuf>, seu_rate: f64) -> SessionManager {
     let mut manager = SessionManager::with_chaos_scrub(
-        Arc::new(build_engine(threads)),
+        Arc::new(build_engine()),
         16,
         Some(IcapFaultConfig::uniform(0.04, 0xFA_417)),
         CommitPolicy { jitter_seed: 0x117_7E4, ..CommitPolicy::default() },
@@ -66,8 +64,8 @@ fn chaos_manager(threads: usize, journal: Option<PathBuf>, seu_rate: f64) -> Ses
     manager
 }
 
-fn start(threads: usize, journal: Option<PathBuf>, seu_rate: f64) -> ServerHandle {
-    let manager = chaos_manager(threads, journal, seu_rate);
+fn start(journal: Option<PathBuf>, seu_rate: f64) -> ServerHandle {
+    let manager = chaos_manager(journal, seu_rate);
     Server::start(manager, ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap()
 }
 
@@ -137,15 +135,15 @@ fn replay_fields(ev: &pfdbg_obs::jsonl::Event) -> Vec<(String, String)> {
         .collect()
 }
 
-fn restore_matches_golden_at(threads: usize) {
-    let dir =
-        std::env::temp_dir().join(format!("pfdbg-serve-replay-{}-t{threads}", std::process::id()));
+#[test]
+fn restored_session_matches_uninterrupted_golden() {
+    let dir = std::env::temp_dir().join(format!("pfdbg-serve-replay-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     const TURNS: usize = 7;
 
     // Golden: one uninterrupted run, TURNS ops then one more select.
-    let golden_server = start(threads, None, 0.01);
+    let golden_server = start(None, 0.01);
     let mut golden = Client::connect(golden_server.local_addr());
     let open = golden.roundtrip("{\"op\":\"open\",\"session\":\"s\"}");
     assert!(is_ok(&open), "{open:?}");
@@ -159,7 +157,7 @@ fn restore_matches_golden_at(threads: usize) {
 
     // Run A: same chaos, journaling on; killed after TURNS ops with no
     // clean close — the journal ends mid-session.
-    let a = start(threads, Some(dir.clone()), 0.01);
+    let a = start(Some(dir.clone()), 0.01);
     let mut ca = Client::connect(a.local_addr());
     assert!(is_ok(&ca.roundtrip("{\"op\":\"open\",\"session\":\"s\"}")));
     drive(&mut ca, n_params, TURNS);
@@ -167,7 +165,7 @@ fn restore_matches_golden_at(threads: usize) {
 
     // Run B: a fresh server over the same journal dir. Opening the
     // same session name restores it from the journal.
-    let b = start(threads, Some(dir.clone()), 0.01);
+    let b = start(Some(dir.clone()), 0.01);
     let mut cb = Client::connect(b.local_addr());
     let reopened = cb.roundtrip("{\"op\":\"open\",\"session\":\"s\"}");
     assert!(is_ok(&reopened), "restore failed: {reopened:?}");
@@ -178,7 +176,7 @@ fn restore_matches_golden_at(threads: usize) {
     assert_eq!(
         replay_fields(&golden_next),
         replay_fields(&restored_next),
-        "threads={threads}: restored session diverged from the uninterrupted golden\n\
+        "restored session diverged from the uninterrupted golden\n\
          golden:   {golden_next:?}\nrestored: {restored_next:?}"
     );
     let stats = cb.roundtrip("{\"op\":\"stats\"}");
@@ -186,21 +184,6 @@ fn restore_matches_golden_at(threads: usize) {
     assert!(stats.num("journal_records").unwrap() >= 1.0, "{stats:?}");
     b.shutdown();
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn restored_session_matches_uninterrupted_golden_serial() {
-    restore_matches_golden_at(1);
-}
-
-#[test]
-fn restored_session_matches_uninterrupted_golden_2_threads() {
-    restore_matches_golden_at(2);
-}
-
-#[test]
-fn restored_session_matches_uninterrupted_golden_8_threads() {
-    restore_matches_golden_at(8);
 }
 
 /// Restarting with different chaos flags must refuse the restore with
@@ -213,7 +196,7 @@ fn restore_under_different_chaos_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    let a = start(1, Some(dir.clone()), 0.02);
+    let a = start(Some(dir.clone()), 0.02);
     let mut ca = Client::connect(a.local_addr());
     let open = ca.roundtrip("{\"op\":\"open\",\"session\":\"s\"}");
     let n_params = open.num("n_params").unwrap() as usize;
@@ -221,7 +204,7 @@ fn restore_under_different_chaos_is_refused() {
     a.shutdown();
 
     // Different SEU rate: the recorded flip counts can't reproduce.
-    let b = start(1, Some(dir.clone()), 0.3);
+    let b = start(Some(dir.clone()), 0.3);
     let mut cb = Client::connect(b.local_addr());
     let reopened = cb.roundtrip("{\"op\":\"open\",\"session\":\"s\"}");
     assert!(!is_ok(&reopened), "restore should have diverged: {reopened:?}");
@@ -239,7 +222,7 @@ fn record_and_replay_verbs_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    let server = start(2, Some(dir.clone()), 0.01);
+    let server = start(Some(dir.clone()), 0.01);
     let mut c = Client::connect(server.local_addr());
     let open = c.roundtrip("{\"op\":\"open\",\"session\":\"s\"}");
     let n_params = open.num("n_params").unwrap() as usize;
@@ -285,7 +268,7 @@ fn serve_journal_verifies_on_the_standalone_engine() {
         std::env::temp_dir().join(format!("pfdbg-serve-replay-standalone-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let mut manager = chaos_manager(1, Some(dir.clone()), 0.02);
+    let mut manager = chaos_manager(Some(dir.clone()), 0.02);
     let design = DesignSpec::Generated {
         n_inputs: GEN.n_inputs,
         n_outputs: GEN.n_outputs,
@@ -332,7 +315,7 @@ fn serve_journal_verifies_on_the_standalone_engine() {
     let (path, _, _) = manager.journal_status("s").unwrap();
     manager.close("s").unwrap();
 
-    let report = pfdbg_replay::verify_path(Path::new(&path), None).unwrap();
+    let report = pfdbg_replay::verify_path(Path::new(&path)).unwrap();
     assert!(report.ok(), "standalone replay diverged: {:?}", report.divergence);
     assert_eq!((report.turns, report.scrubs), (24, 6), "{report:?}");
     std::fs::remove_dir_all(&dir).ok();

@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_engine(threads: usize) -> Engine {
+fn build_engine() -> Engine {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -32,9 +32,7 @@ fn build_engine(threads: usize) -> Engine {
     )
     .unwrap();
     let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    let mut scg = off.scg.unwrap();
-    scg.set_threads(threads);
-    Engine::new(inst, scg, off.layout.unwrap(), off.icap)
+    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
 }
 
 fn seu_manager(engine: Arc<Engine>, seu: SeuConfig) -> SessionManager {
@@ -48,75 +46,47 @@ fn seu_manager(engine: Arc<Engine>, seu: SeuConfig) -> SessionManager {
     )
 }
 
-/// One full bombardment run: `turns` selects over a toggling parameter
-/// schedule with a scrub every 5 turns plus a final one. Returns the
-/// complete deterministic outcome log (turns + scrub reports) and the
-/// final device readback, and asserts the acceptance invariant: zero
-/// undetected divergence against the golden oracle.
-fn run_bombarded_session(
-    threads: usize,
-    seu: SeuConfig,
-    turns: usize,
-) -> (Vec<String>, pfdbg_arch::Bitstream) {
-    let engine = Arc::new(build_engine(threads));
+/// 200 selects under `PFDBG_SEU_RATE=0.02` (or the built-in 0.02
+/// default) over a toggling parameter schedule, with a scrub every 5
+/// turns plus a final one, end with zero undetected divergence against
+/// the golden oracle.
+#[test]
+fn bombarded_session_ends_clean() {
+    let seu =
+        SeuConfig::from_env().unwrap_or(SeuConfig { rate: 0.02, burst: 2, seed: 0xACCE_55ED });
+    let turns = 200;
+    let engine = Arc::new(build_engine());
     let n = engine.n_params();
     let manager = seu_manager(engine.clone(), seu);
     manager.open("acc").unwrap();
-    let mut log = Vec::new();
     let mut params = BitVec::zeros(n);
     for t in 0..turns {
         let bit = t % n.max(1);
         params.set(bit, !params.get(bit));
-        let o = manager.select("acc", &params).unwrap();
-        log.push(format!(
-            "turn {}:{}:{}:{}:{}:{}",
-            o.turn, o.bits_changed, o.frames_changed, o.cache_hit, o.retries, o.degradations
-        ));
+        manager.select("acc", &params).unwrap();
         if (t + 1) % 5 == 0 {
-            let r = manager.scrub_session("acc").unwrap();
-            log.push(format!(
-                "scrub {}:{}:{}:{}:{}",
-                r.frames_checked, r.upset_frames, r.upset_bits, r.repaired_frames, r.failed_frames
-            ));
+            manager.scrub_session("acc").unwrap();
         }
     }
     let last = manager.scrub_session("acc").unwrap();
-    log.push(format!("final {}:{}", last.upset_frames, last.repaired_frames));
     assert_eq!(last.failed_frames, 0, "SEU-only repairs write to a reliable port");
 
-    // The acceptance invariant: after the final scrub (and with no tick
-    // since), configuration memory is bit-identical to the golden
-    // specialization of the session's current parameter vector. No
-    // injected upset survives undetected.
+    // After the final scrub (and with no tick since), configuration
+    // memory is bit-identical to the golden specialization of the
+    // session's current parameter vector. No injected upset survives
+    // undetected.
     let (p, served, resync) = manager.session_state("acc").unwrap();
     assert_eq!(served, turns);
     assert!(!resync, "SEU-only sessions never quarantine, so never arm resync");
     let golden = engine.scg.specialize(&p);
     let readback = manager.readback("acc").unwrap();
-    assert_eq!(readback, golden, "threads={threads}: undetected divergence after final scrub");
+    assert_eq!(readback, golden, "undetected divergence after final scrub");
 
     let h = manager.health("acc").unwrap();
     assert_eq!(h.verdict.as_str(), "clean");
     assert!(h.quarantine.is_empty());
     assert!(h.upsets_detected > 0, "a 0.02 rate over {turns} turns must upset something");
     assert_eq!(h.upsets_detected, h.frames_repaired, "every detected upset was repaired");
-    (log, readback)
-}
-
-/// The ISSUE acceptance criterion: 200 turns under `PFDBG_SEU_RATE=0.02`
-/// (or the built-in 0.02 default) end with zero undetected divergence,
-/// and the entire run — upset pattern, repairs, turn outcomes, final
-/// configuration memory — is bit-identical at 1, 2, and 8 evaluation
-/// threads.
-#[test]
-fn bombarded_session_ends_clean_and_deterministic_across_thread_counts() {
-    let seu =
-        SeuConfig::from_env().unwrap_or(SeuConfig { rate: 0.02, burst: 2, seed: 0xACCE_55ED });
-    let baseline = run_bombarded_session(1, seu, 200);
-    for threads in [2, 8] {
-        let run = run_bombarded_session(threads, seu, 200);
-        assert_eq!(run, baseline, "outcome diverged at {threads} threads");
-    }
 }
 
 /// Satellite: a scrub repair rewrites device frames behind the cached
@@ -125,7 +95,7 @@ fn bombarded_session_ends_clean_and_deterministic_across_thread_counts() {
 /// specialization instead of trusting the cache.
 #[test]
 fn scrub_repair_invalidates_the_cached_specialization() {
-    let engine = Arc::new(build_engine(0));
+    let engine = Arc::new(build_engine());
     let n = engine.n_params();
     let manager = seu_manager(engine, SeuConfig { rate: 1.0, burst: 1, seed: 7 });
     manager.open("inv").unwrap();
@@ -151,7 +121,7 @@ fn scrub_repair_invalidates_the_cached_specialization() {
 /// quarantining degrades the health verdict and arms `needs_resync`.
 #[test]
 fn stuck_frames_quarantine_and_degrade_health() {
-    let engine = Arc::new(build_engine(0));
+    let engine = Arc::new(build_engine());
     let manager = SessionManager::with_chaos_scrub(
         engine,
         16,
@@ -194,7 +164,7 @@ fn stuck_frames_quarantine_and_degrade_health() {
 /// golden oracle.
 #[test]
 fn combined_faults_and_seus_stay_recoverable() {
-    let engine = Arc::new(build_engine(0));
+    let engine = Arc::new(build_engine());
     let n = engine.n_params();
     let manager = SessionManager::with_chaos_scrub(
         engine.clone(),
@@ -281,7 +251,7 @@ fn assert_ok(ev: &pfdbg_obs::jsonl::Event) {
 }
 
 fn start_seu_server(seu: SeuConfig, scrub_interval_ms: f64) -> ServerHandle {
-    let manager = seu_manager(Arc::new(build_engine(0)), seu);
+    let manager = seu_manager(Arc::new(build_engine()), seu);
     Server::start(
         manager,
         ServerConfig { workers: 2, scrub_interval_ms, ..ServerConfig::default() },
@@ -292,7 +262,7 @@ fn start_seu_server(seu: SeuConfig, scrub_interval_ms: f64) -> ServerHandle {
 /// The `scrub` and `health` verbs over the wire: an on-demand scrub
 /// returns its report, health returns the verdict plus totals, the
 /// quarantine set travels as a comma-joined string, and `stats` carries
-/// the aggregate scrub counters.
+/// the aggregate scrub counters and the server's SEU and scrub settings.
 #[test]
 fn health_and_scrub_verbs_report_over_tcp() {
     let server = start_seu_server(SeuConfig { rate: 1.0, burst: 1, seed: 21 }, 0.0);
@@ -334,6 +304,9 @@ fn health_and_scrub_verbs_report_over_tcp() {
     }
     assert!(stats.num("scrub_passes").unwrap() >= 1.0);
     assert!(stats.num("seu_bits_injected").unwrap() > 0.0, "the select's tick injected upsets");
+    // The server's own chaos settings, not a client's guess at them.
+    assert_eq!(stats.num("seu_rate"), Some(1.0), "{stats:?}");
+    assert_eq!(stats.num("scrub_interval_ms"), Some(0.0), "{stats:?}");
 
     // Unknown sessions are protocol errors, not panics.
     let missing = c.roundtrip("{\"op\":\"health\",\"session\":\"ghost\"}");
@@ -424,5 +397,8 @@ fn background_scrubber_repairs_idle_sessions() {
         }
     }
     assert!(scrubs >= 1.0, "background scrubber never ran within 2 s");
+    let stats = c.roundtrip("{\"op\":\"stats\"}");
+    assert!(stats.num("scrub_passes").unwrap() >= 1.0, "{stats:?}");
+    assert_eq!(stats.num("scrub_interval_ms"), Some(20.0), "{stats:?}");
     server.shutdown();
 }

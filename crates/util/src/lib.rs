@@ -11,9 +11,8 @@
 //!   SipHash is needlessly slow),
 //! * [`bitvec`] — a compact, fixed-width bit vector used for truth tables,
 //!   configuration frames and signal-selection masks,
-//! * [`par`] — a zero-dependency scoped-thread data-parallel layer
-//!   (chunked work queue, deterministic merge order, `PFDBG_THREADS`
-//!   policy) driving the offline flow's hot paths,
+//! * [`par`] — the fixed work shards the generalized bitstream's BDDs
+//!   are built in (every stage of the flow runs serially),
 //! * [`stats`] — summary statistics (mean/geomean/percentiles) used by the
 //!   benchmark harness,
 //! * [`table`] — an aligned plain-text table writer used to regenerate the

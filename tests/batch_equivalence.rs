@@ -4,9 +4,9 @@
 //! `specialize_timed_batch` and the packed word-XOR diff
 //! (`specialize_diff_from_batch`) must be **bit-identical** to
 //! `try_specialize` — the diff to the difference of two reference
-//! specializations — at 1, 2 and 8 evaluation threads, including across
-//! scratch reuse, cold-scratch re-derivation and rolled-back (evaluated
-//! but never committed) turns. Downstream, every frame the turn engine
+//! specializations — including across scratch reuse, cold-scratch
+//! re-derivation and rolled-back (evaluated but never committed)
+//! turns. Downstream, every frame the turn engine
 //! writes from the packed words must be that frame of `try_specialize`,
 //! and a scrub pass against the packed words of one sweep must be the
 //! reference scrub against `try_specialize`.
@@ -110,16 +110,15 @@ fn reference_diff(from: &Bitstream, to: &Bitstream) -> Vec<(usize, bool)> {
     (0..to.len()).filter(|&a| from.get(a) != to.get(a)).map(|a| (a, to.get(a))).collect()
 }
 
-/// Full-turn walk at one thread count: the batch specializers and the
-/// packed diff agree bit-for-bit with the reference evaluator. Turn
-/// `rollback` evaluates without committing; the next turn's diff must
-/// still describe the loaded configuration.
+/// Full-turn walk: the batch specializers and the packed diff agree
+/// bit-for-bit with the reference evaluator. Turn `rollback` evaluates
+/// without committing; the next turn's diff must still describe the
+/// loaded configuration.
 fn check_walk(
     scg: &Scg,
     case: &Case,
     walk: &[Vec<(usize, bool)>],
     rollback: usize,
-    threads: usize,
 ) -> Result<(), TestCaseError> {
     let mut scratch = SpecializeScratch::new();
     let mut params = BitVec::zeros(case.n_params);
@@ -135,15 +134,15 @@ fn check_walk(
         // Batch full specialization from an arbitrary prior bitstream,
         // and the timed variant.
         let got = scg.specialize_from_batch(&current, &params, &mut scratch).unwrap();
-        prop_assert_eq!(&got, &want, "specialize_from_batch, threads={}", threads);
+        prop_assert_eq!(&got, &want, "specialize_from_batch");
         let (timed, _) = scg.specialize_timed_batch(&params, &mut scratch);
-        prop_assert_eq!(&timed, &want, "specialize_timed_batch, threads={}", threads);
+        prop_assert_eq!(&timed, &want, "specialize_timed_batch");
 
         // Packed word-XOR diff vs the reference diff.
         let serial_diff = reference_diff(&scg.try_specialize(&prev_params).unwrap(), &want);
         let batch_diff =
             scg.specialize_diff_from_batch(&prev_params, &params, &mut scratch).unwrap().to_vec();
-        prop_assert_eq!(&batch_diff, &serial_diff, "diff, threads={}", threads);
+        prop_assert_eq!(&batch_diff, &serial_diff, "diff");
 
         if turn == rollback {
             // Rolled-back turn: evaluation happened, commit did not.
@@ -191,13 +190,9 @@ proptest! {
 
     #[test]
     fn batch_paths_match_per_function_paths(case in arb_case()) {
-        let mut scg = build(&case);
         let walk = walk_of(&case);
         let rollback = (case.walk_seed >> 32) as usize % walk.len();
-        for threads in [1usize, 2, 8] {
-            scg.set_threads(threads);
-            check_walk(&scg, &case, &walk, rollback, threads)?;
-        }
+        check_walk(&build(&case), &case, &walk, rollback)?;
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //! specialization is a function of the generalized bitstream and the
 //! parameters alone, so any change to the flow or to the SCG must
 //! either reproduce these digests bit for bit or be a deliberate change
-//! of results that updates them. Each design is checked at several
-//! thread counts (1, 2 and 8; the larger diffeq1 at 1 and 8): parallel
-//! cut enumeration and sharded BDD construction must produce exactly
-//! the serial results.
+//! of results that updates them.
 //!
 //! The routing, wires and specialization digests changed when TRoute
 //! moved to branch-level rip-up: after its first iteration PathFinder
@@ -119,15 +116,14 @@ fn specialization_digest(scg: &Scg) -> u64 {
 /// digest)`.
 type Digests = (u64, u64, usize, u64);
 
-/// Place and route `design` at paper instrumentation with `threads`
-/// workers for the flow's parallel stages: its digests, and the
-/// terminal count of its widest net (distinct blocks over sources and
-/// sinks, as the placer counts them).
-fn digests(design: &Network, threads: usize) -> (Digests, usize) {
+/// Place and route `design` at paper instrumentation: its digests, and
+/// the terminal count of its widest net (distinct blocks over sources
+/// and sinks, as the placer counts them).
+fn digests(design: &Network) -> (Digests, usize) {
     let (_, _, inst) =
         prepare_instrumented(design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
     assert!(inst.network.params().count() > 0, "design must carry tunable nets");
-    let cfg = OfflineConfig { k: PAPER_K, threads, ..Default::default() };
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
     let off = offline(&inst, &cfg).expect("offline flow");
     let tp = off.tpar.as_ref().expect("place and route ran");
     assert!(tp.packed.n_tunable_nets() > 0, "no tunable nets reached the router");
@@ -154,24 +150,15 @@ fn digests(design: &Network, threads: usize) -> (Digests, usize) {
     (got, widest)
 }
 
-/// Check `design` against `golden` at 1, 2 and 8 threads; the widest
-/// net's terminal count.
+/// Check `design` against `golden`; the widest net's terminal count.
 fn check(name: &str, design: &Network, golden: Digests) -> usize {
-    check_at(name, design, &[1, 2, 8], golden)
-}
-
-fn check_at(name: &str, design: &Network, threads: &[usize], golden: Digests) -> usize {
-    let mut widest = 0;
-    for &threads in threads {
-        let (got, w) = digests(design, threads);
-        widest = w;
-        assert_eq!(
-            got, golden,
-            "{name} at {threads} threads: (placement, routing, wires, specialization) \
-             digests {:#018x}, {:#018x}, {}, {:#018x} differ from the golden values",
-            got.0, got.1, got.2, got.3
-        );
-    }
+    let (got, widest) = digests(design);
+    assert_eq!(
+        got, golden,
+        "{name}: (placement, routing, wires, specialization) digests \
+         {:#018x}, {:#018x}, {}, {:#018x} differ from the golden values",
+        got.0, got.1, got.2, got.3
+    );
     widest
 }
 
@@ -194,15 +181,13 @@ fn stereov_place_and_route_match_golden_digests() {
 
 /// The benchmark's own design: every pfbench workload builds diffeq1 at
 /// paper instrumentation, so its wires and specializations are pinned
-/// here too. Debug builds take seconds per flow, so this one runs at 1
-/// and 8 threads only.
+/// here too.
 #[test]
 fn diffeq1_place_and_route_match_golden_digests() {
     let design = build("diffeq1").expect("suite member");
-    check_at(
+    check(
         "diffeq1",
         &design,
-        &[1, 8],
         (0x3d4e_4efe_ba5e_a918, 0x4bc3_4829_1e61_ca6f, 3065, 0xa583_9789_ab72_d889),
     );
 }

@@ -16,19 +16,6 @@ fn corpus_dir() -> std::path::PathBuf {
 
 #[test]
 fn committed_corpus_replays_bit_identically() {
-    let n = parameterized_fpga_debug::replay::verify_corpus(&corpus_dir(), None)
-        .expect("corpus replay");
+    let n = parameterized_fpga_debug::replay::verify_corpus(&corpus_dir()).expect("corpus replay");
     assert!(n >= 3, "expected at least 3 corpus journals, verified {n}");
-}
-
-/// The journals record the thread count they ran with, but the facts
-/// must not depend on it: replaying the same corpus serially and at 8
-/// SCG threads re-proves thread-count invariance on real sessions.
-#[test]
-fn corpus_is_thread_count_invariant() {
-    for threads in [1, 8] {
-        let n = parameterized_fpga_debug::replay::verify_corpus(&corpus_dir(), Some(threads))
-            .unwrap_or_else(|e| panic!("corpus replay at {threads} threads: {e}"));
-        assert!(n >= 3, "threads={threads}: verified only {n} journals");
-    }
 }
