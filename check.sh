@@ -97,6 +97,9 @@ grep -q '"scrub_passes"' "$SMOKE_DIR/BENCH_serve.json" || { echo "scrub counters
 # not from serve_load's own (unused in --addr mode) flags.
 grep -q '"seu_rate":0.02' "$SMOKE_DIR/BENCH_serve.json" || { echo "bench report lacks the server's SEU rate"; exit 1; }
 grep -q '"scrub_interval_ms":50' "$SMOKE_DIR/BENCH_serve.json" || { echo "bench report lacks the server's scrub interval"; exit 1; }
+# serve_load's --icap-fault-rate configures only an in-process server,
+# and `stats` does not carry an external server's rate: null, not 0.
+grep -q '"icap_fault_rate":null' "$SMOKE_DIR/BENCH_serve.json" || { echo "bench report claims a fault rate it cannot know"; exit 1; }
 # The load report must carry the bucketized latency distribution (tail
 # percentile and non-empty bucket string) plus the server-side
 # specialize percentiles from the always-on histogram.
@@ -111,8 +114,10 @@ for field in devices migrations watchdog_trips device_failures sessions_migrated
 done
 
 # Fleet telemetry verbs against the live server: the metrics registry
-# must expose the specialize histogram and SLO burn, a session's flight
-# recorder must replay its turns, and `pfdbg top` must render a frame.
+# must expose the specialize histogram, SLO burn, the manager's counter
+# table and every shard's inbox depth (on a server started without
+# --profile), a session's flight recorder must replay its turns, and
+# `pfdbg top` must render a frame.
 OPEN=$(./target/debug/pfdbg client "127.0.0.1:$PORT" --request '{"op":"open","session":"smoke"}')
 N=$(echo "$OPEN" | sed -n 's/.*"n_params":\([0-9]*\).*/\1/p')
 [ -n "$N" ] || { echo "open reply lacks n_params: $OPEN"; exit 1; }
@@ -121,6 +126,8 @@ N=$(echo "$OPEN" | sed -n 's/.*"n_params":\([0-9]*\).*/\1/p')
 METRICS=$(./target/debug/pfdbg client "127.0.0.1:$PORT" --request '{"op":"metrics"}')
 echo "$METRICS" | grep -q 'scg.specialize_us' || { echo "metrics verb lacks the specialize histogram"; exit 1; }
 echo "$METRICS" | grep -q 'slo.specialize_us' || { echo "metrics verb lacks SLO burn lines"; exit 1; }
+echo "$METRICS" | grep -q 'serve.shard0.inbox_depth' || { echo "metrics verb lacks the shard inbox depth"; exit 1; }
+echo "$METRICS" | grep -q 'serve.scrub_passes' || { echo "metrics verb lacks the scrub counters"; exit 1; }
 echo "$METRICS" | grep -qF '\"type\":\"session\"' || { echo "metrics verb lacks per-session rows"; exit 1; }
 ./target/debug/pfdbg client "127.0.0.1:$PORT" --request '{"op":"dump","session":"smoke"}' \
     | grep -q 'turn_start' || { echo "flight dump lacks the recorded turn"; exit 1; }

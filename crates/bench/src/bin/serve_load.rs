@@ -2,7 +2,8 @@
 //! threads driving M sessions (M ≥ N multiplexes sessions over
 //! connections), hammering `select` requests and reporting throughput,
 //! p50/p99 request latency, and the backpressure ledger (issued =
-//! completed + shed + failed) into `BENCH_serve.json`.
+//! completed + shed + failed) into `BENCH_serve.json`, followed by
+//! every numeric field of the server's `stats` reply.
 //!
 //! ```text
 //! serve_load [--addr host:port] [--threads N] [--sessions M] [--requests N]
@@ -491,43 +492,15 @@ fn main() {
     });
     let elapsed = t0.elapsed();
 
-    // The server's own ledger (shed counts, fleet shape, fault totals)
-    // recorded alongside the client-side numbers so runs at different
-    // shapes are comparable.
+    // The server's own ledger (fleet shape, settings, counters,
+    // percentiles), copied into the report so runs at different shapes
+    // are comparable. In `--addr` mode the chaos flags above configure
+    // nothing, so only the server knows its settings.
     let server_stats = Client::connect(&addr)
         .ok()
         .and_then(|mut c| c.roundtrip("{\"op\":\"stats\"}").ok())
         .filter(|reply| is_ok(reply))
         .and_then(|reply| parse_reply(&reply));
-    let stat = |field: &str| server_stats.as_ref().and_then(|ev| ev.num(field)).unwrap_or(f64::NAN);
-    let srv_shards = stat("shards");
-    let srv_inbox_capacity = stat("inbox_capacity");
-    let shed_total = stat("shed_total");
-    let srv_overloaded = stat("overloaded_replies");
-    let inbox_wait_p99_us = stat("inbox_wait_p99_us");
-    let icap_retries = stat("icap_retries");
-    let icap_degradations = stat("icap_degradations");
-    let icap_rollbacks = stat("icap_rollbacks");
-    let scrub_passes = stat("scrub_passes");
-    let scrub_upsets_detected = stat("scrub_upsets_detected");
-    let scrub_repairs = stat("scrub_repairs");
-    let scrub_quarantined = stat("scrub_quarantined");
-    let seu_bits_injected = stat("seu_bits_injected");
-    // The server's own SEU and scrub settings: in `--addr` mode the
-    // flags above configure nothing, so only the server knows them.
-    let srv_seu_rate = stat("seu_rate");
-    let srv_scrub_interval_ms = stat("scrub_interval_ms");
-    let specialize_p50_us = stat("specialize_p50_us");
-    let specialize_p99_us = stat("specialize_p99_us");
-    let turn_p99_us = stat("turn_p99_us");
-    let journal_records = stat("journal_records");
-    let restores = stat("restores");
-    let srv_devices = stat("devices");
-    let migrations = stat("migrations");
-    let watchdog_trips = stat("watchdog_trips");
-    let device_failures = stat("device_failures");
-    let sessions_migrated = stat("sessions_migrated");
-    let sessions_lost = stat("sessions_lost");
 
     let mut latencies: Vec<f64> = Vec::new();
     let (mut issued, mut overloaded, mut migrating, mut failures) =
@@ -574,7 +547,7 @@ fn main() {
         snap.nonzero_buckets().len()
     );
 
-    let json = write_object(&[
+    let mut fields: Vec<(&str, JsonValue)> = vec![
         ("bench", JsonValue::Str("serve_load".into())),
         ("threads", JsonValue::Num(threads as f64)),
         ("sessions", JsonValue::Num(sessions as f64)),
@@ -584,11 +557,6 @@ fn main() {
         ("overloaded_replies", JsonValue::Num(overloaded as f64)),
         ("migrating_replies", JsonValue::Num(migrating as f64)),
         ("failures", JsonValue::Num(failures as f64)),
-        ("shed_total", JsonValue::Num(shed_total)),
-        ("server_overloaded_replies", JsonValue::Num(srv_overloaded)),
-        ("shards", JsonValue::Num(srv_shards)),
-        ("inbox_capacity", JsonValue::Num(srv_inbox_capacity)),
-        ("inbox_wait_p99_us", JsonValue::Num(inbox_wait_p99_us)),
         ("open_loop", JsonValue::Bool(open_loop)),
         // Closed-loop runs have no pacing target: that is `null`, not
         // NaN — a bare NaN is not JSON and breaks strict parsers.
@@ -602,31 +570,23 @@ fn main() {
         ("hist_p99_ms", JsonValue::Num(hist_p99)),
         ("hist_p999_ms", JsonValue::Num(hist_p999)),
         ("hist_buckets", JsonValue::Str(snap.buckets_string())),
-        ("specialize_p50_us", JsonValue::Num(specialize_p50_us)),
-        ("specialize_p99_us", JsonValue::Num(specialize_p99_us)),
-        ("turn_p99_us", JsonValue::Num(turn_p99_us)),
-        ("icap_fault_rate", JsonValue::Num(fault_rate)),
-        ("icap_retries", JsonValue::Num(icap_retries)),
-        ("icap_degradations", JsonValue::Num(icap_degradations)),
-        ("icap_rollbacks", JsonValue::Num(icap_rollbacks)),
-        ("seu_rate", JsonValue::Num(srv_seu_rate)),
-        ("scrub_interval_ms", JsonValue::Num(srv_scrub_interval_ms)),
-        ("scrub_passes", JsonValue::Num(scrub_passes)),
-        ("scrub_upsets_detected", JsonValue::Num(scrub_upsets_detected)),
-        ("scrub_repairs", JsonValue::Num(scrub_repairs)),
-        ("scrub_quarantined", JsonValue::Num(scrub_quarantined)),
-        ("seu_bits_injected", JsonValue::Num(seu_bits_injected)),
+        // The fault rate configures only the in-process server; `stats`
+        // does not report an external server's.
+        (
+            "icap_fault_rate",
+            if external.is_none() { JsonValue::Num(fault_rate) } else { JsonValue::Null },
+        ),
         ("journal", JsonValue::Bool(journal)),
-        ("journal_records", JsonValue::Num(journal_records)),
-        ("restores", JsonValue::Num(restores)),
-        ("devices", JsonValue::Num(srv_devices)),
-        ("migrations", JsonValue::Num(migrations)),
-        ("watchdog_trips", JsonValue::Num(watchdog_trips)),
-        ("device_failures", JsonValue::Num(device_failures)),
-        ("sessions_migrated", JsonValue::Num(sessions_migrated)),
-        ("sessions_lost", JsonValue::Num(sessions_lost)),
         ("in_process", JsonValue::Bool(external.is_none())),
-    ]);
+    ];
+    // Every numeric `stats` field follows; on a shared key (`sessions`)
+    // serve_load's own value wins.
+    for (key, value) in server_stats.iter().flat_map(|ev| &ev.fields) {
+        if matches!(value, JsonValue::Num(_)) && !fields.iter().any(|(k, _)| k == key) {
+            fields.push((key, value.clone()));
+        }
+    }
+    let json = write_object(&fields);
     std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("{out}: {e}"));
     eprintln!("serve_load: wrote {out}");
 

@@ -1,7 +1,8 @@
 //! `serve_load` report regression tests: the emitted BENCH JSON must
 //! strict-parse (regression for the closed-loop `target_rps` literal
-//! NaN, which is not JSON), and a device-fleet chaos run must carry
-//! the fleet fields `check.sh` gates on.
+//! NaN, which is not JSON) and carry the server's `stats` fields, and a
+//! device-fleet chaos run must carry the fleet fields `check.sh` gates
+//! on.
 
 use pfdbg_obs::jsonl::{parse_jsonl, Event, JsonValue};
 use std::process::Command;
@@ -29,6 +30,14 @@ fn closed_loop_report_strict_parses_with_null_target_rps() {
     // Closed-loop runs have no pacing target: null, never NaN.
     assert_eq!(ev.fields.get("target_rps"), Some(&JsonValue::Null), "{ev:?}");
     assert_eq!(ev.num("failures"), Some(0.0));
+    // The server's `stats` reply rides along whole, not a hand-picked
+    // subset of it.
+    for field in ["turns", "cache_hits", "icap_retries", "shed_total"] {
+        assert!(
+            matches!(ev.fields.get(field), Some(JsonValue::Num(_))),
+            "stats field {field} missing or non-numeric: {ev:?}"
+        );
+    }
     std::fs::remove_file(&out).ok();
 }
 

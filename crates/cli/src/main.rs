@@ -1072,8 +1072,8 @@ fn render_top(
         "fleet  {:>8} req  {:>8} turns  cache {hit_pct:5.1}%  retries {}  rollbacks {}",
         counter("serve.requests"),
         counter("serve.turns"),
-        counter("serve.retries"),
-        counter("serve.rollbacks"),
+        counter("serve.icap_retries"),
+        counter("serve.icap_rollbacks"),
     );
     println!(
         "lat    specialize p99 {:9.1} µs  turn p99 {:9.1} µs  request p99 {:9.1} µs",
@@ -1082,9 +1082,8 @@ fn render_top(
         p99("serve.request_us"),
     );
     println!(
-        "load   shed {:>8}  overloaded {:>8}  panics {:>4}  inbox wait p99 {:9.1} µs",
+        "load   shed {:>8}  panics {:>4}  inbox wait p99 {:9.1} µs",
         counter("serve.shed_total"),
-        counter("serve.overloaded_replies"),
         counter("serve.handler_panics"),
         p99("serve.inbox_wait_us"),
     );
@@ -1098,9 +1097,9 @@ fn render_top(
     );
     println!(
         "scrub  {} passes  {} frames repaired  {} quarantined",
-        counter("scrub.passes"),
-        counter("scrub.repaired_frames"),
-        counter("scrub.quarantined_frames"),
+        counter("serve.scrub_passes"),
+        counter("serve.scrub_repairs"),
+        counter("serve.scrub_quarantined"),
     );
     let devices: Vec<_> = registry.iter().filter(|e| e.kind() == "device").collect();
     if !devices.is_empty() {

@@ -23,7 +23,6 @@ mod telemetry;
 pub use protocol::{Reply, Request};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use session::{
-    primary_device_of, DeviceOptions, DeviceTotals, FleetOptions, IcapTotals, SessionManager,
-    TurnOutcome,
+    primary_device_of, Counts, DeviceOptions, FleetOptions, SessionManager, TurnOutcome,
 };
 pub use shard::ShardHold;

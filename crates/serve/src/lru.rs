@@ -19,20 +19,12 @@ pub struct LruCache<K, V> {
     map: FxHashMap<K, (u64, V)>,
     capacity: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// An empty cache holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
-        LruCache {
-            map: FxHashMap::default(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        LruCache { map: FxHashMap::default(), capacity: capacity.max(1), tick: 0 }
     }
 
     /// Current entry count.
@@ -45,30 +37,16 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Lifetime `(hits, misses)` of [`LruCache::get`].
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some((t, v)) => {
-                *t = self.tick;
-                self.hits += 1;
-                Some(v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (t, v) = self.map.get_mut(key)?;
+        *t = self.tick;
+        Some(v)
     }
 
     /// Drop `key` if present (e.g. the cached specialization went stale
     /// because a scrub repair rewrote the device frames behind it).
-    /// Not a lookup: neither hit nor miss is counted.
     pub fn remove(&mut self, key: &K) -> bool {
         self.map.remove(key).is_some()
     }
@@ -133,16 +111,5 @@ mod tests {
         assert!(c.remove(&"a"));
         assert!(!c.remove(&"a"), "second remove finds nothing");
         assert_eq!(c.get(&"a"), None);
-        assert_eq!(c.stats(), (0, 1), "only the get counted");
-    }
-
-    #[test]
-    fn stats_count_hits_and_misses() {
-        let mut c = LruCache::new(4);
-        c.put(1, ());
-        let _ = c.get(&1);
-        let _ = c.get(&2);
-        let _ = c.get(&1);
-        assert_eq!(c.stats(), (2, 1));
     }
 }

@@ -168,7 +168,6 @@ impl ServerHandle {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        pfdbg_obs::counter_add("serve.shutdowns", 1);
     }
 
     /// Block until a client-initiated shutdown stops the server, then
@@ -480,7 +479,7 @@ fn parse_and_dispatch(
         // the slot unwinds with the panic and its Drop still sends a
         // reply, so the client is answered and the loop keeps serving.
         if catch_unwind(AssertUnwindSafe(|| dispatch_line(&line, shared, slot))).is_err() {
-            tel::HANDLER_PANICS.add(1);
+            shared.sessions.table().handler_panics.add(1);
         }
     }
     progress
@@ -640,7 +639,7 @@ fn route_session(
     // off and retries once the spare has caught up, rather than holding
     // a pipelined slot open across the whole migration.
     if shared.sessions.session_migrating(&session) || !shared.sessions.try_reserve_client(idx) {
-        shared.sessions.note_shed();
+        shared.sessions.table().shed_total.add(1);
         tel::ERRORS.add(1);
         let meta = slot.meta();
         slot.send(Reply::overloaded(&meta, idx, retry_after_ms(shared, idx)));
@@ -726,18 +725,13 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
         // IO thread (the re-drives themselves run on the shards).
         Request::Devices => {
             let (devices, primaries) = shared.sessions.device_counts();
-            let totals = shared.sessions.device_totals();
             let rows = shared.sessions.devices_metrics_jsonl();
+            let reply = Reply::ok(&meta)
+                .num("devices", devices as f64)
+                .num("primaries", primaries as f64)
+                .num("spares", (devices - primaries) as f64);
             slot.send(
-                Reply::ok(&meta)
-                    .num("devices", devices as f64)
-                    .num("primaries", primaries as f64)
-                    .num("spares", (devices - primaries) as f64)
-                    .num("migrations", totals.migrations as f64)
-                    .num("watchdog_trips", totals.watchdog_trips as f64)
-                    .num("device_failures", totals.device_failures as f64)
-                    .num("sessions_migrated", totals.sessions_migrated as f64)
-                    .num("sessions_lost", totals.sessions_lost as f64)
+                with_counts(reply, &shared.sessions)
                     .num("lines", rows.lines().count() as f64)
                     .str("table", rows),
             );
@@ -879,70 +873,56 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
     }
 }
 
+/// `reply` plus every entry of the manager's counter table, under its
+/// wire name.
+fn with_counts(reply: Reply, sessions: &SessionManager) -> Reply {
+    sessions.counts().entries().into_iter().fold(reply, |r, (name, n)| r.num(name, n as f64))
+}
+
 fn stats_reply(meta: &RequestMeta, shared: &Shared) -> Reply {
     let sessions = &shared.sessions;
-    let (turns, hits, misses) = sessions.stats();
-    let icap = sessions.icap_totals();
-    let scrub = sessions.scrub_stats();
-    let (journal_records, restores) = sessions.journal_totals();
-    let (shed_total, overloaded_replies) = sessions.shed_totals();
-    let fleet = sessions.device_totals();
-    Reply::ok(meta)
+    let (devices, primaries) = sessions.device_counts();
+    let reply = Reply::ok(meta)
         .num("sessions", sessions.n_sessions() as f64)
-        .num("turns", turns as f64)
-        .num("cache_hits", hits as f64)
-        .num("cache_misses", misses as f64)
         .num("shards", sessions.shard_count() as f64)
         .num("inbox_capacity", sessions.inbox_capacity() as f64)
-        .num("shed_total", shed_total as f64)
-        .num("overloaded_replies", overloaded_replies as f64)
-        .num("handler_panics", tel::HANDLER_PANICS.value() as f64)
-        .num("icap_retries", icap.retries as f64)
-        .num("icap_degradations", icap.degradations as f64)
-        .num("icap_rollbacks", icap.rollbacks as f64)
-        .num("scrub_passes", scrub.passes as f64)
-        .num("scrub_upsets_detected", scrub.upsets_detected as f64)
-        .num("scrub_bits_upset", scrub.bits_upset as f64)
-        .num("scrub_repairs", scrub.repairs as f64)
-        .num("scrub_quarantined", scrub.quarantined as f64)
-        .num("seu_bits_injected", scrub.seu_bits_injected as f64)
         .num("seu_rate", sessions.seu_rate())
         .num("scrub_interval_ms", scrub_interval_ms(&shared.cfg))
-        .num("journal_records", journal_records as f64)
-        .num("restores", restores as f64)
-        .num("devices", fleet.devices as f64)
-        .num("device_primaries", fleet.primaries as f64)
-        .num("migrations", fleet.migrations as f64)
-        .num("watchdog_trips", fleet.watchdog_trips as f64)
-        .num("device_failures", fleet.device_failures as f64)
-        .num("sessions_migrated", fleet.sessions_migrated as f64)
-        .num("sessions_lost", fleet.sessions_lost as f64)
+        .num("devices", devices as f64)
+        .num("device_primaries", primaries as f64);
+    with_counts(reply, sessions)
         .num("specialize_p50_us", tel::SPECIALIZE_US.get().percentile_us(50.0).unwrap_or(0.0))
         .num("specialize_p99_us", tel::SPECIALIZE_US.get().percentile_us(99.0).unwrap_or(0.0))
         .num("turn_p99_us", tel::TURN_US.get().percentile_us(99.0).unwrap_or(0.0))
         .num("inbox_wait_p99_us", tel::INBOX_WAIT_US.get().percentile_us(99.0).unwrap_or(0.0))
 }
 
+/// The `metrics` verb. Counters and inbox depths are this manager's,
+/// read now; the hub adds what is process-wide.
 fn metrics_reply(meta: &RequestMeta, shared: &Shared) -> Reply {
     use pfdbg_obs::jsonl::{write_object, JsonValue};
     let sessions = &shared.sessions;
     let hub = pfdbg_obs::hub();
     let mut body = String::new();
-    for (name, value) in hub.counters() {
+    let mut line = |kind: &str, name: String, value: f64| {
         body.push_str(&write_object(&[
-            ("type", JsonValue::Str("counter".into())),
-            ("name", JsonValue::Str(name)),
-            ("value", JsonValue::Num(value as f64)),
-        ]));
-        body.push('\n');
-    }
-    for (name, value) in hub.gauges() {
-        body.push_str(&write_object(&[
-            ("type", JsonValue::Str("gauge".into())),
+            ("type", JsonValue::Str(kind.into())),
             ("name", JsonValue::Str(name)),
             ("value", JsonValue::Num(value)),
         ]));
         body.push('\n');
+    };
+    for (name, value) in sessions.counts().entries() {
+        line("counter", format!("serve.{name}"), value as f64);
+    }
+    for (name, value) in hub.counters() {
+        line("counter", name, value as f64);
+    }
+    for idx in 0..sessions.shard_count() {
+        line("gauge", format!("serve.shard{idx}.inbox_depth"), sessions.inbox_depth(idx) as f64);
+    }
+    for (name, value) in hub.gauges() {
+        line("gauge", name, value);
     }
     hub.append_jsonl(&mut body);
     body.push_str(&sessions.sessions_metrics_jsonl());

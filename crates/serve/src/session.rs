@@ -40,8 +40,8 @@
 //! ([`SessionManager::scrub_session`], surfaced by the `health` verb).
 //!
 //! This module keeps three layers apart: `ManagerCore` (the shared
-//! engine, cache, chaos config, and fleet-wide atomics — everything a
-//! shard thread needs), the shard-side session operations
+//! engine, cache, chaos config, and the manager's counter table —
+//! everything a shard thread needs), the shard-side session operations
 //! (`impl Shard` here, so `SessionState` stays private to the crate),
 //! and the [`SessionManager`] facade, which routes each call to the
 //! owning shard and blocks for the answer — the embedding API is
@@ -55,7 +55,7 @@ use pfdbg_core::Instrumented;
 use pfdbg_emu::{
     channel_stack, DeviceControl, DeviceMode, DeviceRegistry, IcapFaultConfig, SeuConfig,
 };
-use pfdbg_obs::{FlightKind, FlightRecorder};
+use pfdbg_obs::{Counter, FlightKind, FlightRecorder};
 use pfdbg_pconf::health::{DeviceHealth, HealthEvent, HealthLadder, HealthPolicy, WatchdogPolicy};
 use pfdbg_pconf::icap::{readback_all, CommitPolicy, IcapChannel};
 use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport, Scrubber};
@@ -165,36 +165,6 @@ pub struct TurnOutcome {
     pub turn: usize,
 }
 
-/// Running totals of the fault-tolerance machinery, served by `stats`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IcapTotals {
-    /// Frame-write retries across all sessions.
-    pub retries: u64,
-    /// Escalations across all sessions.
-    pub degradations: u64,
-    /// Turns that rolled back after exhausting every escalation level.
-    pub rollbacks: u64,
-}
-
-/// Running totals of the scrubbing machinery, served by `stats` and
-/// `BENCH_serve.json`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScrubStats {
-    /// Scrub passes completed across all sessions.
-    pub passes: u64,
-    /// Divergent (upset) frames detected.
-    pub upsets_detected: u64,
-    /// Divergent bits detected.
-    pub bits_upset: u64,
-    /// Frames repaired back to the golden oracle.
-    pub repairs: u64,
-    /// Frames quarantined as stuck.
-    pub quarantined: u64,
-    /// Configuration bits the emulated fabric flipped via injected
-    /// SEUs (0 on a reliable device).
-    pub seu_bits_injected: u64,
-}
-
 /// One session's scrub status, served by the `health` verb.
 #[derive(Debug, Clone)]
 pub struct HealthReport {
@@ -245,27 +215,6 @@ impl Default for DeviceOptions {
     }
 }
 
-/// Fleet-wide device totals, served by the `stats`/`devices` verbs and
-/// `BENCH_serve.json`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeviceTotals {
-    /// Devices in the fleet (primaries + spares); 1 when unsupervised.
-    pub devices: u64,
-    /// Primaries taking hashed session assignment.
-    pub primaries: u64,
-    /// Migrations started (operator drains and failovers).
-    pub migrations: u64,
-    /// Commit/scrub watchdog trips.
-    pub watchdog_trips: u64,
-    /// Devices declared failed.
-    pub device_failures: u64,
-    /// Sessions successfully re-driven onto a spare.
-    pub sessions_migrated: u64,
-    /// Sessions dropped by a migration (no journal to re-drive, or the
-    /// re-drive diverged).
-    pub sessions_lost: u64,
-}
-
 /// Device-flight ring depth: device events are rare (trips, failures,
 /// migrations), so a small ring holds the fleet's recent history.
 const DEVICE_FLIGHT_CAP: usize = 128;
@@ -291,18 +240,13 @@ pub(crate) struct DeviceFleet {
     /// Device-level flight ring. Events here use `turn` = device id and
     /// `value` = the event's payload (target device, elapsed µs, rung).
     flight: Mutex<FlightRecorder>,
-    migrations: AtomicU64,
-    watchdog_trips: AtomicU64,
-    device_failures: AtomicU64,
-    sessions_migrated: AtomicU64,
-    sessions_lost: AtomicU64,
 }
 
 impl DeviceFleet {
     fn new(opts: DeviceOptions) -> DeviceFleet {
         let primaries = opts.devices.max(1);
         let total = primaries + opts.spares;
-        let fleet = DeviceFleet {
+        DeviceFleet {
             registry: DeviceRegistry::new(total),
             primaries,
             ladders: (0..total).map(|_| Mutex::new(HealthLadder::new(opts.health))).collect(),
@@ -312,16 +256,7 @@ impl DeviceFleet {
             next_spare: AtomicUsize::new(primaries),
             watchdog: opts.watchdog,
             flight: Mutex::new(FlightRecorder::new(DEVICE_FLIGHT_CAP)),
-            migrations: AtomicU64::new(0),
-            watchdog_trips: AtomicU64::new(0),
-            device_failures: AtomicU64::new(0),
-            sessions_migrated: AtomicU64::new(0),
-            sessions_lost: AtomicU64::new(0),
-        };
-        for id in 0..total {
-            fleet.publish_health_gauge(id, DeviceHealth::Healthy);
         }
-        fleet
     }
 
     fn device_mode(&self, id: usize) -> DeviceMode {
@@ -332,21 +267,16 @@ impl DeviceFleet {
         relock(&self.ladders[id]).health()
     }
 
-    fn publish_health_gauge(&self, id: usize, health: DeviceHealth) {
-        pfdbg_obs::gauge_set(&format!("serve.device{id}.health"), health.score() as f64);
-    }
-
-    /// Feed one event to a device's ladder; publishes the health gauge
-    /// and returns the new rung when the event moved it.
+    /// Feed one event to a device's ladder; returns the new rung when
+    /// the event moved it.
     fn observe(&self, id: usize, event: HealthEvent) -> Option<DeviceHealth> {
-        let transition = relock(&self.ladders[id]).observe(event)?;
-        self.publish_health_gauge(id, transition.to);
-        Some(transition.to)
+        relock(&self.ladders[id]).observe(event).map(|t| t.to)
     }
 
-    /// Record a watchdog trip: session ring, device ring, counters.
+    /// Record a watchdog trip: session ring, device ring, counter.
     fn note_trip(
         &self,
+        counts: &CountTable,
         device: usize,
         session_flight: &mut FlightRecorder,
         turn_no: u64,
@@ -354,8 +284,7 @@ impl DeviceFleet {
     ) {
         session_flight.record(FlightKind::WatchdogTrip, turn_no, elapsed_us);
         relock(&self.flight).record(FlightKind::WatchdogTrip, device as u64, elapsed_us);
-        self.watchdog_trips.fetch_add(1, Ordering::Relaxed);
-        tel::WATCHDOG_TRIPS.add(1);
+        counts.watchdog_trips.add(1);
     }
 }
 
@@ -389,10 +318,97 @@ struct JournalCfg {
 /// one parameter vector (bit `i` = value of `gbs.tunable[i]`).
 pub(crate) type CachedWords = Arc<BitVec>;
 
+/// Declares the manager's counter table from one list: each entry's
+/// field name is its wire name — the `stats` key, and with a `serve.`
+/// prefix the `metrics` counter name.
+macro_rules! count_table {
+    ($($(#[$doc:meta])* $name:ident,)+) => {
+        /// One manager's event counters. Each event adds to exactly one
+        /// entry, once, on whichever thread saw it.
+        #[derive(Default)]
+        pub(crate) struct CountTable {
+            $(pub(crate) $name: Counter,)+
+        }
+
+        impl CountTable {
+            fn snapshot(&self) -> Counts {
+                Counts { $($name: self.$name.value(),)+ }
+            }
+        }
+
+        /// A snapshot of one manager's counter table
+        /// ([`SessionManager::counts`]): what `stats`, `devices` and
+        /// `metrics` render. Each field is named as its `stats` key.
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct Counts {
+            $($(#[$doc])* pub $name: u64,)+
+        }
+
+        impl Counts {
+            /// Every entry as `(wire name, value)`, in table order.
+            pub fn entries(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)+]
+            }
+        }
+    };
+}
+
+count_table! {
+    /// Committed debugging turns.
+    turns,
+    /// Selects that found their specialization in the LRU.
+    cache_hits,
+    /// Selects that specialized on an LRU miss.
+    cache_misses,
+    /// Client requests shed with an `overloaded` reply (full shard
+    /// inbox, or a session whose device is migrating).
+    shed_total,
+    /// Handlers that panicked and were contained.
+    handler_panics,
+    /// Frame-write retries.
+    icap_retries,
+    /// Commit escalations (partial diff → full-frame rewrite → full
+    /// reconfiguration).
+    icap_degradations,
+    /// Turns rolled back after exhausting every escalation level.
+    icap_rollbacks,
+    /// Scrub passes completed.
+    scrub_passes,
+    /// Divergent (upset) frames scrub passes detected.
+    scrub_upsets_detected,
+    /// Divergent bits scrub passes detected.
+    scrub_bits_upset,
+    /// Frames scrub passes repaired back to golden.
+    scrub_repairs,
+    /// Frames scrub passes quarantined as stuck.
+    scrub_quarantined,
+    /// Configuration bits the emulated fabric flipped via injected SEUs
+    /// (0 on a reliable device).
+    seu_bits_injected,
+    /// Journal records appended.
+    journal_records,
+    /// Sessions restored by re-driving their journals.
+    restores,
+    /// Device migrations started (operator drains and failovers).
+    migrations,
+    /// Commit/scrub watchdog trips.
+    watchdog_trips,
+    /// Devices declared failed.
+    device_failures,
+    /// Sessions re-driven onto a spare.
+    sessions_migrated,
+    /// Sessions dropped by a migration (no journal to re-drive, or the
+    /// re-drive diverged).
+    sessions_lost,
+    /// Drains that found no healthy spare: the dead device's sessions
+    /// answer every turn with a device error.
+    failovers_without_spare,
+}
+
 /// Everything the shard threads share: the engine, the specialization
 /// LRU, the chaos configuration sessions are born with, and the
-/// fleet-wide running totals (all atomics — the `stats` verb never
-/// blocks on a shard).
+/// manager's counter table (atomics — the `stats` verb never blocks on
+/// a shard).
 pub(crate) struct ManagerCore {
     engine: Arc<Engine>,
     /// The specialization LRU, keyed by the parameter vector itself.
@@ -421,23 +437,9 @@ pub(crate) struct ManagerCore {
     /// argument.
     last_dump: Mutex<Option<(String, String)>>,
     journal: Mutex<JournalCfg>,
-    turns_total: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    pub(crate) counts: CountTable,
+    /// Open sessions: a level, not an event count.
     session_count: AtomicU64,
-    shed_total: AtomicU64,
-    overloaded_replies: AtomicU64,
-    journal_records: AtomicU64,
-    restores: AtomicU64,
-    icap_retries: AtomicU64,
-    icap_degradations: AtomicU64,
-    icap_rollbacks: AtomicU64,
-    scrub_passes: AtomicU64,
-    scrub_upsets: AtomicU64,
-    scrub_bits_upset: AtomicU64,
-    scrub_repairs: AtomicU64,
-    scrub_quarantined: AtomicU64,
-    seu_bits_injected: AtomicU64,
 }
 
 impl ManagerCore {
@@ -593,8 +595,7 @@ impl ManagerCore {
                     state.turns as u64,
                     (records.len() - 1) as u64,
                 );
-                self.restores.fetch_add(1, Ordering::Relaxed);
-                pfdbg_obs::counter_add("serve.session_restores", 1);
+                self.counts.restores.add(1);
                 state.journal = Some(writer);
                 Ok(())
             }
@@ -729,20 +730,12 @@ impl ManagerCore {
     fn journal_select(&self, state: &mut SessionState, facts: SelectFacts) {
         if let Some(journal) = state.journal.as_mut() {
             if journal.append(&JournalRecord::Select(facts.clone())).is_ok() {
-                self.journal_records.fetch_add(1, Ordering::Relaxed);
+                self.counts.journal_records.add(1);
             }
         }
         if state.capture_facts {
             state.last_select_facts = Some(facts);
         }
-    }
-
-    /// Record a shed request (shard inbox full, `overloaded` sent).
-    pub(crate) fn note_shed(&self) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-        self.overloaded_replies.fetch_add(1, Ordering::Relaxed);
-        tel::SHED.add(1);
-        tel::OVERLOADED.add(1);
     }
 
     /// The device session `name`'s channel routes through right now:
@@ -768,17 +761,11 @@ impl ManagerCore {
         if dead >= f.registry.len() || f.draining[dead].swap(1, Ordering::AcqRel) == 1 {
             return;
         }
-        {
-            let mut ladder = relock(&f.ladders[dead]);
-            ladder.force(target);
-            f.publish_health_gauge(dead, ladder.health());
-        }
+        relock(&f.ladders[dead]).force(target);
         if target == DeviceHealth::Failed {
-            f.device_failures.fetch_add(1, Ordering::Relaxed);
-            tel::DEVICE_FAILURES.add(1);
+            self.counts.device_failures.add(1);
         }
         relock(&f.flight).record(FlightKind::DeviceFailed, dead as u64, target.score());
-        pfdbg_obs::counter_add("serve.device_drains", 1);
 
         // Claim the next healthy spare. The cursor only moves forward:
         // a spare is consumed even if it died while idle (skipped).
@@ -795,7 +782,7 @@ impl ManagerCore {
             // Spare pool exhausted: the redirect stays, and sessions on
             // the dead device answer every turn with a device error
             // until an operator intervenes — loud, not silent.
-            pfdbg_obs::counter_add("serve.failover_no_spare", 1);
+            self.counts.failovers_without_spare.add(1);
             return;
         };
 
@@ -811,8 +798,7 @@ impl ManagerCore {
                 moved.push(p);
             }
         }
-        f.migrations.fetch_add(1, Ordering::Relaxed);
-        tel::MIGRATIONS.add(1);
+        self.counts.migrations.add(1);
         relock(&f.flight).record(FlightKind::MigrationStart, dead as u64, spare as u64);
 
         // One migration job per shard, on the internal lane: each shard
@@ -930,7 +916,7 @@ impl ManagerCore {
         let flipped = state.channel.tick();
         let turn_no = state.turns as u64;
         if flipped > 0 {
-            self.seu_bits_injected.fetch_add(flipped as u64, Ordering::Relaxed);
+            self.counts.seu_bits_injected.add(flipped as u64);
             state.flight.record(FlightKind::SeuStrike, turn_no, flipped as u64);
         }
         state.flight.record(FlightKind::TurnStart, turn_no, flipped as u64);
@@ -945,14 +931,12 @@ impl ManagerCore {
         let sp0 = Instant::now();
         state.turn.stage(&ctx, params, cached.as_deref())?;
         if cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            tel::CACHE_HITS.add(1);
+            self.counts.cache_hits.add(1);
         } else {
             let sp_us = sp0.elapsed().as_secs_f64() * 1e6;
             tel::SPECIALIZE_US.record_us(sp_us);
             tel::SLO_SPECIALIZE.observe_us(sp_us);
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-            tel::CACHE_MISSES.add(1);
+            self.counts.cache_misses.add(1);
         }
 
         // Deadline gate: all state mutation lies beyond this point.
@@ -1030,12 +1014,9 @@ impl ManagerCore {
                     let words = Arc::new(state.turn.committed_words().clone());
                     relock(&self.cache).put(params.clone(), words);
                 }
-                self.icap_retries.fetch_add(commit.retries as u64, Ordering::Relaxed);
-                self.icap_degradations.fetch_add(commit.degradations as u64, Ordering::Relaxed);
-                self.turns_total.fetch_add(1, Ordering::Relaxed);
-                tel::TURNS.add(1);
-                tel::RETRIES.add(commit.retries as u64);
-                tel::DEGRADATIONS.add(commit.degradations as u64);
+                self.counts.icap_retries.add(commit.retries as u64);
+                self.counts.icap_degradations.add(commit.degradations as u64);
+                self.counts.turns.add(1);
                 let turn_us = t0.elapsed().as_secs_f64() * 1e6;
                 tel::TURN_US.record_us(turn_us);
                 tel::SLO_TURN.observe_us(turn_us);
@@ -1047,6 +1028,7 @@ impl ManagerCore {
                     let verdict = f.watchdog.assess_commit(&commit, t_commit.elapsed());
                     let event = if verdict.tripped {
                         f.note_trip(
+                            &self.counts,
                             state.device,
                             &mut state.flight,
                             turn_no,
@@ -1105,6 +1087,7 @@ impl ManagerCore {
                     let verdict = f.watchdog.assess_commit(&commit, t_commit.elapsed());
                     let event = if verdict.tripped {
                         f.note_trip(
+                            &self.counts,
                             state.device,
                             &mut state.flight,
                             turn_no,
@@ -1142,12 +1125,9 @@ impl ManagerCore {
                 // A rollback is exactly the moment a post-mortem is
                 // wanted: snapshot the ring before anyone else turns.
                 *relock(&self.last_dump) = Some((session.to_string(), state.flight.to_jsonl()));
-                self.icap_retries.fetch_add(commit.retries as u64, Ordering::Relaxed);
-                self.icap_degradations.fetch_add(commit.degradations as u64, Ordering::Relaxed);
-                self.icap_rollbacks.fetch_add(1, Ordering::Relaxed);
-                tel::ROLLBACKS.add(1);
-                tel::RETRIES.add(commit.retries as u64);
-                tel::DEGRADATIONS.add(commit.degradations as u64);
+                self.counts.icap_retries.add(commit.retries as u64);
+                self.counts.icap_degradations.add(commit.degradations as u64);
+                self.counts.icap_rollbacks.add(1);
                 Err(format!("reconfiguration rolled back: {msg}"))
             }
         }
@@ -1192,7 +1172,6 @@ impl ManagerCore {
             // instead of trusting it.
             relock(&self.cache).remove(turn.params());
             flight.record(FlightKind::ScrubRepair, turn_no, report.repaired_frames as u64);
-            tel::SCRUB_REPAIRS.add(report.repaired_frames as u64);
         }
         if report.quarantined_frames > 0 {
             // A frame refuses to heal: stop trusting the device. The
@@ -1201,7 +1180,6 @@ impl ManagerCore {
             // serving corrupt trace data).
             turn.arm_resync();
             flight.record(FlightKind::Quarantine, turn_no, report.quarantined_frames as u64);
-            tel::SCRUB_QUARANTINES.add(report.quarantined_frames as u64);
             // Quarantine is the fleet's "something is wrong here":
             // capture the post-mortem automatically.
             *relock(&self.last_dump) = Some((session.to_string(), flight.to_jsonl()));
@@ -1212,7 +1190,8 @@ impl ManagerCore {
         if let Some(f) = &self.fleet {
             let verdict = f.watchdog.assess_scrub(&report, t0.elapsed());
             let event = if verdict.tripped {
-                f.note_trip(device, flight, turn_no, verdict.elapsed.as_micros() as u64);
+                let elapsed_us = verdict.elapsed.as_micros() as u64;
+                f.note_trip(&self.counts, device, flight, turn_no, elapsed_us);
                 HealthEvent::WatchdogTrip
             } else if report.quarantined_frames > 0 {
                 HealthEvent::ScrubQuarantine(report.quarantined_frames)
@@ -1225,11 +1204,11 @@ impl ManagerCore {
                 }
             }
         }
-        self.scrub_passes.fetch_add(1, Ordering::Relaxed);
-        self.scrub_upsets.fetch_add(report.upset_frames as u64, Ordering::Relaxed);
-        self.scrub_bits_upset.fetch_add(report.upset_bits as u64, Ordering::Relaxed);
-        self.scrub_repairs.fetch_add(report.repaired_frames as u64, Ordering::Relaxed);
-        self.scrub_quarantined.fetch_add(report.quarantined_frames as u64, Ordering::Relaxed);
+        self.counts.scrub_passes.add(1);
+        self.counts.scrub_upsets_detected.add(report.upset_frames as u64);
+        self.counts.scrub_bits_upset.add(report.upset_bits as u64);
+        self.counts.scrub_repairs.add(report.repaired_frames as u64);
+        self.counts.scrub_quarantined.add(report.quarantined_frames as u64);
         if wants_facts(state) {
             let facts = ScrubFacts {
                 frames_checked: report.frames_checked as u64,
@@ -1242,14 +1221,13 @@ impl ManagerCore {
             };
             if let Some(journal) = state.journal.as_mut() {
                 if journal.append(&JournalRecord::Scrub(facts)).is_ok() {
-                    self.journal_records.fetch_add(1, Ordering::Relaxed);
+                    self.counts.journal_records.add(1);
                 }
             }
             if state.capture_facts {
                 state.last_scrub_facts = Some(facts);
             }
         }
-        pfdbg_obs::gauge_set("serve.scrub_ms_last", t0.elapsed().as_secs_f64() * 1e3);
         Ok(report)
     }
 }
@@ -1281,9 +1259,7 @@ impl Shard {
             }
         }
         self.sessions.insert(name.to_string(), state);
-        let open = core.session_count.fetch_add(1, Ordering::Relaxed) + 1;
-        tel::OPEN_SESSIONS.set(open as f64);
-        pfdbg_obs::counter_add("serve.sessions_opened", 1);
+        core.session_count.fetch_add(1, Ordering::Relaxed);
         Ok(core.engine.n_params())
     }
 
@@ -1295,19 +1271,18 @@ impl Shard {
             self.sessions.remove(name).ok_or_else(|| format!("no such session {name:?}"))?;
         if let Some(journal) = state.journal.as_mut() {
             if journal.append(&JournalRecord::Close).is_ok() {
-                self.core.journal_records.fetch_add(1, Ordering::Relaxed);
+                self.core.counts.journal_records.add(1);
             }
             let _ = journal.sync();
         }
-        let open = self.core.session_count.fetch_sub(1, Ordering::Relaxed) - 1;
-        tel::OPEN_SESSIONS.set(open as f64);
+        self.core.session_count.fetch_sub(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Run `f`, a handler for session `name`, under the panic rule of
     /// every session verb, whether it came over the wire
     /// (`server::route_session`) or through the embedding facade: if `f`
-    /// unwinds, the panic counts once in `serve.handler_panics`, the
+    /// unwinds, the panic counts once in `handler_panics`, the
     /// session is removed, and the result is `None`. Its state is
     /// suspect (the panic unwound out of an arbitrary point), so it is
     /// discarded without touching its journal — a journaled session
@@ -1320,10 +1295,9 @@ impl Shard {
         match catch_unwind(AssertUnwindSafe(|| f(self))) {
             Ok(v) => Some(v),
             Err(_) => {
-                tel::HANDLER_PANICS.add(1);
+                self.core.counts.handler_panics.add(1);
                 if self.sessions.remove(name).is_some() {
-                    let open = self.core.session_count.fetch_sub(1, Ordering::Relaxed) - 1;
-                    tel::OPEN_SESSIONS.set(open as f64);
+                    self.core.session_count.fetch_sub(1, Ordering::Relaxed);
                 }
                 None
             }
@@ -1488,19 +1462,11 @@ impl Shard {
                     self.sessions.insert(name.clone(), state);
                     Ok(())
                 });
-            let fleet = core.fleet.as_ref().expect("migrate_device only runs with a fleet");
             match result {
-                Ok(()) => {
-                    fleet.sessions_migrated.fetch_add(1, Ordering::Relaxed);
-                    tel::SESSIONS_MIGRATED.add(1);
-                }
-                Err(e) => {
-                    fleet.sessions_lost.fetch_add(1, Ordering::Relaxed);
-                    tel::SESSIONS_LOST.add(1);
-                    pfdbg_obs::counter_add("serve.sessions_lost", 1);
-                    let open = core.session_count.fetch_sub(1, Ordering::Relaxed) - 1;
-                    tel::OPEN_SESSIONS.set(open as f64);
-                    let _ = e;
+                Ok(()) => core.counts.sessions_migrated.add(1),
+                Err(_) => {
+                    core.counts.sessions_lost.add(1);
+                    core.session_count.fetch_sub(1, Ordering::Relaxed);
                 }
             }
         }
@@ -1702,23 +1668,8 @@ impl SessionManager {
                 design: DesignSpec::External,
                 build: (1, 4),
             }),
-            turns_total: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
+            counts: CountTable::default(),
             session_count: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
-            overloaded_replies: AtomicU64::new(0),
-            journal_records: AtomicU64::new(0),
-            restores: AtomicU64::new(0),
-            icap_retries: AtomicU64::new(0),
-            icap_degradations: AtomicU64::new(0),
-            icap_rollbacks: AtomicU64::new(0),
-            scrub_passes: AtomicU64::new(0),
-            scrub_upsets: AtomicU64::new(0),
-            scrub_bits_upset: AtomicU64::new(0),
-            scrub_repairs: AtomicU64::new(0),
-            scrub_quarantined: AtomicU64::new(0),
-            seu_bits_injected: AtomicU64::new(0),
         });
         let (n_shards, capacity) = fleet.resolve();
         let shards: Vec<ShardHandle> = (0..n_shards)
@@ -1770,43 +1721,16 @@ impl SessionManager {
         names
     }
 
-    /// Total turns served plus the fleet's cache `(hits, misses)` —
-    /// all atomics, so `stats` never queues behind a shard.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.core.turns_total.load(Ordering::Relaxed),
-            self.core.cache_hits.load(Ordering::Relaxed),
-            self.core.cache_misses.load(Ordering::Relaxed),
-        )
+    /// This manager's counter table — all atomics, so `stats` never
+    /// queues behind a shard.
+    pub fn counts(&self) -> Counts {
+        self.core.counts.snapshot()
     }
 
-    /// `(requests shed at full inboxes, overloaded replies sent)`.
-    pub fn shed_totals(&self) -> (u64, u64) {
-        (
-            self.core.shed_total.load(Ordering::Relaxed),
-            self.core.overloaded_replies.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Running retry/degradation/rollback totals.
-    pub fn icap_totals(&self) -> IcapTotals {
-        IcapTotals {
-            retries: self.core.icap_retries.load(Ordering::Relaxed),
-            degradations: self.core.icap_degradations.load(Ordering::Relaxed),
-            rollbacks: self.core.icap_rollbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Running scrub/SEU totals across all sessions.
-    pub fn scrub_stats(&self) -> ScrubStats {
-        ScrubStats {
-            passes: self.core.scrub_passes.load(Ordering::Relaxed),
-            upsets_detected: self.core.scrub_upsets.load(Ordering::Relaxed),
-            bits_upset: self.core.scrub_bits_upset.load(Ordering::Relaxed),
-            repairs: self.core.scrub_repairs.load(Ordering::Relaxed),
-            quarantined: self.core.scrub_quarantined.load(Ordering::Relaxed),
-            seu_bits_injected: self.core.seu_bits_injected.load(Ordering::Relaxed),
-        }
+    /// The live counter table, for the events the server sees itself
+    /// (shed requests, handler panics on an IO thread).
+    pub(crate) fn table(&self) -> &CountTable {
+        &self.core.counts
     }
 
     /// The per-frame upset rate sessions are born with (0 without SEU
@@ -1832,14 +1756,6 @@ impl SessionManager {
         let mut cfg = relock(&self.core.journal);
         cfg.design = design;
         cfg.build = (coverage, k);
-    }
-
-    /// `(journal records appended, sessions restored from journals)`.
-    pub fn journal_totals(&self) -> (u64, u64) {
-        (
-            self.core.journal_records.load(Ordering::Relaxed),
-            self.core.restores.load(Ordering::Relaxed),
-        )
     }
 
     /// Run `f` on the shard thread owning index `idx` and wait for its
@@ -2044,22 +1960,6 @@ impl SessionManager {
         }
     }
 
-    /// Fleet-wide device totals — the `stats`/`devices` verbs.
-    pub fn device_totals(&self) -> DeviceTotals {
-        match &self.core.fleet {
-            Some(f) => DeviceTotals {
-                devices: f.registry.len() as u64,
-                primaries: f.primaries as u64,
-                migrations: f.migrations.load(Ordering::Relaxed),
-                watchdog_trips: f.watchdog_trips.load(Ordering::Relaxed),
-                device_failures: f.device_failures.load(Ordering::Relaxed),
-                sessions_migrated: f.sessions_migrated.load(Ordering::Relaxed),
-                sessions_lost: f.sessions_lost.load(Ordering::Relaxed),
-            },
-            None => DeviceTotals { devices: 1, primaries: 1, ..DeviceTotals::default() },
-        }
-    }
-
     /// Per-device rows for the `devices` and `metrics` verbs: one flat
     /// JSONL object per device (`"type":"device"`), with live session
     /// counts gathered shard by shard. Empty without a fleet.
@@ -2179,11 +2079,6 @@ impl SessionManager {
     /// Queued jobs on shard `idx` right now.
     pub fn inbox_depth(&self, idx: usize) -> usize {
         self.shards[idx].inbox.depth()
-    }
-
-    /// Record a shed request in the fleet totals and telemetry.
-    pub(crate) fn note_shed(&self) {
-        self.core.note_shed();
     }
 }
 

@@ -166,13 +166,12 @@ impl Inbox {
 
     /// Block until work arrives, then drain up to [`MAX_BATCH`] jobs
     /// into `out`. Client slots release as their jobs leave the queue.
-    /// Returns `Some(jobs left queued)` — the shard's depth gauge — or
-    /// `None` once the inbox is closed *and* fully drained.
-    fn pop_batch(&self, out: &mut Vec<Entry>) -> Option<usize> {
+    /// Returns `false` once the inbox is closed *and* fully drained.
+    fn pop_batch(&self, out: &mut Vec<Entry>) -> bool {
         let mut q = relock(&self.q);
         while q.is_empty() {
             if self.closed.load(Ordering::Acquire) {
-                return None;
+                return false;
             }
             q = self.cv.wait(q).unwrap_or_else(|poisoned| poisoned.into_inner());
         }
@@ -187,7 +186,7 @@ impl Inbox {
                 None => break,
             }
         }
-        Some(q.len())
+        true
     }
 
     /// Close the inbox: subsequent pushes fail, and the shard thread
@@ -200,8 +199,6 @@ impl Inbox {
 
 /// One shard thread's exclusively-owned state.
 pub(crate) struct Shard {
-    /// Shard index (stable for a manager's lifetime).
-    pub(crate) id: usize,
     /// The shared, mostly-immutable manager core.
     pub(crate) core: Arc<ManagerCore>,
     /// The sessions this shard owns. No locks: only the shard thread
@@ -251,12 +248,10 @@ impl Shard {
     }
 }
 
-fn shard_loop(id: usize, core: Arc<ManagerCore>, inbox: Arc<Inbox>) {
-    let mut shard = Shard { id, core, sessions: FxHashMap::default() };
-    let depth_gauge = format!("serve.shard{}.inbox_depth", shard.id);
+fn shard_loop(core: Arc<ManagerCore>, inbox: Arc<Inbox>) {
+    let mut shard = Shard { core, sessions: FxHashMap::default() };
     let mut entries: Vec<Entry> = Vec::with_capacity(MAX_BATCH);
-    while let Some(left) = inbox.pop_batch(&mut entries) {
-        pfdbg_obs::gauge_set(&depth_gauge, left as f64);
+    while inbox.pop_batch(&mut entries) {
         for entry in entries.drain(..) {
             if entry.client {
                 let waited_us = entry.enqueued.elapsed().as_secs_f64() * 1e6;
@@ -266,7 +261,7 @@ fn shard_loop(id: usize, core: Arc<ManagerCore>, inbox: Arc<Inbox>) {
             match entry.job {
                 Job::Run(f) => {
                     if catch_unwind(AssertUnwindSafe(|| f(&mut shard))).is_err() {
-                        tel::HANDLER_PANICS.add(1);
+                        shard.core.counts.handler_panics.add(1);
                     }
                 }
                 Job::ScrubAll => shard.expand_scrub_all(&inbox),
@@ -296,7 +291,7 @@ impl ShardHandle {
         let worker_inbox = inbox.clone();
         let thread = std::thread::Builder::new()
             .name(format!("pfdbg-shard-{id}"))
-            .spawn(move || shard_loop(id, core, worker_inbox))
+            .spawn(move || shard_loop(core, worker_inbox))
             .map_err(|e| format!("cannot spawn shard {id}: {e}"))?;
         Ok(ShardHandle { inbox, thread: Some(thread) })
     }

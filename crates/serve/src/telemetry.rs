@@ -1,4 +1,4 @@
-//! Always-on fleet-telemetry handles for the serve layer.
+//! Always-on telemetry handles for the serve layer.
 //!
 //! Every handle here is a `Lazy*` static from `pfdbg-obs`: after the
 //! first touch, an update is one relaxed atomic on a sharded cell — no
@@ -7,12 +7,19 @@
 //! when nobody asked for a profile (the profiling layer's spans and
 //! gated counters remain off by default and are unaffected).
 //!
-//! Naming: `serve.*` counters/histograms mirror the `stats` verb,
-//! `scg.specialize_us` is the paper's headline latency, and `slo.*`
-//! names the declared budgets (a distinct prefix — the hub keys
-//! metrics by name, so an SLO may not shadow its histogram).
+//! They are process-wide. The counts of turns, cache lookups, faults,
+//! scrubs and device events are not here: each `SessionManager` keeps
+//! them in its own counter table, which `stats` and `metrics` both
+//! render. What stays here is per process: four request-level counters
+//! (a reply slot's `Drop` counts errors with no manager in reach), the
+//! latency histograms, and the SLO budgets.
+//!
+//! Naming: `serve.*` for the service, `scg.specialize_us` for the
+//! paper's headline latency, and `slo.*` for the declared budgets (a
+//! distinct prefix — the hub keys metrics by name, so an SLO may not
+//! shadow its histogram).
 
-use pfdbg_obs::{LazyCounter, LazyGauge, LazyHistogram, LazySlo};
+use pfdbg_obs::{LazyCounter, LazyHistogram, LazySlo};
 
 /// Requests handled (any verb, including errors).
 pub(crate) static REQUESTS: LazyCounter = LazyCounter::new("serve.requests");
@@ -20,45 +27,8 @@ pub(crate) static REQUESTS: LazyCounter = LazyCounter::new("serve.requests");
 pub(crate) static ERRORS: LazyCounter = LazyCounter::new("serve.errors");
 /// Connections accepted.
 pub(crate) static CONNECTIONS: LazyCounter = LazyCounter::new("serve.connections");
-/// Committed debugging turns.
-pub(crate) static TURNS: LazyCounter = LazyCounter::new("serve.turns");
-/// Specialization served from the shared LRU.
-pub(crate) static CACHE_HITS: LazyCounter = LazyCounter::new("serve.cache_hits");
-/// Specialization recomputed on miss.
-pub(crate) static CACHE_MISSES: LazyCounter = LazyCounter::new("serve.cache_misses");
-/// Turns rolled back after exhausting the escalation ladder.
-pub(crate) static ROLLBACKS: LazyCounter = LazyCounter::new("serve.rollbacks");
 /// Selects rejected at the deadline gate.
 pub(crate) static DEADLINE_MISSES: LazyCounter = LazyCounter::new("serve.deadline_misses");
-/// Frame-write retries across all sessions.
-pub(crate) static RETRIES: LazyCounter = LazyCounter::new("serve.retries");
-/// Commit escalations across all sessions.
-pub(crate) static DEGRADATIONS: LazyCounter = LazyCounter::new("serve.degradations");
-/// Frames scrub passes repaired back to golden.
-pub(crate) static SCRUB_REPAIRS: LazyCounter = LazyCounter::new("serve.scrub_repairs");
-/// Frames scrub passes quarantined as stuck.
-pub(crate) static SCRUB_QUARANTINES: LazyCounter = LazyCounter::new("serve.scrub_quarantines");
-/// Client requests shed at a full shard inbox.
-pub(crate) static SHED: LazyCounter = LazyCounter::new("serve.shed_total");
-/// `overloaded` replies sent (one per shed request).
-pub(crate) static OVERLOADED: LazyCounter = LazyCounter::new("serve.overloaded_replies");
-/// Handlers that panicked and were contained (session dropped, shard
-/// kept serving).
-pub(crate) static HANDLER_PANICS: LazyCounter = LazyCounter::new("serve.handler_panics");
-/// Commit/scrub watchdog trips across the device fleet.
-pub(crate) static WATCHDOG_TRIPS: LazyCounter = LazyCounter::new("serve.watchdog_trips");
-/// Devices declared failed (killed, or walked off the health ladder).
-pub(crate) static DEVICE_FAILURES: LazyCounter = LazyCounter::new("serve.device_failures");
-/// Device migrations started (operator drains and failovers).
-pub(crate) static MIGRATIONS: LazyCounter = LazyCounter::new("serve.migrations");
-/// Sessions re-driven onto a spare device from their journals.
-pub(crate) static SESSIONS_MIGRATED: LazyCounter = LazyCounter::new("serve.sessions_migrated");
-/// Sessions dropped by a migration (no journal, or a diverged
-/// re-drive).
-pub(crate) static SESSIONS_LOST: LazyCounter = LazyCounter::new("serve.sessions_lost");
-
-/// Sessions currently open across all shards.
-pub(crate) static OPEN_SESSIONS: LazyGauge = LazyGauge::new("serve.open_sessions");
 
 /// Wall time per protocol request (parse to reply).
 pub(crate) static REQUEST_US: LazyHistogram = LazyHistogram::new("serve.request_us");

@@ -244,7 +244,7 @@ fn failover_matches_golden_at(shards: usize) {
 
     // The fleet accounted the failover: the dead device is terminal,
     // the session lives on a spare, nothing was dropped.
-    let totals = sessions.device_totals();
+    let totals = sessions.counts();
     assert!(totals.device_failures >= 1, "{totals:?}");
     assert!(totals.migrations >= 1, "{totals:?}");
     assert!(totals.sessions_migrated >= 1, "{totals:?}");
@@ -316,7 +316,7 @@ fn drain_verb_migrates_sessions_off_a_healthy_device() {
     let (mode, health) = sessions.device_status(drained).unwrap();
     assert!(matches!(mode, DeviceMode::Ok), "a drained device keeps serving: {mode:?}");
     assert_eq!(health, DeviceHealth::Quarantined);
-    let totals = sessions.device_totals();
+    let totals = sessions.counts();
     assert!(totals.migrations >= 1, "{totals:?}");
     assert_eq!(totals.device_failures, 0, "a drain is not a failure: {totals:?}");
     assert_eq!(totals.sessions_lost, 0, "{totals:?}");

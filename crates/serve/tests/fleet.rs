@@ -202,6 +202,6 @@ fn hot_session_still_gets_scrubbed() {
     assert!(scrubs >= 1.0, "hot session starved: zero scrub passes in {turn} turns");
     // And with a rate-1.0 SEU channel, scrubbing found real upsets.
     assert!(h.num("upsets_detected").unwrap() >= 1.0);
-    assert!(handle.sessions().scrub_stats().passes >= 1);
+    assert!(handle.sessions().counts().scrub_passes >= 1);
     handle.shutdown();
 }

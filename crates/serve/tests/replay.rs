@@ -310,7 +310,8 @@ fn serve_journal_verifies_on_the_standalone_engine() {
         // like any other; the replay must reproduce it.
         let _ = manager.select("s", &params);
     }
-    let (_, hits, misses) = manager.stats();
+    let counts = manager.counts();
+    let (hits, misses) = (counts.cache_hits, counts.cache_misses);
     assert!(hits > 0 && misses > 0, "want both LRU paths: {hits} hits, {misses} misses");
     let (path, _, _) = manager.journal_status("s").unwrap();
     manager.close("s").unwrap();

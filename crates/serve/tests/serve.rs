@@ -116,7 +116,8 @@ fn eight_concurrent_sessions_zero_failures() {
         t.join().expect("client thread must not fail");
     }
 
-    let (turns, hits, misses) = handle.sessions().stats();
+    let counts = handle.sessions().counts();
+    let (turns, hits, misses) = (counts.turns, counts.cache_hits, counts.cache_misses);
     assert_eq!(turns, 40, "8 sessions x 5 turns");
     assert!(hits + misses >= 40);
     assert!(hits > 0, "overlapping selections across sessions must hit the LRU");
