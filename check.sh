@@ -62,11 +62,12 @@ echo "== shard sweep (PFDBG_SHARDS=1/2/8) =="
 # caller-serialized, so every chaos/replay/scrub assertion (all
 # bit-identity against golden oracles) must hold unchanged at any
 # shard count. The TCP suite's selects (params, signals, malformed
-# lines) take the same inbox route as every other session verb.
+# lines) take the same inbox route as every other session verb, and
+# the counter table's exact counts hold across select and scrub paths.
 for shards in 1 2 8; do
     PFDBG_SHARDS=$shards cargo test -q -p pfdbg-serve \
         --test chaos --test replay --test scrub --test backpressure --test fleet --test devices \
-        --test serve
+        --test serve --test counts
 done
 
 echo "== serve smoke test =="

@@ -710,8 +710,8 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     let (fault, policy) = chaos_from_flags(rest)?;
     let seu = seu_from_flags(rest)?;
     let scrub_interval_ms = flag_f64(rest, "--scrub-interval", 0.0)?;
-    // Fleet shape: 0 defers to PFDBG_SHARDS / PFDBG_INBOX_CAP, then the
-    // built-in defaults (4 shards, 1024-job inboxes).
+    // Fleet shape: 0 takes the defaults (`PFDBG_SHARDS`, else 4 shards;
+    // 1024-job inboxes).
     let shards = flag_usize(rest, "--shards", 0)?;
     let inbox_cap = flag_usize(rest, "--inbox-cap", 0)?;
     // Device fleet: `--devices N` serves over N supervised primaries

@@ -27,8 +27,9 @@ pub use baseline::{compare_mappers, MapperComparison};
 pub use baseline::{initial_mapping, prepare_instrumented};
 pub use flow::{offline, tcon_conditions, MapStats, OfflineConfig, OfflineResult};
 pub use localize::{localize, LocalizationResult};
-pub use online::{DebugSession, SelectionPlan, TurnRecord};
+pub use online::{DebugSession, TurnRecord};
 pub use param::{
-    instrument, observable_signals, InstrumentConfig, Instrumented, PortInfo, PAPER_K,
+    instrument, observable_signals, InstrumentConfig, Instrumented, PortInfo, SelectionPlan,
+    PAPER_K,
 };
 pub use select::{rank_signals, select_critical, RankedSignal};

@@ -8,7 +8,7 @@
 //! design and reads the capture back under the *original signal names*.
 //! No recompilation happens anywhere in the loop.
 
-use crate::param::Instrumented;
+use crate::param::{Instrumented, SelectionPlan};
 use pfdbg_emu::{Emulator, Fault};
 use pfdbg_netlist::Network;
 use pfdbg_obs::{LazyCounter, LazyHistogram};
@@ -31,15 +31,6 @@ pub struct TurnRecord {
     pub signals: Vec<String>,
     /// Reconfiguration cost (present when a hardware model is attached).
     pub stats: Option<TurnStats>,
-}
-
-/// A selection mapped onto ports.
-#[derive(Debug, Clone)]
-pub struct SelectionPlan {
-    /// `(port index, select value, signal name)` per requested signal.
-    pub assignments: Vec<(usize, usize, String)>,
-    /// The resulting parameter values.
-    pub params: BitVec,
 }
 
 /// A multi-turn debugging session over an instrumented design.
@@ -74,11 +65,6 @@ impl DebugSession {
         &self.params
     }
 
-    /// The online reconfigurator, when the session drives a device.
-    pub fn online(&self) -> Option<&OnlineReconfigurator> {
-        self.online.as_ref()
-    }
-
     /// Mutable access to the reconfigurator — how a caller ticks
     /// modeled time between turns or runs scrub passes against the
     /// session's device (see `pfdbg_pconf::scrub`).
@@ -86,72 +72,10 @@ impl DebugSession {
         self.online.as_mut()
     }
 
-    /// Advance the device's between-turn clock by one step — where an
-    /// emulated fabric takes its single-event upsets. Returns the
-    /// number of configuration bits that flipped (0 without a device).
-    pub fn tick(&mut self) -> usize {
-        self.online.as_mut().map_or(0, |o| o.tick())
-    }
-
-    /// Apply a raw parameter assignment as one transactional turn,
-    /// without planning signals or emulating — the record/replay hook:
-    /// a journal re-drive pushes the recorded parameter vectors through
-    /// the exact same commit path [`DebugSession::observe`] uses, and
-    /// the session state (params, turn log) advances only when the
-    /// commit lands. On error the turn rolls back and nothing advances.
-    /// Returns the reconfiguration stats when a device is attached.
-    pub fn apply_params(&mut self, params: &BitVec) -> Result<Option<TurnStats>, String> {
-        if params.len() != self.inst.annotations.len() {
-            return Err(format!(
-                "parameter vector has {} bits, design has {}",
-                params.len(),
-                self.inst.annotations.len()
-            ));
-        }
-        let stats = match self.online.as_mut() {
-            Some(o) => Some(o.try_apply(params)?),
-            None => None,
-        };
-        self.params.clone_from(params);
-        self.turns.push(TurnRecord { turn: self.turns.len(), signals: Vec::new(), stats });
-        TURNS.add(1);
-        Ok(stats)
-    }
-
-    /// Plan a selection: map each requested signal to a free port and
-    /// compute the parameter assignment. Fails if a signal is not
-    /// observable or more signals are requested than ports exist (that
-    /// would need *another turn*, which is exactly the paper's point —
-    /// turns are cheap).
+    /// Plan a selection against the session's current parameters — see
+    /// [`Instrumented::plan`].
     pub fn plan(&self, signals: &[&str]) -> Result<SelectionPlan, String> {
-        let mut used_ports = vec![false; self.inst.ports.len()];
-        let mut assignments = Vec::with_capacity(signals.len());
-        let mut params = self.params.clone();
-        for &sig in signals {
-            // Find a free port able to observe this signal.
-            let found = self.inst.ports.iter().enumerate().find_map(|(p, port)| {
-                if used_ports[p] {
-                    return None;
-                }
-                port.select_for(sig).map(|v| (p, v))
-            });
-            let (p, v) =
-                found.ok_or_else(|| format!("no free trace port can observe {sig} this turn"))?;
-            used_ports[p] = true;
-            // Write the select value into the parameter bits.
-            for (bit, name) in self.inst.ports[p].sel_params.iter().enumerate() {
-                let idx = self
-                    .inst
-                    .annotations
-                    .params
-                    .iter()
-                    .position(|q| q == name)
-                    .expect("annotated parameter");
-                params.set(idx, (v >> bit) & 1 == 1);
-            }
-            assignments.push((p, v, sig.to_string()));
-        }
-        Ok(SelectionPlan { assignments, params })
+        self.inst.plan(&self.params, signals)
     }
 
     /// Execute one debugging turn: specialize for the selection, emulate

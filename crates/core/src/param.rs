@@ -11,6 +11,7 @@
 
 use pfdbg_netlist::truth::gates;
 use pfdbg_netlist::{Network, NodeId, ParamAnnotations};
+use pfdbg_util::BitVec;
 
 /// Instrumentation settings.
 #[derive(Debug, Clone)]
@@ -68,6 +69,15 @@ impl PortInfo {
     }
 }
 
+/// A selection mapped onto ports.
+#[derive(Debug, Clone)]
+pub struct SelectionPlan {
+    /// `(port index, select value, signal name)` per requested signal.
+    pub assignments: Vec<(usize, usize, String)>,
+    /// The resulting parameter values.
+    pub params: BitVec,
+}
+
 /// The instrumented design.
 #[derive(Debug, Clone)]
 pub struct Instrumented {
@@ -98,6 +108,46 @@ impl Instrumented {
     /// `(port index, select value)`.
     pub fn locate(&self, signal: &str) -> Option<(usize, usize)> {
         self.ports.iter().enumerate().find_map(|(i, p)| p.select_for(signal).map(|v| (i, v)))
+    }
+
+    /// Plan a selection against the parameters `current`: each
+    /// requested signal claims one free port able to observe it, and
+    /// that port's select bits take its value; unrelated ports keep
+    /// their selection. Fails if a signal is not observable or more
+    /// signals are requested than ports exist (that would need
+    /// *another turn*, which is exactly the paper's point — turns are
+    /// cheap).
+    pub fn plan<S: AsRef<str>>(
+        &self,
+        current: &BitVec,
+        signals: &[S],
+    ) -> Result<SelectionPlan, String> {
+        let mut used_ports = vec![false; self.ports.len()];
+        let mut assignments = Vec::with_capacity(signals.len());
+        let mut params = current.clone();
+        for sig in signals {
+            let sig = sig.as_ref();
+            let found = self.ports.iter().enumerate().find_map(|(p, port)| {
+                if used_ports[p] {
+                    return None;
+                }
+                port.select_for(sig).map(|v| (p, v))
+            });
+            let (p, v) =
+                found.ok_or_else(|| format!("no free trace port can observe {sig} this turn"))?;
+            used_ports[p] = true;
+            for (bit, name) in self.ports[p].sel_params.iter().enumerate() {
+                let idx = self
+                    .annotations
+                    .params
+                    .iter()
+                    .position(|q| q == name)
+                    .ok_or_else(|| format!("select parameter {name} not annotated"))?;
+                params.set(idx, (v >> bit) & 1 == 1);
+            }
+            assignments.push((p, v, sig.to_string()));
+        }
+        Ok(SelectionPlan { assignments, params })
     }
 }
 
@@ -339,5 +389,17 @@ mod tests {
             assert_eq!(inst.ports[p].signals[v], s);
         }
         assert!(inst.locate("nope").is_none());
+    }
+
+    #[test]
+    fn plan_names_a_select_parameter_missing_from_the_annotations() {
+        let mut inst =
+            instrument(&design(), &InstrumentConfig { n_ports: 1, max_signals: None, coverage: 1 });
+        let signal = inst.ports[0].signals[0].clone();
+        let missing = inst.ports[0].sel_params[0].clone();
+        inst.annotations.params.retain(|p| *p != missing);
+        let current = BitVec::zeros(inst.n_params());
+        let err = inst.plan(&current, &[signal]).unwrap_err();
+        assert_eq!(err, format!("select parameter {missing} not annotated"));
     }
 }

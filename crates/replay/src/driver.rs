@@ -1,23 +1,24 @@
 //! Rebuilding a recorded session: design → engine → a fresh
-//! [`DebugSession`] over the journal's chaos environment.
+//! [`Session`] over the journal's chaos environment.
 //!
-//! The driver is the single execution engine used by both the recorder
-//! (`Recorder`) and the verifier ([`crate::verify`]): a recorded
-//! session and its replay go through the *same* tick → stage → commit
-//! path (`DebugSession::apply_params` →
-//! `OnlineReconfigurator::try_apply` → `pfdbg_pconf::TurnEngine`), so
-//! every observable fact — bit/frame diffs, retry and escalation
-//! counts, SEU flips, readback CRC — is reproducible by construction.
-//! A serve session's turn is that same `TurnEngine` turn over a channel
-//! from the same `pfdbg_emu::channel_stack`, so serve journals verify
-//! here too.
+//! The driver is the standalone runner of that session, used by the
+//! recorder (`Recorder`), the verifier ([`crate::verify`]) and the
+//! fuzzer: a recorded session and its replay go through the *same*
+//! tick → stage → commit steps of the same [`Session`], the one every
+//! serve session runs, so every observable fact — bit/frame diffs,
+//! retry and escalation counts, SEU flips, readback CRC — is
+//! reproducible by construction, and serve journals verify here too.
 
-use crate::record::{DesignSpec, SelectFacts, SelectOutcome, SessionMeta};
-use pfdbg_arch::Bitstream;
-use pfdbg_core::{prepare_instrumented, DebugSession, InstrumentConfig, OfflineConfig};
-use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
+use crate::record::{
+    DesignSpec, JournalRecord, ScrubFacts, SelectFacts, SelectOutcome, SessionMeta,
+};
+use crate::session::Session;
+use crate::verify::Redrive;
+use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
+use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_pconf::icap::frame_len_bits;
-use pfdbg_pconf::{IcapChannel, OnlineReconfigurator, Scrubber};
+use pfdbg_pconf::{IcapChannel, Scg, TunableFrames, TurnContext};
+use pfdbg_util::BitVec;
 use std::cell::Cell;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -149,11 +150,14 @@ pub fn build_design(meta: &SessionMeta) -> Result<BuiltDesign, String> {
     Ok(BuiltDesign { inst, scg, layout, icap: off.icap })
 }
 
-/// A live re-driven session: a [`DebugSession`] over the journal's
-/// chaos environment plus the scrubber that serviced it.
+/// A live re-driven session: the [`Session`] a journal's meta
+/// describes, over the design it rebuilt.
 pub struct OnlineDriver {
-    session: DebugSession,
-    scrubber: Scrubber,
+    scg: Scg,
+    layout: BitstreamLayout,
+    icap: IcapModel,
+    tunables: TunableFrames,
+    session: Session,
 }
 
 impl OnlineDriver {
@@ -175,139 +179,101 @@ impl OnlineDriver {
     }
 
     /// Assemble the driver from already-compiled products (lets callers
-    /// reuse one expensive offline build across several drivers).
+    /// reuse one expensive offline build across several drivers). The
+    /// session is [`Session::new`] from the meta's chaos, salted with
+    /// the session name when the meta derives seeds — as every serve
+    /// session is.
     pub fn from_built(
         built: BuiltDesign,
         meta: &SessionMeta,
         wrap: impl FnOnce(Box<dyn IcapChannel>) -> Box<dyn IcapChannel>,
     ) -> OnlineDriver {
-        let chaos = &meta.chaos;
-        let derive = |base: u64| {
-            if meta.derive_seeds {
-                session_seed(base, &meta.session)
-            } else {
-                base
-            }
-        };
-        // The serve layer's channel stack, from the same constructor and
-        // the same per-session seeds.
-        let channel = wrap(channel_stack(
-            Arc::new(built.scg.generalized().base.clone()),
-            built.layout.frame_bits,
-            chaos.seu.map(|s| SeuConfig { seed: derive(s.seed), ..s }),
-            chaos.fault.map(|f| IcapFaultConfig { seed: derive(f.seed), ..f }),
-        ));
-        let jitter = derive(chaos.jitter_seed);
-        let online = OnlineReconfigurator::with_channel(
-            built.scg,
-            built.layout,
-            built.icap,
-            channel,
-            chaos.commit_policy(jitter),
-        );
-        let scrubber = Scrubber::new(chaos.scrub_policy(jitter));
-        OnlineDriver { session: DebugSession::new(built.inst, Some(online)), scrubber }
+        let BuiltDesign { scg, layout, icap, .. } = built;
+        let tunables = TunableFrames::new(&scg, &layout);
+        let image = Arc::new(scg.generalized().base.clone());
+        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
+        let salt = meta.derive_seeds.then_some(meta.session.as_str());
+        let session = Session::new(&ctx, image, &meta.chaos, salt, wrap);
+        OnlineDriver { scg, layout, icap, tunables, session }
     }
 
     /// PConf parameter count of the driven design.
     pub fn n_params(&self) -> usize {
-        self.session.instrumented().annotations.len()
-    }
-
-    /// The underlying session (turn log, instrumented design).
-    pub fn session(&self) -> &DebugSession {
-        &self.session
-    }
-
-    fn online(&self) -> &OnlineReconfigurator {
-        self.session.online().expect("driver always attaches a device")
+        self.scg.generalized().n_params
     }
 
     /// CRC of the full device readback ([`device_crc`] of the
     /// session's channel).
     pub fn readback_crc(&self) -> u64 {
-        device_crc(self.online().channel())
+        self.session.readback_crc()
     }
 
     /// CRC of the golden (oracle) specialization for `params` — what
     /// the device must hold after a committed turn, independent of any
     /// driver state.
-    pub fn specialize_crc(&self, params: &pfdbg_util::BitVec) -> u64 {
-        bitstream_crc(&self.online().scg().specialize(params))
+    pub fn specialize_crc(&self, params: &BitVec) -> u64 {
+        bitstream_crc(&self.scg.specialize(params))
     }
 
     /// One select turn: tick the device (SEUs strike), then apply the
     /// parameter vector transactionally. Never fails — a rolled-back
     /// commit is itself an observable outcome.
-    pub fn select(&mut self, params: &pfdbg_util::BitVec) -> SelectFacts {
-        let seu_flips = self.session.tick() as u64;
-        match self.session.apply_params(params) {
-            Ok(stats) => {
-                let stats = stats.expect("driver always attaches a device");
-                SelectFacts {
-                    params: params.clone(),
-                    outcome: SelectOutcome::Committed,
-                    bits_changed: stats.bits_changed as u64,
-                    frames_changed: stats.frames_changed as u64,
-                    retries: stats.retries as u64,
-                    degradations: stats.degradations as u64,
-                    cache_hit: false,
-                    seu_flips,
-                    readback_crc: self.readback_crc(),
-                }
-            }
-            Err(_) => SelectFacts {
-                params: params.clone(),
-                outcome: SelectOutcome::RolledBack,
-                // Retry/degradation counts of a rolled-back commit are
-                // not surfaced structurally by `try_apply`; rollback
-                // facts compare on outcome, SEU flips, and readback CRC.
-                bits_changed: 0,
-                frames_changed: 0,
-                retries: 0,
-                degradations: 0,
-                cache_hit: false,
-                seu_flips,
-                readback_crc: self.readback_crc(),
-            },
-        }
+    pub fn select(&mut self, params: &BitVec) -> SelectFacts {
+        self.turn(params, false)
     }
 
-    /// Replay a recorded deadline miss: the miss was a wall-clock event
-    /// at the serve layer, and everything observable it did to the
-    /// device was the between-turn tick — so that is what replays.
-    pub fn deadline_miss(&mut self, params: &pfdbg_util::BitVec) -> SelectFacts {
-        let seu_flips = self.session.tick() as u64;
-        SelectFacts {
-            params: params.clone(),
-            outcome: SelectOutcome::DeadlineMiss,
-            bits_changed: 0,
-            frames_changed: 0,
-            retries: 0,
-            degradations: 0,
-            cache_hit: false,
-            seu_flips,
-            readback_crc: self.readback_crc(),
-        }
+    /// Replay a recorded deadline miss: a select whose budget has
+    /// already expired. The miss was a wall-clock event at the serve
+    /// layer, and everything observable it did to the device was the
+    /// between-turn tick — so that is what replays.
+    pub fn deadline_miss(&mut self, params: &BitVec) -> SelectFacts {
+        self.turn(params, true)
+    }
+
+    /// The turn as serve runs it, minus the LRU: tick, stage, then —
+    /// unless the budget is `expired` — commit.
+    fn turn(&mut self, params: &BitVec, expired: bool) -> SelectFacts {
+        let (ctx, session) = self.split();
+        let seu_flips = session.tick();
+        let commit = match session.stage(&ctx, params, None) {
+            Ok(()) if !expired => session.commit(&ctx, params).ok(),
+            _ => None,
+        };
+        let outcome = match (&commit, expired) {
+            (Some(_), _) => SelectOutcome::Committed,
+            (None, true) => SelectOutcome::DeadlineMiss,
+            (None, false) => SelectOutcome::RolledBack,
+        };
+        session.select_facts(params, outcome, commit.as_ref(), seu_flips, false)
     }
 
     /// One scrub pass against the golden oracle for the session's
     /// current parameters.
-    pub fn scrub(&mut self) -> Result<crate::record::ScrubFacts, String> {
-        let report = self
-            .session
-            .online_mut()
-            .expect("driver always attaches a device")
-            .scrub(&mut self.scrubber)?;
-        Ok(crate::record::ScrubFacts {
-            frames_checked: report.frames_checked as u64,
-            upset_frames: report.upset_frames as u64,
-            upset_bits: report.upset_bits as u64,
-            repaired_frames: report.repaired_frames as u64,
-            failed_frames: report.failed_frames as u64,
-            quarantined_frames: report.quarantined_frames as u64,
-            readback_crc: self.readback_crc(),
-        })
+    pub fn scrub(&mut self) -> Result<ScrubFacts, String> {
+        let (ctx, session) = self.split();
+        let report = session.scrub(&ctx)?;
+        Ok(session.scrub_facts(&report))
+    }
+
+    /// The design's half of a turn and the session, borrowed apart.
+    fn split(&mut self) -> (TurnContext<'_>, &mut Session) {
+        let ctx = TurnContext {
+            scg: &self.scg,
+            layout: &self.layout,
+            icap: &self.icap,
+            tunables: &self.tunables,
+        };
+        (ctx, &mut self.session)
+    }
+}
+
+impl Redrive for OnlineDriver {
+    fn redrive_select(&mut self, params: &BitVec, expired: bool) -> Result<SelectFacts, String> {
+        Ok(self.turn(params, expired))
+    }
+
+    fn redrive_scrub(&mut self) -> Result<ScrubFacts, String> {
+        self.scrub()
     }
 }
 
@@ -330,16 +296,16 @@ impl Recorder {
     }
 
     /// One journaled select turn.
-    pub fn select(&mut self, params: &pfdbg_util::BitVec) -> Result<SelectFacts, String> {
+    pub fn select(&mut self, params: &BitVec) -> Result<SelectFacts, String> {
         let facts = self.driver.select(params);
-        self.writer.append(&crate::record::JournalRecord::Select(facts.clone()))?;
+        self.writer.append(&JournalRecord::Select(facts.clone()))?;
         Ok(facts)
     }
 
     /// One journaled scrub pass.
-    pub fn scrub(&mut self) -> Result<crate::record::ScrubFacts, String> {
+    pub fn scrub(&mut self) -> Result<ScrubFacts, String> {
         let facts = self.driver.scrub()?;
-        self.writer.append(&crate::record::JournalRecord::Scrub(facts))?;
+        self.writer.append(&JournalRecord::Scrub(facts))?;
         Ok(facts)
     }
 
@@ -348,14 +314,9 @@ impl Recorder {
         self.driver.n_params()
     }
 
-    /// The driver underneath.
-    pub fn driver(&self) -> &OnlineDriver {
-        &self.driver
-    }
-
     /// Append the close record and sync; consumes the recorder.
     pub fn finish(mut self) -> Result<(), String> {
-        self.writer.append(&crate::record::JournalRecord::Close)?;
+        self.writer.append(&JournalRecord::Close)?;
         self.writer.sync()
     }
 }
@@ -363,8 +324,8 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
     use pfdbg_pconf::icap::readback_all;
-    use pfdbg_util::BitVec;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

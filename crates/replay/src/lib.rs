@@ -3,8 +3,9 @@
 //!
 //! The debug flow of this repository is deterministic by construction:
 //! seeded fault and SEU streams, a serial SCG evaluation, and
-//! transactional frame commits. This crate turns that property
-//! into three tools:
+//! transactional frame commits. This crate holds the one [`Session`]
+//! every debugging session runs — serve's included — and turns that
+//! property into three tools:
 //!
 //! 1. **Recording** ([`Recorder`], [`JournalWriter`]): every turn's
 //!    inputs and observable outputs are appended to a checksummed
@@ -13,8 +14,9 @@
 //! 2. **Replay verification** ([`verify_path`], [`verify_records`]):
 //!    a journal is re-driven against a freshly rebuilt session and
 //!    every reply is diffed bit-for-bit; the first divergent turn is
-//!    reported with a structured [`Divergence`]. The serve layer uses
-//!    the same machinery for crash-consistent session restore.
+//!    reported with a structured [`Divergence`]. The serve layer's
+//!    crash-consistent restore runs the same loop
+//!    ([`verify_with_driver`]) over its own sessions ([`Redrive`]).
 //! 3. **Differential fuzzing** ([`fuzz::run_suite`]): seeded random
 //!    turn sequences drive pairs of sessions that must agree —
 //!    faulty-vs-golden-oracle and scrubbed-vs-unscrubbed at 0% SEU —
@@ -28,6 +30,7 @@ pub mod driver;
 pub mod fuzz;
 pub mod journal;
 pub mod record;
+pub mod session;
 pub mod verify;
 
 pub use driver::{
@@ -40,4 +43,7 @@ pub use journal::{meta_of, read_records, JournalWriter};
 pub use record::{
     ChaosSpec, DesignSpec, JournalRecord, ScrubFacts, SelectFacts, SelectOutcome, SessionMeta,
 };
-pub use verify::{verify_path, verify_records, verify_with_driver, Divergence, VerifyReport};
+pub use session::Session;
+pub use verify::{
+    verify_path, verify_records, verify_with_driver, Divergence, Redrive, VerifyReport,
+};

@@ -1,10 +1,29 @@
 //! Replay verification: re-drive a journal against a fresh session and
 //! diff every observable fact bit-for-bit.
+//!
+//! [`verify_with_driver`] is the one loop that walks a journal's records
+//! and re-drives them. Its driver is any [`Redrive`]: the standalone
+//! [`OnlineDriver`] (`pfdbg replay`, the verifier), or a serve session,
+//! whose restore and `replay` verb re-drive through the select and
+//! scrub paths that serve its clients.
 
 use crate::driver::OnlineDriver;
 use crate::journal::meta_of;
 use crate::record::{JournalRecord, ScrubFacts, SelectFacts, SelectOutcome};
+use pfdbg_util::BitVec;
 use std::path::Path;
+
+/// A session a journal re-drives through: each recorded operation runs
+/// again and hands back its facts.
+pub trait Redrive {
+    /// Run a select of `params`. With `expired`, the select's budget has
+    /// already run out — how a recorded deadline miss re-drives. An
+    /// error means the select could not run at all.
+    fn redrive_select(&mut self, params: &BitVec, expired: bool) -> Result<SelectFacts, String>;
+
+    /// Run a scrub pass.
+    fn redrive_scrub(&mut self) -> Result<ScrubFacts, String>;
+}
 
 /// The first point where a replay stopped matching its journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,10 +89,11 @@ pub fn verify_records(records: &[JournalRecord]) -> Result<VerifyReport, String>
     Ok(verify_with_driver(&mut driver, records, &meta.session))
 }
 
-/// Re-drive `records` through an existing driver and diff every fact.
-/// Stops at the first divergence (state is unreliable beyond it).
+/// Re-drive `records` (the meta record first) through `driver` and
+/// diff every fact. Stops at the first divergence (state is unreliable
+/// beyond it) and at a close record.
 pub fn verify_with_driver(
-    driver: &mut OnlineDriver,
+    driver: &mut impl Redrive,
     records: &[JournalRecord],
     session: &str,
 ) -> VerifyReport {
@@ -98,23 +118,19 @@ pub fn verify_with_driver(
                 });
             }
             JournalRecord::Select(expected) => {
-                let actual = match expected.outcome {
-                    SelectOutcome::DeadlineMiss => driver.deadline_miss(&expected.params),
-                    _ => driver.select(&expected.params),
+                let expired = expected.outcome == SelectOutcome::DeadlineMiss;
+                let turn = report.turns as u64;
+                report.divergence = match driver.redrive_select(&expected.params, expired) {
+                    Ok(actual) => diff_select(i, turn, expected, &actual),
+                    Err(e) => Some(failed(i, turn, "select", e)),
                 };
-                report.divergence = diff_select(i, report.turns as u64, expected, &actual);
                 report.turns += 1;
             }
             JournalRecord::Scrub(expected) => {
-                report.divergence = match driver.scrub() {
-                    Ok(actual) => diff_scrub(i, report.turns as u64, expected, &actual),
-                    Err(e) => Some(Divergence {
-                        record: i,
-                        turn: report.turns as u64,
-                        field: "scrub".into(),
-                        expected: "a scrub report".into(),
-                        actual: format!("error: {e}"),
-                    }),
+                let turn = report.turns as u64;
+                report.divergence = match driver.redrive_scrub() {
+                    Ok(actual) => diff_scrub(i, turn, expected, &actual),
+                    Err(e) => Some(failed(i, turn, "scrub", e)),
                 };
                 report.scrubs += 1;
             }
@@ -125,6 +141,17 @@ pub fn verify_with_driver(
         }
     }
     report
+}
+
+/// A recorded operation that could not run again at all.
+fn failed(record: usize, turn: u64, op: &str, error: String) -> Divergence {
+    Divergence {
+        record,
+        turn,
+        field: op.into(),
+        expected: format!("a {op} report"),
+        actual: format!("error: {error}"),
+    }
 }
 
 /// Diff one select turn's facts. The comparison set is exactly the

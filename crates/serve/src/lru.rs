@@ -45,12 +45,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some(v)
     }
 
-    /// Drop `key` if present (e.g. the cached specialization went stale
-    /// because a scrub repair rewrote the device frames behind it).
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.map.remove(key).is_some()
-    }
-
     /// Insert `key -> value`, evicting the least recently used entry if
     /// the cache is full.
     pub fn put(&mut self, key: K, value: V) {
@@ -102,14 +96,5 @@ mod tests {
         c.put(2, "y");
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(&2), Some(&"y"));
-    }
-
-    #[test]
-    fn remove_drops_without_touching_stats() {
-        let mut c = LruCache::new(2);
-        c.put("a", 1);
-        assert!(c.remove(&"a"));
-        assert!(!c.remove(&"a"), "second remove finds nothing");
-        assert_eq!(c.get(&"a"), None);
     }
 }

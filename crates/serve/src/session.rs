@@ -3,19 +3,21 @@
 //!
 //! The expensive, read-only products of the offline flow (SCG, layout,
 //! ICAP model, instrumented netlist, base configuration) are shared
-//! behind `Arc`; each session owns only its [`TurnEngine`] (parameter
+//! behind `Arc`; each session owns only its [`Session`] — the one
+//! `pfdbg record` and `pfdbg replay` run: a turn engine (parameter
 //! assignment, evaluation scratch with the committed packed tunable
-//! words) and its (possibly faulty) reconfiguration channel, whose
-//! device copies only the frames it writes over the shared base, so
-//! turns from different clients proceed independently. A shared LRU of
+//! words), a (possibly faulty) reconfiguration channel whose device
+//! copies only the frames it writes over the shared base, a scrubber
+//! and a commit policy, all built from the manager's [`ChaosSpec`] —
+//! so turns from different clients proceed independently. A shared LRU of
 //! packed tunable words, keyed by the parameter `BitVec` itself,
 //! short-circuits the SCG sweep for repeated selections across *all*
 //! sessions: each select looks it up once, under the LRU's own lock, and
 //! a hit shares the cached words' `Arc`.
 //!
 //! Turns are **transactional** and are the standalone engine's turn:
-//! [`TurnEngine::stage`] diffs the selection against the committed
-//! configuration, and [`TurnEngine::commit`] pushes the changed frames
+//! [`Session::stage`] diffs the selection against the committed
+//! configuration, and [`Session::commit`] pushes the changed frames
 //! through the loop of [`pfdbg_pconf::icap::commit_frames`] (per-frame
 //! CRC, readback-verify, bounded retry, escalation) before any session
 //! state, turn counter, or cache entry advances. A deadline miss or an
@@ -52,18 +54,15 @@ use crate::shard::{relock, Inbox, Job, SelectSpec, Shard, ShardHandle, ShardHold
 use crate::telemetry as tel;
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_core::Instrumented;
-use pfdbg_emu::{
-    channel_stack, DeviceControl, DeviceMode, DeviceRegistry, IcapFaultConfig, SeuConfig,
-};
+use pfdbg_emu::{DeviceControl, DeviceMode, DeviceRegistry, IcapFaultConfig, SeuConfig};
 use pfdbg_obs::{Counter, FlightKind, FlightRecorder};
 use pfdbg_pconf::health::{DeviceHealth, HealthEvent, HealthLadder, HealthPolicy, WatchdogPolicy};
 use pfdbg_pconf::icap::{readback_all, CommitPolicy, IcapChannel};
-use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport, Scrubber};
-use pfdbg_pconf::{Scg, TunableFrames, TurnContext, TurnEngine};
-use pfdbg_replay::verify::{diff_scrub, diff_select, Divergence};
+use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport};
+use pfdbg_pconf::{Scg, TunableFrames, TurnContext};
 use pfdbg_replay::{
-    device_crc, session_seed, ChaosSpec, DesignSpec, JournalRecord, JournalWriter, ScrubFacts,
-    SelectFacts, SelectOutcome, SessionMeta,
+    session_seed, verify_with_driver, ChaosSpec, DesignSpec, Divergence, JournalRecord,
+    JournalWriter, Redrive, ScrubFacts, SelectFacts, SelectOutcome, Session, SessionMeta,
 };
 use pfdbg_util::BitVec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,35 +95,25 @@ impl Engine {
     }
 }
 
-/// One client session: its turn engine (the parameters it last
-/// committed and their packed tunable words), the channel its frames
-/// travel over, and the scrubber that keeps the device honest between
-/// turns. Owned by exactly one shard thread — no lock.
+/// One client session: the [`Session`] every journal re-drive runs
+/// too (its turn engine, chaos channel, scrubber and commit policy),
+/// plus what only serve keeps. Owned by exactly one shard thread — no
+/// lock.
 pub(crate) struct SessionState {
     /// **Per-session** turn state, evaluation scratch included — the
     /// shared `Engine::scg` is immutable behind its `Arc`, and every
     /// mutable buffer lives here, on the owning shard's thread, so
     /// concurrent sessions never observe each other's sweeps
     /// (DESIGN.md §12).
-    turn: TurnEngine,
+    session: Session,
+    /// Committed turns.
     turns: usize,
-    channel: Box<dyn IcapChannel>,
-    scrubber: Scrubber,
-    /// Per-session commit policy (the jitter seed is salted with the
-    /// session name so concurrent sessions never retry in lockstep).
-    policy: CommitPolicy,
     /// Fixed-size ring of the session's recent structured events — the
     /// post-mortem that survives to a `dump`.
     flight: FlightRecorder,
     /// Session journal appender when the server records sessions
     /// (`--journal-dir`); every turn's facts append here as they commit.
     journal: Option<JournalWriter>,
-    /// When set, select/scrub store their replay facts in the
-    /// `last_*_facts` slots — the restore and replay paths compare
-    /// those against the recorded journal.
-    capture_facts: bool,
-    last_select_facts: Option<SelectFacts>,
-    last_scrub_facts: Option<ScrubFacts>,
     /// The fleet device this session's channel routes through (`0`
     /// always, when no device fleet is configured). Every turn consults
     /// the device's mode; a session whose device drains is rebuilt on a
@@ -413,10 +402,9 @@ pub(crate) struct ManagerCore {
     engine: Arc<Engine>,
     /// The specialization LRU, keyed by the parameter vector itself.
     cache: Mutex<LruCache<BitVec, CachedWords>>,
-    fault: Option<IcapFaultConfig>,
-    seu: Option<SeuConfig>,
-    policy: CommitPolicy,
-    scrub_policy: ScrubPolicy,
+    /// The chaos every session is built from and every journal meta
+    /// records, so a journal describes exactly what ran.
+    chaos: ChaosSpec,
     /// Where the tunable bits sit in the frames, shared by every
     /// session's commit.
     tunables: TunableFrames,
@@ -483,68 +471,51 @@ impl ManagerCore {
             coverage,
             k,
             n_params: self.engine.n_params(),
-            chaos: ChaosSpec::from_parts(self.fault, self.seu, &self.policy, &self.scrub_policy),
+            chaos: self.chaos.clone(),
             threads: 1,
             note: "recorded by pfdbg-serve".into(),
         }
     }
 
-    /// A brand-new session's state — the base configuration (params =
-    /// 0) behind a freshly seeded chaos channel, exactly like
-    /// [`pfdbg_pconf::OnlineReconfigurator::new`]. Shared by `open`,
-    /// restore, and the detached `replay` verb so all three rebuild the
-    /// same session byte-for-byte.
+    /// A brand-new session's state: [`Session::new`] from the
+    /// manager's chaos with seeds salted by `name`, at the base
+    /// configuration (params = 0). Shared by `open`, restore, and the
+    /// detached `replay` verb so all three rebuild the same session
+    /// byte-for-byte.
     fn fresh_state(&self, name: &str) -> SessionState {
-        // Both injectors run with a per-session seed derived from the
-        // configured one.
-        let channel = channel_stack(
-            self.image.clone(),
-            self.engine.layout.frame_bits,
-            self.seu.map(|cfg| SeuConfig { seed: session_seed(cfg.seed, name), ..cfg }),
-            self.fault.map(|f| IcapFaultConfig { seed: session_seed(f.seed, name), ..f }),
-        );
         // With a fleet configured, the session's device wraps the whole
         // chaos stack: kill/stall/wedge verdicts apply at the outermost
         // write, and a dead device stops ticking (it takes no upsets).
         // The wrapper is inert while the device stays `Ok`, so fleet
         // and non-fleet sessions replay bit-identically.
         let device = self.device_of(name);
-        let channel: Box<dyn IcapChannel> = match &self.fleet {
-            Some(f) => Box::new(
-                f.registry
-                    .get(device)
-                    .expect("redirect targets a registered device")
-                    .attach(channel),
-            ),
-            None => channel,
+        let attach = |channel: Box<dyn IcapChannel>| -> Box<dyn IcapChannel> {
+            match &self.fleet {
+                Some(f) => Box::new(
+                    f.registry
+                        .get(device)
+                        .expect("redirect targets a registered device")
+                        .attach(channel),
+                ),
+                None => channel,
+            }
         };
-        // Decorrelate the retry jitter per session too — the whole
-        // point of the jittered backoff is that concurrent sessions do
-        // not hammer a stalling port in lockstep.
-        let policy = CommitPolicy {
-            jitter_seed: session_seed(self.policy.jitter_seed, name),
-            ..self.policy
-        };
+        let ctx = self.turn_context();
         SessionState {
-            turn: TurnEngine::new(&self.engine.scg),
+            session: Session::new(&ctx, self.image.clone(), &self.chaos, Some(name), attach),
             turns: 0,
-            channel,
-            scrubber: Scrubber::new(self.scrub_policy),
-            policy,
             flight: FlightRecorder::new(FLIGHT_CAP),
             journal: None,
-            capture_facts: false,
-            last_select_facts: None,
-            last_scrub_facts: None,
             device,
         }
     }
 
     /// Rebuild a session from its journal: re-drive every recorded
-    /// operation through the normal select/scrub path, verifying each
-    /// fact, then attach the journal in append mode (its torn tail, if
-    /// any, already truncated). A journal ending in `close` is spent
-    /// and is restarted fresh.
+    /// operation through the select/scrub path clients use
+    /// ([`verify_with_driver`] over a [`Redriven`] session), verifying
+    /// each fact, then attach the journal in append mode (its torn
+    /// tail, if any, already truncated). A journal ending in `close` is
+    /// spent and is restarted fresh.
     fn restore_into(
         &self,
         name: &str,
@@ -576,10 +547,8 @@ impl ManagerCore {
                 self.engine.n_params()
             ));
         }
-        state.capture_facts = true;
-        let replayed = self.replay_into(name, state, &records[1..]);
-        state.capture_facts = false;
-        match replayed? {
+        let report = verify_with_driver(&mut Redriven { core: self, name, state }, &records, name);
+        match report.divergence {
             Some(div) => {
                 state.flight.record(
                     FlightKind::ReplayDivergence,
@@ -600,66 +569,6 @@ impl ManagerCore {
                 Ok(())
             }
         }
-    }
-
-    /// Re-drive decoded journal records (meta already stripped) through
-    /// `state`, diffing every fact against the recording. `Ok(None)` is
-    /// a bit-identical replay; `Ok(Some(_))` the first divergence.
-    fn replay_into(
-        &self,
-        name: &str,
-        state: &mut SessionState,
-        records: &[JournalRecord],
-    ) -> Result<Option<Divergence>, String> {
-        for (i, rec) in records.iter().enumerate() {
-            let idx = i + 1; // meta was record 0
-            let turn = state.turns as u64;
-            match rec {
-                JournalRecord::Meta(_) => {
-                    return Ok(Some(Divergence {
-                        record: idx,
-                        turn,
-                        field: "record".into(),
-                        expected: "select/scrub/close".into(),
-                        actual: "second meta record".into(),
-                    }))
-                }
-                JournalRecord::Select(expected) => {
-                    // A recorded deadline miss replays through the same
-                    // path with an already-expired budget: the
-                    // between-turn tick (and its SEUs) happens, no frame
-                    // is written — exactly what the original turn did.
-                    let deadline = match expected.outcome {
-                        SelectOutcome::DeadlineMiss => Some((Instant::now(), Duration::ZERO)),
-                        _ => None,
-                    };
-                    let _ = self.select_on(name, state, &expected.params, deadline);
-                    let actual =
-                        state.last_select_facts.take().ok_or("replay captured no select facts")?;
-                    if let Some(d) = diff_select(idx, turn, expected, &actual) {
-                        return Ok(Some(d));
-                    }
-                }
-                JournalRecord::Scrub(expected) => {
-                    if let Err(e) = self.scrub_on(name, state) {
-                        return Ok(Some(Divergence {
-                            record: idx,
-                            turn,
-                            field: "scrub".into(),
-                            expected: "a scrub report".into(),
-                            actual: format!("error: {e}"),
-                        }));
-                    }
-                    let actual =
-                        state.last_scrub_facts.take().ok_or("replay captured no scrub facts")?;
-                    if let Some(d) = diff_scrub(idx, turn, expected, &actual) {
-                        return Ok(Some(d));
-                    }
-                }
-                JournalRecord::Close => break,
-            }
-        }
-        Ok(None)
     }
 
     /// Verify a journal file against this server — the `replay` verb.
@@ -686,56 +595,37 @@ impl ManagerCore {
                 self.engine.n_params()
             ));
         }
-        let session = meta.session.clone();
-        let mut state = self.fresh_state(&session);
-        state.capture_facts = true;
-        let div = self.replay_into(&session, &mut state, &records[1..])?;
-        Ok((session, records.len(), div))
+        let name = meta.session.as_str();
+        let mut state = self.fresh_state(name);
+        let redriven = &mut Redriven { core: self, name, state: &mut state };
+        let report = verify_with_driver(redriven, &records, name);
+        Ok((report.session, report.records, report.divergence))
     }
 
-    /// Map a signal selection to a parameter vector against `current`
-    /// (each selected signal claims one free trace port; unrelated
-    /// ports keep their previous selection). Pure — the shard calls it
-    /// with the session's live parameters, making plan + select one
-    /// atomic inbox job.
-    fn plan_for(&self, current: &BitVec, signals: &[String]) -> Result<BitVec, String> {
-        let mut params = current.clone();
-        let inst = &self.engine.inst;
-        let mut used = vec![false; inst.ports.len()];
-        for sig in signals {
-            let found = inst.ports.iter().enumerate().find_map(|(p, port)| {
-                if used[p] {
-                    return None;
-                }
-                port.select_for(sig).map(|v| (p, v))
-            });
-            let (p, v) =
-                found.ok_or_else(|| format!("no free trace port can observe {sig} this turn"))?;
-            used[p] = true;
-            for (bit, name) in inst.ports[p].sel_params.iter().enumerate() {
-                let idx = inst
-                    .annotations
-                    .params
-                    .iter()
-                    .position(|q| q == name)
-                    .ok_or_else(|| format!("select parameter {name} not annotated"))?;
-                params.set(idx, (v >> bit) & 1 == 1);
-            }
-        }
-        Ok(params)
-    }
-
-    /// Append one turn's facts to the session journal and/or the
-    /// capture slot the replay paths read back.
-    fn journal_select(&self, state: &mut SessionState, facts: SelectFacts) {
+    /// Append `record` to the session's journal, when it keeps one.
+    fn append(&self, state: &mut SessionState, record: &JournalRecord) {
         if let Some(journal) = state.journal.as_mut() {
-            if journal.append(&JournalRecord::Select(facts.clone())).is_ok() {
+            if journal.append(record).is_ok() {
                 self.counts.journal_records.add(1);
             }
         }
-        if state.capture_facts {
-            state.last_select_facts = Some(facts);
+    }
+
+    /// The journal facts `facts` builds, appended to the session's
+    /// journal — built only when the session journals or a re-drive
+    /// (`redrive`) wants them back, since they read the whole device.
+    fn record_select(
+        &self,
+        state: &mut SessionState,
+        redrive: bool,
+        facts: impl FnOnce(&Session) -> SelectFacts,
+    ) -> Option<SelectFacts> {
+        if !redrive && state.journal.is_none() {
+            return None;
         }
+        let facts = facts(&state.session);
+        self.append(state, &JournalRecord::Select(facts.clone()));
+        Some(facts)
     }
 
     /// The device session `name`'s channel routes through right now:
@@ -844,10 +734,27 @@ impl ManagerCore {
     }
 }
 
-/// Whether this session's turns must produce replay facts (it journals,
-/// or a restore/replay is comparing against a recording).
-fn wants_facts(state: &SessionState) -> bool {
-    state.journal.is_some() || state.capture_facts
+/// A serve session under journal re-drive: [`verify_with_driver`] runs
+/// each recorded operation through [`ManagerCore::select_on`] and
+/// [`ManagerCore::scrub_on`] — the code that serves clients, not a copy
+/// of it.
+struct Redriven<'a> {
+    core: &'a ManagerCore,
+    name: &'a str,
+    state: &'a mut SessionState,
+}
+
+impl Redrive for Redriven<'_> {
+    fn redrive_select(&mut self, params: &BitVec, expired: bool) -> Result<SelectFacts, String> {
+        let deadline = expired.then(|| (Instant::now(), Duration::ZERO));
+        let (reply, facts) = self.core.select_on(self.name, self.state, params, deadline, true);
+        facts.ok_or_else(|| reply.err().unwrap_or_default())
+    }
+
+    fn redrive_scrub(&mut self) -> Result<ScrubFacts, String> {
+        let report = self.core.scrub_on(self.name, self.state)?;
+        Ok(self.state.session.scrub_facts(&report))
+    }
 }
 
 impl ManagerCore {
@@ -855,34 +762,40 @@ impl ManagerCore {
     /// (the owning shard thread's, or a detached state during journal
     /// restore/replay — all three drive the *same* code path a live
     /// client exercises: replay fidelity by construction, not by a
-    /// parallel reimplementation). The turn itself is the session's
-    /// [`TurnEngine`] — the standalone reconfigurator's turn; this layer
-    /// adds the fleet gate, the tick, the LRU, the deadline gate, the
-    /// journal facts, the flight events, telemetry and the watchdog.
-    /// The LRU is looked up once, keyed by `params` itself: a hit
-    /// shares the cached words' `Arc`.
+    /// parallel reimplementation). The turn itself is the steps of the
+    /// session's [`Session`] — the one `pfdbg record` and `pfdbg
+    /// replay` run; this layer adds the fleet gate, the LRU, the
+    /// deadline gate, the flight events, telemetry and the watchdog
+    /// between them. The LRU is looked up once, keyed by `params`
+    /// itself: a hit shares the cached words' `Arc`.
     ///
     /// The deadline (when given as `(request start, budget)`) is
-    /// checked between [`TurnEngine::stage`] and [`TurnEngine::commit`]:
+    /// checked between [`Session::stage`] and [`Session::commit`]:
     /// a missed deadline is a pure error — no turn counter advances, no
     /// cache entry is published, no frame is written. The start is the
     /// request's parse time, so time spent queued in a saturated inbox
     /// counts against the budget. Likewise an exhausted retry budget
     /// rolls the turn back, leaving only the armed resync behind.
+    ///
+    /// Returns the client's reply and the turn's journal facts: `Some`
+    /// for a turn that committed, rolled back or missed its deadline,
+    /// when the session journals or `redrive` asks for them.
     pub(crate) fn select_on(
         &self,
         session: &str,
         state: &mut SessionState,
         params: &BitVec,
         deadline: Option<(Instant, Duration)>,
-    ) -> Result<TurnOutcome, String> {
+        redrive: bool,
+    ) -> (Result<TurnOutcome, String>, Option<SelectFacts>) {
         let _s = pfdbg_obs::span("serve.select");
         if params.len() != self.engine.n_params() {
-            return Err(format!(
+            let msg = format!(
                 "parameter count mismatch: got {}, design has {}",
                 params.len(),
                 self.engine.n_params()
-            ));
+            );
+            return (Err(msg), None);
         }
         // Fleet gate: a session whose device is no longer serving never
         // ticks, commits, or journals — device-level failure is not
@@ -899,11 +812,12 @@ impl ManagerCore {
                     state.device as u64,
                 );
                 self.begin_failover(state.device, DeviceHealth::Failed);
-                return Err(format!(
+                let msg = format!(
                     "device dev{} is {} — session is migrating to a spare; retry shortly",
                     state.device,
                     mode.as_str()
-                ));
+                );
+                return (Err(msg), None);
             }
         }
         let t0 = Instant::now();
@@ -913,7 +827,7 @@ impl ManagerCore {
         // the emulated fabric takes its SEUs now (no-op on a reliable
         // channel). Upsets in frames this turn does not write persist
         // until a scrub pass catches them.
-        let flipped = state.channel.tick();
+        let flipped = state.session.tick();
         let turn_no = state.turns as u64;
         if flipped > 0 {
             self.counts.seu_bits_injected.add(flipped as u64);
@@ -929,7 +843,9 @@ impl ManagerCore {
         // Publication to the shared LRU waits until the commit
         // verifies: an aborted turn must leave no trace.
         let sp0 = Instant::now();
-        state.turn.stage(&ctx, params, cached.as_deref())?;
+        if let Err(e) = state.session.stage(&ctx, params, cached.as_deref()) {
+            return (Err(e), None);
+        }
         if cache_hit {
             self.counts.cache_hits.add(1);
         } else {
@@ -948,33 +864,23 @@ impl ManagerCore {
                     turn_no,
                     started.elapsed().as_micros() as u64,
                 );
-                if wants_facts(state) {
-                    // The miss left only the between-turn tick behind;
-                    // journal exactly that so a replay reproduces it.
-                    let facts = SelectFacts {
-                        params: params.clone(),
-                        outcome: SelectOutcome::DeadlineMiss,
-                        bits_changed: 0,
-                        frames_changed: 0,
-                        retries: 0,
-                        degradations: 0,
-                        cache_hit,
-                        seu_flips: flipped as u64,
-                        readback_crc: device_crc(state.channel.as_ref()),
-                    };
-                    self.journal_select(state, facts);
-                }
-                return Err(format!(
+                // The miss left only the between-turn tick behind;
+                // journal exactly that so a replay reproduces it.
+                let facts = self.record_select(state, redrive, |s| {
+                    s.select_facts(params, SelectOutcome::DeadlineMiss, None, flipped, cache_hit)
+                });
+                let msg = format!(
                     "deadline exceeded: {:.1} ms spent, {:.1} ms allowed",
                     started.elapsed().as_secs_f64() * 1e3,
                     budget.as_secs_f64() * 1e3
-                ));
+                );
+                return (Err(msg), facts);
             }
         }
         let eval_us = t0.elapsed().as_secs_f64() * 1e6;
 
         let t_commit = Instant::now();
-        match state.turn.commit(&ctx, state.channel.as_mut(), &state.policy, params) {
+        match state.session.commit(&ctx, params) {
             Ok(turn) => {
                 let commit = turn.stats;
                 if commit.retries > 0 {
@@ -994,24 +900,19 @@ impl ManagerCore {
                 state.flight.record(FlightKind::TurnCommit, turn_no, turn.bits_changed as u64);
                 state.turns += 1;
                 let turn_index = state.turns - 1;
-                if wants_facts(state) {
-                    let facts = SelectFacts {
-                        params: params.clone(),
-                        outcome: SelectOutcome::Committed,
-                        bits_changed: turn.bits_changed as u64,
-                        frames_changed: turn.frames_changed as u64,
-                        retries: commit.retries as u64,
-                        degradations: commit.degradations as u64,
+                let facts = self.record_select(state, redrive, |s| {
+                    s.select_facts(
+                        params,
+                        SelectOutcome::Committed,
+                        Some(&turn),
+                        flipped,
                         cache_hit,
-                        seu_flips: flipped as u64,
-                        readback_crc: device_crc(state.channel.as_ref()),
-                    };
-                    self.journal_select(state, facts);
-                }
-                // Cache publication happens from the owning shard — the
-                // session→cache order scrub repairs already use.
+                    )
+                });
+                // Cache publication happens from the owning shard, after
+                // the commit verified.
                 if !cache_hit {
-                    let words = Arc::new(state.turn.committed_words().clone());
+                    let words = Arc::new(state.session.turn().committed_words().clone());
                     relock(&self.cache).put(params.clone(), words);
                 }
                 self.counts.icap_retries.add(commit.retries as u64);
@@ -1046,7 +947,7 @@ impl ManagerCore {
                         }
                     }
                 }
-                Ok(TurnOutcome {
+                let outcome = TurnOutcome {
                     params: params.clone(),
                     bits_changed: turn.bits_changed,
                     frames_changed: turn.frames_changed,
@@ -1057,7 +958,8 @@ impl ManagerCore {
                     degradations: commit.degradations,
                     cache_hit,
                     turn: turn_index,
-                })
+                };
+                (Ok(outcome), facts)
             }
             Err((commit, msg)) => {
                 // The engine already undid the diff and armed the
@@ -1074,11 +976,12 @@ impl ManagerCore {
                     if mode != DeviceMode::Ok {
                         state.flight.record(FlightKind::DeviceFailed, turn_no, state.device as u64);
                         self.begin_failover(state.device, DeviceHealth::Failed);
-                        return Err(format!(
+                        let msg = format!(
                             "device dev{} went {} mid-commit — session is migrating; retry shortly",
                             state.device,
                             mode.as_str()
-                        ));
+                        );
+                        return (Err(msg), None);
                     }
                     // An honest rollback under seeded chaos: journaled
                     // below and fed to the ladder (with the watchdog's
@@ -1104,31 +1007,20 @@ impl ManagerCore {
                     }
                 }
                 state.flight.record(FlightKind::TurnRollback, turn_no, commit.retries as u64);
-                if wants_facts(state) {
-                    // Retry counts of an aborted commit are not part of
-                    // the replay contract (see `pfdbg-replay`); the
-                    // journaled facts are the outcome, the tick's SEU
-                    // flips, and the post-rollback device digest.
-                    let facts = SelectFacts {
-                        params: params.clone(),
-                        outcome: SelectOutcome::RolledBack,
-                        bits_changed: 0,
-                        frames_changed: 0,
-                        retries: 0,
-                        degradations: 0,
-                        cache_hit,
-                        seu_flips: flipped as u64,
-                        readback_crc: device_crc(state.channel.as_ref()),
-                    };
-                    self.journal_select(state, facts);
-                }
+                // Retry counts of an aborted commit are not part of the
+                // replay contract (see `pfdbg-replay`); the journaled
+                // facts are the outcome, the tick's SEU flips, and the
+                // post-rollback device digest.
+                let facts = self.record_select(state, redrive, |s| {
+                    s.select_facts(params, SelectOutcome::RolledBack, None, flipped, cache_hit)
+                });
                 // A rollback is exactly the moment a post-mortem is
                 // wanted: snapshot the ring before anyone else turns.
                 *relock(&self.last_dump) = Some((session.to_string(), state.flight.to_jsonl()));
                 self.counts.icap_retries.add(commit.retries as u64);
                 self.counts.icap_degradations.add(commit.degradations as u64);
                 self.counts.icap_rollbacks.add(1);
-                Err(format!("reconfiguration rolled back: {msg}"))
+                (Err(format!("reconfiguration rolled back: {msg}")), facts)
             }
         }
     }
@@ -1136,7 +1028,10 @@ impl ManagerCore {
     /// One scrub pass against the PConf-evaluated golden frames for the
     /// session's current parameter vector. Like [`ManagerCore::select_on`],
     /// runs with exclusive state access on the owning shard (or a
-    /// detached replay state); a repair invalidates the stale LRU entry.
+    /// detached replay state). A repair leaves the LRU alone: cached
+    /// entries are packed tunable words, a pure function of their
+    /// parameter vector, and a repair rewrites device frames only,
+    /// verifying each write itself.
     pub(crate) fn scrub_on(
         &self,
         session: &str,
@@ -1144,7 +1039,6 @@ impl ManagerCore {
     ) -> Result<ScrubReport, String> {
         let _s = pfdbg_obs::span("serve.scrub");
         let t0 = Instant::now();
-        let engine = &self.engine;
         // Fleet gate — same contract as `select_on`: a scrub never
         // touches (or journals against) a dead device.
         let device = state.device;
@@ -1158,27 +1052,18 @@ impl ManagerCore {
                 ));
             }
         }
-        // Destructure so the scrubber and the channel borrow disjoint
-        // fields of the same state.
-        let SessionState { scrubber, channel, turn, flight, turns, .. } = state;
-        let turn_no = *turns as u64;
-        let report =
-            scrubber.scrub_with_scg(channel.as_mut(), &engine.icap, &engine.scg, turn.params())?;
+        let turn_no = state.turns as u64;
+        // A quarantined frame arms the session's resync inside the
+        // pass: the next commit rewrites everything (and will keep
+        // failing on a truly stuck frame — degraded, loudly, rather
+        // than serving corrupt trace data).
+        let report = state.session.scrub(&self.turn_context())?;
+        let flight = &mut state.flight;
         flight.record(FlightKind::ScrubPass, turn_no, report.upset_frames as u64);
         if report.repaired_frames > 0 {
-            // A repair rewrote device frames behind the cached
-            // specialization's back: drop the entry for this vector so
-            // the next select re-verifies through a fresh specialize
-            // instead of trusting it.
-            relock(&self.cache).remove(turn.params());
             flight.record(FlightKind::ScrubRepair, turn_no, report.repaired_frames as u64);
         }
         if report.quarantined_frames > 0 {
-            // A frame refuses to heal: stop trusting the device. The
-            // next commit rewrites everything (and will keep failing on
-            // a truly stuck frame — degraded, loudly, rather than
-            // serving corrupt trace data).
-            turn.arm_resync();
             flight.record(FlightKind::Quarantine, turn_no, report.quarantined_frames as u64);
             // Quarantine is the fleet's "something is wrong here":
             // capture the post-mortem automatically.
@@ -1209,24 +1094,9 @@ impl ManagerCore {
         self.counts.scrub_bits_upset.add(report.upset_bits as u64);
         self.counts.scrub_repairs.add(report.repaired_frames as u64);
         self.counts.scrub_quarantined.add(report.quarantined_frames as u64);
-        if wants_facts(state) {
-            let facts = ScrubFacts {
-                frames_checked: report.frames_checked as u64,
-                upset_frames: report.upset_frames as u64,
-                upset_bits: report.upset_bits as u64,
-                repaired_frames: report.repaired_frames as u64,
-                failed_frames: report.failed_frames as u64,
-                quarantined_frames: report.quarantined_frames as u64,
-                readback_crc: device_crc(state.channel.as_ref()),
-            };
-            if let Some(journal) = state.journal.as_mut() {
-                if journal.append(&JournalRecord::Scrub(facts)).is_ok() {
-                    self.counts.journal_records.add(1);
-                }
-            }
-            if state.capture_facts {
-                state.last_scrub_facts = Some(facts);
-            }
+        if state.journal.is_some() {
+            let facts = state.session.scrub_facts(&report);
+            self.append(state, &JournalRecord::Scrub(facts));
         }
         Ok(report)
     }
@@ -1269,10 +1139,8 @@ impl Shard {
     pub(crate) fn close(&mut self, name: &str) -> Result<(), String> {
         let mut state =
             self.sessions.remove(name).ok_or_else(|| format!("no such session {name:?}"))?;
+        self.core.append(&mut state, &JournalRecord::Close);
         if let Some(journal) = state.journal.as_mut() {
-            if journal.append(&JournalRecord::Close).is_ok() {
-                self.core.counts.journal_records.add(1);
-            }
             let _ = journal.sync();
         }
         self.core.session_count.fetch_sub(1, Ordering::Relaxed);
@@ -1330,9 +1198,11 @@ impl Shard {
         }
         let params = match spec {
             SelectSpec::Params(params) => params,
-            SelectSpec::Signals(signals) => core.plan_for(state.turn.params(), &signals)?,
+            SelectSpec::Signals(signals) => {
+                core.engine.inst.plan(state.session.turn().params(), &signals)?.params
+            }
         };
-        core.select_on(session, state, &params, deadline)
+        core.select_on(session, state, &params, deadline, false).0
     }
 
     /// One on-demand scrub pass on an owned session.
@@ -1347,15 +1217,16 @@ impl Shard {
     pub(crate) fn health(&self, session: &str) -> Result<HealthReport, String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        let totals = state.scrubber.totals();
+        let scrubber = state.session.scrubber();
+        let totals = scrubber.totals();
         Ok(HealthReport {
-            verdict: state.scrubber.health(),
+            verdict: scrubber.health(),
             scrubs: totals.passes,
             upsets_detected: totals.upset_frames,
             bits_upset: totals.upset_bits,
             frames_repaired: totals.repaired_frames,
-            quarantine: state.scrubber.quarantined().iter().copied().collect(),
-            needs_resync: state.turn.needs_resync(),
+            quarantine: scrubber.quarantined().iter().copied().collect(),
+            needs_resync: state.session.turn().needs_resync(),
             turns: state.turns,
         })
     }
@@ -1365,7 +1236,8 @@ impl Shard {
     pub(crate) fn state_tuple(&self, session: &str) -> Result<(BitVec, usize, bool), String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        Ok((state.turn.params().clone(), state.turns, state.turn.needs_resync()))
+        let turn = state.session.turn();
+        Ok((turn.params().clone(), state.turns, turn.needs_resync()))
     }
 
     /// Read a session's device configuration memory back through its
@@ -1373,7 +1245,7 @@ impl Shard {
     pub(crate) fn readback(&self, session: &str) -> Result<Bitstream, String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        Ok(readback_all(state.channel.as_ref()))
+        Ok(readback_all(state.session.channel()))
     }
 
     /// Map a signal selection to a parameter vector against the current
@@ -1381,7 +1253,7 @@ impl Shard {
     pub(crate) fn plan(&self, session: &str, signals: &[String]) -> Result<BitVec, String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        self.core.plan_for(state.turn.params(), signals)
+        Ok(self.core.engine.inst.plan(state.session.turn().params(), signals)?.params)
     }
 
     /// A live dump of a session's flight-recorder ring as JSONL
@@ -1499,15 +1371,16 @@ impl Shard {
         self.sessions
             .iter()
             .map(|(name, state)| {
-                let totals = state.scrubber.totals();
+                let scrubber = state.session.scrubber();
+                let totals = scrubber.totals();
                 let fields = vec![
                     ("type", JsonValue::Str("session".into())),
                     ("name", JsonValue::Str(name.clone())),
                     ("turns", JsonValue::Num(state.turns as f64)),
-                    ("health", JsonValue::Str(state.scrubber.health().as_str().to_string())),
-                    ("needs_resync", JsonValue::Bool(state.turn.needs_resync())),
+                    ("health", JsonValue::Str(scrubber.health().as_str().to_string())),
+                    ("needs_resync", JsonValue::Bool(state.session.turn().needs_resync())),
                     ("scrubs", JsonValue::Num(totals.passes as f64)),
-                    ("quarantined", JsonValue::Num(state.scrubber.quarantined().len() as f64)),
+                    ("quarantined", JsonValue::Num(scrubber.quarantined().len() as f64)),
                     ("flight_events", JsonValue::Num(state.flight.total_recorded() as f64)),
                 ];
                 (name.clone(), write_object(&fields))
@@ -1517,28 +1390,30 @@ impl Shard {
 }
 
 /// Fleet shape: how many shards own the session space and how much
-/// client work each shard's inbox admits before shedding. The derived
-/// default (both zero) defers to the environment, then the built-ins.
+/// client work each shard's inbox admits before shedding. A zero field
+/// takes its default.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetOptions {
     /// Shard (owner thread) count; `0` reads `PFDBG_SHARDS`, default 4.
     pub shards: usize,
     /// Client jobs a shard queues before replying `overloaded`;
-    /// `0` reads `PFDBG_INBOX_CAP`, default 1024.
+    /// `0` means 1024.
     pub inbox_capacity: usize,
 }
 
 impl FleetOptions {
     fn resolve(self) -> (usize, usize) {
-        let env_usize = |key: &str| {
-            std::env::var(key).ok().and_then(|s| s.parse::<usize>().ok()).filter(|&n| n > 0)
+        let shards = match self.shards {
+            0 => std::env::var("PFDBG_SHARDS")
+                .ok()
+                .and_then(|s| s.parse::<usize>().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or(4),
+            n => n,
         };
-        let shards =
-            if self.shards > 0 { self.shards } else { env_usize("PFDBG_SHARDS").unwrap_or(4) };
-        let capacity = if self.inbox_capacity > 0 {
-            self.inbox_capacity
-        } else {
-            env_usize("PFDBG_INBOX_CAP").unwrap_or(1024)
+        let capacity = match self.inbox_capacity {
+            0 => 1024,
+            n => n,
         };
         (shards, capacity)
     }
@@ -1576,13 +1451,17 @@ impl SessionManager {
 
     /// The full chaos constructor: transport faults on the write path
     /// (`fault`), single-event upsets striking each session's
-    /// configuration memory between turns (`seu`), and the scrub
-    /// policy sessions repair themselves under. SEU injection is never
-    /// read from the environment here — callers (CLI, bench, tests)
-    /// decide, so a stray `PFDBG_SEU_RATE` cannot silently corrupt a
-    /// manager built for reliable devices. Fleet shape comes from
-    /// [`FleetOptions::default`] (env-overridable); use
-    /// [`SessionManager::with_fleet`] to pin it.
+    /// configuration memory between turns (`seu`), and how many failed
+    /// repairs a frame survives before quarantine. Of `scrub_policy`
+    /// only `max_repair_attempts` counts: the arguments become one
+    /// [`ChaosSpec`], every session is built from it and every journal
+    /// meta records it, so repairs commit under `policy` with the
+    /// session's jitter seed — exactly as a replay of the journal does.
+    /// SEU injection is never read from the environment here — callers
+    /// (CLI, bench, tests) decide, so a stray `PFDBG_SEU_RATE` cannot
+    /// silently corrupt a manager built for reliable devices. Fleet
+    /// shape comes from [`FleetOptions::default`] (env-overridable);
+    /// use [`SessionManager::with_fleet`] to pin it.
     pub fn with_chaos_scrub(
         engine: Arc<Engine>,
         cache_capacity: usize,
@@ -1603,7 +1482,8 @@ impl SessionManager {
     }
 
     /// [`SessionManager::with_chaos_scrub`] with an explicit fleet
-    /// shape (shard count, per-shard inbox capacity).
+    /// shape (shard count, per-shard inbox capacity). Of `scrub_policy`
+    /// only `max_repair_attempts` counts, as there.
     pub fn with_fleet(
         engine: Arc<Engine>,
         cache_capacity: usize,
@@ -1623,7 +1503,9 @@ impl SessionManager {
     /// is killed, quarantined, or failed drains its sessions onto the
     /// spare pool by re-driving their journals. Without this
     /// constructor no fleet exists and the manager behaves exactly as
-    /// before — one implicit, unsupervised device.
+    /// before — one implicit, unsupervised device. Of `scrub_policy`
+    /// only `max_repair_attempts` counts, as in
+    /// [`SessionManager::with_chaos_scrub`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_devices(
         engine: Arc<Engine>,
@@ -1654,10 +1536,7 @@ impl SessionManager {
         let core = Arc::new(ManagerCore {
             engine,
             cache: Mutex::new(LruCache::new(cache_capacity)),
-            fault,
-            seu,
-            policy,
-            scrub_policy,
+            chaos: ChaosSpec::from_parts(fault, seu, &policy, &scrub_policy),
             tunables,
             image,
             fleet: devices.map(DeviceFleet::new),
@@ -1736,7 +1615,7 @@ impl SessionManager {
     /// The per-frame upset rate sessions are born with (0 without SEU
     /// injection).
     pub fn seu_rate(&self) -> f64 {
-        self.core.seu.map_or(0.0, |s| s.rate)
+        self.core.chaos.seu.map_or(0.0, |s| s.rate)
     }
 
     /// Enable session journaling: every session opened afterwards
@@ -1835,7 +1714,7 @@ impl SessionManager {
 
     /// One debugging turn: specialize the session for `params`, commit
     /// the changed frames transactionally, and account the cost, on the
-    /// owning shard's thread. The turn is the session's [`TurnEngine`]:
+    /// owning shard's thread. The turn is the session's [`Session`]:
     /// one memoized node-table sweep through its scratch on an LRU
     /// miss, the cached tunable words on a hit. See
     /// `ManagerCore::select_on` for deadline semantics.

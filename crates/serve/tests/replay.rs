@@ -33,6 +33,19 @@ const GEN: pfdbg_circuits::GenParams = pfdbg_circuits::GenParams {
     seed: 91,
 };
 
+/// The journal provenance of [`GEN`]: journals that name it are
+/// self-contained, replayable by `pfdbg_replay::verify_path`.
+fn gen_spec() -> DesignSpec {
+    DesignSpec::Generated {
+        n_inputs: GEN.n_inputs,
+        n_outputs: GEN.n_outputs,
+        n_gates: GEN.n_gates,
+        depth: GEN.depth,
+        n_latches: GEN.n_latches,
+        seed: GEN.seed,
+    }
+}
+
 fn build_engine() -> Engine {
     let design = pfdbg_circuits::generate(&GEN);
     let (_, _, inst) = prepare_instrumented(
@@ -269,15 +282,7 @@ fn serve_journal_verifies_on_the_standalone_engine() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let mut manager = chaos_manager(Some(dir.clone()), 0.02);
-    let design = DesignSpec::Generated {
-        n_inputs: GEN.n_inputs,
-        n_outputs: GEN.n_outputs,
-        n_gates: GEN.n_gates,
-        depth: GEN.depth,
-        n_latches: GEN.n_latches,
-        seed: GEN.seed,
-    };
-    manager.set_journal_design(design, 1, 4);
+    manager.set_journal_design(gen_spec(), 1, 4);
     let n_params = manager.open("s").unwrap();
 
     // Three vectors that recur (LRU hits once published) and a fresh
@@ -319,5 +324,45 @@ fn serve_journal_verifies_on_the_standalone_engine() {
     let report = pfdbg_replay::verify_path(Path::new(&path)).unwrap();
     assert!(report.ok(), "standalone replay diverged: {:?}", report.divergence);
     assert_eq!((report.turns, report.scrubs), (24, 6), "{report:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Scrub repairs commit under the session's own commit policy, which
+/// the journal meta records — whatever retry budget the constructor's
+/// `ScrubPolicy` names. A server whose turns may not retry, under a
+/// port that fails 30% of writes and heavy upsets, journals repairs
+/// that its standalone replay reproduces exactly.
+#[test]
+fn serve_journal_verifies_when_repairs_may_retry_more_than_turns() {
+    let dir =
+        std::env::temp_dir().join(format!("pfdbg-serve-replay-repairs-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut manager = SessionManager::with_chaos_scrub(
+        Arc::new(build_engine()),
+        16,
+        Some(IcapFaultConfig::uniform(0.3, 0xFA_417)),
+        CommitPolicy { max_retries: 0, jitter_seed: 0x117_7E4, ..CommitPolicy::default() },
+        Some(SeuConfig { rate: 0.5, burst: 2, seed: 0x5E05_E5E0 }),
+        ScrubPolicy::default(),
+    );
+    manager.set_journal_dir(dir.clone());
+    manager.set_journal_design(gen_spec(), 1, 4);
+    let n_params = manager.open("s").unwrap();
+    for t in 0..40 {
+        if t % 3 == 2 {
+            manager.scrub_session("s").unwrap();
+        } else {
+            let params: BitVec = params_for(t, n_params).chars().map(|c| c == '1').collect();
+            // Rollbacks are journaled outcomes like any other.
+            let _ = manager.select("s", &params);
+        }
+    }
+    let (path, _, _) = manager.journal_status("s").unwrap();
+    manager.close("s").unwrap();
+
+    let report = pfdbg_replay::verify_path(Path::new(&path)).unwrap();
+    assert!(report.ok(), "standalone replay diverged: {:?}", report.divergence);
+    assert_eq!((report.turns, report.scrubs), (27, 13), "{report:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
