@@ -221,6 +221,19 @@ echo "== record/replay round trip =="
     | grep -q 'bit-identical' || { echo "record/replay round trip diverged"; exit 1; }
 echo "record/replay ok"
 
+echo "== scrub demo (pfdbg scrub) =="
+# The one verb that drives OnlineReconfigurator::scrub and its
+# undetected-divergence check: 20 turns under 2% upsets and 2%
+# transport faults, a scrub pass every 5 turns, deterministic under the
+# default seeds. Every upset must be repaired or quarantined, and none
+# quarantined.
+SCRUB_OUT=$(./target/debug/pfdbg scrub @stereov. --no-store --turns 20 --scrub-every 5 \
+    --seu-rate 0.02 --icap-fault-rate 0.02) || { echo "pfdbg scrub failed: $SCRUB_OUT"; exit 1; }
+echo "$SCRUB_OUT" | grep -q '^undetected divergence: none' \
+    || { echo "scrub demo left an undetected divergence: $SCRUB_OUT"; exit 1; }
+echo "$SCRUB_OUT" | grep -q '^health: clean' || { echo "scrub demo degraded: $SCRUB_OUT"; exit 1; }
+echo "scrub demo ok"
+
 echo "== journaled serve restart smoke =="
 # Crash-consistency end to end: a journaling server is killed (SIGKILL,
 # no clean close) mid-session; a restart over the same journal dir must

@@ -236,17 +236,21 @@ fn seu_from_flags(rest: &[String]) -> Result<Option<pfdbg_emu::SeuConfig>, Strin
 }
 
 /// Assemble an [`OnlineReconfigurator`] over a reliable in-memory
-/// channel, or over a fault-injecting one when chaos is configured.
+/// channel, or over one injecting transport faults and upsets when
+/// chaos is configured. Turns and scrub repairs commit under `policy`.
 fn build_online(
     scg: pfdbg_pconf::Scg,
     layout: pfdbg_arch::BitstreamLayout,
     icap: pfdbg_arch::IcapModel,
     fault: Option<pfdbg_emu::IcapFaultConfig>,
     policy: pfdbg_pconf::CommitPolicy,
+    seu: Option<pfdbg_emu::SeuConfig>,
 ) -> OnlineReconfigurator {
     let image = Arc::new(scg.generalized().base.clone());
-    let channel = pfdbg_emu::channel_stack(image, layout.frame_bits, None, fault);
-    OnlineReconfigurator::with_channel(scg, layout, icap, channel, policy)
+    let channel = pfdbg_emu::channel_stack(image, layout.frame_bits, seu, fault);
+    let attempts = pfdbg_pconf::ScrubPolicy::default().max_repair_attempts;
+    let session = pfdbg_pconf::Session::new(&scg, channel, policy, attempts);
+    OnlineReconfigurator::with_session(scg, layout, icap, session)
 }
 
 fn load_design(rest: &[String]) -> Result<(String, Network), String> {
@@ -485,13 +489,13 @@ fn cmd_observe(rest: &[String]) -> Result<(), String> {
                 CacheOutcome::Hit => "artifact store: hit (offline flow skipped)",
                 CacheOutcome::Miss => "artifact store: miss (compiled and stored)",
             });
-            Some(build_online(d.scg, d.layout, d.icap, fault, policy))
+            Some(build_online(d.scg, d.layout, d.icap, fault, policy, None))
         }
         None => {
             let off = offline(&inst, &cfg)?;
             match (off.scg, off.layout) {
                 (Some(scg), Some(layout)) => {
-                    Some(build_online(scg, layout, off.icap, fault, policy))
+                    Some(build_online(scg, layout, off.icap, fault, policy, None))
                 }
                 _ => None,
             }
@@ -582,8 +586,6 @@ fn cmd_localize(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scrub(rest: &[String]) -> Result<(), String> {
-    use pfdbg_pconf::{ScrubPolicy, Scrubber};
-
     let (name, nw) = load_design(rest)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;
     let turns = flag_usize(rest, "--turns", 50)?;
@@ -612,14 +614,7 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
         seed: 0x5EED_05E0,
     });
     let n_params = inst.annotations.len();
-    let channel = pfdbg_emu::channel_stack(
-        Arc::new(scg.generalized().base.clone()),
-        layout.frame_bits,
-        Some(seu),
-        fault,
-    );
-    let mut online = OnlineReconfigurator::with_channel(scg, layout, icap, channel, policy);
-    let mut scrubber = Scrubber::new(ScrubPolicy { commit: policy, ..ScrubPolicy::default() });
+    let mut online = build_online(scg, layout, icap, fault, policy, Some(seu));
 
     println!(
         "scrub demo on {name}: {turns} turns, SEU rate {} (burst {}, seed {:#x}), \
@@ -640,7 +635,7 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
             rollbacks += 1;
         }
         if (t + 1) % scrub_every == 0 {
-            let r = online.scrub(&mut scrubber)?;
+            let r = online.scrub()?;
             if r.upset_frames > 0 {
                 println!(
                     "  turn {:>4}: {} upset frames ({} bits) — {} repaired, {} quarantined",
@@ -653,7 +648,8 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
             }
         }
     }
-    let _ = online.scrub(&mut scrubber)?;
+    let _ = online.scrub()?;
+    let scrubber = online.scrubber();
     let totals = scrubber.totals();
     println!(
         "scrubbed: {} passes, {} upset frames ({} bits), {} repaired, {} quarantined, {} rollbacks",
@@ -665,7 +661,7 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
         rollbacks
     );
     println!("health: {}", scrubber.health().as_str());
-    let undetected = online.undetected_divergence(&scrubber);
+    let undetected = online.undetected_divergence();
     if undetected.is_empty() {
         println!("undetected divergence: none — device matches the PConf golden oracle");
         Ok(())

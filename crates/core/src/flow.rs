@@ -15,7 +15,10 @@ use pfdbg_map::{map_parameterized_network, ElemKind};
 use pfdbg_netlist::truth::TruthTable;
 use pfdbg_netlist::{Network, Node, NodeId};
 use pfdbg_obs::LazyHistogram;
-use pfdbg_pconf::{Bdd, BddManager, CommitPolicy, GeneralizedBuilder, OnlineReconfigurator, Scg};
+use pfdbg_pconf::{
+    Bdd, BddManager, CommitPolicy, GeneralizedBuilder, OnlineReconfigurator, Scg, ScrubPolicy,
+    Session,
+};
 use pfdbg_pr::{tpar, TparConfig, TparResult};
 use pfdbg_util::{par, FxHashMap};
 use std::sync::Arc;
@@ -95,27 +98,17 @@ impl OfflineResult {
     /// over a reliable in-memory channel. `None` when the stage ran
     /// with `run_pr = false` (no SCG or layout to go online with).
     pub fn into_online(self) -> Option<OnlineReconfigurator> {
-        self.into_online_chaos(None, CommitPolicy::default())
+        self.into_online_with(None, CommitPolicy::default(), None)
     }
 
-    /// Like [`OfflineResult::into_online`], but the reconfiguration
-    /// transport injects faults per `fault` (None = reliable) and the
-    /// commit engine retries per `policy` — the chaos entry point the
-    /// `--icap-fault-rate` knobs feed.
-    pub fn into_online_chaos(
-        self,
-        fault: Option<IcapFaultConfig>,
-        policy: CommitPolicy,
-    ) -> Option<OnlineReconfigurator> {
-        self.into_online_with(fault, policy, None)
-    }
-
-    /// The full chaos entry point: transport faults on the write path
-    /// (`fault`) *and* single-event upsets striking configuration
-    /// memory between turns (`seu`). SEUs wrap the reliable device
-    /// model directly and transport faults wrap outside, so upset
-    /// injection always lands while repair writes still suffer — the
-    /// two injectors stay independent and separately seeded.
+    /// The chaos entry point the `--icap-fault-rate` and `--seu-rate`
+    /// knobs feed: transport faults on the write path (`fault`, None =
+    /// reliable) *and* single-event upsets striking configuration
+    /// memory between turns (`seu`, None = inert). SEUs wrap the
+    /// reliable device model directly and transport faults wrap
+    /// outside, so upset injection always lands while repair writes
+    /// still suffer — the two injectors stay independent and separately
+    /// seeded. Turns and scrub repairs commit under `policy`.
     pub fn into_online_with(
         self,
         fault: Option<IcapFaultConfig>,
@@ -126,7 +119,9 @@ impl OfflineResult {
         let layout = self.layout?;
         let image = Arc::new(scg.generalized().base.clone());
         let channel = channel_stack(image, layout.frame_bits, seu, fault);
-        Some(OnlineReconfigurator::with_channel(scg, layout, self.icap, channel, policy))
+        let attempts = ScrubPolicy::default().max_repair_attempts;
+        let session = Session::new(&scg, channel, policy, attempts);
+        Some(OnlineReconfigurator::with_session(scg, layout, self.icap, session))
     }
 }
 

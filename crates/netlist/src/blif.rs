@@ -4,13 +4,18 @@
 //! `.model`, `.inputs`, `.outputs`, `.names` with a sum-of-products cover
 //! (including `-` don't-cares), `.latch` (with optional type/control and
 //! init value) and `.end`. Line continuation with `\` is supported.
+//! Hierarchy (`.subckt`), library gates (`.gate`, `.mlatch`), external
+//! don't-care networks (`.exdc`) and KISS state machines are rejected;
+//! other dot directives (yosys's `.cname`, `.attr`, `.param`, timing
+//! annotations) are skipped. Any input is read or rejected with a
+//! [`BlifError`], never a panic.
 //!
 //! `.names` with a cover whose output column is `0` (an OFF-set cover) is
 //! also handled, as are constant nodes (a `.names` with no inputs).
 
 use crate::network::{Network, NodeId, NodeKind};
-use crate::truth::TruthTable;
-use pfdbg_util::FxHashMap;
+use crate::truth::{TruthTable, MAX_VARS};
+use pfdbg_util::{FxHashMap, FxHashSet};
 use std::fmt::Write as _;
 
 /// A BLIF parse error with a line number.
@@ -137,6 +142,12 @@ pub fn parse(text: &str) -> Result<Network, BlifError> {
                     return Err(err(lineno, ".names with no signals"));
                 }
                 let n_in = signals.len() - 1;
+                if n_in > MAX_VARS {
+                    return Err(err(
+                        lineno,
+                        format!(".names with {n_in} inputs (at most {MAX_VARS} supported)"),
+                    ));
+                }
                 let mut rows = Vec::new();
                 // Consume cover rows: lines not starting with '.'.
                 while let Some(&&(row_line, ref row)) = iter.peek() {
@@ -199,7 +210,7 @@ pub fn parse(text: &str) -> Result<Network, BlifError> {
             ".end" => {
                 seen_end = true;
             }
-            ".subckt" | ".gate" | ".mlatch" => {
+            ".subckt" | ".gate" | ".mlatch" | ".exdc" | ".start_kiss" => {
                 return Err(err(lineno, format!("unsupported construct {head}")));
             }
             other if other.starts_with('.') => {
@@ -225,16 +236,27 @@ pub fn parse(text: &str) -> Result<Network, BlifError> {
         id_of.insert(name.clone(), nw.add_input(name.clone()));
     }
 
-    // Latch outputs are sources; create them fed by a placeholder (their
-    // own output — rewired below once the data net exists).
-    for latch in &latches {
-        if id_of.contains_key(&latch.output) {
-            return Err(err(latch.line, format!("duplicate driver for {}", latch.output)));
+    // Latch outputs are sources; create them fed by a placeholder
+    // constant — rewired below once the data net exists, then swept. Its
+    // name is one no signal of the file uses, so it can collide with
+    // nothing added later.
+    let mut used: FxHashSet<&str> = FxHashSet::default();
+    used.extend(inputs.iter().map(|(_, n)| n.as_str()));
+    used.extend(latches.iter().flat_map(|l| [l.input.as_str(), l.output.as_str()]));
+    used.extend(names.iter().flat_map(|pn| pn.signals.iter().map(String::as_str)));
+    let mut placeholder_name = "__latch_ph".to_string();
+    while used.contains(placeholder_name.as_str()) {
+        placeholder_name.push('_');
+    }
+    if !latches.is_empty() {
+        let placeholder = nw.add_const(placeholder_name, false);
+        for latch in &latches {
+            if id_of.contains_key(&latch.output) {
+                return Err(err(latch.line, format!("duplicate driver for {}", latch.output)));
+            }
+            let q = nw.add_latch(latch.output.clone(), placeholder, latch.init);
+            id_of.insert(latch.output.clone(), q);
         }
-        // Temporary self-ish placeholder: feed from input 0 or a constant.
-        let placeholder = nw.add_const(nw.fresh_name("__latch_ph"), false);
-        let q = nw.add_latch(latch.output.clone(), placeholder, latch.init);
-        id_of.insert(latch.output.clone(), q);
     }
 
     // .names nodes: topological-insertion loop. Repeatedly add nodes whose
@@ -246,7 +268,9 @@ pub fn parse(text: &str) -> Result<Network, BlifError> {
         let mut defined: FxHashMap<&str, ()> = FxHashMap::default();
         for pn in &names {
             let (out, _) = pn.signals.split_last().expect("nonempty");
-            defined.insert(out.as_str(), ());
+            if id_of.contains_key(out) || defined.insert(out.as_str(), ()).is_some() {
+                return Err(err(pn.line, format!("duplicate driver for {out}")));
+            }
         }
         for pn in &names {
             let n = pn.signals.len() - 1;

@@ -476,7 +476,7 @@ pub fn commit_frames(
     commit_frames_from(channel, icap, target, changed_frames, region_frames, policy)
 }
 
-/// [`commit_frames`] over any [`FrameSource`]: the turn engine's commit,
+/// [`commit_frames`] over any [`FrameSource`]: a session's commit,
 /// whose target frames are built from the shared base on demand.
 pub(crate) fn commit_frames_from(
     channel: &mut dyn IcapChannel,

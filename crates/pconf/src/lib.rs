@@ -13,7 +13,7 @@ pub mod health;
 pub mod icap;
 pub mod scg;
 pub mod scrub;
-pub mod turn;
+pub mod session;
 
 pub use bdd::{Bdd, BddManager};
 pub use genbits::{Builder as GeneralizedBuilder, GeneralizedBitstream};
@@ -24,4 +24,4 @@ pub use health::{
 pub use icap::{CommitPolicy, CommitStats, IcapChannel, IcapError, MemoryIcap};
 pub use scg::{OnlineReconfigurator, Scg, SpecializeScratch, SpecializeTiming, TurnStats};
 pub use scrub::{ScrubHealth, ScrubPolicy, ScrubReport, ScrubTotals, Scrubber};
-pub use turn::{TunableFrames, TurnCommit, TurnContext, TurnEngine};
+pub use session::{Session, TunableFrames, TurnCommit, TurnContext};

@@ -8,15 +8,15 @@
 //! paper bounds the evaluation at 50 µs and reports specialization to be
 //! three orders of magnitude faster than the 176 ms full reconfiguration
 //! — `specialize_timed` measures our evaluation for the benchmark
-//! harness, and [`OnlineReconfigurator::apply`] adds the modeled
-//! transfer. The turn itself is [`crate::turn::TurnEngine`]'s, shared
-//! with every serve session.
+//! harness, and [`OnlineReconfigurator::try_apply`] adds the modeled
+//! transfer. The turn itself is the one [`Session`]'s, the struct
+//! every serve session and journal re-drive runs too.
 
 use crate::bdd::{Bdd, BddManager};
 use crate::genbits::GeneralizedBitstream;
 use crate::icap::{CommitPolicy, IcapChannel, MemoryIcap};
-use crate::scrub::ScrubReport;
-use crate::turn::{TunableFrames, TurnContext, TurnEngine};
+use crate::scrub::{ScrubPolicy, ScrubReport, Scrubber};
+use crate::session::{Session, TunableFrames, TurnContext};
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_util::BitVec;
 use std::cell::Cell;
@@ -36,7 +36,7 @@ thread_local! {
 /// Holds the packed tunable values of the current and previous turn
 /// and a diff buffer — so a steady-state turn allocates nothing. (The
 /// per-node values of a sweep live in a per-thread buffer instead.) A
-/// scratch belongs to exactly one session (one [`TurnEngine`]): its
+/// scratch belongs to exactly one session (one [`Session`]): its
 /// `prev_packed`/`prev_params` baseline mirrors that session's
 /// committed state and must never be shared across sessions (see
 /// DESIGN.md §12).
@@ -52,7 +52,7 @@ pub struct SpecializeScratch {
     /// first baseline evaluation.
     prev_params: Option<BitVec>,
     /// The DPR write set [`Scg::specialize_diff_from_batch`] returns,
-    /// reused across calls. (The turn engine walks the packed words
+    /// reused across calls. (A session's commit walks the packed words
     /// instead, so a serve session never grows this buffer.)
     diffs: Vec<(usize, bool)>,
 }
@@ -413,10 +413,9 @@ fn record_turn(stats: &TurnStats, frame_bits: usize) {
     pfdbg_obs::gauge_set("scg.transfer_us_last", stats.transfer_time.as_secs_f64() * 1e6);
 }
 
-/// The online side: the standalone session — one [`TurnEngine`] plus
-/// the design it owns and the channel it reconfigures through. Every
-/// turn is the engine's transactional turn, the same one each serve
-/// session runs.
+/// The online side: the standalone session — the design it owns plus
+/// one [`Session`], the struct every serve session and journal re-drive
+/// runs too.
 ///
 /// Turns are atomic: the loaded configuration and its parameters
 /// advance only after every written frame passed readback-verify
@@ -431,59 +430,63 @@ pub struct OnlineReconfigurator {
     icap: IcapModel,
     /// Where the tunable bits sit in the frames.
     tunables: TunableFrames,
-    /// The (possibly faulty) reconfiguration transport.
-    channel: Box<dyn IcapChannel>,
-    policy: CommitPolicy,
-    turn: TurnEngine,
+    session: Session,
 }
 
 impl OnlineReconfigurator {
     /// Load the base (params = 0) configuration as the starting state,
-    /// over a reliable in-memory channel.
+    /// over a reliable in-memory channel, with the default commit and
+    /// scrub policies.
     pub fn new(scg: Scg, layout: BitstreamLayout, icap: IcapModel) -> Self {
         let channel = Box::new(MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits));
-        Self::with_channel(scg, layout, icap, channel, CommitPolicy::default())
+        let attempts = ScrubPolicy::default().max_repair_attempts;
+        let session = Session::new(&scg, channel, CommitPolicy::default(), attempts);
+        Self::with_session(scg, layout, icap, session)
     }
 
-    /// Like [`OnlineReconfigurator::new`] but over an explicit channel
-    /// (e.g. `pfdbg-emu`'s fault-injecting `FaultyIcap`) and retry
-    /// policy. The channel's memory must start at the base
-    /// configuration.
-    pub fn with_channel(
+    /// Like [`OnlineReconfigurator::new`] but over an explicit session —
+    /// its channel (e.g. a `pfdbg-emu` channel stack injecting faults and
+    /// upsets) and its policies. The session must be at the base
+    /// configuration of `scg`.
+    pub fn with_session(
         scg: Scg,
         layout: BitstreamLayout,
         icap: IcapModel,
-        channel: Box<dyn IcapChannel>,
-        policy: CommitPolicy,
+        session: Session,
     ) -> Self {
         let tunables = TunableFrames::new(&scg, &layout);
-        let turn = TurnEngine::new(&scg);
-        OnlineReconfigurator { scg, layout, icap, tunables, channel, policy, turn }
+        OnlineReconfigurator { scg, layout, icap, tunables, session }
     }
 
     /// The currently loaded bitstream (the session's *belief* — equal to
     /// the device readback after every committed turn), built on each
     /// call from the base configuration and the committed parameters.
     pub fn current(&self) -> Bitstream {
-        self.turn.loaded(&self.scg)
+        self.session.loaded(&self.scg)
     }
 
     /// Read the device's configuration memory back through the channel —
     /// the ground truth `current` must match after a commit.
     pub fn readback(&self) -> Bitstream {
-        crate::icap::readback_all(self.channel.as_ref())
+        crate::icap::readback_all(self.session.channel())
     }
 
     /// The channel the session reconfigures through, for reading the
     /// device frame by frame.
     pub fn channel(&self) -> &dyn IcapChannel {
-        self.channel.as_ref()
+        self.session.channel()
+    }
+
+    /// The session's scrubber: lifetime totals, quarantine set, health
+    /// verdict.
+    pub fn scrubber(&self) -> &Scrubber {
+        self.session.scrubber()
     }
 
     /// Whether the next turn will rewrite the whole device because a
     /// rolled-back commit left configuration memory untrusted.
     pub fn needs_resync(&self) -> bool {
-        self.turn.needs_resync()
+        self.session.needs_resync()
     }
 
     /// Borrow the SCG.
@@ -493,7 +496,21 @@ impl OnlineReconfigurator {
 
     /// The parameters the loaded bitstream was specialized for.
     pub fn params(&self) -> &BitVec {
-        self.turn.params()
+        self.session.params()
+    }
+
+    /// The design's half of a turn and the session, borrowed apart — how
+    /// a caller runs the session's steps with its own gates between them
+    /// (the journal re-drive stops a turn whose deadline passed after
+    /// its stage).
+    pub fn parts(&mut self) -> (TurnContext<'_>, &mut Session) {
+        let ctx = TurnContext {
+            scg: &self.scg,
+            layout: &self.layout,
+            icap: &self.icap,
+            tunables: &self.tunables,
+        };
+        (ctx, &mut self.session)
     }
 
     /// Advance the device's between-turn clock by one step — on an
@@ -501,46 +518,27 @@ impl OnlineReconfigurator {
     /// no-op over the default reliable channel). Returns the number of
     /// configuration bits that flipped.
     pub fn tick(&mut self) -> usize {
-        self.channel.tick()
+        self.session.tick()
     }
 
-    /// One scrub pass against the PConf golden oracle for the current
-    /// parameters (see [`crate::scrub`]). Quarantined frames arm the
-    /// resync, so the session degrades visibly instead of serving
-    /// trace data through a frame that refuses to heal.
-    pub fn scrub(&mut self, scrubber: &mut crate::scrub::Scrubber) -> Result<ScrubReport, String> {
-        let report = scrubber.scrub_with_scg(
-            self.channel.as_mut(),
-            &self.icap,
-            &self.scg,
-            self.turn.params(),
-        )?;
-        if report.quarantined_frames > 0 {
-            self.turn.arm_resync();
-        }
-        Ok(report)
+    /// One scrub pass of the session's scrubber against the PConf golden
+    /// oracle for the current parameters — see [`Session::scrub`].
+    pub fn scrub(&mut self) -> Result<ScrubReport, String> {
+        let (ctx, session) = self.parts();
+        session.scrub(&ctx)
     }
 
-    /// Frames the scrubber vouches for that in fact diverge from the
-    /// golden specialization of the current parameters — must be empty
-    /// after every scrubbed run (the zero-undetected-divergence
+    /// Frames the session's scrubber vouches for that in fact diverge
+    /// from the golden specialization of the current parameters — must
+    /// be empty after every scrubbed run (the zero-undetected-divergence
     /// invariant).
-    pub fn undetected_divergence(&self, scrubber: &crate::scrub::Scrubber) -> Vec<usize> {
-        let golden = self.scg.specialize(self.turn.params());
-        scrubber.undetected_divergence(self.channel.as_ref(), &golden)
+    pub fn undetected_divergence(&self) -> Vec<usize> {
+        let golden = self.scg.specialize(self.session.params());
+        self.session.scrubber().undetected_divergence(self.session.channel(), &golden)
     }
 
     /// One debugging turn: evaluate the new parameter assignment, rewrite
-    /// the changed frames, report the costs.
-    ///
-    /// Panics on a parameter-count mismatch or an unrecoverable
-    /// transport failure; use [`OnlineReconfigurator::try_apply`] when
-    /// either is survivable.
-    pub fn apply(&mut self, params: &BitVec) -> TurnStats {
-        self.try_apply(params).expect("reconfiguration turn failed")
-    }
-
-    /// Fallible [`OnlineReconfigurator::apply`]: a malformed parameter
+    /// the changed frames, report the costs. A malformed parameter
     /// vector or an exhausted ICAP retry budget is an error reply, not a
     /// process abort — the contract the debug service relies on. On
     /// error the turn rolls back: the loaded bitstream, its parameters
@@ -548,15 +546,11 @@ impl OnlineReconfigurator {
     pub fn try_apply(&mut self, params: &BitVec) -> Result<TurnStats, String> {
         let _turn_span = pfdbg_obs::span("scg.turn");
         let t0 = Instant::now();
-        let ctx = TurnContext {
-            scg: &self.scg,
-            layout: &self.layout,
-            icap: &self.icap,
-            tunables: &self.tunables,
-        };
-        self.turn.stage(&ctx, params, None)?;
+        let frame_bits = self.layout.frame_bits;
+        let (ctx, session) = self.parts();
+        session.stage(&ctx, params, None)?;
         let eval_time = t0.elapsed();
-        match self.turn.commit(&ctx, self.channel.as_mut(), &self.policy, params) {
+        match session.commit(&ctx, params) {
             Ok(turn) => {
                 let stats = TurnStats {
                     eval_time,
@@ -567,7 +561,7 @@ impl OnlineReconfigurator {
                     retries: turn.stats.retries,
                     degradations: turn.stats.degradations,
                 };
-                record_turn(&stats, self.layout.frame_bits);
+                record_turn(&stats, frame_bits);
                 Ok(stats)
             }
             Err((commit, msg)) => {
@@ -646,13 +640,13 @@ mod tests {
         let (layout, scg) = setup();
         let icap = IcapModel::virtex5();
         let mut online = OnlineReconfigurator::new(scg, layout, icap);
-        let s1 = online.apply(&params(&[true, true]));
+        let s1 = online.try_apply(&params(&[true, true])).unwrap();
         assert_eq!(s1.bits_changed, 3);
         assert!(s1.frames_changed >= 1);
         assert!(online.current().get(10));
         assert!(online.current().get(11));
         // Re-applying the same parameters is a no-op.
-        let s2 = online.apply(&params(&[true, true]));
+        let s2 = online.try_apply(&params(&[true, true])).unwrap();
         assert_eq!(s2.bits_changed, 0);
         assert_eq!(s2.frames_changed, 0);
     }
@@ -664,7 +658,7 @@ mod tests {
         // paper's 176 ms; partial turns must then be orders faster.
         let icap = IcapModel::calibrated_to(layout.n_bits, Duration::from_millis(176));
         let mut online = OnlineReconfigurator::new(scg, layout, icap);
-        let stats = online.apply(&params(&[true, false]));
+        let stats = online.try_apply(&params(&[true, false])).unwrap();
         let full = online.full_reconfig_time();
         // On this toy device one frame is a sizeable fraction of the whole
         // stream, so only the structural claim is asserted here; the
@@ -811,7 +805,7 @@ mod tests {
         let (layout, scg) = setup();
         let mut online = OnlineReconfigurator::new(scg, layout, IcapModel::virtex5());
         for p in [[true, false], [true, true], [false, true]] {
-            online.apply(&params(&p));
+            online.try_apply(&params(&p)).unwrap();
             assert_eq!(
                 online.readback(),
                 online.current(),
@@ -846,13 +840,10 @@ mod tests {
     fn exhausted_retries_roll_back_and_flag_resync() {
         let (layout, scg) = setup();
         let dead = Box::new(DeadIcap { n_bits: layout.n_bits, frame_bits: layout.frame_bits });
-        let mut online = OnlineReconfigurator::with_channel(
-            scg,
-            layout,
-            IcapModel::virtex5(),
-            dead,
-            crate::icap::CommitPolicy { max_retries: 1, ..Default::default() },
-        );
+        let policy = CommitPolicy { max_retries: 1, ..Default::default() };
+        let session = Session::new(&scg, dead, policy, 3);
+        let mut online =
+            OnlineReconfigurator::with_session(scg, layout, IcapModel::virtex5(), session);
         let before = online.current();
         let before_params = online.params().clone();
         let err = online.try_apply(&params(&[true, true]));
@@ -869,11 +860,11 @@ mod tests {
     fn resync_after_rollback_rewrites_everything_then_recovers() {
         let (layout, scg) = setup();
         let mut online = OnlineReconfigurator::new(scg, layout, IcapModel::virtex5());
-        online.apply(&params(&[true, false]));
+        online.try_apply(&params(&[true, false])).unwrap();
         // Simulate a rollback flag without an actual failure: the next
         // turn must rewrite every frame and clear the flag.
-        online.turn.arm_resync();
-        let stats = online.apply(&params(&[true, true]));
+        online.session.arm_resync();
+        let stats = online.try_apply(&params(&[true, true])).unwrap();
         assert!(!online.needs_resync());
         assert_eq!(online.readback(), online.current());
         // The resync wrote all frames even though the diff was tiny.

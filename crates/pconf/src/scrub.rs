@@ -21,15 +21,15 @@
 //! * **Persistent / stuck** — the frame fails its repair for
 //!   [`ScrubPolicy::max_repair_attempts`] consecutive passes and is
 //!   **quarantined**: later passes skip it, [`Scrubber::health`] turns
-//!   [`ScrubHealth::Degraded`], and the session owner is expected to
-//!   arm `needs_resync` rather than serve trace data through a frame
+//!   [`ScrubHealth::Degraded`], and [`crate::Session::scrub`] arms the
+//!   session's resync rather than serve trace data through a frame
 //!   that refuses to heal.
 
 use crate::icap::{
     frame_len_bits, frame_words, write_frame_verified, Backoff, CommitPolicy, CommitStats,
     FrameBuf, FrameSource, IcapChannel,
 };
-use crate::turn::{frame_starts, PackedFrames};
+use crate::session::{frame_starts, PackedFrames};
 use crate::Scg;
 use pfdbg_arch::{Bitstream, IcapModel};
 use pfdbg_obs::{LazyCounter, LazyHistogram};

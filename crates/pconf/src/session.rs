@@ -1,36 +1,42 @@
-//! The transactional debugging turn — one implementation, run by the
-//! standalone [`crate::OnlineReconfigurator`] and by every serve
-//! session alike.
+//! One debugging session and its transactional turn — one
+//! implementation, run by the standalone [`crate::OnlineReconfigurator`],
+//! every serve session, `pfdbg record`/`replay` and the fuzzer alike.
 //!
-//! A [`TurnEngine`] holds only what belongs to one session: the
-//! parameters it last committed, the resync flag, the evaluation
-//! scratch (whose packed tunable words describe the committed
-//! configuration) and the turn's frame lists. What the sessions of one
-//! design share — the SCG with its base configuration, the frame
-//! geometry, the port model and the escalation region — is borrowed on
-//! each call through a [`TurnContext`], so a session keeps no copy of
-//! it, and no configuration bitstream of its own either.
+//! A [`Session`] holds only what belongs to one session: the parameters
+//! it last committed, the resync flag, the evaluation scratch (whose
+//! packed tunable words describe the committed configuration), the
+//! turn's frame lists, and the channel it reconfigures through with the
+//! scrubber and commit policy that channel is driven under. What the
+//! sessions of one design share — the SCG with its base configuration,
+//! the frame geometry, the port model and the escalation region — is
+//! borrowed on each call through a [`TurnContext`], so a session keeps
+//! no copy of it, and no configuration bitstream of its own either.
 //!
-//! A turn is two steps:
+//! A turn is [`Session::tick`] (between-turn time passes) and two
+//! steps, exposed apart so a caller can keep its gates between them:
 //!
-//! 1. [`TurnEngine::stage`] evaluates the new parameters in one
-//!    memoized sweep, or adopts packed tunable words cached from an
-//!    earlier evaluation of them, and takes the packed XOR diff against
-//!    the committed baseline. It touches only the scratch, so the
-//!    caller may still abandon the turn (the serve layer's deadline gate
-//!    sits between the steps).
-//! 2. [`TurnEngine::commit`] pushes the changed frames through the
-//!    commit loop of [`crate::icap::commit_frames`] — every frame when a
+//! 1. [`Session::stage`] evaluates the new parameters in one memoized
+//!    sweep, or adopts packed tunable words cached from an earlier
+//!    evaluation of them, and takes the packed XOR diff against the
+//!    committed baseline. It touches only the scratch, so the caller
+//!    may still abandon the turn (the serve layer's deadline gate sits
+//!    between the steps).
+//! 2. [`Session::commit`] pushes the changed frames through the commit
+//!    loop of [`crate::icap::commit_frames`] — every frame when a
 //!    rolled-back turn left the device untrusted — building each target
 //!    frame from the shared base plus the staged packed words. On
 //!    success the scratch baseline advances; a failure has changed
 //!    nothing but the device, so it only arms the resync.
+//!
+//! [`Session::scrub`] repairs the device against the golden frames of
+//! the committed parameters, under the same commit policy as the turns.
 
 use crate::bdd::Bdd;
 use crate::icap::{
     commit_frames_from, frame_words_into, CommitPolicy, CommitStats, FrameSource, IcapChannel,
 };
 use crate::scg::{Scg, SpecializeScratch};
+use crate::scrub::{ScrubPolicy, ScrubReport, Scrubber};
 use pfdbg_arch::{BitAddr, Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_util::BitVec;
 
@@ -139,9 +145,9 @@ impl FrameSource for PackedFrames<'_> {
     }
 }
 
-/// One session's side of the transactional turn (see the module docs).
-#[derive(Debug)]
-pub struct TurnEngine {
+/// One session's state, channel, scrubber and commit policy (see the
+/// module docs).
+pub struct Session {
     /// The parameters of the configuration the device holds after the
     /// last committed turn.
     params: BitVec,
@@ -155,18 +161,33 @@ pub struct TurnEngine {
     /// reused across turns.
     frames: Vec<usize>,
     write_set: Vec<usize>,
+    /// The (possibly faulty) reconfiguration transport.
+    channel: Box<dyn IcapChannel>,
+    scrubber: Scrubber,
+    policy: CommitPolicy,
 }
 
-impl TurnEngine {
-    /// A session at the base configuration (params = 0) — what the
-    /// device's channel holds before the first turn.
-    pub fn new(scg: &Scg) -> Self {
-        TurnEngine {
+impl Session {
+    /// A session at the base configuration (params = 0) of `scg`, over
+    /// `channel`, whose memory must hold that configuration. Turns
+    /// commit under `policy`, and so do scrub repairs: a frame is
+    /// quarantined after `max_repair_attempts` consecutive failed
+    /// repairs.
+    pub fn new(
+        scg: &Scg,
+        channel: Box<dyn IcapChannel>,
+        policy: CommitPolicy,
+        max_repair_attempts: u32,
+    ) -> Session {
+        Session {
             params: BitVec::zeros(scg.generalized().n_params),
             needs_resync: false,
             scratch: SpecializeScratch::new(),
             frames: Vec::new(),
             write_set: Vec::new(),
+            channel,
+            scrubber: Scrubber::new(ScrubPolicy { max_repair_attempts, commit: policy }),
+            policy,
         }
     }
 
@@ -198,15 +219,33 @@ impl TurnEngine {
     }
 
     /// Stop trusting the device: the next commit rewrites every frame.
-    pub fn arm_resync(&mut self) {
+    pub(crate) fn arm_resync(&mut self) {
         self.needs_resync = true;
     }
 
     /// The committed parameters' packed tunable values (bit `i` = value
     /// of `gbs.tunable[i]`) — what a cache of specializations stores.
-    /// Describes [`TurnEngine::params`] once a turn has committed.
+    /// Describes [`Session::params`] once a turn has committed.
     pub fn committed_words(&self) -> &BitVec {
         &self.scratch.prev_packed
+    }
+
+    /// The channel the session reconfigures through, for reading the
+    /// device frame by frame.
+    pub fn channel(&self) -> &dyn IcapChannel {
+        self.channel.as_ref()
+    }
+
+    /// The scrubber: lifetime totals, quarantine set, health verdict.
+    pub fn scrubber(&self) -> &Scrubber {
+        &self.scrubber
+    }
+
+    /// Between-turn time passes: the emulated fabric takes its SEUs (a
+    /// no-op over a reliable channel). Returns the configuration bits
+    /// that flipped.
+    pub fn tick(&mut self) -> usize {
+        self.channel.tick()
     }
 
     /// Step 1: evaluate `params` — or adopt `cached`, the packed tunable
@@ -223,17 +262,15 @@ impl TurnEngine {
         ctx.scg.stage_packed(&self.params, params, cached, &mut self.scratch)
     }
 
-    /// Step 2: commit the frames the staged diff changes through
-    /// `channel`, each built from the shared base and the staged words.
-    /// `params` must be the vector of the preceding
-    /// [`TurnEngine::stage`]. On failure the session is unchanged but
-    /// for the armed resync, and the commit's stats come back with the
-    /// error.
+    /// Step 2: commit the frames the staged diff changes through the
+    /// session's channel under its policy, each built from the shared
+    /// base and the staged words. `params` must be the vector of the
+    /// preceding [`Session::stage`]. On failure the session is
+    /// unchanged but for the armed resync, and the commit's stats come
+    /// back with the error.
     pub fn commit(
         &mut self,
         ctx: &TurnContext<'_>,
-        channel: &mut dyn IcapChannel,
-        policy: &CommitPolicy,
         params: &BitVec,
     ) -> Result<TurnCommit, (CommitStats, String)> {
         let (new, old) = (&self.scratch.packed, &self.scratch.prev_packed);
@@ -264,7 +301,8 @@ impl TurnEngine {
             packed: new,
         };
         let region = ctx.tunables.region();
-        match commit_frames_from(channel, ctx.icap, &target, write_set, region, policy) {
+        let channel = self.channel.as_mut();
+        match commit_frames_from(channel, ctx.icap, &target, write_set, region, &self.policy) {
             Ok(stats) => {
                 self.scratch.commit(params);
                 self.params.clone_from(params);
@@ -277,6 +315,20 @@ impl TurnEngine {
             }
         }
     }
+
+    /// One scrub pass against the golden frames of the committed
+    /// parameters (see [`crate::scrub`]). A quarantined frame arms the
+    /// resync, so the session degrades visibly — the next commit
+    /// rewrites the whole device — instead of serving trace data
+    /// through a frame that refuses to heal.
+    pub fn scrub(&mut self, ctx: &TurnContext<'_>) -> Result<ScrubReport, String> {
+        let report =
+            self.scrubber.scrub_with_scg(self.channel.as_mut(), ctx.icap, ctx.scg, &self.params)?;
+        if report.quarantined_frames > 0 {
+            self.arm_resync();
+        }
+        Ok(report)
+    }
 }
 
 #[cfg(test)]
@@ -285,10 +337,10 @@ mod tests {
     use crate::bdd::BddManager;
     use crate::genbits::Builder;
     use crate::icap::{frame_words, readback_all, IcapError, MemoryIcap};
-    use crate::scrub::{ScrubPolicy, Scrubber};
     use pfdbg_arch::{build_rrg, ArchSpec, Device};
     use proptest::prelude::*;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
 
     /// A small SCG over a 4×4 device: 402 tunable bits over 8
     /// parameters, spread over several frames, one on each side of the
@@ -320,12 +372,40 @@ mod tests {
         (0..8).map(|i| (i * 5 + seed * 3) % 7 < 3).collect()
     }
 
-    /// A port whose writes fail while `dead` is set, logging every
+    /// A port whose writes fail while its switch is dead, logging every
     /// frame write it is offered — the commit's target frames.
     struct Switchable {
         inner: MemoryIcap,
-        dead: bool,
-        writes: Vec<(usize, Vec<u64>)>,
+        switch: Switch,
+    }
+
+    /// Frame writes as `(frame, words)`, in the order offered.
+    type WriteLog = Vec<(usize, Vec<u64>)>;
+
+    /// The test's hold on a [`Switchable`] port it handed to a session.
+    #[derive(Clone, Default)]
+    struct Switch {
+        dead: Arc<AtomicBool>,
+        writes: Arc<Mutex<WriteLog>>,
+    }
+
+    impl Switch {
+        fn port(&self, inner: MemoryIcap) -> Box<dyn IcapChannel> {
+            Box::new(Switchable { inner, switch: self.clone() })
+        }
+
+        fn set_dead(&self, dead: bool) {
+            self.dead.store(dead, Ordering::Relaxed);
+        }
+
+        fn is_dead(&self) -> bool {
+            self.dead.load(Ordering::Relaxed)
+        }
+
+        /// The writes logged since the last call.
+        fn take_writes(&self) -> WriteLog {
+            std::mem::take(&mut *self.writes.lock().unwrap())
+        }
     }
 
     impl IcapChannel for Switchable {
@@ -336,8 +416,8 @@ mod tests {
             self.inner.n_bits()
         }
         fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
-            self.writes.push((frame, data.to_vec()));
-            if self.dead {
+            self.switch.writes.lock().unwrap().push((frame, data.to_vec()));
+            if self.switch.is_dead() {
                 return Err(IcapError::WriteFailed);
             }
             self.inner.write_frame(frame, data)
@@ -352,26 +432,24 @@ mod tests {
         let (scg, layout, tunables) = design();
         let icap = IcapModel::virtex5();
         let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
-        let policy = CommitPolicy::default();
-        let mut engines = [TurnEngine::new(&scg), TurnEngine::new(&scg)];
         let image = Arc::new(scg.generalized().base.clone());
-        let mut channels = [
-            MemoryIcap::shared(image.clone(), layout.frame_bits),
-            MemoryIcap::shared(image.clone(), layout.frame_bits),
-        ];
+        let mut sessions = [(); 2].map(|_| {
+            let channel = MemoryIcap::shared(image.clone(), layout.frame_bits);
+            Session::new(&scg, Box::new(channel), CommitPolicy::default(), 3)
+        });
         for t in 0..6u32 {
-            for (s, (engine, channel)) in engines.iter_mut().zip(&mut channels).enumerate() {
+            for (s, session) in sessions.iter_mut().enumerate() {
                 let p = vector(t * 2 + s as u32);
                 let want = scg.try_specialize(&p).unwrap();
-                let loaded = engine.loaded(&scg);
+                let loaded = session.loaded(&scg);
                 let reference = loaded.words().iter().zip(want.words());
                 let flips: u32 = reference.map(|(a, b)| (a ^ b).count_ones()).sum();
-                engine.stage(&ctx, &p, None).unwrap();
-                let turn = engine.commit(&ctx, channel, &policy, &p).unwrap();
+                session.stage(&ctx, &p, None).unwrap();
+                let turn = session.commit(&ctx, &p).unwrap();
                 assert_eq!(turn.bits_changed, flips as usize, "the reference difference");
-                assert_eq!(engine.loaded(&scg), want, "session {s} turn {t}");
-                assert_eq!(&readback_all(channel), &want);
-                assert_eq!(engine.params(), &p);
+                assert_eq!(session.loaded(&scg), want, "session {s} turn {t}");
+                assert_eq!(&readback_all(session.channel()), &want);
+                assert_eq!(session.params(), &p);
             }
         }
     }
@@ -381,17 +459,18 @@ mod tests {
         let (scg, layout, tunables) = design();
         let icap = IcapModel::virtex5();
         let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
-        let policy = CommitPolicy::default();
-        let (mut evaluated, mut adopted) = (TurnEngine::new(&scg), TurnEngine::new(&scg));
-        let mut ch_e = MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits);
-        let mut ch_a = MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits);
+        let session = || {
+            let channel = MemoryIcap::new(scg.generalized().base.clone(), layout.frame_bits);
+            Session::new(&scg, Box::new(channel), CommitPolicy::default(), 3)
+        };
+        let (mut evaluated, mut adopted) = (session(), session());
         for t in 0..5u32 {
             let p = vector(t);
             evaluated.stage(&ctx, &p, None).unwrap();
-            let turn = evaluated.commit(&ctx, &mut ch_e, &policy, &p).unwrap();
+            let turn = evaluated.commit(&ctx, &p).unwrap();
             let words = evaluated.committed_words().clone();
             adopted.stage(&ctx, &p, Some(&words)).unwrap();
-            let cached = adopted.commit(&ctx, &mut ch_a, &policy, &p).unwrap();
+            let cached = adopted.commit(&ctx, &p).unwrap();
             assert_eq!(cached.bits_changed, turn.bits_changed);
             assert_eq!(cached.frames_changed, turn.frames_changed);
             assert_eq!(adopted.loaded(&scg), evaluated.loaded(&scg));
@@ -407,41 +486,38 @@ mod tests {
         let icap = IcapModel::virtex5();
         let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
         let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
-        let mut engine = TurnEngine::new(&scg);
+        let switch = Switch::default();
         let base = scg.generalized().base.clone();
-        let mut channel = Switchable {
-            inner: MemoryIcap::new(base, layout.frame_bits),
-            dead: false,
-            writes: Vec::new(),
-        };
-        engine.stage(&ctx, &vector(1), None).unwrap();
-        engine.commit(&ctx, &mut channel, &policy, &vector(1)).unwrap();
-        let before = engine.loaded(&scg);
+        let mut session =
+            Session::new(&scg, switch.port(MemoryIcap::new(base, layout.frame_bits)), policy, 3);
+        session.stage(&ctx, &vector(1), None).unwrap();
+        session.commit(&ctx, &vector(1)).unwrap();
+        let before = session.loaded(&scg);
 
         // Staged, never committed (a missed deadline).
-        engine.stage(&ctx, &vector(2), None).unwrap();
-        assert_eq!(engine.loaded(&scg), before);
-        assert_eq!(engine.params(), &vector(1));
+        session.stage(&ctx, &vector(2), None).unwrap();
+        assert_eq!(session.loaded(&scg), before);
+        assert_eq!(session.params(), &vector(1));
 
         // Committed over a dead port: undone, resync armed.
-        engine.stage(&ctx, &vector(3), None).unwrap();
-        channel.dead = true;
-        let (stats, _) = engine.commit(&ctx, &mut channel, &policy, &vector(3)).unwrap_err();
+        session.stage(&ctx, &vector(3), None).unwrap();
+        switch.set_dead(true);
+        let (stats, _) = session.commit(&ctx, &vector(3)).unwrap_err();
         assert_eq!(stats.degradations, 2, "the failed commit's stats come back");
-        assert_eq!(engine.loaded(&scg), before);
-        assert_eq!(engine.params(), &vector(1));
-        assert!(engine.needs_resync());
+        assert_eq!(session.loaded(&scg), before);
+        assert_eq!(session.params(), &vector(1));
+        assert!(session.needs_resync());
 
         // The next turn rewrites every frame and lands on golden.
-        channel.dead = false;
-        engine.stage(&ctx, &vector(4), None).unwrap();
-        let turn = engine.commit(&ctx, &mut channel, &policy, &vector(4)).unwrap();
+        switch.set_dead(false);
+        session.stage(&ctx, &vector(4), None).unwrap();
+        let turn = session.commit(&ctx, &vector(4)).unwrap();
         assert!(turn.resynced);
         assert_eq!(turn.stats.frames_verified, layout.n_frames());
-        assert!(!engine.needs_resync());
+        assert!(!session.needs_resync());
         let want = scg.try_specialize(&vector(4)).unwrap();
-        assert_eq!(engine.loaded(&scg), want);
-        assert_eq!(readback_all(&channel), want);
+        assert_eq!(session.loaded(&scg), want);
+        assert_eq!(readback_all(session.channel()), want);
     }
 
     /// The swept scrub finds and repairs exactly what the reference
@@ -502,12 +578,9 @@ mod tests {
                 TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
             let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
             let image = Arc::new(scg.generalized().base.clone());
-            let mut engine = TurnEngine::new(&scg);
-            let mut channel = Switchable {
-                inner: MemoryIcap::shared(image, layout.frame_bits),
-                dead: false,
-                writes: Vec::new(),
-            };
+            let switch = Switch::default();
+            let port = switch.port(MemoryIcap::shared(image, layout.frame_bits));
+            let mut session = Session::new(&scg, port, policy, 3);
             let mut state = seed | 1;
             let mut next = move || {
                 state ^= state << 13;
@@ -525,22 +598,23 @@ mod tests {
                     scg.stage_packed(&p, &p, None, &mut scratch).unwrap();
                     scratch.packed.clone()
                 });
-                let resync = engine.needs_resync();
-                channel.dead = (word >> 10) % 5 == 0;
-                channel.writes.clear();
-                engine.stage(&ctx, &p, words.as_ref()).unwrap();
-                let result = engine.commit(&ctx, &mut channel, &policy, &p);
-                writes_match(&channel.writes, &want, layout.frame_bits)?;
-                let failed = channel.dead && !channel.writes.is_empty();
+                let resync = session.needs_resync();
+                switch.set_dead((word >> 10) % 5 == 0);
+                switch.take_writes();
+                session.stage(&ctx, &p, words.as_ref()).unwrap();
+                let result = session.commit(&ctx, &p);
+                let writes = switch.take_writes();
+                writes_match(&writes, &want, layout.frame_bits)?;
+                let failed = switch.is_dead() && !writes.is_empty();
                 prop_assert_eq!(result.is_err(), failed, "turn {}", turn);
                 if resync {
-                    let mut written: Vec<usize> = channel.writes.iter().map(|w| w.0).collect();
+                    let mut written: Vec<usize> = writes.iter().map(|w| w.0).collect();
                     written.sort_unstable();
                     written.dedup();
                     prop_assert_eq!(written.len(), layout.n_frames(), "resync covers the device");
                 }
                 if !failed {
-                    prop_assert_eq!(readback_all(&channel), want);
+                    prop_assert_eq!(readback_all(session.channel()), want);
                 }
             }
         }

@@ -1,23 +1,25 @@
-//! Rebuilding a recorded session: design → engine → a fresh
-//! [`Session`] over the journal's chaos environment.
+//! Rebuilding a recorded session: design → the standalone
+//! [`OnlineReconfigurator`] over a fresh
+//! [`Session`](pfdbg_pconf::Session) of the journal's chaos environment.
 //!
 //! The driver is the standalone runner of that session, used by the
 //! recorder (`Recorder`), the verifier ([`crate::verify`]) and the
 //! fuzzer: a recorded session and its replay go through the *same*
-//! tick → stage → commit steps of the same [`Session`], the one every
-//! serve session runs, so every observable fact — bit/frame diffs,
-//! retry and escalation counts, SEU flips, readback CRC — is
-//! reproducible by construction, and serve journals verify here too.
+//! tick → stage → commit steps of the same session struct — the one
+//! every serve session and every standalone debugging session runs —
+//! so every observable fact — bit/frame diffs, retry and escalation
+//! counts, SEU flips, readback CRC — is reproducible by construction,
+//! and serve journals verify here too.
 
 use crate::record::{
     DesignSpec, JournalRecord, ScrubFacts, SelectFacts, SelectOutcome, SessionMeta,
 };
-use crate::session::Session;
+use crate::session::{scrub_facts, select_facts};
 use crate::verify::Redrive;
-use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
+use pfdbg_arch::Bitstream;
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_pconf::icap::frame_len_bits;
-use pfdbg_pconf::{IcapChannel, Scg, TunableFrames, TurnContext};
+use pfdbg_pconf::{IcapChannel, OnlineReconfigurator};
 use pfdbg_util::BitVec;
 use std::cell::Cell;
 use std::hash::Hasher;
@@ -150,14 +152,11 @@ pub fn build_design(meta: &SessionMeta) -> Result<BuiltDesign, String> {
     Ok(BuiltDesign { inst, scg, layout, icap: off.icap })
 }
 
-/// A live re-driven session: the [`Session`] a journal's meta
-/// describes, over the design it rebuilt.
+/// A live re-driven session: the standalone [`OnlineReconfigurator`]
+/// over the design a journal's meta rebuilt, with the session that
+/// meta describes.
 pub struct OnlineDriver {
-    scg: Scg,
-    layout: BitstreamLayout,
-    icap: IcapModel,
-    tunables: TunableFrames,
-    session: Session,
+    online: OnlineReconfigurator,
 }
 
 impl OnlineDriver {
@@ -180,39 +179,37 @@ impl OnlineDriver {
 
     /// Assemble the driver from already-compiled products (lets callers
     /// reuse one expensive offline build across several drivers). The
-    /// session is [`Session::new`] from the meta's chaos, salted with
-    /// the session name when the meta derives seeds — as every serve
-    /// session is.
+    /// session is [`ChaosSpec::session`](crate::ChaosSpec::session) of
+    /// the meta's chaos, salted with the session name when the meta
+    /// derives seeds — as every serve session is.
     pub fn from_built(
         built: BuiltDesign,
         meta: &SessionMeta,
         wrap: impl FnOnce(Box<dyn IcapChannel>) -> Box<dyn IcapChannel>,
     ) -> OnlineDriver {
         let BuiltDesign { scg, layout, icap, .. } = built;
-        let tunables = TunableFrames::new(&scg, &layout);
         let image = Arc::new(scg.generalized().base.clone());
-        let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
         let salt = meta.derive_seeds.then_some(meta.session.as_str());
-        let session = Session::new(&ctx, image, &meta.chaos, salt, wrap);
-        OnlineDriver { scg, layout, icap, tunables, session }
+        let session = meta.chaos.session(&scg, image, layout.frame_bits, salt, wrap);
+        OnlineDriver { online: OnlineReconfigurator::with_session(scg, layout, icap, session) }
     }
 
     /// PConf parameter count of the driven design.
     pub fn n_params(&self) -> usize {
-        self.scg.generalized().n_params
+        self.online.scg().generalized().n_params
     }
 
     /// CRC of the full device readback ([`device_crc`] of the
     /// session's channel).
     pub fn readback_crc(&self) -> u64 {
-        self.session.readback_crc()
+        device_crc(self.online.channel())
     }
 
     /// CRC of the golden (oracle) specialization for `params` — what
     /// the device must hold after a committed turn, independent of any
     /// driver state.
     pub fn specialize_crc(&self, params: &BitVec) -> u64 {
-        bitstream_crc(&self.scg.specialize(params))
+        bitstream_crc(&self.online.scg().specialize(params))
     }
 
     /// One select turn: tick the device (SEUs strike), then apply the
@@ -233,7 +230,7 @@ impl OnlineDriver {
     /// The turn as serve runs it, minus the LRU: tick, stage, then —
     /// unless the budget is `expired` — commit.
     fn turn(&mut self, params: &BitVec, expired: bool) -> SelectFacts {
-        let (ctx, session) = self.split();
+        let (ctx, session) = self.online.parts();
         let seu_flips = session.tick();
         let commit = match session.stage(&ctx, params, None) {
             Ok(()) if !expired => session.commit(&ctx, params).ok(),
@@ -244,26 +241,15 @@ impl OnlineDriver {
             (None, true) => SelectOutcome::DeadlineMiss,
             (None, false) => SelectOutcome::RolledBack,
         };
-        session.select_facts(params, outcome, commit.as_ref(), seu_flips, false)
+        select_facts(session, params, outcome, commit.as_ref(), seu_flips, false)
     }
 
     /// One scrub pass against the golden oracle for the session's
-    /// current parameters.
+    /// current parameters ([`OnlineReconfigurator::scrub`]).
     pub fn scrub(&mut self) -> Result<ScrubFacts, String> {
-        let (ctx, session) = self.split();
-        let report = session.scrub(&ctx)?;
-        Ok(session.scrub_facts(&report))
-    }
-
-    /// The design's half of a turn and the session, borrowed apart.
-    fn split(&mut self) -> (TurnContext<'_>, &mut Session) {
-        let ctx = TurnContext {
-            scg: &self.scg,
-            layout: &self.layout,
-            icap: &self.icap,
-            tunables: &self.tunables,
-        };
-        (ctx, &mut self.session)
+        let report = self.online.scrub()?;
+        let (_, session) = self.online.parts();
+        Ok(scrub_facts(session, &report))
     }
 }
 

@@ -3,9 +3,11 @@
 //!
 //! The debug flow of this repository is deterministic by construction:
 //! seeded fault and SEU streams, a serial SCG evaluation, and
-//! transactional frame commits. This crate holds the one [`Session`]
-//! every debugging session runs — serve's included — and turns that
-//! property into three tools:
+//! transactional frame commits. Every debugging session — serve's
+//! included — runs one [`pfdbg_pconf::Session`]; this crate builds it
+//! from a journal's chaos settings ([`ChaosSpec::session`]), records
+//! the facts of its operations ([`select_facts`], [`scrub_facts`]), and
+//! turns that determinism into three tools:
 //!
 //! 1. **Recording** ([`Recorder`], [`JournalWriter`]): every turn's
 //!    inputs and observable outputs are appended to a checksummed
@@ -43,7 +45,7 @@ pub use journal::{meta_of, read_records, JournalWriter};
 pub use record::{
     ChaosSpec, DesignSpec, JournalRecord, ScrubFacts, SelectFacts, SelectOutcome, SessionMeta,
 };
-pub use session::Session;
+pub use session::{scrub_facts, select_facts};
 pub use verify::{
     verify_path, verify_records, verify_with_driver, Divergence, Redrive, VerifyReport,
 };

@@ -112,15 +112,6 @@ impl ChaosSpec {
             stall_penalty: Duration::from_nanos(self.stall_penalty_ns),
         }
     }
-
-    /// Rebuild the scrub policy (repairs commit under the same jittered
-    /// policy as turns).
-    pub fn scrub_policy(&self, jitter_seed: u64) -> ScrubPolicy {
-        ScrubPolicy {
-            max_repair_attempts: self.max_repair_attempts,
-            commit: self.commit_policy(jitter_seed),
-        }
-    }
 }
 
 /// The journal's opening record: everything needed to rebuild the

@@ -3,13 +3,14 @@
 //!
 //! The expensive, read-only products of the offline flow (SCG, layout,
 //! ICAP model, instrumented netlist, base configuration) are shared
-//! behind `Arc`; each session owns only its [`Session`] — the one
-//! `pfdbg record` and `pfdbg replay` run: a turn engine (parameter
-//! assignment, evaluation scratch with the committed packed tunable
-//! words), a (possibly faulty) reconfiguration channel whose device
-//! copies only the frames it writes over the shared base, a scrubber
-//! and a commit policy, all built from the manager's [`ChaosSpec`] —
-//! so turns from different clients proceed independently. A shared LRU of
+//! behind `Arc`; each session owns only its [`Session`] — the struct
+//! the standalone reconfigurator, `pfdbg record` and `pfdbg replay` run
+//! too: its turn state (parameter assignment, evaluation scratch with
+//! the committed packed tunable words), a (possibly faulty)
+//! reconfiguration channel whose device copies only the frames it
+//! writes over the shared base, a scrubber and a commit policy, all
+//! built from the manager's [`ChaosSpec`] — so turns from different
+//! clients proceed independently. A shared LRU of
 //! packed tunable words, keyed by the parameter `BitVec` itself,
 //! short-circuits the SCG sweep for repeated selections across *all*
 //! sessions: each select looks it up once, under the LRU's own lock, and
@@ -56,13 +57,15 @@ use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_core::Instrumented;
 use pfdbg_emu::{DeviceControl, DeviceMode, DeviceRegistry, IcapFaultConfig, SeuConfig};
 use pfdbg_obs::{Counter, FlightKind, FlightRecorder};
-use pfdbg_pconf::health::{DeviceHealth, HealthEvent, HealthLadder, HealthPolicy, WatchdogPolicy};
+use pfdbg_pconf::health::{
+    DeviceHealth, HealthEvent, HealthLadder, HealthPolicy, WatchdogPolicy, WatchdogVerdict,
+};
 use pfdbg_pconf::icap::{readback_all, CommitPolicy, IcapChannel};
 use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport};
-use pfdbg_pconf::{Scg, TunableFrames, TurnContext};
+use pfdbg_pconf::{Scg, Session, TunableFrames, TurnContext};
 use pfdbg_replay::{
-    session_seed, verify_with_driver, ChaosSpec, DesignSpec, Divergence, JournalRecord,
-    JournalWriter, Redrive, ScrubFacts, SelectFacts, SelectOutcome, Session, SessionMeta,
+    scrub_facts, select_facts, session_seed, verify_with_driver, ChaosSpec, DesignSpec, Divergence,
+    JournalRecord, JournalWriter, Redrive, ScrubFacts, SelectFacts, SelectOutcome, SessionMeta,
 };
 use pfdbg_util::BitVec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,7 +99,7 @@ impl Engine {
 }
 
 /// One client session: the [`Session`] every journal re-drive runs
-/// too (its turn engine, chaos channel, scrubber and commit policy),
+/// too (its turn state, chaos channel, scrubber and commit policy),
 /// plus what only serve keeps. Owned by exactly one shard thread — no
 /// lock.
 pub(crate) struct SessionState {
@@ -114,11 +117,12 @@ pub(crate) struct SessionState {
     /// Session journal appender when the server records sessions
     /// (`--journal-dir`); every turn's facts append here as they commit.
     journal: Option<JournalWriter>,
-    /// The fleet device this session's channel routes through (`0`
-    /// always, when no device fleet is configured). Every turn consults
-    /// the device's mode; a session whose device drains is rebuilt on a
-    /// spare by re-driving its journal.
-    device: usize,
+    /// The fleet device this session's channel routes through: `None`
+    /// when no device fleet is configured, and for the detached session
+    /// the `replay` verb re-drives, which must not act on the live
+    /// fleet. Every turn consults the device's mode; a session whose
+    /// device drains is rebuilt on a spare by re-driving its journal.
+    device: Option<usize>,
 }
 
 /// Flight-recorder depth per session: enough to reconstruct the last
@@ -260,20 +264,6 @@ impl DeviceFleet {
     /// the event moved it.
     fn observe(&self, id: usize, event: HealthEvent) -> Option<DeviceHealth> {
         relock(&self.ladders[id]).observe(event).map(|t| t.to)
-    }
-
-    /// Record a watchdog trip: session ring, device ring, counter.
-    fn note_trip(
-        &self,
-        counts: &CountTable,
-        device: usize,
-        session_flight: &mut FlightRecorder,
-        turn_no: u64,
-        elapsed_us: u64,
-    ) {
-        session_flight.record(FlightKind::WatchdogTrip, turn_no, elapsed_us);
-        relock(&self.flight).record(FlightKind::WatchdogTrip, device as u64, elapsed_us);
-        counts.watchdog_trips.add(1);
     }
 }
 
@@ -477,32 +467,31 @@ impl ManagerCore {
         }
     }
 
-    /// A brand-new session's state: [`Session::new`] from the
-    /// manager's chaos with seeds salted by `name`, at the base
-    /// configuration (params = 0). Shared by `open`, restore, and the
-    /// detached `replay` verb so all three rebuild the same session
-    /// byte-for-byte.
-    fn fresh_state(&self, name: &str) -> SessionState {
-        // With a fleet configured, the session's device wraps the whole
-        // chaos stack: kill/stall/wedge verdicts apply at the outermost
-        // write, and a dead device stops ticking (it takes no upsets).
-        // The wrapper is inert while the device stays `Ok`, so fleet
-        // and non-fleet sessions replay bit-identically.
-        let device = self.device_of(name);
+    /// A brand-new session's state on fleet device `device`:
+    /// [`ChaosSpec::session`] of the manager's chaos with seeds salted
+    /// by `name`, at the base configuration (params = 0). Shared by
+    /// `open`, restore, and the detached `replay` verb (on no device)
+    /// so all three rebuild the same session byte-for-byte.
+    fn fresh_state(&self, name: &str, device: Option<usize>) -> SessionState {
+        // On a fleet device, the device wraps the whole chaos stack:
+        // kill/stall/wedge verdicts apply at the outermost write, and a
+        // dead device stops ticking (it takes no upsets). The wrapper is
+        // inert while the device stays `Ok`, so fleet and non-fleet
+        // sessions replay bit-identically.
         let attach = |channel: Box<dyn IcapChannel>| -> Box<dyn IcapChannel> {
-            match &self.fleet {
-                Some(f) => Box::new(
+            match self.fleet_device(device) {
+                Some((f, id)) => Box::new(
                     f.registry
-                        .get(device)
+                        .get(id)
                         .expect("redirect targets a registered device")
                         .attach(channel),
                 ),
                 None => channel,
             }
         };
-        let ctx = self.turn_context();
+        let (scg, frame_bits) = (&self.engine.scg, self.engine.layout.frame_bits);
         SessionState {
-            session: Session::new(&ctx, self.image.clone(), &self.chaos, Some(name), attach),
+            session: self.chaos.session(scg, self.image.clone(), frame_bits, Some(name), attach),
             turns: 0,
             flight: FlightRecorder::new(FLIGHT_CAP),
             journal: None,
@@ -595,8 +584,11 @@ impl ManagerCore {
                 self.engine.n_params()
             ));
         }
+        // The re-drive runs on no fleet device: it must neither write
+        // through the live device the name maps to nor feed its health
+        // ladder, and a dead device must not turn it into a failover.
         let name = meta.session.as_str();
-        let mut state = self.fresh_state(name);
+        let mut state = self.fresh_state(name, None);
         let redriven = &mut Redriven { core: self, name, state: &mut state };
         let report = verify_with_driver(redriven, &records, name);
         Ok((report.session, report.records, report.divergence))
@@ -628,13 +620,50 @@ impl ManagerCore {
         Some(facts)
     }
 
-    /// The device session `name`'s channel routes through right now:
-    /// the primary-hash assignment pushed through the redirect table.
-    /// `0` when no fleet is configured (the implicit single device).
-    fn device_of(&self, name: &str) -> usize {
-        match &self.fleet {
-            Some(f) => f.redirect[primary_device_of(name, f.primaries)].load(Ordering::Acquire),
-            None => 0,
+    /// The fleet device session `name`'s channel routes through right
+    /// now: the primary-hash assignment pushed through the redirect
+    /// table. `None` when no fleet is configured.
+    fn device_of(&self, name: &str) -> Option<usize> {
+        let f = self.fleet.as_ref()?;
+        Some(f.redirect[primary_device_of(name, f.primaries)].load(Ordering::Acquire))
+    }
+
+    /// The fleet and the device of a session on fleet device `device`:
+    /// `None` — no fleet gate, watchdog or health ladder — without a
+    /// fleet, or for a session on no device.
+    fn fleet_device(&self, device: Option<usize>) -> Option<(&DeviceFleet, usize)> {
+        Some((self.fleet.as_ref()?, device?))
+    }
+
+    /// Feed fleet device `device`'s health ladder one observation of a
+    /// commit or scrub pass: `event`, unless the pass blew its watchdog
+    /// allowance (`verdict`) — a trip regardless of outcome, so a
+    /// wedged-but-alive port cannot hide behind eventual success, noted
+    /// in the session's `flight` ring at `turn_no`, the device ring and
+    /// the counter table. A rung that calls for a drain starts the
+    /// failover.
+    fn observe_device(
+        &self,
+        f: &DeviceFleet,
+        device: usize,
+        verdict: WatchdogVerdict,
+        event: HealthEvent,
+        flight: &mut FlightRecorder,
+        turn_no: u64,
+    ) {
+        let event = if verdict.tripped {
+            let elapsed_us = verdict.elapsed.as_micros() as u64;
+            flight.record(FlightKind::WatchdogTrip, turn_no, elapsed_us);
+            relock(&f.flight).record(FlightKind::WatchdogTrip, device as u64, elapsed_us);
+            self.counts.watchdog_trips.add(1);
+            HealthEvent::WatchdogTrip
+        } else {
+            event
+        };
+        if let Some(to) = f.observe(device, event) {
+            if to.needs_drain() {
+                self.begin_failover(device, to);
+            }
         }
     }
 
@@ -753,7 +782,7 @@ impl Redrive for Redriven<'_> {
 
     fn redrive_scrub(&mut self) -> Result<ScrubFacts, String> {
         let report = self.core.scrub_on(self.name, self.state)?;
-        Ok(self.state.session.scrub_facts(&report))
+        Ok(scrub_facts(&self.state.session, &report))
     }
 }
 
@@ -803,18 +832,13 @@ impl ManagerCore {
         // journal re-drive on the spare to diverge over. The failover
         // (idempotent) starts here in case the mode flipped without a
         // commit observing it.
-        if let Some(f) = &self.fleet {
-            let mode = f.device_mode(state.device);
+        if let Some((f, device)) = self.fleet_device(state.device) {
+            let mode = f.device_mode(device);
             if mode != DeviceMode::Ok {
-                state.flight.record(
-                    FlightKind::DeviceFailed,
-                    state.turns as u64,
-                    state.device as u64,
-                );
-                self.begin_failover(state.device, DeviceHealth::Failed);
+                state.flight.record(FlightKind::DeviceFailed, state.turns as u64, device as u64);
+                self.begin_failover(device, DeviceHealth::Failed);
                 let msg = format!(
-                    "device dev{} is {} — session is migrating to a spare; retry shortly",
-                    state.device,
+                    "device dev{device} is {} — session is migrating to a spare; retry shortly",
                     mode.as_str()
                 );
                 return (Err(msg), None);
@@ -867,7 +891,7 @@ impl ManagerCore {
                 // The miss left only the between-turn tick behind;
                 // journal exactly that so a replay reproduces it.
                 let facts = self.record_select(state, redrive, |s| {
-                    s.select_facts(params, SelectOutcome::DeadlineMiss, None, flipped, cache_hit)
+                    select_facts(s, params, SelectOutcome::DeadlineMiss, None, flipped, cache_hit)
                 });
                 let msg = format!(
                     "deadline exceeded: {:.1} ms spent, {:.1} ms allowed",
@@ -901,18 +925,13 @@ impl ManagerCore {
                 state.turns += 1;
                 let turn_index = state.turns - 1;
                 let facts = self.record_select(state, redrive, |s| {
-                    s.select_facts(
-                        params,
-                        SelectOutcome::Committed,
-                        Some(&turn),
-                        flipped,
-                        cache_hit,
-                    )
+                    let outcome = SelectOutcome::Committed;
+                    select_facts(s, params, outcome, Some(&turn), flipped, cache_hit)
                 });
                 // Cache publication happens from the owning shard, after
                 // the commit verified.
                 if !cache_hit {
-                    let words = Arc::new(state.session.turn().committed_words().clone());
+                    let words = Arc::new(state.session.committed_words().clone());
                     relock(&self.cache).put(params.clone(), words);
                 }
                 self.counts.icap_retries.add(commit.retries as u64);
@@ -925,27 +944,13 @@ impl ManagerCore {
                 // its retry-scaled watchdog allowance counts as a trip
                 // even though it verified — a wedged-but-alive port
                 // must not hide behind eventual success.
-                if let Some(f) = &self.fleet {
+                if let Some((f, device)) = self.fleet_device(state.device) {
                     let verdict = f.watchdog.assess_commit(&commit, t_commit.elapsed());
-                    let event = if verdict.tripped {
-                        f.note_trip(
-                            &self.counts,
-                            state.device,
-                            &mut state.flight,
-                            turn_no,
-                            verdict.elapsed.as_micros() as u64,
-                        );
-                        HealthEvent::WatchdogTrip
-                    } else if commit.degradations > 0 {
-                        HealthEvent::Escalation(commit.degradations)
-                    } else {
-                        HealthEvent::CleanCommit
+                    let event = match commit.degradations {
+                        0 => HealthEvent::CleanCommit,
+                        n => HealthEvent::Escalation(n),
                     };
-                    if let Some(to) = f.observe(state.device, event) {
-                        if to.needs_drain() {
-                            self.begin_failover(state.device, to);
-                        }
-                    }
+                    self.observe_device(f, device, verdict, event, &mut state.flight, turn_no);
                 }
                 let outcome = TurnOutcome {
                     params: params.clone(),
@@ -971,40 +976,22 @@ impl ManagerCore {
                 // it starts the failover directly. The client retries
                 // the turn on the spare, which replays every journaled
                 // turn first.
-                if let Some(f) = &self.fleet {
-                    let mode = f.device_mode(state.device);
+                if let Some((f, device)) = self.fleet_device(state.device) {
+                    let mode = f.device_mode(device);
                     if mode != DeviceMode::Ok {
-                        state.flight.record(FlightKind::DeviceFailed, turn_no, state.device as u64);
-                        self.begin_failover(state.device, DeviceHealth::Failed);
+                        state.flight.record(FlightKind::DeviceFailed, turn_no, device as u64);
+                        self.begin_failover(device, DeviceHealth::Failed);
                         let msg = format!(
-                            "device dev{} went {} mid-commit — session is migrating; retry shortly",
-                            state.device,
+                            "device dev{device} went {} mid-commit — session is migrating; retry shortly",
                             mode.as_str()
                         );
                         return (Err(msg), None);
                     }
                     // An honest rollback under seeded chaos: journaled
-                    // below and fed to the ladder (with the watchdog's
-                    // verdict taking precedence over the plain
-                    // rollback).
+                    // below and fed to the ladder.
                     let verdict = f.watchdog.assess_commit(&commit, t_commit.elapsed());
-                    let event = if verdict.tripped {
-                        f.note_trip(
-                            &self.counts,
-                            state.device,
-                            &mut state.flight,
-                            turn_no,
-                            verdict.elapsed.as_micros() as u64,
-                        );
-                        HealthEvent::WatchdogTrip
-                    } else {
-                        HealthEvent::Rollback
-                    };
-                    if let Some(to) = f.observe(state.device, event) {
-                        if to.needs_drain() {
-                            self.begin_failover(state.device, to);
-                        }
-                    }
+                    let event = HealthEvent::Rollback;
+                    self.observe_device(f, device, verdict, event, &mut state.flight, turn_no);
                 }
                 state.flight.record(FlightKind::TurnRollback, turn_no, commit.retries as u64);
                 // Retry counts of an aborted commit are not part of the
@@ -1012,7 +999,7 @@ impl ManagerCore {
                 // facts are the outcome, the tick's SEU flips, and the
                 // post-rollback device digest.
                 let facts = self.record_select(state, redrive, |s| {
-                    s.select_facts(params, SelectOutcome::RolledBack, None, flipped, cache_hit)
+                    select_facts(s, params, SelectOutcome::RolledBack, None, flipped, cache_hit)
                 });
                 // A rollback is exactly the moment a post-mortem is
                 // wanted: snapshot the ring before anyone else turns.
@@ -1041,8 +1028,8 @@ impl ManagerCore {
         let t0 = Instant::now();
         // Fleet gate — same contract as `select_on`: a scrub never
         // touches (or journals against) a dead device.
-        let device = state.device;
-        if let Some(f) = &self.fleet {
+        let fleet = self.fleet_device(state.device);
+        if let Some((f, device)) = fleet {
             let mode = f.device_mode(device);
             if mode != DeviceMode::Ok {
                 self.begin_failover(device, DeviceHealth::Failed);
@@ -1072,22 +1059,13 @@ impl ManagerCore {
         // Feed the device ladder: quarantined frames climb it, a clean
         // pass builds the recovery streak, and a pass that blew its
         // repair-scaled watchdog allowance trips regardless of outcome.
-        if let Some(f) = &self.fleet {
+        if let Some((f, device)) = fleet {
             let verdict = f.watchdog.assess_scrub(&report, t0.elapsed());
-            let event = if verdict.tripped {
-                let elapsed_us = verdict.elapsed.as_micros() as u64;
-                f.note_trip(&self.counts, device, flight, turn_no, elapsed_us);
-                HealthEvent::WatchdogTrip
-            } else if report.quarantined_frames > 0 {
-                HealthEvent::ScrubQuarantine(report.quarantined_frames)
-            } else {
-                HealthEvent::ScrubClean
+            let event = match report.quarantined_frames {
+                0 => HealthEvent::ScrubClean,
+                n => HealthEvent::ScrubQuarantine(n),
             };
-            if let Some(to) = f.observe(device, event) {
-                if to.needs_drain() {
-                    self.begin_failover(device, to);
-                }
-            }
+            self.observe_device(f, device, verdict, event, flight, turn_no);
         }
         self.counts.scrub_passes.add(1);
         self.counts.scrub_upsets_detected.add(report.upset_frames as u64);
@@ -1095,7 +1073,7 @@ impl ManagerCore {
         self.counts.scrub_repairs.add(report.repaired_frames as u64);
         self.counts.scrub_quarantined.add(report.quarantined_frames as u64);
         if state.journal.is_some() {
-            let facts = state.session.scrub_facts(&report);
+            let facts = scrub_facts(&state.session, &report);
             self.append(state, &JournalRecord::Scrub(facts));
         }
         Ok(report)
@@ -1120,7 +1098,7 @@ impl Shard {
             return Err(format!("session {name:?} already exists"));
         }
         let core = self.core.clone();
-        let mut state = core.fresh_state(name);
+        let mut state = core.fresh_state(name, core.device_of(name));
         if let Some(path) = core.journal_path(name) {
             if path.exists() {
                 core.restore_into(name, &mut state, &path)?;
@@ -1199,7 +1177,7 @@ impl Shard {
         let params = match spec {
             SelectSpec::Params(params) => params,
             SelectSpec::Signals(signals) => {
-                core.engine.inst.plan(state.session.turn().params(), &signals)?.params
+                core.engine.inst.plan(state.session.params(), &signals)?.params
             }
         };
         core.select_on(session, state, &params, deadline, false).0
@@ -1226,7 +1204,7 @@ impl Shard {
             bits_upset: totals.upset_bits,
             frames_repaired: totals.repaired_frames,
             quarantine: scrubber.quarantined().iter().copied().collect(),
-            needs_resync: state.session.turn().needs_resync(),
+            needs_resync: state.session.needs_resync(),
             turns: state.turns,
         })
     }
@@ -1236,8 +1214,8 @@ impl Shard {
     pub(crate) fn state_tuple(&self, session: &str) -> Result<(BitVec, usize, bool), String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        let turn = state.session.turn();
-        Ok((turn.params().clone(), state.turns, turn.needs_resync()))
+        let session = &state.session;
+        Ok((session.params().clone(), state.turns, session.needs_resync()))
     }
 
     /// Read a session's device configuration memory back through its
@@ -1253,7 +1231,7 @@ impl Shard {
     pub(crate) fn plan(&self, session: &str, signals: &[String]) -> Result<BitVec, String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        Ok(self.core.engine.inst.plan(state.session.turn().params(), signals)?.params)
+        Ok(self.core.engine.inst.plan(state.session.params(), signals)?.params)
     }
 
     /// A live dump of a session's flight-recorder ring as JSONL
@@ -1310,7 +1288,7 @@ impl Shard {
         let names: Vec<String> = self
             .sessions
             .iter()
-            .filter(|(_, s)| s.device == dead)
+            .filter(|(_, s)| s.device == Some(dead))
             .map(|(n, _)| n.clone())
             .collect();
         for name in names {
@@ -1320,11 +1298,11 @@ impl Shard {
                 .filter(|p| p.exists())
                 .ok_or_else(|| "no journal to re-drive (journaling disabled)".to_string())
                 .and_then(|path| {
-                    // `fresh_state` reads the redirect table, which
+                    // `device_of` reads the redirect table, which
                     // already points at the spare — the rebuilt channel
                     // routes there and the journal re-drives through
                     // the exact same select/scrub path `open` uses.
-                    let mut state = core.fresh_state(&name);
+                    let mut state = core.fresh_state(&name, core.device_of(&name));
                     core.restore_into(&name, &mut state, &path)?;
                     state.flight.record(
                         FlightKind::MigrationDone,
@@ -1351,7 +1329,7 @@ impl Shard {
     pub(crate) fn device_session_counts(&self, n_devices: usize) -> Vec<usize> {
         let mut counts = vec![0usize; n_devices];
         for state in self.sessions.values() {
-            if let Some(c) = counts.get_mut(state.device) {
+            if let Some(c) = state.device.and_then(|d| counts.get_mut(d)) {
                 *c += 1;
             }
         }
@@ -1378,7 +1356,7 @@ impl Shard {
                     ("name", JsonValue::Str(name.clone())),
                     ("turns", JsonValue::Num(state.turns as f64)),
                     ("health", JsonValue::Str(scrubber.health().as_str().to_string())),
-                    ("needs_resync", JsonValue::Bool(state.session.turn().needs_resync())),
+                    ("needs_resync", JsonValue::Bool(state.session.needs_resync())),
                     ("scrubs", JsonValue::Num(totals.passes as f64)),
                     ("quarantined", JsonValue::Num(scrubber.quarantined().len() as f64)),
                     ("flight_events", JsonValue::Num(state.flight.total_recorded() as f64)),
@@ -1777,9 +1755,10 @@ impl SessionManager {
     }
 
     /// The device session `name` routes to right now: its primary-hash
-    /// assignment pushed through the failover redirect table.
+    /// assignment pushed through the failover redirect table. `0` when
+    /// no fleet is configured (the implicit single device).
     pub fn device_of(&self, name: &str) -> usize {
-        self.core.device_of(name)
+        self.core.device_of(name).unwrap_or(0)
     }
 
     /// The chaos control block of device `id` — kill, stall, or wedge

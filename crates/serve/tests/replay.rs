@@ -6,15 +6,18 @@
 //! select must be bit-identical to an uninterrupted golden run. A
 //! restart under *different* chaos
 //! flags must refuse the restore loudly instead. A serve journal also
-//! verifies on the standalone engine (`pfdbg_replay::verify_path`).
+//! verifies on the standalone engine (`pfdbg_replay::verify_path`), and
+//! the `replay` verb re-drives a journal without touching the live
+//! device fleet.
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
+use pfdbg_pconf::health::WatchdogPolicy;
 use pfdbg_pconf::icap::CommitPolicy;
 use pfdbg_pconf::scrub::ScrubPolicy;
 use pfdbg_replay::DesignSpec;
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, SessionManager};
+use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -364,5 +367,53 @@ fn serve_journal_verifies_when_repairs_may_retry_more_than_turns() {
     let report = pfdbg_replay::verify_path(Path::new(&path)).unwrap();
     assert!(report.ok(), "standalone replay diverged: {:?}", report.divergence);
     assert_eq!((report.turns, report.scrubs), (27, 13), "{report:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `replay` verb re-drives an `External` journal on a detached
+/// session of no fleet device: it writes nothing through the live
+/// device the session name maps to and feeds no health ladder, and a
+/// killed device does not turn the re-drive into a failover.
+#[test]
+fn replay_verb_leaves_the_live_fleet_alone() {
+    let dir = std::env::temp_dir().join(format!("pfdbg-serve-replay-fleet-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    // Wide watchdog budgets: only the scripted kill moves the ladder.
+    let watchdog = WatchdogPolicy {
+        commit_budget: Duration::from_secs(60),
+        scrub_budget: Duration::from_secs(60),
+        ..WatchdogPolicy::default()
+    };
+    let mut manager = SessionManager::with_devices(
+        Arc::new(build_engine()),
+        16,
+        None,
+        CommitPolicy::default(),
+        None,
+        ScrubPolicy::default(),
+        FleetOptions::default(),
+        DeviceOptions { devices: 1, spares: 1, watchdog, ..DeviceOptions::default() },
+    );
+    manager.set_journal_dir(dir.clone());
+    let n_params = manager.open("s").unwrap();
+    for t in 0..6 {
+        let params: BitVec = params_for(t, n_params).chars().map(|c| c == '1').collect();
+        manager.select("s", &params).unwrap();
+    }
+    let (path, _, _) = manager.journal_status("s").unwrap();
+    let device = manager.device_control(0).unwrap();
+    assert!(device.writes() > 0, "the live session wrote through device 0");
+    for killed in [false, true] {
+        if killed {
+            device.kill();
+        }
+        let (writes, migrations) = (device.writes(), manager.counts().migrations);
+        let (_, records, divergence) = manager.replay_journal(Path::new(&path)).unwrap();
+        assert_eq!(divergence, None, "killed: {killed}");
+        assert_eq!(records, 7, "meta plus six selects");
+        assert_eq!(device.writes(), writes, "killed: {killed}: the re-drive wrote to device 0");
+        assert_eq!(manager.counts().migrations, migrations, "killed: {killed}: a failover ran");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -316,6 +316,12 @@ impl Artifact {
         }
         let gbs = GeneralizedBitstream { base, tunable, n_params: self.n_params };
         let scg = Scg::new(manager, gbs);
+        // Every variable a tunable function reads must be a parameter:
+        // the evaluator indexes the parameter vector with it.
+        let live = scg.manager().export_nodes();
+        if let Some(&(var, _, _)) = live.iter().find(|n| n.0 as usize >= self.n_params) {
+            return Err(format!("BDD variable {var} beyond the {} parameters", self.n_params));
+        }
         let layout = BitstreamLayout::from_raw(self.layout)?;
         let (luts, tluts, tcons, depth) = self.map_stats;
         let map_stats = MapStats {

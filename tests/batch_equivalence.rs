@@ -6,7 +6,7 @@
 //! `try_specialize` — the diff to the difference of two reference
 //! specializations — including across scratch reuse, cold-scratch
 //! re-derivation and rolled-back (evaluated but never committed)
-//! turns. Downstream, every frame the turn engine
+//! turns. Downstream, every frame a session's commit
 //! writes from the packed words must be that frame of `try_specialize`,
 //! and a scrub pass against the packed words of one sweep must be the
 //! reference scrub against `try_specialize`.
@@ -20,12 +20,12 @@ use parameterized_fpga_debug::emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use parameterized_fpga_debug::pconf::icap::{frame_words, readback_all};
 use parameterized_fpga_debug::pconf::{
     BddManager, CommitPolicy, GeneralizedBuilder, IcapChannel, IcapError, MemoryIcap, Scg,
-    ScrubPolicy, Scrubber, SpecializeScratch, TunableFrames, TurnContext, TurnEngine,
+    ScrubPolicy, Scrubber, Session, SpecializeScratch, TunableFrames, TurnContext,
 };
 use parameterized_fpga_debug::util::BitVec;
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One random scenario: a generalized bitstream (shape scalars plus a
 /// seed that derives the tunable functions) and a walk seed that
@@ -228,6 +228,43 @@ impl IcapChannel for Logging {
     }
 }
 
+/// A device the test keeps a hold on while a session commits through
+/// it: every channel call goes to the one device behind the lock.
+struct Shared<C>(Arc<Mutex<C>>);
+
+impl<C: IcapChannel> IcapChannel for Shared<C> {
+    fn frame_bits(&self) -> usize {
+        self.0.lock().unwrap().frame_bits()
+    }
+    fn n_bits(&self) -> usize {
+        self.0.lock().unwrap().n_bits()
+    }
+    fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
+        self.0.lock().unwrap().write_frame(frame, data)
+    }
+    fn read_frame(&self, frame: usize) -> Vec<u64> {
+        self.0.lock().unwrap().read_frame(frame)
+    }
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        self.0.lock().unwrap().read_frame_into(frame, out)
+    }
+    fn tick(&mut self) -> usize {
+        self.0.lock().unwrap().tick()
+    }
+}
+
+/// A session over `device` that commits under `policy`, and the test's
+/// hold on the device.
+fn session_over<C: IcapChannel + 'static>(
+    scg: &Scg,
+    device: C,
+    policy: CommitPolicy,
+) -> (Session, Arc<Mutex<C>>) {
+    let device = Arc::new(Mutex::new(device));
+    let session = Session::new(scg, Box::new(Shared(device.clone())), policy, 3);
+    (session, device)
+}
+
 /// stereov at paper instrumentation through the offline flow.
 fn stereov() -> OfflineResult {
     let design = build_design("stereov.").expect("suite member");
@@ -238,7 +275,7 @@ fn stereov() -> OfflineResult {
 }
 
 /// On stereov at paper instrumentation, a random parameter walk through
-/// the turn engine — every fifth commit over a dead port — writes only
+/// a session — every fifth commit over a dead port — writes only
 /// golden frames: each frame the commit's frame source yields equals
 /// that frame of `try_specialize` of the turn's parameters, and the
 /// resync after each failed commit covers the whole device.
@@ -250,12 +287,15 @@ fn engine_target_frames_are_golden_on_stereov() {
     let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
     let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
     let image = Arc::new(scg.generalized().base.clone());
-    let mut channel = Logging {
-        inner: MemoryIcap::shared(image, layout.frame_bits),
-        dead: false,
-        writes: Vec::new(),
-    };
-    let mut engine = TurnEngine::new(&scg);
+    let (mut engine, device) = session_over(
+        &scg,
+        Logging {
+            inner: MemoryIcap::shared(image, layout.frame_bits),
+            dead: false,
+            writes: Vec::new(),
+        },
+        policy,
+    );
     let mut seed = 0x5e55_1017_u64;
     let (mut failed_commits, mut resyncs) = (0, 0);
     for turn in 0..40 {
@@ -263,10 +303,14 @@ fn engine_target_frames_are_golden_on_stereov() {
             (0..scg.generalized().n_params).map(|_| xorshift(&mut seed) & 1 == 1).collect();
         let want = scg.try_specialize(&p).unwrap();
         let resync = engine.needs_resync();
-        channel.dead = turn % 5 == 3;
-        channel.writes.clear();
+        {
+            let mut channel = device.lock().unwrap();
+            channel.dead = turn % 5 == 3;
+            channel.writes.clear();
+        }
         engine.stage(&ctx, &p, None).unwrap();
-        let result = engine.commit(&ctx, &mut channel, &policy, &p);
+        let result = engine.commit(&ctx, &p);
+        let channel = device.lock().unwrap();
         for (frame, words) in &channel.writes {
             let golden = frame_words(&want, layout.frame_bits, *frame);
             assert_eq!(words, &golden, "turn {turn}, frame {frame}");
@@ -286,7 +330,7 @@ fn engine_target_frames_are_golden_on_stereov() {
             );
         }
         if !failed {
-            assert_eq!(readback_all(&channel), want, "turn {turn}");
+            assert_eq!(readback_all(&*channel), want, "turn {turn}");
         }
     }
     assert!(failed_commits > 0 && resyncs > 0, "{failed_commits} failures, {resyncs} resyncs");
@@ -356,30 +400,30 @@ fn swept_scrub_is_the_reference_scrub_on_stereov() {
         inner: channel_stack(image.clone(), layout.frame_bits, Some(seu), Some(fault)),
         refused,
     };
-    let (mut swept, mut reference) = (device(), device());
-    let (mut swept_turns, mut reference_turns) = (TurnEngine::new(&scg), TurnEngine::new(&scg));
+    let (mut swept_turns, swept) = session_over(&scg, device(), policy);
+    let (mut reference_turns, reference) = session_over(&scg, device(), policy);
     let (mut swept_scrub, mut reference_scrub) =
         (Scrubber::new(scrub_policy), Scrubber::new(scrub_policy));
     let mut seed = 0x5c2b_u64;
     let (mut passes, mut repaired) = (0, 0);
     for turn in 0..36 {
-        assert_eq!(swept.tick(), reference.tick(), "turn {turn}: upsets");
+        let upsets = (swept.lock().unwrap().tick(), reference.lock().unwrap().tick());
+        assert_eq!(upsets.0, upsets.1, "turn {turn}: upsets");
         let p: BitVec = (0..n_params).map(|_| xorshift(&mut seed) & 1 == 1).collect();
-        for (engine, channel) in
-            [(&mut swept_turns, &mut swept), (&mut reference_turns, &mut reference)]
-        {
+        for engine in [&mut swept_turns, &mut reference_turns] {
             engine.stage(&ctx, &p, None).unwrap();
-            engine.commit(&ctx, channel, &policy, &p).expect("the turn commits");
+            engine.commit(&ctx, &p).expect("the turn commits");
         }
         if turn % 2 == 1 {
+            let (mut swept, mut reference) = (swept.lock().unwrap(), reference.lock().unwrap());
             let got = swept_scrub
-                .scrub_with_scg(&mut swept, &off.icap, &scg, swept_turns.params())
+                .scrub_with_scg(&mut *swept, &off.icap, &scg, swept_turns.params())
                 .unwrap();
             let golden = scg.try_specialize(reference_turns.params()).unwrap();
-            let want = reference_scrub.scrub(&mut reference, &off.icap, &golden).unwrap();
+            let want = reference_scrub.scrub(&mut *reference, &off.icap, &golden).unwrap();
             assert_eq!(got, want, "turn {turn}: scrub reports");
             assert_eq!(swept_scrub.quarantined(), reference_scrub.quarantined(), "turn {turn}");
-            assert_eq!(readback_all(&swept), readback_all(&reference), "turn {turn}");
+            assert_eq!(readback_all(&*swept), readback_all(&*reference), "turn {turn}");
             passes += 1;
             repaired += got.repaired_frames;
         }
@@ -389,6 +433,7 @@ fn swept_scrub_is_the_reference_scrub_on_stereov() {
     assert!(repaired > 0, "{passes} passes repaired no upset");
     for wrong in [n_params - 1, n_params + 1] {
         let params = BitVec::zeros(wrong);
-        assert!(swept_scrub.scrub_with_scg(&mut swept, &off.icap, &scg, &params).is_err());
+        let mut swept = swept.lock().unwrap();
+        assert!(swept_scrub.scrub_with_scg(&mut *swept, &off.icap, &scg, &params).is_err());
     }
 }

@@ -13,7 +13,7 @@
 
 use pfdbg_core::{offline, prepare_instrumented, DebugSession, OfflineConfig, OfflineResult};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
-use pfdbg_pconf::{CommitPolicy, OnlineReconfigurator, ScrubPolicy, Scrubber};
+use pfdbg_pconf::{CommitPolicy, OnlineReconfigurator};
 use pfdbg_util::BitVec;
 
 fn compiled() -> (pfdbg_core::Instrumented, OfflineResult) {
@@ -89,9 +89,10 @@ fn turns_under_injected_faults_match_golden_up_to_ten_percent() {
         let (inst, off) = compiled();
         let n = inst.annotations.len();
         let mut online = off
-            .into_online_chaos(
+            .into_online_with(
                 Some(IcapFaultConfig::uniform(rate, 0xC0FFEE)),
                 CommitPolicy::default(),
+                None,
             )
             .expect("offline flow built an SCG");
         let (committed, rolled_back) = drive_and_check(&mut online, &param_walk(n, 10));
@@ -111,7 +112,7 @@ fn rollback_then_resync_recovers_the_device() {
     // full resync rewrite of the following successful turn.
     let cfg = IcapFaultConfig { write_error_rate: 0.5, seed: 7, ..IcapFaultConfig::default() };
     let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
-    let mut online = off.into_online_chaos(Some(cfg), policy).expect("scg");
+    let mut online = off.into_online_with(Some(cfg), policy, None).expect("scg");
     let (committed, rolled_back) = drive_and_check(&mut online, &param_walk(n, 16));
     assert!(rolled_back > 0, "a 50% write-error rate with zero retries must roll back");
     assert!(committed > 0, "some turns must still land and resync the device");
@@ -123,7 +124,7 @@ fn dead_port_rolls_back_every_turn() {
     let n = inst.annotations.len();
     let cfg = IcapFaultConfig { write_error_rate: 1.0, seed: 1, ..IcapFaultConfig::default() };
     let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
-    let mut online = off.into_online_chaos(Some(cfg), policy).expect("scg");
+    let mut online = off.into_online_with(Some(cfg), policy, None).expect("scg");
     let base = online.current();
     let mut p = BitVec::zeros(n);
     p.set(0, true);
@@ -140,7 +141,7 @@ fn debug_session_observe_is_transactional() {
     let (inst, off) = compiled();
     let cfg = IcapFaultConfig { write_error_rate: 1.0, seed: 2, ..IcapFaultConfig::default() };
     let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
-    let online = off.into_online_chaos(Some(cfg), policy).expect("scg");
+    let online = off.into_online_with(Some(cfg), policy, None).expect("scg");
     let dut = inst.network.clone();
     // The first signal of a port selects with value 0 — an empty diff
     // that commits without touching the port. Pick a later signal so
@@ -156,7 +157,7 @@ fn debug_session_observe_is_transactional() {
     // The same selection over a fault-free transport goes through, and
     // the committed device state matches the golden specialization.
     let (inst2, off2) = compiled();
-    let online2 = off2.into_online_chaos(None, CommitPolicy::default()).expect("scg");
+    let online2 = off2.into_online_with(None, CommitPolicy::default(), None).expect("scg");
     let dut2 = inst2.network.clone();
     let signal2 = inst2.ports[0].signals.last().cloned().expect("port has signals");
     let mut session2 = DebugSession::new(inst2, Some(online2));
@@ -180,7 +181,6 @@ fn combined_write_faults_and_seus_keep_trace_windows_golden() {
     let signals: Vec<String> =
         inst.ports.iter().flat_map(|p| p.signals.iter().rev().take(2).cloned()).collect();
     let mut session = DebugSession::new(inst, Some(online));
-    let mut scrubber = Scrubber::new(ScrubPolicy::default());
 
     let mut observed = 0usize;
     for (i, sig) in signals.iter().enumerate() {
@@ -201,7 +201,7 @@ fn combined_write_faults_and_seus_keep_trace_windows_golden() {
         // (transport faults can make a repair fail — that is what the
         // fail streak and the next pass are for).
         let online = session.online_mut().expect("online");
-        let _ = online.scrub(&mut scrubber).expect("scrub evaluates golden frames");
+        let _ = online.scrub().expect("scrub evaluates golden frames");
     }
     assert!(observed > 0, "no turn ever committed under combined chaos");
 
@@ -210,14 +210,14 @@ fn combined_write_faults_and_seus_keep_trace_windows_golden() {
     // being quarantined — and nothing should be quarantined.
     let online = session.online_mut().expect("online");
     for _ in 0..8 {
-        let r = online.scrub(&mut scrubber).expect("scrub");
+        let r = online.scrub().expect("scrub");
         if r.failed_frames == 0 && r.quarantined_frames == 0 {
             break;
         }
     }
-    assert!(scrubber.quarantined().is_empty(), "light chaos must not quarantine");
+    assert!(online.scrubber().quarantined().is_empty(), "light chaos must not quarantine");
     assert_eq!(
-        online.undetected_divergence(&scrubber),
+        online.undetected_divergence(),
         Vec::<usize>::new(),
         "no injected upset may survive undetected"
     );
@@ -229,7 +229,11 @@ fn chaos_runs_are_deterministic_per_seed() {
         let (inst, off) = compiled();
         let n = inst.annotations.len();
         let mut online = off
-            .into_online_chaos(Some(IcapFaultConfig::uniform(0.3, seed)), CommitPolicy::default())
+            .into_online_with(
+                Some(IcapFaultConfig::uniform(0.3, seed)),
+                CommitPolicy::default(),
+                None,
+            )
             .expect("scg");
         param_walk(n, 8).iter().map(|p| online.try_apply(p).map(|_| ())).collect()
     };

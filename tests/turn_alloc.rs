@@ -1,11 +1,11 @@
 //! Allocation budget of a committed debugging turn, and the heap a
-//! session holds. After warm-up, the turn engine reuses its evaluation
+//! session holds. After warm-up, a session reuses its evaluation
 //! scratch and frame lists, and the device has copied the frames its
 //! turns write, so the only heap allocations left are the two
 //! frame-word buffers `commit_frames` creates per commit (the words
 //! sent and the readback). Both callers are pinned: the standalone
-//! `OnlineReconfigurator::try_apply`, and `TurnEngine::stage` +
-//! `commit` the way serve sessions drive it — several sessions over one
+//! `OnlineReconfigurator::try_apply`, and `Session::stage` + `commit`
+//! the way serve sessions drive it — several sessions over one
 //! shared `Scg`, some turns adopting cached packed words. A session
 //! over the shared base configuration must hold less heap than one
 //! configuration bitstream. Reading a device through the chaos channel
@@ -19,7 +19,7 @@ use parameterized_fpga_debug::core::{
 };
 use parameterized_fpga_debug::emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use parameterized_fpga_debug::pconf::{
-    CommitPolicy, IcapChannel, MemoryIcap, TunableFrames, TurnContext, TurnEngine,
+    CommitPolicy, IcapChannel, MemoryIcap, Session, TunableFrames, TurnContext,
 };
 use parameterized_fpga_debug::replay::device_crc;
 use parameterized_fpga_debug::util::BitVec;
@@ -146,18 +146,21 @@ fn interleaved_engine_turns_allocate_only_the_commit_frame_buffers() {
     let policy = CommitPolicy::default();
     let walk = walk(scg.generalized().n_params);
     let base = &scg.generalized().base;
-    let mut sessions: Vec<(TurnEngine, MemoryIcap)> = (0..2)
-        .map(|_| (TurnEngine::new(&scg), MemoryIcap::new(base.clone(), layout.frame_bits)))
+    let mut sessions: Vec<Session> = (0..2)
+        .map(|_| {
+            let channel = Box::new(MemoryIcap::new(base.clone(), layout.frame_bits));
+            Session::new(&scg, channel, policy, 3)
+        })
         .collect();
     // The packed words of every walk vector, as a serve LRU would hold
     // them after one evaluation each.
     let cache: Vec<BitVec> = walk
         .iter()
         .map(|p| {
-            let (engine, channel) = &mut sessions[0];
-            engine.stage(&ctx, p, None).expect("stage");
-            engine.commit(&ctx, channel, &policy, p).expect("commit");
-            engine.committed_words().clone()
+            let session = &mut sessions[0];
+            session.stage(&ctx, p, None).expect("stage");
+            session.commit(&ctx, p).expect("commit");
+            session.committed_words().clone()
         })
         .collect();
 
@@ -167,12 +170,12 @@ fn interleaved_engine_turns_allocate_only_the_commit_frame_buffers() {
     let mut writing_turns = 0;
     for pass in 0..2 {
         for k in 0..walk.len() {
-            for (s, (engine, channel)) in sessions.iter_mut().enumerate() {
+            for (s, session) in sessions.iter_mut().enumerate() {
                 let i = (k + 7 * s) % walk.len();
                 let cached = (k % 3 == s).then(|| &cache[i]);
                 let before = allocations();
-                engine.stage(&ctx, &walk[i], cached).expect("stage");
-                let turn = engine.commit(&ctx, channel, &policy, &walk[i]).expect("commit");
+                session.stage(&ctx, &walk[i], cached).expect("stage");
+                let turn = session.commit(&ctx, &walk[i]).expect("commit");
                 let spent = allocations() - before;
                 if pass == 1 {
                     assert!(spent <= 2, "session {s} turn {k} allocated {spent} times ({turn:?})");
@@ -194,14 +197,16 @@ fn a_session_over_the_shared_base_holds_less_than_one_configuration() {
     let walk = walk(scg.generalized().n_params);
     let image = Arc::new(scg.generalized().base.clone());
     let configuration_bytes = (image.words().len() * 8) as i64;
-    // A serve session without upsets: its turn engine and the channel
-    // stack over the image every session shares.
-    let session =
-        || (TurnEngine::new(&scg), channel_stack(image.clone(), layout.frame_bits, None, None));
-    let drive = |(engine, channel): &mut (TurnEngine, Box<dyn IcapChannel>)| {
+    // A serve session without upsets: its turn state, scrubber and the
+    // channel stack over the image every session shares.
+    let session = || {
+        let channel = channel_stack(image.clone(), layout.frame_bits, None, None);
+        Session::new(&scg, channel, policy, 3)
+    };
+    let drive = |session: &mut Session| {
         for p in &walk {
-            engine.stage(&ctx, p, None).expect("stage");
-            engine.commit(&ctx, channel.as_mut(), &policy, p).expect("commit");
+            session.stage(&ctx, p, None).expect("stage");
+            session.commit(&ctx, p).expect("commit");
         }
     };
     // A first session builds whatever the turn path initializes once
