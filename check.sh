@@ -280,6 +280,11 @@ JPATH=$(echo "$JREC" | sed -n 's/.*"file":"\([^"]*\)".*/\1/p')
     | grep -q '"identical":true' || { echo "server replay of its own journal diverged"; exit 1; }
 ./target/debug/pfdbg client "127.0.0.1:$JPORT" --shutdown >/dev/null
 wait "$JSERVE_PID"
+# The same journal, spanning the SIGKILL and the restore, must also
+# verify on the standalone engine: its meta names the benchmark and the
+# server's chaos, so `pfdbg replay` rebuilds what the server ran.
+./target/debug/pfdbg replay "$JDIR"/*.pfdj \
+    | grep -q 'bit-identical' || { echo "standalone replay of the server's journal diverged"; exit 1; }
 echo "journaled restart smoke ok"
 
 echo "== differential fuzz (64 seeded cases) =="

@@ -36,8 +36,9 @@
 use pfdbg_core::{offline, prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_obs::jsonl::{write_object, JsonValue};
 use pfdbg_obs::Histogram;
+use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions};
-use pfdbg_serve::{Server, ServerConfig, SessionManager};
+use pfdbg_serve::{JournalOptions, ManagerOptions, Server, ServerConfig, SessionManager};
 use pfdbg_util::stats::percentile;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -388,45 +389,42 @@ fn main() {
         std::env::temp_dir().join(format!("pfdbg-serve-load-journal-{}", std::process::id()))
     });
 
+    // Chaos knobs apply only to the in-process server (an external one
+    // configures its own faults via `pfdbg serve` flags).
+    let chaos = ChaosSpec {
+        fault: (fault_rate > 0.0)
+            .then(|| pfdbg_emu::IcapFaultConfig::uniform(fault_rate, fault_seed))
+            .or_else(pfdbg_emu::IcapFaultConfig::from_env),
+        seu: (seu_rate > 0.0)
+            .then_some(pfdbg_emu::SeuConfig { rate: seu_rate, burst: 2, seed: seu_seed })
+            .or_else(pfdbg_emu::SeuConfig::from_env),
+        ..ChaosSpec::reliable()
+    };
+    // The rate the in-process server runs; `stats` does not carry an
+    // external server's.
+    let icap_fault_rate = match &external {
+        None => JsonValue::Num(chaos.fault.map_or(0.0, |f| f.total_rate())),
+        Some(_) => JsonValue::Null,
+    };
     let handle = if external.is_none() {
         eprintln!("serve_load: compiling design and starting in-process server...");
-        // Chaos knobs apply only to the in-process server (an external
-        // one configures its own faults via `pfdbg serve` flags).
-        let fault = (fault_rate > 0.0)
-            .then(|| pfdbg_emu::IcapFaultConfig::uniform(fault_rate, fault_seed))
-            .or_else(pfdbg_emu::IcapFaultConfig::from_env);
-        let seu = (seu_rate > 0.0)
-            .then_some(pfdbg_emu::SeuConfig { rate: seu_rate, burst: 2, seed: seu_seed })
-            .or_else(pfdbg_emu::SeuConfig::from_env);
-        let fleet = FleetOptions { shards, inbox_capacity: inbox_cap };
-        let mut manager = if devices > 0 {
-            SessionManager::with_devices(
-                Arc::new(build_engine()),
-                64,
-                fault,
-                pfdbg_pconf::CommitPolicy::default(),
-                seu,
-                pfdbg_pconf::ScrubPolicy::default(),
-                fleet,
-                DeviceOptions { devices, spares, ..DeviceOptions::default() },
-            )
-        } else {
-            SessionManager::with_fleet(
-                Arc::new(build_engine()),
-                64,
-                fault,
-                pfdbg_pconf::CommitPolicy::default(),
-                seu,
-                pfdbg_pconf::ScrubPolicy::default(),
-                fleet,
-            )
-        };
         if let Some(dir) = &journal_dir {
             std::fs::remove_dir_all(dir).ok();
             std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
-            manager.set_journal_dir(dir.clone());
             eprintln!("serve_load: journaling sessions to {}", dir.display());
         }
+        let opts = ManagerOptions {
+            chaos,
+            fleet: FleetOptions { shards, inbox_capacity: inbox_cap },
+            devices: (devices > 0).then_some(DeviceOptions {
+                devices,
+                spares,
+                ..Default::default()
+            }),
+            journal: journal_dir.clone().map(JournalOptions::external),
+            ..ManagerOptions::default()
+        };
+        let manager = SessionManager::new(Arc::new(build_engine()), opts);
         let cfg = ServerConfig {
             workers: threads.clamp(2, 8),
             scrub_interval_ms,
@@ -570,12 +568,7 @@ fn main() {
         ("hist_p99_ms", JsonValue::Num(hist_p99)),
         ("hist_p999_ms", JsonValue::Num(hist_p999)),
         ("hist_buckets", JsonValue::Str(snap.buckets_string())),
-        // The fault rate configures only the in-process server; `stats`
-        // does not report an external server's.
-        (
-            "icap_fault_rate",
-            if external.is_none() { JsonValue::Num(fault_rate) } else { JsonValue::Null },
-        ),
+        ("icap_fault_rate", icap_fault_rate),
         ("journal", JsonValue::Bool(journal)),
         ("in_process", JsonValue::Bool(external.is_none())),
     ];

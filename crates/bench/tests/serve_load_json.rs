@@ -1,16 +1,22 @@
 //! `serve_load` report regression tests: the emitted BENCH JSON must
 //! strict-parse (regression for the closed-loop `target_rps` literal
-//! NaN, which is not JSON) and carry the server's `stats` fields, and a
+//! NaN, which is not JSON) and carry the server's `stats` fields, a
 //! device-fleet chaos run must carry the fleet fields `check.sh` gates
-//! on.
+//! on, and an in-process report must name the chaos rates its server
+//! ran and balance its request ledger.
 
 use pfdbg_obs::jsonl::{parse_jsonl, Event, JsonValue};
 use std::process::Command;
 
 fn run_serve_load(out: &std::path::Path, extra: &[&str]) -> Event {
+    run_serve_load_with_env(out, extra, &[])
+}
+
+fn run_serve_load_with_env(out: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) -> Event {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_serve_load"));
     cmd.args(["--threads", "2", "--sessions", "4", "--out"]).arg(out);
     cmd.args(extra);
+    cmd.envs(env.iter().copied());
     let status = cmd.status().expect("spawn serve_load");
     assert!(status.success(), "serve_load exited with {status}");
     let text = std::fs::read_to_string(out).expect("read report");
@@ -78,5 +84,35 @@ fn device_fleet_report_carries_fleet_fields() {
     // is journaled, so the failover must have dropped nothing.
     assert!(ev.num("migrations").unwrap() >= 1.0, "kill never triggered a failover: {ev:?}");
     assert_eq!(ev.num("sessions_lost"), Some(0.0), "{ev:?}");
+    std::fs::remove_file(&out).ok();
+}
+
+/// The in-process server takes its transport faults from
+/// `PFDBG_ICAP_FAULT_RATE` when `--icap-fault-rate` is unset, so the
+/// report must carry that rate, not the unset flag's 0 next to nonzero
+/// retries; likewise the upset rate. Every issued request lands in
+/// exactly one bucket of the ledger.
+#[test]
+fn in_process_report_names_the_rates_its_server_ran() {
+    let out = std::env::temp_dir()
+        .join(format!("pfdbg-serve-load-json-rates-{}.json", std::process::id()));
+    let ev = run_serve_load_with_env(
+        &out,
+        &["--requests", "20", "--seu-rate", "0.05"],
+        &[("PFDBG_ICAP_FAULT_RATE", "0.05")],
+    );
+    let num = |field: &str| ev.num(field).unwrap_or_else(|| panic!("{field} missing: {ev:?}"));
+    let fault_rate = num("icap_fault_rate");
+    assert!((fault_rate - 0.05).abs() < 1e-9, "icap_fault_rate {fault_rate}: {ev:?}");
+    assert_eq!(num("seu_rate"), 0.05, "{ev:?}");
+    if num("icap_retries") > 0.0 {
+        assert!(fault_rate > 0.0, "retries without a fault rate: {ev:?}");
+    }
+    if num("seu_bits_injected") > 0.0 {
+        assert!(num("seu_rate") > 0.0, "upsets without an upset rate: {ev:?}");
+    }
+    let buckets = ["requests_ok", "overloaded_replies", "migrating_replies", "failures"];
+    let landed: f64 = buckets.iter().map(|field| num(field)).sum();
+    assert_eq!(num("requests_issued"), landed, "the request ledger does not balance: {ev:?}");
     std::fs::remove_file(&out).ok();
 }

@@ -17,8 +17,8 @@
 //! `@name` selects a generated benchmark from the calibrated suite
 //! (e.g. `@stereov.`, `@clma`).
 //!
-//! Commands that run the offline flow (`offline`, `observe`, `serve`)
-//! go through the content-addressed artifact store by default
+//! Commands that run the offline flow (`offline`, `observe`, `scrub`,
+//! `serve`) go through the content-addressed artifact store by default
 //! (`.pfdbg-store/` in the working directory): the first compile of a
 //! design stores its generalized bitstream, and every later run on the
 //! same inputs is a cache hit that skips synth/map/TPaR entirely.
@@ -29,12 +29,15 @@
 //! switch the observability layer on; `pfdbg report` digests a trace
 //! file back into a summary.
 
+use pfdbg_arch::{BitstreamLayout, IcapModel};
 use pfdbg_core::{
     compare_mappers, instrument, offline, prepare_instrumented, rank_signals, DebugSession,
-    InstrumentConfig, OfflineConfig, PAPER_K,
+    InstrumentConfig, Instrumented, OfflineConfig, PAPER_K,
 };
+use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_netlist::{blif, Network};
-use pfdbg_pconf::OnlineReconfigurator;
+use pfdbg_pconf::{OnlineReconfigurator, Scg};
+use pfdbg_replay::{ChaosSpec, DesignSpec};
 use pfdbg_store::{ArtifactStore, CacheOutcome};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -167,7 +170,7 @@ fn print_usage() {
          \x20 pfdbg bench-list\n\
          \n\
          global flags: --profile (span report on exit), --trace-out <f.jsonl>\n\
-         store flags (offline/observe/serve): --store-dir <dir> (default .pfdbg-store), --no-store\n\
+         store flags (offline/observe/scrub/serve): --store-dir <dir> (default .pfdbg-store), --no-store\n\
          `@name` uses a generated benchmark from the calibrated suite."
     );
 }
@@ -190,67 +193,40 @@ fn flag_f64(rest: &[String], name: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-/// Chaos knobs shared by `observe` and `serve`: an ICAP fault-injection
-/// config (explicit `--icap-fault-rate`, falling back to
-/// `PFDBG_ICAP_FAULT_RATE`) and the commit retry policy.
-fn chaos_from_flags(
-    rest: &[String],
-) -> Result<(Option<pfdbg_emu::IcapFaultConfig>, pfdbg_pconf::CommitPolicy), String> {
+/// The chaos flags of `observe`, `scrub`, `serve` and `record` as one
+/// [`ChaosSpec`]: ICAP transport faults (`--icap-fault-rate` with
+/// `--icap-seed`, falling back to `PFDBG_ICAP_FAULT_RATE`), upsets (an
+/// explicit `--seu-rate` with `--seu-seed`/`--seu-burst` wins,
+/// `PFDBG_SEU_RATE` is the fallback, and an explicit rate of 0 disables
+/// injection even when the environment is set) and the commit retry
+/// budget (`--max-retries`).
+fn chaos_from_flags(rest: &[String]) -> Result<ChaosSpec, String> {
     let rate = flag_f64(rest, "--icap-fault-rate", 0.0)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("--icap-fault-rate expects a rate in [0, 1], got {rate}"));
     }
     let seed = flag_usize(rest, "--icap-seed", 0x1CAB_FA17)? as u64;
-    let defaults = pfdbg_pconf::CommitPolicy::default();
-    let policy = pfdbg_pconf::CommitPolicy {
-        max_retries: flag_usize(rest, "--max-retries", defaults.max_retries as usize)? as u32,
-        ..defaults
-    };
     let fault = if rate > 0.0 {
-        Some(pfdbg_emu::IcapFaultConfig::uniform(rate, seed))
+        Some(IcapFaultConfig::uniform(rate, seed))
     } else {
-        pfdbg_emu::IcapFaultConfig::from_env()
+        IcapFaultConfig::from_env()
     };
-    Ok((fault, policy))
-}
-
-/// SEU knobs shared by `scrub` and `serve`: an explicit `--seu-rate`
-/// (with `--seu-seed`/`--seu-burst`) wins, `PFDBG_SEU_RATE` is the
-/// fallback, and an explicit rate of 0 disables injection even when the
-/// environment is set.
-fn seu_from_flags(rest: &[String]) -> Result<Option<pfdbg_emu::SeuConfig>, String> {
-    let Some(rate) = flag(rest, "--seu-rate") else {
-        return Ok(pfdbg_emu::SeuConfig::from_env());
+    let seu = match flag(rest, "--seu-rate") {
+        None => SeuConfig::from_env(),
+        Some(rate) => {
+            let rate: f64 =
+                rate.parse().map_err(|_| format!("--seu-rate expects a number, got {rate:?}"))?;
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("--seu-rate expects a rate in [0, 1], got {rate}"));
+            }
+            let seed = flag_usize(rest, "--seu-seed", 0x5EED_05E0)? as u64;
+            let burst = flag_usize(rest, "--seu-burst", 1)?.max(1);
+            (rate > 0.0).then_some(SeuConfig { rate, burst, seed })
+        }
     };
-    let rate: f64 =
-        rate.parse().map_err(|_| format!("--seu-rate expects a number, got {rate:?}"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--seu-rate expects a rate in [0, 1], got {rate}"));
-    }
-    if rate == 0.0 {
-        return Ok(None);
-    }
-    let seed = flag_usize(rest, "--seu-seed", 0x5EED_05E0)? as u64;
-    let burst = flag_usize(rest, "--seu-burst", 1)?.max(1);
-    Ok(Some(pfdbg_emu::SeuConfig { rate, burst, seed }))
-}
-
-/// Assemble an [`OnlineReconfigurator`] over a reliable in-memory
-/// channel, or over one injecting transport faults and upsets when
-/// chaos is configured. Turns and scrub repairs commit under `policy`.
-fn build_online(
-    scg: pfdbg_pconf::Scg,
-    layout: pfdbg_arch::BitstreamLayout,
-    icap: pfdbg_arch::IcapModel,
-    fault: Option<pfdbg_emu::IcapFaultConfig>,
-    policy: pfdbg_pconf::CommitPolicy,
-    seu: Option<pfdbg_emu::SeuConfig>,
-) -> OnlineReconfigurator {
-    let image = Arc::new(scg.generalized().base.clone());
-    let channel = pfdbg_emu::channel_stack(image, layout.frame_bits, seu, fault);
-    let attempts = pfdbg_pconf::ScrubPolicy::default().max_repair_attempts;
-    let session = pfdbg_pconf::Session::new(&scg, channel, policy, attempts);
-    OnlineReconfigurator::with_session(scg, layout, icap, session)
+    let reliable = ChaosSpec::reliable();
+    let max_retries = flag_usize(rest, "--max-retries", reliable.max_retries as usize)? as u32;
+    Ok(ChaosSpec { fault, seu, max_retries, ..reliable })
 }
 
 fn load_design(rest: &[String]) -> Result<(String, Network), String> {
@@ -281,6 +257,29 @@ fn store_from_flags(rest: &[String]) -> Result<Option<ArtifactStore>, String> {
     }
     let dir = flag(rest, "--store-dir").unwrap_or_else(|| ".pfdbg-store".into());
     ArtifactStore::open(dir).map(Some)
+}
+
+/// The compiled design of `inst`: through the artifact store, with a
+/// diagnostic saying whether it hit, or straight from the offline flow
+/// under `--no-store`.
+fn compile(
+    rest: &[String],
+    inst: &Instrumented,
+    k: usize,
+) -> Result<(Scg, BitstreamLayout, IcapModel), String> {
+    let cfg = OfflineConfig { k, ..Default::default() };
+    let Some(store) = store_from_flags(rest)? else {
+        let off = offline(inst, &cfg)?;
+        let scg = off.scg.ok_or("offline flow produced no SCG")?;
+        let layout = off.layout.ok_or("offline flow produced no layout")?;
+        return Ok((scg, layout, off.icap));
+    };
+    let (d, outcome) = store.offline_cached(inst, &cfg)?;
+    pfdbg_obs::diag(match outcome {
+        CacheOutcome::Hit => "artifact store: hit (offline flow skipped)",
+        CacheOutcome::Miss => "artifact store: miss (compiled and stored)",
+    });
+    Ok((d.scg, d.layout, d.icap))
 }
 
 fn icfg(rest: &[String]) -> Result<InstrumentConfig, String> {
@@ -480,29 +479,14 @@ fn cmd_observe(rest: &[String]) -> Result<(), String> {
         signals_arg.split(',').map(str::to_string).collect()
     };
     let wanted: Vec<&str> = wanted.iter().map(String::as_str).collect();
-    let cfg = OfflineConfig { k, ..Default::default() };
-    let (fault, policy) = chaos_from_flags(rest)?;
-    let online = match store_from_flags(rest)? {
-        Some(store) => {
-            let (d, outcome) = store.offline_cached(&inst, &cfg)?;
-            pfdbg_obs::diag(match outcome {
-                CacheOutcome::Hit => "artifact store: hit (offline flow skipped)",
-                CacheOutcome::Miss => "artifact store: miss (compiled and stored)",
-            });
-            Some(build_online(d.scg, d.layout, d.icap, fault, policy, None))
-        }
-        None => {
-            let off = offline(&inst, &cfg)?;
-            match (off.scg, off.layout) {
-                (Some(scg), Some(layout)) => {
-                    Some(build_online(scg, layout, off.icap, fault, policy, None))
-                }
-                _ => None,
-            }
-        }
-    };
+    // The observed device takes no upsets: repairing them is `scrub`'s.
+    let chaos = ChaosSpec { seu: None, ..chaos_from_flags(rest)? };
+    let (scg, layout, icap) = compile(rest, &inst, k)?;
+    let image = Arc::new(scg.generalized().base.clone());
+    let state = chaos.session(&scg, image, layout.frame_bits, None, |c| c);
+    let online = OnlineReconfigurator::with_session(scg, layout, icap, state);
     let dut = inst.network.clone();
-    let mut session = DebugSession::new(inst, online);
+    let mut session = DebugSession::new(inst, Some(online));
     let wf = session.observe(&dut, &wanted, cycles, 0xD0, &[])?;
     println!("captured {} cycles of {name}:", wf.n_samples());
     print!("{}", wf.render_ascii());
@@ -591,30 +575,17 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
     let turns = flag_usize(rest, "--turns", 50)?;
     let scrub_every = flag_usize(rest, "--scrub-every", 5)?.max(1);
     let (_, _, inst) = prepare_instrumented(&nw, &icfg(rest)?, k)?;
-    let cfg = OfflineConfig { k, ..Default::default() };
-    let (scg, layout, icap) = match store_from_flags(rest)? {
-        Some(store) => {
-            let (d, _) = store.offline_cached(&inst, &cfg)?;
-            (d.scg, d.layout, d.icap)
-        }
-        None => {
-            let off = offline(&inst, &cfg)?;
-            let scg = off.scg.ok_or("offline flow produced no SCG")?;
-            let layout = off.layout.ok_or("offline flow produced no layout")?;
-            (scg, layout, off.icap)
-        }
-    };
+    let (scg, layout, icap) = compile(rest, &inst, k)?;
 
-    let (fault, policy) = chaos_from_flags(rest)?;
+    let chaos = chaos_from_flags(rest)?;
     // A scrub demo with nothing to scrub is pointless: default the
     // upset rate up when neither the flag nor the environment set one.
-    let seu = seu_from_flags(rest)?.unwrap_or(pfdbg_emu::SeuConfig {
-        rate: 0.02,
-        burst: 2,
-        seed: 0x5EED_05E0,
-    });
+    let seu = chaos.seu.unwrap_or(SeuConfig { rate: 0.02, burst: 2, seed: 0x5EED_05E0 });
+    let chaos = ChaosSpec { seu: Some(seu), ..chaos };
     let n_params = inst.annotations.len();
-    let mut online = build_online(scg, layout, icap, fault, policy, Some(seu));
+    let image = Arc::new(scg.generalized().base.clone());
+    let session = chaos.session(&scg, image, layout.frame_bits, None, |c| c);
+    let mut online = OnlineReconfigurator::with_session(scg, layout, icap, session);
 
     println!(
         "scrub demo on {name}: {turns} turns, SEU rate {} (burst {}, seed {:#x}), \
@@ -672,88 +643,58 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
 
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
     use pfdbg_serve::session::Engine;
-    use pfdbg_serve::{FleetOptions, Server, ServerConfig, SessionManager};
+    use pfdbg_serve::{
+        DeviceOptions, FleetOptions, JournalOptions, ManagerOptions, Server, ServerConfig,
+        SessionManager,
+    };
 
     let (name, nw) = load_design(rest)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;
-    let (_, _, inst) = prepare_instrumented(&nw, &icfg(rest)?, k)?;
-    let cfg = OfflineConfig { k, ..Default::default() };
-    let (scg, layout, icap) = match store_from_flags(rest)? {
-        Some(store) => {
-            let (d, outcome) = store.offline_cached(&inst, &cfg)?;
-            pfdbg_obs::diag(match outcome {
-                CacheOutcome::Hit => "artifact store: hit (offline flow skipped)",
-                CacheOutcome::Miss => "artifact store: miss (compiled and stored)",
-            });
-            (d.scg, d.layout, d.icap)
-        }
-        None => {
-            let off = offline(&inst, &cfg)?;
-            let scg = off.scg.ok_or("offline flow produced no SCG")?;
-            let layout = off.layout.ok_or("offline flow produced no layout")?;
-            (scg, layout, off.icap)
-        }
-    };
+    let icfg = icfg(rest)?;
+    let (_, _, inst) = prepare_instrumented(&nw, &icfg, k)?;
+    let (scg, layout, icap) = compile(rest, &inst, k)?;
 
     let n_params = inst.annotations.len();
     let workers = flag_usize(rest, "--workers", 8)?;
-    let cache = flag_usize(rest, "--cache", 64)?;
     let addr = match (flag(rest, "--addr"), flag(rest, "--port")) {
         (Some(a), _) => a,
         (None, Some(p)) => format!("127.0.0.1:{p}"),
         (None, None) => "127.0.0.1:0".into(),
     };
-    let (fault, policy) = chaos_from_flags(rest)?;
-    let seu = seu_from_flags(rest)?;
     let scrub_interval_ms = flag_f64(rest, "--scrub-interval", 0.0)?;
-    // Fleet shape: 0 takes the defaults (`PFDBG_SHARDS`, else 4 shards;
-    // 1024-job inboxes).
-    let shards = flag_usize(rest, "--shards", 0)?;
-    let inbox_cap = flag_usize(rest, "--inbox-cap", 0)?;
+    let chaos = chaos_from_flags(rest)?;
+    let journal = match flag(rest, "--journal-dir") {
+        Some(dir) => {
+            std::fs::create_dir_all(&dir).map_err(|e| format!("{dir}: {e}"))?;
+            println!("pfdbg serve: journaling sessions to {dir}");
+            let design = journal_design(rest)?;
+            Some(JournalOptions { dir: dir.into(), design, coverage: icfg.coverage, k })
+        }
+        None => None,
+    };
     // Device fleet: `--devices N` serves over N supervised primaries
     // plus `--spares` hot spares (health ladders, watchdogs, and
     // journal-backed failover); without it, one unsupervised device.
     let devices = flag_usize(rest, "--devices", 0)?;
     let spares = flag_usize(rest, "--spares", 1)?;
-    let engine = Arc::new(Engine::new(inst, scg, layout, icap));
-    let scrub_policy = pfdbg_pconf::ScrubPolicy { commit: policy, ..Default::default() };
-    let fleet = FleetOptions { shards, inbox_capacity: inbox_cap };
-    let mut manager = if devices > 0 {
-        SessionManager::with_devices(
-            engine,
-            cache,
-            fault,
-            policy,
-            seu,
-            scrub_policy,
-            fleet,
-            pfdbg_serve::DeviceOptions { devices, spares, ..Default::default() },
-        )
-    } else {
-        SessionManager::with_fleet(engine, cache, fault, policy, seu, scrub_policy, fleet)
+    let opts = ManagerOptions {
+        cache_capacity: flag_usize(rest, "--cache", 64)?,
+        chaos,
+        // Fleet shape: 0 takes the defaults (`PFDBG_SHARDS`, else 4
+        // shards; 1024-job inboxes).
+        fleet: FleetOptions {
+            shards: flag_usize(rest, "--shards", 0)?,
+            inbox_capacity: flag_usize(rest, "--inbox-cap", 0)?,
+        },
+        devices: (devices > 0).then_some(DeviceOptions { devices, spares, ..Default::default() }),
+        journal,
     };
-    if let Some(dir) = flag(rest, "--journal-dir") {
-        std::fs::create_dir_all(&dir).map_err(|e| format!("{dir}: {e}"))?;
-        manager.set_journal_dir(dir.clone().into());
-        // Record the design's provenance so the journals are
-        // self-contained (replayable by `pfdbg replay` offline). A
-        // design loaded from a file stays replayable as long as the
-        // file does.
-        let arg = rest.first().expect("load_design checked the design arg");
-        manager.set_journal_design(design_spec_of(arg)?, icfg(rest)?.coverage, k);
-        println!("pfdbg serve: journaling sessions to {dir}");
-    }
+    let manager = SessionManager::new(Arc::new(Engine::new(inst, scg, layout, icap)), opts);
     let n_shards = manager.shard_count();
     let inbox_capacity = manager.inbox_capacity();
     let handle = Server::start(
         manager,
-        ServerConfig {
-            addr,
-            workers,
-            cache_capacity: cache,
-            scrub_interval_ms,
-            ..ServerConfig::default()
-        },
+        ServerConfig { addr, workers, scrub_interval_ms, ..ServerConfig::default() },
     )?;
     let local = handle.local_addr();
     let (n_devices, n_primaries) = handle.sessions().device_counts();
@@ -775,11 +716,10 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Map a design argument to a journal [`pfdbg_replay::DesignSpec`]. `gen:SEED` is a
+/// Map a design argument to a journal [`DesignSpec`]. `gen:SEED` is a
 /// canonical small synthetic design (record/replay only); `@name` is a
 /// suite benchmark; anything else is a netlist file path.
-fn design_spec_of(arg: &str) -> Result<pfdbg_replay::DesignSpec, String> {
-    use pfdbg_replay::DesignSpec;
+fn design_spec_of(arg: &str) -> Result<DesignSpec, String> {
     if let Some(seed) = arg.strip_prefix("gen:") {
         let seed: u64 =
             seed.parse().map_err(|_| format!("gen: expects a numeric seed, got {seed:?}"))?;
@@ -798,6 +738,18 @@ fn design_spec_of(arg: &str) -> Result<pfdbg_replay::DesignSpec, String> {
     Ok(DesignSpec::File { path: arg.to_string() })
 }
 
+/// The design a serve journal records: the design argument's, which
+/// `pfdbg replay` rebuilds, unless `--max-signals` limited the
+/// instrumentation. No journal meta records that limit, so such
+/// journals are `External`: they re-drive on the live engine (restore
+/// and the server's `replay` verb), not standalone.
+fn journal_design(rest: &[String]) -> Result<DesignSpec, String> {
+    if icfg(rest)?.max_signals.is_some() {
+        return Ok(DesignSpec::External);
+    }
+    design_spec_of(rest.first().ok_or("expected a design file or @benchmark")?)
+}
+
 /// splitmix64 step — the CLI's deterministic parameter-vector source,
 /// so `record --seed S` always journals the same session.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -809,21 +761,23 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 fn cmd_record(rest: &[String]) -> Result<(), String> {
-    use pfdbg_replay::{ChaosSpec, Recorder, SessionMeta};
+    use pfdbg_replay::{Recorder, SessionMeta};
 
     let arg = rest
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("expected a design file, @benchmark, or gen:SEED")?;
+    if flag(rest, "--max-signals").is_some() {
+        return Err("record does not take --max-signals: a journal meta cannot record it, \
+                    so its replay would rebuild a different design"
+            .into());
+    }
     let out = flag(rest, "--out").ok_or("--out expects a journal path (.pfdj)")?;
     let turns = flag_usize(rest, "--turns", 8)?;
     let scrub_every = flag_usize(rest, "--scrub-every", 0)?;
     let seed = flag_usize(rest, "--seed", 0x00C0_FFEE)? as u64;
     let k = flag_usize(rest, "--k", PAPER_K)?;
     let icfg = icfg(rest)?;
-    let (fault, policy) = chaos_from_flags(rest)?;
-    let seu = seu_from_flags(rest)?;
-    let scrub_policy = pfdbg_pconf::ScrubPolicy { commit: policy, ..Default::default() };
     let meta = SessionMeta {
         session: flag(rest, "--session").unwrap_or_else(|| "cli".into()),
         derive_seeds: false,
@@ -832,7 +786,7 @@ fn cmd_record(rest: &[String]) -> Result<(), String> {
         coverage: icfg.coverage,
         k,
         n_params: 0, // the recorder fills this from the built design
-        chaos: ChaosSpec::from_parts(fault, seu, &policy, &scrub_policy),
+        chaos: chaos_from_flags(rest)?,
         threads: 0,
         note: format!("pfdbg record {arg} --seed {seed}"),
     };
@@ -1159,5 +1113,62 @@ fn render_top(
             s.num("quarantined").unwrap_or(0.0),
             s.num("flight_events").unwrap_or(0.0),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn chaos_flags_parse_into_one_spec() {
+        let chaos = chaos_from_flags(&args(&[
+            "gen:33",
+            "--icap-fault-rate",
+            "0.25",
+            "--icap-seed",
+            "7",
+            "--seu-rate",
+            "0.03",
+            "--seu-seed",
+            "909",
+            "--seu-burst",
+            "3",
+            "--max-retries",
+            "2",
+        ]))
+        .unwrap();
+        let want = ChaosSpec {
+            fault: Some(IcapFaultConfig::uniform(0.25, 7)),
+            seu: Some(SeuConfig { rate: 0.03, burst: 3, seed: 909 }),
+            max_retries: 2,
+            ..ChaosSpec::reliable()
+        };
+        assert_eq!(chaos, want);
+        assert!(chaos_from_flags(&args(&["gen:33", "--seu-rate", "2"])).is_err());
+    }
+
+    #[test]
+    fn serve_journals_name_the_design_unless_max_signals_limits_it() {
+        let bench = DesignSpec::Bench { name: "stereov.".into() };
+        assert_eq!(journal_design(&args(&["@stereov."])), Ok(bench));
+        let limited = args(&["@stereov.", "--max-signals", "6"]);
+        assert_eq!(journal_design(&limited), Ok(DesignSpec::External));
+    }
+
+    #[test]
+    fn record_refuses_max_signals_before_writing() {
+        let out = std::env::temp_dir()
+            .join(format!("pfdbg-cli-record-max-signals-{}.pfdj", std::process::id()));
+        std::fs::remove_file(&out).ok();
+        let out_arg = out.to_string_lossy().into_owned();
+        let rest = args(&["gen:11", "--out", &out_arg, "--turns", "2", "--max-signals", "4"]);
+        let err = cmd_record(&rest).unwrap_err();
+        assert!(err.contains("--max-signals"), "{err}");
+        assert!(!out.exists(), "a refused recording wrote {}", out.display());
     }
 }

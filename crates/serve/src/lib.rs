@@ -23,6 +23,7 @@ mod telemetry;
 pub use protocol::{Reply, Request};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use session::{
-    primary_device_of, Counts, DeviceOptions, FleetOptions, SessionManager, TurnOutcome,
+    primary_device_of, Counts, DeviceOptions, FleetOptions, JournalOptions, ManagerOptions,
+    SessionManager, TurnOutcome,
 };
 pub use shard::ShardHold;

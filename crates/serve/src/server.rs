@@ -45,7 +45,9 @@ pub struct ServerConfig {
     /// Honor `{"op":"shutdown"}` from clients (handy for smoke tests
     /// and load generators; disable for long-lived servers).
     pub allow_remote_shutdown: bool,
-    /// LRU capacity, in specializations (packed tunable words).
+    /// Unread: the manager's LRU is sized by
+    /// [`crate::ManagerOptions::cache_capacity`]. pfbench reads this
+    /// default; the field goes with the benchmark change.
     pub cache_capacity: usize,
     /// Background scrub interval in milliseconds; `0` (or anything
     /// non-finite/non-positive) disables the scrubber thread. Each

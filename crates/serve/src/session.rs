@@ -179,8 +179,8 @@ pub struct HealthReport {
     pub turns: usize,
 }
 
-/// Device-fleet shape and supervision thresholds. Passing this to
-/// [`SessionManager::with_devices`] opts the manager into fleet
+/// Device-fleet shape and supervision thresholds. Setting
+/// [`ManagerOptions::devices`] opts the manager into fleet
 /// supervision: sessions hash across `devices` primaries, every commit
 /// and scrub pass feeds the owning device's health ladder and deadline
 /// watchdog, and a quarantined or failed device drains onto a spare by
@@ -273,24 +273,6 @@ impl DeviceFleet {
 /// independent of shard count.
 pub fn primary_device_of(name: &str, primaries: usize) -> usize {
     (session_seed(0xDE1C, name) % primaries.max(1) as u64) as usize
-}
-
-/// Journal configuration, settable until serving starts (behind a
-/// mutex because shards hold the core behind an `Arc` from birth).
-struct JournalCfg {
-    /// When set, every session appends its turns to
-    /// `<dir>/<session file>.pfdj` and `open` restores
-    /// crash-interrupted sessions by re-driving their journals.
-    dir: Option<PathBuf>,
-    /// Design provenance written into journal metas. `External` (the
-    /// default) marks journals replayable only against an embedder
-    /// holding the same engine; a self-contained spec (set when the
-    /// design came from a generator or benchmark) makes them replayable
-    /// standalone.
-    design: DesignSpec,
-    /// `(coverage, k)` of the engine build, recorded into journal metas
-    /// so self-contained journals rebuild the identical design.
-    build: (usize, usize),
 }
 
 /// A specialization as the LRU holds it: the packed tunable words of
@@ -414,7 +396,10 @@ pub(crate) struct ManagerCore {
     /// quarantines a frame, served by the `dump` verb with no session
     /// argument.
     last_dump: Mutex<Option<(String, String)>>,
-    journal: Mutex<JournalCfg>,
+    /// Session journaling, `None` when off. Behind a lock only so that
+    /// [`SessionManager::set_journal_dir`] can set it after the shards
+    /// hold the core.
+    journal: Mutex<Option<JournalOptions>>,
     pub(crate) counts: CountTable,
     /// Open sessions: a level, not an event count.
     session_count: AtomicU64,
@@ -435,21 +420,20 @@ impl ManagerCore {
     /// name embeds a hash of the session name so any client-chosen name
     /// maps to a filesystem-safe, restart-stable path.
     fn journal_path(&self, name: &str) -> Option<PathBuf> {
-        let dir = relock(&self.journal).dir.clone()?;
         let safe: String = name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
             .take(48)
             .collect();
-        Some(dir.join(format!("{safe}-{:016x}.pfdj", session_seed(0x1757, name))))
+        let file = format!("{safe}-{:016x}.pfdj", session_seed(0x1757, name));
+        Some(relock(&self.journal).as_ref()?.dir.join(file))
     }
 
     /// The meta record for a fresh journal of session `name`.
     fn journal_meta(&self, name: &str) -> SessionMeta {
-        let (design, (coverage, k)) = {
-            let cfg = relock(&self.journal);
-            (cfg.design.clone(), cfg.build)
-        };
+        let (design, coverage, k) = relock(&self.journal)
+            .as_ref()
+            .map_or((DesignSpec::External, 1, 4), |j| (j.design.clone(), j.coverage, j.k));
         SessionMeta {
             session: name.to_string(),
             // Serve journals store the *configured* base seeds and
@@ -1397,6 +1381,69 @@ impl FleetOptions {
     }
 }
 
+/// Session journaling: every session appends its turns to a `PFDJ`
+/// journal under `dir`, and `open` restores a crash-interrupted session
+/// by re-driving its journal.
+#[derive(Debug, Clone)]
+pub struct JournalOptions {
+    /// The journal directory.
+    pub dir: PathBuf,
+    /// Design provenance written into journal metas. `External` marks
+    /// journals replayable only against an embedder holding the same
+    /// engine; a generator, benchmark or file spec makes them
+    /// replayable standalone by `pfdbg replay`.
+    pub design: DesignSpec,
+    /// Instrumentation coverage of the engine build, recorded into
+    /// journal metas so self-contained journals rebuild the same design.
+    pub coverage: usize,
+    /// LUT size of the engine build, recorded likewise.
+    pub k: usize,
+}
+
+impl JournalOptions {
+    /// Journals under `dir` that name no design: `External`, with the
+    /// `(coverage, k) = (1, 4)` every such meta has recorded.
+    pub fn external(dir: PathBuf) -> JournalOptions {
+        JournalOptions { dir, design: DesignSpec::External, coverage: 1, k: 4 }
+    }
+}
+
+/// Everything a [`SessionManager`] is built from.
+#[derive(Debug, Clone)]
+pub struct ManagerOptions {
+    /// LRU capacity, in specializations (packed tunable words).
+    pub cache_capacity: usize,
+    /// The chaos every session is built from and every journal meta
+    /// records, so a journal describes exactly what ran. Sessions salt
+    /// its seeds with their names; turns and scrub repairs both commit
+    /// under its policy.
+    pub chaos: ChaosSpec,
+    /// Shard count and per-shard inbox capacity.
+    pub fleet: FleetOptions,
+    /// A supervised device fleet: sessions hash across its primaries,
+    /// commits and scrubs feed each device's health ladder and
+    /// watchdog, and a killed, quarantined or failed device drains its
+    /// sessions onto a spare by re-driving their journals. `None` routes
+    /// every session through one implicit, unsupervised device.
+    pub devices: Option<DeviceOptions>,
+    /// Session journaling; `None` records nothing.
+    pub journal: Option<JournalOptions>,
+}
+
+impl Default for ManagerOptions {
+    /// 64 LRU entries, a reliable transport, the default fleet, no
+    /// device supervision and no journal.
+    fn default() -> Self {
+        ManagerOptions {
+            cache_capacity: 64,
+            chaos: ChaosSpec::reliable(),
+            fleet: FleetOptions::default(),
+            devices: None,
+            journal: None,
+        }
+    }
+}
+
 /// The session fleet: N shard threads owning disjoint slices of the
 /// session space, plus the shared `ManagerCore`. Every method routes
 /// to the owning shard's inbox and blocks for the answer, so embedders
@@ -1408,123 +1455,24 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// A manager over `engine` with an LRU of `cache_capacity`
-    /// specializations (packed tunable words) and a reliable transport.
-    pub fn new(engine: Arc<Engine>, cache_capacity: usize) -> SessionManager {
-        Self::with_chaos(engine, cache_capacity, None, CommitPolicy::default())
-    }
-
-    /// Like [`SessionManager::new`], but each session's channel injects
-    /// faults per `fault` (None = reliable) and commits retry per
-    /// `policy`. Every session derives its own deterministic fault
-    /// seed from `fault.seed` and the session name.
-    pub fn with_chaos(
-        engine: Arc<Engine>,
-        cache_capacity: usize,
-        fault: Option<IcapFaultConfig>,
-        policy: CommitPolicy,
-    ) -> SessionManager {
-        Self::with_chaos_scrub(engine, cache_capacity, fault, policy, None, ScrubPolicy::default())
-    }
-
-    /// The full chaos constructor: transport faults on the write path
-    /// (`fault`), single-event upsets striking each session's
-    /// configuration memory between turns (`seu`), and how many failed
-    /// repairs a frame survives before quarantine. Of `scrub_policy`
-    /// only `max_repair_attempts` counts: the arguments become one
-    /// [`ChaosSpec`], every session is built from it and every journal
-    /// meta records it, so repairs commit under `policy` with the
-    /// session's jitter seed — exactly as a replay of the journal does.
-    /// SEU injection is never read from the environment here — callers
-    /// (CLI, bench, tests) decide, so a stray `PFDBG_SEU_RATE` cannot
-    /// silently corrupt a manager built for reliable devices. Fleet
-    /// shape comes from [`FleetOptions::default`] (env-overridable);
-    /// use [`SessionManager::with_fleet`] to pin it.
-    pub fn with_chaos_scrub(
-        engine: Arc<Engine>,
-        cache_capacity: usize,
-        fault: Option<IcapFaultConfig>,
-        policy: CommitPolicy,
-        seu: Option<SeuConfig>,
-        scrub_policy: ScrubPolicy,
-    ) -> SessionManager {
-        Self::with_fleet(
-            engine,
-            cache_capacity,
-            fault,
-            policy,
-            seu,
-            scrub_policy,
-            FleetOptions::default(),
-        )
-    }
-
-    /// [`SessionManager::with_chaos_scrub`] with an explicit fleet
-    /// shape (shard count, per-shard inbox capacity). Of `scrub_policy`
-    /// only `max_repair_attempts` counts, as there.
-    pub fn with_fleet(
-        engine: Arc<Engine>,
-        cache_capacity: usize,
-        fault: Option<IcapFaultConfig>,
-        policy: CommitPolicy,
-        seu: Option<SeuConfig>,
-        scrub_policy: ScrubPolicy,
-        fleet: FleetOptions,
-    ) -> SessionManager {
-        Self::build(engine, cache_capacity, fault, policy, seu, scrub_policy, fleet, None)
-    }
-
-    /// The everything constructor: [`SessionManager::with_fleet`] plus
-    /// a supervised device fleet. Sessions hash across
-    /// `devices.devices` primary devices, commits and scrubs feed each
-    /// device's health ladder and deadline watchdog, and a device that
-    /// is killed, quarantined, or failed drains its sessions onto the
-    /// spare pool by re-driving their journals. Without this
-    /// constructor no fleet exists and the manager behaves exactly as
-    /// before — one implicit, unsupervised device. Of `scrub_policy`
-    /// only `max_repair_attempts` counts, as in
-    /// [`SessionManager::with_chaos_scrub`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_devices(
-        engine: Arc<Engine>,
-        cache_capacity: usize,
-        fault: Option<IcapFaultConfig>,
-        policy: CommitPolicy,
-        seu: Option<SeuConfig>,
-        scrub_policy: ScrubPolicy,
-        fleet: FleetOptions,
-        devices: DeviceOptions,
-    ) -> SessionManager {
-        Self::build(engine, cache_capacity, fault, policy, seu, scrub_policy, fleet, Some(devices))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        engine: Arc<Engine>,
-        cache_capacity: usize,
-        fault: Option<IcapFaultConfig>,
-        policy: CommitPolicy,
-        seu: Option<SeuConfig>,
-        scrub_policy: ScrubPolicy,
-        fleet: FleetOptions,
-        devices: Option<DeviceOptions>,
-    ) -> SessionManager {
+    /// A manager over `engine`, configured by `opts`. SEU injection is
+    /// never read from the environment here: callers (CLI, bench,
+    /// tests) decide, so a stray `PFDBG_SEU_RATE` cannot silently
+    /// corrupt a manager built for reliable devices.
+    pub fn new(engine: Arc<Engine>, opts: ManagerOptions) -> SessionManager {
+        let ManagerOptions { cache_capacity, chaos, fleet, devices, journal } = opts;
         let tunables = TunableFrames::new(&engine.scg, &engine.layout);
         let image = Arc::new(engine.scg.generalized().base.clone());
         let core = Arc::new(ManagerCore {
             engine,
             cache: Mutex::new(LruCache::new(cache_capacity)),
-            chaos: ChaosSpec::from_parts(fault, seu, &policy, &scrub_policy),
+            chaos,
             tunables,
             image,
             fleet: devices.map(DeviceFleet::new),
             inboxes: OnceLock::new(),
             last_dump: Mutex::new(None),
-            journal: Mutex::new(JournalCfg {
-                dir: None,
-                design: DesignSpec::External,
-                build: (1, 4),
-            }),
+            journal: Mutex::new(journal),
             counts: CountTable::default(),
             session_count: AtomicU64::new(0),
         });
@@ -1536,6 +1484,55 @@ impl SessionManager {
         // core learns them once, right after the shards exist.
         let _ = core.inboxes.set(shards.iter().map(|h| h.inbox.clone()).collect());
         SessionManager { core, shards }
+    }
+
+    /// [`SessionManager::new`] with its chaos assembled by
+    /// [`ChaosSpec::from_parts`], so of `scrub_policy` only
+    /// `max_repair_attempts` counts. pfbench is its last caller; it goes
+    /// with the benchmark change.
+    pub fn with_fleet(
+        engine: Arc<Engine>,
+        cache_capacity: usize,
+        fault: Option<IcapFaultConfig>,
+        policy: CommitPolicy,
+        seu: Option<SeuConfig>,
+        scrub_policy: ScrubPolicy,
+        fleet: FleetOptions,
+    ) -> SessionManager {
+        Self::new(
+            engine,
+            ManagerOptions {
+                cache_capacity,
+                chaos: ChaosSpec::from_parts(fault, seu, &policy, &scrub_policy),
+                fleet,
+                ..ManagerOptions::default()
+            },
+        )
+    }
+
+    /// [`SessionManager::with_fleet`] over a supervised device fleet.
+    /// pfbench is its last caller; it goes with the benchmark change.
+    #[allow(clippy::too_many_arguments)]
+    pub fn with_devices(
+        engine: Arc<Engine>,
+        cache_capacity: usize,
+        fault: Option<IcapFaultConfig>,
+        policy: CommitPolicy,
+        seu: Option<SeuConfig>,
+        scrub_policy: ScrubPolicy,
+        fleet: FleetOptions,
+        devices: DeviceOptions,
+    ) -> SessionManager {
+        Self::new(
+            engine,
+            ManagerOptions {
+                cache_capacity,
+                chaos: ChaosSpec::from_parts(fault, seu, &policy, &scrub_policy),
+                fleet,
+                devices: Some(devices),
+                ..ManagerOptions::default()
+            },
+        )
     }
 
     /// The shared engine.
@@ -1596,23 +1593,13 @@ impl SessionManager {
         self.core.chaos.seu.map_or(0.0, |s| s.rate)
     }
 
-    /// Enable session journaling: every session opened afterwards
-    /// appends its turns to a `PFDJ` journal under `dir`, and `open`
-    /// restores crash-interrupted sessions from their journals. Call
-    /// before the manager starts serving.
+    /// Journal every session opened afterwards under `dir`, as
+    /// [`JournalOptions::external`] configures it. Call before the
+    /// manager starts serving. pfbench is its last caller; it goes with
+    /// the benchmark change, and with it the lock around the manager's
+    /// journal options.
     pub fn set_journal_dir(&mut self, dir: PathBuf) {
-        relock(&self.core.journal).dir = Some(dir);
-    }
-
-    /// Record the design's provenance plus the `(coverage, k)` it was
-    /// instrumented with, making this server's journals self-contained
-    /// (replayable by `pfdbg replay` without the server). Without this,
-    /// journals carry [`DesignSpec::External`] and replay only through
-    /// the `replay` verb of a server holding the same engine.
-    pub fn set_journal_design(&mut self, design: DesignSpec, coverage: usize, k: usize) {
-        let mut cfg = relock(&self.core.journal);
-        cfg.design = design;
-        cfg.build = (coverage, k);
+        *relock(&self.core.journal) = Some(JournalOptions::external(dir));
     }
 
     /// Run `f` on the shard thread owning index `idx` and wait for its
@@ -1742,7 +1729,7 @@ impl SessionManager {
     /// The configured journal directory, if journaling is on. The
     /// `replay` verb resolves its (relative) argument against this.
     pub fn journal_dir(&self) -> Option<PathBuf> {
-        relock(&self.core.journal).dir.clone()
+        relock(&self.core.journal).as_ref().map(|j| j.dir.clone())
     }
 
     /// `(total devices, primaries)` — `(1, 1)` when no fleet is

@@ -4,9 +4,8 @@
 //! while one shard is wedged.
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
-use pfdbg_pconf::{CommitPolicy, ScrubPolicy};
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, FleetOptions, SessionManager};
+use pfdbg_serve::session::{Engine, FleetOptions, ManagerOptions, SessionManager};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -34,14 +33,13 @@ fn build_engine() -> Engine {
 /// Two shards, a two-slot client inbox each: small enough that a held
 /// shard sheds within a handful of pipelined requests.
 fn start_tiny_fleet() -> ServerHandle {
-    let manager = SessionManager::with_fleet(
+    let manager = SessionManager::new(
         Arc::new(build_engine()),
-        16,
-        None,
-        CommitPolicy::default(),
-        None,
-        ScrubPolicy::default(),
-        FleetOptions { shards: 2, inbox_capacity: 2 },
+        ManagerOptions {
+            cache_capacity: 16,
+            fleet: FleetOptions { shards: 2, inbox_capacity: 2 },
+            ..ManagerOptions::default()
+        },
     );
     Server::start(manager, ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap()
 }

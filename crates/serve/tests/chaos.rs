@@ -6,8 +6,9 @@
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::IcapFaultConfig;
 use pfdbg_pconf::CommitPolicy;
+use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, SessionManager};
+use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -37,7 +38,9 @@ fn start_chaos_server(
     fault: Option<IcapFaultConfig>,
     policy: CommitPolicy,
 ) -> ServerHandle {
-    let manager = SessionManager::with_chaos(Arc::new(build_engine()), 16, fault, policy);
+    let chaos = ChaosSpec { fault, max_retries: policy.max_retries, ..ChaosSpec::reliable() };
+    let opts = ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     Server::start(manager, ServerConfig { workers, ..ServerConfig::default() }).unwrap()
 }
 
@@ -208,12 +211,10 @@ fn chaos_commits_match_golden_and_rollbacks_leave_no_trace() {
     let engine = Arc::new(build_engine());
     let n = engine.n_params();
     for rate in rates {
-        let manager = SessionManager::with_chaos(
-            engine.clone(),
-            16,
-            Some(IcapFaultConfig::uniform(rate, 0xBEEF)),
-            CommitPolicy::default(),
-        );
+        let fault = Some(IcapFaultConfig::uniform(rate, 0xBEEF));
+        let chaos = ChaosSpec { fault, ..ChaosSpec::reliable() };
+        let opts = ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() };
+        let manager = SessionManager::new(engine.clone(), opts);
         manager.open("g").unwrap();
         let mut committed = 0usize;
         for turn in 0..10 {

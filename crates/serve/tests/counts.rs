@@ -9,9 +9,9 @@
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_obs::jsonl::{parse_jsonl, Event, JsonValue};
-use pfdbg_pconf::{CommitPolicy, ScrubPolicy};
+use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions, SessionManager};
+use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -117,18 +117,24 @@ fn stats_against_metrics(c: &mut Client) -> Vec<(String, f64, Option<f64>)> {
 
 #[test]
 fn stats_and_metrics_report_the_same_counts() {
-    let manager = SessionManager::with_fleet(
-        Arc::new(build_engine()),
-        16,
-        Some(IcapFaultConfig {
+    let chaos = ChaosSpec {
+        fault: Some(IcapFaultConfig {
             write_error_rate: 0.3,
             seed: 0xC0_047,
             ..IcapFaultConfig::default()
         }),
-        CommitPolicy { max_retries: 1, ..CommitPolicy::default() },
-        Some(SeuConfig { rate: 0.05, burst: 1, seed: 0x5E_0C }),
-        ScrubPolicy::default(),
-        FleetOptions { shards: 0, inbox_capacity: 1 },
+        seu: Some(SeuConfig { rate: 0.05, burst: 1, seed: 0x5E_0C }),
+        max_retries: 1,
+        ..ChaosSpec::reliable()
+    };
+    let manager = SessionManager::new(
+        Arc::new(build_engine()),
+        ManagerOptions {
+            cache_capacity: 16,
+            chaos,
+            fleet: FleetOptions { shards: 0, inbox_capacity: 1 },
+            ..ManagerOptions::default()
+        },
     );
     manager.open("c").unwrap();
     let n = manager.engine().n_params();
@@ -200,15 +206,13 @@ fn a_profiled_server_counts_a_lost_session_once() {
     pfdbg_obs::set_enabled(true);
     // One primary plus a spare, no journal: a killed device's session
     // cannot be re-driven, so the failover drops it.
-    let manager = SessionManager::with_devices(
+    let manager = SessionManager::new(
         Arc::new(build_engine()),
-        16,
-        None,
-        CommitPolicy::default(),
-        None,
-        ScrubPolicy::default(),
-        FleetOptions::default(),
-        DeviceOptions { devices: 1, spares: 1, ..DeviceOptions::default() },
+        ManagerOptions {
+            cache_capacity: 16,
+            devices: Some(DeviceOptions { devices: 1, spares: 1, ..DeviceOptions::default() }),
+            ..ManagerOptions::default()
+        },
     );
     let server =
         Server::start(manager, ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();

@@ -12,10 +12,11 @@
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{DeviceMode, IcapFaultConfig, SeuConfig};
 use pfdbg_pconf::health::{DeviceHealth, WatchdogPolicy};
-use pfdbg_pconf::icap::CommitPolicy;
-use pfdbg_pconf::scrub::ScrubPolicy;
+use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions, SessionManager};
+use pfdbg_serve::session::{
+    DeviceOptions, Engine, FleetOptions, JournalOptions, ManagerOptions, SessionManager,
+};
 use pfdbg_serve::{primary_device_of, protocol::parse_param_bits};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -69,24 +70,26 @@ fn fleet_manager(
         scrub_budget: Duration::from_secs(60),
         ..WatchdogPolicy::default()
     };
-    let mut manager = SessionManager::with_devices(
+    let chaos = if chaos {
+        ChaosSpec {
+            fault: Some(IcapFaultConfig::uniform(0.04, 0xFA_417)),
+            seu: Some(SeuConfig { rate: 0.01, burst: 2, seed: 0x5E05_E5E0 }),
+            jitter_seed: 0x117_7E4,
+            ..ChaosSpec::reliable()
+        }
+    } else {
+        ChaosSpec::reliable()
+    };
+    SessionManager::new(
         engine(),
-        16,
-        if chaos { Some(IcapFaultConfig::uniform(0.04, 0xFA_417)) } else { None },
-        if chaos {
-            CommitPolicy { jitter_seed: 0x117_7E4, ..CommitPolicy::default() }
-        } else {
-            CommitPolicy::default()
+        ManagerOptions {
+            cache_capacity: 16,
+            chaos,
+            fleet: FleetOptions { shards, inbox_capacity: 64 },
+            devices: Some(DeviceOptions { devices, spares, watchdog, ..DeviceOptions::default() }),
+            journal: journal.map(JournalOptions::external),
         },
-        if chaos { Some(SeuConfig { rate: 0.01, burst: 2, seed: 0x5E05_E5E0 }) } else { None },
-        ScrubPolicy::default(),
-        FleetOptions { shards, inbox_capacity: 64 },
-        DeviceOptions { devices, spares, watchdog, ..DeviceOptions::default() },
-    );
-    if let Some(dir) = journal {
-        manager.set_journal_dir(dir);
-    }
-    manager
+    )
 }
 
 fn start(shards: usize, journal: Option<PathBuf>, chaos: bool) -> ServerHandle {

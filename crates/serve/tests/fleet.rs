@@ -6,9 +6,9 @@
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::SeuConfig;
-use pfdbg_pconf::{CommitPolicy, ScrubPolicy};
+use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{Engine, FleetOptions, SessionManager};
+use pfdbg_serve::session::{Engine, FleetOptions, ManagerOptions, SessionManager};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -74,14 +74,13 @@ fn err_of(ev: &pfdbg_obs::jsonl::Event) -> &str {
 #[test]
 fn panicking_handler_costs_one_session_not_the_server() {
     std::env::set_var("PFDBG_TEST_PANIC", "1");
-    let manager = SessionManager::with_fleet(
+    let manager = SessionManager::new(
         Arc::new(build_engine()),
-        16,
-        None,
-        CommitPolicy::default(),
-        None,
-        ScrubPolicy::default(),
-        FleetOptions { shards: 2, inbox_capacity: 64 },
+        ManagerOptions {
+            cache_capacity: 16,
+            fleet: FleetOptions { shards: 2, inbox_capacity: 64 },
+            ..ManagerOptions::default()
+        },
     );
     // Place the doomed session and a healthy one on the SAME shard, so
     // surviving proves the shard thread itself rode out the panic.
@@ -136,7 +135,8 @@ fn panicking_handler_costs_one_session_not_the_server() {
 #[test]
 fn facade_call_that_panics_drops_its_session() {
     std::env::set_var("PFDBG_TEST_PANIC", "1");
-    let manager = SessionManager::new(Arc::new(build_engine()), 16);
+    let opts = ManagerOptions { cache_capacity: 16, ..ManagerOptions::default() };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     let doomed = (0..)
         .map(|i| format!("panic-{i}"))
         .find(|n| manager.shard_index(n) == manager.shard_index("steady"))
@@ -161,14 +161,9 @@ fn facade_call_that_panics_drops_its_session() {
 fn hot_session_still_gets_scrubbed() {
     std::env::set_var("PFDBG_TEST_PANIC", "1");
     let seu = SeuConfig::from_env().unwrap_or(SeuConfig { rate: 1.0, burst: 1, seed: 0x5EED });
-    let manager = SessionManager::with_chaos_scrub(
-        Arc::new(build_engine()),
-        16,
-        None,
-        CommitPolicy::default(),
-        Some(seu),
-        ScrubPolicy::default(),
-    );
+    let chaos = ChaosSpec { seu: Some(seu), ..ChaosSpec::reliable() };
+    let opts = ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     let handle = Server::start(
         manager,
         ServerConfig { workers: 2, scrub_interval_ms: 20.0, ..ServerConfig::default() },

@@ -7,7 +7,7 @@
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{Engine, SessionManager};
+use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -40,7 +40,8 @@ fn build_engine() -> Engine {
 fn server_addr() -> SocketAddr {
     static ADDR: OnceLock<SocketAddr> = OnceLock::new();
     *ADDR.get_or_init(|| {
-        let manager = SessionManager::new(Arc::new(build_engine()), 16);
+        let opts = ManagerOptions { cache_capacity: 16, ..ManagerOptions::default() };
+        let manager = SessionManager::new(Arc::new(build_engine()), opts);
         let handle = Server::start(
             manager,
             ServerConfig { workers: 2, allow_remote_shutdown: false, ..ServerConfig::default() },

@@ -13,11 +13,9 @@
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_pconf::health::WatchdogPolicy;
-use pfdbg_pconf::icap::CommitPolicy;
-use pfdbg_pconf::scrub::ScrubPolicy;
-use pfdbg_replay::DesignSpec;
+use pfdbg_replay::{ChaosSpec, DesignSpec};
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions, SessionManager};
+use pfdbg_serve::session::{DeviceOptions, Engine, JournalOptions, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -65,19 +63,22 @@ fn build_engine() -> Engine {
 /// The chaos environment both runs share: flaky transport + SEUs, so
 /// the restore has to reproduce retries, escalations, and upsets — not
 /// just a clean bit diff.
+fn chaos_options(seu_rate: f64) -> ManagerOptions {
+    let chaos = ChaosSpec {
+        fault: Some(IcapFaultConfig::uniform(0.04, 0xFA_417)),
+        seu: Some(SeuConfig { rate: seu_rate, burst: 2, seed: 0x5E05_E5E0 }),
+        jitter_seed: 0x117_7E4,
+        ..ChaosSpec::reliable()
+    };
+    ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() }
+}
+
 fn chaos_manager(journal: Option<PathBuf>, seu_rate: f64) -> SessionManager {
-    let mut manager = SessionManager::with_chaos_scrub(
+    let journal = journal.map(JournalOptions::external);
+    SessionManager::new(
         Arc::new(build_engine()),
-        16,
-        Some(IcapFaultConfig::uniform(0.04, 0xFA_417)),
-        CommitPolicy { jitter_seed: 0x117_7E4, ..CommitPolicy::default() },
-        Some(SeuConfig { rate: seu_rate, burst: 2, seed: 0x5E05_E5E0 }),
-        ScrubPolicy::default(),
-    );
-    if let Some(dir) = journal {
-        manager.set_journal_dir(dir);
-    }
-    manager
+        ManagerOptions { journal, ..chaos_options(seu_rate) },
+    )
 }
 
 fn start(journal: Option<PathBuf>, seu_rate: f64) -> ServerHandle {
@@ -284,8 +285,9 @@ fn serve_journal_verifies_on_the_standalone_engine() {
         std::env::temp_dir().join(format!("pfdbg-serve-replay-standalone-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let mut manager = chaos_manager(Some(dir.clone()), 0.02);
-    manager.set_journal_design(gen_spec(), 1, 4);
+    let journal = Some(JournalOptions { dir: dir.clone(), design: gen_spec(), coverage: 1, k: 4 });
+    let opts = ManagerOptions { journal, ..chaos_options(0.02) };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     let n_params = manager.open("s").unwrap();
 
     // Three vectors that recur (LRU hits once published) and a fresh
@@ -331,26 +333,28 @@ fn serve_journal_verifies_on_the_standalone_engine() {
 }
 
 /// Scrub repairs commit under the session's own commit policy, which
-/// the journal meta records — whatever retry budget the constructor's
-/// `ScrubPolicy` names. A server whose turns may not retry, under a
-/// port that fails 30% of writes and heavy upsets, journals repairs
-/// that its standalone replay reproduces exactly.
+/// the journal meta records: a manager's one `ChaosSpec` gives its
+/// repairs no retry budget of their own. A server whose turns may not
+/// retry, under a port that fails 30% of writes and heavy upsets,
+/// journals repairs that its standalone replay reproduces exactly.
 #[test]
 fn serve_journal_verifies_when_repairs_may_retry_more_than_turns() {
     let dir =
         std::env::temp_dir().join(format!("pfdbg-serve-replay-repairs-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let mut manager = SessionManager::with_chaos_scrub(
+    let chaos = ChaosSpec {
+        fault: Some(IcapFaultConfig::uniform(0.3, 0xFA_417)),
+        seu: Some(SeuConfig { rate: 0.5, burst: 2, seed: 0x5E05_E5E0 }),
+        max_retries: 0,
+        jitter_seed: 0x117_7E4,
+        ..ChaosSpec::reliable()
+    };
+    let journal = Some(JournalOptions { dir: dir.clone(), design: gen_spec(), coverage: 1, k: 4 });
+    let manager = SessionManager::new(
         Arc::new(build_engine()),
-        16,
-        Some(IcapFaultConfig::uniform(0.3, 0xFA_417)),
-        CommitPolicy { max_retries: 0, jitter_seed: 0x117_7E4, ..CommitPolicy::default() },
-        Some(SeuConfig { rate: 0.5, burst: 2, seed: 0x5E05_E5E0 }),
-        ScrubPolicy::default(),
+        ManagerOptions { cache_capacity: 16, chaos, journal, ..ManagerOptions::default() },
     );
-    manager.set_journal_dir(dir.clone());
-    manager.set_journal_design(gen_spec(), 1, 4);
     let n_params = manager.open("s").unwrap();
     for t in 0..40 {
         if t % 3 == 2 {
@@ -385,17 +389,20 @@ fn replay_verb_leaves_the_live_fleet_alone() {
         scrub_budget: Duration::from_secs(60),
         ..WatchdogPolicy::default()
     };
-    let mut manager = SessionManager::with_devices(
+    let manager = SessionManager::new(
         Arc::new(build_engine()),
-        16,
-        None,
-        CommitPolicy::default(),
-        None,
-        ScrubPolicy::default(),
-        FleetOptions::default(),
-        DeviceOptions { devices: 1, spares: 1, watchdog, ..DeviceOptions::default() },
+        ManagerOptions {
+            cache_capacity: 16,
+            devices: Some(DeviceOptions {
+                devices: 1,
+                spares: 1,
+                watchdog,
+                ..DeviceOptions::default()
+            }),
+            journal: Some(JournalOptions::external(dir.clone())),
+            ..ManagerOptions::default()
+        },
     );
-    manager.set_journal_dir(dir.clone());
     let n_params = manager.open("s").unwrap();
     for t in 0..6 {
         let params: BitVec = params_for(t, n_params).chars().map(|c| c == '1').collect();

@@ -7,9 +7,10 @@
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
-use pfdbg_pconf::{CommitPolicy, ScrubPolicy};
+use pfdbg_pconf::ScrubPolicy;
+use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, SessionManager};
+use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -36,13 +37,10 @@ fn build_engine() -> Engine {
 }
 
 fn seu_manager(engine: Arc<Engine>, seu: SeuConfig) -> SessionManager {
-    SessionManager::with_chaos_scrub(
+    let chaos = ChaosSpec { seu: Some(seu), ..ChaosSpec::reliable() };
+    SessionManager::new(
         engine,
-        16,
-        None,
-        CommitPolicy::default(),
-        Some(seu),
-        ScrubPolicy::default(),
+        ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() },
     )
 }
 
@@ -124,16 +122,20 @@ fn scrub_repair_keeps_the_cached_specialization() {
 #[test]
 fn stuck_frames_quarantine_and_degrade_health() {
     let engine = Arc::new(build_engine());
-    let manager = SessionManager::with_chaos_scrub(
-        engine,
-        16,
+    let chaos = ChaosSpec {
         // Dead write path: SEU injection still lands (it strikes the
         // inner memory model directly) but every repair write fails.
-        Some(IcapFaultConfig { write_error_rate: 1.0, seed: 3, ..IcapFaultConfig::default() }),
-        CommitPolicy { max_retries: 0, ..CommitPolicy::default() },
-        Some(SeuConfig { rate: 1.0, burst: 1, seed: 11 }),
-        ScrubPolicy::default(),
-    );
+        fault: Some(IcapFaultConfig {
+            write_error_rate: 1.0,
+            seed: 3,
+            ..IcapFaultConfig::default()
+        }),
+        seu: Some(SeuConfig { rate: 1.0, burst: 1, seed: 11 }),
+        max_retries: 0,
+        ..ChaosSpec::reliable()
+    };
+    let opts = ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() };
+    let manager = SessionManager::new(engine, opts);
     manager.open("stuck").unwrap();
     let n = manager.engine().n_params();
     // Selecting the current (all-zeros) vector writes no frames, so it
@@ -168,14 +170,13 @@ fn stuck_frames_quarantine_and_degrade_health() {
 fn combined_faults_and_seus_stay_recoverable() {
     let engine = Arc::new(build_engine());
     let n = engine.n_params();
-    let manager = SessionManager::with_chaos_scrub(
-        engine.clone(),
-        16,
-        Some(IcapFaultConfig::uniform(0.10, 0xBEEF)),
-        CommitPolicy::default(),
-        Some(SeuConfig { rate: 0.05, burst: 2, seed: 0xC0DE }),
-        ScrubPolicy::default(),
-    );
+    let chaos = ChaosSpec {
+        fault: Some(IcapFaultConfig::uniform(0.10, 0xBEEF)),
+        seu: Some(SeuConfig { rate: 0.05, burst: 2, seed: 0xC0DE }),
+        ..ChaosSpec::reliable()
+    };
+    let opts = ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() };
+    let manager = SessionManager::new(engine.clone(), opts);
     manager.open("both").unwrap();
     let mut committed = 0usize;
     for turn in 0..30 {

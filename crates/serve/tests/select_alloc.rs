@@ -9,8 +9,7 @@
 //! this test.
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
-use pfdbg_pconf::{CommitPolicy, ScrubPolicy};
-use pfdbg_serve::session::{Engine, FleetOptions, SessionManager};
+use pfdbg_serve::session::{Engine, FleetOptions, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,14 +84,13 @@ fn build_engine() -> Engine {
 
 #[test]
 fn a_cached_select_allocates_only_for_the_round_trip_and_the_commit() {
-    let manager = SessionManager::with_fleet(
+    let manager = SessionManager::new(
         Arc::new(build_engine()),
-        16,
-        None,
-        CommitPolicy::default(),
-        None,
-        ScrubPolicy::default(),
-        FleetOptions { shards: 1, inbox_capacity: 64 },
+        ManagerOptions {
+            cache_capacity: 16,
+            fleet: FleetOptions { shards: 1, inbox_capacity: 64 },
+            ..ManagerOptions::default()
+        },
     );
     manager.open("alloc").unwrap();
     let n = manager.engine().n_params();

@@ -4,7 +4,7 @@
 
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, SessionManager};
+use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -29,7 +29,8 @@ fn build_engine() -> Engine {
 }
 
 fn start_server(workers: usize) -> ServerHandle {
-    let manager = SessionManager::new(Arc::new(build_engine()), 16);
+    let opts = ManagerOptions { cache_capacity: 16, ..ManagerOptions::default() };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     Server::start(manager, ServerConfig { workers, ..ServerConfig::default() }).unwrap()
 }
 

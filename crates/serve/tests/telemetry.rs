@@ -10,9 +10,10 @@
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_obs::jsonl::JsonValue;
-use pfdbg_pconf::{CommitPolicy, ScrubPolicy};
+use pfdbg_pconf::ScrubPolicy;
+use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{Engine, SessionManager};
+use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -72,7 +73,8 @@ fn assert_ok(ev: &pfdbg_obs::jsonl::Event) {
 /// percentiles.
 #[test]
 fn metrics_and_dump_verbs_round_trip() {
-    let manager = SessionManager::new(Arc::new(build_engine()), 16);
+    let opts = ManagerOptions { cache_capacity: 16, ..ManagerOptions::default() };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     let server =
         Server::start(manager, ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();
     let mut c = Client::connect(server.local_addr());
@@ -159,14 +161,18 @@ fn metrics_and_dump_verbs_round_trip() {
 /// the scrub passes that could not repair, and the final quarantine.
 #[test]
 fn quarantine_leaves_an_automatic_dump_reconstructing_the_failure() {
-    let manager = SessionManager::with_chaos_scrub(
-        Arc::new(build_engine()),
-        16,
-        Some(IcapFaultConfig { write_error_rate: 1.0, seed: 3, ..IcapFaultConfig::default() }),
-        CommitPolicy { max_retries: 0, ..CommitPolicy::default() },
-        Some(SeuConfig { rate: 1.0, burst: 1, seed: 11 }),
-        ScrubPolicy::default(),
-    );
+    let chaos = ChaosSpec {
+        fault: Some(IcapFaultConfig {
+            write_error_rate: 1.0,
+            seed: 3,
+            ..IcapFaultConfig::default()
+        }),
+        seu: Some(SeuConfig { rate: 1.0, burst: 1, seed: 11 }),
+        max_retries: 0,
+        ..ChaosSpec::reliable()
+    };
+    let opts = ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     manager.open("q").unwrap();
     assert!(manager.last_flight_dump().is_none(), "nothing went wrong yet");
     let n = manager.engine().n_params();
@@ -208,12 +214,17 @@ fn quarantine_leaves_an_automatic_dump_reconstructing_the_failure() {
 /// escalation level.
 #[test]
 fn rollback_leaves_an_automatic_dump() {
-    let manager = SessionManager::with_chaos(
-        Arc::new(build_engine()),
-        16,
-        Some(IcapFaultConfig { write_error_rate: 1.0, seed: 5, ..IcapFaultConfig::default() }),
-        CommitPolicy { max_retries: 0, ..CommitPolicy::default() },
-    );
+    let chaos = ChaosSpec {
+        fault: Some(IcapFaultConfig {
+            write_error_rate: 1.0,
+            seed: 5,
+            ..IcapFaultConfig::default()
+        }),
+        max_retries: 0,
+        ..ChaosSpec::reliable()
+    };
+    let opts = ManagerOptions { cache_capacity: 16, chaos, ..ManagerOptions::default() };
+    let manager = SessionManager::new(Arc::new(build_engine()), opts);
     manager.open("r").unwrap();
     let n = manager.engine().n_params();
     let mut params = BitVec::zeros(n);
