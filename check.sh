@@ -34,11 +34,13 @@ cargo test -q --offline --locked --manifest-path crates/bench/src/bin/pfbench/Ca
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== golden digests and corpus replay (release profile) =="
-# pfbench measures release builds, so the place, route and
-# specialization pins, and the committed corpus journals, must hold in
-# that profile too, not only in the debug build the suite runs in.
-cargo test --release -q --test pr_golden --test replay_corpus
+echo "== golden digests, corpus replay and sweep equivalence (release profile) =="
+# pfbench measures release builds, so the place, route, specialization
+# and SCG table pins, the committed corpus journals, and the batch
+# sweep's bit-identity to the reference walk (`try_specialize`) must
+# hold in that profile too, not only in the debug build the suite runs
+# in.
+cargo test --release -q --test pr_golden --test replay_corpus --test batch_equivalence
 
 echo "== chaos pass (PFDBG_ICAP_FAULT_RATE=0.05) =="
 # The chaos suites again with a 5% injected ICAP fault rate layered on
@@ -297,12 +299,13 @@ echo "== differential fuzz (64 seeded cases) =="
 grep -q '"divergences":0' "$SMOKE_DIR/BENCH_diff_fuzz.json" || { echo "differential fuzz found divergences"; exit 1; }
 echo "diff_fuzz ok: $(cat "$SMOKE_DIR/BENCH_diff_fuzz.json")"
 
-echo "== specialize micro-bench (batch vs serial bit-identity) =="
+echo "== specialize micro-bench (batch vs reference bit-identity) =="
 # The turn-path micro-bench at a reduced turn count: the gate is the
-# report shape and the batch-vs-serial bit-identity flags at every
-# scale (two synthetic SCGs and diffeq1 through the offline flow) —
-# never absolute latency, which depends on the host (the committed
-# BENCH_specialize.json carries release-build numbers).
+# report shape and the bit-identity flags of the batch sweep against
+# the reference (`try_specialize`) at every scale (two synthetic SCGs
+# and diffeq1 through the offline flow) — never absolute latency,
+# which depends on the host (the committed BENCH_specialize.json
+# carries release-build numbers).
 ./target/debug/specialize --turns 256 --out "$SMOKE_DIR/BENCH_specialize.json" >/dev/null
 for field in t1k_serial_p50_us t1k_batch_p50_us t10k_serial_p50_us t10k_batch_p50_us \
              t10k_serial_p99_us t10k_batch_p99_us d1_nodes d1_serial_p50_us d1_batch_p50_us \
@@ -311,11 +314,11 @@ for field in t1k_serial_p50_us t1k_batch_p50_us t10k_serial_p50_us t10k_batch_p5
         || { echo "BENCH_specialize.json lacks $field"; exit 1; }
 done
 grep -q '"t1k_identical":1' "$SMOKE_DIR/BENCH_specialize.json" \
-    || { echo "batch evaluator diverged from serial at 1k tunables"; exit 1; }
+    || { echo "batch evaluator diverged from the reference (try_specialize) at 1k tunables"; exit 1; }
 grep -q '"t10k_identical":1' "$SMOKE_DIR/BENCH_specialize.json" \
-    || { echo "batch evaluator diverged from serial at 10k tunables"; exit 1; }
+    || { echo "batch evaluator diverged from the reference (try_specialize) at 10k tunables"; exit 1; }
 grep -q '"d1_identical":1' "$SMOKE_DIR/BENCH_specialize.json" \
-    || { echo "batch evaluator diverged from serial on diffeq1"; exit 1; }
+    || { echo "batch evaluator diverged from the reference (try_specialize) on diffeq1"; exit 1; }
 echo "specialize bench ok"
 
 echo "== committed corpus replay =="

@@ -14,7 +14,7 @@ use pfdbg_circuits::{generate, GenParams};
 use pfdbg_core::{prepare_instrumented, InstrumentConfig, PAPER_K};
 use pfdbg_map::cuts::{enumerate, CutConfig};
 use pfdbg_map::map_parameterized_network;
-use pfdbg_pconf::{BddManager, GeneralizedBuilder, Scg};
+use pfdbg_pconf::{BddManager, GeneralizedBuilder, Scg, SpecializeScratch};
 use pfdbg_pr::{pack, place, route, PRNet, PackConfig, PlaceConfig, RouteConfig};
 use pfdbg_synth::synthesize;
 use pfdbg_util::BitVec;
@@ -113,7 +113,7 @@ fn bench_pconf_repr(c: &mut Criterion) {
     let params: BitVec = (0..n_params).map(|i| i % 3 == 0).collect();
 
     let mut g = c.benchmark_group("pconf_repr");
-    g.bench_function("bdd_eval", |b| b.iter(|| scg.specialize(&params)));
+    g.bench_function("bdd_eval", |b| b.iter(|| scg.try_specialize(&params).unwrap()));
     g.bench_function("naive_reencode", |b| {
         // The naive path: recompute each bit by decoding its select slice
         // from scratch (integer compare per bit — cheap here, but scales
@@ -150,15 +150,16 @@ fn bench_dpr_diff(c: &mut Criterion) {
     let scg = Scg::new(m, b.build().expect("build"));
     let p0: BitVec = BitVec::zeros(16);
     let p1: BitVec = (0..16).map(|i| i == 3).collect();
-    let base = scg.specialize(&p0);
+    let base = scg.try_specialize(&p0).unwrap();
+    let mut scratch = SpecializeScratch::new();
 
     let mut g = c.benchmark_group("dpr");
     g.bench_function("diff_changed_bits_only", |b| {
-        b.iter(|| scg.specialize_diff(&base, &p1).len())
+        b.iter(|| scg.specialize_diff_from_batch(&p0, &p1, &mut scratch).unwrap().len())
     });
     g.bench_function("full_bitstream_rebuild", |b| {
         b.iter(|| {
-            let next = scg.specialize(&p1);
+            let next = scg.try_specialize(&p1).unwrap();
             next.diff_frames(&base, &layout).len()
         })
     });

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pfdbg_arch::{build_rrg, ArchSpec, BitstreamLayout, Device};
-use pfdbg_pconf::{BddManager, GeneralizedBuilder, Scg};
+use pfdbg_pconf::{BddManager, GeneralizedBuilder, Scg, SpecializeScratch};
 use pfdbg_util::BitVec;
 
 /// A synthetic generalized bitstream with `n_bits` parameterized bits
@@ -37,11 +37,12 @@ fn bench_specialize(c: &mut Criterion) {
         let params: BitVec = (0..24).map(|i| i % 3 == 0).collect();
         g.throughput(Throughput::Elements(n_bits as u64));
         g.bench_with_input(BenchmarkId::new("full", n_bits), &scg, |b, scg| {
-            b.iter(|| scg.specialize(&params))
+            b.iter(|| scg.try_specialize(&params).unwrap())
         });
-        let current = scg.specialize(&BitVec::zeros(24));
+        let zeros = BitVec::zeros(24);
+        let mut scratch = SpecializeScratch::new();
         g.bench_with_input(BenchmarkId::new("diff", n_bits), &scg, |b, scg| {
-            b.iter(|| scg.specialize_diff(&current, &params).len())
+            b.iter(|| scg.specialize_diff_from_batch(&zeros, &params, &mut scratch).unwrap().len())
         });
     }
     g.finish();

@@ -7,18 +7,20 @@
 //!
 //! Two evaluators run over the same deterministic parameter sequence:
 //!
-//! * **serial** — the original per-function path: one top-down BDD
-//!   walk per tunable function;
-//! * **batch** — the memoized path: one linear sweep of the SCG's BDD
-//!   node table evaluates every node exactly once, then the packed
-//!   tunable words are read out of the per-node values.
+//! * **serial** — the reference, `Scg::try_specialize`: one top-down
+//!   BDD walk per tunable function. Its time is the whole call, so it
+//!   includes cloning the base bitstream (about 21.6 KB on diffeq1);
+//! * **batch** — the memoized path every turn runs: one linear sweep of
+//!   the SCG's BDD node table evaluates every node exactly once, then
+//!   the packed tunable words are read out of the per-node values. Its
+//!   time is pure evaluation, `SpecializeTiming::eval`.
 //!
 //! Three scales: synthetic SCGs with 1k and 10k tunable bits (`t1k`,
 //! `t10k`), and diffeq1 at paper instrumentation through the offline
 //! flow (`d1`), the design the repository benchmark serves. Both
 //! evaluators must be bit-identical turn by turn (asserted here, gated
 //! in `check.sh`); the JSON reports each scale's SCG node count and
-//! p50/p99 pure-eval microseconds per turn, plus a provenance block.
+//! p50/p99 microseconds per turn of each, plus a provenance block.
 //!
 //! ```text
 //! specialize [--turns N] [--out f.json]
@@ -31,6 +33,7 @@ use pfdbg_pconf::{BddManager, GeneralizedBuilder, Scg, SpecializeScratch};
 use pfdbg_util::stats::percentile;
 use pfdbg_util::table::Table;
 use pfdbg_util::BitVec;
+use std::time::Instant;
 
 fn flag(rest: &[String], name: &str) -> Option<String> {
     rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1).cloned())
@@ -118,7 +121,7 @@ struct ScaleResult {
 }
 
 /// Run `turns` turns of both evaluators over one SCG, recording the
-/// pure-eval time of each and checking bit-identity every turn.
+/// time of each and checking bit-identity every turn.
 fn bench_scale(scg: &Scg, turns: usize) -> ScaleResult {
     let n_params = scg.generalized().n_params;
     let mut scratch = SpecializeScratch::new();
@@ -126,7 +129,7 @@ fn bench_scale(scg: &Scg, turns: usize) -> ScaleResult {
     // Warmup: page in the node table and size every scratch buffer.
     for _ in 0..8 {
         let p = rand_params(&mut seed, n_params);
-        let _ = scg.specialize_timed(&p);
+        let _ = scg.try_specialize(&p);
         let _ = scg.specialize_timed_batch(&p, &mut scratch);
     }
     let mut serial_us = Vec::with_capacity(turns);
@@ -134,9 +137,10 @@ fn bench_scale(scg: &Scg, turns: usize) -> ScaleResult {
     let mut identical = true;
     for _ in 0..turns {
         let p = rand_params(&mut seed, n_params);
-        let (bits_s, ts) = scg.specialize_timed(&p);
+        let t0 = Instant::now();
+        let bits_s = scg.try_specialize(&p).expect("parameter count matches");
+        serial_us.push(t0.elapsed().as_secs_f64() * 1e6);
         let (bits_b, tb) = scg.specialize_timed_batch(&p, &mut scratch);
-        serial_us.push(ts.eval.as_secs_f64() * 1e6);
         batch_us.push(tb.eval.as_secs_f64() * 1e6);
         identical &= bits_s == bits_b;
     }
@@ -194,7 +198,7 @@ fn main() {
     println!("=== specialization pure-eval time per turn (paper budget: 50 µs) ===");
     print!("{}", t.render());
     if !all_identical {
-        eprintln!("specialize: FAIL — batch output diverged from the serial evaluator");
+        eprintln!("specialize: FAIL — batch output diverged from the reference (try_specialize)");
         std::process::exit(1);
     }
 

@@ -150,6 +150,7 @@ fn print_usage() {
          \x20 pfdbg offline    <design.blif|@bench> [--k K] [--ports N] [--dump-bitstream f.pfb]\n\
          \x20 pfdbg observe    <design.blif|@bench> --signals s1,s2|auto [--cycles N]\n\
          \x20                  [--icap-fault-rate R] [--icap-seed S] [--max-retries N]\n\
+         \x20                  (no upsets: refuses --seu-*, ignores PFDBG_SEU_RATE; see scrub)\n\
          \x20 pfdbg rank       <design.blif|@bench> [--top N]\n\
          \x20 pfdbg localize   <design.blif|@bench> [--bug <net>] [--cycles N]\n\
          \x20 pfdbg report     <trace.jsonl>\n\
@@ -199,7 +200,8 @@ fn flag_f64(rest: &[String], name: &str, default: f64) -> Result<f64, String> {
 /// explicit `--seu-rate` with `--seu-seed`/`--seu-burst` wins,
 /// `PFDBG_SEU_RATE` is the fallback, and an explicit rate of 0 disables
 /// injection even when the environment is set) and the commit retry
-/// budget (`--max-retries`).
+/// budget (`--max-retries`). `observe` refuses the `--seu-*` flags and
+/// drops the upsets, `PFDBG_SEU_RATE`'s included.
 fn chaos_from_flags(rest: &[String]) -> Result<ChaosSpec, String> {
     let rate = flag_f64(rest, "--icap-fault-rate", 0.0)?;
     if !(0.0..=1.0).contains(&rate) {
@@ -371,7 +373,7 @@ fn dump_bitstream(
 ) -> Result<(), String> {
     if let Some(path) = flag(rest, "--dump-bitstream") {
         let params = pfdbg_util::BitVec::zeros(scg.generalized().n_params);
-        let bs = scg.specialize(&params);
+        let bs = scg.try_specialize(&params)?;
         let bytes = pfdbg_arch::bitfile::write(&bs, layout.frame_bits);
         std::fs::write(&path, &bytes).map_err(|e| format!("{path}: {e}"))?;
         println!("  wrote default specialization to {path} ({} bytes)", bytes.len());
@@ -464,6 +466,14 @@ fn cmd_offline(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_observe(rest: &[String]) -> Result<(), String> {
+    // The observed device takes no upsets: repairing them is `scrub`'s.
+    let seu_flags = ["--seu-rate", "--seu-seed", "--seu-burst"];
+    if let Some(f) = seu_flags.iter().find(|f| rest.iter().any(|a| a == *f)) {
+        return Err(format!(
+            "observe does not take {f}: the observed device takes no upsets \
+             (pfdbg scrub injects and repairs them)"
+        ));
+    }
     let (name, nw) = load_design(rest)?;
     let signals_arg = flag(rest, "--signals").ok_or("--signals s1,s2,...|auto is required")?;
     let cycles = flag_usize(rest, "--cycles", 32)?;
@@ -479,7 +489,6 @@ fn cmd_observe(rest: &[String]) -> Result<(), String> {
         signals_arg.split(',').map(str::to_string).collect()
     };
     let wanted: Vec<&str> = wanted.iter().map(String::as_str).collect();
-    // The observed device takes no upsets: repairing them is `scrub`'s.
     let chaos = ChaosSpec { seu: None, ..chaos_from_flags(rest)? };
     let (scg, layout, icap) = compile(rest, &inst, k)?;
     let image = Arc::new(scg.generalized().base.clone());
@@ -632,7 +641,7 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
         rollbacks
     );
     println!("health: {}", scrubber.health().as_str());
-    let undetected = online.undetected_divergence();
+    let undetected = online.undetected_divergence()?;
     if undetected.is_empty() {
         println!("undetected divergence: none — device matches the PConf golden oracle");
         Ok(())
@@ -1158,6 +1167,13 @@ mod tests {
         assert_eq!(journal_design(&args(&["@stereov."])), Ok(bench));
         let limited = args(&["@stereov.", "--max-signals", "6"]);
         assert_eq!(journal_design(&limited), Ok(DesignSpec::External));
+    }
+
+    #[test]
+    fn observe_refuses_seu_flags() {
+        let rest = args(&["@stereov.", "--no-store", "--signals", "auto", "--seu-rate", "1.0"]);
+        let err = cmd_observe(&rest).unwrap_err();
+        assert!(err.contains("--seu-rate"), "{err}");
     }
 
     #[test]

@@ -20,21 +20,13 @@ use pfdbg_pconf::{
     Session,
 };
 use pfdbg_pr::{tpar, TparConfig, TparResult};
-use pfdbg_util::{par, FxHashMap};
+use pfdbg_util::FxHashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 // Always-on compile telemetry: wall time per offline run, so a fleet
 // serving many designs sees compile latency without enabling profiling.
 static OFFLINE_US: LazyHistogram = LazyHistogram::new("flow.offline_us");
-
-/// TLUT tasks per BDD-construction shard. Fixed, so the shard-local
-/// managers and the shard-order merge produce the same merged node
-/// table (and so the same artifacts and digests) on every run.
-const TLUT_SHARD: usize = 8;
-
-/// Routed nets per switch-bit BDD shard (same fixed-shard rule).
-const NET_SHARD: usize = 16;
 
 /// Offline-stage settings.
 #[derive(Debug, Clone)]
@@ -364,15 +356,9 @@ fn tlut_row_funcs(
     row_funcs
 }
 
-/// One tunable-LUT BDD-construction task: the placed BLE position and
-/// the mapped LUT node whose rows become parameter functions.
-struct TlutTask {
-    x: usize,
-    y: usize,
-    ble: usize,
-    lut: NodeId,
-}
-
+/// Write every BLE's bits: the FF bypass, a plain LUT's constant truth
+/// table, or a tunable LUT's per-row parameter functions, built in
+/// cluster/BLE order.
 #[allow(clippy::too_many_arguments)]
 fn write_lut_bits(
     mapped: &Network,
@@ -384,10 +370,6 @@ fn write_lut_bits(
     manager: &mut BddManager,
     builder: &mut GeneralizedBuilder,
 ) -> Result<(), String> {
-    // Pass 1 (serial, cheap): constant bits, plus the list of tunable
-    // LUTs whose row functions need BDD construction. Task order is the
-    // cluster/BLE iteration order — deterministic.
-    let mut tasks: Vec<TlutTask> = Vec::new();
     for (ci, cluster) in result.packed.clusters.iter().enumerate() {
         let block = result
             .packed
@@ -401,51 +383,30 @@ fn write_lut_bits(
             // FF bypass: 1 = registered output.
             builder.set_const(layout.ff_bypass_bit(x, y, ble_idx, k), ble.latch.is_some());
             let Some(lut) = ble.lut else { continue };
-            let node = mapped.node(lut);
-            let table = node.table().expect("BLE LUT is a table");
-            match kinds.get(&lut) {
-                Some(ElemKind::TLut) => {
-                    // Parameter fanins fold into the configuration;
-                    // deferred to the sharded BDD pass below.
-                    tasks.push(TlutTask { x, y, ble: ble_idx, lut });
+            if kinds.get(&lut) == Some(&ElemKind::TLut) {
+                // Parameter fanins fold into the configuration.
+                let rows = tlut_row_funcs(mapped, param_var, lut, manager);
+                for (row, f) in rows.into_iter().enumerate() {
+                    builder.set_func(manager, layout.lut_bit(x, y, ble_idx, row, k), f);
                 }
-                _ => {
-                    // Plain LUT: constant truth bits (rows beyond the
-                    // logical arity replicate, as the physical LUT ignores
-                    // unused pins).
-                    let phys = table.extend_to(k.max(table.nvars()));
-                    for row in 0..(1usize << k.min(phys.nvars())) {
-                        builder.set_const(layout.lut_bit(x, y, ble_idx, row, k), phys.bit(row));
-                    }
-                }
+                continue;
             }
-        }
-    }
-
-    // Pass 2: build row functions in fixed-size shards, each in its own
-    // `BddManager`, merging each shard's node table in shard order (see
-    // [`BddManager::import_nodes`]). Fixed shards make the merged node
-    // table a function of the design alone.
-    for range in par::shard_ranges(tasks.len(), TLUT_SHARD) {
-        let mut local = BddManager::new();
-        let rows: Vec<Vec<Bdd>> = tasks[range.clone()]
-            .iter()
-            .map(|t| tlut_row_funcs(mapped, param_var, t.lut, &mut local))
-            .collect();
-        let trans = manager.import_nodes(&local.export_nodes());
-        for (t, rows) in tasks[range].iter().zip(rows) {
-            for (row, f) in rows.into_iter().enumerate() {
-                builder.set_func(
-                    manager,
-                    layout.lut_bit(t.x, t.y, t.ble, row, k),
-                    trans[f.index() as usize],
-                );
+            // Plain LUT: constant truth bits (rows beyond the logical
+            // arity replicate, as the physical LUT ignores unused pins).
+            let table = mapped.node(lut).table().expect("BLE LUT is a table");
+            let phys = table.extend_to(k.max(table.nvars()));
+            for row in 0..(1usize << k.min(phys.nvars())) {
+                builder.set_const(layout.lut_bit(x, y, ble_idx, row, k), phys.bit(row));
             }
         }
     }
     Ok(())
 }
 
+/// Write every routed switch: its condition is the OR, in net order, of
+/// the selection conditions of the alternatives whose branches use it
+/// (`TRUE` for a constant net's edges). Writes go out in edge-id order,
+/// so the builder's insertion order is canonical.
 fn write_switch_bits(
     mapped: &Network,
     kinds: &FxHashMap<NodeId, ElemKind>,
@@ -459,70 +420,27 @@ fn write_switch_bits(
     let edge_id = |from: RRNode, to: RRNode| -> Option<u32> {
         result.rrg.out_edges(from).find(|&(_, t)| t == to).map(|(e, _)| e)
     };
-
-    // Accumulate per-edge functions (an edge can serve several
-    // alternatives of one net, or — for constant nets — be simply on).
-    // Nets are sharded with a fixed shard size; each shard builds its
-    // `tcon_conditions` BDDs in a local manager and reports its edges in
-    // first-touch order. Every shard is built before any is merged:
-    // merging each shard as soon as it was built made genbits ~35%
-    // slower on diffeq1.
-    let routes = &result.routed.routes;
-    let shards = par::shard_ranges(routes.len(), NET_SHARD)
-        .into_iter()
-        .map(|range| {
-            let mut local = BddManager::new();
-            let mut order: Vec<u32> = Vec::new();
-            let mut acc: FxHashMap<u32, Bdd> = FxHashMap::default();
-            for nr in &routes[range] {
-                let net = &result.packed.nets[nr.net];
-                // Every alternative's condition from one walk of the
-                // net's TCON tree.
-                let conds = if net.tunable {
-                    let sources = &net.source_nodes;
-                    tcon_conditions(mapped, kinds, param_var, &mut local, net.driver, sources)
-                } else {
-                    Vec::new()
-                };
-                for branch in &nr.branches {
-                    let cond = if net.tunable { conds[branch.alternative] } else { Bdd::TRUE };
-                    for &(from, to) in &branch.edges {
-                        let e = edge_id(from, to)
-                            .ok_or_else(|| format!("routed edge {from:?}->{to:?} not in RRG"))?;
-                        let entry = acc.entry(e).or_insert_with(|| {
-                            order.push(e);
-                            Bdd::FALSE
-                        });
-                        *entry = local.or(*entry, cond);
-                    }
-                }
-            }
-            let pairs: Vec<(u32, u32)> = order.iter().map(|&e| (e, acc[&e].index())).collect();
-            Ok((local.export_nodes(), pairs))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-
-    // Merge in shard order; cross-shard edge collisions OR in shard
-    // order too. Final writes are sorted by edge id so builder insertion
-    // order is canonical.
-    let mut funcs: Vec<(u32, Bdd)> = Vec::new();
-    let mut idx_of: FxHashMap<u32, usize> = FxHashMap::default();
-    for (nodes, pairs) in shards {
-        let trans = manager.import_nodes(&nodes);
-        for (e, fi) in pairs {
-            let f = trans[fi as usize];
-            match idx_of.entry(e) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    let i = *slot.get();
-                    funcs[i].1 = manager.or(funcs[i].1, f);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(funcs.len());
-                    funcs.push((e, f));
-                }
+    let mut funcs: FxHashMap<u32, Bdd> = FxHashMap::default();
+    for nr in &result.routed.routes {
+        let net = &result.packed.nets[nr.net];
+        // Every alternative's condition from one walk of the net's TCON
+        // tree.
+        let conds = if net.tunable {
+            tcon_conditions(mapped, kinds, param_var, manager, net.driver, &net.source_nodes)
+        } else {
+            Vec::new()
+        };
+        for branch in &nr.branches {
+            let cond = if net.tunable { conds[branch.alternative] } else { Bdd::TRUE };
+            for &(from, to) in &branch.edges {
+                let e = edge_id(from, to)
+                    .ok_or_else(|| format!("routed edge {from:?}->{to:?} not in RRG"))?;
+                let f = funcs.entry(e).or_insert(Bdd::FALSE);
+                *f = manager.or(*f, cond);
             }
         }
     }
+    let mut funcs: Vec<(u32, Bdd)> = funcs.into_iter().collect();
     funcs.sort_unstable_by_key(|&(e, _)| e);
     for (e, f) in funcs {
         builder.set_func(manager, layout.switch_bit(e), f);
@@ -592,9 +510,9 @@ mod tests {
             v.set(0, true);
             v
         };
-        let b0 = scg.specialize(&p0);
+        let b0 = scg.try_specialize(&p0).unwrap();
         let _ = &mut p0;
-        let b1 = scg.specialize(&p1);
+        let b1 = scg.try_specialize(&p1).unwrap();
         assert_ne!(b0, b1, "different selections must differ in routing bits");
         let _ = &mut p0;
     }

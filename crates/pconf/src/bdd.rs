@@ -119,7 +119,7 @@ impl BddManager {
     /// their original relative order (so the table stays topological),
     /// and the roots remapped into it; terminal roots map to themselves.
     /// Construction leaves every intermediate (De Morgan negations,
-    /// shard-merge products) in the table, and
+    /// partial disjunctions) in the table, and
     /// [`BddManager::eval_all_into`] sweeps the whole table, so a
     /// manager that only serves evaluation should hold just its live
     /// cone.
@@ -156,9 +156,7 @@ impl BddManager {
     /// with `trans[idx as usize]`.
     ///
     /// Because `mk` dedupes against the unique table, importing the same
-    /// shards in the same order always reproduces the same node table.
-    /// The offline flow's fixed shards make it a function of the design
-    /// alone.
+    /// tables in the same order always reproduces the same node table.
     pub fn import_nodes(&mut self, nodes: &[(u32, u32, u32)]) -> Vec<Bdd> {
         let mut trans = Vec::with_capacity(nodes.len() + 2);
         trans.push(Bdd::FALSE);
@@ -286,8 +284,9 @@ impl BddManager {
         acc
     }
 
-    /// Evaluate under a parameter assignment (`assignment.get(var)`).
-    /// This is the SCG's inner loop: a root-to-terminal walk.
+    /// Evaluate under a parameter assignment (`assignment.get(var)`):
+    /// a root-to-terminal walk, the per-function reference that
+    /// [`crate::Scg::try_specialize`] runs.
     #[inline]
     pub fn eval(&self, f: Bdd, assignment: &BitVec) -> bool {
         let mut cur = f;
@@ -307,9 +306,11 @@ impl BddManager {
     /// forward references), so one pass in index order visits children
     /// before parents. For a fixed parameter vector this costs each
     /// shared node exactly once, versus [`BddManager::eval`] re-walking
-    /// the DAG from every root — the memoized batch evaluator the
-    /// per-turn SCG hot path uses. After the sweep, any root's value is
-    /// `values[f.index()]` (see [`BddManager::value_of`]).
+    /// the DAG from every root. It is the SCG's one evaluator: every
+    /// turn and scrub runs it, and [`BddManager::eval`] survives only as
+    /// the reference walk of [`crate::Scg::try_specialize`]. After the
+    /// sweep, any root's value is `values[f.index()]` (see
+    /// [`BddManager::value_of`]).
     ///
     /// Each node is a mask select, `values[i] = values[if p[var] { hi }
     /// else { lo }]`, with the child picked by masking rather than by a

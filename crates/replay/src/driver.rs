@@ -205,11 +205,13 @@ impl OnlineDriver {
         device_crc(self.online.channel())
     }
 
-    /// CRC of the golden (oracle) specialization for `params` — what
-    /// the device must hold after a committed turn, independent of any
-    /// driver state.
-    pub fn specialize_crc(&self, params: &BitVec) -> u64 {
-        bitstream_crc(&self.online.scg().specialize(params))
+    /// CRC of the reference specialization
+    /// ([`Scg::try_specialize`](pfdbg_pconf::Scg::try_specialize)) for
+    /// `params` — what the device must hold after a committed turn,
+    /// independent of any driver state. A wrong parameter count is an
+    /// error.
+    pub fn specialize_crc(&self, params: &BitVec) -> Result<u64, String> {
+        Ok(bitstream_crc(&self.online.scg().try_specialize(params)?))
     }
 
     /// One select turn: tick the device (SEUs strike), then apply the

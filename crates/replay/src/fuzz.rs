@@ -166,7 +166,7 @@ fn execute(
                     FuzzOp::Select(params) => {
                         let facts = a.select(params);
                         if facts.outcome == SelectOutcome::Committed {
-                            let oracle = a.specialize_crc(params);
+                            let oracle = a.specialize_crc(params)?;
                             if facts.readback_crc != oracle {
                                 return Ok(Some(Divergence {
                                     record: i,

@@ -226,7 +226,7 @@ fn chaos_commits_match_golden_and_rollbacks_leave_no_trace() {
             match manager.select("g", &params) {
                 Ok(outcome) => {
                     committed += 1;
-                    let golden = engine.scg.specialize(&params);
+                    let golden = engine.scg.try_specialize(&params).unwrap();
                     assert_eq!(
                         manager.readback("g").unwrap(),
                         golden,

@@ -76,7 +76,7 @@ fn bombarded_session_ends_clean() {
     let (p, served, resync) = manager.session_state("acc").unwrap();
     assert_eq!(served, turns);
     assert!(!resync, "SEU-only sessions never quarantine, so never arm resync");
-    let golden = engine.scg.specialize(&p);
+    let golden = engine.scg.try_specialize(&p).unwrap();
     let readback = manager.readback("acc").unwrap();
     assert_eq!(readback, golden, "undetected divergence after final scrub");
 
@@ -214,7 +214,7 @@ fn combined_faults_and_seus_stay_recoverable() {
     let (p, _, _) = manager.session_state("both").unwrap();
     assert_eq!(
         manager.readback("both").unwrap(),
-        engine.scg.specialize(&p),
+        engine.scg.try_specialize(&p).unwrap(),
         "converged scrub must leave the device bit-identical to golden"
     );
 }

@@ -123,13 +123,13 @@ fn check_walk(
     let mut scratch = SpecializeScratch::new();
     let mut params = BitVec::zeros(case.n_params);
     let mut prev_params = params.clone();
-    let mut current = scg.specialize(&params);
+    let mut current = scg.try_specialize(&params).unwrap();
     for (turn, flips) in walk.iter().enumerate() {
         for &(i, v) in flips {
             params.set(i, v);
         }
         // Ground truth: fresh per-function specialization.
-        let want = scg.specialize(&params);
+        let want = scg.try_specialize(&params).unwrap();
 
         // Batch full specialization from an arbitrary prior bitstream,
         // and the timed variant.
@@ -164,7 +164,7 @@ fn check_minimal(scg: &Scg, case: &Case, walk: &[Vec<(usize, bool)>]) -> Result<
     let mut scratch = SpecializeScratch::new();
     let mut params = BitVec::zeros(case.n_params);
     let mut prev_params = params.clone();
-    let mut current = scg.specialize(&params);
+    let mut current = scg.try_specialize(&params).unwrap();
     for flips in walk {
         for &(i, v) in flips {
             params.set(i, v);
@@ -178,7 +178,7 @@ fn check_minimal(scg: &Scg, case: &Case, walk: &[Vec<(usize, bool)>]) -> Result<
             prop_assert_ne!(current.get(addr), v);
             current.set(addr, v);
         }
-        prop_assert_eq!(&current, &scg.specialize(&params));
+        prop_assert_eq!(&current, &scg.try_specialize(&params).unwrap());
         scratch.commit(&params);
         prev_params.clone_from(&params);
     }

@@ -59,7 +59,7 @@ fn drive_and_check(online: &mut OnlineReconfigurator, walk: &[BitVec]) -> (usize
         match online.try_apply(params) {
             Ok(_) => {
                 committed += 1;
-                let golden = online.scg().specialize(params);
+                let golden = online.scg().try_specialize(params).unwrap();
                 assert_eq!(
                     online.readback(),
                     golden,
@@ -217,7 +217,7 @@ fn combined_write_faults_and_seus_keep_trace_windows_golden() {
     }
     assert!(online.scrubber().quarantined().is_empty(), "light chaos must not quarantine");
     assert_eq!(
-        online.undetected_divergence(),
+        online.undetected_divergence().unwrap(),
         Vec::<usize>::new(),
         "no injected upset may survive undetected"
     );

@@ -211,7 +211,7 @@ fn specialized_bitstream_physically_routes_the_selected_signal() {
         // Parameter assignment observing `signal`.
         let session = DebugSession::new(inst.clone(), None);
         let plan = session.plan(&[signal]).unwrap();
-        let bs = scg.specialize(&plan.params);
+        let bs = scg.try_specialize(&plan.params).unwrap();
 
         // Source opin: the packed source of the (unique) tunable net whose
         // alternative is this signal.
@@ -340,5 +340,5 @@ fn tlut_bits_specialize_to_the_residual_table() {
     // The two specializations differ (different residual tables).
     let p0: parameterized_fpga_debug::util::BitVec = [false].into_iter().collect();
     let p1: parameterized_fpga_debug::util::BitVec = [true].into_iter().collect();
-    assert_ne!(scg.specialize(&p0), scg.specialize(&p1));
+    assert_ne!(scg.try_specialize(&p0).unwrap(), scg.try_specialize(&p1).unwrap());
 }

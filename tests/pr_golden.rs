@@ -13,6 +13,10 @@
 //! sink, so it converges to other routes (in fewer iterations, on fewer
 //! wires), and the generalized bitstream is built from those routes.
 //! The placement digests did not change.
+//!
+//! The table digest pins the compacted SCG itself: its node table in
+//! order and each tunable bit's root. Store artifacts persist that
+//! order, so a change to how genbits builds its BDDs must keep it.
 
 use parameterized_fpga_debug::circuits::{build, generate, GenParams};
 use parameterized_fpga_debug::core::{
@@ -112,9 +116,29 @@ fn specialization_digest(scg: &Scg) -> u64 {
     h.0
 }
 
+/// The compacted SCG's node table, in order, then every tunable bit's
+/// address and root node index.
+fn table_digest(scg: &Scg) -> u64 {
+    let nodes = scg.manager().export_nodes();
+    let tunable = &scg.generalized().tunable;
+    let mut h = Fnv::new();
+    h.word(nodes.len() as u64);
+    for (var, lo, hi) in nodes {
+        h.word(var as u64);
+        h.word(lo as u64);
+        h.word(hi as u64);
+    }
+    h.word(tunable.len() as u64);
+    for &(addr, f) in tunable {
+        h.word(addr as u64);
+        h.word(f.index() as u64);
+    }
+    h.0
+}
+
 /// `(placement digest, routing digest, wires used, specialization
-/// digest)`.
-type Digests = (u64, u64, usize, u64);
+/// digest, SCG table digest)`.
+type Digests = (u64, u64, usize, u64, u64);
 
 /// Place and route `design` at paper instrumentation: its digests, and
 /// the terminal count of its widest net (distinct blocks over sources
@@ -146,6 +170,7 @@ fn digests(design: &Network) -> (Digests, usize) {
         routing_digest(&tp.routed),
         tp.routed.wires_used,
         specialization_digest(scg),
+        table_digest(scg),
     );
     (got, widest)
 }
@@ -155,9 +180,9 @@ fn check(name: &str, design: &Network, golden: Digests) -> usize {
     let (got, widest) = digests(design);
     assert_eq!(
         got, golden,
-        "{name}: (placement, routing, wires, specialization) digests \
-         {:#018x}, {:#018x}, {}, {:#018x} differ from the golden values",
-        got.0, got.1, got.2, got.3
+        "{name}: (placement, routing, wires, specialization, table) digests \
+         {:#018x}, {:#018x}, {}, {:#018x}, {:#018x} differ from the golden values",
+        got.0, got.1, got.2, got.3, got.4
     );
     widest
 }
@@ -171,7 +196,13 @@ fn stereov_place_and_route_match_golden_digests() {
     let widest = check(
         "stereov.",
         &design,
-        (0x2eb0_6081_fa92_4779, 0x9a1a_789b_20a4_4773, 961, 0x1cd8_015d_6eec_3c71),
+        (
+            0x2eb0_6081_fa92_4779,
+            0x9a1a_789b_20a4_4773,
+            961,
+            0x1cd8_015d_6eec_3c71,
+            0x5ad7_503a_a0ce_3a49,
+        ),
     );
     assert!(
         widest > COUNTED_NET_TERMINALS,
@@ -188,7 +219,13 @@ fn diffeq1_place_and_route_match_golden_digests() {
     check(
         "diffeq1",
         &design,
-        (0x3d4e_4efe_ba5e_a918, 0x4bc3_4829_1e61_ca6f, 3065, 0xa583_9789_ab72_d889),
+        (
+            0x3d4e_4efe_ba5e_a918,
+            0x4bc3_4829_1e61_ca6f,
+            3065,
+            0xa583_9789_ab72_d889,
+            0x90f8_b013_fde5_9c03,
+        ),
     );
 }
 
@@ -205,6 +242,12 @@ fn generated_place_and_route_match_golden_digests() {
     check(
         "gen 0x601d",
         &design,
-        (0x19fd_8c4e_2343_d297, 0xd4dc_d367_e8c1_ea11, 603, 0xda7b_517b_a5c4_a5c5),
+        (
+            0x19fd_8c4e_2343_d297,
+            0xd4dc_d367_e8c1_ea11,
+            603,
+            0xda7b_517b_a5c4_a5c5,
+            0xc4c3_2a48_dbb2_f368,
+        ),
     );
 }
