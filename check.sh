@@ -77,7 +77,7 @@ echo "== serve smoke test =="
 # the background scrubber enabled — drive it with a small serve_load
 # run, and check for a clean shutdown plus a non-empty latency report
 # carrying the scrub counters and the server's own SEU settings.
-cargo build -q -p pfdbg-cli -p pfdbg-bench --bin pfdbg --bin serve_load --bin diff_fuzz --bin specialize
+cargo build -q -p pfdbg-cli -p pfdbg-bench --bin pfdbg --bin serve_load --bin specialize
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./target/debug/pfdbg serve @stereov. --store-dir "$SMOKE_DIR/store" \
@@ -292,12 +292,11 @@ echo "journaled restart smoke ok"
 echo "== differential fuzz (64 seeded cases) =="
 # Seeded random turn sequences through every emulator pair that must
 # agree bit-for-bit (faulty-vs-oracle, scrubbed-vs-unscrubbed at zero
-# SEU). Divergences shrink to minimal journals in the corpus dir and
-# fail the gate.
-./target/debug/diff_fuzz --cases 64 --seed 4242 --corpus "$SMOKE_DIR/fuzz-corpus" \
-    --out "$SMOKE_DIR/BENCH_diff_fuzz.json" >/dev/null
-grep -q '"divergences":0' "$SMOKE_DIR/BENCH_diff_fuzz.json" || { echo "differential fuzz found divergences"; exit 1; }
-echo "diff_fuzz ok: $(cat "$SMOKE_DIR/BENCH_diff_fuzz.json")"
+# SEU). Divergences shrink to minimal journals in the corpus dir;
+# `pfdbg fuzz` exits non-zero on any divergence or error.
+FUZZ_OUT=$(./target/debug/pfdbg fuzz --cases 64 --seed 4242 --corpus-dir "$SMOKE_DIR/fuzz-corpus") \
+    || { echo "$FUZZ_OUT" | tail -5; echo "differential fuzz found divergences"; exit 1; }
+echo "fuzz ok: $(echo "$FUZZ_OUT" | tail -1)"
 
 echo "== specialize micro-bench (batch vs reference bit-identity) =="
 # The turn-path micro-bench at a reduced turn count: the gate is the
@@ -321,10 +320,20 @@ grep -q '"d1_identical":1' "$SMOKE_DIR/BENCH_specialize.json" \
     || { echo "batch evaluator diverged from the reference (try_specialize) on diffeq1"; exit 1; }
 echo "specialize bench ok"
 
-echo "== committed corpus replay =="
+echo "== committed corpus replay and re-record =="
 for j in tests/corpus/*.pfdj; do
     ./target/debug/pfdbg replay "$j" >/dev/null || { echo "corpus journal $j diverged"; exit 1; }
 done
+# Two committed journals, recorded again: the `gen:SEED` parse, the
+# design build and the record path must reproduce them byte for byte.
+./target/debug/pfdbg record gen:11 --seed 101 --turns 6 \
+    --out "$SMOKE_DIR/clean-gen11.pfdj" >/dev/null
+cmp "$SMOKE_DIR/clean-gen11.pfdj" tests/corpus/clean-gen11.pfdj \
+    || { echo "re-recorded clean-gen11.pfdj differs from the committed journal"; exit 1; }
+./target/debug/pfdbg record gen:33 --seed 303 --turns 7 --scrub-every 2 --icap-fault-rate 0.25 \
+    --seu-rate 0.03 --seu-seed 909 --seu-burst 3 --out "$SMOKE_DIR/faulty-gen33.pfdj" >/dev/null
+cmp "$SMOKE_DIR/faulty-gen33.pfdj" tests/corpus/faulty-gen33.pfdj \
+    || { echo "re-recorded faulty-gen33.pfdj differs from the committed journal"; exit 1; }
 echo "corpus ok"
 
 echo "all checks passed"

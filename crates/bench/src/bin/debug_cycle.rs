@@ -9,7 +9,7 @@
 //! modeled partial-reconfiguration transfer.
 
 use pfdbg_core::{
-    offline, prepare_instrumented, DebugSession, InstrumentConfig, OfflineConfig, PAPER_K,
+    prepare_instrumented, CompiledDesign, DebugSession, InstrumentConfig, OfflineConfig, PAPER_K,
 };
 use pfdbg_map::{map, MapperKind};
 use pfdbg_pconf::OnlineReconfigurator;
@@ -34,15 +34,14 @@ fn main() {
     let (_, _, inst) = prepare_instrumented(&design, &icfg, PAPER_K).expect("prepare");
 
     // Proposed: one offline stage, then cheap turns.
-    let t0 = Instant::now();
-    let off = offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).expect("offline");
-    let offline_time = t0.elapsed();
-    let scg = off.scg.expect("scg");
-    let layout = off.layout.expect("layout");
-    let online = OnlineReconfigurator::new(scg, layout, off.icap);
     let dut = inst.network.clone();
     let observable: Vec<String> = inst.observable().into_iter().map(str::to_string).collect();
-    let mut session = DebugSession::new(inst, Some(online));
+    let t0 = Instant::now();
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
+    let design = CompiledDesign::compile(inst, &cfg).expect("offline");
+    let offline_time = t0.elapsed();
+    let online = OnlineReconfigurator::new(design.scg, design.layout, design.icap);
+    let mut session = DebugSession::new(design.inst, Some(online));
     // Measure a representative turn.
     session.observe(&dut, &[&observable[0]], 8, 1, &[]).expect("turn");
     session.observe(&dut, &[&observable[1]], 8, 2, &[]).expect("turn");

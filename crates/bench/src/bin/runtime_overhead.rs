@@ -9,7 +9,7 @@
 
 use pfdbg_arch::icap::turns_equivalent;
 use pfdbg_core::{
-    offline, prepare_instrumented, DebugSession, InstrumentConfig, OfflineConfig, PAPER_K,
+    prepare_instrumented, CompiledDesign, DebugSession, InstrumentConfig, OfflineConfig, PAPER_K,
 };
 use pfdbg_pconf::OnlineReconfigurator;
 use pfdbg_util::stats::Accumulator;
@@ -32,14 +32,13 @@ fn main() {
     let icfg = InstrumentConfig { n_ports: 4, max_signals: None, coverage: 1 };
     let (_, _, inst) = prepare_instrumented(&design, &icfg, PAPER_K).expect("prepare");
     let observable: Vec<String> = inst.observable().into_iter().map(str::to_string).collect();
-    let off =
-        offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).expect("offline stage");
-    let scg = off.scg.expect("scg");
-    let layout = off.layout.expect("layout");
-    let full_reconfig = off.icap.full_reconfig(pfdbg_arch::VIRTEX5_CONFIG_BITS, layout.frame_bits);
-    let online = OnlineReconfigurator::new(scg, layout, off.icap);
     let dut = inst.network.clone();
-    let mut session = DebugSession::new(inst, Some(online));
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
+    let design = CompiledDesign::compile(inst, &cfg).expect("offline stage");
+    let full_reconfig =
+        design.icap.full_reconfig(pfdbg_arch::VIRTEX5_CONFIG_BITS, design.layout.frame_bits);
+    let online = OnlineReconfigurator::new(design.scg, design.layout, design.icap);
+    let mut session = DebugSession::new(design.inst, Some(online));
 
     // Run 50 debugging turns with random signal selections; measure the
     // real SCG evaluation time and the modeled DPR transfer.

@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! serve_load [--addr host:port] [--threads N] [--sessions M] [--requests N]
-//!            [--out f.json] [--shutdown] [--open-loop] [--rate RPS]
-//!            [--shards N] [--inbox-cap N]
+//!            [--out f.json] [--shutdown] [--shards N] [--inbox-cap N]
 //!            [--icap-fault-rate R] [--icap-seed S]
 //!            [--seu-rate R] [--seu-seed S] [--scrub-interval-ms MS] [--journal]
 //!            [--devices N] [--spares N] [--kill-device-at K]
@@ -20,11 +19,8 @@
 //! that server once the run is done (the pattern `check.sh` uses for
 //! its smoke test). `--sessions` (default: one per thread) spreads that
 //! many sessions across the client threads — `--sessions 10000` is the
-//! fleet-scale soak. `--open-loop` switches from closed-loop
-//! (request, wait, repeat) to paced arrivals at `--rate` requests/s
-//! total: senders do not wait for replies, so shard-inbox shedding and
-//! queue-wait tail latency become visible instead of being absorbed by
-//! client back-off. `--journal` turns on session journaling
+//! fleet-scale soak. Each client runs a closed loop: request, wait for
+//! the reply, repeat. `--journal` turns on session journaling
 //! (in-process server, temp dir), measuring the record-path overhead.
 //! `--devices N` runs the in-process server over a supervised device
 //! fleet (N primaries plus `--spares` spares, default 1), and
@@ -33,16 +29,15 @@
 //! re-drive (pass `--journal`, or they are dropped as `sessions_lost`)
 //! while the client-side ledger counts the migration-window replies.
 
-use pfdbg_core::{offline, prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_obs::jsonl::{write_object, JsonValue};
 use pfdbg_obs::Histogram;
 use pfdbg_replay::ChaosSpec;
-use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions};
+use pfdbg_serve::session::{DeviceOptions, FleetOptions};
 use pfdbg_serve::{JournalOptions, ManagerOptions, Server, ServerConfig, SessionManager};
 use pfdbg_util::stats::percentile;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,7 +57,7 @@ fn flag_f64(rest: &[String], name: &str, default: f64) -> f64 {
     })
 }
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -77,8 +72,7 @@ fn build_engine() -> Engine {
         6,
     )
     .expect("instrument");
-    let off = offline(&inst, &OfflineConfig::default()).expect("offline");
-    Engine::new(inst, off.scg.expect("scg"), off.layout.expect("layout"), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).expect("offline")
 }
 
 struct Client {
@@ -263,106 +257,6 @@ fn drive_closed(
     stats
 }
 
-/// Open loop: requests leave on a fixed schedule whether or not earlier
-/// replies came back, so queueing delay (and shedding) is measured
-/// instead of self-throttled away. Latency is measured from each
-/// request's *scheduled* departure, charging coordinated omission to
-/// the server. Sessions are left open (the run measures a standing
-/// fleet; server shutdown reclaims them).
-fn drive_open(
-    addr: &str,
-    thread_id: usize,
-    names: &[String],
-    requests: usize,
-    rps: f64,
-    hist: &Histogram,
-) -> ThreadStats {
-    let mut stats = ThreadStats::default();
-    let mut c = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("thread {thread_id}: connect failed: {e}");
-            stats.failures = requests;
-            stats.issued = requests;
-            return stats;
-        }
-    };
-    let (live, n_params) = open_sessions(&mut c, names, &mut stats);
-    if live.is_empty() {
-        eprintln!("thread {thread_id}: no session opened");
-        stats.failures += requests;
-        stats.issued = requests;
-        return stats;
-    }
-    // Replies can lag sends indefinitely under saturation; a read
-    // timeout turns a wedged server into bounded failure counts.
-    c.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).ok();
-    let interval = Duration::from_secs_f64(1.0 / rps.max(1e-3));
-    // Scheduled departure of request i, as nanos after t0, shared with
-    // the reader so it can compute schedule-to-reply latency.
-    let sched_ns: Vec<AtomicU64> = (0..requests).map(|_| AtomicU64::new(0)).collect();
-    let t0 = Instant::now();
-    let (mut reader, mut writer) = (c.reader, c.writer);
-    let (got, recv_stats) = std::thread::scope(|s| {
-        let sched = &sched_ns;
-        let recv = s.spawn(move || {
-            let mut recv_stats = ThreadStats::default();
-            let mut got = 0usize;
-            while got < requests {
-                let mut reply = String::new();
-                match reader.read_line(&mut reply) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-                got += 1;
-                match classify(&reply) {
-                    ReplyKind::Ok => {
-                        let seq: usize = parse_reply(&reply)
-                            .and_then(|ev| ev.str("id")?.split('-').nth(1)?.parse().ok())
-                            .unwrap_or(0);
-                        let sent_ns = sched[seq.min(requests - 1)].load(Ordering::Acquire);
-                        let lat_s =
-                            (t0.elapsed().as_nanos() as f64 - sent_ns as f64).max(0.0) / 1e9;
-                        hist.record_us(lat_s * 1e6);
-                        recv_stats.latencies_ms.push(lat_s * 1e3);
-                    }
-                    ReplyKind::Overloaded => recv_stats.overloaded += 1,
-                    ReplyKind::Migrating => recv_stats.migrating += 1,
-                    ReplyKind::Failed => recv_stats.failures += 1,
-                }
-            }
-            (got, recv_stats)
-        });
-        for i in 0..requests {
-            let due = t0 + interval.mul_f64(i as f64);
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
-            sched_ns[i].store((due - t0).as_nanos() as u64, Ordering::Release);
-            let session = &live[i % live.len()];
-            let params = params_for(n_params, thread_id + i / live.len(), i);
-            let line = format!(
-                "{{\"op\":\"select\",\"session\":\"{session}\",\"params\":\"{params}\",\"id\":\"{thread_id}-{i}\"}}\n"
-            );
-            stats.issued += 1;
-            // A failed write is not counted here: its reply never
-            // arrives, so it lands in the issued-minus-received bucket
-            // below (counting both would double-book it).
-            let _ = writer.write_all(line.as_bytes()).and_then(|_| writer.flush());
-        }
-        recv.join().expect("reader thread")
-    });
-    // Requests that never came back (failed write, timeout, connection
-    // loss) are failures; the ledger still sums.
-    stats.failures += stats.issued.saturating_sub(got);
-    stats.failures += recv_stats.failures;
-    stats.overloaded += recv_stats.overloaded;
-    stats.migrating += recv_stats.migrating;
-    stats.latencies_ms.extend(recv_stats.latencies_ms);
-    stats
-}
-
 fn main() {
     let obs = pfdbg_bench::obs_init();
     let rest = obs.rest().to_vec();
@@ -372,8 +266,6 @@ fn main() {
     let out = flag(&rest, "--out").unwrap_or_else(|| "BENCH_serve.json".into());
     let external = flag(&rest, "--addr");
     let send_shutdown = rest.iter().any(|a| a == "--shutdown");
-    let open_loop = rest.iter().any(|a| a == "--open-loop");
-    let target_rps = flag_f64(&rest, "--rate", 1000.0);
     let shards = flag_usize(&rest, "--shards", 0);
     let inbox_cap = flag_usize(&rest, "--inbox-cap", 0);
     let fault_rate = flag_f64(&rest, "--icap-fault-rate", 0.0);
@@ -451,11 +343,9 @@ fn main() {
     let addr = external
         .clone()
         .unwrap_or_else(|| handle.as_ref().expect("in-process").local_addr().to_string());
-    let mode =
-        if open_loop { format!("open-loop @ {target_rps:.0} req/s") } else { "closed-loop".into() };
     eprintln!(
         "serve_load: {threads} threads x {requests} selects over {sessions} sessions \
-         against {addr} ({mode})"
+         against {addr} (closed-loop)"
     );
 
     // Session i belongs to thread i % threads, so every thread's slice
@@ -470,20 +360,13 @@ fn main() {
     // in the report.
     let hist = Histogram::new();
     let t0 = Instant::now();
-    let per_thread_rps = target_rps / threads.max(1) as f64;
     let results: Vec<ThreadStats> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let addr = addr.clone();
                 let hist = &hist;
                 let names = &slices[t];
-                s.spawn(move || {
-                    if open_loop {
-                        drive_open(&addr, t, names, requests, per_thread_rps, hist)
-                    } else {
-                        drive_closed(&addr, t, names, requests, hist)
-                    }
-                })
+                s.spawn(move || drive_closed(&addr, t, names, requests, hist))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
@@ -530,7 +413,7 @@ fn main() {
     let hist_ms = |p: f64| snap.percentile_us(p).map_or(f64::NAN, |us| us / 1e3);
     let (hist_p50, hist_p99, hist_p999) = (hist_ms(50.0), hist_ms(99.0), hist_ms(99.9));
 
-    println!("=== serve_load: {sessions} sessions on {threads} connections ({mode}) ===");
+    println!("=== serve_load: {sessions} sessions on {threads} connections (closed-loop) ===");
     println!("issued:       {issued}");
     println!("requests ok:  {total}");
     println!("overloaded:   {overloaded}");
@@ -555,10 +438,6 @@ fn main() {
         ("overloaded_replies", JsonValue::Num(overloaded as f64)),
         ("migrating_replies", JsonValue::Num(migrating as f64)),
         ("failures", JsonValue::Num(failures as f64)),
-        ("open_loop", JsonValue::Bool(open_loop)),
-        // Closed-loop runs have no pacing target: that is `null`, not
-        // NaN — a bare NaN is not JSON and breaks strict parsers.
-        ("target_rps", if open_loop { JsonValue::Num(target_rps) } else { JsonValue::Null }),
         ("elapsed_s", JsonValue::Num(elapsed.as_secs_f64())),
         ("throughput_rps", JsonValue::Num(throughput)),
         ("p50_ms", JsonValue::Num(p50)),

@@ -27,7 +27,7 @@
 //! ```
 
 use pfdbg_arch::{build_rrg, ArchSpec, BitstreamLayout, Device};
-use pfdbg_core::{offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig, PAPER_K};
 use pfdbg_obs::jsonl::JsonValue;
 use pfdbg_pconf::{BddManager, GeneralizedBuilder, Scg, SpecializeScratch};
 use pfdbg_util::stats::percentile;
@@ -84,9 +84,8 @@ fn diffeq1_scg() -> Scg {
     let design = pfdbg_circuits::build("diffeq1").expect("suite member");
     let (_, _, inst) =
         prepare_instrumented(&design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
-    let off =
-        offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).expect("offline flow");
-    off.scg.expect("offline flow built the SCG")
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
+    CompiledDesign::compile(inst, &cfg).expect("offline flow").scg
 }
 
 /// Builds the SCG of one benchmark scale.

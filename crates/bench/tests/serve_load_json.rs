@@ -1,9 +1,8 @@
 //! `serve_load` report regression tests: the emitted BENCH JSON must
-//! strict-parse (regression for the closed-loop `target_rps` literal
-//! NaN, which is not JSON) and carry the server's `stats` fields, a
-//! device-fleet chaos run must carry the fleet fields `check.sh` gates
-//! on, and an in-process report must name the chaos rates its server
-//! ran and balance its request ledger.
+//! strict-parse (no bare NaN, which is not JSON) and carry the server's
+//! `stats` fields, a device-fleet chaos run must carry the fleet fields
+//! `check.sh` gates on, and an in-process report must name the chaos
+//! rates its server ran and balance its request ledger.
 
 use pfdbg_obs::jsonl::{parse_jsonl, Event, JsonValue};
 use std::process::Command;
@@ -28,13 +27,10 @@ fn run_serve_load_with_env(out: &std::path::Path, extra: &[&str], env: &[(&str, 
 }
 
 #[test]
-fn closed_loop_report_strict_parses_with_null_target_rps() {
+fn closed_loop_report_strict_parses_with_server_stats() {
     let out = std::env::temp_dir()
         .join(format!("pfdbg-serve-load-json-closed-{}.json", std::process::id()));
     let ev = run_serve_load(&out, &["--requests", "3"]);
-    assert_eq!(ev.fields.get("open_loop"), Some(&JsonValue::Bool(false)));
-    // Closed-loop runs have no pacing target: null, never NaN.
-    assert_eq!(ev.fields.get("target_rps"), Some(&JsonValue::Null), "{ev:?}");
     assert_eq!(ev.num("failures"), Some(0.0));
     // The server's `stats` reply rides along whole, not a hand-picked
     // subset of it.

@@ -2,20 +2,22 @@
 //! flow.
 //!
 //! ```text
-//! pfdbg instrument <design.blif> [--ports N] [--coverage C] [--out inst.blif] [--par inst.par]
-//! pfdbg compare    <design.blif|@benchmark> [--k K] [--ports N] [--coverage C]
-//! pfdbg offline    <design.blif|@benchmark> [--k K] [--ports N]
-//! pfdbg observe    <design.blif|@benchmark> --signals s1,s2|auto [--cycles N]
-//! pfdbg rank       <design.blif|@benchmark> [--top N]
+//! pfdbg instrument <design> [--ports N] [--coverage C] [--out inst.blif] [--par inst.par]
+//! pfdbg compare    <design> [--k K] [--ports N] [--coverage C]
+//! pfdbg offline    <design> [--k K] [--ports N]
+//! pfdbg observe    <design> --signals s1,s2|auto [--cycles N]
+//! pfdbg rank       <design> [--top N]
 //! pfdbg report     <trace.jsonl>
-//! pfdbg scrub      <design.blif|@benchmark> [--turns N] [--scrub-every N] [--seu-rate R]
-//! pfdbg serve      <design.blif|@benchmark> [--addr H:P|--port P] [--workers N] [--shards N] [--devices N] [--spares N] [--port-file f]
+//! pfdbg scrub      <design> [--turns N] [--scrub-every N] [--seu-rate R]
+//! pfdbg serve      <design> [--addr H:P|--port P] [--workers N] [--shards N] [--devices N] [--spares N] [--port-file f]
 //! pfdbg client     <host:port> [--request '<json>'] [--shutdown]
 //! pfdbg bench-list
 //! ```
 //!
-//! `@name` selects a generated benchmark from the calibrated suite
-//! (e.g. `@stereov.`, `@clma`).
+//! `<design>` is a netlist file (`.blif`, or `.v`/`.sv` for Verilog),
+//! `@name` a generated benchmark from the calibrated suite (e.g.
+//! `@stereov.`, `@clma`), or `gen:SEED` the small generated design of
+//! that seed — parsed and loaded by [`DesignSpec`] for every command.
 //!
 //! Commands that run the offline flow (`offline`, `observe`, `scrub`,
 //! `serve`) go through the content-addressed artifact store by default
@@ -29,14 +31,12 @@
 //! switch the observability layer on; `pfdbg report` digests a trace
 //! file back into a summary.
 
-use pfdbg_arch::{BitstreamLayout, IcapModel};
 use pfdbg_core::{
-    compare_mappers, instrument, offline, prepare_instrumented, rank_signals, DebugSession,
-    InstrumentConfig, Instrumented, OfflineConfig, PAPER_K,
+    compare_mappers, instrument, offline, prepare_instrumented, rank_signals, CompiledDesign,
+    DebugSession, InstrumentConfig, Instrumented, OfflineConfig, PAPER_K,
 };
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_netlist::{blif, Network};
-use pfdbg_pconf::{OnlineReconfigurator, Scg};
 use pfdbg_replay::{ChaosSpec, DesignSpec};
 use pfdbg_store::{ArtifactStore, CacheOutcome};
 use std::process::ExitCode;
@@ -145,24 +145,24 @@ fn print_usage() {
         "pfdbg — parameterized FPGA debugging flow\n\
          \n\
          usage:\n\
-         \x20 pfdbg instrument <design.blif> [--ports N] [--coverage C] [--out f.blif] [--par f.par]\n\
-         \x20 pfdbg compare    <design.blif|@bench> [--k K] [--ports N] [--coverage C]\n\
-         \x20 pfdbg offline    <design.blif|@bench> [--k K] [--ports N] [--dump-bitstream f.pfb]\n\
-         \x20 pfdbg observe    <design.blif|@bench> --signals s1,s2|auto [--cycles N]\n\
+         \x20 pfdbg instrument <design> [--ports N] [--coverage C] [--out f.blif] [--par f.par]\n\
+         \x20 pfdbg compare    <design> [--k K] [--ports N] [--coverage C]\n\
+         \x20 pfdbg offline    <design> [--k K] [--ports N] [--dump-bitstream f.pfb]\n\
+         \x20 pfdbg observe    <design> --signals s1,s2|auto [--cycles N]\n\
          \x20                  [--icap-fault-rate R] [--icap-seed S] [--max-retries N]\n\
          \x20                  (no upsets: refuses --seu-*, ignores PFDBG_SEU_RATE; see scrub)\n\
-         \x20 pfdbg rank       <design.blif|@bench> [--top N]\n\
-         \x20 pfdbg localize   <design.blif|@bench> [--bug <net>] [--cycles N]\n\
+         \x20 pfdbg rank       <design> [--top N]\n\
+         \x20 pfdbg localize   <design> [--bug <net>] [--cycles N]\n\
          \x20 pfdbg report     <trace.jsonl>\n\
-         \x20 pfdbg scrub      <design.blif|@bench> [--turns N] [--scrub-every N]\n\
+         \x20 pfdbg scrub      <design> [--turns N] [--scrub-every N]\n\
          \x20                  [--seu-rate R] [--seu-seed S] [--seu-burst B] [--icap-fault-rate R]\n\
-         \x20 pfdbg serve      <design.blif|@bench> [--addr H:P|--port P] [--workers N] [--cache N] [--port-file f]\n\
+         \x20 pfdbg serve      <design> [--addr H:P|--port P] [--workers N] [--cache N] [--port-file f]\n\
          \x20                  [--shards N] [--inbox-cap N] (session-owning shard threads; bounded inboxes)\n\
          \x20                  [--icap-fault-rate R] [--icap-seed S] [--max-retries N]\n\
          \x20                  [--scrub-interval MS] [--seu-rate R] [--seu-seed S] [--seu-burst B]\n\
          \x20                  [--journal-dir DIR] (record every session; restore on restart)\n\
          \x20                  [--devices N] [--spares N] (supervised device fleet with failover)\n\
-         \x20 pfdbg record     <design.blif|@bench|gen:SEED> --out <f.pfdj> [--turns N] [--seed S]\n\
+         \x20 pfdbg record     <design> --out <f.pfdj> [--turns N] [--seed S]\n\
          \x20                  [--scrub-every N] [--session NAME] [chaos flags as for serve]\n\
          \x20 pfdbg replay     <journal.pfdj> (exit 1 on divergence)\n\
          \x20 pfdbg fuzz       [--cases N] [--seed S] [--corpus-dir DIR] (differential turn fuzzer)\n\
@@ -172,7 +172,8 @@ fn print_usage() {
          \n\
          global flags: --profile (span report on exit), --trace-out <f.jsonl>\n\
          store flags (offline/observe/scrub/serve): --store-dir <dir> (default .pfdbg-store), --no-store\n\
-         `@name` uses a generated benchmark from the calibrated suite."
+         <design> is a netlist (.blif, or .v/.sv for Verilog), @name a benchmark of the\n\
+         \x20 calibrated suite, or gen:SEED the small generated design of that seed."
     );
 }
 
@@ -231,23 +232,20 @@ fn chaos_from_flags(rest: &[String]) -> Result<ChaosSpec, String> {
     Ok(ChaosSpec { fault, seu, max_retries, ..reliable })
 }
 
-fn load_design(rest: &[String]) -> Result<(String, Network), String> {
-    let path = rest
-        .first()
+/// The design argument (a netlist path, `@bench` or `gen:SEED`).
+fn design_arg(rest: &[String]) -> Result<&str, String> {
+    rest.first()
         .filter(|a| !a.starts_with("--"))
-        .ok_or("expected a design file or @benchmark")?;
-    if let Some(name) = path.strip_prefix('@') {
-        let nw = pfdbg_circuits::build(name)
-            .ok_or_else(|| format!("unknown benchmark {name:?} (see bench-list)"))?;
-        return Ok((name.to_string(), nw));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let nw = if path.ends_with(".v") || path.ends_with(".sv") {
-        pfdbg_netlist::verilog::parse(&text).map_err(|e| e.to_string())?
-    } else {
-        blif::parse(&text).map_err(|e| e.to_string())?
-    };
-    Ok((path.clone(), nw))
+        .map(String::as_str)
+        .ok_or_else(|| "expected a design file, @benchmark or gen:SEED".into())
+}
+
+/// The design argument's display name and network, through the one
+/// design front end, [`DesignSpec`].
+fn load_network(rest: &[String]) -> Result<(String, Network), String> {
+    let arg = design_arg(rest)?;
+    let network = DesignSpec::parse(arg)?.network()?;
+    Ok((arg.strip_prefix('@').unwrap_or(arg).to_string(), network))
 }
 
 /// The artifact store selected by `--store-dir <dir>` / `--no-store`.
@@ -264,24 +262,17 @@ fn store_from_flags(rest: &[String]) -> Result<Option<ArtifactStore>, String> {
 /// The compiled design of `inst`: through the artifact store, with a
 /// diagnostic saying whether it hit, or straight from the offline flow
 /// under `--no-store`.
-fn compile(
-    rest: &[String],
-    inst: &Instrumented,
-    k: usize,
-) -> Result<(Scg, BitstreamLayout, IcapModel), String> {
+fn compile(rest: &[String], inst: Instrumented, k: usize) -> Result<CompiledDesign, String> {
     let cfg = OfflineConfig { k, ..Default::default() };
     let Some(store) = store_from_flags(rest)? else {
-        let off = offline(inst, &cfg)?;
-        let scg = off.scg.ok_or("offline flow produced no SCG")?;
-        let layout = off.layout.ok_or("offline flow produced no layout")?;
-        return Ok((scg, layout, off.icap));
+        return CompiledDesign::compile(inst, &cfg);
     };
-    let (d, outcome) = store.offline_cached(inst, &cfg)?;
+    let (design, outcome) = store.offline_cached(&inst, &cfg)?;
     pfdbg_obs::diag(match outcome {
         CacheOutcome::Hit => "artifact store: hit (offline flow skipped)",
         CacheOutcome::Miss => "artifact store: miss (compiled and stored)",
     });
-    Ok((d.scg, d.layout, d.icap))
+    Ok(design)
 }
 
 fn icfg(rest: &[String]) -> Result<InstrumentConfig, String> {
@@ -296,7 +287,7 @@ fn icfg(rest: &[String]) -> Result<InstrumentConfig, String> {
 }
 
 fn cmd_instrument(rest: &[String]) -> Result<(), String> {
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let inst = instrument(&nw, &icfg(rest)?);
     let blif_text = blif::write(&inst.network);
     let par_text = inst.annotations.write();
@@ -328,7 +319,7 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(rest: &[String]) -> Result<(), String> {
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;
     let mut cfg = icfg(rest)?;
     if flag(rest, "--coverage").is_none() {
@@ -366,15 +357,11 @@ fn cmd_compare(rest: &[String]) -> Result<(), String> {
 /// Write the params=0 default specialization as a loadable file when
 /// `--dump-bitstream` asks for one (shared by the cold and cached
 /// offline paths).
-fn dump_bitstream(
-    rest: &[String],
-    scg: &pfdbg_pconf::Scg,
-    layout: &pfdbg_arch::BitstreamLayout,
-) -> Result<(), String> {
+fn dump_bitstream(rest: &[String], design: &CompiledDesign) -> Result<(), String> {
     if let Some(path) = flag(rest, "--dump-bitstream") {
-        let params = pfdbg_util::BitVec::zeros(scg.generalized().n_params);
-        let bs = scg.try_specialize(&params)?;
-        let bytes = pfdbg_arch::bitfile::write(&bs, layout.frame_bits);
+        let params = pfdbg_util::BitVec::zeros(design.n_params());
+        let bs = design.scg.try_specialize(&params)?;
+        let bytes = pfdbg_arch::bitfile::write(&bs, design.layout.frame_bits);
         std::fs::write(&path, &bytes).map_err(|e| format!("{path}: {e}"))?;
         println!("  wrote default specialization to {path} ({} bytes)", bytes.len());
     }
@@ -382,33 +369,26 @@ fn dump_bitstream(
 }
 
 fn cmd_offline(rest: &[String]) -> Result<(), String> {
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;
     let (_, _, inst) = prepare_instrumented(&nw, &icfg(rest)?, k)?;
     let cfg = OfflineConfig { k, ..Default::default() };
-    let store = store_from_flags(rest)?;
+    let store = store_from_flags(rest)?.map(|s| (s, ArtifactStore::fingerprint(&inst, &cfg)));
 
     // Cache hit: the artifact carries everything the summary (and
     // --dump-bitstream) needs; the detailed place & route statistics
     // only exist on a fresh compile.
-    if let Some(store) = &store {
-        let key = ArtifactStore::fingerprint(&inst, &cfg);
-        match store.load(&key) {
-            Ok(Some(d)) => {
+    if let Some((store, key)) = &store {
+        match store.load(key) {
+            Ok(Some((d, map_stats))) => {
                 println!("offline generic stage for {name} (cached artifact {key}):");
                 println!(
                     "  mapping: {} LUTs + {} TLUTs + {} TCONs, depth {}",
-                    d.map_stats.luts, d.map_stats.tluts, d.map_stats.tcons, d.map_stats.depth
+                    map_stats.luts, map_stats.tluts, map_stats.tcons, map_stats.depth
                 );
-                println!(
-                    "  bitstream: {} bits in {} frames; {} parameterized bits ({:.3}%)",
-                    d.layout.n_bits,
-                    d.layout.n_frames(),
-                    d.scg.generalized().n_tunable(),
-                    d.scg.generalized().tunable_fraction() * 100.0
-                );
+                print_bitstream(&d);
                 println!("  (cache hit — run with --no-store for full place&route detail)");
-                return dump_bitstream(rest, &d.scg, &d.layout);
+                return dump_bitstream(rest, &d);
             }
             Ok(None) => {}
             Err(e) => pfdbg_obs::diag(&format!("discarding invalid artifact: {e}")),
@@ -416,53 +396,59 @@ fn cmd_offline(rest: &[String]) -> Result<(), String> {
     }
 
     let off = offline(&inst, &cfg)?;
+    let map_stats = off.map_stats;
+    let t = off.tpar.as_ref().expect("the offline stage always places and routes");
+    let stats = t.stats;
+    let timing =
+        pfdbg_pr::analyze_timing(&off.mapped, &off.kinds, t, &pfdbg_pr::DelayModel::default());
+    let congestion =
+        pfdbg_pr::analyze_congestion(&t.packed, &t.routed, &t.rrg, t.stats.channel_width);
+    let design = CompiledDesign::from_offline(inst, off);
     println!("offline generic stage for {name}:");
     println!(
         "  mapping: {} LUTs + {} TLUTs + {} TCONs, depth {}",
-        off.map_stats.luts, off.map_stats.tluts, off.map_stats.tcons, off.map_stats.depth
+        map_stats.luts, map_stats.tluts, map_stats.tcons, map_stats.depth
     );
-    if let (Some(t), Some(scg), Some(layout)) = (&off.tpar, &off.scg, &off.layout) {
+    println!(
+        "  place&route: {} CLBs, {} nets ({} tunable), {} wires, {} switches, {:?}",
+        stats.n_clbs,
+        stats.n_nets,
+        stats.n_tunable_nets,
+        stats.wires_used,
+        stats.n_switches,
+        stats.runtime
+    );
+    print_bitstream(&design);
+    if let Ok(timing) = timing {
         println!(
-            "  place&route: {} CLBs, {} nets ({} tunable), {} wires, {} switches, {:?}",
-            t.stats.n_clbs,
-            t.stats.n_nets,
-            t.stats.n_tunable_nets,
-            t.stats.wires_used,
-            t.stats.n_switches,
-            t.stats.runtime
+            "  timing: critical path {:.2} ns over {} LUT levels",
+            timing.critical_delay, timing.levels
         );
-        println!(
-            "  bitstream: {} bits in {} frames; {} parameterized bits ({:.3}%)",
-            layout.n_bits,
-            layout.n_frames(),
-            scg.generalized().n_tunable(),
-            scg.generalized().tunable_fraction() * 100.0
-        );
-        if let Ok(timing) =
-            pfdbg_pr::analyze_timing(&off.mapped, &off.kinds, t, &pfdbg_pr::DelayModel::default())
-        {
-            println!(
-                "  timing: critical path {:.2} ns over {} LUT levels",
-                timing.critical_delay, timing.levels
-            );
-        }
-        let congestion =
-            pfdbg_pr::analyze_congestion(&t.packed, &t.routed, &t.rrg, t.stats.channel_width);
-        println!(
-            "  congestion: peak channel {:.0}%, mean {:.0}%, tunable share {:.0}%",
-            congestion.peak_utilization * 100.0,
-            congestion.mean_utilization * 100.0,
-            congestion.tunable_share * 100.0
-        );
-        dump_bitstream(rest, scg, layout)?;
     }
-    if let (Some(store), Some(scg), Some(layout)) = (&store, &off.scg, &off.layout) {
-        let key = ArtifactStore::fingerprint(&inst, &cfg);
-        let path = store
-            .save(&key, &pfdbg_store::Artifact::capture(&inst, &off.map_stats, layout, scg))?;
+    println!(
+        "  congestion: peak channel {:.0}%, mean {:.0}%, tunable share {:.0}%",
+        congestion.peak_utilization * 100.0,
+        congestion.mean_utilization * 100.0,
+        congestion.tunable_share * 100.0
+    );
+    dump_bitstream(rest, &design)?;
+    if let Some((store, key)) = &store {
+        let path = store.save(key, &pfdbg_store::Artifact::capture(&design, &map_stats))?;
         pfdbg_obs::diag(&format!("stored compiled artifact at {}", path.display()));
     }
     Ok(())
+}
+
+/// The generalized bitstream's line of the `offline` summary.
+fn print_bitstream(design: &CompiledDesign) {
+    let gbs = design.scg.generalized();
+    println!(
+        "  bitstream: {} bits in {} frames; {} parameterized bits ({:.3}%)",
+        design.layout.n_bits,
+        design.layout.n_frames(),
+        gbs.n_tunable(),
+        gbs.tunable_fraction() * 100.0
+    );
 }
 
 fn cmd_observe(rest: &[String]) -> Result<(), String> {
@@ -474,7 +460,7 @@ fn cmd_observe(rest: &[String]) -> Result<(), String> {
              (pfdbg scrub injects and repairs them)"
         ));
     }
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let signals_arg = flag(rest, "--signals").ok_or("--signals s1,s2,...|auto is required")?;
     let cycles = flag_usize(rest, "--cycles", 32)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;
@@ -490,10 +476,7 @@ fn cmd_observe(rest: &[String]) -> Result<(), String> {
     };
     let wanted: Vec<&str> = wanted.iter().map(String::as_str).collect();
     let chaos = ChaosSpec { seu: None, ..chaos_from_flags(rest)? };
-    let (scg, layout, icap) = compile(rest, &inst, k)?;
-    let image = Arc::new(scg.generalized().base.clone());
-    let state = chaos.session(&scg, image, layout.frame_bits, None, |c| c);
-    let online = OnlineReconfigurator::with_session(scg, layout, icap, state);
+    let online = chaos.standalone(compile(rest, inst.clone(), k)?, None, |c| c);
     let dut = inst.network.clone();
     let mut session = DebugSession::new(inst, Some(online));
     let wf = session.observe(&dut, &wanted, cycles, 0xD0, &[])?;
@@ -518,7 +501,7 @@ fn cmd_observe(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_rank(rest: &[String]) -> Result<(), String> {
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let top = flag_usize(rest, "--top", 20)?;
     println!("top {top} debug-critical signals of {name}:");
     for r in rank_signals(&nw).into_iter().take(top) {
@@ -531,7 +514,7 @@ fn cmd_localize(rest: &[String]) -> Result<(), String> {
     use pfdbg_emu::{apply_static, injectable_nets, lockstep, Fault};
     use pfdbg_netlist::truth::gates;
 
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let cycles = flag_usize(rest, "--cycles", 256)?;
     let inst = instrument(&nw, &icfg(rest)?);
     let clean = inst.network.clone();
@@ -579,22 +562,20 @@ fn cmd_localize(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scrub(rest: &[String]) -> Result<(), String> {
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;
     let turns = flag_usize(rest, "--turns", 50)?;
     let scrub_every = flag_usize(rest, "--scrub-every", 5)?.max(1);
     let (_, _, inst) = prepare_instrumented(&nw, &icfg(rest)?, k)?;
-    let (scg, layout, icap) = compile(rest, &inst, k)?;
+    let design = compile(rest, inst, k)?;
 
     let chaos = chaos_from_flags(rest)?;
     // A scrub demo with nothing to scrub is pointless: default the
     // upset rate up when neither the flag nor the environment set one.
     let seu = chaos.seu.unwrap_or(SeuConfig { rate: 0.02, burst: 2, seed: 0x5EED_05E0 });
     let chaos = ChaosSpec { seu: Some(seu), ..chaos };
-    let n_params = inst.annotations.len();
-    let image = Arc::new(scg.generalized().base.clone());
-    let session = chaos.session(&scg, image, layout.frame_bits, None, |c| c);
-    let mut online = OnlineReconfigurator::with_session(scg, layout, icap, session);
+    let n_params = design.n_params();
+    let mut online = chaos.standalone(design, None, |c| c);
 
     println!(
         "scrub demo on {name}: {turns} turns, SEU rate {} (burst {}, seed {:#x}), \
@@ -651,19 +632,18 @@ fn cmd_scrub(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
-    use pfdbg_serve::session::Engine;
     use pfdbg_serve::{
         DeviceOptions, FleetOptions, JournalOptions, ManagerOptions, Server, ServerConfig,
         SessionManager,
     };
 
-    let (name, nw) = load_design(rest)?;
+    let (name, nw) = load_network(rest)?;
     let k = flag_usize(rest, "--k", PAPER_K)?;
     let icfg = icfg(rest)?;
     let (_, _, inst) = prepare_instrumented(&nw, &icfg, k)?;
-    let (scg, layout, icap) = compile(rest, &inst, k)?;
+    let design = compile(rest, inst, k)?;
 
-    let n_params = inst.annotations.len();
+    let n_params = design.n_params();
     let workers = flag_usize(rest, "--workers", 8)?;
     let addr = match (flag(rest, "--addr"), flag(rest, "--port")) {
         (Some(a), _) => a,
@@ -698,7 +678,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         devices: (devices > 0).then_some(DeviceOptions { devices, spares, ..Default::default() }),
         journal,
     };
-    let manager = SessionManager::new(Arc::new(Engine::new(inst, scg, layout, icap)), opts);
+    let manager = SessionManager::new(Arc::new(design), opts);
     let n_shards = manager.shard_count();
     let inbox_capacity = manager.inbox_capacity();
     let handle = Server::start(
@@ -725,28 +705,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Map a design argument to a journal [`DesignSpec`]. `gen:SEED` is a
-/// canonical small synthetic design (record/replay only); `@name` is a
-/// suite benchmark; anything else is a netlist file path.
-fn design_spec_of(arg: &str) -> Result<DesignSpec, String> {
-    if let Some(seed) = arg.strip_prefix("gen:") {
-        let seed: u64 =
-            seed.parse().map_err(|_| format!("gen: expects a numeric seed, got {seed:?}"))?;
-        return Ok(DesignSpec::Generated {
-            n_inputs: 6,
-            n_outputs: 4,
-            n_gates: 24,
-            depth: 4,
-            n_latches: 2,
-            seed,
-        });
-    }
-    if let Some(name) = arg.strip_prefix('@') {
-        return Ok(DesignSpec::Bench { name: name.to_string() });
-    }
-    Ok(DesignSpec::File { path: arg.to_string() })
-}
-
 /// The design a serve journal records: the design argument's, which
 /// `pfdbg replay` rebuilds, unless `--max-signals` limited the
 /// instrumentation. No journal meta records that limit, so such
@@ -756,7 +714,7 @@ fn journal_design(rest: &[String]) -> Result<DesignSpec, String> {
     if icfg(rest)?.max_signals.is_some() {
         return Ok(DesignSpec::External);
     }
-    design_spec_of(rest.first().ok_or("expected a design file or @benchmark")?)
+    DesignSpec::parse(design_arg(rest)?)
 }
 
 /// splitmix64 step — the CLI's deterministic parameter-vector source,
@@ -772,10 +730,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 fn cmd_record(rest: &[String]) -> Result<(), String> {
     use pfdbg_replay::{Recorder, SessionMeta};
 
-    let arg = rest
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("expected a design file, @benchmark, or gen:SEED")?;
+    let arg = design_arg(rest)?;
     if flag(rest, "--max-signals").is_some() {
         return Err("record does not take --max-signals: a journal meta cannot record it, \
                     so its replay would rebuild a different design"
@@ -790,7 +745,7 @@ fn cmd_record(rest: &[String]) -> Result<(), String> {
     let meta = SessionMeta {
         session: flag(rest, "--session").unwrap_or_else(|| "cli".into()),
         derive_seeds: false,
-        design: design_spec_of(arg)?,
+        design: DesignSpec::parse(arg)?,
         ports: icfg.n_ports,
         coverage: icfg.coverage,
         k,

@@ -37,19 +37,11 @@ pub struct OfflineConfig {
     pub tpar: TparConfig,
     /// Configuration frame size in bits.
     pub frame_bits: usize,
-    /// Run place & route and build the generalized bitstream (skippable
-    /// for area-only experiments on large designs).
-    pub run_pr: bool,
 }
 
 impl Default for OfflineConfig {
     fn default() -> Self {
-        OfflineConfig {
-            k: 6,
-            tpar: TparConfig::default(),
-            frame_bits: VIRTEX5_FRAME_BITS,
-            run_pr: true,
-        }
+        OfflineConfig { k: 6, tpar: TparConfig::default(), frame_bits: VIRTEX5_FRAME_BITS }
     }
 }
 
@@ -74,11 +66,12 @@ pub struct OfflineResult {
     pub kinds: FxHashMap<NodeId, ElemKind>,
     /// Mapping statistics.
     pub map_stats: MapStats,
-    /// Place & route result (when `run_pr`).
+    /// Place & route result. Always `Some`: the `Option` goes with the
+    /// next change to the benchmark, which unwraps it.
     pub tpar: Option<TparResult>,
-    /// The SCG over the generalized bitstream (when `run_pr`).
+    /// The SCG over the generalized bitstream. Always `Some`, as `tpar`.
     pub scg: Option<Scg>,
-    /// The bitstream layout (when `run_pr`).
+    /// The bitstream layout. Always `Some`, as `tpar`.
     pub layout: Option<BitstreamLayout>,
     /// Reconfiguration-port model calibrated to this device (full
     /// reconfiguration = the paper's 176 ms).
@@ -86,34 +79,85 @@ pub struct OfflineResult {
 }
 
 impl OfflineResult {
+    /// The SCG, layout and port model, taken out of their `Option`s:
+    /// the one place that unwraps them.
+    fn into_products(self) -> (Scg, BitstreamLayout, IcapModel) {
+        let scg = self.scg.expect("the offline stage always builds the SCG");
+        let layout = self.layout.expect("the offline stage always builds the layout");
+        (scg, layout, self.icap)
+    }
+
     /// Consume the offline products into an [`OnlineReconfigurator`]
-    /// over a reliable in-memory channel. `None` when the stage ran
-    /// with `run_pr = false` (no SCG or layout to go online with).
+    /// over a reliable in-memory channel. Always `Some`: the `Option`
+    /// goes with the next change to the benchmark, which unwraps it.
     pub fn into_online(self) -> Option<OnlineReconfigurator> {
         self.into_online_with(None, CommitPolicy::default(), None)
     }
 
-    /// The chaos entry point the `--icap-fault-rate` and `--seu-rate`
-    /// knobs feed: transport faults on the write path (`fault`, None =
-    /// reliable) *and* single-event upsets striking configuration
-    /// memory between turns (`seu`, None = inert). SEUs wrap the
-    /// reliable device model directly and transport faults wrap
-    /// outside, so upset injection always lands while repair writes
-    /// still suffer — the two injectors stay independent and separately
-    /// seeded. Turns and scrub repairs commit under `policy`.
+    /// [`OfflineResult::into_online`] with transport faults on the write
+    /// path (`fault`, None = reliable) *and* single-event upsets
+    /// striking configuration memory between turns (`seu`, None =
+    /// inert). SEUs wrap the reliable device model directly and
+    /// transport faults wrap outside, so upset injection always lands
+    /// while repair writes still suffer — the two injectors stay
+    /// independent and separately seeded. Turns and scrub repairs
+    /// commit under `policy`.
     pub fn into_online_with(
         self,
         fault: Option<IcapFaultConfig>,
         policy: CommitPolicy,
         seu: Option<SeuConfig>,
     ) -> Option<OnlineReconfigurator> {
-        let scg = self.scg?;
-        let layout = self.layout?;
+        let (scg, layout, icap) = self.into_products();
         let image = Arc::new(scg.generalized().base.clone());
         let channel = channel_stack(image, layout.frame_bits, seu, fault);
         let attempts = ScrubPolicy::default().max_repair_attempts;
         let session = Session::new(&scg, channel, policy, attempts);
-        Some(OnlineReconfigurator::with_session(scg, layout, self.icap, session))
+        Some(OnlineReconfigurator::with_session(scg, layout, icap, session))
+    }
+}
+
+/// What the offline generic stage hands the online stage: the
+/// instrumented design, the SCG over its generalized bitstream, the
+/// bitstream layout and the reconfiguration-port model. Every turn —
+/// standalone, served, recorded or replayed — runs against one, whether
+/// the offline flow just built it or the artifact store loaded it.
+pub struct CompiledDesign {
+    /// The instrumented design (network, `.par` annotations, trace-port
+    /// wiring): how a signal selection becomes a parameter vector.
+    pub inst: Instrumented,
+    /// The SCG over the generalized bitstream.
+    pub scg: Scg,
+    /// The bitstream layout (frame geometry, bit addresses).
+    pub layout: BitstreamLayout,
+    /// The reconfiguration-port model.
+    pub icap: IcapModel,
+}
+
+impl CompiledDesign {
+    /// Bundle the products of an offline run over `inst`.
+    pub fn new(inst: Instrumented, scg: Scg, layout: BitstreamLayout, icap: IcapModel) -> Self {
+        CompiledDesign { inst, scg, layout, icap }
+    }
+
+    /// Run the offline generic stage on `inst` and keep what the online
+    /// stage needs.
+    pub fn compile(inst: Instrumented, cfg: &OfflineConfig) -> Result<CompiledDesign, String> {
+        let off = offline(&inst, cfg)?;
+        Ok(Self::from_offline(inst, off))
+    }
+
+    /// The compiled design of `off`, an offline run over `inst`. Callers
+    /// that also report the mapping or place & route read those from
+    /// `off` first.
+    pub fn from_offline(inst: Instrumented, off: OfflineResult) -> CompiledDesign {
+        let (scg, layout, icap) = off.into_products();
+        CompiledDesign::new(inst, scg, layout, icap)
+    }
+
+    /// Number of PConf parameters.
+    pub fn n_params(&self) -> usize {
+        self.inst.annotations.len()
     }
 }
 
@@ -146,18 +190,6 @@ fn offline_inner(inst: &Instrumented, cfg: &OfflineConfig) -> Result<OfflineResu
     {
         let _s = pfdbg_obs::span("offline.validate");
         mapped.validate()?;
-    }
-
-    if !cfg.run_pr {
-        return Ok(OfflineResult {
-            mapped,
-            kinds,
-            map_stats,
-            tpar: None,
-            scg: None,
-            layout: None,
-            icap: IcapModel::virtex5(),
-        });
     }
 
     // TPaR place & route.
@@ -478,7 +510,7 @@ mod tests {
             6,
         )
         .unwrap();
-        let off = offline(&inst, &OfflineConfig { run_pr: false, ..Default::default() }).unwrap();
+        let off = offline(&inst, &OfflineConfig::default()).unwrap();
         assert!(off.map_stats.tcons > 0, "mux trees must become TCONs: {:?}", off.map_stats);
         // The instrumented LUT area stays close to the initial mapping.
         assert!(
@@ -498,12 +530,12 @@ mod tests {
             6,
         )
         .unwrap();
-        let off = offline(&inst, &OfflineConfig::default()).unwrap();
-        let scg = off.scg.as_ref().expect("scg built");
+        let design = CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap();
+        let scg = &design.scg;
         assert!(scg.generalized().n_tunable() > 0, "no parameterized bits");
         // Specialize for two different selections; bitstreams must differ
         // (different signals route to the trace port).
-        let n = inst.annotations.len();
+        let n = design.n_params();
         let mut p0 = BitVec::zeros(n);
         let p1 = {
             let mut v = BitVec::zeros(n);

@@ -5,7 +5,8 @@
 //!   internal net to trace-buffer ports, selects as PConf parameters,
 //! * [`select`] — critical-signal pre-selection (§VI extension),
 //! * [`flow`] — the offline generic stage: synthesis → TCONMap → TPaR →
-//!   generalized bitstream,
+//!   generalized bitstream, whose products the online stage runs as one
+//!   [`CompiledDesign`],
 //! * [`online`] — the online specialization stage: [`online::DebugSession`]
 //!   turns a signal selection into an SCG evaluation plus a partial
 //!   reconfiguration, then captures the trace,
@@ -25,7 +26,7 @@ pub mod select;
 
 pub use baseline::{compare_mappers, MapperComparison};
 pub use baseline::{initial_mapping, prepare_instrumented};
-pub use flow::{offline, tcon_conditions, MapStats, OfflineConfig, OfflineResult};
+pub use flow::{offline, tcon_conditions, CompiledDesign, MapStats, OfflineConfig, OfflineResult};
 pub use localize::{localize, LocalizationResult};
 pub use online::{DebugSession, TurnRecord};
 pub use param::{

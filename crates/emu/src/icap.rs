@@ -160,10 +160,6 @@ impl<C: IcapChannel> IcapChannel for FaultyIcap<C> {
         self.inner.write_frame(frame, data)
     }
 
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        self.inner.read_frame(frame)
-    }
-
     fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
         self.inner.read_frame_into(frame, out)
     }
@@ -222,7 +218,9 @@ mod tests {
         let t = target(128, &[5]);
         let words = pfdbg_pconf::icap::frame_words(&t, 128, 0);
         ch.write_frame(0, &words).unwrap();
-        assert_ne!(ch.read_frame(0), words, "silent corruption must be visible in readback");
+        let mut back = Vec::new();
+        ch.read_frame_into(0, &mut back);
+        assert_ne!(back, words, "silent corruption must be visible in readback");
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl<C: IcapChannel> IcapChannel for NondetIcap<C> {
         self.inner.write_frame(frame, data)
     }
 
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        self.inner.read_frame(frame)
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        self.inner.read_frame_into(frame, out)
     }
 
     fn tick(&mut self) -> usize {
@@ -68,7 +68,8 @@ impl<C: IcapChannel> IcapChannel for NondetIcap<C> {
                 frame,
             );
             if len_bits > 0 {
-                let mut words = self.inner.read_frame(frame);
+                let mut words = Vec::new();
+                self.inner.read_frame_into(frame, &mut words);
                 let bit = len_bits - 1;
                 words[bit / 64] ^= 1u64 << (bit % 64);
                 self.inner
@@ -102,7 +103,8 @@ mod tests {
         assert!(ch.fired());
         assert_eq!(ch.tick(), 0, "the flip is one-shot");
         // The flipped bit is the device's last one.
-        let last = ch.read_frame(3);
+        let mut last = Vec::new();
+        ch.read_frame_into(3, &mut last);
         assert_eq!(last[0] >> 3 & 1, 1, "bit 99 = frame 3 bit 3 must be set");
     }
 }

@@ -70,6 +70,8 @@ pub struct SeuIcap<C: IcapChannel> {
     rng: StdRng,
     upsets: u64,
     bits_flipped: u64,
+    /// The struck frame's words, reused across upsets.
+    words: Vec<u64>,
 }
 
 impl<C: IcapChannel> SeuIcap<C> {
@@ -77,7 +79,7 @@ impl<C: IcapChannel> SeuIcap<C> {
     pub fn new(inner: C, cfg: SeuConfig) -> Self {
         let cfg = SeuConfig { rate: cfg.rate.clamp(0.0, 1.0), burst: cfg.burst.max(1), ..cfg };
         let rng = StdRng::seed_from_u64(cfg.seed);
-        SeuIcap { inner, cfg, rng, upsets: 0, bits_flipped: 0 }
+        SeuIcap { inner, cfg, rng, upsets: 0, bits_flipped: 0, words: Vec::new() }
     }
 
     /// The wrapped channel.
@@ -104,10 +106,6 @@ impl<C: IcapChannel> IcapChannel for SeuIcap<C> {
         self.inner.write_frame(frame, data)
     }
 
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        self.inner.read_frame(frame)
-    }
-
     fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
         self.inner.read_frame_into(frame, out)
     }
@@ -128,19 +126,19 @@ impl<C: IcapChannel> IcapChannel for SeuIcap<C> {
             if len == 0 {
                 continue;
             }
-            let mut words = self.inner.read_frame(frame);
+            self.inner.read_frame_into(frame, &mut self.words);
             let start = self.rng.gen_range(0..len);
             let k = if self.cfg.burst <= 1 { 1 } else { 1 + self.rng.gen_range(0..self.cfg.burst) };
             for j in 0..k {
                 let bit = (start + j) % len;
-                if let Some(w) = words.get_mut(bit / 64) {
+                if let Some(w) = self.words.get_mut(bit / 64) {
                     *w ^= 1u64 << (bit % 64);
                 }
             }
             // Upsets strike configuration memory directly; the inner
             // device model is reliable, so this cannot fail.
             self.inner
-                .write_frame(frame, &words)
+                .write_frame(frame, &self.words)
                 .expect("SEU injection writes to the reliable device model");
             self.upsets += 1;
             self.bits_flipped += k as u64;
@@ -212,7 +210,9 @@ mod tests {
         target.set(7, true);
         let words = pfdbg_pconf::icap::frame_words(&target, 128, 0);
         ch.write_frame(0, &words).unwrap();
-        assert_eq!(ch.read_frame(0), words, "no upset without a tick");
+        let mut back = Vec::new();
+        ch.read_frame_into(0, &mut back);
+        assert_eq!(back, words, "no upset without a tick");
     }
 
     #[test]

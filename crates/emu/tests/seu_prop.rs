@@ -7,7 +7,7 @@
 use pfdbg_arch::Bitstream;
 use pfdbg_emu::{SeuConfig, SeuIcap};
 use pfdbg_pconf::icap::{
-    frame_len_bits, frame_words, readback_all, IcapChannel, IcapError, MemoryIcap,
+    frame_len_bits, frame_words_into, readback_all, IcapChannel, IcapError, MemoryIcap,
 };
 use pfdbg_util::BitVec;
 use proptest::prelude::*;
@@ -49,8 +49,8 @@ impl IcapChannel for WholeIcap {
         self.mem.splice_words(frame * self.frame_bits, len, data);
         Ok(())
     }
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        frame_words(&self.mem, self.frame_bits, frame)
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        frame_words_into(&self.mem, self.frame_bits, frame, out)
     }
 }
 

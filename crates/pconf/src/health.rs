@@ -447,8 +447,8 @@ mod tests {
             }
             self.inner.write_frame(frame, data)
         }
-        fn read_frame(&self, frame: usize) -> Vec<u64> {
-            self.inner.read_frame(frame)
+        fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+            self.inner.read_frame_into(frame, out)
         }
     }
 
@@ -470,8 +470,8 @@ mod tests {
             std::thread::sleep(self.sleep);
             Err(IcapError::Stalled)
         }
-        fn read_frame(&self, frame: usize) -> Vec<u64> {
-            self.inner.read_frame(frame)
+        fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+            self.inner.read_frame_into(frame, out)
         }
     }
 

@@ -82,16 +82,10 @@ pub trait IcapChannel: Send {
     /// Write one frame. May fail transiently; may also *silently*
     /// corrupt (the contract readback-verify exists to police).
     fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError>;
-    /// Read one frame back from configuration memory.
-    fn read_frame(&self, frame: usize) -> Vec<u64>;
-    /// Read one frame into a caller-owned buffer (cleared first), so
-    /// hot loops (verify, scrub) reuse one allocation across frames.
-    /// The default delegates to [`IcapChannel::read_frame`]; devices
-    /// that can fill the buffer directly override it.
-    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.read_frame(frame));
-    }
+    /// Read one frame back from configuration memory into a
+    /// caller-owned buffer (cleared first), so hot loops (verify, scrub)
+    /// reuse one allocation across frames.
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>);
     /// Advance the device's between-turn clock by one step. On an ideal
     /// device configuration memory is inert between writes, so the
     /// default is a no-op; emulated fabrics override this to take their
@@ -116,10 +110,6 @@ impl IcapChannel for Box<dyn IcapChannel> {
 
     fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
         (**self).write_frame(frame, data)
-    }
-
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        (**self).read_frame(frame)
     }
 
     fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
@@ -243,12 +233,6 @@ impl IcapChannel for MemoryIcap {
             }
         }
         Ok(())
-    }
-
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        let mut words = Vec::new();
-        self.read_frame_into(frame, &mut words);
-        words
     }
 
     fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
@@ -576,10 +560,12 @@ mod tests {
         let mut ch = MemoryIcap::new(stream(300, &[]), 128);
         assert_eq!(ch.n_frames(), 3);
         let target = stream(300, &[1, 130, 131, 299]);
+        let mut back = Vec::new();
         for f in 0..3 {
             let words = frame_words(&target, 128, f);
             ch.write_frame(f, &words).unwrap();
-            assert_eq!(ch.read_frame(f), words);
+            ch.read_frame_into(f, &mut back);
+            assert_eq!(back, words);
         }
         assert_eq!(readback_all(&ch), target);
     }
@@ -669,8 +655,8 @@ mod tests {
             }
             self.inner.write_frame(frame, data)
         }
-        fn read_frame(&self, frame: usize) -> Vec<u64> {
-            self.inner.read_frame(frame)
+        fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+            self.inner.read_frame_into(frame, out)
         }
     }
 
@@ -791,8 +777,8 @@ mod tests {
             self.mem.splice_words(frame * self.frame_bits, len, data);
             Ok(())
         }
-        fn read_frame(&self, frame: usize) -> Vec<u64> {
-            frame_words(&self.mem, self.frame_bits, frame)
+        fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+            frame_words_into(&self.mem, self.frame_bits, frame, out)
         }
     }
 
@@ -824,6 +810,7 @@ mod tests {
             let mut model = WholeIcap { mem: image.clone(), frame_bits };
             let n_frames = model.n_frames();
             prop_assert_eq!(cow.n_frames(), n_frames);
+            let (mut words, mut want) = (Vec::new(), Vec::new());
             for step in 0..40 {
                 let frame = rng.gen_range(0..n_frames + 1);
                 let len = frame_len_bits(n_bits, frame_bits, frame);
@@ -843,7 +830,7 @@ mod tests {
                         );
                     }
                     1 if len > 0 => {
-                        let mut words = cow.read_frame(frame);
+                        cow.read_frame_into(frame, &mut words);
                         let start = rng.gen_range(0..len);
                         for j in 0..rng.gen_range(1..4usize) {
                             let bit = (start + j) % len;
@@ -854,7 +841,9 @@ mod tests {
                     }
                     _ => {}
                 }
-                prop_assert_eq!(cow.read_frame(frame), model.read_frame(frame), "step {}", step);
+                cow.read_frame_into(frame, &mut words);
+                model.read_frame_into(frame, &mut want);
+                prop_assert_eq!(&words, &want, "step {}", step);
                 prop_assert_eq!(readback_all(&cow), readback_all(&model), "step {}", step);
             }
             prop_assert_eq!(&*shared, &image, "writes never reach the shared image");

@@ -794,8 +794,8 @@ mod tests {
         fn write_frame(&mut self, _: usize, _: &[u64]) -> Result<(), crate::icap::IcapError> {
             Err(crate::icap::IcapError::WriteFailed)
         }
-        fn read_frame(&self, _: usize) -> Vec<u64> {
-            Vec::new()
+        fn read_frame_into(&self, _: usize, out: &mut Vec<u64>) {
+            out.clear();
         }
     }
 

@@ -26,7 +26,7 @@
 //!   that refuses to heal.
 
 use crate::icap::{
-    frame_len_bits, frame_words, write_frame_verified, Backoff, CommitPolicy, CommitStats,
+    frame_len_bits, frame_words_into, write_frame_verified, Backoff, CommitPolicy, CommitStats,
     FrameBuf, FrameSource, IcapChannel,
 };
 use crate::session::{frame_starts, PackedFrames};
@@ -309,10 +309,15 @@ impl Scrubber {
         golden: &Bitstream,
     ) -> Vec<usize> {
         let frame_bits = channel.frame_bits();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
         (0..channel.n_frames())
-            .filter(|frame| {
-                !self.quarantined.contains(frame)
-                    && channel.read_frame(*frame) != frame_words(golden, frame_bits, *frame)
+            .filter(|&frame| {
+                if self.quarantined.contains(&frame) {
+                    return false;
+                }
+                channel.read_frame_into(frame, &mut got);
+                frame_words_into(golden, frame_bits, frame, &mut want);
+                got != want
             })
             .collect()
     }
@@ -345,7 +350,7 @@ fn diff_bits(a: &[u64], b: &[u64], len_bits: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::icap::{readback_all, IcapError, MemoryIcap};
+    use crate::icap::{frame_words, readback_all, IcapError, MemoryIcap};
     use pfdbg_util::BitVec;
 
     fn stream(n: usize, ones: &[usize]) -> Bitstream {
@@ -421,8 +426,8 @@ mod tests {
             }
             self.inner.write_frame(frame, data)
         }
-        fn read_frame(&self, frame: usize) -> Vec<u64> {
-            self.inner.read_frame(frame)
+        fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+            self.inner.read_frame_into(frame, out)
         }
     }
 

@@ -422,8 +422,8 @@ mod tests {
             }
             self.inner.write_frame(frame, data)
         }
-        fn read_frame(&self, frame: usize) -> Vec<u64> {
-            self.inner.read_frame(frame)
+        fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+            self.inner.read_frame_into(frame, out)
         }
     }
 

@@ -1,4 +1,5 @@
-//! Rebuilding a recorded session: design → the standalone
+//! Rebuilding a recorded session: design argument or journal meta →
+//! [`DesignSpec`] → [`CompiledDesign`] → the standalone
 //! [`OnlineReconfigurator`] over a fresh
 //! [`Session`](pfdbg_pconf::Session) of the journal's chaos environment.
 //!
@@ -17,13 +18,13 @@ use crate::record::{
 use crate::session::{scrub_facts, select_facts};
 use crate::verify::Redrive;
 use pfdbg_arch::Bitstream;
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
+use pfdbg_netlist::Network;
 use pfdbg_pconf::icap::frame_len_bits;
 use pfdbg_pconf::{IcapChannel, OnlineReconfigurator};
 use pfdbg_util::BitVec;
 use std::cell::Cell;
 use std::hash::Hasher;
-use std::sync::Arc;
 
 /// A session's private seed: deterministic in the configured base seed
 /// and the session name (FNV-1a). The serve layer derives its sessions'
@@ -89,67 +90,84 @@ pub fn device_crc(channel: &dyn IcapChannel) -> u64 {
     h.finish()
 }
 
-/// The compiled products a replay runs against.
-pub struct BuiltDesign {
-    /// Instrumented design.
-    pub inst: pfdbg_core::Instrumented,
-    /// SCG over the generalized bitstream.
-    pub scg: pfdbg_pconf::Scg,
-    /// Bitstream layout.
-    pub layout: pfdbg_arch::BitstreamLayout,
-    /// Reconfiguration-port model.
-    pub icap: pfdbg_arch::IcapModel,
+impl DesignSpec {
+    /// Parse a design argument: `@name` is a suite benchmark, `gen:SEED`
+    /// the canonical small synthetic design of that generator seed, and
+    /// anything else a netlist file path.
+    pub fn parse(arg: &str) -> Result<DesignSpec, String> {
+        if let Some(seed) = arg.strip_prefix("gen:") {
+            let seed =
+                seed.parse().map_err(|_| format!("gen: expects a numeric seed, got {seed:?}"))?;
+            return Ok(DesignSpec::Generated {
+                n_inputs: 6,
+                n_outputs: 4,
+                n_gates: 24,
+                depth: 4,
+                n_latches: 2,
+                seed,
+            });
+        }
+        if let Some(name) = arg.strip_prefix('@') {
+            return Ok(DesignSpec::Bench { name: name.to_string() });
+        }
+        Ok(DesignSpec::File { path: arg.to_string() })
+    }
+
+    /// The network this spec names: generated, built from the suite, or
+    /// read from its file (`.v`/`.sv` as Verilog, anything else as
+    /// BLIF). An `External` design lives in the process that recorded
+    /// it, so it is an error here.
+    pub fn network(&self) -> Result<Network, String> {
+        match self {
+            DesignSpec::Generated { n_inputs, n_outputs, n_gates, depth, n_latches, seed } => {
+                Ok(pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
+                    n_inputs: *n_inputs,
+                    n_outputs: *n_outputs,
+                    n_gates: *n_gates,
+                    depth: *depth,
+                    n_latches: *n_latches,
+                    seed: *seed,
+                }))
+            }
+            DesignSpec::Bench { name } => pfdbg_circuits::build(name)
+                .ok_or_else(|| format!("unknown benchmark {name:?} (see pfdbg bench-list)")),
+            DesignSpec::File { path } => {
+                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                if path.ends_with(".v") || path.ends_with(".sv") {
+                    pfdbg_netlist::verilog::parse(&text).map_err(|e| e.to_string())
+                } else {
+                    pfdbg_netlist::blif::parse(&text).map_err(|e| e.to_string())
+                }
+            }
+            DesignSpec::External => {
+                Err("journal is not self-contained (design lives in the recording server); \
+                     replay it through the server's `replay` verb"
+                    .into())
+            }
+        }
+    }
 }
 
 /// Rebuild the compiled design a journal's meta describes, running the
 /// full offline flow (synth → map → TPaR → generalized bitstream).
-/// Deterministic, so the rebuilt engine matches the recorded one
+/// Deterministic, so the rebuilt design matches the recorded one
 /// exactly.
-pub fn build_design(meta: &SessionMeta) -> Result<BuiltDesign, String> {
-    let nw = match &meta.design {
-        DesignSpec::Generated { n_inputs, n_outputs, n_gates, depth, n_latches, seed } => {
-            pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
-                n_inputs: *n_inputs,
-                n_outputs: *n_outputs,
-                n_gates: *n_gates,
-                depth: *depth,
-                n_latches: *n_latches,
-                seed: *seed,
-            })
-        }
-        DesignSpec::Bench { name } => pfdbg_circuits::build(name)
-            .ok_or_else(|| format!("unknown benchmark {name:?} in journal meta"))?,
-        DesignSpec::File { path } => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("journal design {path}: {e}"))?;
-            if path.ends_with(".v") || path.ends_with(".sv") {
-                pfdbg_netlist::verilog::parse(&text).map_err(|e| e.to_string())?
-            } else {
-                pfdbg_netlist::blif::parse(&text).map_err(|e| e.to_string())?
-            }
-        }
-        DesignSpec::External => {
-            return Err("journal is not self-contained (design lives in the recording server); \
-                 replay it through the server's `replay` verb"
-                .into())
-        }
-    };
+pub fn build_design(meta: &SessionMeta) -> Result<CompiledDesign, String> {
+    let nw = meta.design.network()?;
     let (_, _, inst) = prepare_instrumented(
         &nw,
         &InstrumentConfig { n_ports: meta.ports, coverage: meta.coverage, max_signals: None },
         meta.k,
     )?;
-    let off = pfdbg_core::offline(&inst, &OfflineConfig { k: meta.k, ..OfflineConfig::default() })?;
-    let scg = off.scg.ok_or("offline flow produced no SCG")?;
-    let layout = off.layout.ok_or("offline flow produced no layout")?;
-    if meta.n_params != 0 && scg.generalized().n_params != meta.n_params {
+    let design = CompiledDesign::compile(inst, &OfflineConfig { k: meta.k, ..Default::default() })?;
+    if meta.n_params != 0 && design.n_params() != meta.n_params {
         return Err(format!(
             "rebuilt design has {} parameters, journal recorded {} — design drifted",
-            scg.generalized().n_params,
+            design.n_params(),
             meta.n_params
         ));
     }
-    Ok(BuiltDesign { inst, scg, layout, icap: off.icap })
+    Ok(design)
 }
 
 /// A live re-driven session: the standalone [`OnlineReconfigurator`]
@@ -162,36 +180,22 @@ pub struct OnlineDriver {
 impl OnlineDriver {
     /// Build the design and the driver in one step.
     pub fn build(meta: &SessionMeta) -> Result<OnlineDriver, String> {
-        let built = build_design(meta)?;
-        Ok(Self::from_built(built, meta, |c| c))
+        Self::build_wrapped(meta, |c| c)
     }
 
     /// Like [`OnlineDriver::build`] but with a hook that may wrap the
     /// assembled channel (the fuzzer's test-only nondeterminism
-    /// injector enters here).
+    /// injector enters here). The reconfigurator is
+    /// [`ChaosSpec::standalone`](crate::ChaosSpec::standalone) of the
+    /// meta's chaos, salted with the session name when the meta derives
+    /// seeds — as every serve session is.
     pub fn build_wrapped(
         meta: &SessionMeta,
         wrap: impl FnOnce(Box<dyn IcapChannel>) -> Box<dyn IcapChannel>,
     ) -> Result<OnlineDriver, String> {
-        let built = build_design(meta)?;
-        Ok(Self::from_built(built, meta, wrap))
-    }
-
-    /// Assemble the driver from already-compiled products (lets callers
-    /// reuse one expensive offline build across several drivers). The
-    /// session is [`ChaosSpec::session`](crate::ChaosSpec::session) of
-    /// the meta's chaos, salted with the session name when the meta
-    /// derives seeds — as every serve session is.
-    pub fn from_built(
-        built: BuiltDesign,
-        meta: &SessionMeta,
-        wrap: impl FnOnce(Box<dyn IcapChannel>) -> Box<dyn IcapChannel>,
-    ) -> OnlineDriver {
-        let BuiltDesign { scg, layout, icap, .. } = built;
-        let image = Arc::new(scg.generalized().base.clone());
+        let design = build_design(meta)?;
         let salt = meta.derive_seeds.then_some(meta.session.as_str());
-        let session = meta.chaos.session(&scg, image, layout.frame_bits, salt, wrap);
-        OnlineDriver { online: OnlineReconfigurator::with_session(scg, layout, icap, session) }
+        Ok(OnlineDriver { online: meta.chaos.standalone(design, salt, wrap) })
     }
 
     /// PConf parameter count of the driven design.
@@ -317,6 +321,28 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    /// Every design argument form parses to its spec, and a `gen:` seed
+    /// that is not a number is refused.
+    #[test]
+    fn design_arguments_parse_to_one_spec() {
+        let bench = DesignSpec::Bench { name: "stereov.".into() };
+        assert_eq!(DesignSpec::parse("@stereov."), Ok(bench));
+        let generated = DesignSpec::Generated {
+            n_inputs: 6,
+            n_outputs: 4,
+            n_gates: 24,
+            depth: 4,
+            n_latches: 2,
+            seed: 11,
+        };
+        assert_eq!(DesignSpec::parse("gen:11"), Ok(generated));
+        let file = DesignSpec::File { path: "designs/gray_counter3.blif".into() };
+        assert_eq!(DesignSpec::parse("designs/gray_counter3.blif"), Ok(file));
+        let err = DesignSpec::parse("gen:x").unwrap_err();
+        assert!(err.contains("numeric seed"), "{err}");
+    }
 
     /// Word-aligned and unaligned frames, down to a single bit.
     const FRAME_BITS: [usize; 6] = [1, 63, 64, 65, 100, 1312];

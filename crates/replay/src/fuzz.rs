@@ -342,13 +342,8 @@ pub fn run_case(
     let mut meta = gen_meta(&mut rng, pair, seed);
     // One probe build resolves the parameter count the op generator
     // needs; the recorded meta then pins it for every later rebuild.
-    let built = crate::driver::build_design(&meta)?;
-    meta.n_params = built.scg.generalized().n_params;
+    meta.n_params = crate::driver::build_design(&meta)?.n_params();
     let ops = gen_ops(&mut rng, meta.n_params);
-    // The probe doubles as the A side of the first execution only for
-    // pairs that need a single driver; lockstep pairs rebuild anyway,
-    // so just drop it and keep `execute` uniform.
-    drop(built);
     let mut report = CaseReport {
         seed,
         pair: pair.name(),

@@ -35,9 +35,7 @@ pub mod record;
 pub mod session;
 pub mod verify;
 
-pub use driver::{
-    bitstream_crc, build_design, device_crc, session_seed, BuiltDesign, OnlineDriver, Recorder,
-};
+pub use driver::{bitstream_crc, build_design, device_crc, session_seed, OnlineDriver, Recorder};
 pub use fuzz::{
     default_pairs, run_case, run_suite, verify_corpus, CaseReport, FuzzOp, PairKind, SuiteReport,
 };

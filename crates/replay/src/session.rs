@@ -6,15 +6,18 @@
 //! policy — is `pfdbg_pconf`'s, the one struct the standalone
 //! reconfigurator, every serve session, `pfdbg record`/`replay` and the
 //! fuzzer all run. [`ChaosSpec::session`] is the one place a session is
-//! assembled from a journal's chaos settings; [`select_facts`] and
+//! assembled from a journal's chaos settings, and
+//! [`ChaosSpec::standalone`] the one place a standalone reconfigurator
+//! is assembled around it; [`select_facts`] and
 //! [`scrub_facts`] are the only builders of journal facts outside the
 //! decoder.
 
 use crate::driver::{device_crc, session_seed};
 use crate::record::{ChaosSpec, ScrubFacts, SelectFacts, SelectOutcome};
 use pfdbg_arch::Bitstream;
+use pfdbg_core::CompiledDesign;
 use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
-use pfdbg_pconf::{IcapChannel, Scg, ScrubReport, Session, TurnCommit};
+use pfdbg_pconf::{IcapChannel, OnlineReconfigurator, Scg, ScrubReport, Session, TurnCommit};
 use pfdbg_util::BitVec;
 use std::sync::Arc;
 
@@ -47,6 +50,24 @@ impl ChaosSpec {
         ));
         let policy = self.commit_policy(derive(self.jitter_seed));
         Session::new(scg, channel, policy, self.max_repair_attempts)
+    }
+
+    /// The standalone reconfigurator of `design`: its SCG, layout and
+    /// port model over [`ChaosSpec::session`] of this spec, powered up
+    /// with the design's base configuration. `salt` and `wrap` are as
+    /// for [`ChaosSpec::session`]. `pfdbg observe`, `pfdbg scrub` and
+    /// every journal re-drive ([`crate::OnlineDriver`]) assemble their
+    /// reconfigurator here.
+    pub fn standalone(
+        &self,
+        design: CompiledDesign,
+        salt: Option<&str>,
+        wrap: impl FnOnce(Box<dyn IcapChannel>) -> Box<dyn IcapChannel>,
+    ) -> OnlineReconfigurator {
+        let CompiledDesign { scg, layout, icap, .. } = design;
+        let image = Arc::new(scg.generalized().base.clone());
+        let session = self.session(&scg, image, layout.frame_bits, salt, wrap);
+        OnlineReconfigurator::with_session(scg, layout, icap, session)
     }
 }
 

@@ -30,6 +30,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+/// A select's deadline when the request names none. The turn SLO's
+/// budget is this deadline, and the inbox-wait SLO's a quarter of it.
+pub(crate) const DEFAULT_DEADLINE_MS: f64 = 1000.0;
+
+/// Requests a single connection may have in flight before the IO
+/// thread stops reading from it (per-connection pipelining bound).
+const PIPELINE_DEPTH: usize = 64;
+
 /// Server settings.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -40,8 +48,6 @@ pub struct ServerConfig {
     /// does **not** bound concurrent clients — shard inboxes bound
     /// concurrent work instead).
     pub workers: usize,
-    /// Default per-request deadline when the request names none.
-    pub default_deadline_ms: f64,
     /// Honor `{"op":"shutdown"}` from clients (handy for smoke tests
     /// and load generators; disable for long-lived servers).
     pub allow_remote_shutdown: bool,
@@ -55,9 +61,6 @@ pub struct ServerConfig {
     /// walk has finished; walks ride the shard inboxes, so a hot
     /// session delays its scrub instead of losing it.
     pub scrub_interval_ms: f64,
-    /// Requests a single connection may have in flight before the IO
-    /// thread stops reading from it (per-connection pipelining bound).
-    pub pipeline_depth: usize,
 }
 
 impl Default for ServerConfig {
@@ -65,11 +68,9 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 8,
-            default_deadline_ms: 1000.0,
             allow_remote_shutdown: true,
             cache_capacity: 64,
             scrub_interval_ms: 0.0,
-            pipeline_depth: 64,
         }
     }
 }
@@ -98,10 +99,8 @@ impl Server {
             TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
         let local_addr = listener.local_addr().map_err(|e| format!("no local addr: {e}"))?;
         let workers = cfg.workers.max(1);
-        // Bind the declared SLO budgets to this server's actual
-        // configuration before the first observation lands.
-        tel::SLO_TURN.set_budget_us(cfg.default_deadline_ms * 1e3);
-        tel::SLO_INBOX.set_budget_us(cfg.default_deadline_ms * 1e3 / 4.0);
+        // Bind the scrub cadence SLO to this server's interval before
+        // the first observation lands.
         let scrub_interval = scrub_interval_ms(&cfg);
         if scrub_interval > 0.0 {
             // A scrub walk that takes longer than twice its configured
@@ -458,7 +457,7 @@ fn parse_and_dispatch(
     done_tx: &mpsc::Sender<Completion>,
 ) -> bool {
     let mut progress = false;
-    while !conn.dead && conn.inflight < shared.cfg.pipeline_depth.max(1) {
+    while !conn.dead && conn.inflight < PIPELINE_DEPTH {
         let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') else {
             // `read_some` stops at the high-water mark, so no more of
             // this line will ever be read: without the kill the
@@ -840,7 +839,7 @@ fn dispatch_line(line: &str, shared: &Arc<Shared>, mut slot: ReplySlot) {
             // constructor. Out-of-range budgets are protocol errors —
             // checked before any inbox slot is reserved, so they can
             // never leak a reservation.
-            let ms = deadline_ms.unwrap_or(shared.cfg.default_deadline_ms);
+            let ms = deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS);
             let budget = match Duration::try_from_secs_f64(ms / 1e3) {
                 Ok(d) => d,
                 Err(_) => {

@@ -53,8 +53,8 @@
 use crate::lru::LruCache;
 use crate::shard::{relock, Inbox, Job, SelectSpec, Shard, ShardHandle, ShardHold};
 use crate::telemetry as tel;
-use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
-use pfdbg_core::Instrumented;
+use pfdbg_arch::Bitstream;
+use pfdbg_core::CompiledDesign;
 use pfdbg_emu::{DeviceControl, DeviceMode, DeviceRegistry, IcapFaultConfig, SeuConfig};
 use pfdbg_obs::{Counter, FlightKind, FlightRecorder};
 use pfdbg_pconf::health::{
@@ -62,7 +62,7 @@ use pfdbg_pconf::health::{
 };
 use pfdbg_pconf::icap::{readback_all, CommitPolicy, IcapChannel};
 use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport};
-use pfdbg_pconf::{Scg, Session, TunableFrames, TurnContext};
+use pfdbg_pconf::{Session, TunableFrames, TurnContext};
 use pfdbg_replay::{
     scrub_facts, select_facts, session_seed, verify_with_driver, ChaosSpec, DesignSpec, Divergence,
     JournalRecord, JournalWriter, Redrive, ScrubFacts, SelectFacts, SelectOutcome, SessionMeta,
@@ -74,29 +74,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The shared compiled design a server instance runs against.
-pub struct Engine {
-    /// Instrumented design (for signal → parameter planning).
-    pub inst: Arc<Instrumented>,
-    /// The SCG over the generalized bitstream.
-    pub scg: Arc<Scg>,
-    /// Bitstream layout (frame geometry).
-    pub layout: BitstreamLayout,
-    /// Reconfiguration-port model.
-    pub icap: IcapModel,
-}
-
-impl Engine {
-    /// Bundle the offline products for serving.
-    pub fn new(inst: Instrumented, scg: Scg, layout: BitstreamLayout, icap: IcapModel) -> Engine {
-        Engine { inst: Arc::new(inst), scg: Arc::new(scg), layout, icap }
-    }
-
-    /// Number of PConf parameters.
-    pub fn n_params(&self) -> usize {
-        self.inst.annotations.len()
-    }
-}
+/// The compiled design a server instance runs against, shared by every
+/// session behind the manager's one `Arc`. An alias that goes with the
+/// next change to the benchmark, whose locked build still names it.
+pub type Engine = CompiledDesign;
 
 /// One client session: the [`Session`] every journal re-drive runs
 /// too (its turn state, chaos channel, scrubber and commit policy),
@@ -104,7 +85,7 @@ impl Engine {
 /// lock.
 pub(crate) struct SessionState {
     /// **Per-session** turn state, evaluation scratch included — the
-    /// shared `Engine::scg` is immutable behind its `Arc`, and every
+    /// shared design's SCG is immutable behind its `Arc`, and every
     /// mutable buffer lives here, on the owning shard's thread, so
     /// concurrent sessions never observe each other's sweeps
     /// (DESIGN.md §12).
@@ -371,7 +352,7 @@ count_table! {
 /// manager's counter table (atomics — the `stats` verb never blocks on
 /// a shard).
 pub(crate) struct ManagerCore {
-    engine: Arc<Engine>,
+    engine: Arc<CompiledDesign>,
     /// The specialization LRU, keyed by the parameter vector itself.
     cache: Mutex<LruCache<BitVec, CachedWords>>,
     /// The chaos every session is built from and every journal meta
@@ -1459,7 +1440,7 @@ impl SessionManager {
     /// never read from the environment here: callers (CLI, bench,
     /// tests) decide, so a stray `PFDBG_SEU_RATE` cannot silently
     /// corrupt a manager built for reliable devices.
-    pub fn new(engine: Arc<Engine>, opts: ManagerOptions) -> SessionManager {
+    pub fn new(engine: Arc<CompiledDesign>, opts: ManagerOptions) -> SessionManager {
         let ManagerOptions { cache_capacity, chaos, fleet, devices, journal } = opts;
         let tunables = TunableFrames::new(&engine.scg, &engine.layout);
         let image = Arc::new(engine.scg.generalized().base.clone());
@@ -1491,7 +1472,7 @@ impl SessionManager {
     /// `max_repair_attempts` counts. pfbench is its last caller; it goes
     /// with the benchmark change.
     pub fn with_fleet(
-        engine: Arc<Engine>,
+        engine: Arc<CompiledDesign>,
         cache_capacity: usize,
         fault: Option<IcapFaultConfig>,
         policy: CommitPolicy,
@@ -1514,7 +1495,7 @@ impl SessionManager {
     /// pfbench is its last caller; it goes with the benchmark change.
     #[allow(clippy::too_many_arguments)]
     pub fn with_devices(
-        engine: Arc<Engine>,
+        engine: Arc<CompiledDesign>,
         cache_capacity: usize,
         fault: Option<IcapFaultConfig>,
         policy: CommitPolicy,
@@ -1535,8 +1516,8 @@ impl SessionManager {
         )
     }
 
-    /// The shared engine.
-    pub fn engine(&self) -> &Engine {
+    /// The shared compiled design.
+    pub fn engine(&self) -> &CompiledDesign {
         &self.core.engine
     }
 

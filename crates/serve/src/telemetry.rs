@@ -19,6 +19,7 @@
 //! distinct prefix — the hub keys metrics by name, so an SLO may not
 //! shadow its histogram).
 
+use crate::server::DEFAULT_DEADLINE_MS;
 use pfdbg_obs::{LazyCounter, LazyHistogram, LazySlo};
 
 /// Requests handled (any verb, including errors).
@@ -46,14 +47,15 @@ pub(crate) static MIGRATION_MS: LazyHistogram = LazyHistogram::new("serve.migrat
 
 /// Specialization budget: the paper's 50 µs bound.
 pub(crate) static SLO_SPECIALIZE: LazySlo = LazySlo::new("slo.specialize_us", 50.0);
-/// Turn budget; rebound to the server's default deadline at startup.
-pub(crate) static SLO_TURN: LazySlo = LazySlo::new("slo.turn_us", 1_000_000.0);
+/// Turn budget: the server's default select deadline.
+pub(crate) static SLO_TURN: LazySlo = LazySlo::new("slo.turn_us", DEFAULT_DEADLINE_MS * 1e3);
 /// Scrub cadence: actual walk-to-walk interval vs. 2× the configured
 /// one; rebound at startup, infinite (never burned) when disabled.
 pub(crate) static SLO_SCRUB: LazySlo = LazySlo::new("slo.scrub_interval_us", f64::INFINITY);
 /// Inbox-wait budget: a client job should start executing within a
-/// quarter of the default turn deadline; rebound at startup.
-pub(crate) static SLO_INBOX: LazySlo = LazySlo::new("slo.inbox_wait_us", 250_000.0);
+/// quarter of the default turn deadline.
+pub(crate) static SLO_INBOX: LazySlo =
+    LazySlo::new("slo.inbox_wait_us", DEFAULT_DEADLINE_MS * 1e3 / 4.0);
 /// Migration budget: a failover (journal re-drives included) should
 /// finish within five seconds — observed in milliseconds.
 pub(crate) static SLO_MIGRATION: LazySlo = LazySlo::new("slo.migration_ms", 5_000.0);

@@ -3,15 +3,15 @@
 //! `stats`, and sessions on other shards keep meeting their deadlines
 //! while one shard is wedged.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, FleetOptions, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{FleetOptions, ManagerOptions, SessionManager};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -26,8 +26,7 @@ fn build_engine() -> Engine {
         6,
     )
     .unwrap();
-    let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap()
 }
 
 /// Two shards, a two-slot client inbox each: small enough that a held

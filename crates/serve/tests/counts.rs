@@ -6,19 +6,19 @@
 //! This binary turns profiling on (`pfdbg_obs::set_enabled`), which is
 //! process-global, so it shares its process with no other suite.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_obs::jsonl::{parse_jsonl, Event, JsonValue};
 use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{DeviceOptions, Engine, FleetOptions, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{DeviceOptions, FleetOptions, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 6,
         n_outputs: 4,
@@ -33,9 +33,7 @@ fn build_engine() -> Engine {
         4,
     )
     .unwrap();
-    let off =
-        pfdbg_core::offline(&inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap()
 }
 
 struct Client {

@@ -9,13 +9,13 @@
 //! `overloaded`/"migrating" errors with a retry hint, never a hung
 //! connection or a second reply, and no committed turn is lost.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{DeviceMode, IcapFaultConfig, SeuConfig};
 use pfdbg_pconf::health::{DeviceHealth, WatchdogPolicy};
 use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
 use pfdbg_serve::session::{
-    DeviceOptions, Engine, FleetOptions, JournalOptions, ManagerOptions, SessionManager,
+    DeviceOptions, FleetOptions, JournalOptions, ManagerOptions, SessionManager,
 };
 use pfdbg_serve::{primary_device_of, protocol::parse_param_bits};
 use std::io::{BufRead, BufReader, Write};
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 6,
         n_outputs: 4,
@@ -40,15 +40,13 @@ fn build_engine() -> Engine {
         4,
     )
     .unwrap();
-    let off =
-        pfdbg_core::offline(&inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap()
 }
 
 /// One engine for the whole file — golden and chaos runs share it the
 /// same way shards inside one server do.
-fn engine() -> Arc<Engine> {
-    static ENGINE: OnceLock<Arc<Engine>> = OnceLock::new();
+fn engine() -> Arc<CompiledDesign> {
+    static ENGINE: OnceLock<Arc<CompiledDesign>> = OnceLock::new();
     ENGINE.get_or_init(|| Arc::new(build_engine())).clone()
 }
 

@@ -4,17 +4,17 @@
 //! session that is being hammered with selects — the starvation the old
 //! `try_lock`-and-skip scrub walk allowed.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::SeuConfig;
 use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{Engine, FleetOptions, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{FleetOptions, ManagerOptions, SessionManager};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -29,8 +29,7 @@ fn build_engine() -> Engine {
         6,
     )
     .unwrap();
-    let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap()
 }
 
 struct Client {

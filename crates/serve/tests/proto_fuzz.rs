@@ -5,16 +5,16 @@
 //! to ever complete closes its connection instead, and the server
 //! keeps serving everyone else.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{ManagerOptions, SessionManager};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -29,8 +29,7 @@ fn build_engine() -> Engine {
         6,
     )
     .unwrap();
-    let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap()
 }
 
 /// One shared server for every fuzz case (the engine build dominates

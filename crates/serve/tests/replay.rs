@@ -10,12 +10,12 @@
 //! the `replay` verb re-drives a journal without touching the live
 //! device fleet.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_pconf::health::WatchdogPolicy;
 use pfdbg_replay::{ChaosSpec, DesignSpec};
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{DeviceOptions, Engine, JournalOptions, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{DeviceOptions, JournalOptions, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -47,7 +47,7 @@ fn gen_spec() -> DesignSpec {
     }
 }
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&GEN);
     let (_, _, inst) = prepare_instrumented(
         &design,
@@ -55,9 +55,7 @@ fn build_engine() -> Engine {
         4,
     )
     .unwrap();
-    let off =
-        pfdbg_core::offline(&inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig { k: 4, ..OfflineConfig::default() }).unwrap()
 }
 
 /// The chaos environment both runs share: flaky transport + SEUs, so

@@ -5,19 +5,19 @@
 //! must quarantine and degrade the health verdict, and the `health` /
 //! `scrub` protocol verbs must surface it all over TCP.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_pconf::ScrubPolicy;
 use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -32,11 +32,10 @@ fn build_engine() -> Engine {
         6,
     )
     .unwrap();
-    let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap()
 }
 
-fn seu_manager(engine: Arc<Engine>, seu: SeuConfig) -> SessionManager {
+fn seu_manager(engine: Arc<CompiledDesign>, seu: SeuConfig) -> SessionManager {
     let chaos = ChaosSpec { seu: Some(seu), ..ChaosSpec::reliable() };
     SessionManager::new(
         engine,

@@ -8,8 +8,8 @@
 //! installs a counting global allocator over all threads and holds only
 //! this test.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
-use pfdbg_serve::session::{Engine, FleetOptions, ManagerOptions, SessionManager};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
+use pfdbg_serve::session::{FleetOptions, ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,7 +63,7 @@ static GLOBAL: Counting = Counting;
 /// and one is the `TurnOutcome`'s parameter copy.
 const HIT_SELECT_ALLOCATIONS: u64 = 9;
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -78,8 +78,7 @@ fn build_engine() -> Engine {
         6,
     )
     .unwrap();
-    let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap()
 }
 
 #[test]

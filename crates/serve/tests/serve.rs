@@ -2,14 +2,14 @@
 //! concurrent sessions from many client threads, malformed-request
 //! resilience, and clean shutdown.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_serve::server::{Server, ServerConfig, ServerHandle};
-use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{ManagerOptions, SessionManager};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -24,8 +24,7 @@ fn build_engine() -> Engine {
         6,
     )
     .unwrap();
-    let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap()
 }
 
 fn start_server(workers: usize) -> ServerHandle {

@@ -7,19 +7,19 @@
 //! flight-recorder dump whose trailing events reconstruct the failing
 //! turn sequence.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
 use pfdbg_obs::jsonl::JsonValue;
 use pfdbg_pconf::ScrubPolicy;
 use pfdbg_replay::ChaosSpec;
 use pfdbg_serve::server::{Server, ServerConfig};
-use pfdbg_serve::session::{Engine, ManagerOptions, SessionManager};
+use pfdbg_serve::session::{ManagerOptions, SessionManager};
 use pfdbg_util::BitVec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-fn build_engine() -> Engine {
+fn build_engine() -> CompiledDesign {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -34,8 +34,7 @@ fn build_engine() -> Engine {
         6,
     )
     .unwrap();
-    let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    Engine::new(inst, off.scg.unwrap(), off.layout.unwrap(), off.icap)
+    CompiledDesign::compile(inst, &OfflineConfig::default()).unwrap()
 }
 
 struct Client {

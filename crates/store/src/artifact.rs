@@ -21,7 +21,7 @@
 
 use crate::bytes::{checksum, ByteReader, ByteWriter};
 use pfdbg_arch::{BitAddr, Bitstream, BitstreamLayout, IcapModel, LayoutRaw, VIRTEX5_CONFIG_BITS};
-use pfdbg_core::{Instrumented, MapStats, PortInfo};
+use pfdbg_core::{CompiledDesign, Instrumented, MapStats, PortInfo};
 use pfdbg_netlist::{blif, ParamAnnotations};
 use pfdbg_pconf::{Bdd, BddManager, GeneralizedBitstream, Scg};
 use pfdbg_util::BitVec;
@@ -32,22 +32,6 @@ pub const MAGIC: [u8; 4] = *b"PFDB";
 
 /// Current format version; bumped on any wire-format change.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// A compiled design ready for the online stage — what a cache hit
-/// returns instead of re-running the offline flow.
-pub struct CompiledDesign {
-    /// The instrumented design (network + annotations + port wiring).
-    pub inst: Instrumented,
-    /// Mapping statistics of the generic stage.
-    pub map_stats: MapStats,
-    /// The SCG over the generalized bitstream.
-    pub scg: Scg,
-    /// The bitstream layout.
-    pub layout: BitstreamLayout,
-    /// Reconfiguration-port model (reconstructed, not stored: it is a
-    /// pure calibration, identical for every artifact).
-    pub icap: IcapModel,
-}
 
 /// The serializable image of a compiled design.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,14 +70,11 @@ pub struct SerializedPort {
 }
 
 impl Artifact {
-    /// Capture a compiled design. `scg` and `layout` are the offline
-    /// products; `inst` is the instrumented source they were built from.
-    pub fn capture(
-        inst: &Instrumented,
-        map_stats: &MapStats,
-        layout: &BitstreamLayout,
-        scg: &Scg,
-    ) -> Artifact {
+    /// Capture a compiled design and the mapping statistics of the
+    /// offline run that built it. The port model is not stored: it is a
+    /// pure calibration, identical for every artifact.
+    pub fn capture(design: &CompiledDesign, map_stats: &MapStats) -> Artifact {
+        let CompiledDesign { inst, scg, layout, .. } = design;
         let gbs = scg.generalized();
         Artifact {
             blif: blif::write(&inst.network),
@@ -253,10 +234,11 @@ impl Artifact {
 
     /// Rebuild the live structures: parse the netlist, re-apply the
     /// parameter markings, reconstruct the BDD manager, the generalized
-    /// bitstream and the layout. Every cross-reference is validated so
-    /// a corrupted-but-checksum-colliding artifact still cannot index
-    /// out of bounds.
-    pub fn instantiate(self) -> Result<CompiledDesign, String> {
+    /// bitstream and the layout — the compiled design, beside the
+    /// mapping statistics it was captured with. Every cross-reference
+    /// is validated so a corrupted-but-checksum-colliding artifact
+    /// still cannot index out of bounds.
+    pub fn instantiate(self) -> Result<(CompiledDesign, MapStats), String> {
         let _s = pfdbg_obs::span("store.instantiate");
         let mut network = blif::parse(&self.blif).map_err(|e| format!("artifact BLIF: {e}"))?;
         let annotations =
@@ -330,12 +312,7 @@ impl Artifact {
             tcons: tcons as usize,
             depth: depth as u32,
         };
-        Ok(CompiledDesign {
-            inst,
-            map_stats,
-            scg,
-            layout,
-            icap: IcapModel::calibrated_to(VIRTEX5_CONFIG_BITS, Duration::from_millis(176)),
-        })
+        let icap = IcapModel::calibrated_to(VIRTEX5_CONFIG_BITS, Duration::from_millis(176));
+        Ok((CompiledDesign::new(inst, scg, layout, icap), map_stats))
     }
 }

@@ -21,7 +21,7 @@ pub mod bytes;
 pub mod journal;
 pub mod store;
 
-pub use artifact::{Artifact, CompiledDesign, SerializedPort, FORMAT_VERSION, MAGIC};
+pub use artifact::{Artifact, SerializedPort, FORMAT_VERSION, MAGIC};
 pub use journal::{
     read_journal, scan_journal_bytes, JournalAppender, JournalScan, JOURNAL_MAGIC, JOURNAL_VERSION,
 };

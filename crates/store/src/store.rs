@@ -7,8 +7,8 @@
 //! the artifact instead of re-running synth/map/TPaR — the whole point
 //! of splitting the flow into a generic and a specialization stage.
 
-use crate::artifact::{Artifact, CompiledDesign, FORMAT_VERSION};
-use pfdbg_core::{offline, Instrumented, OfflineConfig};
+use crate::artifact::{Artifact, FORMAT_VERSION};
+use pfdbg_core::{offline, CompiledDesign, Instrumented, MapStats, OfflineConfig};
 use pfdbg_netlist::blif;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
@@ -69,9 +69,10 @@ impl ArtifactStore {
         self.root.join(format!("{key}.pfdbg"))
     }
 
-    /// Load and instantiate the artifact for `key`. `Ok(None)` when the
-    /// store has no entry; an existing-but-invalid file is an error.
-    pub fn load(&self, key: &str) -> Result<Option<CompiledDesign>, String> {
+    /// Load and instantiate the artifact for `key`: the compiled design
+    /// and the mapping statistics it was stored with. `Ok(None)` when
+    /// the store has no entry; an existing-but-invalid file is an error.
+    pub fn load(&self, key: &str) -> Result<Option<(CompiledDesign, MapStats)>, String> {
         let _s = pfdbg_obs::span("store.load");
         let path = self.path_for(key);
         let bytes = match std::fs::read(&path) {
@@ -81,8 +82,7 @@ impl ArtifactStore {
         };
         let artifact =
             Artifact::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        let design = artifact.instantiate().map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(Some(design))
+        artifact.instantiate().map(Some).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Write the artifact for `key` atomically: encode to a temp file in
@@ -114,12 +114,9 @@ impl ArtifactStore {
         cfg: &OfflineConfig,
     ) -> Result<(CompiledDesign, CacheOutcome), String> {
         let _s = pfdbg_obs::span("store.offline_cached");
-        if !cfg.run_pr {
-            return Err("the artifact store requires run_pr (nothing to cache without a generalized bitstream)".into());
-        }
         let key = Self::fingerprint(inst, cfg);
         match self.load(&key) {
-            Ok(Some(design)) => {
+            Ok(Some((design, _))) => {
                 pfdbg_obs::counter_add("store.hit", 1);
                 return Ok((design, CacheOutcome::Hit));
             }
@@ -131,17 +128,9 @@ impl ArtifactStore {
         }
         pfdbg_obs::counter_add("store.miss", 1);
         let off = offline(inst, cfg)?;
-        let scg = off.scg.ok_or("offline flow produced no SCG")?;
-        let layout = off.layout.ok_or("offline flow produced no layout")?;
-        let artifact = Artifact::capture(inst, &off.map_stats, &layout, &scg);
-        self.save(&key, &artifact)?;
-        let design = CompiledDesign {
-            inst: inst.clone(),
-            map_stats: off.map_stats,
-            scg,
-            layout,
-            icap: off.icap,
-        };
+        let map_stats = off.map_stats;
+        let design = CompiledDesign::from_offline(inst.clone(), off);
+        self.save(&key, &Artifact::capture(&design, &map_stats))?;
         Ok((design, CacheOutcome::Miss))
     }
 }

@@ -6,7 +6,7 @@
 //! input must be rejected with an error or load into a design whose
 //! specialization runs, never panic.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig};
 use pfdbg_store::bytes::checksum;
 use pfdbg_store::Artifact;
 use pfdbg_util::BitVec;
@@ -37,8 +37,8 @@ fn artifact_bytes() -> &'static [u8] {
         .unwrap();
         let cfg = OfflineConfig { k: 4, ..OfflineConfig::default() };
         let off = pfdbg_core::offline(&inst, &cfg).unwrap();
-        let (scg, layout) = (off.scg.unwrap(), off.layout.unwrap());
-        Artifact::capture(&inst, &off.map_stats, &layout, &scg).to_bytes()
+        let map_stats = off.map_stats;
+        Artifact::capture(&CompiledDesign::from_offline(inst, off), &map_stats).to_bytes()
     })
 }
 
@@ -111,7 +111,7 @@ fn mutate(mut seed: u64, family: usize) -> Vec<u8> {
 /// all-zeros vector: an error anywhere is a rejection, a panic fails.
 fn load(bytes: &[u8]) -> Result<(), TestCaseError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let design = Artifact::from_bytes(bytes)?.instantiate()?;
+        let (design, _) = Artifact::from_bytes(bytes)?.instantiate()?;
         let n = design.scg.generalized().n_params;
         design.scg.try_specialize(&BitVec::zeros(n)).map(|_| ())
     }));
@@ -131,7 +131,7 @@ proptest! {
 /// The untouched artifact loads: the mutations start from a good one.
 #[test]
 fn the_unmutated_artifact_loads() {
-    let design = Artifact::from_bytes(artifact_bytes()).unwrap().instantiate().unwrap();
+    let (design, _) = Artifact::from_bytes(artifact_bytes()).unwrap().instantiate().unwrap();
     assert!(design.scg.generalized().n_params > 0);
 }
 

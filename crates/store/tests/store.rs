@@ -3,13 +3,13 @@
 //! corruption rejection. The cache hit itself is checked in
 //! `cache_hit.rs`, a binary of its own.
 
-use pfdbg_core::{prepare_instrumented, InstrumentConfig, OfflineConfig};
+use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, MapStats, OfflineConfig};
 use pfdbg_pconf::BddManager;
-use pfdbg_store::{Artifact, CompiledDesign};
+use pfdbg_store::Artifact;
 use pfdbg_util::BitVec;
 use proptest::prelude::*;
 
-fn compile(seed: u64, n_gates: usize) -> (pfdbg_core::Instrumented, CompiledDesign) {
+fn compile(seed: u64, n_gates: usize) -> (CompiledDesign, MapStats) {
     let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
         n_inputs: 8,
         n_outputs: 6,
@@ -25,16 +25,8 @@ fn compile(seed: u64, n_gates: usize) -> (pfdbg_core::Instrumented, CompiledDesi
     )
     .unwrap();
     let off = pfdbg_core::offline(&inst, &OfflineConfig::default()).unwrap();
-    let scg = off.scg.unwrap();
-    let layout = off.layout.unwrap();
-    let design = CompiledDesign {
-        inst: inst.clone(),
-        map_stats: off.map_stats,
-        scg,
-        layout,
-        icap: off.icap,
-    };
-    (inst, design)
+    let map_stats = off.map_stats;
+    (CompiledDesign::from_offline(inst, off), map_stats)
 }
 
 fn some_param_vectors(n: usize) -> Vec<BitVec> {
@@ -57,13 +49,12 @@ proptest! {
     /// for a spread of parameter vectors.
     #[test]
     fn round_trip_preserves_specializations(seed in 1u64..1000, n_gates in 30usize..60) {
-        let (_, compiled) = compile(seed, n_gates);
-        let artifact =
-            Artifact::capture(&compiled.inst, &compiled.map_stats, &compiled.layout, &compiled.scg);
+        let (compiled, map_stats) = compile(seed, n_gates);
+        let artifact = Artifact::capture(&compiled, &map_stats);
         let bytes = artifact.to_bytes();
         let back = Artifact::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&back, &artifact);
-        let restored = back.instantiate().unwrap();
+        let (restored, _) = back.instantiate().unwrap();
         prop_assert_eq!(restored.layout.n_bits, compiled.layout.n_bits);
         prop_assert_eq!(restored.inst.annotations, compiled.inst.annotations.clone());
         let n = compiled.inst.annotations.len();
@@ -80,9 +71,8 @@ proptest! {
 /// and specialize identically.
 #[test]
 fn uncompacted_artifact_loads_and_specializes_identically() {
-    let (_, compiled) = compile(11, 50);
-    let artifact =
-        Artifact::capture(&compiled.inst, &compiled.map_stats, &compiled.layout, &compiled.scg);
+    let (compiled, map_stats) = compile(11, 50);
+    let artifact = Artifact::capture(&compiled, &map_stats);
 
     // Rebuild the table with dead nodes around the live ones: a cone
     // over a variable no function uses ahead of it, and the negation of
@@ -104,10 +94,10 @@ fn uncompacted_artifact_loads_and_specializes_identically() {
     assert!(padded.bdd_nodes.len() > artifact.bdd_nodes.len() + 4, "no dead nodes added");
     assert_ne!(padded.tunable, artifact.tunable, "live nodes did not move");
 
-    let restored = Artifact::from_bytes(&padded.to_bytes()).unwrap().instantiate().unwrap();
+    let (restored, restored_stats) =
+        Artifact::from_bytes(&padded.to_bytes()).unwrap().instantiate().unwrap();
     assert_eq!(restored.scg.manager().n_nodes(), compiled.scg.manager().n_nodes());
-    let recaptured =
-        Artifact::capture(&restored.inst, &restored.map_stats, &restored.layout, &restored.scg);
+    let recaptured = Artifact::capture(&restored, &restored_stats);
     assert_eq!(recaptured, artifact, "loading must compact to the fresh compile's table");
     for p in some_param_vectors(compiled.inst.annotations.len()) {
         assert_eq!(restored.scg.try_specialize(&p), compiled.scg.try_specialize(&p));
@@ -118,9 +108,8 @@ fn uncompacted_artifact_loads_and_specializes_identically() {
 /// an error — never a panic, never a silently wrong artifact.
 #[test]
 fn corrupted_and_truncated_artifacts_rejected() {
-    let (_, compiled) = compile(7, 40);
-    let artifact =
-        Artifact::capture(&compiled.inst, &compiled.map_stats, &compiled.layout, &compiled.scg);
+    let (compiled, map_stats) = compile(7, 40);
+    let artifact = Artifact::capture(&compiled, &map_stats);
     let bytes = artifact.to_bytes();
     assert!(Artifact::from_bytes(&bytes).is_ok());
 

@@ -10,7 +10,8 @@
 //! microsecond specializations instead of recompiles.
 
 use parameterized_fpga_debug::core::{
-    offline, prepare_instrumented, DebugSession, InstrumentConfig, OfflineConfig, PAPER_K,
+    offline, prepare_instrumented, CompiledDesign, DebugSession, InstrumentConfig, OfflineConfig,
+    PAPER_K,
 };
 use parameterized_fpga_debug::netlist::truth::gates;
 use parameterized_fpga_debug::netlist::Network;
@@ -46,19 +47,19 @@ fn main() {
         off.map_stats.tcons,
         initial.n_tables()
     );
-    let scg = off.scg.expect("scg");
+    let dut = inst.network.clone();
+    let observable: Vec<String> = inst.observable().iter().map(|s| s.to_string()).collect();
+    let design = CompiledDesign::from_offline(inst, off);
     println!(
         "generalized bitstream: {} bits, {} parameterized",
-        scg.generalized().base.len(),
-        scg.generalized().n_tunable()
+        design.scg.generalized().base.len(),
+        design.scg.generalized().n_tunable()
     );
 
     // 3. Online stage — per debugging turn: pick signals, specialize,
     //    capture. No recompilation, ever.
-    let online = OnlineReconfigurator::new(scg, off.layout.expect("layout"), off.icap);
-    let dut = inst.network.clone();
-    let observable: Vec<String> = inst.observable().iter().map(|s| s.to_string()).collect();
-    let mut session = DebugSession::new(inst, Some(online));
+    let online = OnlineReconfigurator::new(design.scg, design.layout, design.icap);
+    let mut session = DebugSession::new(design.inst, Some(online));
 
     for (turn, sig) in observable.iter().take(3).enumerate() {
         let wf = session.observe(&dut, &[sig], 16, 42 + turn as u64, &[]).expect("debugging turn");

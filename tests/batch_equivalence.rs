@@ -14,7 +14,7 @@
 use parameterized_fpga_debug::arch::{build_rrg, ArchSpec, Bitstream, BitstreamLayout, Device};
 use parameterized_fpga_debug::circuits::build as build_design;
 use parameterized_fpga_debug::core::{
-    offline, prepare_instrumented, InstrumentConfig, OfflineConfig, OfflineResult, PAPER_K,
+    prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig, PAPER_K,
 };
 use parameterized_fpga_debug::emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use parameterized_fpga_debug::pconf::icap::{frame_words, readback_all};
@@ -223,8 +223,8 @@ impl IcapChannel for Logging {
         }
         self.inner.write_frame(frame, data)
     }
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        self.inner.read_frame(frame)
+    fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
+        self.inner.read_frame_into(frame, out)
     }
 }
 
@@ -241,9 +241,6 @@ impl<C: IcapChannel> IcapChannel for Shared<C> {
     }
     fn write_frame(&mut self, frame: usize, data: &[u64]) -> Result<(), IcapError> {
         self.0.lock().unwrap().write_frame(frame, data)
-    }
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        self.0.lock().unwrap().read_frame(frame)
     }
     fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
         self.0.lock().unwrap().read_frame_into(frame, out)
@@ -266,12 +263,12 @@ fn session_over<C: IcapChannel + 'static>(
 }
 
 /// stereov at paper instrumentation through the offline flow.
-fn stereov() -> OfflineResult {
+fn stereov() -> CompiledDesign {
     let design = build_design("stereov.").expect("suite member");
     let (_, _, inst) =
         prepare_instrumented(&design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
     let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
-    offline(&inst, &cfg).expect("offline flow")
+    CompiledDesign::compile(inst, &cfg).expect("offline flow")
 }
 
 /// On stereov at paper instrumentation, a random parameter walk through
@@ -281,10 +278,9 @@ fn stereov() -> OfflineResult {
 /// resync after each failed commit covers the whole device.
 #[test]
 fn engine_target_frames_are_golden_on_stereov() {
-    let off = stereov();
-    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let CompiledDesign { scg, layout, icap, .. } = stereov();
     let tunables = TunableFrames::new(&scg, &layout);
-    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
     let policy = CommitPolicy { max_retries: 0, ..CommitPolicy::default() };
     let image = Arc::new(scg.generalized().base.clone());
     let (mut engine, device) = session_over(
@@ -356,9 +352,6 @@ impl IcapChannel for Refusing {
         }
         self.inner.write_frame(frame, data)
     }
-    fn read_frame(&self, frame: usize) -> Vec<u64> {
-        self.inner.read_frame(frame)
-    }
     fn read_frame_into(&self, frame: usize, out: &mut Vec<u64>) {
         self.inner.read_frame_into(frame, out)
     }
@@ -377,10 +370,9 @@ impl IcapChannel for Refusing {
 /// device, and the refusing frame must reach quarantine.
 #[test]
 fn swept_scrub_is_the_reference_scrub_on_stereov() {
-    let off = stereov();
-    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let CompiledDesign { scg, layout, icap, .. } = stereov();
     let tunables = TunableFrames::new(&scg, &layout);
-    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
     let n_params = scg.generalized().n_params;
     let refused =
         (0..layout.n_frames()).find(|f| !tunables.region().contains(f)).expect("an untuned frame");
@@ -416,11 +408,10 @@ fn swept_scrub_is_the_reference_scrub_on_stereov() {
         }
         if turn % 2 == 1 {
             let (mut swept, mut reference) = (swept.lock().unwrap(), reference.lock().unwrap());
-            let got = swept_scrub
-                .scrub_with_scg(&mut *swept, &off.icap, &scg, swept_turns.params())
-                .unwrap();
+            let got =
+                swept_scrub.scrub_with_scg(&mut *swept, &icap, &scg, swept_turns.params()).unwrap();
             let golden = scg.try_specialize(reference_turns.params()).unwrap();
-            let want = reference_scrub.scrub(&mut *reference, &off.icap, &golden).unwrap();
+            let want = reference_scrub.scrub(&mut *reference, &icap, &golden).unwrap();
             assert_eq!(got, want, "turn {turn}: scrub reports");
             assert_eq!(swept_scrub.quarantined(), reference_scrub.quarantined(), "turn {turn}");
             assert_eq!(readback_all(&*swept), readback_all(&*reference), "turn {turn}");
@@ -434,6 +425,6 @@ fn swept_scrub_is_the_reference_scrub_on_stereov() {
     for wrong in [n_params - 1, n_params + 1] {
         let params = BitVec::zeros(wrong);
         let mut swept = swept.lock().unwrap();
-        assert!(swept_scrub.scrub_with_scg(&mut *swept, &off.icap, &scg, &params).is_err());
+        assert!(swept_scrub.scrub_with_scg(&mut *swept, &icap, &scg, &params).is_err());
     }
 }

@@ -4,8 +4,8 @@
 
 use parameterized_fpga_debug::circuits::{generate, GenParams};
 use parameterized_fpga_debug::core::{
-    instrument, localize, offline, prepare_instrumented, DebugSession, InstrumentConfig,
-    OfflineConfig, PAPER_K,
+    instrument, localize, offline, prepare_instrumented, CompiledDesign, DebugSession,
+    InstrumentConfig, OfflineConfig, PAPER_K,
 };
 use parameterized_fpga_debug::emu::{apply_static, golden_waveform, lockstep, Fault};
 use parameterized_fpga_debug::netlist::truth::gates;
@@ -32,13 +32,13 @@ fn offline_online_full_cycle() {
         PAPER_K,
     )
     .unwrap();
-    let off = offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).unwrap();
-    let scg = off.scg.unwrap();
-    assert!(scg.generalized().n_tunable() > 0);
-    let online = OnlineReconfigurator::new(scg, off.layout.unwrap(), off.icap);
     let dut = inst.network.clone();
     let observable: Vec<String> = inst.observable().iter().map(|s| s.to_string()).collect();
-    let mut session = DebugSession::new(inst, Some(online));
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
+    let design = CompiledDesign::compile(inst, &cfg).unwrap();
+    assert!(design.scg.generalized().n_tunable() > 0);
+    let online = OnlineReconfigurator::new(design.scg, design.layout, design.icap);
+    let mut session = DebugSession::new(design.inst, Some(online));
 
     // Three turns over different signals; each capture must equal the
     // golden software simulation of the same signal.
@@ -128,12 +128,13 @@ fn specializations_accumulate_cheaply() {
         PAPER_K,
     )
     .unwrap();
-    let off = offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).unwrap();
-    let online = OnlineReconfigurator::new(off.scg.unwrap(), off.layout.unwrap(), off.icap);
-    let full = online.full_reconfig_time();
     let dut = inst.network.clone();
     let observable: Vec<String> = inst.observable().iter().map(|s| s.to_string()).collect();
-    let mut session = DebugSession::new(inst, Some(online));
+    let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
+    let design = CompiledDesign::compile(inst, &cfg).unwrap();
+    let online = OnlineReconfigurator::new(design.scg, design.layout, design.icap);
+    let full = online.full_reconfig_time();
+    let mut session = DebugSession::new(design.inst, Some(online));
     let mut distinct = observable.clone();
     distinct.dedup();
     for (i, sig) in distinct.iter().take(5).enumerate() {
@@ -190,11 +191,11 @@ fn specialized_bitstream_physically_routes_the_selected_signal() {
         PAPER_K,
     )
     .unwrap();
-    let off = offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).unwrap();
-    let tpar = off.tpar.as_ref().unwrap();
-    let scg = off.scg.as_ref().unwrap();
-    let layout = off.layout.as_ref().unwrap();
-    let mapped = &off.mapped;
+    let mut off = offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).unwrap();
+    let tpar = off.tpar.take().unwrap();
+    let mapped = off.mapped.clone();
+    let design = CompiledDesign::from_offline(inst, off);
+    let (inst, scg, layout) = (&design.inst, &design.scg, &design.layout);
 
     let port = &inst.ports[0];
     // Try the first few *distinct* selectable signals.
@@ -335,7 +336,7 @@ fn tlut_bits_specialize_to_the_residual_table() {
     let off = offline(&inst, &OfflineConfig { k: PAPER_K, ..Default::default() }).unwrap();
     let tluts = off.kinds.iter().filter(|(_, &k)| k == ElemKind::TLut).count();
     assert!(tluts >= 1, "expected a TLUT: {:?}", off.map_stats);
-    let scg = off.scg.unwrap();
+    let scg = CompiledDesign::from_offline(inst, off).scg;
     assert!(scg.generalized().n_tunable() > 0, "TLUT truth bits must be parameterized");
     // The two specializations differ (different residual tables).
     let p0: parameterized_fpga_debug::util::BitVec = [false].into_iter().collect();

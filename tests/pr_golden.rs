@@ -20,7 +20,7 @@
 
 use parameterized_fpga_debug::circuits::{build, generate, GenParams};
 use parameterized_fpga_debug::core::{
-    offline, prepare_instrumented, InstrumentConfig, OfflineConfig, PAPER_K,
+    offline, prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig, PAPER_K,
 };
 use parameterized_fpga_debug::netlist::Network;
 use parameterized_fpga_debug::pconf::{Scg, SpecializeScratch};
@@ -148,10 +148,10 @@ fn digests(design: &Network) -> (Digests, usize) {
         prepare_instrumented(design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
     assert!(inst.network.params().count() > 0, "design must carry tunable nets");
     let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
-    let off = offline(&inst, &cfg).expect("offline flow");
-    let tp = off.tpar.as_ref().expect("place and route ran");
+    let mut off = offline(&inst, &cfg).expect("offline flow");
+    let tp = off.tpar.take().expect("place and route ran");
     assert!(tp.packed.n_tunable_nets() > 0, "no tunable nets reached the router");
-    let scg = off.scg.as_ref().expect("offline flow built the SCG");
+    let scg = CompiledDesign::from_offline(inst, off).scg;
     let widest = tp
         .packed
         .nets
@@ -169,8 +169,8 @@ fn digests(design: &Network) -> (Digests, usize) {
         placement_digest(&tp.placement),
         routing_digest(&tp.routed),
         tp.routed.wires_used,
-        specialization_digest(scg),
-        table_digest(scg),
+        specialization_digest(&scg),
+        table_digest(&scg),
     );
     (got, widest)
 }

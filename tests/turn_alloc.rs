@@ -15,11 +15,12 @@
 
 use parameterized_fpga_debug::circuits::build;
 use parameterized_fpga_debug::core::{
-    offline, prepare_instrumented, InstrumentConfig, OfflineConfig, OfflineResult, PAPER_K,
+    prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig, PAPER_K,
 };
 use parameterized_fpga_debug::emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use parameterized_fpga_debug::pconf::{
-    CommitPolicy, IcapChannel, MemoryIcap, Session, TunableFrames, TurnContext,
+    CommitPolicy, IcapChannel, MemoryIcap, OnlineReconfigurator, Session, TunableFrames,
+    TurnContext,
 };
 use parameterized_fpga_debug::replay::device_crc;
 use parameterized_fpga_debug::util::BitVec;
@@ -90,12 +91,12 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
 }
 
-fn stereov() -> OfflineResult {
+fn stereov() -> CompiledDesign {
     let design = build("stereov.").expect("suite member");
     let (_, _, inst) =
         prepare_instrumented(&design, &InstrumentConfig::paper(), PAPER_K).expect("instrument");
     let cfg = OfflineConfig { k: PAPER_K, ..Default::default() };
-    offline(&inst, &cfg).expect("offline flow")
+    CompiledDesign::compile(inst, &cfg).expect("offline flow")
 }
 
 /// A fixed walk of `n`-parameter vectors, built before anything is
@@ -118,7 +119,8 @@ fn walk(n: usize) -> Vec<BitVec> {
 
 #[test]
 fn committed_turn_allocates_only_the_commit_frame_buffers() {
-    let mut online = stereov().into_online().expect("online");
+    let CompiledDesign { scg, layout, icap, .. } = stereov();
+    let mut online = OnlineReconfigurator::new(scg, layout, icap);
     let walk = walk(online.params().len());
 
     // Warm-up: every buffer grows to its working size.
@@ -139,10 +141,9 @@ fn committed_turn_allocates_only_the_commit_frame_buffers() {
 
 #[test]
 fn interleaved_engine_turns_allocate_only_the_commit_frame_buffers() {
-    let off = stereov();
-    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let CompiledDesign { scg, layout, icap, .. } = stereov();
     let tunables = TunableFrames::new(&scg, &layout);
-    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
     let policy = CommitPolicy::default();
     let walk = walk(scg.generalized().n_params);
     let base = &scg.generalized().base;
@@ -189,10 +190,9 @@ fn interleaved_engine_turns_allocate_only_the_commit_frame_buffers() {
 
 #[test]
 fn a_session_over_the_shared_base_holds_less_than_one_configuration() {
-    let off = stereov();
-    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let CompiledDesign { scg, layout, icap, .. } = stereov();
     let tunables = TunableFrames::new(&scg, &layout);
-    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &off.icap, tunables: &tunables };
+    let ctx = TurnContext { scg: &scg, layout: &layout, icap: &icap, tunables: &tunables };
     let policy = CommitPolicy::default();
     let walk = walk(scg.generalized().n_params);
     let image = Arc::new(scg.generalized().base.clone());
@@ -226,8 +226,7 @@ fn a_session_over_the_shared_base_holds_less_than_one_configuration() {
 
 #[test]
 fn reads_and_digests_through_the_chaos_stack_allocate_nothing() {
-    let off = stereov();
-    let (scg, layout) = (off.scg.expect("scg"), off.layout.expect("layout"));
+    let CompiledDesign { scg, layout, .. } = stereov();
     let image = Arc::new(scg.generalized().base.clone());
     let seu = SeuConfig { rate: 0.2, burst: 3, seed: 11 };
     let mut channel = channel_stack(
