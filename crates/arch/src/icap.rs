@@ -74,6 +74,15 @@ impl IcapModel {
         (t.as_secs_f64() * self.bits_per_second) as usize
     }
 
+    /// The paper's port, calibrated at *device* scale: a full
+    /// Virtex-5-class configuration ([`VIRTEX5_CONFIG_BITS`]) takes
+    /// 176 ms. The design under test occupies a region of the device,
+    /// and partial reconfiguration pays per frame of the real part, so
+    /// the offline flow and a store hit both take their port from here.
+    pub fn paper() -> Self {
+        IcapModel::calibrated_to(VIRTEX5_CONFIG_BITS, Duration::from_millis(176))
+    }
+
     /// A model rescaled so that a device with `n_bits` of configuration
     /// takes exactly `target` for a full reconfiguration (frame overheads
     /// folded into throughput). This mirrors the paper's calibration
@@ -110,6 +119,12 @@ mod tests {
         let t = icap.full_reconfig(30_000_000, VIRTEX5_FRAME_BITS);
         let ms = t.as_secs_f64() * 1e3;
         assert!((ms - 176.0).abs() < 1.0, "got {ms} ms");
+    }
+
+    #[test]
+    fn paper_port_full_reconfigures_a_virtex5_in_176_ms() {
+        let t = IcapModel::paper().full_reconfig(VIRTEX5_CONFIG_BITS, VIRTEX5_FRAME_BITS);
+        assert!((t.as_secs_f64() * 1e3 - 176.0).abs() < 1e-6, "got {t:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! hours-scale recompilation.
 
 use crate::param::Instrumented;
-use pfdbg_arch::{BitstreamLayout, IcapModel, RRNode, VIRTEX5_CONFIG_BITS, VIRTEX5_FRAME_BITS};
+use pfdbg_arch::{BitstreamLayout, IcapModel, RRNode, VIRTEX5_FRAME_BITS};
 use pfdbg_emu::{channel_stack, IcapFaultConfig, SeuConfig};
 use pfdbg_map::{map_parameterized_network, ElemKind};
 use pfdbg_netlist::truth::TruthTable;
@@ -22,7 +22,6 @@ use pfdbg_pconf::{
 use pfdbg_pr::{tpar, TparConfig, TparResult};
 use pfdbg_util::FxHashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 // Always-on compile telemetry: wall time per offline run, so a fleet
 // serving many designs sees compile latency without enabling profiling.
@@ -238,11 +237,7 @@ fn offline_inner(inst: &Instrumented, cfg: &OfflineConfig) -> Result<OfflineResu
         pfdbg_obs::gauge_set("bdd.nodes", manager.n_nodes() as f64);
         pfdbg_obs::gauge_set("gbs.frames", layout.n_frames() as f64);
     }
-    // Calibrate the port at *device* scale (a full Virtex-5 stream in
-    // 176 ms), not at design scale: the design occupies a region of the
-    // device, and partial reconfiguration pays per frame of the real
-    // part.
-    let icap = IcapModel::calibrated_to(VIRTEX5_CONFIG_BITS, Duration::from_millis(176));
+    let icap = IcapModel::paper();
     let scg = Scg::new(manager, gbs);
 
     Ok(OfflineResult {

@@ -217,7 +217,8 @@ pub fn instrument(design: &Network, cfg: &InstrumentConfig) -> Instrumented {
 
         // Balanced mux tree; bit `level` selects between the halves whose
         // indices differ in that bit (recursion from the top bit).
-        let root = build_mux_tree(&mut nw, &sigs, &sel_nodes, n_bits, p);
+        let mux_prefix = format!("$mux_p{p}");
+        let root = build_mux_tree(&mut nw, &sigs, &sel_nodes, n_bits, &mux_prefix, &mut 0);
 
         let port_name = nw.fresh_name(&format!("$trace{p}"));
         nw.add_output(port_name.clone(), root);
@@ -234,24 +235,26 @@ pub fn instrument(design: &Network, cfg: &InstrumentConfig) -> Instrumented {
 
 /// Build the mux tree over `sigs` (a power-of-two slice) using select
 /// bits `sel[..n_bits]`; returns the root node. Bit `n_bits-1` is the
-/// root selector.
+/// root selector. Mux nets are named under `prefix`, each name's search
+/// resuming at `*next` where the previous one stopped.
 fn build_mux_tree(
     nw: &mut Network,
     sigs: &[NodeId],
     sel: &[NodeId],
     n_bits: usize,
-    port: usize,
+    prefix: &str,
+    next: &mut usize,
 ) -> NodeId {
     if n_bits == 0 {
         return sigs[0];
     }
     let half = sigs.len() / 2;
-    let lo = build_mux_tree(nw, &sigs[..half], sel, n_bits - 1, port);
-    let hi = build_mux_tree(nw, &sigs[half..], sel, n_bits - 1, port);
+    let lo = build_mux_tree(nw, &sigs[..half], sel, n_bits - 1, prefix, next);
+    let hi = build_mux_tree(nw, &sigs[half..], sel, n_bits - 1, prefix, next);
     if lo == hi {
         return lo; // padding collapses
     }
-    let name = nw.fresh_name(&format!("$mux_p{port}"));
+    let name = nw.fresh_name_after(prefix, next);
     // mux21 input order (d0, d1, s): output = s ? d1 : d0.
     nw.add_table(name, vec![lo, hi, sel[n_bits - 1]], gates::mux21())
 }

@@ -353,26 +353,8 @@ fn cover_to_table(rows: &[CoverRow], n_in: usize) -> TruthTable {
     }
     let on_set = rows.iter().any(|r| r.output);
     let mut t = if on_set { TruthTable::const0(n_in) } else { TruthTable::const1(n_in) };
-    let cube = |row: &CoverRow| -> TruthTable {
-        let mut c = TruthTable::const1(n_in);
-        for (i, lit) in row.pattern.iter().enumerate() {
-            match lit {
-                Some(true) => c = c.and(&TruthTable::var(n_in, i)),
-                Some(false) => c = c.and(&TruthTable::var(n_in, i).not()),
-                None => {}
-            }
-        }
-        c
-    };
-    for row in rows {
-        if row.output == on_set {
-            let c = cube(row);
-            if on_set {
-                t = t.or(&c);
-            } else {
-                t = t.and(&c.not());
-            }
-        }
+    for row in rows.iter().filter(|r| r.output == on_set) {
+        t.assign_cube(&row.pattern, on_set);
     }
     t
 }
@@ -452,6 +434,7 @@ fn row_pattern(row: usize, nvars: usize) -> String {
 mod tests {
     use super::*;
     use crate::sim;
+    use proptest::prelude::*;
 
     const SMALL: &str = "\
 # a tiny mixed design
@@ -623,6 +606,66 @@ mod tests {
         let nw2 = parse(&text).unwrap();
         nw2.validate().unwrap();
         assert!(sim::comb_equivalent(&nw, &nw2, 64, 0xBEEF).unwrap());
+    }
+
+    /// The value of the cover `rows` on minterm `m`, row by row.
+    fn eval_cover(rows: &[CoverRow], m: usize) -> bool {
+        let on_set = rows.iter().any(|r| r.output);
+        let hit = rows.iter().filter(|r| r.output == on_set).any(|r| {
+            let lit_holds =
+                |(i, lit): (usize, &Option<bool>)| lit.is_none_or(|v| ((m >> i) & 1 == 1) == v);
+            r.pattern.iter().enumerate().all(lit_holds)
+        });
+        hit == on_set
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// On-set, off-set and mixed covers of up to 10 inputs (16 words)
+        /// convert to the table that evaluating the cover minterm by
+        /// minterm gives.
+        #[test]
+        fn cover_to_table_matches_minterm_evaluation(
+            n_in in 0usize..=10,
+            n_rows in 1usize..12,
+            outputs in 0u8..3,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                (z ^ (z >> 29)) % n
+            };
+            let rows: Vec<CoverRow> = (0..n_rows)
+                .map(|_| CoverRow {
+                    // Half the literals are don't-cares, so cubes span words.
+                    pattern: (0..n_in)
+                        .map(|_| match draw(4) {
+                            0 => Some(false),
+                            1 => Some(true),
+                            _ => None,
+                        })
+                        .collect(),
+                    output: match outputs {
+                        0 => true,
+                        1 => false,
+                        _ => draw(2) == 1,
+                    },
+                })
+                .collect();
+            let t = cover_to_table(&rows, n_in);
+            for m in 0..1usize << n_in {
+                prop_assert_eq!(t.bit(m), eval_cover(&rows, m), "minterm {m:#x}");
+            }
+            prop_assert_eq!(t.count_ones(), (0..1usize << n_in).filter(|&m| t.bit(m)).count());
+        }
+    }
+
+    #[test]
+    fn empty_cover_is_constant_zero() {
+        assert!(cover_to_table(&[], 3).is_const0());
     }
 
     #[test]

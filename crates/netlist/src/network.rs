@@ -259,18 +259,28 @@ impl Network {
     }
 
     /// Generate a fresh net name starting with `prefix` that does not
-    /// collide with any existing name.
+    /// collide with any existing name: `prefix` itself if it is free,
+    /// else the first free `prefix_i`.
     pub fn fresh_name(&self, prefix: &str) -> String {
-        if !self.by_name.contains_key(prefix) {
-            return prefix.to_string();
-        }
-        let mut i = 0usize;
+        self.fresh_name_after(prefix, &mut 0)
+    }
+
+    /// [`Network::fresh_name`], searching from candidate `*next` (0 is
+    /// `prefix` itself, `i + 1` is `prefix_i`) and leaving `*next` just
+    /// past the name it returns. A caller that adds each name before it
+    /// asks for the next one under the same prefix, and renames nothing
+    /// in between, gets the names `fresh_name` would give without
+    /// probing the taken candidates again.
+    pub fn fresh_name_after(&self, prefix: &str, next: &mut usize) -> String {
         loop {
-            let candidate = format!("{prefix}_{i}");
+            let candidate = match *next {
+                0 => prefix.to_string(),
+                i => format!("{prefix}_{}", i - 1),
+            };
+            *next += 1;
             if !self.by_name.contains_key(&candidate) {
                 return candidate;
             }
-            i += 1;
         }
     }
 
@@ -642,6 +652,27 @@ mod tests {
         let n1 = nw.fresh_name("sig");
         assert_ne!(n1, "sig");
         assert_eq!(nw.fresh_name("other"), "other");
+    }
+
+    /// Names added one by one under a prefix that other nets already
+    /// use come out the same whether each search starts over or resumes.
+    #[test]
+    fn resumed_fresh_names_match_fresh_names() {
+        let mut fresh = Network::new("f");
+        for name in ["m", "m_1", "m_2", "m_5"] {
+            fresh.add_input(name);
+        }
+        let mut resumed = fresh.clone();
+        let mut next = 0;
+        let mut names = Vec::new();
+        for _ in 0..5 {
+            let (a, b) = (fresh.fresh_name("m"), resumed.fresh_name_after("m", &mut next));
+            assert_eq!(a, b);
+            fresh.add_input(a.clone());
+            resumed.add_input(b);
+            names.push(a);
+        }
+        assert_eq!(names, ["m_0", "m_3", "m_4", "m_6", "m_7"]);
     }
 
     #[test]

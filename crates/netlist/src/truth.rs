@@ -105,6 +105,44 @@ impl TruthTable {
         t
     }
 
+    /// Set every row of a cube to `value`. The cube holds one literal
+    /// per variable: `Some(true)`, `Some(false)` or don't care. Literals
+    /// of variables 0..6 select rows within a word, the rest select
+    /// whole words, so no table is built for the cube.
+    pub(crate) fn assign_cube(&mut self, cube: &[Option<bool>], value: bool) {
+        assert_eq!(cube.len(), self.nvars(), "cube arity mismatch");
+        // Rows of a word the cube holds, and the word-index bits its
+        // literals of variables 6.. fix.
+        let mut rows = Self::word_mask(self.nvars());
+        let (mut fixed_bits, mut fixed) = (0usize, 0usize);
+        for (i, lit) in cube.iter().enumerate() {
+            match (*lit, i) {
+                (None, _) => {}
+                (Some(v), 0..=5) => rows &= if v { VAR_MASKS[i] } else { !VAR_MASKS[i] },
+                (Some(v), _) => {
+                    fixed_bits |= 1 << (i - 6);
+                    fixed |= (v as usize) << (i - 6);
+                }
+            }
+        }
+        // Every word whose index agrees with `fixed`: each subset of the
+        // free index bits, in increasing order.
+        let free = (self.words.len() - 1) & !fixed_bits;
+        let mut subset = 0usize;
+        loop {
+            let word = &mut self.words[fixed | subset];
+            if value {
+                *word |= rows;
+            } else {
+                *word &= !rows;
+            }
+            if subset == free {
+                break;
+            }
+            subset = subset.wrapping_sub(free) & free;
+        }
+    }
+
     /// Build a `<=6`-variable table directly from a packed word.
     pub fn from_word(nvars: usize, word: u64) -> Self {
         assert!(nvars <= 6, "from_word only supports <=6 vars");

@@ -13,7 +13,7 @@
 
 use pfdbg_map::ElemKind;
 use pfdbg_netlist::{Network, NodeId, NodeKind};
-use pfdbg_util::{FxHashMap, FxHashSet};
+use pfdbg_util::{FxHashMap, FxHashSet, IdVec};
 
 /// A block placeable on the device grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,101 +203,101 @@ pub fn pack(
     // External inputs of a BLE: LUT fanins (resolved through TCONs they
     // are *not* — LUT fanins may be TCON outputs; the cluster pin carries
     // the TCON wire, one pin per TCON tree) plus latch data if standalone.
-    let ble_inputs = |b: &Ble| -> Vec<NodeId> {
-        let mut ins: Vec<NodeId> = Vec::new();
-        if let Some(lut) = b.lut {
-            for &f in &nw.node(lut).fanins {
-                if nw.node(f).is_param || matches!(nw.node(f).kind, NodeKind::Const(_)) {
-                    continue;
+    let ble_inputs: Vec<Vec<NodeId>> = bles
+        .iter()
+        .map(|b| {
+            let mut ins: Vec<NodeId> = Vec::new();
+            if let Some(lut) = b.lut {
+                for &f in &nw.node(lut).fanins {
+                    if nw.node(f).is_param || matches!(nw.node(f).kind, NodeKind::Const(_)) {
+                        continue;
+                    }
+                    if !ins.contains(&f) {
+                        ins.push(f);
+                    }
                 }
-                if !ins.contains(&f) {
-                    ins.push(f);
-                }
-            }
-        }
-        if b.lut.is_none() {
-            if let Some(latch) = b.latch {
+            } else if let Some(latch) = b.latch {
                 let f = nw.node(latch).fanins[0];
                 if !matches!(nw.node(f).kind, NodeKind::Const(_)) {
                     ins.push(f);
                 }
             }
-        }
-        ins
-    };
+            ins
+        })
+        .collect();
+    let outputs = |b: &Ble| [b.lut, b.latch].into_iter().flatten();
 
     let n_bles = bles.len();
     let mut clustered = vec![false; n_bles];
     let mut clusters: Vec<Cluster> = Vec::new();
+    // Which cluster, by index, has each node among its inputs or
+    // produces it; only the open cluster's stamps are read.
+    let mut input_of: IdVec<NodeId, u32> = IdVec::filled(u32::MAX, nw.n_nodes());
+    let mut produced_by: IdVec<NodeId, u32> = IdVec::filled(u32::MAX, nw.n_nodes());
 
     // Attraction: BLEs sharing signals with the open cluster.
     // Simple VPack: seed = unclustered BLE with most inputs; then add the
     // BLE maximizing shared signals while pin-feasible.
     loop {
-        let seed =
-            (0..n_bles).filter(|&i| !clustered[i]).max_by_key(|&i| ble_inputs(&bles[i]).len());
+        let seed = (0..n_bles).filter(|&i| !clustered[i]).max_by_key(|&i| ble_inputs[i].len());
         let Some(seed) = seed else { break };
-        clustered[seed] = true;
+        let c = clusters.len() as u32;
         let mut cluster = Cluster::default();
-        let mut produced: FxHashSet<NodeId> = FxHashSet::default();
-        let add_ble = |cluster: &mut Cluster, produced: &mut FxHashSet<NodeId>, i: usize| {
-            let b = &bles[i];
-            if let Some(l) = b.lut {
-                produced.insert(l);
+        // Inputs not produced locally: locally produced signals do not
+        // consume input pins.
+        let mut external = 0usize;
+        let mut next = Some(seed);
+        while let Some(i) = next {
+            clustered[i] = true;
+            for out in outputs(&bles[i]) {
+                produced_by[out] = c;
+                external -= (input_of[out] == c) as usize;
             }
-            if let Some(l) = b.latch {
-                produced.insert(l);
+            for &f in &ble_inputs[i] {
+                if input_of[f] != c {
+                    input_of[f] = c;
+                    cluster.inputs.insert(f);
+                    external += (produced_by[f] != c) as usize;
+                }
             }
-            for f in ble_inputs(b) {
-                cluster.inputs.insert(f);
+            cluster.bles.push(bles[i].clone());
+            if cluster.bles.len() >= cfg.n_ble {
+                break;
             }
-            cluster.bles.push(b.clone());
-        };
-        add_ble(&mut cluster, &mut produced, seed);
-        // Locally produced signals do not consume input pins.
-        let effective_inputs =
-            |c: &Cluster, p: &FxHashSet<NodeId>| c.inputs.iter().filter(|i| !p.contains(i)).count();
-
-        while cluster.bles.len() < cfg.n_ble {
             let mut best: Option<(usize, usize)> = None; // (gain, ble)
             for i in 0..n_bles {
                 if clustered[i] {
                     continue;
                 }
-                let ins = ble_inputs(&bles[i]);
-                // Feasibility: new external input count within limit.
-                let mut new_inputs = cluster.inputs.clone();
-                for &f in &ins {
-                    new_inputs.insert(f);
-                }
-                let mut new_produced = produced.clone();
-                if let Some(l) = bles[i].lut {
-                    new_produced.insert(l);
-                }
-                if let Some(l) = bles[i].latch {
-                    new_produced.insert(l);
-                }
-                let ext = new_inputs.iter().filter(|x| !new_produced.contains(x)).count();
-                if ext > cfg.clb_inputs {
-                    continue;
+                // Feasibility: the external input count with BLE `i`
+                // added — its outputs stop being external inputs, and its
+                // inputs new to the cluster start being ones unless it
+                // produces them itself.
+                let mut ext = external;
+                for out in outputs(&bles[i]) {
+                    ext -= (input_of[out] == c) as usize;
                 }
                 // Gain: shared signals (inputs already present or produced
                 // locally).
-                let gain = ins
-                    .iter()
-                    .filter(|f| cluster.inputs.contains(f) || produced.contains(f))
-                    .count()
-                    + 1; // +1 so isolated BLEs can still join
+                let mut shared = 0;
+                for &f in &ble_inputs[i] {
+                    if input_of[f] == c || produced_by[f] == c {
+                        shared += 1;
+                    } else if !outputs(&bles[i]).any(|out| out == f) {
+                        ext += 1;
+                    }
+                }
+                if ext > cfg.clb_inputs {
+                    continue;
+                }
+                let gain = shared + 1; // +1 so isolated BLEs can still join
                 match best {
                     Some((g, _)) if g >= gain => {}
                     _ => best = Some((gain, i)),
                 }
             }
-            let Some((_, pick)) = best else { break };
-            clustered[pick] = true;
-            add_ble(&mut cluster, &mut produced, pick);
+            next = best.map(|(_, pick)| pick);
         }
-        let _ = effective_inputs;
         clusters.push(cluster);
     }
 

@@ -188,6 +188,43 @@ fn moved_span(count: &[u16], lo: u16, hi: u16, from: u16, to: u16) -> (u16, u16)
 /// Marks a free slot in [`SlotClass::occupant`].
 const FREE: u32 = u32::MAX;
 
+/// Ends each block's list in [`Annealer::block_nets`].
+const END: u32 = u32::MAX;
+
+/// How a move prices a net it touches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pricing {
+    /// At most four terminals, padded to four by repeating the last
+    /// one, which leaves the box unchanged, and the net's weight: one
+    /// fixed-length scan.
+    Four([u32; 4], f64),
+    /// A scan of every terminal.
+    Scan,
+    /// A box update from the net's [`NetCounts`] (index into
+    /// [`Annealer::counts`]); for nets with more than
+    /// [`COUNTED_NET_TERMINALS`] terminals.
+    Counted(u32),
+}
+
+impl Pricing {
+    fn of(net: &NetGeometry, n_counted: &mut u32) -> Pricing {
+        let terminals = &net.terminals[..];
+        match terminals {
+            [] => Pricing::Scan,
+            [.., last] if terminals.len() <= 4 => {
+                let mut four = [*last; 4];
+                four[..terminals.len()].copy_from_slice(terminals);
+                Pricing::Four(four, net.weight)
+            }
+            _ if terminals.len() <= COUNTED_NET_TERMINALS => Pricing::Scan,
+            _ => {
+                *n_counted += 1;
+                Pricing::Counted(*n_counted - 1)
+            }
+        }
+    }
+}
+
 /// One block class (CLBs or pads): its blocks, the slots they may
 /// occupy, and which block holds each slot.
 struct SlotClass {
@@ -220,8 +257,13 @@ struct Move {
 /// anneal makes the same decisions bit for bit.
 struct Annealer {
     nets: Vec<NetGeometry>,
-    /// Nets touching each block.
-    nets_of_block: Vec<Vec<u32>>,
+    /// How a move prices each net.
+    pricing: Vec<Pricing>,
+    /// Each block's ascending net list followed by [`END`], back to
+    /// back, then one more [`END`]: the empty list of a free slot.
+    block_nets: Vec<u32>,
+    /// Where each block's list starts in `block_nets`.
+    nets_start: Vec<u32>,
     clb: SlotClass,
     io: SlotClass,
     locs: Vec<Loc>,
@@ -229,15 +271,16 @@ struct Annealer {
     slot_of: Vec<u32>,
     /// `bbox_cost` of every net under the committed `locs`.
     net_cost: Vec<f64>,
-    /// Terminal counts of every net with more than
-    /// [`COUNTED_NET_TERMINALS`] terminals, under the committed `locs`.
-    counts: Vec<Option<NetCounts>>,
-    /// Nets affected by the pending move (sorted, deduplicated) and
-    /// their after-move costs.
-    affected: Vec<u32>,
-    after: Vec<f64>,
-    /// The pending move's counted nets: net, the moved terminal's old
-    /// and new location, and the net's new box.
+    /// Terminal counts of every [`Pricing::Counted`] net under the
+    /// committed `locs`.
+    counts: Vec<NetCounts>,
+    /// Nets affected by the pending move (ascending) and their
+    /// after-move costs: the first `n_affected` entries, in a buffer
+    /// as long as the two longest net lists.
+    affected: Vec<(u32, f64)>,
+    n_affected: usize,
+    /// The pending move's counted nets: index into `counts`, the moved
+    /// terminal's old and new location, and the net's new box.
     moved: Vec<(u32, Loc, Loc, BBox)>,
 }
 
@@ -293,12 +336,23 @@ impl Annealer {
                 NetGeometry { terminals, weight }
             })
             .collect();
+        let mut n_counted = 0;
+        let pricing = nets.iter().map(|n| Pricing::of(n, &mut n_counted)).collect();
         let mut nets_of_block: Vec<Vec<u32>> = vec![Vec::new(); n_blocks];
         for (ni, n) in nets.iter().enumerate() {
             for &t in &n.terminals {
                 nets_of_block[t as usize].push(ni as u32);
             }
         }
+        let longest = nets_of_block.iter().map(Vec::len).max().unwrap_or(0);
+        let mut block_nets = Vec::new();
+        let mut nets_start = Vec::with_capacity(n_blocks);
+        for list in &nets_of_block {
+            nets_start.push(block_nets.len() as u32);
+            block_nets.extend_from_slice(list);
+            block_nets.push(END);
+        }
+        block_nets.push(END);
 
         let class = |blocks: Vec<usize>, slots: Vec<Loc>| SlotClass {
             occupant: vec![FREE; slots.len()],
@@ -307,15 +361,17 @@ impl Annealer {
         };
         let mut st = Annealer {
             nets,
-            nets_of_block,
+            pricing,
+            block_nets,
+            nets_start,
             clb: class(clb_blocks, clb_slots),
             io: class(pad_blocks, io_slots),
             locs: vec![Loc { x: 0, y: 0, sub: 0 }; n_blocks],
             slot_of: vec![0; n_blocks],
             net_cost: Vec::new(),
             counts: Vec::new(),
-            affected: Vec::new(),
-            after: Vec::new(),
+            affected: vec![(END, 0.0); 2 * longest],
+            n_affected: 0,
             moved: Vec::new(),
         };
         for class in [&mut st.clb, &mut st.io] {
@@ -329,12 +385,18 @@ impl Annealer {
         st.counts = st
             .nets
             .iter()
-            .map(|n| {
-                (n.terminals.len() > COUNTED_NET_TERMINALS)
-                    .then(|| NetCounts::new(&n.terminals, &st.locs, dev.width, dev.height))
-            })
+            .zip(&st.pricing)
+            .filter(|(_, p)| matches!(p, Pricing::Counted(_)))
+            .map(|(n, _)| NetCounts::new(&n.terminals, &st.locs, dev.width, dev.height))
             .collect();
         Ok(st)
+    }
+
+    /// The nets touching `block`, ascending.
+    #[cfg(test)]
+    fn nets_of(&self, block: usize) -> &[u32] {
+        let list = &self.block_nets[self.nets_start[block] as usize..];
+        &list[..list.iter().position(|&n| n == END).unwrap_or(list.len())]
     }
 
     /// Total cost of the current `locs`, recomputed from scratch.
@@ -369,46 +431,55 @@ impl Annealer {
             self.locs[b] = la;
         }
         // Merge the two blocks' ascending net lists, pricing each net's
-        // after-state. A net holding both swapped blocks keeps the same
-        // set of terminal positions, so its bounding box and cost are
-        // unchanged; any other net has exactly one terminal moved.
-        self.affected.clear();
-        self.after.clear();
-        self.moved.clear();
-        let of_a = &self.nets_of_block[a];
-        let of_b: &[u32] = b.map_or(&[], |b| &self.nets_of_block[b]);
-        let (mut i, mut j) = (0, 0);
+        // after-state and adding its before and after costs in
+        // ascending net order, as a sum over the merged list would. A
+        // net holding both swapped blocks keeps the same set of
+        // terminal positions, so a scan finds its box unchanged and a
+        // counted net keeps its cached cost; any other net has exactly
+        // one terminal moved.
+        let Annealer {
+            nets,
+            pricing,
+            block_nets,
+            nets_start,
+            locs,
+            net_cost,
+            counts,
+            affected,
+            moved,
+            ..
+        } = self;
+        moved.clear();
+        let mut i = nets_start[a] as usize;
+        let mut j = b.map_or(block_nets.len() - 1, |b| nets_start[b] as usize);
+        let (mut before, mut after) = (0.0, 0.0);
+        let mut k = 0;
         loop {
-            let x = of_a.get(i).copied().unwrap_or(u32::MAX);
-            let y = of_b.get(j).copied().unwrap_or(u32::MAX);
-            let (ni, moved) = if x == y {
-                if x == u32::MAX {
-                    break;
-                }
-                (i, j) = (i + 1, j + 1);
-                (x, None)
-            } else if x < y {
-                i += 1;
-                (x, Some((la, slot)))
-            } else {
-                j += 1;
-                (y, Some((slot, la)))
-            };
+            let (x, y) = (block_nets[i], block_nets[j]);
+            let ni = x.min(y);
+            if ni == END {
+                break;
+            }
+            i += (x == ni) as usize;
+            j += (y == ni) as usize;
             let net = ni as usize;
-            let cost = match (moved, &self.counts[net]) {
-                (None, _) => self.net_cost[net],
-                (Some((from, to)), Some(counts)) => {
-                    let bbox = counts.moved_box(from, to);
-                    self.moved.push((ni, from, to, bbox));
-                    bbox.cost(self.nets[net].weight)
+            let cost = match pricing[net] {
+                Pricing::Four(terminals, weight) => BBox::scan(&terminals, locs).cost(weight),
+                Pricing::Scan => bbox_cost(&nets[net], locs),
+                Pricing::Counted(c) if x != y => {
+                    let (from, to) = if x == ni { (la, slot) } else { (slot, la) };
+                    let bbox = counts[c as usize].moved_box(from, to);
+                    moved.push((c, from, to, bbox));
+                    bbox.cost(nets[net].weight)
                 }
-                (Some(_), None) => bbox_cost(&self.nets[net], &self.locs),
+                Pricing::Counted(_) => net_cost[net],
             };
-            self.affected.push(ni);
-            self.after.push(cost);
+            before += net_cost[net];
+            after += cost;
+            affected[k] = (ni, cost);
+            k += 1;
         }
-        let before: f64 = self.affected.iter().map(|&ni| self.net_cost[ni as usize]).sum();
-        let after: f64 = self.after.iter().sum();
+        self.n_affected = k;
         Some(Move { clb: use_clb, a, to: to as u32, b, delta: after - before })
     }
 
@@ -425,13 +496,11 @@ impl Annealer {
             }
             None => FREE,
         };
-        for (&ni, &c) in self.affected.iter().zip(&self.after) {
+        for &(ni, c) in &self.affected[..self.n_affected] {
             self.net_cost[ni as usize] = c;
         }
-        for &(ni, from, to, bbox) in &self.moved {
-            if let Some(counts) = &mut self.counts[ni as usize] {
-                counts.apply(from, to, bbox);
-            }
+        for &(c, from, to, bbox) in &self.moved {
+            self.counts[c as usize].apply(from, to, bbox);
         }
     }
 
@@ -700,9 +769,10 @@ mod tests {
     }
 
     /// The cache equals `bbox_cost` recomputed from scratch, bit for
-    /// bit, every counted net's counts and box equal a fresh scan of its
-    /// terminals, and the occupancy index and `slot_of` agree with
-    /// `locs`.
+    /// bit, each net is priced by its terminal count, every counted
+    /// net's counts and box equal a fresh scan of its terminals, each
+    /// block's net list holds the nets touching it, and the occupancy
+    /// index and `slot_of` agree with `locs`.
     fn assert_bookkeeping(st: &Annealer) {
         for (ni, net) in st.nets.iter().enumerate() {
             assert_eq!(
@@ -710,12 +780,35 @@ mod tests {
                 bbox_cost(net, &st.locs).to_bits(),
                 "cached cost of net {ni} is stale"
             );
-            let counted = net.terminals.len() > COUNTED_NET_TERMINALS;
-            assert_eq!(st.counts[ni].is_some(), counted, "net {ni} counted");
-            if let Some(c) = &st.counts[ni] {
-                let fresh = NetCounts::new(&net.terminals, &st.locs, c.cols.len(), c.rows.len());
-                assert_eq!(c, &fresh, "counts of net {ni} are stale");
+            let n = net.terminals.len();
+            match st.pricing[ni] {
+                Pricing::Four(four, _) => {
+                    assert!((1..=4).contains(&n), "net {ni} of {n} terminals priced as four");
+                    let mut distinct = four.to_vec();
+                    distinct.dedup();
+                    assert_eq!(distinct, net.terminals, "net {ni}'s padded terminals");
+                }
+                Pricing::Scan => {
+                    assert!(n == 0 || (5..=COUNTED_NET_TERMINALS).contains(&n), "net {ni} scanned")
+                }
+                Pricing::Counted(c) => {
+                    assert!(n > COUNTED_NET_TERMINALS, "net {ni} of {n} terminals counted");
+                    let counts = &st.counts[c as usize];
+                    let fresh = NetCounts::new(
+                        &net.terminals,
+                        &st.locs,
+                        counts.cols.len(),
+                        counts.rows.len(),
+                    );
+                    assert_eq!(counts, &fresh, "counts of net {ni} are stale");
+                }
             }
+        }
+        for b in 0..st.locs.len() {
+            let touching: Vec<u32> = (0..st.nets.len() as u32)
+                .filter(|&ni| st.nets[ni as usize].terminals.contains(&(b as u32)))
+                .collect();
+            assert_eq!(st.nets_of(b), touching, "nets of block {b}");
         }
         for class in [&st.clb, &st.io] {
             for (i, &slot) in class.slots.iter().enumerate() {
@@ -745,18 +838,27 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
             for _ in 0..200 {
                 let committed = st.locs.clone();
-                let total_before = st.total_cost();
                 let range = rng.gen_range(1.0..7.0);
                 let Some(mv) = st.propose(&mut rng, range) else {
                     prop_assert_eq!(&st.locs, &committed);
                     continue;
                 };
-                let total_after = st.total_cost();
-                prop_assert!(
-                    (total_after - total_before - mv.delta).abs() <= 1e-9 * total_after.max(1.0),
+                // The delta is the after-minus-before sum over the sorted
+                // union of the two blocks' nets, bit for bit.
+                let mut union = st.nets_of(mv.a).to_vec();
+                union.extend_from_slice(mv.b.map_or(&[][..], |b| st.nets_of(b)));
+                union.sort_unstable();
+                union.dedup();
+                let sum = |locs: &[Loc]| -> f64 {
+                    union.iter().map(|&ni| bbox_cost(&st.nets[ni as usize], locs)).sum()
+                };
+                let (before, after) = (sum(&committed), sum(&st.locs));
+                prop_assert_eq!(
+                    mv.delta.to_bits(),
+                    (after - before).to_bits(),
                     "delta {} vs recomputed {}",
                     mv.delta,
-                    total_after - total_before
+                    after - before
                 );
                 if rng.gen_bool(0.5) {
                     st.commit(&mv);

@@ -20,12 +20,11 @@
 //! panic or an out-of-bounds index.
 
 use crate::bytes::{checksum, ByteReader, ByteWriter};
-use pfdbg_arch::{BitAddr, Bitstream, BitstreamLayout, IcapModel, LayoutRaw, VIRTEX5_CONFIG_BITS};
+use pfdbg_arch::{BitAddr, Bitstream, BitstreamLayout, IcapModel, LayoutRaw};
 use pfdbg_core::{CompiledDesign, Instrumented, MapStats, PortInfo};
 use pfdbg_netlist::{blif, ParamAnnotations};
 use pfdbg_pconf::{Bdd, BddManager, GeneralizedBitstream, Scg};
 use pfdbg_util::BitVec;
-use std::time::Duration;
 
 /// The artifact magic bytes.
 pub const MAGIC: [u8; 4] = *b"PFDB";
@@ -312,7 +311,6 @@ impl Artifact {
             tcons: tcons as usize,
             depth: depth as u32,
         };
-        let icap = IcapModel::calibrated_to(VIRTEX5_CONFIG_BITS, Duration::from_millis(176));
-        Ok((CompiledDesign::new(inst, scg, layout, icap), map_stats))
+        Ok((CompiledDesign::new(inst, scg, layout, IcapModel::paper()), map_stats))
     }
 }

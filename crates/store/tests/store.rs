@@ -3,9 +3,10 @@
 //! corruption rejection. The cache hit itself is checked in
 //! `cache_hit.rs`, a binary of its own.
 
+use pfdbg_arch::VIRTEX5_CONFIG_BITS;
 use pfdbg_core::{prepare_instrumented, CompiledDesign, InstrumentConfig, MapStats, OfflineConfig};
 use pfdbg_pconf::BddManager;
-use pfdbg_store::Artifact;
+use pfdbg_store::{Artifact, ArtifactStore, CacheOutcome};
 use pfdbg_util::BitVec;
 use proptest::prelude::*;
 
@@ -62,6 +63,44 @@ proptest! {
             prop_assert_eq!(restored.scg.try_specialize(&p).unwrap(), compiled.scg.try_specialize(&p).unwrap());
         }
     }
+}
+
+/// An artifact does not store the port model: a cache hit takes it
+/// from the same place as the offline flow, so it models the same full
+/// and one-frame reconfiguration times as the fresh compile.
+#[test]
+fn cache_hit_models_the_fresh_compiles_port() {
+    let dir = std::env::temp_dir().join(format!("pfdbg-store-icap-test-{}", std::process::id()));
+    let store = ArtifactStore::open(&dir).unwrap();
+    let design = pfdbg_circuits::generate(&pfdbg_circuits::GenParams {
+        n_inputs: 8,
+        n_outputs: 6,
+        n_gates: 40,
+        depth: 5,
+        n_latches: 2,
+        seed: 7,
+    });
+    let (_, _, inst) = prepare_instrumented(
+        &design,
+        &InstrumentConfig { n_ports: 2, max_signals: None, coverage: 1 },
+        6,
+    )
+    .unwrap();
+    let cfg = OfflineConfig::default();
+    let (fresh, miss) = store.offline_cached(&inst, &cfg).unwrap();
+    let (hit, outcome) = store.offline_cached(&inst, &cfg).unwrap();
+    assert_eq!((miss, outcome), (CacheOutcome::Miss, CacheOutcome::Hit));
+    let frame_bits = fresh.layout.frame_bits;
+    assert_eq!(hit.layout.frame_bits, frame_bits);
+    assert_eq!(
+        hit.icap.full_reconfig(VIRTEX5_CONFIG_BITS, frame_bits),
+        fresh.icap.full_reconfig(VIRTEX5_CONFIG_BITS, frame_bits)
+    );
+    assert_eq!(
+        hit.icap.partial_reconfig(1, frame_bits),
+        fresh.icap.partial_reconfig(1, frame_bits)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Entries written before the SCG compacted its BDD table hold the

@@ -1,6 +1,7 @@
-//! Golden digests of TPlace and TRoute output, and of the SCG's
-//! specializations, on fixed instrumented designs. The placer and
-//! router are deterministic functions of their inputs (seeded RNG, f64
+//! Golden digests of the instrumented network, of TPack, TPlace and
+//! TRoute output, and of the SCG's specializations, on fixed designs.
+//! Instrumentation and packing are deterministic functions of the
+//! network, the placer and router of their inputs (seeded RNG, f64
 //! cost sums in a fixed order, heap ties broken on node id), and a
 //! specialization is a function of the generalized bitstream and the
 //! parameters alone, so any change to the flow or to the SCG must
@@ -22,10 +23,10 @@ use parameterized_fpga_debug::circuits::{build, generate, GenParams};
 use parameterized_fpga_debug::core::{
     offline, prepare_instrumented, CompiledDesign, InstrumentConfig, OfflineConfig, PAPER_K,
 };
-use parameterized_fpga_debug::netlist::Network;
+use parameterized_fpga_debug::netlist::{blif, Network, NodeId};
 use parameterized_fpga_debug::pconf::{Scg, SpecializeScratch};
 use parameterized_fpga_debug::pr::place::COUNTED_NET_TERMINALS;
-use parameterized_fpga_debug::pr::{Placement, RoutedDesign};
+use parameterized_fpga_debug::pr::{Block, PackedDesign, Placement, RoutedDesign};
 use parameterized_fpga_debug::util::BitVec;
 
 /// FNV-1a over a stream of little-endian words.
@@ -36,11 +37,75 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
         }
     }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// A string: its length, then its bytes.
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// The instrumented network as `blif::write` prints it: every net name
+/// the instrumentation chose, in order, and every cover.
+fn network_digest(nw: &Network) -> u64 {
+    let mut h = Fnv::new();
+    h.text(&blif::write(nw));
+    h.0
+}
+
+/// TPack's output: the blocks in order (each CLB with its BLEs' LUT and
+/// latch nodes, each pad with its name), then every net's name,
+/// sources, sinks and tunable flag.
+fn packed_digest(p: &PackedDesign) -> u64 {
+    let node = |n: Option<NodeId>| n.map_or(0, |n| n.0 as u64 + 1);
+    let mut h = Fnv::new();
+    h.word(p.blocks.len() as u64);
+    for b in &p.blocks {
+        match b {
+            Block::Clb(ci) => {
+                h.word(0);
+                h.word(*ci as u64);
+                let bles = &p.clusters[*ci].bles;
+                h.word(bles.len() as u64);
+                for ble in bles {
+                    h.word(node(ble.lut));
+                    h.word(node(ble.latch));
+                }
+            }
+            Block::InPad(name) => {
+                h.word(1);
+                h.text(name);
+            }
+            Block::OutPad(name) => {
+                h.word(2);
+                h.text(name);
+            }
+        }
+    }
+    h.word(p.nets.len() as u64);
+    for n in &p.nets {
+        h.text(&n.name);
+        h.word(n.sources.len() as u64);
+        for s in &n.sources {
+            h.word(s.block as u64);
+            h.word(s.ble as u64);
+        }
+        h.word(n.sinks.len() as u64);
+        for &s in &n.sinks {
+            h.word(s as u64);
+        }
+        h.word(n.tunable as u64);
+    }
+    h.0
 }
 
 fn placement_digest(p: &Placement) -> u64 {
@@ -136,9 +201,10 @@ fn table_digest(scg: &Scg) -> u64 {
     h.0
 }
 
-/// `(placement digest, routing digest, wires used, specialization
-/// digest, SCG table digest)`.
-type Digests = (u64, u64, usize, u64, u64);
+/// `(instrumented network digest, packed design digest, placement
+/// digest, routing digest, wires used, specialization digest, SCG table
+/// digest)`.
+type Digests = (u64, u64, u64, u64, usize, u64, u64);
 
 /// Place and route `design` at paper instrumentation: its digests, and
 /// the terminal count of its widest net (distinct blocks over sources
@@ -151,6 +217,7 @@ fn digests(design: &Network) -> (Digests, usize) {
     let mut off = offline(&inst, &cfg).expect("offline flow");
     let tp = off.tpar.take().expect("place and route ran");
     assert!(tp.packed.n_tunable_nets() > 0, "no tunable nets reached the router");
+    let network = network_digest(&inst.network);
     let scg = CompiledDesign::from_offline(inst, off).scg;
     let widest = tp
         .packed
@@ -166,6 +233,8 @@ fn digests(design: &Network) -> (Digests, usize) {
         .max()
         .unwrap_or(0);
     let got = (
+        network,
+        packed_digest(&tp.packed),
         placement_digest(&tp.placement),
         routing_digest(&tp.routed),
         tp.routed.wires_used,
@@ -180,9 +249,10 @@ fn check(name: &str, design: &Network, golden: Digests) -> usize {
     let (got, widest) = digests(design);
     assert_eq!(
         got, golden,
-        "{name}: (placement, routing, wires, specialization, table) digests \
-         {:#018x}, {:#018x}, {}, {:#018x}, {:#018x} differ from the golden values",
-        got.0, got.1, got.2, got.3, got.4
+        "{name}: (network, packed, placement, routing, wires, specialization, table) \
+         digests {:#018x}, {:#018x}, {:#018x}, {:#018x}, {}, {:#018x}, {:#018x} differ from \
+         the golden values",
+        got.0, got.1, got.2, got.3, got.4, got.5, got.6
     );
     widest
 }
@@ -197,6 +267,8 @@ fn stereov_place_and_route_match_golden_digests() {
         "stereov.",
         &design,
         (
+            0x3197_0bb8_0d7b_0f97,
+            0x8b8b_4540_b29b_f2b8,
             0x2eb0_6081_fa92_4779,
             0x9a1a_789b_20a4_4773,
             961,
@@ -220,6 +292,8 @@ fn diffeq1_place_and_route_match_golden_digests() {
         "diffeq1",
         &design,
         (
+            0x2df0_666e_3e73_0988,
+            0x82f9_97f1_9922_a874,
             0x3d4e_4efe_ba5e_a918,
             0x4bc3_4829_1e61_ca6f,
             3065,
@@ -243,6 +317,8 @@ fn generated_place_and_route_match_golden_digests() {
         "gen 0x601d",
         &design,
         (
+            0x074e_4215_74fb_c4b1,
+            0x388d_a4f0_0df7_dac4,
             0x19fd_8c4e_2343_d297,
             0xd4dc_d367_e8c1_ea11,
             603,
